@@ -15,8 +15,11 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 
+# The benchmark is a nested module that the root ./... skips, so its
+# own tests run separately.
 test:
 	$(GO) test ./...
+	cd benchmark && $(GO) test .
 
 # The harness's concurrency surface: the worker pool itself, the
 # experiment generators that fan out over it (including the chaos tests,

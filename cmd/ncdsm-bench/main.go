@@ -58,7 +58,7 @@ func main() {
 		bulkSpec   = flag.String("bulk", "", "bulk burst geometry override: on, or frame=16,maxframes=256")
 		meshSpec   = flag.String("mesh", "", "mesh fabric dimensions WxH, e.g. 16x16 (default: calibrated 4x4)")
 		shards     = flag.Int("shards", 0, "concurrent PDES shards the mesh is partitioned into (0/1 = single shard; results are byte-identical at any count)")
-		window     = flag.String("window", "", "sharded lookahead schedule: uniform, distance, or elide (default elide; results are byte-identical under every mode)")
+		window     = flag.String("window", "", "sharded lookahead schedule: uniform or elide (default elide; results are byte-identical under both)")
 		linkLat    = flag.String("linklat", "", "per-edge mesh link latencies, e.g. x=100ns,y=140ns,edge=1.0-2.0:250ns (default: uniform hop latency)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof)")
@@ -153,7 +153,7 @@ func main() {
 		opts := ncdsm.ExperimentOptions{
 			Scale: *scale, Parallel: *parallel, Seed: *seed, Faults: plan, Bulk: bulk,
 			MeshWidth: meshW, MeshHeight: meshH, Shards: *shards,
-			Window: *window, LinkLat: linkLatSpec,
+			Window: windowMode, LinkLat: linkLatSpec,
 		}
 		for _, id := range ids {
 			start := time.Now()

@@ -45,7 +45,7 @@ func main() {
 		parallel   = flag.Int("parallel", 1, "worker count for -explore (0 = all cores); output is identical at any setting")
 		meshSpec   = flag.String("mesh", "", "mesh fabric dimensions WxH, e.g. 16x16 (default: calibrated 4x4)")
 		shards     = flag.Int("shards", 0, "concurrent PDES shards the mesh is partitioned into (0/1 = single shard; results are byte-identical at any count)")
-		window     = flag.String("window", "", "sharded lookahead schedule: uniform, distance, or elide (default elide; results are byte-identical under every mode)")
+		window     = flag.String("window", "", "sharded lookahead schedule: uniform or elide (default elide; results are byte-identical under both)")
 		linkLat    = flag.String("linklat", "", "per-edge mesh link latencies, e.g. x=100ns,y=140ns,edge=1.0-2.0:250ns (default: uniform hop latency)")
 	)
 	flag.Parse()

@@ -37,20 +37,14 @@ type System struct {
 // the uniform lookahead window is the minimum single-link traversal
 // latency — HopLatency, unless a -linklat table names a faster edge —
 // the floor on the time any frame needs to cross a region boundary.
-// The cluster upgrades the window machinery to the distance-aware
-// bounds of p.Window once the mesh geometry is known.
+// Once the mesh geometry is known, the cluster installs the lookahead
+// bound matrix and the p.Window schedule on multi-shard sets.
 func NewSystem(p params.Params) (*System, error) {
 	k := p.Shards
 	if k < 1 {
 		k = 1
 	}
-	window := p.LinkLat.MinLatency(p.HopLatency)
-	var set *sim.ShardSet
-	if k == 1 {
-		set = sim.WrapEngine(sim.New(), window)
-	} else {
-		set = sim.NewShardSet(k, window)
-	}
+	set := sim.NewShardSet(k, p.LinkLat.MinLatency(p.HopLatency))
 	cl, err := cluster.New(set, p)
 	if err != nil {
 		return nil, err
@@ -119,13 +113,6 @@ func (s *System) Stop() { s.set.Stop() }
 
 // Registry returns the metrics registry shared by every shard.
 func (s *System) Registry() *metrics.Registry { return s.set.Metrics() }
-
-// EngineFor returns the shard engine a node's events run on; work
-// driving that node (cpu threads, experiment continuations) must be
-// scheduled there.
-func (s *System) EngineFor(n addr.NodeID) *sim.Engine {
-	return s.cl.MustNode(n).Engine()
-}
 
 // Directory returns the free-memory directory.
 func (s *System) Directory() *memdir.Directory { return s.dir }

@@ -105,11 +105,11 @@ func concurrentSmoke(t *testing.T, window params.WindowMode) (barriers, elided u
 }
 
 // TestBarrierElisionOnLocalitySmoke pins the tentpole's headline win:
-// on the skewed 16x16 locality smoke, distance lookahead plus barrier
-// elision must cut the barrier count at least 5x against the PR 9
-// uniform-window baseline, because the uniform cadence pays one barrier
-// per 120 ns of dependent local work while the adaptive schedule only
-// barriers around the sparse remote phases.
+// on the skewed 16x16 locality smoke, the elide schedule must cut the
+// barrier count at least 5x against the uniform-window baseline,
+// because the uniform cadence pays one barrier per 120 ns of dependent
+// local work while the adaptive schedule only barriers around the
+// sparse remote phases.
 func TestBarrierElisionOnLocalitySmoke(t *testing.T) {
 	uniform, _ := localitySmoke(t, params.WindowUniform)
 	elide, elided := localitySmoke(t, params.WindowElide)

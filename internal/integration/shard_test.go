@@ -198,7 +198,7 @@ func TestSparseStreamOracle(t *testing.T) {
 		t.Fatal("sparse oracle run recorded no transmissions")
 	}
 	for _, k := range []int{4, 8} {
-		for _, mode := range []params.WindowMode{params.WindowUniform, params.WindowDistance, params.WindowElide} {
+		for _, mode := range []params.WindowMode{params.WindowUniform, params.WindowElide} {
 			got := sparseStreamRun(t, k, mode)
 			diffStreams(t, fmt.Sprintf("shards=%d window=%v", k, mode), want, got)
 		}
@@ -207,8 +207,8 @@ func TestSparseStreamOracle(t *testing.T) {
 
 // TestWindowPolicyOracleEquivalence is the widened/elided-window oracle:
 // the same seeded 16x16 workload on 4 shards must produce event-for-
-// event identical canonical streams under uniform, distance, and elide
-// scheduling — fault-free and under an armed fault plan — and each must
+// event identical canonical streams under uniform and elide scheduling
+// — fault-free and under an armed fault plan — and each must
 // match the single-shard stream. The policies change only how often the
 // shards meet, never what the simulation computes.
 func TestWindowPolicyOracleEquivalence(t *testing.T) {
@@ -230,7 +230,7 @@ func TestWindowPolicyOracleEquivalence(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatal("oracle run recorded no transmissions")
 			}
-			for _, mode := range []params.WindowMode{params.WindowUniform, params.WindowDistance, params.WindowElide} {
+			for _, mode := range []params.WindowMode{params.WindowUniform, params.WindowElide} {
 				got := shardOracleRun(t, 4, 42, mode, tc.plan)
 				diffStreams(t, fmt.Sprintf("shards=4 window=%v", mode), want, got)
 			}

@@ -14,24 +14,20 @@ import (
 )
 
 // WindowMode selects how the sharded engine sizes its lookahead windows
-// (DESIGN §16). Every mode produces byte-identical figures and metrics;
+// (DESIGN §16). Both modes produce byte-identical figures and metrics;
 // they differ only in how many barriers the schedule pays.
 type WindowMode int
 
 const (
-	// WindowUniform is the PR 9 baseline: every shard runs the same
-	// global window derived from the minimum single-hop latency, and
-	// every barrier drains the whole exchange.
-	WindowUniform WindowMode = iota
-	// WindowDistance widens each shard's window to the provable minimum
-	// cross-shard delivery bound from partition geometry: interior-heavy
-	// shards get multi-hop-wide windows.
-	WindowDistance
-	// WindowElide stacks adaptive barrier elision on distance-aware
-	// lookahead: shards publish their earliest pending cross-shard
-	// intent, and the window fast-forwards to the earliest time any
+	// WindowElide, the default and zero value, bounds each shard's window
+	// by the partition geometry and the earliest pending work of every
+	// other shard: the window fast-forwards to the earliest time any
 	// shard could be affected — an appointment, not a guess.
-	WindowElide
+	WindowElide WindowMode = iota
+	// WindowUniform is the baseline: every shard runs the same global
+	// window derived from the minimum single-hop latency, and every
+	// barrier drains the whole exchange.
+	WindowUniform
 )
 
 // ParseWindowMode reads the CLI -window syntax.
@@ -39,20 +35,16 @@ func ParseWindowMode(s string) (WindowMode, error) {
 	switch strings.TrimSpace(s) {
 	case "", "elide":
 		return WindowElide, nil
-	case "distance":
-		return WindowDistance, nil
 	case "uniform":
 		return WindowUniform, nil
 	}
-	return 0, fmt.Errorf("params: unknown window mode %q (want uniform, distance, or elide)", s)
+	return 0, fmt.Errorf("params: unknown window mode %q (want uniform or elide)", s)
 }
 
 func (m WindowMode) String() string {
 	switch m {
 	case WindowUniform:
 		return "uniform"
-	case WindowDistance:
-		return "distance"
 	case WindowElide:
 		return "elide"
 	default:
@@ -61,9 +53,7 @@ func (m WindowMode) String() string {
 }
 
 // Valid reports whether m is one of the defined modes.
-func (m WindowMode) Valid() bool {
-	return m == WindowUniform || m == WindowDistance || m == WindowElide
-}
+func (m WindowMode) Valid() bool { return m == WindowUniform || m == WindowElide }
 
 // EdgeLat overrides the traversal latency of the mesh edge between two
 // adjacent nodes, applied in both directions.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestWindowModeParseRoundTrip(t *testing.T) {
-	for _, mode := range []WindowMode{WindowUniform, WindowDistance, WindowElide} {
+	for _, mode := range []WindowMode{WindowUniform, WindowElide} {
 		got, err := ParseWindowMode(mode.String())
 		if err != nil {
 			t.Fatalf("ParseWindowMode(%q): %v", mode.String(), err)
@@ -25,8 +25,24 @@ func TestWindowModeParseRoundTrip(t *testing.T) {
 	if _, err := ParseWindowMode("sideways"); err == nil {
 		t.Error("ParseWindowMode accepted an unknown mode")
 	}
+	if WindowMode(0) != WindowElide {
+		t.Error("the zero WindowMode is not the elide default")
+	}
 	if WindowMode(99).Valid() {
 		t.Error("WindowMode(99).Valid() = true")
+	}
+}
+
+// TestWindowModeRejectsDistance pins the removal of the distance
+// schedule: elide plans every window at least as wide, so the name is no
+// longer accepted, and the error lists only the modes that exist.
+func TestWindowModeRejectsDistance(t *testing.T) {
+	_, err := ParseWindowMode("distance")
+	if err == nil {
+		t.Fatal("ParseWindowMode(\"distance\") succeeded, want an unknown-mode error")
+	}
+	if !strings.Contains(err.Error(), "want uniform or elide") {
+		t.Errorf("unknown-mode error %q does not name exactly uniform and elide", err)
 	}
 }
 

@@ -183,10 +183,6 @@ func (es *ExchangeSet) Earliest(j int) sim.Time {
 	return es.heldMin[j]
 }
 
-// Held returns the number of intents currently held past the horizon,
-// for diagnostics and tests.
-func (es *ExchangeSet) Held() int { return len(es.held) }
-
 // SetSelfBounds installs each shard's own-shard delivery bound — the
 // diagonal of the lookahead matrix — into its exchange, arming the
 // record-time window clamp. Call it whenever the matrix is recomputed.

@@ -9,27 +9,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// WindowPolicy selects how a multi-shard set sizes its lookahead
-// windows. The policies trade barrier frequency only: simulated output
-// is byte-identical under all of them (DESIGN §16).
-type WindowPolicy int
-
-const (
-	// PolicyUniform is the PR 9 baseline: every shard runs the same
-	// global window [G, G+window) derived from the minimum single-hop
-	// bound, and every barrier drains the whole exchange.
-	PolicyUniform WindowPolicy = iota
-	// PolicyDistance widens shard i's window to G + min_j B[j][i]: the
-	// provable minimum delivery bound into i from anywhere, so shards
-	// far from every boundary run multi-hop-wide windows.
-	PolicyDistance
-	// PolicyElide additionally consults each shard's earliest pending
-	// work e_j (queued events and held cross-shard intents): shard i may
-	// run to min_j (e_j + B[j][i]), fast-forwarding past windows no
-	// in-flight frame can touch — an appointment, not a guess.
-	PolicyElide
-)
-
 // MaxTime is the "no pending work" sentinel of the window scheduler.
 const MaxTime = Time(math.MaxInt64)
 
@@ -50,17 +29,17 @@ type ShardSet struct {
 
 	// Lookahead configuration, installed by the cluster before Run.
 	// bounds[j][i] lower-bounds the delivery time of any frame sent by
-	// shard j into shard i; nil bounds fall back to the uniform window.
-	policy   WindowPolicy
+	// shard j into shard i; nil bounds, or elide unset, fall back to the
+	// uniform window.
+	elide    bool
 	bounds   [][]Time
-	minInto  []Time // min over j != i of bounds[j][i]
-	minB     Time   // min over all bounds entries (incl. self rows)
-	capOver  Time   // limit cap above G (0 = none; retransmit timeout under a fault plan)
+	minB     Time // min over all bounds entries (incl. self rows)
+	capOver  Time // limit cap above G (0 = none; retransmit timeout under a fault plan)
 	earliest func(shard int) Time
 
 	// Barriers counts scheduler iterations (one barrier each); Elided
 	// counts the iterations whose narrowest planned window was wider
-	// than the uniform baseline would have allowed — windows the PR 9
+	// than the uniform baseline would have allowed — windows the uniform
 	// cadence would have split into several barriers. Registered as
 	// metric families only on multi-shard sets, so single-shard output
 	// is untouched.
@@ -168,8 +147,8 @@ func (s *ShardSet) Engine(i int) *Engine { return s.engines[i] }
 // Metrics returns the registry shared by every shard.
 func (s *ShardSet) Metrics() *metrics.Registry { return s.met }
 
-// Window returns the uniform lookahead window (the PolicyUniform width
-// and the accounting unit of the elision counter).
+// Window returns the uniform lookahead window (the width every shard
+// runs without elision, and the accounting unit of the elision counter).
 func (s *ShardSet) Window() Time { return s.window }
 
 // OnBarrier installs the hook run on the coordinator after each window,
@@ -182,7 +161,9 @@ func (s *ShardSet) Window() Time { return s.window }
 // schedule onto any shard's engine.
 func (s *ShardSet) OnBarrier(fn func(horizon Time)) { s.barrier = fn }
 
-// ConfigureLookahead installs the window policy of a multi-shard set.
+// ConfigureLookahead installs the window schedule of a multi-shard set:
+// elide plans each shard's limit from the bound matrix and every shard's
+// earliest pending work; otherwise every shard runs the uniform window.
 // bounds[j][i] must lower-bound the delivery time into shard i of any
 // frame sent by shard j (mesh.MinDelayMatrix); nil keeps the uniform
 // fallback. capOver, when positive, caps every limit at G+capOver: with
@@ -194,7 +175,7 @@ func (s *ShardSet) OnBarrier(fn func(horizon Time)) { s.barrier = fn }
 // faster link inside the current window would be bounded by the tighter
 // matrix while the destination shard's limit was planned with the old
 // one, so the delivery could land in that shard's past.
-func (s *ShardSet) ConfigureLookahead(policy WindowPolicy, bounds [][]Time, capOver Time) {
+func (s *ShardSet) ConfigureLookahead(elide bool, bounds [][]Time, capOver Time) {
 	if len(s.engines) == 1 {
 		return
 	}
@@ -204,31 +185,14 @@ func (s *ShardSet) ConfigureLookahead(policy WindowPolicy, bounds [][]Time, capO
 	if bounds != nil && len(bounds) != len(s.engines) {
 		panic(fmt.Sprintf("sim: %d bound rows for %d shards", len(bounds), len(s.engines)))
 	}
-	s.policy, s.bounds, s.capOver = policy, bounds, capOver
-	s.minInto, s.minB = nil, 0
-	if bounds == nil {
-		return
-	}
+	s.elide, s.bounds, s.capOver = elide, bounds, capOver
 	s.minB = MaxTime
-	s.minInto = make([]Time, len(s.engines))
-	for i := range s.minInto {
-		m := MaxTime
-		for j := range bounds {
-			if bounds[j][i] < s.minB {
-				s.minB = bounds[j][i]
-			}
-			if j != i && bounds[j][i] < m {
-				m = bounds[j][i]
+	for _, row := range bounds {
+		for _, b := range row {
+			if b < s.minB {
+				s.minB = b
 			}
 		}
-		// The self bound bounds[i][i] is deliberately absent from the
-		// static limit: a shard's own fresh sends clamp its window the
-		// moment they are recorded (Engine.ClampWindow, wired through
-		// the exchange), and its already-held sends enter plan through
-		// the held-intent term. Until shard i actually sends, nothing it
-		// does can deliver into itself, so its window may run as far as
-		// the other shards' bounds allow.
-		s.minInto[i] = m
 	}
 }
 
@@ -322,9 +286,9 @@ func (s *ShardSet) Run() Time {
 // its time plus B[i][i] (Engine.ClampWindow). Deliveries placed at the
 // barrier therefore always land in the destination shard's future, and
 // the canonical replay stream stays (time, source, sequence)-sorted.
-// Under PolicyUniform the limit degrades to G + window, the PR 9
-// cadence (the clamp never binds there: any send in the window lands at
-// or after G + one edge cost >= G + window).
+// Without elision the limit degrades to G + window, the uniform cadence
+// (the clamp never binds there: any send in the window lands at or after
+// G + one edge cost >= G + window).
 func (s *ShardSet) plan() Time {
 	g := MaxTime
 	for j, e := range s.engines {
@@ -348,21 +312,12 @@ func (s *ShardSet) plan() Time {
 	if g == MaxTime {
 		return g
 	}
-	switch {
-	case s.bounds == nil || s.policy == PolicyUniform:
+	if s.bounds == nil || !s.elide {
 		lim := g + s.window
 		for i := range s.limits {
 			s.limits[i] = lim
 		}
-	case s.policy == PolicyDistance:
-		for i := range s.limits {
-			lim := satAdd(g, s.minInto[i])
-			if h := satAdd(s.hv[i], s.bounds[i][i]); h < lim {
-				lim = h
-			}
-			s.limits[i] = lim
-		}
-	default: // PolicyElide
+	} else {
 		for i := range s.limits {
 			lim := satAdd(s.hv[i], s.bounds[i][i])
 			for j := range s.engines {

@@ -98,16 +98,16 @@ func TestShardSetBarrierScheduling(t *testing.T) {
 	}
 }
 
-// TestShardSetDistancePolicyWidensWindows pins the point of the
-// lookahead matrix: with a provable 10x-the-window delivery bound, the
-// distance policy runs the same event program in a tenth of the
-// barriers, and the elision counter accounts for the skipped uniform
-// windows. The program itself must execute identically.
-func TestShardSetDistancePolicyWidensWindows(t *testing.T) {
+// TestShardSetElidePolicyWidensWindows pins the point of the lookahead
+// matrix: with a provable 10x-the-window delivery bound, elision runs
+// the same event program in a fraction of the uniform barriers, and the
+// elision counter accounts for the skipped uniform windows. The program
+// itself must execute identically.
+func TestShardSetElidePolicyWidensWindows(t *testing.T) {
 	const window = Time(10)
-	run := func(policy WindowPolicy, bounds [][]Time) (int, uint64, uint64) {
+	run := func(elide bool, bounds [][]Time) (int, uint64, uint64) {
 		s := NewShardSet(2, window)
-		s.ConfigureLookahead(policy, bounds, 0)
+		s.ConfigureLookahead(elide, bounds, 0)
 		ran := 0
 		var tick func()
 		tick = func() {
@@ -122,18 +122,16 @@ func TestShardSetDistancePolicyWidensWindows(t *testing.T) {
 		return ran, s.Barriers, s.Elided
 	}
 	b := [][]Time{{100, 100}, {100, 100}}
-	wantRan, uniformBarriers, _ := run(PolicyUniform, b)
-	for _, policy := range []WindowPolicy{PolicyDistance, PolicyElide} {
-		ran, barriers, elided := run(policy, b)
-		if ran != wantRan {
-			t.Fatalf("policy %d: ran %d events, uniform ran %d", policy, ran, wantRan)
-		}
-		if barriers*5 > uniformBarriers {
-			t.Errorf("policy %d: %d barriers, want <= uniform's %d / 5", policy, barriers, uniformBarriers)
-		}
-		if elided == 0 {
-			t.Errorf("policy %d: elision counter stayed zero across widened windows", policy)
-		}
+	wantRan, uniformBarriers, _ := run(false, b)
+	ran, barriers, elided := run(true, b)
+	if ran != wantRan {
+		t.Fatalf("elide: ran %d events, uniform ran %d", ran, wantRan)
+	}
+	if barriers*5 > uniformBarriers {
+		t.Errorf("elide: %d barriers, want <= uniform's %d / 5", barriers, uniformBarriers)
+	}
+	if elided == 0 {
+		t.Error("elide: elision counter stayed zero across widened windows")
 	}
 }
 
@@ -145,7 +143,7 @@ func TestShardSetElisionHonorsHeldIntents(t *testing.T) {
 	const window = Time(10)
 	s := NewShardSet(2, window)
 	b := [][]Time{{50, 50}, {50, 50}}
-	s.ConfigureLookahead(PolicyElide, b, 0)
+	s.ConfigureLookahead(true, b, 0)
 	held := Time(500) // intent recorded by shard 0, not yet replayed
 	var replayed Time
 	s.SetIntentSource(func(shard int) Time {

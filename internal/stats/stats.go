@@ -1,5 +1,5 @@
 // Package stats provides the measurement plumbing shared by the
-// experiment harness: counters, running statistics, latency histograms,
+// experiment harness: running statistics, latency histograms,
 // and labeled series rendered as text tables matching the rows/series the
 // paper's figures report.
 //
@@ -22,43 +22,22 @@ import (
 	"strings"
 )
 
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Running accumulates count/mean/min/max/variance online (Welford).
+// Running accumulates count/mean/max online. The mean is Welford's
+// incremental update, which the pinned simulation digests depend on bit
+// for bit.
 type Running struct {
-	n        uint64
-	mean, m2 float64
-	min, max float64
+	n         uint64
+	mean, max float64
 }
 
 // Observe adds one sample.
 func (r *Running) Observe(x float64) {
-	if r.n == 0 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
+	if r.n == 0 || x > r.max {
+		r.max = x
 	}
 	r.n++
 	delta := x - r.mean
 	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
 }
 
 // N returns the sample count.
@@ -67,19 +46,8 @@ func (r *Running) N() uint64 { return r.n }
 // Mean returns the sample mean (0 with no samples).
 func (r *Running) Mean() float64 { return r.mean }
 
-// Min returns the smallest sample (0 with no samples).
-func (r *Running) Min() float64 { return r.min }
-
 // Max returns the largest sample (0 with no samples).
 func (r *Running) Max() float64 { return r.max }
-
-// StdDev returns the sample standard deviation (0 with <2 samples).
-func (r *Running) StdDev() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return math.Sqrt(r.m2 / float64(r.n-1))
-}
 
 // Histogram is a log2-bucketed latency histogram. Bucket 0 holds
 // samples in [0, 1); bucket i (i >= 1) holds samples in [2^(i-1), 2^i);

@@ -7,15 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("Value = %d, want 5", c.Value())
-	}
-}
-
 func TestRunningMoments(t *testing.T) {
 	var r Running
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -27,26 +18,19 @@ func TestRunningMoments(t *testing.T) {
 	if r.Mean() != 5 {
 		t.Errorf("Mean = %v, want 5", r.Mean())
 	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", r.Min(), r.Max())
-	}
-	want := math.Sqrt(32.0 / 7.0) // sample stddev
-	if math.Abs(r.StdDev()-want) > 1e-12 {
-		t.Errorf("StdDev = %v, want %v", r.StdDev(), want)
+	if r.Max() != 9 {
+		t.Errorf("Max = %v, want 9", r.Max())
 	}
 }
 
 func TestRunningEmptyAndSingle(t *testing.T) {
 	var r Running
-	if r.Mean() != 0 || r.StdDev() != 0 {
+	if r.Mean() != 0 || r.Max() != 0 {
 		t.Error("empty Running should report zeros")
 	}
-	r.Observe(3)
-	if r.StdDev() != 0 {
-		t.Error("single-sample stddev should be 0")
-	}
-	if r.Min() != 3 || r.Max() != 3 {
-		t.Error("single-sample min/max wrong")
+	r.Observe(-3)
+	if r.Mean() != -3 || r.Max() != -3 {
+		t.Error("single-sample mean/max wrong")
 	}
 }
 
@@ -54,6 +38,7 @@ func TestRunningMeanBoundsProperty(t *testing.T) {
 	f := func(xs []float64) bool {
 		var r Running
 		n := 0
+		min := math.Inf(1)
 		for _, x := range xs {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				continue
@@ -62,12 +47,13 @@ func TestRunningMeanBoundsProperty(t *testing.T) {
 			// the float64 overflow threshold, and no simulated latency is.
 			x = math.Mod(x, 1e9)
 			r.Observe(x)
+			min = math.Min(min, x)
 			n++
 		}
 		if n == 0 {
 			return true
 		}
-		return r.Mean() >= r.Min()-1e-9 && r.Mean() <= r.Max()+1e-9 && r.N() == uint64(n)
+		return r.Mean() >= min-1e-9 && r.Mean() <= r.Max()+1e-9 && r.N() == uint64(n)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -99,14 +99,13 @@ type BulkSpec = params.BulkSpec
 func ParseBulkSpec(spec string) (BulkSpec, error) { return params.ParseBulk(spec) }
 
 // WindowMode selects the sharded engine's lookahead schedule (the CLIs'
-// -window flag): uniform single-hop windows, distance-aware windows
-// from partition geometry, or adaptive barrier elision (the default).
-// Figures and metrics are byte-identical under every mode; only the
-// barrier frequency — wall-clock speed — changes.
+// -window flag): adaptive barrier elision (the default and zero value)
+// or uniform single-hop windows. Figures and metrics are byte-identical
+// under both; only the barrier frequency — wall-clock speed — changes.
 type WindowMode = params.WindowMode
 
-// ParseWindowMode reads the CLI -window syntax: "uniform", "distance",
-// or "elide". The empty string selects the default (elide).
+// ParseWindowMode reads the CLI -window syntax: "uniform" or "elide".
+// The empty string selects the default (elide).
 func ParseWindowMode(s string) (WindowMode, error) { return params.ParseWindowMode(s) }
 
 // LinkLatSpec is the parsed -linklat flag: per-axis and per-edge mesh
@@ -476,9 +475,9 @@ type ExperimentOptions struct {
 	// results are byte-identical at every setting.
 	Shards int
 	// Window selects the sharded engine's lookahead schedule (the CLIs'
-	// -window flag): "uniform", "distance", or "elide". Empty keeps the
-	// default (elide). Results are byte-identical under every mode.
-	Window string
+	// -window flag). The zero value is the default, elide. Results are
+	// byte-identical under both modes.
+	Window WindowMode
 	// LinkLat overrides mesh link traversal latencies per axis or per
 	// edge (the CLIs' -linklat flag). The zero value keeps the uniform
 	// calibrated hop latency and is byte-identical to not setting it.
@@ -521,11 +520,7 @@ func (o ExperimentOptions) internal() (experiments.Options, error) {
 	if o.Shards != 0 {
 		io.P.Shards = o.Shards
 	}
-	mode, err := params.ParseWindowMode(o.Window)
-	if err != nil {
-		return experiments.Options{}, err
-	}
-	io.P.Window = mode
+	io.P.Window = o.Window
 	if !o.LinkLat.Empty() {
 		io.P.LinkLat = o.LinkLat
 	}
