@@ -1,10 +1,11 @@
 // Command ncdsm-perf is the tracked perf-regression harness. It runs
 // the benchmarks the hot-path work is judged by — engine event churn, a
-// full RMC remote-line round trip, the faulted Figure 7 sweep, and the
-// macro layer's batched access engine (the Figure 9 search hot loop and
-// the LineCached and Swap batch pricing loops) — and either writes the
-// results to a baseline file (BENCH_sim.json) or checks them against a
-// committed baseline.
+// full RMC remote-line round trip, a corner-to-corner mesh traversal, the
+// sharded engine's barrier and exchange drain, the faulted Figure 7
+// sweep, and the macro layer's batched access engine (the Figure 9
+// search hot loop and the LineCached and Swap batch pricing loops) — and
+// either writes the results to a baseline file (BENCH_sim.json) or checks
+// them against a committed baseline.
 //
 //	ncdsm-perf -out BENCH_sim.json          # refresh the baseline
 //	ncdsm-perf -check BENCH_sim.json        # gate: fail on regression
@@ -35,6 +36,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/experiments"
+	"repro/internal/ht"
 	"repro/internal/mem"
 	"repro/internal/memmodel"
 	"repro/internal/mesh"
@@ -181,10 +183,12 @@ func measure() Baseline {
 	run("calibration", "1s", 3, 0, nil, benchCalibration)
 	run("engine_schedule_run", "1s", 3, 0, func(r testing.BenchmarkResult) float64 { return float64(r.N) }, benchEngineChurn)
 	run("rmc_round_trip", "1s", 3, 0, nil, benchRemoteLineRead)
+	run("mesh_deliver_32x32", "1s", 3, 0, nil, benchMeshDeliver32x32)
 	run("bulk_round_trip", "500ms", 3, 0, nil, benchBulkRoundTrip)
 	run("bulk_copy_4k", "500ms", 3, 0, nil, benchBulkCopy)
 	run("fig7_faulted_sweep", "3x", 5, 0.35, nil, benchFig7Faulted)
 	run("sharded_barrier_overhead", "200ms", 5, 0.35, nil, benchShardedBarrierOverhead)
+	run("exchange_drain", "300x", 5, 0, nil, benchExchangeDrain)
 	run("sharded_16x16_events_per_sec", "200x", 8, 0.50,
 		func(testing.BenchmarkResult) float64 { return shardedEvents }, benchSharded16x16)
 	run("fig9_search_hot_loop", "500ms", 3, 0, nil, benchFig9SearchHotLoop)
@@ -357,6 +361,94 @@ func benchRemoteLineRead(b *testing.B) {
 			b.Fatal(err)
 		}
 		sys.Run()
+	}
+}
+
+// benchMeshDeliver32x32 is the fabric's per-hop cost: one clean frame
+// corner to corner across the 32x32 mesh (62 hops) per op, on idle
+// links. It walks the dense link table and must not allocate.
+func benchMeshDeliver32x32(b *testing.B) {
+	topo, err := mesh.NewTopology(32, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := mesh.NewFabric(sim.New(), topo, params.Default(), nil)
+	src, dst := topo.NodeAt(0, 0), topo.NodeAt(31, 31)
+	now := sim.Time(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := f.DeliverOutcome(now, src, dst, 72); out.Hops != 62 {
+			b.Fatalf("corner-to-corner took %d hops", out.Hops)
+		}
+		now += 1_000_000 // 1us: every link idle again
+	}
+}
+
+// benchExchangeDrain prices the sharded engine's serial barrier step:
+// one ExchangeSet.Drain of a fixed intent batch on a 16x16 mesh split
+// over 2 shards — every node's RMC has one remote line read to its
+// diametric partner recorded (256 frames, ~16 hops each) — replayed
+// through the fabric in canonical order. Only the drain is timed;
+// issuing the reads and finishing their round trips run off the clock.
+// The drain must not allocate.
+func benchExchangeDrain(b *testing.B) {
+	p := params.Default()
+	p.MeshWidth, p.MeshHeight = 16, 16
+	p.Shards = 2
+	set := sim.NewShardSet(p.Shards, p.HopLatency)
+	c, err := cluster.New(set, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo := c.Topology()
+	type read struct {
+		r   *rmc.RMC
+		pkt ht.Packet
+	}
+	reads := make([]read, 0, topo.Nodes())
+	for id := 1; id <= topo.Nodes(); id++ {
+		x, y := topo.Coord(addr.NodeID(id))
+		partner := topo.NodeAt(topo.W-1-x, topo.H-1-y)
+		reads = append(reads, read{
+			r:   c.MustNode(addr.NodeID(id)).RMC(),
+			pkt: ht.Packet{Cmd: ht.CmdRdSized, SrcTag: uint16(id), Addr: addr.Phys(0x100000 + uint64(id)*64).WithNode(partner), Count: 64},
+		})
+	}
+	done := func(_ sim.Time, _ ht.Packet, err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	record := func() {
+		now := set.Now()
+		for _, rd := range reads {
+			if err := rd.r.Request(now, rd.pkt, false, done); err != nil {
+				b.Fatal(err)
+			}
+		}
+		// Admission and launch only: in exchange mode every send stops
+		// at its shard's intent buffer, so each engine runs dry.
+		for i := 0; i < set.Shards(); i++ {
+			set.Engine(i).Run()
+		}
+	}
+	drain := c.Exchanges().Drain
+	for i := 0; i < 8; i++ {
+		record() // warm the pools and the exchange slices
+		drain(sim.MaxTime)
+		set.Run()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		record()
+		b.StartTimer()
+		drain(sim.MaxTime)
+		b.StopTimer()
+		set.Run()
+		b.StartTimer()
 	}
 }
 

@@ -42,3 +42,15 @@ func TestSealVerifyRoundTripAllocs(t *testing.T) {
 		t.Errorf("seal/verify round trip allocates %.2f/op, want 0", avg)
 	}
 }
+
+// Checksum over a 4 KiB payload — a bulk data frame — must not allocate:
+// the header words never leave registers and the payload is already on
+// the heap when it reaches hash/crc32.
+func TestChecksumAllocs(t *testing.T) {
+	f := Frame{Src: 1, Dst: 3, Seq: 9, Payload: ht.Packet{Cmd: ht.CmdWrSized, Addr: addr.Phys(0x1000).WithNode(3), Count: 4096, Data: make([]byte, 4096)}}
+	var sink uint32
+	if avg := testing.AllocsPerRun(1000, func() { sink ^= f.Checksum() }); avg != 0 {
+		t.Errorf("4 KiB Checksum allocates %.2f/op, want 0", avg)
+	}
+	_ = sink
+}

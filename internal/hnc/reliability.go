@@ -1,7 +1,6 @@
 package hnc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 
@@ -18,35 +17,50 @@ import (
 // events rather than silent corruption.
 
 // Checksum computes the frame's integrity word over the routing header
-// and the encapsulated packet's metadata and data. It is allocation-free
-// (the header image lives on the stack and the CRC runs incrementally),
-// so sealing and verifying pooled frames stays off the GC entirely.
+// and the encapsulated packet's metadata and data: the CRC-32 (IEEE) of
+// the header's 32-byte little-endian image followed by the payload. It
+// is allocation-free, so sealing and verifying pooled frames stays off
+// the GC entirely. The header words feed a slicing-by-8 update straight
+// from registers; the payload, already on the heap, goes through
+// hash/crc32 and its hardware path.
 func (f Frame) Checksum() uint32 {
-	var hdr [32]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(f.Src)|uint64(f.Dst)<<16|uint64(f.Payload.Cmd)<<32|uint64(f.Payload.SrcUnit)<<40|uint64(f.Payload.SrcTag)<<48)
-	binary.LittleEndian.PutUint64(hdr[8:], f.Seq)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(f.Payload.Addr))
 	// The Posted flag shares the Count word: an in-flight flip would
 	// silently change completion semantics, so it must be covered too.
 	cw := uint64(f.Payload.Count)
 	if f.Payload.Posted {
 		cw |= 1 << 63
 	}
-	binary.LittleEndian.PutUint64(hdr[24:], cw)
-	crc := crcUpdate(0, hdr[:])
-	return crcUpdate(crc, f.Payload.Data)
+	crc := crcWord(0, uint64(f.Src)|uint64(f.Dst)<<16|uint64(f.Payload.Cmd)<<32|uint64(f.Payload.SrcUnit)<<40|uint64(f.Payload.SrcTag)<<48)
+	crc = crcWord(crc, f.Seq)
+	crc = crcWord(crc, uint64(f.Payload.Addr))
+	crc = crcWord(crc, cw)
+	return crc32.Update(crc, crc32.IEEETable, f.Payload.Data)
 }
 
-// crcUpdate is crc32.Update(crc, crc32.IEEETable, p), inlined because
-// the stdlib's internal update leaks its slice parameter to the heap —
-// which would force the stack header image in Checksum to allocate on
-// every seal and verify. Byte-for-byte the same polynomial and value.
-func crcUpdate(crc uint32, p []byte) uint32 {
-	crc = ^crc
-	for _, b := range p {
-		crc = crc32.IEEETable[byte(crc)^b] ^ (crc >> 8)
+// crcSlice8 is the slicing-by-8 table for the IEEE polynomial: row 0 is
+// crc32.IEEETable, and row k advances a byte's contribution k more bytes.
+var crcSlice8 = func() (t [8][256]uint32) {
+	t[0] = *crc32.IEEETable
+	for i := range 256 {
+		crc := t[0][i]
+		for k := 1; k < 8; k++ {
+			crc = t[0][byte(crc)] ^ crc>>8
+			t[k][i] = crc
+		}
 	}
-	return ^crc
+	return t
+}()
+
+// crcWord is crc32.Update(crc, crc32.IEEETable, b) for b the 8-byte
+// little-endian image of w, in one slicing-by-8 step. Checksum cannot
+// hand a stack header image to the stdlib: its update leaks the slice,
+// which would move the image to the heap on every seal and verify.
+func crcWord(crc uint32, w uint64) uint32 {
+	t := &crcSlice8
+	lo := ^crc ^ uint32(w)
+	hi := uint32(w >> 32)
+	return ^(t[0][hi>>24] ^ t[1][hi>>16&0xff] ^ t[2][hi>>8&0xff] ^ t[3][hi&0xff] ^
+		t[4][lo>>24] ^ t[5][lo>>16&0xff] ^ t[6][lo>>8&0xff] ^ t[7][lo&0xff])
 }
 
 // Sealed is a frame carrying its checksum, as it travels on an
@@ -59,10 +73,25 @@ type Sealed struct {
 // Seal attaches the checksum.
 func Seal(f Frame) Sealed { return Sealed{Frame: f, CRC: f.Checksum()} }
 
-// Open verifies the checksum and returns the frame.
+// ChecksumError reports a sealed frame whose checksum does not match its
+// contents: Got is recomputed from the frame, Want is the CRC it carried.
+// The message is formatted only when asked for, so rejecting corrupted
+// frames in a fault-injected run costs one small allocation, not a
+// formatted string.
+type ChecksumError struct {
+	Frame     Frame
+	Got, Want uint32
+}
+
+func (e *ChecksumError) Error() string {
+	return fmt.Sprintf("hnc: checksum mismatch on %v: %#x != %#x", e.Frame, e.Got, e.Want)
+}
+
+// Open verifies the checksum and returns the frame. A mismatch returns a
+// *ChecksumError.
 func (s Sealed) Open() (Frame, error) {
 	if got := s.Frame.Checksum(); got != s.CRC {
-		return Frame{}, fmt.Errorf("hnc: checksum mismatch on %v: %#x != %#x", s.Frame, got, s.CRC)
+		return Frame{}, &ChecksumError{Frame: s.Frame, Got: got, Want: s.CRC}
 	}
 	return s.Frame, nil
 }

@@ -1,6 +1,8 @@
 package hnc
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -52,6 +54,26 @@ func TestCorruptionDetected(t *testing.T) {
 	s.Frame.Payload.Addr++
 	if _, err := s.Open(); err == nil {
 		t.Error("address tampering undetected")
+	}
+}
+
+// A corrupted frame fails with a typed *ChecksumError carrying the frame
+// and both CRCs; its message is built only when asked for.
+func TestChecksumErrorAs(t *testing.T) {
+	s := Seal(mkFrame(t, 1, 7, 0xAA))
+	want := s.CRC
+	s.Frame.Payload.Data[5] ^= 0x40
+	_, err := NewVerifier(3).Accept(s)
+	var ce *ChecksumError
+	if !errors.As(err, &ce) {
+		t.Fatalf("Accept error %v is not a *ChecksumError", err)
+	}
+	if ce.Want != want || ce.Got != s.Frame.Checksum() || ce.Frame.Seq != 7 {
+		t.Errorf("ChecksumError = {seq %d, got %#x, want %#x}, expected {seq 7, got %#x, want %#x}",
+			ce.Frame.Seq, ce.Got, ce.Want, s.Frame.Checksum(), want)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "checksum mismatch") || !strings.Contains(msg, "seq=7") {
+		t.Errorf("message %q does not name the mismatch and the frame", msg)
 	}
 }
 

@@ -2,7 +2,6 @@ package mesh
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/addr"
 	"repro/internal/faults"
@@ -11,19 +10,39 @@ import (
 	"repro/internal/sim"
 )
 
-// linkKey identifies one directed link.
+// linkKey identifies one directed express link.
 type linkKey struct {
 	from, to addr.NodeID
 }
+
+// Directions of a node's outgoing mesh links, in Topology.Neighbors
+// order. Mesh link (n, dir) lives at index 4*(n-1)+dir of the fabric's
+// dense link table.
+const (
+	dirWest = iota
+	dirEast
+	dirNorth
+	dirSouth
+)
 
 // link is one directed link: its timed occupancy, its traversal latency
 // (per-edge under a -linklat table, HopLatency otherwise), plus traffic
 // tallies the metrics layer samples lazily.
 type link struct {
-	res    *sim.Resource
+	res    sim.Resource
 	lat    sim.Time
 	frames uint64
 	bytes  uint64
+}
+
+// cross serializes a frame of wireBytes onto the link no earlier than t
+// (mesh and express links have unbounded queues) and returns when it
+// reaches the far end.
+func (l *link) cross(t, occ sim.Time, wireBytes int) sim.Time {
+	done, _ := l.res.Acquire(t, occ)
+	l.frames++
+	l.bytes += uint64(wireBytes)
+	return done + l.lat
 }
 
 // Fabric is the timed fabric: every directed mesh link is a FIFO resource
@@ -36,7 +55,7 @@ type Fabric struct {
 	eng      *sim.Engine
 	p        params.Params
 	inj      *faults.Injector // nil on a fault-free fabric
-	links    map[linkKey]*link
+	links    []link           // dense mesh-link table; entries off the mesh edge stay zero
 	express  map[linkKey]*link
 	onChange func() // invoked after link-set changes (express additions)
 
@@ -63,16 +82,17 @@ func NewFabric(eng *sim.Engine, topo Topology, p params.Params, inj *faults.Inje
 		eng:     eng,
 		p:       p,
 		inj:     inj,
-		links:   make(map[linkKey]*link),
+		links:   make([]link, 4*topo.Nodes()),
 		express: make(map[linkKey]*link),
 	}
 	for id := addr.NodeID(1); int(id) <= topo.Nodes(); id++ {
+		fx, fy := topo.Coord(id)
 		for _, nb := range topo.Neighbors(id) {
-			k := linkKey{id, nb}
-			f.links[k] = f.newLink(k, "mesh", 0)
-			fx, fy := topo.Coord(id)
+			i, _ := f.linkIndex(id, nb)
+			l := &f.links[i]
+			f.initLink(l, id, nb, "mesh")
 			tx, ty := topo.Coord(nb)
-			f.links[k].lat = p.LinkLat.EdgeLatency(fx, fy, tx, ty, p.HopLatency)
+			l.lat = p.LinkLat.EdgeLatency(fx, fy, tx, ty, p.HopLatency)
 		}
 	}
 	m := eng.Metrics()
@@ -91,16 +111,19 @@ func NewFabric(eng *sim.Engine, topo Topology, p params.Params, inj *faults.Inje
 	return f
 }
 
-// newLink builds a directed link and registers its traffic counters.
-func (f *Fabric) newLink(k linkKey, class string, queue int) *link {
-	name := fmt.Sprintf("link %d->%d", k.from, k.to)
+// initLink sets up the directed link from->to in place and registers its
+// traffic counters.
+func (f *Fabric) initLink(l *link, from, to addr.NodeID, class string) {
+	name := fmt.Sprintf("link %d->%d", from, to)
 	if class == "express" {
-		name = fmt.Sprintf("express %d->%d", k.from, k.to)
+		name = fmt.Sprintf("express %d->%d", from, to)
 	}
-	l := &link{res: sim.NewResource(f.eng, name, queue), lat: f.p.HopLatency}
+	// The resource lives inside the link, so a hop touches one dense
+	// table entry instead of chasing a pointer to a separate allocation.
+	*l = link{res: *sim.NewResource(f.eng, name, 0), lat: f.p.HopLatency}
 	ls := metrics.L(
-		"from", fmt.Sprintf("%d", k.from),
-		"to", fmt.Sprintf("%d", k.to),
+		"from", fmt.Sprintf("%d", from),
+		"to", fmt.Sprintf("%d", to),
 		"class", class,
 	)
 	m := f.eng.Metrics()
@@ -108,7 +131,27 @@ func (f *Fabric) newLink(k linkKey, class string, queue int) *link {
 		func() uint64 { return l.frames })
 	m.CounterFunc(metrics.FamMeshLinkBytes, "wire bytes carried by this directed link", ls,
 		func() uint64 { return l.bytes })
-	return l
+}
+
+// linkIndex returns the dense-table index of the directed mesh link
+// from->to, and false when the two nodes are not mesh neighbors. Vertical
+// steps are tested first: on a one-column mesh a step of ±1 is ±W.
+func (f *Fabric) linkIndex(from, to addr.NodeID) (int, bool) {
+	if !f.topo.Contains(from) || !f.topo.Contains(to) {
+		return 0, false
+	}
+	base, w := 4*(int(from)-1), f.topo.W
+	switch d := int(to) - int(from); {
+	case d == -w:
+		return base + dirNorth, true
+	case d == w:
+		return base + dirSouth, true
+	case d == -1 && (int(from)-1)%w != 0:
+		return base + dirWest, true
+	case d == 1 && int(from)%w != 0:
+		return base + dirEast, true
+	}
+	return 0, false
 }
 
 // Topology returns the fabric's geometry.
@@ -128,7 +171,9 @@ func (f *Fabric) AddExpressLink(a, b addr.NodeID) error {
 		if _, dup := f.express[k]; dup {
 			return fmt.Errorf("mesh: express link %d->%d already exists", k.from, k.to)
 		}
-		f.express[k] = f.newLink(k, "express", 0)
+		l := new(link)
+		f.initLink(l, k.from, k.to, "express")
+		f.express[k] = l
 	}
 	if f.onChange != nil {
 		f.onChange()
@@ -176,6 +221,9 @@ func (f *Fabric) DeliverOutcome(now sim.Time, src, dst addr.NodeID, wireBytes in
 	if src == dst {
 		return faults.Outcome{Arrive: int64(now), Status: faults.Delivered}
 	}
+	if f.inj == nil {
+		return f.deliverXY(now, src, dst, wireBytes)
+	}
 	occ := f.occupancy(wireBytes)
 	t := now
 	cur := src
@@ -200,24 +248,19 @@ func (f *Fabric) DeliverOutcome(now sim.Time, src, dst addr.NodeID, wireBytes in
 			detoured = true
 			f.Reroutes++
 		}
-		l := f.links[linkKey{cur, next}]
-		done, _ := l.res.Acquire(t, occ) // mesh links have unbounded queues
-		l.frames++
-		l.bytes += uint64(wireBytes)
+		i, _ := f.linkIndex(cur, next)
+		t = f.links[i].cross(t, occ, wireBytes)
 		f.Hops++
-		t = done + l.lat
 		hops++
-		if f.inj != nil {
-			if d, ok := f.inj.RollDelay(); ok {
-				t += sim.Time(d)
-			}
-			if f.inj.RollDrop() {
-				// The frame occupied every link up to here, then vanished.
-				return faults.Outcome{Arrive: int64(t), Hops: hops, Status: faults.Dropped}
-			}
-			if f.inj.RollCorrupt() {
-				corrupted = true
-			}
+		if d, ok := f.inj.RollDelay(); ok {
+			t += sim.Time(d)
+		}
+		if f.inj.RollDrop() {
+			// The frame occupied every link up to here, then vanished.
+			return faults.Outcome{Arrive: int64(t), Hops: hops, Status: faults.Dropped}
+		}
+		if f.inj.RollCorrupt() {
+			corrupted = true
 		}
 		prev, cur = cur, next
 	}
@@ -234,14 +277,46 @@ func (f *Fabric) DeliverOutcome(now sim.Time, src, dst addr.NodeID, wireBytes in
 	return faults.Outcome{Arrive: int64(t), Hops: hops, Status: st}
 }
 
-// nextHop picks the next node on the way to dst. On the clean path it is
-// the XY dimension-order neighbor; when that link is down — or once the
-// frame has already detoured (greedy) — it is the live neighbor closest
-// to the destination. The greedy mode matters: strict XY preference at
-// the nodes around an outage steers a detoured frame straight back into
-// the down link forever, whereas distance-greedy routing walks it around
-// the cut. Selection order is deterministic (distance to dst, then
-// identifier), so routes under a fixed fault plan replay exactly.
+// deliverXY is the fault-free walk: the XY route, x leg then y leg, with
+// the link index stepped by plain integer arithmetic — no coordinate
+// division and no lookup per hop.
+func (f *Fabric) deliverXY(now sim.Time, src, dst addr.NodeID, wireBytes int) faults.Outcome {
+	occ := f.occupancy(wireBytes)
+	w := f.topo.W
+	s, d := int(src)-1, int(dst)-1
+	sx, sy, dx, dy := s%w, s/w, d%w, d/w
+	t := now
+	dir, step := dirEast, 1
+	if dx < sx {
+		dir, step = dirWest, -1
+	}
+	for n := abs(dx - sx); n > 0; n-- {
+		t = f.links[4*s+dir].cross(t, occ, wireBytes)
+		s += step
+	}
+	dir, step = dirSouth, w
+	if dy < sy {
+		dir, step = dirNorth, -w
+	}
+	for n := abs(dy - sy); n > 0; n-- {
+		t = f.links[4*s+dir].cross(t, occ, wireBytes)
+		s += step
+	}
+	hops := abs(dx-sx) + abs(dy-sy)
+	f.Hops += uint64(hops)
+	f.Delivered++
+	return faults.Outcome{Arrive: int64(t), Hops: hops, Status: faults.Delivered}
+}
+
+// nextHop picks the next node on the way to dst under a fault plan. It
+// is the XY dimension-order neighbor unless that link is down or the
+// frame has already detoured (greedy); then it is the live neighbor
+// closest to the destination. The greedy mode matters: strict XY
+// preference at the nodes around an outage steers a detoured frame
+// straight back into the down link forever, whereas distance-greedy
+// routing walks it around the cut. Selection order is deterministic
+// (distance to dst, then identifier), so routes under a fixed fault plan
+// replay exactly.
 func (f *Fabric) nextHop(cur, prev, dst addr.NodeID, at sim.Time, greedy bool) (addr.NodeID, bool, bool) {
 	x, y := f.topo.Coord(cur)
 	bx, by := f.topo.Coord(dst)
@@ -251,21 +326,31 @@ func (f *Fabric) nextHop(cur, prev, dst addr.NodeID, at sim.Time, greedy bool) (
 	} else {
 		pref = f.topo.NodeAt(x, y+sign(by-y))
 	}
-	if f.inj == nil {
-		return pref, false, true
-	}
 	if !greedy && !f.inj.LinkDown(cur, pref, int64(at)) {
 		return pref, false, true
 	}
-	nbs := f.topo.Neighbors(cur)
-	sort.Slice(nbs, func(i, j int) bool {
-		di, dj := f.topo.Hops(nbs[i], dst), f.topo.Hops(nbs[j], dst)
-		if di != dj {
-			return di < dj
+	// The mesh neighbors, insertion-sorted by (distance to dst, id).
+	var nbs [4]addr.NodeID
+	var dist [4]int
+	n, w := 0, f.topo.W
+	steps := [4]struct {
+		ok  bool
+		off int
+	}{{x > 0, -1}, {x < w-1, 1}, {y > 0, -w}, {y < f.topo.H-1, w}}
+	for _, st := range steps {
+		if !st.ok {
+			continue
 		}
-		return nbs[i] < nbs[j]
-	})
-	for _, nb := range nbs {
+		nb := addr.NodeID(int(cur) + st.off)
+		dn := f.topo.Hops(nb, dst)
+		i := n
+		for ; i > 0 && (dist[i-1] > dn || dist[i-1] == dn && nbs[i-1] > nb); i-- {
+			nbs[i], dist[i] = nbs[i-1], dist[i-1]
+		}
+		nbs[i], dist[i] = nb, dn
+		n++
+	}
+	for _, nb := range nbs[:n] {
 		if nb == prev {
 			continue // never an immediate bounce back (loop bait)
 		}
@@ -292,22 +377,22 @@ func (f *Fabric) DeliverExpress(now sim.Time, src, dst addr.NodeID, wireBytes in
 	if !ok {
 		return 0, fmt.Errorf("mesh: no express link %d->%d", src, dst)
 	}
-	done, _ := l.res.Acquire(now, f.occupancy(wireBytes))
-	l.frames++
-	l.bytes += uint64(wireBytes)
 	f.Delivered++
-	return done + f.p.HopLatency, nil
+	return l.cross(now, f.occupancy(wireBytes), wireBytes), nil
 }
 
 // LinkUtilization returns the utilization of the directed mesh link
 // from->to over elapsed time, for diagnostics.
 func (f *Fabric) LinkUtilization(from, to addr.NodeID, elapsed sim.Time) (float64, error) {
-	l, ok := f.links[linkKey{from, to}]
+	i, ok := f.linkIndex(from, to)
 	if !ok {
 		return 0, fmt.Errorf("mesh: no link %d->%d", from, to)
 	}
-	return l.res.Utilization(elapsed), nil
+	return f.links[i].res.Utilization(elapsed), nil
 }
 
 // Links returns the number of directed mesh links.
-func (f *Fabric) Links() int { return len(f.links) }
+func (f *Fabric) Links() int {
+	w, h := f.topo.W, f.topo.H
+	return 2 * ((w-1)*h + w*(h-1))
+}

@@ -34,8 +34,8 @@ func (f *Fabric) MinDelayMatrix(part Partition) [][]sim.Time {
 	adj := make([][]arc, n+1)
 	for id := addr.NodeID(1); int(id) <= n; id++ {
 		for _, nb := range f.topo.Neighbors(id) {
-			l := f.links[linkKey{id, nb}]
-			adj[id] = append(adj[id], arc{to: int(nb), cost: f.p.LinkOccupancy + l.lat})
+			i, _ := f.linkIndex(id, nb)
+			adj[id] = append(adj[id], arc{to: int(nb), cost: f.p.LinkOccupancy + f.links[i].lat})
 		}
 	}
 	for key := range f.express {

@@ -120,10 +120,10 @@ type RMC struct {
 	lat   *metrics.Histogram
 
 	// Free lists for the reified request/serve/send continuations and
-	// for line-sized data buffers. Recycling is disabled under a fault
-	// plan (see putClientOp), so the pools stay empty there; on the
-	// fault-free fast path a remote load/store completes without
-	// allocating.
+	// for line-sized data buffers. They recycle with or without a fault
+	// plan (see the recycling rule above clientOp): a remote load/store
+	// completes without allocating, and under faults only a corrupted
+	// frame's mangled duplicate copies its payload.
 	clientOps []*clientOp
 	srvOps    []*srvOp
 	sendOps   []*sendOp

@@ -21,12 +21,12 @@ type Resource struct {
 	// one in service). 0 means unbounded.
 	queueDepth int
 
-	// waiting tracks when each queued/in-service request releases its
-	// queue slot, so bounded-queue admission can be checked. A slot is
-	// released when the server has actually finished the request:
-	// Penalize pushes pending release times back along with nextFree,
-	// so the queue stays full while the server chews NACK waste.
-	// Entries with release <= now are pruned lazily.
+	// waiting tracks, for a bounded queue only, when each queued or
+	// in-service request releases its queue slot, so admission can be
+	// checked. A slot is released when the server has actually finished
+	// the request: Penalize pushes pending release times back along with
+	// nextFree, so the queue stays full while the server chews NACK
+	// waste. Entries with release <= now are pruned lazily.
 	waiting []Time
 
 	// Served counts accepted services; Rejected counts bounced arrivals.
@@ -59,45 +59,44 @@ func (r *Resource) prune(now Time) {
 // Acquire requests service of the given occupancy starting no earlier
 // than now. It returns the completion time and true, or 0 and false if
 // the bounded queue is full (the caller must retry). The caller is
-// responsible for scheduling its continuation at the returned time.
+// responsible for scheduling its continuation at the returned time. An
+// unbounded resource never reads its queue, so it keeps none: Acquire
+// is then just max(now, nextFree) + occupancy.
 func (r *Resource) Acquire(now Time, occupancy Time) (Time, bool) {
 	if occupancy < 0 {
 		panic(fmt.Sprintf("sim: negative occupancy %d on %s", occupancy, r.name))
 	}
-	r.prune(now)
-	if r.queueDepth > 0 && len(r.waiting) > r.queueDepth {
-		r.Rejected++
-		return 0, false
+	if r.queueDepth > 0 {
+		r.prune(now)
+		if len(r.waiting) > r.queueDepth {
+			r.Rejected++
+			return 0, false
+		}
 	}
-	start := now
-	if r.nextFree > start {
-		start = r.nextFree
-	}
-	done := start + occupancy
+	done := max(now, r.nextFree) + occupancy
 	r.nextFree = done
-	r.waiting = append(r.waiting, done)
+	if r.queueDepth > 0 {
+		r.waiting = append(r.waiting, done)
+	}
 	r.Served++
 	r.Busy += occupancy
 	return done, true
 }
 
 // Penalize consumes service capacity without a completion (e.g. the cost
-// of NACKing a rejected request). It delays all subsequent services and
-// holds the queue slots of still-pending requests for the extra time:
-// the backlogged server has not finished them, so they must keep
-// counting against the bounded queue or a NACK storm would admit more
-// than queueDepth outstanding requests. The completion times already
-// returned to earlier Acquire callers are unchanged — the timeline
-// model fixes a request's completion at admission, a deliberate
-// approximation.
+// of NACKing a rejected request). It delays all subsequent services and,
+// on a bounded queue, holds the queue slots of still-pending requests
+// for the extra time: the backlogged server has not finished them, so
+// they must keep counting against the bounded queue or a NACK storm
+// would admit more than queueDepth outstanding requests. The completion
+// times already returned to earlier Acquire callers are unchanged — the
+// timeline model fixes a request's completion at admission, a
+// deliberate approximation.
 func (r *Resource) Penalize(now Time, cost Time) {
 	if cost <= 0 {
 		return
 	}
-	if r.nextFree < now {
-		r.nextFree = now
-	}
-	r.nextFree += cost
+	r.nextFree = max(now, r.nextFree) + cost
 	r.Busy += cost
 	for i, w := range r.waiting {
 		if w > now {
@@ -106,7 +105,8 @@ func (r *Resource) Penalize(now Time, cost Time) {
 	}
 }
 
-// QueueLen returns the number of requests queued or in service at now.
+// QueueLen returns the number of requests holding a slot of a bounded
+// queue at now. An unbounded resource tracks no slots and reports 0.
 func (r *Resource) QueueLen(now Time) int {
 	r.prune(now)
 	return len(r.waiting)
