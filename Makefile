@@ -53,10 +53,14 @@ perf-gate:
 # Short fuzz passes over the parsers of untrusted input and the
 # consistency lab's state machines: the trace reader, the HNC frame
 # integrity check that the fault injector's corrupted frames must never
-# slip past, and random litmus programs under every protocol with
-# directory invariants held at every step. CI runs the same 10-second
-# smokes.
+# slip past, random litmus programs under every protocol with
+# directory invariants held at every step, and the -linklat, -bulk and
+# -faults spec parsers (no panic; String renders exactly what Parse
+# reads). CI runs the same 10-second smokes.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s -run='^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzFrameIntegrity -fuzztime=10s -run='^$$' ./internal/hnc
 	$(GO) test -fuzz=FuzzLitmusProgram -fuzztime=10s -run='^$$' ./internal/consistency
+	$(GO) test -fuzz=FuzzParseLinkLat -fuzztime=10s -run='^$$' ./internal/params
+	$(GO) test -fuzz=FuzzParseBulk -fuzztime=10s -run='^$$' ./internal/params
+	$(GO) test -fuzz=FuzzParsePlan -fuzztime=10s -run='^$$' ./internal/faults

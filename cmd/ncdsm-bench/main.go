@@ -58,7 +58,6 @@ func main() {
 		bulkSpec   = flag.String("bulk", "", "bulk burst geometry override: on, or frame=16,maxframes=256")
 		meshSpec   = flag.String("mesh", "", "mesh fabric dimensions WxH, e.g. 16x16 (default: calibrated 4x4)")
 		shards     = flag.Int("shards", 0, "concurrent PDES shards the mesh is partitioned into (0/1 = single shard; results are byte-identical at any count)")
-		window     = flag.String("window", "", "sharded lookahead schedule: uniform or elide (default elide; results are byte-identical under both)")
 		linkLat    = flag.String("linklat", "", "per-edge mesh link latencies, e.g. x=100ns,y=140ns,edge=1.0-2.0:250ns (default: uniform hop latency)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof)")
@@ -110,11 +109,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ncdsm-bench:", err)
 		os.Exit(2)
 	}
-	windowMode, err := ncdsm.ParseWindowMode(*window)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ncdsm-bench:", err)
-		os.Exit(2)
-	}
 	linkLatSpec, err := ncdsm.ParseLinkLatSpec(*linkLat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ncdsm-bench:", err)
@@ -153,7 +147,7 @@ func main() {
 		opts := ncdsm.ExperimentOptions{
 			Scale: *scale, Parallel: *parallel, Seed: *seed, Faults: plan, Bulk: bulk,
 			MeshWidth: meshW, MeshHeight: meshH, Shards: *shards,
-			Window: windowMode, LinkLat: linkLatSpec,
+			LinkLat: linkLatSpec,
 		}
 		for _, id := range ids {
 			start := time.Now()
@@ -184,7 +178,6 @@ func main() {
 	if *shards != 0 {
 		base.P.Shards = *shards
 	}
-	base.P.Window = windowMode
 	if !linkLatSpec.Empty() {
 		base.P.LinkLat = linkLatSpec
 	}

@@ -34,10 +34,8 @@ import (
 	"repro/internal/btree"
 	"repro/internal/cluster"
 	"repro/internal/cpu"
-	"repro/internal/dram"
 	"repro/internal/experiments"
 	"repro/internal/ht"
-	"repro/internal/mem"
 	"repro/internal/memmodel"
 	"repro/internal/mesh"
 	"repro/internal/params"
@@ -427,8 +425,8 @@ func benchExchangeDrain(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		// Admission and launch only: in exchange mode every send stops
-		// at its shard's intent buffer, so each engine runs dry.
+		// Admission and launch only: every send stops at its shard's
+		// intent buffer, so each engine runs dry.
 		for i := 0; i < set.Shards(); i++ {
 			set.Engine(i).Run()
 		}
@@ -452,43 +450,17 @@ func benchExchangeDrain(b *testing.B) {
 	}
 }
 
-// perfPeers is the RMC lookup of the bulk benchmark rigs.
-type perfPeers map[addr.NodeID]*rmc.RMC
-
-func (p perfPeers) RMC(n addr.NodeID) (*rmc.RMC, error) {
-	r, ok := p[n]
-	if !ok {
-		return nil, fmt.Errorf("ncdsm-perf: rig has no node %d", n)
-	}
-	return r, nil
-}
-
-// bulkRig builds a 1×n-mesh rig with an RMC and store on every node,
-// the minimal machine a bulk burst or DMA copy needs.
-func bulkRig(b *testing.B, nodes int) (*sim.Engine, perfPeers) {
-	eng := sim.New()
+// bulkRig builds the 1×n-mesh cluster on one shard, the minimal
+// machine a bulk burst or DMA copy needs, and returns node 1's RMC.
+func bulkRig(b *testing.B, nodes int) (*sim.ShardSet, *rmc.RMC) {
 	p := params.Default()
-	topo, err := mesh.NewTopology(nodes, 1)
+	p.MeshWidth, p.MeshHeight = nodes, 1
+	set := sim.NewShardSet(1, p.HopLatency)
+	c, err := cluster.New(set, p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	fabric := mesh.NewFabric(eng, topo, p, nil)
-	peers := perfPeers{}
-	for id := addr.NodeID(1); int(id) <= nodes; id++ {
-		st, err := mem.NewStore(p.MemPerNode)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := rmc.New(rmc.Config{
-			Self: id, Engine: eng, Params: p, Fabric: fabric,
-			Peers: peers, Bank: dram.NewBank(eng, id, p), Store: st,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		peers[id] = r
-	}
-	return eng, peers
+	return set, c.MustNode(1).RMC()
 }
 
 // benchBulkRoundTrip is the bulk data plane's hot path: one 64-line
@@ -496,7 +468,7 @@ func bulkRig(b *testing.B, nodes int) (*sim.Engine, perfPeers) {
 // doorbell, descriptor, pipelined data frames, reassembly — per op.
 // The continuation pools pin it at 0 allocs/op.
 func benchBulkRoundTrip(b *testing.B) {
-	eng, peers := bulkRig(b, 2)
+	set, client := bulkRig(b, 2)
 	sink := make([]byte, 64*64)
 	spans := []rmc.Span{{Start: addr.Phys(0x30000000).WithNode(2), Lines: 64}}
 	req := rmc.BulkRequest{
@@ -508,10 +480,10 @@ func benchBulkRoundTrip(b *testing.B) {
 		},
 	}
 	issue := func() {
-		if err := peers[1].RequestBulk(eng.Now(), req); err != nil {
+		if err := client.RequestBulk(set.Now(), req); err != nil {
 			b.Fatal(err)
 		}
-		eng.Run()
+		set.Run()
 	}
 	for i := 0; i < 16; i++ {
 		issue() // warm the pools
@@ -526,7 +498,7 @@ func benchBulkRoundTrip(b *testing.B) {
 // benchBulkCopy is one 4 KiB region-to-region DMA per op: node 1 rings
 // node 2's doorbell, node 2 streams write frames straight to node 3.
 func benchBulkCopy(b *testing.B) {
-	eng, peers := bulkRig(b, 3)
+	set, client := bulkRig(b, 3)
 	spans := []rmc.Span{{Start: addr.Phys(0x10000000).WithNode(2), Lines: 64}}
 	req := rmc.BulkRequest{
 		Kind: rmc.BulkCopy, Spans: spans,
@@ -538,10 +510,10 @@ func benchBulkCopy(b *testing.B) {
 		},
 	}
 	issue := func() {
-		if err := peers[1].RequestBulk(eng.Now(), req); err != nil {
+		if err := client.RequestBulk(set.Now(), req); err != nil {
 			b.Fatal(err)
 		}
-		eng.Run()
+		set.Run()
 	}
 	for i := 0; i < 16; i++ {
 		issue()

@@ -35,7 +35,6 @@ type Cluster struct {
 	fabric  rmc.Fabric
 	meshFab *mesh.Fabric // non-nil only for the mesh interconnect
 	inj     *faults.Injector
-	exch    []*rmc.Exchange
 	exSet   *rmc.ExchangeSet
 	nodes   []*Node
 }
@@ -43,10 +42,10 @@ type Cluster struct {
 // New builds a cluster from the parameter set, partitioned over the
 // shard set's engines. The mesh is tiled into one rectangular region per
 // shard (mesh.Partition); every node's events — cache, DRAM, RMC client
-// and server work — run on its region's engine, and cross-shard frame
-// deliveries travel through the windowed exchange drained at the set's
-// barriers. A single-shard set reproduces the same exchange schedule
-// inline, so figures are byte-identical at any shard count.
+// and server work — run on its region's engine, and every frame travels
+// through the windowed exchange drained at the set's barriers. A
+// single-shard set runs the same exchange schedule, so figures are
+// byte-identical at any shard count.
 func New(set *sim.ShardSet, p params.Params) (*Cluster, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -67,10 +66,10 @@ func New(set *sim.ShardSet, p params.Params) (*Cluster, error) {
 		if err := validatePlanTopology(p.Faults, topo); err != nil {
 			return nil, err
 		}
-		// Retransmit timers are scheduled from the window barrier in
-		// exchange mode, so they must land at or past the window limit —
-		// a timeout shorter than the lookahead window would fire into a
-		// shard's past. Only armed plans can drop frames and start timers.
+		// Retransmit timers are scheduled from the window barrier, so
+		// they must land at or past the window limit — a timeout shorter
+		// than the lookahead window would fire into a shard's past. Only
+		// armed plans can drop frames and start timers.
 		if p.RetransmitTimeout < p.HopLatency {
 			return nil, fmt.Errorf("cluster: retransmit timeout %v is shorter than the %v lookahead window; a fault plan needs RetransmitTimeout >= HopLatency", p.RetransmitTimeout, p.HopLatency)
 		}
@@ -89,34 +88,28 @@ func New(set *sim.ShardSet, p params.Params) (*Cluster, error) {
 		c.meshFab = mesh.NewFabric(set.Engine(0), topo, p, c.inj)
 		c.fabric = c.meshFab
 	}
-	for i := 0; i < set.Shards(); i++ {
-		c.exch = append(c.exch, rmc.NewExchange(set.Engine(i)))
-	}
-	c.exSet = rmc.NewExchangeSet(c.exch)
-	set.OnBarrier(c.exSet.Drain)
-	set.SetIntentSource(c.exSet.Earliest)
+	c.exSet = rmc.NewExchangeSet(set)
 	if set.Shards() > 1 && c.meshFab != nil {
 		// Install the lookahead machinery: B[j][i] from the mesh
-		// geometry (and any -linklat table), the schedule from -window,
-		// and — under an armed fault plan — the retransmit-timeout cap
-		// that keeps drain-time timers in every shard's future. Express
-		// links added later tighten the matrix, so the fabric recomputes
-		// it on topology changes — which must happen with the set parked
-		// (before Run or between Run calls): ConfigureLookahead panics
-		// mid-run, because a frame routed over the new link inside the
-		// current window would be bounded by the tighter matrix while the
-		// destination shard's limit was planned with the old one.
-		elide := p.Window == params.WindowElide
+		// geometry (and any -linklat table) and — under an armed fault
+		// plan — the retransmit-timeout cap that keeps drain-time timers
+		// in every shard's future. Express links added later tighten the
+		// matrix, so the fabric recomputes it on topology changes — which
+		// must happen with the set parked (before Run or between Run
+		// calls): ConfigureLookahead panics mid-run, because a frame
+		// routed over the new link inside the current window would be
+		// bounded by the tighter matrix while the destination shard's
+		// limit was planned with the old one.
 		var capOver sim.Time
 		if c.inj != nil {
 			capOver = p.RetransmitTimeout
 		}
 		b := c.meshFab.MinDelayMatrix(part)
-		set.ConfigureLookahead(elide, b, capOver)
+		set.ConfigureLookahead(b, capOver)
 		c.exSet.SetSelfBounds(b)
 		c.meshFab.OnTopologyChange(func() {
 			nb := c.meshFab.MinDelayMatrix(c.part)
-			set.ConfigureLookahead(elide, nb, capOver)
+			set.ConfigureLookahead(nb, capOver)
 			c.exSet.SetSelfBounds(nb)
 		})
 	}
@@ -310,14 +303,13 @@ func newNode(c *Cluster, id addr.NodeID) (*Node, error) {
 	}
 	n.rmc, err = rmc.New(rmc.Config{
 		Self:   id,
-		Engine: eng,
 		Params: p,
 		Fabric: c.fabric,
 		Peers:  c,
 		Bank:   n.bank,
 		Store:  store,
 		Faults: c.inj,
-		Exch:   c.exch[shard],
+		Exch:   c.exSet.Shard(shard),
 		Now:    c.set.Now,
 	})
 	if err != nil {

@@ -38,7 +38,7 @@ type System struct {
 // latency — HopLatency, unless a -linklat table names a faster edge —
 // the floor on the time any frame needs to cross a region boundary.
 // Once the mesh geometry is known, the cluster installs the lookahead
-// bound matrix and the p.Window schedule on multi-shard sets.
+// bound matrix on multi-shard sets.
 func NewSystem(p params.Params) (*System, error) {
 	k := p.Shards
 	if k < 1 {

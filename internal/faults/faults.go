@@ -15,8 +15,9 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -102,7 +103,7 @@ func (p *Plan) Validate() error {
 		name string
 		v    float64
 	}{{"drop", p.Drop}, {"corrupt", p.Corrupt}, {"delayp", p.Delay}} {
-		if pr.v < 0 || pr.v > 1 {
+		if !(pr.v >= 0 && pr.v <= 1) { // also rejects NaN
 			return fmt.Errorf("faults: %s probability %v outside [0,1]", pr.name, pr.v)
 		}
 	}
@@ -216,48 +217,48 @@ func (p *Plan) String() string {
 	if p.DelayBy > 0 {
 		parts = append(parts, "delay="+formatDuration(p.DelayBy))
 	}
-	downs := append([]LinkWindow(nil), p.LinkDowns...)
-	sort.Slice(downs, func(i, j int) bool {
-		a, b := downs[i], downs[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return a.Start < b.Start
-	})
-	for _, lw := range downs {
+	c := p.canonical()
+	for _, lw := range c.LinkDowns {
 		parts = append(parts, fmt.Sprintf("down=%d-%d@%s:%s",
 			lw.From, lw.To, formatDuration(lw.Start), formatDuration(lw.End)))
 	}
-	for key, set := range map[string][]NodeWindow{"storm": p.NackStorms, "stall": p.Stalls} {
-		set := append([]NodeWindow(nil), set...)
-		sort.Slice(set, func(i, j int) bool {
-			if set[i].Node != set[j].Node {
-				return set[i].Node < set[j].Node
-			}
-			return set[i].Start < set[j].Start
-		})
-		for _, nw := range set {
+	for _, set := range []struct {
+		key string
+		ws  []NodeWindow
+	}{{"storm", c.NackStorms}, {"stall", c.Stalls}} {
+		for _, nw := range set.ws {
 			parts = append(parts, fmt.Sprintf("%s=%d@%s:%s",
-				key, nw.Node, formatDuration(nw.Start), formatDuration(nw.End)))
+				set.key, nw.Node, formatDuration(nw.Start), formatDuration(nw.End)))
 		}
 	}
-	// Map iteration order is random; restore the canonical key order.
-	sort.SliceStable(parts[1:], func(i, j int) bool {
-		return specRank(parts[1+i]) < specRank(parts[1+j])
-	})
 	return strings.Join(parts, ",")
 }
 
-func specRank(part string) int {
-	for i, prefix := range []string{"drop=", "corrupt=", "delayp=", "delay=", "down=", "storm=", "stall="} {
-		if strings.HasPrefix(part, prefix) {
-			return i
-		}
-	}
-	return len(part)
+// canonical returns a copy of the plan with its windows in the order
+// String renders them: links by (from, to, window), node windows by
+// (node, window), windows by (start, end). The order is total, so two
+// plans listing the same schedule in any order render identically.
+func (p *Plan) canonical() Plan {
+	c := *p
+	c.LinkDowns = slices.Clone(p.LinkDowns)
+	slices.SortFunc(c.LinkDowns, func(a, b LinkWindow) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To), compareWindows(a.Window, b.Window))
+	})
+	c.NackStorms = sortedNodeWindows(p.NackStorms)
+	c.Stalls = sortedNodeWindows(p.Stalls)
+	return c
+}
+
+func sortedNodeWindows(ws []NodeWindow) []NodeWindow {
+	ws = slices.Clone(ws)
+	slices.SortFunc(ws, func(a, b NodeWindow) int {
+		return cmp.Or(cmp.Compare(a.Node, b.Node), compareWindows(a.Window, b.Window))
+	})
+	return ws
+}
+
+func compareWindows(a, b Window) int {
+	return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
 }
 
 // parseLinkWindow reads "A-B@S:E".

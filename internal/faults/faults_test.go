@@ -15,14 +15,18 @@ func mustParse(t *testing.T, spec string) *Plan {
 	return p
 }
 
+// planSpecs are -faults specs that round-trip; they also seed
+// FuzzParsePlan.
+var planSpecs = []string{
+	"seed=1",
+	"seed=7,drop=0.01",
+	"seed=2,drop=0.01,corrupt=0.002,delayp=0.02,delay=300ns",
+	"seed=3,down=6-7@0:50us",
+	"seed=4,drop=0.1,down=2-6@10us:20us,down=6-7@0:50us,storm=6@1us:2us,stall=7@5us:9us",
+}
+
 func TestParseStringRoundTrip(t *testing.T) {
-	for _, spec := range []string{
-		"seed=1",
-		"seed=7,drop=0.01",
-		"seed=2,drop=0.01,corrupt=0.002,delayp=0.02,delay=300ns",
-		"seed=3,down=6-7@0:50us",
-		"seed=4,drop=0.1,down=2-6@10us:20us,down=6-7@0:50us,storm=6@1us:2us,stall=7@5us:9us",
-	} {
+	for _, spec := range planSpecs {
 		p := mustParse(t, spec)
 		rendered := p.String()
 		again, err := Parse(rendered)
@@ -50,6 +54,7 @@ func TestParseErrors(t *testing.T) {
 		"drop",             // not key=value
 		"drop=1.5",         // probability out of range
 		"drop=-0.1",        // negative probability
+		"drop=NaN",         // not a number: rendering would drop it
 		"delayp=0.5",       // delay probability without a duration
 		"delay=300",        // duration without unit
 		"down=6@0:1us",     // link spec missing -B

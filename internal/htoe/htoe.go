@@ -136,10 +136,10 @@ func (f *Fabric) serialize(wireBytes int) sim.Time {
 	return sim.Time(units) * f.cfg.LinkOccupancy
 }
 
-// Deliver implements rmc.Fabric: NIC encap → uplink → switch → downlink
-// → NIC decap. Every pair is exactly two link hops apart — the constant-
-// distance property that makes switched fabrics attractive, bought at
-// higher per-frame cost and a shared switch.
+// Deliver carries a frame fault-free: NIC encap → uplink → switch →
+// downlink → NIC decap. Every pair is exactly two link hops apart — the
+// constant-distance property that makes switched fabrics attractive,
+// bought at higher per-frame cost and a shared switch.
 func (f *Fabric) Deliver(now sim.Time, src, dst addr.NodeID, wireBytes int) (sim.Time, int) {
 	if !f.contains(src) || !f.contains(dst) {
 		panic(fmt.Sprintf("htoe: delivery %d->%d outside the %d-node fabric", src, dst, f.nodes))
@@ -162,10 +162,10 @@ func (f *Fabric) Deliver(now sim.Time, src, dst addr.NodeID, wireBytes int) (sim
 	return t, 2
 }
 
-// DeliverOutcome is Deliver under the fault plan: the frame consumes the
-// same NIC/switch/link capacity, then rolls the plan's delay, drop, and
-// corruption probabilities once for its switch crossing. Without an
-// injector it is exactly Deliver.
+// DeliverOutcome implements rmc.Fabric: Deliver under the fault plan.
+// The frame consumes the same NIC/switch/link capacity, then rolls the
+// plan's delay, drop, and corruption probabilities once for its switch
+// crossing. Without an injector it is exactly Deliver.
 func (f *Fabric) DeliverOutcome(now sim.Time, src, dst addr.NodeID, wireBytes int) faults.Outcome {
 	t, hops := f.Deliver(now, src, dst, wireBytes)
 	if f.inj == nil || src == dst {

@@ -11,14 +11,23 @@ import (
 	"repro/internal/sim"
 )
 
+// Barrier counts of the retired uniform schedule — every shard running
+// one base window (the minimum single-hop latency) per barrier — on the
+// two smokes below, measured on 16x16 at 8 shards before that schedule
+// was removed. They stay as the fixed baseline the lookahead matrix is
+// judged against.
+const (
+	uniformLocalityBarriers   = 246
+	uniformConcurrentBarriers = 68
+)
+
 // newBarrierSmoke builds the 16x16, eight-shard cluster the barrier
 // smokes run on.
-func newBarrierSmoke(t *testing.T, window params.WindowMode, mut func(*params.Params)) (*cluster.Cluster, *sim.ShardSet, mesh.Topology) {
+func newBarrierSmoke(t *testing.T, mut func(*params.Params)) (*cluster.Cluster, *sim.ShardSet, mesh.Topology) {
 	t.Helper()
 	p := params.Default()
 	p.MeshWidth, p.MeshHeight = 16, 16
 	p.Shards = 8
-	p.Window = window
 	if mut != nil {
 		mut(&p)
 	}
@@ -39,19 +48,19 @@ func newBarrierSmoke(t *testing.T, window params.WindowMode, mut func(*params.Pa
 // local — stride reads missing cache and filling from the node's own
 // bank, pure shard-local event work — with every sixty-fourth access a
 // remote line read to the diametric partner. The rest of the mesh is
-// idle. Under the uniform single-hop window the coordinator must
-// barrier once per 120 ns of simulated time even though nothing
-// crosses a shard for microseconds at a stretch; the adaptive schedule
-// sees no pending cross-shard intent, plans unbounded windows, and only
-// barriers when a send actually clamps one.
-func localitySmoke(t *testing.T, window params.WindowMode) (barriers, elided uint64) {
+// idle. A uniform single-hop window would barrier once per 120 ns of
+// simulated time even though nothing crosses a shard for microseconds
+// at a stretch; the lookahead schedule sees no pending cross-shard
+// intent, plans unbounded windows, and only barriers when a send
+// actually clamps one.
+func localitySmoke(t *testing.T) (barriers, elided uint64) {
 	t.Helper()
 	// The stream prefetcher stays off: the strided remote reads would
 	// otherwise arm it and fill the quiet local stretches with
 	// background fabric traffic — fine to simulate, but it makes the
 	// barrier count pin prefetcher behavior rather than the window
 	// schedule.
-	c, set, topo := newBarrierSmoke(t, window, func(p *params.Params) { p.PrefetchDepth = 0 })
+	c, set, topo := newBarrierSmoke(t, func(p *params.Params) { p.PrefetchDepth = 0 })
 	const opsPerClient = 256
 	// All four clients sit in the north-west region (shard 0 of the
 	// 4x2 tiling); their diametric partners share the south-east
@@ -87,9 +96,9 @@ func localitySmoke(t *testing.T, window params.WindowMode) (barriers, elided uin
 // All-remote traffic is bounded below by one barrier per dependency
 // phase — a delivery cannot exist until a barrier replays its send — so
 // the schedule win here is modest by construction.
-func concurrentSmoke(t *testing.T, window params.WindowMode) (barriers, elided uint64) {
+func concurrentSmoke(t *testing.T) (barriers, elided uint64) {
 	t.Helper()
-	c, set, topo := newBarrierSmoke(t, window, nil)
+	c, set, topo := newBarrierSmoke(t, nil)
 	noop := func(sim.Time) {}
 	for round := 0; round < 8; round++ {
 		now := set.Now()
@@ -104,22 +113,20 @@ func concurrentSmoke(t *testing.T, window params.WindowMode) (barriers, elided u
 	return set.Barriers, set.Elided
 }
 
-// TestBarrierElisionOnLocalitySmoke pins the tentpole's headline win:
-// on the skewed 16x16 locality smoke, the elide schedule must cut the
-// barrier count at least 5x against the uniform-window baseline,
-// because the uniform cadence pays one barrier per 120 ns of dependent
-// local work while the adaptive schedule only barriers around the
-// sparse remote phases.
+// TestBarrierElisionOnLocalitySmoke pins the schedule's headline win:
+// on the skewed 16x16 locality smoke, the barrier count must stay at
+// least 5x below the uniform-window baseline, because the uniform
+// cadence pays one barrier per 120 ns of dependent local work while the
+// lookahead schedule only barriers around the sparse remote phases.
 func TestBarrierElisionOnLocalitySmoke(t *testing.T) {
-	uniform, _ := localitySmoke(t, params.WindowUniform)
-	elide, elided := localitySmoke(t, params.WindowElide)
-	t.Logf("locality barriers: uniform=%d elide=%d (%.1fx), elided=%d",
-		uniform, elide, float64(uniform)/float64(elide), elided)
-	if uniform == 0 || elide == 0 {
+	barriers, elided := localitySmoke(t)
+	t.Logf("locality barriers: %d (uniform baseline %d, %.1fx), elided=%d",
+		barriers, uniformLocalityBarriers, float64(uniformLocalityBarriers)/float64(barriers), elided)
+	if barriers == 0 {
 		t.Fatal("smoke ran no barriers — workload never reached the fabric")
 	}
-	if elide*5 > uniform {
-		t.Errorf("elide barriers = %d, want at least 5x below uniform's %d", elide, uniform)
+	if barriers*5 > uniformLocalityBarriers {
+		t.Errorf("barriers = %d, want at least 5x below the uniform baseline's %d", barriers, uniformLocalityBarriers)
 	}
 	if elided == 0 {
 		t.Error("elision counter stayed zero on the locality smoke")
@@ -127,19 +134,18 @@ func TestBarrierElisionOnLocalitySmoke(t *testing.T) {
 }
 
 // TestBarrierElisionOnConcurrentSmoke checks the all-remote concurrent
-// smoke still improves monotonically: the adaptive schedule must never
-// barrier more than the uniform baseline, and must elide at least some
-// windows even when every node is sending.
+// smoke: the lookahead schedule must never barrier more than the
+// uniform baseline, and must elide at least some windows even when
+// every node is sending.
 func TestBarrierElisionOnConcurrentSmoke(t *testing.T) {
-	uniform, _ := concurrentSmoke(t, params.WindowUniform)
-	elide, elided := concurrentSmoke(t, params.WindowElide)
-	t.Logf("concurrent barriers: uniform=%d elide=%d (%.1fx), elided=%d",
-		uniform, elide, float64(uniform)/float64(elide), elided)
-	if uniform == 0 || elide == 0 {
+	barriers, elided := concurrentSmoke(t)
+	t.Logf("concurrent barriers: %d (uniform baseline %d, %.1fx), elided=%d",
+		barriers, uniformConcurrentBarriers, float64(uniformConcurrentBarriers)/float64(barriers), elided)
+	if barriers == 0 {
 		t.Fatal("smoke ran no barriers — workload never reached the fabric")
 	}
-	if elide > uniform {
-		t.Errorf("elide barriers = %d, want no more than uniform's %d", elide, uniform)
+	if barriers > uniformConcurrentBarriers {
+		t.Errorf("barriers = %d, want no more than the uniform baseline's %d", barriers, uniformConcurrentBarriers)
 	}
 	if elided == 0 {
 		t.Error("elision counter stayed zero on the concurrent smoke")

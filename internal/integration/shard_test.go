@@ -23,16 +23,15 @@ type traceRec struct {
 	seq uint64
 }
 
-// shardOracleRun replays a seeded 16x16 workload under k shards with
-// the given window policy (and optional fault plan) and returns the
-// exchange's canonical transmission stream: every RMC send in
-// (time, source, per-source sequence) drain order.
-func shardOracleRun(t *testing.T, k int, seed int64, window params.WindowMode, plan *faults.Plan) []traceRec {
+// shardOracleRun replays a seeded 16x16 workload under k shards (and
+// an optional fault plan) and returns the exchange's canonical
+// transmission stream: every RMC send in (time, source, per-source
+// sequence) drain order.
+func shardOracleRun(t *testing.T, k int, seed int64, plan *faults.Plan) []traceRec {
 	t.Helper()
 	p := params.Default()
 	p.MeshWidth, p.MeshHeight = 16, 16
 	p.Shards = k
-	p.Window = window
 	if !plan.Empty() {
 		p.Faults = plan
 	}
@@ -104,17 +103,34 @@ func diffStreams(t *testing.T, label string, want, got []traceRec) {
 }
 
 // TestShardedEngineMatchesSingleShardOracle replays the same seeded
-// 16x16 workload on the single-shard engine and on 4 and 8 shards, and
-// requires the cross-shard exchange streams to match event for event:
-// same transmissions, same simulated times, same canonical order.
+// 16x16 workload on the single-shard engine and on 4 and 8 shards —
+// fault-free and under an armed fault plan — and requires the
+// cross-shard exchange streams to match event for event: same
+// transmissions, same simulated times, same canonical order.
 func TestShardedEngineMatchesSingleShardOracle(t *testing.T) {
-	want := shardOracleRun(t, 1, 42, params.WindowElide, nil)
-	if len(want) == 0 {
-		t.Fatal("oracle run recorded no transmissions — workload did not reach the fabric")
+	plan, err := faults.Parse("seed=7,drop=0.02,corrupt=0.002")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, k := range []int{4, 8} {
-		got := shardOracleRun(t, k, 42, params.WindowElide, nil)
-		diffStreams(t, fmt.Sprintf("shards=%d", k), want, got)
+	for _, tc := range []struct {
+		name string
+		plan *faults.Plan
+	}{
+		{"fault-free", nil},
+		{"armed-plan", plan},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			want := shardOracleRun(t, 1, 42, tc.plan)
+			if len(want) == 0 {
+				t.Fatal("oracle run recorded no transmissions — workload did not reach the fabric")
+			}
+			for _, k := range []int{4, 8} {
+				got := shardOracleRun(t, k, 42, tc.plan)
+				diffStreams(t, fmt.Sprintf("shards=%d", k), want, got)
+			}
+		})
 	}
 }
 
@@ -127,12 +143,11 @@ func TestShardedEngineMatchesSingleShardOracle(t *testing.T) {
 // cascade term rather than the queue heads; this is the regime where a
 // horizon blind to freshly recorded intents replays a late send ahead
 // of an earlier send's still-unrecorded response.
-func sparseStreamRun(t *testing.T, k int, window params.WindowMode) []traceRec {
+func sparseStreamRun(t *testing.T, k int) []traceRec {
 	t.Helper()
 	p := params.Default()
 	p.MeshWidth, p.MeshHeight = 16, 16
 	p.Shards = k
-	p.Window = window
 	p.PrefetchDepth = 0
 	// Expensive columns, cheap rows, one very cheap edge far from the
 	// busy corners: the minimum delivery bound (the horizon's cascade
@@ -191,49 +206,14 @@ func sparseStreamRun(t *testing.T, k int, window params.WindowMode) []traceRec {
 // TestSparseStreamOracle covers the horizon's fresh-intent cascade
 // term: on a sparse workload the dense oracle runs never exercise, the
 // canonical transmission stream must stay event-for-event identical
-// from one shard to 4 and 8 under every window policy.
+// from one shard to 4 and 8.
 func TestSparseStreamOracle(t *testing.T) {
-	want := sparseStreamRun(t, 1, params.WindowUniform)
+	want := sparseStreamRun(t, 1)
 	if len(want) == 0 {
 		t.Fatal("sparse oracle run recorded no transmissions")
 	}
 	for _, k := range []int{4, 8} {
-		for _, mode := range []params.WindowMode{params.WindowUniform, params.WindowElide} {
-			got := sparseStreamRun(t, k, mode)
-			diffStreams(t, fmt.Sprintf("shards=%d window=%v", k, mode), want, got)
-		}
-	}
-}
-
-// TestWindowPolicyOracleEquivalence is the widened/elided-window oracle:
-// the same seeded 16x16 workload on 4 shards must produce event-for-
-// event identical canonical streams under uniform and elide scheduling
-// — fault-free and under an armed fault plan — and each must
-// match the single-shard stream. The policies change only how often the
-// shards meet, never what the simulation computes.
-func TestWindowPolicyOracleEquivalence(t *testing.T) {
-	plan, err := faults.Parse("seed=7,drop=0.02,corrupt=0.002")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		plan *faults.Plan
-	}{
-		{"fault-free", nil},
-		{"armed-plan", plan},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			want := shardOracleRun(t, 1, 42, params.WindowUniform, tc.plan)
-			if len(want) == 0 {
-				t.Fatal("oracle run recorded no transmissions")
-			}
-			for _, mode := range []params.WindowMode{params.WindowUniform, params.WindowElide} {
-				got := shardOracleRun(t, 4, 42, mode, tc.plan)
-				diffStreams(t, fmt.Sprintf("shards=4 window=%v", mode), want, got)
-			}
-		})
+		got := sparseStreamRun(t, k)
+		diffStreams(t, fmt.Sprintf("shards=%d", k), want, got)
 	}
 }

@@ -3,7 +3,7 @@
 // cost is not linear in its line count — descriptor amortization, frame
 // pipelining against DRAM bank occupancy, and the single cumulative ack
 // all bend the curve — so the model runs each (kind, lines) point once
-// through the real RMC burst machinery on a two-node micro-rig at the
+// through the real RMC burst machinery on a one-row cluster at the
 // configured mesh distance, and caches the result.
 package memmodel
 
@@ -11,9 +11,8 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
+	"repro/internal/cluster"
 	"repro/internal/dram"
-	"repro/internal/mem"
-	"repro/internal/mesh"
 	"repro/internal/params"
 	"repro/internal/rmc"
 	"repro/internal/sim"
@@ -105,43 +104,28 @@ func (m *BulkModel) priceLocal(lines int, write bool) params.Duration {
 	return params.Duration(memDone)
 }
 
-// microPeers is the two-RMC network of the pricing rig.
-type microPeers map[addr.NodeID]*rmc.RMC
-
-func (p microPeers) RMC(n addr.NodeID) (*rmc.RMC, error) {
-	m, ok := p[n]
-	if !ok {
-		return nil, fmt.Errorf("memmodel: pricing rig has no node %d", n)
-	}
-	return m, nil
-}
-
 // priceRemote builds a 1×(hops+1) mesh with a client at one end and the
 // serving node at the other, issues the transfer as bursts, and returns
-// the drain time.
+// the drain time. The rig is the production machine on one shard and
+// without a fault plan: a price belongs to the calibration, not to a
+// run's faults. It is the first row of the configured mesh, so only the
+// link-latency overrides of that row carry over.
 func (m *BulkModel) priceRemote(lines int, write bool) params.Duration {
-	eng := sim.New()
-	topo, err := mesh.NewTopology(m.Hops+1, 1)
+	p := m.P
+	p.MeshWidth, p.MeshHeight, p.Shards = m.Hops+1, 1, 1
+	p.Fabric, p.Faults = params.FabricMesh, nil
+	p.LinkLat.Edges = nil
+	for _, e := range m.P.LinkLat.Edges {
+		if e.AY == 0 && e.BY == 0 && min(e.AX, e.BX) >= 0 && max(e.AX, e.BX) <= m.Hops {
+			p.LinkLat.Edges = append(p.LinkLat.Edges, e)
+		}
+	}
+	set := sim.NewShardSet(1, p.LinkLat.MinLatency(p.HopLatency))
+	c, err := cluster.New(set, p)
 	if err != nil {
-		panic(fmt.Sprintf("memmodel: bulk pricing topology: %v", err))
+		panic(fmt.Sprintf("memmodel: bulk pricing rig: %v", err))
 	}
-	fabric := mesh.NewFabric(eng, topo, m.P, nil)
-	peers := microPeers{}
-	for _, id := range []addr.NodeID{1, addr.NodeID(m.Hops + 1)} {
-		st, err := mem.NewStore(m.P.MemPerNode)
-		if err != nil {
-			panic(fmt.Sprintf("memmodel: bulk pricing store: %v", err))
-		}
-		r, err := rmc.New(rmc.Config{
-			Self: id, Engine: eng, Params: m.P, Fabric: fabric,
-			Peers: peers, Bank: dram.NewBank(eng, id, m.P), Store: st,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("memmodel: bulk pricing rig: %v", err))
-		}
-		peers[id] = r
-	}
-	dst := addr.NodeID(m.Hops + 1)
+	client, dst := c.MustNode(1).RMC(), addr.NodeID(m.Hops+1)
 	kind := rmc.BulkRead
 	if write {
 		kind = rmc.BulkWrite
@@ -170,11 +154,11 @@ func (m *BulkModel) priceRemote(lines int, write bool) params.Duration {
 		if write {
 			req.Data = make([]byte, n*params.CacheLineSize)
 		}
-		if err := peers[1].RequestBulk(0, req); err != nil {
+		if err := client.RequestBulk(0, req); err != nil {
 			panic(fmt.Sprintf("memmodel: bulk pricing request: %v", err))
 		}
 	}
-	eng.Run()
+	set.Run()
 	return params.Duration(last)
 }
 

@@ -3,6 +3,7 @@ package memmodel
 import (
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/params"
 )
 
@@ -75,5 +76,43 @@ func TestBulkModelLocal(t *testing.T) {
 	}
 	if _, err := NewBulkModel(p, -1); err == nil {
 		t.Error("negative hops accepted")
+	}
+}
+
+// TestBulkModelPricesTheCalibration pins what the pricing rig takes from
+// its parameters: the calibration and the link latencies of the mesh's
+// first row, where the rig's nodes sit. A fault plan, a shard count, and
+// link overrides off that row leave the price alone.
+func TestBulkModelPricesTheCalibration(t *testing.T) {
+	plan, err := faults.Parse("seed=3,drop=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	price := func(faulted bool, linkLat string) params.Duration {
+		t.Helper()
+		p := params.Default()
+		if faulted {
+			p.Faults, p.Shards = plan, 4
+		}
+		var err error
+		if p.LinkLat, err = params.ParseLinkLat(linkLat); err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewBulkModel(p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.BulkRead(64)
+	}
+	base := price(false, "")
+	if armed := price(true, ""); armed != base {
+		t.Errorf("armed plan on 4 shards priced %d, want the fault-free %d", armed, base)
+	}
+	onRow := price(false, "edge=1.0-2.0:900ns")
+	if onRow <= base {
+		t.Errorf("a slow link on the rig's row priced %d, want above %d", onRow, base)
+	}
+	if offRow := price(false, "edge=1.0-2.0:900ns,edge=3.2-3.3:30ns"); offRow != onRow {
+		t.Errorf("a link off the rig's row moved the price from %d to %d", onRow, offRow)
 	}
 }

@@ -24,7 +24,7 @@ const (
 
 	// ShardScheduleFamilyPrefix is the common prefix of the families
 	// above; identity tests and the CI smoke strip matching lines before
-	// diffing snapshots across shard counts or window modes.
+	// diffing snapshots across shard counts.
 	ShardScheduleFamilyPrefix = "ncdsm_shard_"
 
 	// remote memory controller

@@ -96,11 +96,6 @@ type Params struct {
 	// tile the geometry (see mesh.Partition).
 	Shards int
 
-	// Window selects the sharded engine's lookahead schedule (see
-	// WindowMode). Output is byte-identical across modes; they trade
-	// barrier frequency only. Ignored on the single-shard engine.
-	Window WindowMode
-
 	// LinkLat optionally overrides per-edge mesh link latencies (the
 	// -linklat flag). The empty spec keeps every edge at HopLatency, so
 	// defaults reproduce the uniform fabric exactly.
@@ -276,7 +271,6 @@ func Default() Params {
 	return Params{
 		MeshWidth:      4,
 		MeshHeight:     4,
-		Window:         WindowElide,
 		CoresPerNode:   16,
 		SocketsPerNode: 4,
 
@@ -385,8 +379,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("params: Shards %d < 0", p.Shards)
 	case p.Shards > p.Nodes():
 		return fmt.Errorf("params: Shards %d exceed %d nodes", p.Shards, p.Nodes())
-	case !p.Window.Valid():
-		return fmt.Errorf("params: unknown window mode %d", int(p.Window))
 	}
 	if p.Shards > 1 && p.Fabric != FabricMesh {
 		return &ShardGateError{Feature: "the " + p.Fabric.String() + " fabric", Shards: p.Shards}

@@ -127,10 +127,14 @@ func TestFabricKindString(t *testing.T) {
 	}
 }
 
+// bulkSpecs are -bulk specs in canonical form: each renders back
+// verbatim. They also seed FuzzParseBulk.
+var bulkSpecs = []string{"frame=4", "maxframes=64", "frame=16,maxframes=256"}
+
 func TestBulkSpecRoundTrip(t *testing.T) {
 	// String renders exactly what ParseBulk reads — specs can be logged
 	// and replayed verbatim, like fault plans.
-	for _, spec := range []string{"frame=4", "maxframes=64", "frame=16,maxframes=256"} {
+	for _, spec := range bulkSpecs {
 		s, err := ParseBulk(spec)
 		if err != nil {
 			t.Fatalf("ParseBulk(%q): %v", spec, err)

@@ -1,59 +1,18 @@
-// Sharded-engine window tuning: the lookahead schedule of the
-// conservative PDES engine (-window), the optional per-edge mesh link
-// latency table (-linklat), and the typed error for features that only
-// run on the single-shard engine. Both flag forms follow the canonical
-// round-trip discipline of -faults and -bulk: String renders exactly
-// what Parse reads.
+// Sharded-engine window tuning: the optional per-edge mesh link latency
+// table (-linklat), which bounds the conservative PDES engine's
+// lookahead windows, and the typed error for features that only run on
+// the single-shard engine. The flag follows the canonical round-trip
+// discipline of -faults and -bulk: String renders exactly what Parse
+// reads.
 package params
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
 )
-
-// WindowMode selects how the sharded engine sizes its lookahead windows
-// (DESIGN §16). Both modes produce byte-identical figures and metrics;
-// they differ only in how many barriers the schedule pays.
-type WindowMode int
-
-const (
-	// WindowElide, the default and zero value, bounds each shard's window
-	// by the partition geometry and the earliest pending work of every
-	// other shard: the window fast-forwards to the earliest time any
-	// shard could be affected — an appointment, not a guess.
-	WindowElide WindowMode = iota
-	// WindowUniform is the baseline: every shard runs the same global
-	// window derived from the minimum single-hop latency, and every
-	// barrier drains the whole exchange.
-	WindowUniform
-)
-
-// ParseWindowMode reads the CLI -window syntax.
-func ParseWindowMode(s string) (WindowMode, error) {
-	switch strings.TrimSpace(s) {
-	case "", "elide":
-		return WindowElide, nil
-	case "uniform":
-		return WindowUniform, nil
-	}
-	return 0, fmt.Errorf("params: unknown window mode %q (want uniform or elide)", s)
-}
-
-func (m WindowMode) String() string {
-	switch m {
-	case WindowUniform:
-		return "uniform"
-	case WindowElide:
-		return "elide"
-	default:
-		return fmt.Sprintf("WindowMode(%d)", int(m))
-	}
-}
-
-// Valid reports whether m is one of the defined modes.
-func (m WindowMode) Valid() bool { return m == WindowUniform || m == WindowElide }
 
 // EdgeLat overrides the traversal latency of the mesh edge between two
 // adjacent nodes, applied in both directions.
@@ -123,9 +82,9 @@ func ParseLinkLat(spec string) (LinkLatSpec, error) {
 		}
 		switch key {
 		case "x", "y":
-			d, err := time.ParseDuration(val)
+			d, err := parseLatency(field, val)
 			if err != nil {
-				return LinkLatSpec{}, fmt.Errorf("params: linklat %s=%s: %w", key, val, err)
+				return LinkLatSpec{}, err
 			}
 			// In the spec struct zero means "unset: keep HopLatency", so an
 			// explicit x=0s must fail loudly rather than silently vanish.
@@ -133,9 +92,9 @@ func ParseLinkLat(spec string) (LinkLatSpec, error) {
 				return LinkLatSpec{}, fmt.Errorf("params: linklat %s=%s must be positive (omit %s to keep the uniform hop latency)", key, val, key)
 			}
 			if key == "x" {
-				s.X = FromStd(d)
+				s.X = d
 			} else {
-				s.Y = FromStd(d)
+				s.Y = d
 			}
 		case "edge":
 			pair, lat, ok := strings.Cut(val, ":")
@@ -154,11 +113,9 @@ func ParseLinkLat(spec string) (LinkLatSpec, error) {
 			if e.BX, e.BY, err = parseCoord(b); err != nil {
 				return LinkLatSpec{}, err
 			}
-			d, err := time.ParseDuration(lat)
-			if err != nil {
-				return LinkLatSpec{}, fmt.Errorf("params: linklat edge %s: %w", val, err)
+			if e.Lat, err = parseLatency(field, lat); err != nil {
+				return LinkLatSpec{}, err
 			}
-			e.Lat = FromStd(d)
 			s.Edges = append(s.Edges, e)
 		default:
 			return LinkLatSpec{}, fmt.Errorf("params: unknown linklat key %q", key)
@@ -168,6 +125,20 @@ func ParseLinkLat(spec string) (LinkLatSpec, error) {
 		return LinkLatSpec{}, err
 	}
 	return s, nil
+}
+
+// parseLatency reads one latency of a linklat field. Simulated time
+// counts picoseconds, so a latency past MaxInt64 ps (about 106 days) is
+// refused rather than wrapped into a wrong value.
+func parseLatency(field, s string) (Duration, error) {
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		return 0, fmt.Errorf("params: linklat %s: %w", field, err)
+	}
+	if d > time.Duration(math.MaxInt64/int64(Nanosecond)) {
+		return 0, fmt.Errorf("params: linklat %s overflows simulated time", field)
+	}
+	return FromStd(d), nil
 }
 
 func parseCoord(s string) (x, y int, err error) {

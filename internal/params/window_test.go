@@ -6,54 +6,18 @@ import (
 	"testing"
 )
 
-func TestWindowModeParseRoundTrip(t *testing.T) {
-	for _, mode := range []WindowMode{WindowUniform, WindowElide} {
-		got, err := ParseWindowMode(mode.String())
-		if err != nil {
-			t.Fatalf("ParseWindowMode(%q): %v", mode.String(), err)
-		}
-		if got != mode {
-			t.Errorf("ParseWindowMode(%q) = %v, want %v", mode.String(), got, mode)
-		}
-		if !mode.Valid() {
-			t.Errorf("%v.Valid() = false", mode)
-		}
-	}
-	if got, err := ParseWindowMode(""); err != nil || got != WindowElide {
-		t.Errorf("ParseWindowMode(\"\") = %v, %v; want the elide default", got, err)
-	}
-	if _, err := ParseWindowMode("sideways"); err == nil {
-		t.Error("ParseWindowMode accepted an unknown mode")
-	}
-	if WindowMode(0) != WindowElide {
-		t.Error("the zero WindowMode is not the elide default")
-	}
-	if WindowMode(99).Valid() {
-		t.Error("WindowMode(99).Valid() = true")
-	}
-}
-
-// TestWindowModeRejectsDistance pins the removal of the distance
-// schedule: elide plans every window at least as wide, so the name is no
-// longer accepted, and the error lists only the modes that exist.
-func TestWindowModeRejectsDistance(t *testing.T) {
-	_, err := ParseWindowMode("distance")
-	if err == nil {
-		t.Fatal("ParseWindowMode(\"distance\") succeeded, want an unknown-mode error")
-	}
-	if !strings.Contains(err.Error(), "want uniform or elide") {
-		t.Errorf("unknown-mode error %q does not name exactly uniform and elide", err)
-	}
+// linkLatSpecs are -linklat specs in canonical form: each renders back
+// verbatim. They also seed FuzzParseLinkLat.
+var linkLatSpecs = []string{
+	"x=100ns",
+	"y=140ns",
+	"x=100ns,y=140ns",
+	"edge=1.0-2.0:250ns",
+	"x=100ns,y=140ns,edge=1.0-2.0:250ns,edge=0.1-0.2:80ns",
 }
 
 func TestLinkLatSpecRoundTrip(t *testing.T) {
-	for _, spec := range []string{
-		"x=100ns",
-		"y=140ns",
-		"x=100ns,y=140ns",
-		"edge=1.0-2.0:250ns",
-		"x=100ns,y=140ns,edge=1.0-2.0:250ns,edge=0.1-0.2:80ns",
-	} {
+	for _, spec := range linkLatSpecs {
 		s, err := ParseLinkLat(spec)
 		if err != nil {
 			t.Fatalf("ParseLinkLat(%q): %v", spec, err)
@@ -79,17 +43,18 @@ func TestLinkLatSpecRoundTrip(t *testing.T) {
 
 func TestLinkLatSpecRejections(t *testing.T) {
 	for _, spec := range []string{
-		"z=100ns",             // unknown key
-		"x=banana",            // not a duration
-		"edge=1.0-3.0:250ns",  // endpoints not mesh neighbors
-		"edge=1.0-2.0",        // missing latency
-		"edge=1.0:250ns",      // missing second endpoint
-		"edge=a.b-2.0:250ns",  // non-numeric coordinate
-		"edge=1.0-2.0:-250ns", // negative latency
-		"x",                   // not key=value
-		"x=0s",                // explicit zero is not "unset"
-		"y=0ns",               // explicit zero is not "unset"
-		"x=-100ns",            // negative axis latency
+		"z=100ns",                // unknown key
+		"x=banana",               // not a duration
+		"edge=1.0-3.0:250ns",     // endpoints not mesh neighbors
+		"edge=1.0-2.0",           // missing latency
+		"edge=1.0:250ns",         // missing second endpoint
+		"edge=a.b-2.0:250ns",     // non-numeric coordinate
+		"edge=1.0-2.0:-250ns",    // negative latency
+		"x",                      // not key=value
+		"x=0s",                   // explicit zero is not "unset"
+		"y=0ns",                  // explicit zero is not "unset"
+		"x=-100ns",               // negative axis latency
+		"x=100000000000000000ns", // past the picosecond clock's range
 	} {
 		if _, err := ParseLinkLat(spec); err == nil {
 			t.Errorf("ParseLinkLat(%q) succeeded, want error", spec)
@@ -149,13 +114,5 @@ func TestShardGateErrorTyped(t *testing.T) {
 	}
 	if !strings.Contains(gate.Error(), "-shards 1") {
 		t.Errorf("gate error %q does not name the fix", gate.Error())
-	}
-}
-
-func TestValidateWindowMode(t *testing.T) {
-	p := Default()
-	p.Window = WindowMode(99)
-	if err := p.Validate(); err == nil {
-		t.Error("Validate accepted an unknown window mode")
 	}
 }

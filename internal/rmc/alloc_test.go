@@ -22,7 +22,7 @@ func TestRemoteRoundTripSteadyStateAllocs(t *testing.T) {
 		if err := r.rmcs[1].Request(r.eng.Now(), rd, false, done); err != nil {
 			t.Fatal(err)
 		}
-		r.eng.Run()
+		r.set.Run()
 	}
 	// Warm every pool on the path: ops, line buffers, verifier windows,
 	// resource and engine arenas.
@@ -49,7 +49,7 @@ func TestRemoteWriteSteadyStateAllocs(t *testing.T) {
 		if err := r.rmcs[1].Request(r.eng.Now(), wr, false, done); err != nil {
 			t.Fatal(err)
 		}
-		r.eng.Run()
+		r.set.Run()
 	}
 	for i := 0; i < 16; i++ {
 		issue()

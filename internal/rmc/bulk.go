@@ -137,7 +137,7 @@ func (r *RMC) RequestBulk(now sim.Time, req BulkRequest) error {
 	if err := r.peersCheck(dst); err != nil {
 		return err
 	}
-	if r.exch != nil && r.exch.setSize > 1 {
+	if r.exch.setSize > 1 {
 		// A burst's continuation carries client- and server-side state on
 		// one struct, mutated from both ends of the transfer; that is
 		// sound on a single engine but not across shards.

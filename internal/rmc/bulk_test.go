@@ -44,7 +44,7 @@ func TestBulkReadGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 	if doneErr != nil {
 		t.Fatal(doneErr)
 	}
@@ -84,7 +84,7 @@ func TestBulkWriteScatter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 	if !completed || doneErr != nil {
 		t.Fatalf("completed=%v err=%v", completed, doneErr)
 	}
@@ -132,7 +132,7 @@ func TestBulkScalarWriteOracle(t *testing.T) {
 		}
 	}
 	issue(0, 0)
-	scalarRig.eng.Run()
+	scalarRig.set.Run()
 
 	bulkRig := newRig(t, 4)
 	var bulkDone sim.Time
@@ -149,7 +149,7 @@ func TestBulkScalarWriteOracle(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	bulkRig.eng.Run()
+	bulkRig.set.Run()
 
 	a := make([]byte, 64*64)
 	b := make([]byte, 64*64)
@@ -192,7 +192,7 @@ func TestBulkReadCheaperThanScalar(t *testing.T) {
 		}
 	}
 	issue(0, 0)
-	scalarRig.eng.Run()
+	scalarRig.set.Run()
 
 	bulkRig := newRig(t, 4)
 	var bulkDone sim.Time
@@ -208,7 +208,7 @@ func TestBulkReadCheaperThanScalar(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	bulkRig.eng.Run()
+	bulkRig.set.Run()
 
 	if bulkDone*4 >= scalarDone {
 		t.Errorf("4 KiB gather took %d ps vs %d ps for 64 scalar reads; want at least 4x cheaper", bulkDone, scalarDone)
@@ -230,7 +230,7 @@ func TestBulkCopyNeverTransitsClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 	if !completed || doneErr != nil {
 		t.Fatalf("completed=%v err=%v", completed, doneErr)
 	}
@@ -269,7 +269,7 @@ func TestBulkCopySameNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 	if !completed {
 		t.Fatal("same-node copy never completed")
 	}
@@ -336,7 +336,7 @@ func TestBulkReadSteadyStateAllocs(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		r.eng.Run()
+		r.set.Run()
 	}
 	for i := 0; i < 16; i++ {
 		issue()
@@ -374,7 +374,7 @@ func TestBulkChaosTailRetransmit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.eng.Run()
+	r.set.Run()
 	if completions != bursts {
 		t.Fatalf("%d of %d bursts completed", completions, bursts)
 	}
@@ -426,7 +426,7 @@ func TestBulkChaosWrite(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 	if !completed {
 		t.Fatal("write burst never completed")
 	}
@@ -448,7 +448,7 @@ func TestBulkMetricsGatedOnUse(t *testing.T) {
 	if err := quiet.rmcs[1].Request(0, pkt, false, func(sim.Time, ht.Packet, error) {}); err != nil {
 		t.Fatal(err)
 	}
-	quiet.eng.Run()
+	quiet.set.Run()
 	if snap := quiet.eng.Metrics().Snapshot().JSON(); bytes.Contains([]byte(snap), []byte("ncdsm_rmc_bulk")) {
 		t.Error("bulk families appear in a snapshot without bulk traffic")
 	}
@@ -461,7 +461,7 @@ func TestBulkMetricsGatedOnUse(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	busy.eng.Run()
+	busy.set.Run()
 	if snap := busy.eng.Metrics().Snapshot().JSON(); !bytes.Contains([]byte(snap), []byte("ncdsm_rmc_bulk_bursts_total")) {
 		t.Error("bulk families missing after bulk traffic")
 	}

@@ -10,18 +10,18 @@ import (
 )
 
 // The windowed exchange is the cross-shard half of the conservative PDES
-// engine (DESIGN §16). In exchange mode an RMC's sendAttempt does not
-// walk the fabric; it appends a transmission intent to its shard's
-// Exchange. At every window barrier the coordinator — with all shards
-// parked — merges the intents of every shard, sorts them by
-// (time, source node, per-source sequence), and replays those below the
-// barrier's replay horizon through completeSend, holding the rest for a
-// later barrier. The horizon guarantees no future intent can be
-// recorded below it, so the replayed prefix extends one canonical
+// engine (DESIGN §16). An RMC's sendAttempt never walks the fabric; it
+// appends a transmission intent to its shard's Exchange — at every
+// shard count, one included. At every window barrier the coordinator —
+// with all shards parked — merges the intents of every shard, sorts
+// them by (time, source node, per-source sequence), and replays those
+// below the barrier's replay horizon through completeSend, holding the
+// rest for a later barrier. The horizon guarantees no future intent can
+// be recorded below it, so the replayed prefix extends one canonical
 // stream — a pure function of simulated state — and link occupancies
 // and the fault injector's roll stream are consumed identically at any
-// shard count and under any window policy, which is what keeps figures
-// byte-identical from -shards 1 to -shards N.
+// shard count and however the schedule cuts windows, which is what
+// keeps figures byte-identical from -shards 1 to -shards N.
 //
 // Every per-shard window limit is bounded by the minimum cross-shard
 // delivery bound of the lookahead matrix, so every delivery scheduled at
@@ -96,14 +96,6 @@ type Exchange struct {
 	evs    []*deliverEv
 }
 
-// NewExchange returns the exchange for one shard's engine.
-func NewExchange(eng *sim.Engine) *Exchange {
-	return &Exchange{eng: eng, freshMin: sim.MaxTime}
-}
-
-// Engine returns the shard engine this exchange belongs to.
-func (x *Exchange) Engine() *sim.Engine { return x.eng }
-
 // record holds one transmission intent for the next barrier drain and,
 // when a self-delivery bound is installed, clamps the running window so
 // the shard cannot outrun the send it just recorded.
@@ -138,12 +130,12 @@ func (x *Exchange) putEv(ev *deliverEv) {
 	x.evs = append(x.evs, ev)
 }
 
-// ExchangeSet drains every shard's exchange at a window barrier. Install
-// its Drain as the shard set's barrier hook and Earliest as its intent
-// source. held is the sorted suffix of intents past every horizon so
-// far; heldMin[j] is the earliest held time attributable to source
-// shard j (sim.MaxTime when none), the elision scheduler's view of
-// in-flight cross-shard work.
+// ExchangeSet drains every shard's exchange at a window barrier: its
+// Drain is the shard set's barrier hook and Earliest its intent source.
+// held is the sorted suffix of intents past every horizon so far;
+// heldMin[j] is the earliest held time attributable to source shard j
+// (sim.MaxTime when none), the elision scheduler's view of in-flight
+// cross-shard work.
 type ExchangeSet struct {
 	shards  []*Exchange
 	held    []xmit
@@ -151,20 +143,27 @@ type ExchangeSet struct {
 	trace   func(t sim.Time, src, dst addr.NodeID, seq uint64)
 }
 
-// NewExchangeSet groups the per-shard exchanges.
-func NewExchangeSet(shards []*Exchange) *ExchangeSet {
-	hm := make([]sim.Time, len(shards))
-	for i, x := range shards {
-		x.idx = int32(i)
-		x.setSize = int32(len(shards))
-		hm[i] = sim.MaxTime
+// NewExchangeSet builds one exchange per shard of set and installs Drain
+// as the set's barrier hook and Earliest as its intent source.
+func NewExchangeSet(set *sim.ShardSet) *ExchangeSet {
+	k := set.Shards()
+	es := &ExchangeSet{heldMin: make([]sim.Time, k)}
+	for i := 0; i < k; i++ {
+		es.shards = append(es.shards, &Exchange{eng: set.Engine(i), idx: int32(i), setSize: int32(k), freshMin: sim.MaxTime})
+		es.heldMin[i] = sim.MaxTime
 	}
-	return &ExchangeSet{shards: shards, heldMin: hm}
+	set.OnBarrier(es.Drain)
+	set.SetIntentSource(es.Earliest)
+	return es
 }
+
+// Shard returns shard i's exchange, the one every RMC on that shard's
+// engine sends through.
+func (es *ExchangeSet) Shard(i int) *Exchange { return es.shards[i] }
 
 // Trace installs a hook invoked for every transmission in canonical
 // drain order — the oracle tests compare these streams across shard
-// counts and window policies.
+// counts.
 func (es *ExchangeSet) Trace(fn func(t sim.Time, src, dst addr.NodeID, seq uint64)) {
 	es.trace = fn
 }

@@ -6,12 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/addr"
-	"repro/internal/dram"
 	"repro/internal/faults"
 	"repro/internal/ht"
-	"repro/internal/mem"
-	"repro/internal/mesh"
-	"repro/internal/params"
 	"repro/internal/sim"
 )
 
@@ -23,38 +19,8 @@ func newFaultRig(t *testing.T, nodes int, plan *faults.Plan) (*rig, *faults.Inje
 	if err := plan.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p := params.Default()
-	eng := sim.New()
-	topo, err := mesh.NewTopology(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	inj := faults.NewInjector(plan)
-	r := &rig{
-		eng:    eng,
-		p:      p,
-		fabric: mesh.NewFabric(eng, topo, p, inj),
-		rmcs:   map[addr.NodeID]*RMC{},
-		stores: map[addr.NodeID]*mem.Store{},
-	}
-	for i := 1; i <= nodes; i++ {
-		id := addr.NodeID(i)
-		st, err := mem.NewStore(p.MemPerNode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.stores[id] = st
-		m, err := New(Config{
-			Self: id, Engine: eng, Params: p, Fabric: r.fabric,
-			Peers: r, Bank: dram.NewBank(eng, id, p), Store: st,
-			Faults: inj,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.rmcs[id] = m
-	}
-	return r, inj
+	return buildRig(t, nodes, inj), inj
 }
 
 func seededRead(t *testing.T, r *rig, node addr.NodeID, a addr.Phys, fill byte) ht.Packet {
@@ -89,7 +55,7 @@ func TestRetransmitRecoversFromDrops(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.eng.Run()
+	r.set.Run()
 	if completions != n {
 		t.Fatalf("%d of %d requests completed", completions, n)
 	}
@@ -126,7 +92,7 @@ func TestCorruptedFramesRetransmitted(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 	if calls != 1 {
 		t.Fatalf("done invoked %d times", calls)
 	}
@@ -172,7 +138,7 @@ func TestAbandonWhenIsolated(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run() // must terminate: the budget bounds the retry loop
+	r.set.Run() // must terminate: the budget bounds the retry loop
 	var ue *UnreachableError
 	if !errors.As(gotErr, &ue) {
 		t.Fatalf("err = %v, want *UnreachableError", gotErr)
@@ -206,7 +172,7 @@ func TestNackStormBackoff(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 	if !completed {
 		t.Fatal("request never completed after the storm")
 	}
@@ -240,7 +206,7 @@ func TestStallServerDelaysService(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		r.eng.Run()
+		r.set.Run()
 		return doneAt
 	}
 	// The stall starts at t=0 but the request reaches the server a round
@@ -272,5 +238,5 @@ func TestFaultFreeSignatureCompatible(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 }

@@ -18,7 +18,7 @@ func TestMetricsInstrumentation(t *testing.T) {
 	if err := r.rmcs[1].Request(0, req, false, func(sim.Time, ht.Packet, error) {}); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 	snap := r.eng.Metrics().Snapshot()
 	val := func(name string, ls metrics.Labels) float64 {
 		v, _ := snap.Value(name, ls)

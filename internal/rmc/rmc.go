@@ -51,20 +51,14 @@ type Peers interface {
 // (package mesh) is the reference implementation; the HT-over-Ethernet
 // fabric the consortium was standardizing (package htoe) is another.
 type Fabric interface {
-	// Deliver carries wireBytes from src to dst starting at now and
-	// returns the arrival time and traversed hop count.
-	Deliver(now sim.Time, src, dst addr.NodeID, wireBytes int) (sim.Time, int)
+	// DeliverOutcome carries wireBytes from src to dst starting at now
+	// and reports what happened to the frame: its arrival time and hop
+	// count, and — under a fault plan — whether it was dropped,
+	// corrupted, or found no route.
+	DeliverOutcome(now sim.Time, src, dst addr.NodeID, wireBytes int) faults.Outcome
 	// DeliverExpress uses a dedicated point-to-point link where the
 	// fabric has one; it errors where it does not.
 	DeliverExpress(now sim.Time, src, dst addr.NodeID, wireBytes int) (sim.Time, error)
-}
-
-// OutcomeFabric is the fault-aware extension of Fabric: DeliverOutcome
-// reports what happened to the frame instead of assuming delivery. Both
-// bundled fabrics implement it; the RMC falls back to Deliver when the
-// fabric does not.
-type OutcomeFabric interface {
-	DeliverOutcome(now sim.Time, src, dst addr.NodeID, wireBytes int) faults.Outcome
 }
 
 // UnreachableError reports that a request was abandoned because its
@@ -89,12 +83,12 @@ type RMC struct {
 	peers  Peers
 	inj    *faults.Injector // nil without a fault plan
 
-	// exch, when non-nil, switches the send path to windowed-exchange
-	// mode: transmissions become intents drained at shard barriers in
-	// canonical (time, src, seq) order instead of walking the fabric
-	// inline (see exchange.go). nowFn supplies the cluster-level clock
-	// for utilization gauges (a shard's own clock stops at its last
-	// local event, which would skew post-run utilization under K > 1).
+	// exch is the shard's barrier exchange: every transmission becomes
+	// an intent drained at the shard barrier in canonical
+	// (time, src, seq) order (see exchange.go). nowFn supplies the
+	// cluster-level clock for utilization gauges (a shard's own clock
+	// stops at its last local event, which would skew post-run
+	// utilization under K > 1).
 	exch    *Exchange
 	nowFn   func() sim.Time
 	xmitSeq uint64
@@ -172,7 +166,6 @@ func (r *RMC) SetProtection(p Protection) { r.protection = p }
 // Config carries the dependencies an RMC needs.
 type Config struct {
 	Self   addr.NodeID
-	Engine *sim.Engine
 	Params params.Params
 	Fabric Fabric
 	Peers  Peers
@@ -182,9 +175,9 @@ type Config struct {
 	// NACK storms, stall windows). The injector is shared with the
 	// fabric so the whole system replays one fault stream.
 	Faults *faults.Injector
-	// Exch, when non-nil, routes every transmission through the shard
-	// barrier exchange instead of walking the fabric at send time. It
-	// must be the exchange of the shard that owns Engine.
+	// Exch is the barrier exchange of the shard the RMC runs on
+	// (ExchangeSet.Shard); every transmission goes through it, and the
+	// RMC's events run on its engine.
 	Exch *Exchange
 	// Now, when non-nil, overrides the clock used by snapshot-time
 	// utilization gauges (the cluster passes the shard set's max clock).
@@ -193,19 +186,17 @@ type Config struct {
 
 // New builds a node's RMC.
 func New(c Config) (*RMC, error) {
-	if c.Engine == nil || c.Fabric == nil || c.Peers == nil || c.Bank == nil || c.Store == nil {
+	if c.Exch == nil || c.Fabric == nil || c.Peers == nil || c.Bank == nil || c.Store == nil {
 		return nil, fmt.Errorf("rmc: incomplete configuration")
 	}
 	b, err := hnc.NewBridge(c.Self)
 	if err != nil {
 		return nil, err
 	}
-	if c.Exch != nil && c.Exch.eng != c.Engine {
-		return nil, fmt.Errorf("rmc: exchange belongs to a different shard engine")
-	}
+	eng := c.Exch.eng
 	r := &RMC{
 		self:   c.Self,
-		eng:    c.Engine,
+		eng:    eng,
 		p:      c.Params,
 		bridge: b,
 		fabric: c.Fabric,
@@ -213,16 +204,16 @@ func New(c Config) (*RMC, error) {
 		inj:    c.Faults,
 		exch:   c.Exch,
 		nowFn:  c.Now,
-		client: sim.NewResource(c.Engine, fmt.Sprintf("rmc%d/client", c.Self), c.Params.RMCQueueDepth),
-		server: sim.NewResource(c.Engine, fmt.Sprintf("rmc%d/server", c.Self), 0),
+		client: sim.NewResource(eng, fmt.Sprintf("rmc%d/client", c.Self), c.Params.RMCQueueDepth),
+		server: sim.NewResource(eng, fmt.Sprintf("rmc%d/server", c.Self), 0),
 		bank:   c.Bank,
 		store:  c.Store,
 		verif:  hnc.NewVerifier(c.Self),
 	}
 	if r.nowFn == nil {
-		r.nowFn = c.Engine.Now
+		r.nowFn = eng.Now
 	}
-	r.register(c.Engine.Metrics())
+	r.register(eng.Metrics())
 	return r, nil
 }
 
@@ -427,7 +418,7 @@ func (r *RMC) putLineBuf(b []byte) {
 // pools are plain slices and must never be touched across shards mid-
 // window.
 func (r *RMC) putLineBufOf(owner *RMC, b []byte) {
-	if owner == r || r.exch == nil || owner.exch == r.exch {
+	if owner.exch == r.exch {
 		owner.putLineBuf(b)
 		return
 	}
@@ -503,7 +494,6 @@ type sendOp struct {
 	express bool
 	wire    int
 	n       int
-	arrive  sim.Time
 	deliver func(sim.Time, hnc.Sealed)
 	abandon func(sim.Time, int)
 	// owner is the engine of the shard that owns the abandon
@@ -513,7 +503,6 @@ type sendOp struct {
 	owner *sim.Engine
 
 	attemptFn func()
-	deliverFn func()
 }
 
 func (r *RMC) getSendOp() *sendOp {
@@ -524,11 +513,6 @@ func (r *RMC) getSendOp() *sendOp {
 	}
 	op := &sendOp{r: r}
 	op.attemptFn = func() { op.r.sendAttempt(op.r.eng.Now(), op) }
-	op.deliverFn = func() {
-		deliver, arrive, s := op.deliver, op.arrive, op.s
-		op.r.putSendOp(op)
-		deliver(arrive, s)
-	}
 	return op
 }
 
@@ -556,40 +540,30 @@ func (r *RMC) sendSealed(now sim.Time, s hnc.Sealed, dst addr.NodeID, express bo
 	r.sendAttempt(now, op)
 }
 
-// sendAttempt transmits one attempt. In windowed-exchange mode it only
-// records the intent; the coordinator replays all intents through
+// sendAttempt transmits one attempt by recording the intent on the
+// shard's exchange; the coordinator replays all intents through
 // completeSend at the barrier in canonical (time, src, seq) order, so
 // link acquisition and the injector's roll stream are consumed in an
 // order that is a pure function of simulated state — identical at any
 // shard count.
 func (r *RMC) sendAttempt(now sim.Time, op *sendOp) {
-	if r.exch != nil {
-		r.xmitSeq++
-		r.exch.record(xmit{t: now, src: r.self, seq: r.xmitSeq, shard: r.exch.idx, op: op})
-		return
-	}
-	r.completeSend(now, op)
+	r.xmitSeq++
+	r.exch.record(xmit{t: now, src: r.self, seq: r.xmitSeq, shard: r.exch.idx, op: op})
 }
 
 // completeSend walks the fabric for one attempt and schedules its
-// consequences. In exchange mode it runs on the coordinator with every
-// shard parked, so it may touch any shard's engine and fabric state.
+// consequences. It runs on the coordinator with every shard parked, so
+// it may touch any shard's engine and fabric state.
 func (r *RMC) completeSend(now sim.Time, op *sendOp) {
 	out := r.deliverOutcome(now, op.dst, op.wire, op.express)
 	switch out.Status {
 	case faults.Delivered:
 		arrive := sim.Time(out.Arrive)
-		if r.exch == nil {
-			op.arrive = arrive
-			r.eng.At(arrive, op.deliverFn)
-			return
-		}
 		// The lookahead window is no longer than the minimum link
 		// latency, so arrive lands at or past the window limit — in the
 		// destination shard's future. The delivery event comes from the
 		// destination exchange's pool and the send op recycles now; the
-		// horizon observed is arrive-now, the same sample the inline
-		// path records.
+		// horizon observed is arrive-now.
 		dst, err := r.peers.RMC(op.dst)
 		if err != nil {
 			panic(fmt.Sprintf("rmc%d: destination node %d vanished: %v", r.self, op.dst, err))
@@ -627,11 +601,7 @@ func (r *RMC) scheduleMangled(sent, arrive sim.Time, s hnc.Sealed) {
 	if err != nil {
 		panic(fmt.Sprintf("rmc%d: corrupted frame for unknown node %d: %v", r.self, s.Frame.Dst, err))
 	}
-	eng := r.eng
-	if r.exch != nil {
-		eng = dst.exch.eng
-	}
-	eng.AtFrom(sent, arrive, func() { dst.acceptMangled(s) })
+	dst.eng.AtFrom(sent, arrive, func() { dst.acceptMangled(s) })
 }
 
 // acceptMangled runs the receiver-side integrity check on a frame the
@@ -652,11 +622,6 @@ func (r *RMC) resend(now sim.Time, op *sendOp) {
 	if op.n >= r.p.RetransmitBudget {
 		r.Abandoned++
 		ab, attempts := op.abandon, op.n+1
-		if r.exch == nil {
-			r.putSendOp(op)
-			ab(now, attempts)
-			return
-		}
 		// The abandon continuation belongs to the requester's shard;
 		// running at the barrier, hand it to that engine one retransmit
 		// timeout after the final attempt — a pure function of simulated
@@ -675,20 +640,16 @@ func (r *RMC) resend(now sim.Time, op *sendOp) {
 	}
 	wait := r.p.RetransmitTimeout << shift
 	op.n++
-	if r.exch == nil {
-		r.eng.At(now+wait, op.attemptFn)
-	} else {
-		// Timer on the sender's shard. Every replayed send time is at or
-		// past the global minimum G of its scheduling round, and window
-		// limits are capped at G + RetransmitTimeout while a plan is
-		// armed, so the wake-up is in the shard's future.
-		r.eng.AtFrom(now, now+wait, op.attemptFn)
-	}
+	// Timer on the sender's shard. Every replayed send time is at or
+	// past the global minimum G of its scheduling round, and window
+	// limits are capped at G + RetransmitTimeout while a plan is armed,
+	// so the wake-up is in the shard's future.
+	r.eng.AtFrom(now, now+wait, op.attemptFn)
 }
 
 // deliverOutcome routes one frame over the chosen path. Express links
 // are dedicated cables outside the fault plan; mesh/switch traffic goes
-// through the fabric's fault-aware delivery when it has one.
+// through the fabric's fault-aware delivery.
 func (r *RMC) deliverOutcome(now sim.Time, dst addr.NodeID, bytes int, express bool) faults.Outcome {
 	if express {
 		t, err := r.fabric.DeliverExpress(now, r.self, dst, bytes)
@@ -697,11 +658,7 @@ func (r *RMC) deliverOutcome(now sim.Time, dst addr.NodeID, bytes int, express b
 		}
 		return faults.Outcome{Arrive: int64(t), Status: faults.Delivered}
 	}
-	if of, ok := r.fabric.(OutcomeFabric); ok {
-		return of.DeliverOutcome(now, r.self, dst, bytes)
-	}
-	t, hops := r.fabric.Deliver(now, r.self, dst, bytes)
-	return faults.Outcome{Arrive: int64(t), Hops: hops, Status: faults.Delivered}
+	return r.fabric.DeliverOutcome(now, r.self, dst, bytes)
 }
 
 // srvOp is the server role's continuation: protection check, memory
@@ -766,10 +723,6 @@ func (r *RMC) putSrvOp(op *srvOp) {
 // there). A cross-shard return is deferred onto the executing shard's
 // exchange and applied at the next barrier.
 func (r *RMC) reclaimSrvOp(requester addr.NodeID, op *srvOp) {
-	if r.exch == nil {
-		r.putSrvOp(op)
-		return
-	}
 	req, err := r.peers.RMC(requester)
 	if err != nil {
 		panic(fmt.Sprintf("rmc%d: requester node %d vanished: %v", r.self, requester, err))
@@ -852,9 +805,6 @@ func (r *RMC) sendReply(now sim.Time, op *srvOp) {
 // replyOwner resolves the engine that owns a reply's completion — the
 // requester's shard, where the clientOp callbacks live.
 func (r *RMC) replyOwner(requester addr.NodeID) *sim.Engine {
-	if r.exch == nil {
-		return r.eng
-	}
 	req, err := r.peers.RMC(requester)
 	if err != nil {
 		panic(fmt.Sprintf("rmc%d: requester node %d vanished: %v", r.self, requester, err))

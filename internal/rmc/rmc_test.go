@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/dram"
+	"repro/internal/faults"
 	"repro/internal/ht"
 	"repro/internal/mem"
 	"repro/internal/mesh"
@@ -14,9 +15,13 @@ import (
 	"repro/internal/sim"
 )
 
-// rig builds a bare N-node RMC network (no caches, no OS) on a 4x4 mesh.
+// rig builds a bare N-node RMC network (no caches, no OS) on a 4x4 mesh
+// driven by a one-shard set: every send goes through the shard's
+// exchange, and set.Run drains it at each barrier, as in the cluster.
 type rig struct {
+	set    *sim.ShardSet
 	eng    *sim.Engine
+	exch   *ExchangeSet
 	p      params.Params
 	fabric *mesh.Fabric
 	rmcs   map[addr.NodeID]*RMC
@@ -31,18 +36,25 @@ func (r *rig) RMC(n addr.NodeID) (*RMC, error) {
 	return m, nil
 }
 
-func newRig(t *testing.T, nodes int) *rig {
+func newRig(t *testing.T, nodes int) *rig { return buildRig(t, nodes, nil) }
+
+// buildRig wires the network; inj, when non-nil, is shared by the
+// fabric and every RMC, exactly as the cluster wires a fault plan.
+func buildRig(t *testing.T, nodes int, inj *faults.Injector) *rig {
 	t.Helper()
 	p := params.Default()
-	eng := sim.New()
+	set := sim.NewShardSet(1, p.HopLatency)
+	eng := set.Engine(0)
 	topo, err := mesh.NewTopology(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := &rig{
+		set:    set,
 		eng:    eng,
+		exch:   NewExchangeSet(set),
 		p:      p,
-		fabric: mesh.NewFabric(eng, topo, p, nil),
+		fabric: mesh.NewFabric(eng, topo, p, inj),
 		rmcs:   map[addr.NodeID]*RMC{},
 		stores: map[addr.NodeID]*mem.Store{},
 	}
@@ -53,10 +65,7 @@ func newRig(t *testing.T, nodes int) *rig {
 			t.Fatal(err)
 		}
 		r.stores[id] = st
-		m, err := New(Config{
-			Self: id, Engine: eng, Params: p, Fabric: r.fabric,
-			Peers: r, Bank: dram.NewBank(eng, id, p), Store: st,
-		})
+		m, err := New(r.config(id, st, inj))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,13 +74,28 @@ func newRig(t *testing.T, nodes int) *rig {
 	return r
 }
 
+// config is the complete RMC configuration of node id in the rig.
+func (r *rig) config(id addr.NodeID, st *mem.Store, inj *faults.Injector) Config {
+	return Config{
+		Self: id, Params: r.p, Fabric: r.fabric, Peers: r,
+		Bank: dram.NewBank(r.eng, id, r.p), Store: st, Faults: inj, Exch: r.exch.Shard(0),
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty config accepted")
 	}
 	r := newRig(t, 2)
-	if _, err := New(Config{Self: 0, Engine: r.eng, Params: r.p, Fabric: r.fabric, Peers: r, Bank: dram.NewBank(r.eng, 1, r.p), Store: r.stores[1]}); err == nil {
+	if _, err := New(r.config(0, r.stores[1], nil)); err == nil {
 		t.Error("node 0 accepted")
+	}
+	// Every RMC sends through its shard's exchange; there is no
+	// exchange-less send path to fall back to.
+	noExch := r.config(3, r.stores[1], nil)
+	noExch.Exch = nil
+	if _, err := New(noExch); err == nil {
+		t.Error("config without an exchange accepted")
 	}
 }
 
@@ -91,7 +115,7 @@ func TestRemoteReadRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 	if !bytes.Equal(gotData, want) {
 		t.Errorf("remote read returned %x, want %x", gotData[:4], want[:4])
 	}
@@ -115,7 +139,7 @@ func TestRemoteWriteRoundTrip(t *testing.T) {
 	if err := r.rmcs[1].Request(0, req, false, func(_ sim.Time, rsp ht.Packet, _ error) { rspCmd = rsp.Cmd }); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 	if rspCmd != ht.CmdTgtDone {
 		t.Errorf("write response = %v", rspCmd)
 	}
@@ -139,14 +163,14 @@ func TestCrossNodeVisibility(t *testing.T) {
 	if err := r.rmcs[1].Request(0, wr, false, func(sim.Time, ht.Packet, error) {}); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 
 	var got []byte
 	rd := ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x2000).WithNode(3), Count: 64}
 	if err := r.rmcs[2].Request(r.eng.Now(), rd, false, func(_ sim.Time, rsp ht.Packet, _ error) { got = rsp.Data }); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 	if !bytes.Equal(got[:len(payload)], payload) {
 		t.Errorf("node 2 read %q", got[:len(payload)])
 	}
@@ -161,7 +185,7 @@ func TestHopDistanceIncreasesLatency(t *testing.T) {
 		if err := r2.rmcs[1].Request(0, req, false, func(ts sim.Time, _ ht.Packet, _ error) { done = ts }); err != nil {
 			t.Fatal(err)
 		}
-		r2.eng.Run()
+		r2.set.Run()
 		return done
 	}
 	_ = r
@@ -187,7 +211,7 @@ func TestLoopbackMode(t *testing.T) {
 	if err := r.rmcs[1].Request(0, req, false, func(_ sim.Time, rsp ht.Packet, _ error) { got = rsp.Data }); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 	if got[0] != 9 {
 		t.Error("loopback read wrong data")
 	}
@@ -226,7 +250,7 @@ func TestClientQueueRetries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.eng.Run()
+	r.set.Run()
 	if completions != 16 {
 		t.Fatalf("only %d of 16 completed", completions)
 	}
@@ -255,7 +279,7 @@ func TestRetryWasteSlowsService(t *testing.T) {
 				}
 			})
 		}
-		r.eng.Run()
+		r.set.Run()
 		return last
 	}
 	p := params.Default()
@@ -276,7 +300,7 @@ func TestExpressRouting(t *testing.T) {
 	if err := r.rmcs[1].Request(0, req, false, func(ts sim.Time, _ ht.Packet, _ error) { meshDone = ts }); err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run()
+	r.set.Run()
 
 	r2 := newRig(t, 16)
 	if err := r2.fabric.AddExpressLink(1, 16); err != nil {
@@ -285,7 +309,7 @@ func TestExpressRouting(t *testing.T) {
 	if err := r2.rmcs[1].Request(0, req, true, func(ts sim.Time, _ ht.Packet, _ error) { expressDone = ts }); err != nil {
 		t.Fatal(err)
 	}
-	r2.eng.Run()
+	r2.set.Run()
 	if expressDone >= meshDone {
 		t.Errorf("express (%d) not faster than 6-hop mesh (%d)", expressDone, meshDone)
 	}
@@ -297,7 +321,7 @@ func TestUtilizationReporting(t *testing.T) {
 	if err := r.rmcs[1].Request(0, req, false, func(sim.Time, ht.Packet, error) {}); err != nil {
 		t.Fatal(err)
 	}
-	end := r.eng.Run()
+	end := r.set.Run()
 	if u := r.rmcs[1].ClientUtilization(end); u <= 0 || u > 1 {
 		t.Errorf("client utilization = %v", u)
 	}
@@ -329,7 +353,7 @@ func TestProtectionAborts(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		r.eng.Run()
+		r.set.Run()
 		return cmd
 	}
 

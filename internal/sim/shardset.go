@@ -29,9 +29,8 @@ type ShardSet struct {
 
 	// Lookahead configuration, installed by the cluster before Run.
 	// bounds[j][i] lower-bounds the delivery time of any frame sent by
-	// shard j into shard i; nil bounds, or elide unset, fall back to the
-	// uniform window.
-	elide    bool
+	// shard j into shard i; a set never given bounds falls back to the
+	// base window.
 	bounds   [][]Time
 	minB     Time // min over all bounds entries (incl. self rows)
 	capOver  Time // limit cap above G (0 = none; retransmit timeout under a fault plan)
@@ -39,10 +38,9 @@ type ShardSet struct {
 
 	// Barriers counts scheduler iterations (one barrier each); Elided
 	// counts the iterations whose narrowest planned window was wider
-	// than the uniform baseline would have allowed — windows the uniform
-	// cadence would have split into several barriers. Registered as
-	// metric families only on multi-shard sets, so single-shard output
-	// is untouched.
+	// than the base window — windows a fixed base-window cadence would
+	// have split into several barriers. Registered as metric families
+	// only on multi-shard sets, so single-shard output is untouched.
 	Barriers uint64
 	Elided   uint64
 
@@ -147,10 +145,6 @@ func (s *ShardSet) Engine(i int) *Engine { return s.engines[i] }
 // Metrics returns the registry shared by every shard.
 func (s *ShardSet) Metrics() *metrics.Registry { return s.met }
 
-// Window returns the uniform lookahead window (the width every shard
-// runs without elision, and the accounting unit of the elision counter).
-func (s *ShardSet) Window() Time { return s.window }
-
 // OnBarrier installs the hook run on the coordinator after each window,
 // with every shard parked. The cluster drains the cross-shard exchange
 // here: horizon is the replay horizon — the hook must replay exactly
@@ -162,11 +156,11 @@ func (s *ShardSet) Window() Time { return s.window }
 func (s *ShardSet) OnBarrier(fn func(horizon Time)) { s.barrier = fn }
 
 // ConfigureLookahead installs the window schedule of a multi-shard set:
-// elide plans each shard's limit from the bound matrix and every shard's
-// earliest pending work; otherwise every shard runs the uniform window.
-// bounds[j][i] must lower-bound the delivery time into shard i of any
-// frame sent by shard j (mesh.MinDelayMatrix); nil keeps the uniform
-// fallback. capOver, when positive, caps every limit at G+capOver: with
+// each shard's limit is planned from the bound matrix and every shard's
+// earliest pending work. bounds[j][i] must lower-bound the delivery time
+// into shard i of any frame sent by shard j (mesh.MinDelayMatrix); nil
+// falls back to the base window. capOver, when positive, caps every
+// limit at G+capOver: with
 // a fault plan armed, drain-time retransmission timers land at least a
 // full timeout after the send they re-arm, so no shard may run past the
 // earliest possible timer. Calling it again (after an express link
@@ -175,7 +169,7 @@ func (s *ShardSet) OnBarrier(fn func(horizon Time)) { s.barrier = fn }
 // faster link inside the current window would be bounded by the tighter
 // matrix while the destination shard's limit was planned with the old
 // one, so the delivery could land in that shard's past.
-func (s *ShardSet) ConfigureLookahead(elide bool, bounds [][]Time, capOver Time) {
+func (s *ShardSet) ConfigureLookahead(bounds [][]Time, capOver Time) {
 	if len(s.engines) == 1 {
 		return
 	}
@@ -185,7 +179,7 @@ func (s *ShardSet) ConfigureLookahead(elide bool, bounds [][]Time, capOver Time)
 	if bounds != nil && len(bounds) != len(s.engines) {
 		panic(fmt.Sprintf("sim: %d bound rows for %d shards", len(bounds), len(s.engines)))
 	}
-	s.elide, s.bounds, s.capOver = elide, bounds, capOver
+	s.bounds, s.capOver = bounds, capOver
 	s.minB = MaxTime
 	for _, row := range bounds {
 		for _, b := range row {
@@ -286,7 +280,7 @@ func (s *ShardSet) Run() Time {
 // its time plus B[i][i] (Engine.ClampWindow). Deliveries placed at the
 // barrier therefore always land in the destination shard's future, and
 // the canonical replay stream stays (time, source, sequence)-sorted.
-// Without elision the limit degrades to G + window, the uniform cadence
+// A set never given bounds falls back to the base window G + window
 // (the clamp never binds there: any send in the window lands at or after
 // G + one edge cost >= G + window).
 func (s *ShardSet) plan() Time {
@@ -312,7 +306,7 @@ func (s *ShardSet) plan() Time {
 	if g == MaxTime {
 		return g
 	}
-	if s.bounds == nil || !s.elide {
+	if s.bounds == nil {
 		lim := g + s.window
 		for i := range s.limits {
 			s.limits[i] = lim

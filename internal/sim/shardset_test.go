@@ -99,15 +99,16 @@ func TestShardSetBarrierScheduling(t *testing.T) {
 }
 
 // TestShardSetElidePolicyWidensWindows pins the point of the lookahead
-// matrix: with a provable 10x-the-window delivery bound, elision runs
-// the same event program in a fraction of the uniform barriers, and the
-// elision counter accounts for the skipped uniform windows. The program
-// itself must execute identically.
+// matrix: with a provable 10x-the-window delivery bound, a set given the
+// matrix runs the same event program in a fraction of the barriers a set
+// given none pays at the base window, and the elision counter accounts
+// for the skipped base windows. The program itself must execute
+// identically.
 func TestShardSetElidePolicyWidensWindows(t *testing.T) {
 	const window = Time(10)
-	run := func(elide bool, bounds [][]Time) (int, uint64, uint64) {
+	run := func(bounds [][]Time) (int, uint64, uint64) {
 		s := NewShardSet(2, window)
-		s.ConfigureLookahead(elide, bounds, 0)
+		s.ConfigureLookahead(bounds, 0)
 		ran := 0
 		var tick func()
 		tick = func() {
@@ -121,17 +122,16 @@ func TestShardSetElidePolicyWidensWindows(t *testing.T) {
 		s.Run()
 		return ran, s.Barriers, s.Elided
 	}
-	b := [][]Time{{100, 100}, {100, 100}}
-	wantRan, uniformBarriers, _ := run(false, b)
-	ran, barriers, elided := run(true, b)
+	wantRan, baseBarriers, _ := run(nil)
+	ran, barriers, elided := run([][]Time{{100, 100}, {100, 100}})
 	if ran != wantRan {
-		t.Fatalf("elide: ran %d events, uniform ran %d", ran, wantRan)
+		t.Fatalf("with bounds: ran %d events, base window ran %d", ran, wantRan)
 	}
-	if barriers*5 > uniformBarriers {
-		t.Errorf("elide: %d barriers, want <= uniform's %d / 5", barriers, uniformBarriers)
+	if barriers*5 > baseBarriers {
+		t.Errorf("with bounds: %d barriers, want <= the base window's %d / 5", barriers, baseBarriers)
 	}
 	if elided == 0 {
-		t.Error("elide: elision counter stayed zero across widened windows")
+		t.Error("with bounds: elision counter stayed zero across widened windows")
 	}
 }
 
@@ -143,7 +143,7 @@ func TestShardSetElisionHonorsHeldIntents(t *testing.T) {
 	const window = Time(10)
 	s := NewShardSet(2, window)
 	b := [][]Time{{50, 50}, {50, 50}}
-	s.ConfigureLookahead(true, b, 0)
+	s.ConfigureLookahead(b, 0)
 	held := Time(500) // intent recorded by shard 0, not yet replayed
 	var replayed Time
 	s.SetIntentSource(func(shard int) Time {

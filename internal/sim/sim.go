@@ -209,7 +209,7 @@ func (e *Engine) pop() entry {
 // both of which are pure functions of simulated state. Without it, a
 // wider window could interleave a replay between two same-time local
 // events that a narrower window kept apart, breaking byte-identity
-// across shard counts and window policies.
+// across shard counts.
 const replayBand = uint64(1) << 63
 
 // At schedules fn to run at the absolute time at. Scheduling in the past

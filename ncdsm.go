@@ -98,16 +98,6 @@ type BulkSpec = params.BulkSpec
 // "frame=16,maxframes=256".
 func ParseBulkSpec(spec string) (BulkSpec, error) { return params.ParseBulk(spec) }
 
-// WindowMode selects the sharded engine's lookahead schedule (the CLIs'
-// -window flag): adaptive barrier elision (the default and zero value)
-// or uniform single-hop windows. Figures and metrics are byte-identical
-// under both; only the barrier frequency — wall-clock speed — changes.
-type WindowMode = params.WindowMode
-
-// ParseWindowMode reads the CLI -window syntax: "uniform" or "elide".
-// The empty string selects the default (elide).
-func ParseWindowMode(s string) (WindowMode, error) { return params.ParseWindowMode(s) }
-
 // LinkLatSpec is the parsed -linklat flag: per-axis and per-edge mesh
 // link traversal latencies. The zero value overrides nothing (every
 // edge at the calibrated hop latency); String renders exactly what
@@ -474,10 +464,6 @@ type ExperimentOptions struct {
 	// PDES shards (the CLIs' -shards flag). 0 or 1 is single-shard;
 	// results are byte-identical at every setting.
 	Shards int
-	// Window selects the sharded engine's lookahead schedule (the CLIs'
-	// -window flag). The zero value is the default, elide. Results are
-	// byte-identical under both modes.
-	Window WindowMode
 	// LinkLat overrides mesh link traversal latencies per axis or per
 	// edge (the CLIs' -linklat flag). The zero value keeps the uniform
 	// calibrated hop latency and is byte-identical to not setting it.
@@ -520,7 +506,6 @@ func (o ExperimentOptions) internal() (experiments.Options, error) {
 	if o.Shards != 0 {
 		io.P.Shards = o.Shards
 	}
-	io.P.Window = o.Window
 	if !o.LinkLat.Empty() {
 		io.P.LinkLat = o.LinkLat
 	}

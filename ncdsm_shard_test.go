@@ -48,34 +48,3 @@ func TestBulkShardGateAtRuntime(t *testing.T) {
 		t.Fatalf("ReadBulk on 4 shards = %v, want a *ShardGateError", err)
 	}
 }
-
-// TestWindowModeFacadeIdentity renders the same experiment through the
-// public API under every -window mode and requires identical figures —
-// the schedule is a performance knob, never a results knob.
-func TestWindowModeFacadeIdentity(t *testing.T) {
-	opts := DefaultExperimentOptions()
-	opts.Scale = 0.01
-	opts.Shards = 4
-	want, err := Experiment("table1", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"uniform", "elide"} {
-		mode, err := ParseWindowMode(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := opts
-		o.Window = mode
-		got, err := Experiment("table1", o)
-		if err != nil {
-			t.Fatalf("window=%s: %v", mode, err)
-		}
-		if got != want {
-			t.Errorf("window=%s: figure differs from the default schedule", mode)
-		}
-	}
-	if _, err := ParseWindowMode("sideways"); err == nil {
-		t.Error("ParseWindowMode accepted an unknown mode")
-	}
-}
