@@ -45,8 +45,9 @@ scale-bench:
 	$(GO) run ./cmd/ncdsm-perf -scale BENCH_scale.json
 
 # perf-gate re-measures and fails on >20% ns/op regression (after
-# calibration rescaling for host speed) or any allocs/op growth against
-# the committed BENCH_sim.json. CI runs this as the perf-smoke job.
+# calibration rescaling for host speed) or any allocs/op or bytes/op
+# growth against the committed BENCH_sim.json. CI runs this as the
+# perf-smoke job.
 perf-gate:
 	$(GO) run ./cmd/ncdsm-perf -check BENCH_sim.json
 
@@ -54,9 +55,10 @@ perf-gate:
 # consistency lab's state machines: the trace reader, the HNC frame
 # integrity check that the fault injector's corrupted frames must never
 # slip past, random litmus programs under every protocol with
-# directory invariants held at every step, and the -linklat, -bulk and
+# directory invariants held at every step, the -linklat, -bulk and
 # -faults spec parsers (no panic; String renders exactly what Parse
-# reads). CI runs the same 10-second smokes.
+# reads), and the -mesh parser with the node-count check behind it.
+# CI runs the same 10-second smokes.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s -run='^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzFrameIntegrity -fuzztime=10s -run='^$$' ./internal/hnc
@@ -64,3 +66,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseLinkLat -fuzztime=10s -run='^$$' ./internal/params
 	$(GO) test -fuzz=FuzzParseBulk -fuzztime=10s -run='^$$' ./internal/params
 	$(GO) test -fuzz=FuzzParsePlan -fuzztime=10s -run='^$$' ./internal/faults
+	$(GO) test -fuzz=FuzzParseMesh -fuzztime=10s -run='^$$' .

@@ -13,13 +13,13 @@
 //	ncdsm-perf -scale BENCH_scale.json      # GOMAXPROCS scaling sweep
 //
 // The check fails when any benchmark's ns/op regresses more than the
-// tolerance (default 20%) or its allocs/op grows at all. Because ns/op
-// is host-dependent, every run also times a fixed pure-CPU calibration
-// loop; at check time the baseline's ns/op figures are rescaled by the
-// calibration ratio, so a uniformly slower CI machine does not read as
-// a regression while a genuinely slower hot path still does. Allocation
-// counts need no such scaling — they are machine-independent and are
-// the strictest part of the gate.
+// tolerance (default 20%) or its allocs/op or bytes/op grows. Because
+// ns/op is host-dependent, every run also times a fixed pure-CPU
+// calibration loop; at check time the baseline's ns/op figures are
+// rescaled by the calibration ratio, so a uniformly slower CI machine
+// does not read as a regression while a genuinely slower hot path still
+// does. Allocation counts and bytes need no such scaling — they are
+// machine-independent and are the strictest part of the gate.
 package main
 
 import (
@@ -55,11 +55,13 @@ const faultSpec = "seed=7,drop=0.01,corrupt=0.002,delayp=0.02,delay=300ns,down=2
 // multi-worker sharded benchmarks hand events between goroutines, so
 // their wall time swings with the host scheduler far more than the
 // single-threaded hot loops do, and they carry a wider ns/op band. The
-// allocs/op gate is never widened — it is machine-independent and is
-// the part that actually guards the zero-alloc steady-state contract.
+// allocs/op and bytes/op gates are never widened — they are
+// machine-independent and are the part that actually guards the
+// zero-alloc steady-state contract.
 type Result struct {
 	NsPerOp      float64 `json:"ns_per_op"`
 	AllocsPerOp  float64 `json:"allocs_per_op"`
+	BytesPerOp   float64 `json:"bytes_per_op"`
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`
 	Tolerance    float64 `json:"tolerance,omitempty"`
 }
@@ -150,6 +152,7 @@ func bench(benchtime string, rounds int, events func(r testing.BenchmarkResult) 
 		res := Result{
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			AllocsPerOp: float64(r.AllocsPerOp()),
+			BytesPerOp:  float64(r.AllocedBytesPerOp()),
 		}
 		if events != nil && res.NsPerOp > 0 {
 			res.EventsPerSec = events(r) * 1e9 / float64(r.T.Nanoseconds())
@@ -171,7 +174,7 @@ func measure() Baseline {
 		r := bench(benchtime, rounds, events, fn)
 		r.Tolerance = tol
 		doc.Benchmarks[name] = r
-		fmt.Printf("%-24s %12.1f ns/op %8.1f allocs/op", name, r.NsPerOp, r.AllocsPerOp)
+		fmt.Printf("%-24s %12.1f ns/op %8.1f allocs/op %10.0f B/op", name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
 		if r.EventsPerSec > 0 {
 			fmt.Printf(" %14.0f events/sec", r.EventsPerSec)
 		}
@@ -250,7 +253,8 @@ func measureScale() ScaleDoc {
 }
 
 // compare applies the gate. ns/op regressions are judged against the
-// calibration-rescaled baseline; allocs/op must not grow at all.
+// calibration-rescaled baseline; allocs/op and bytes/op must not grow
+// past their slack.
 func compare(base, cur Baseline, tolerance float64) int {
 	scale := 1.0
 	bc, okb := base.Benchmarks["calibration"]
@@ -276,21 +280,28 @@ func compare(base, cur Baseline, tolerance float64) int {
 		}
 		allowed := b.NsPerOp * scale * (1 + tol)
 		// Zero-alloc benchmarks stay strictly zero; the macro sweep gets
-		// 1% + 64 slack for runtime-internal allocation jitter.
-		allowedAllocs := b.AllocsPerOp * 1.01
+		// 1% + 64 allocs (4 KiB) slack for runtime-internal allocation
+		// jitter.
+		allowedAllocs, allowedBytes := b.AllocsPerOp*1.01, b.BytesPerOp*1.01
 		if b.AllocsPerOp > 0 {
 			allowedAllocs += 64
+		}
+		if b.BytesPerOp > 0 {
+			allowedBytes += 4096
 		}
 		switch {
 		case c.AllocsPerOp > allowedAllocs:
 			fmt.Printf("FAIL %s: allocs/op %.1f > allowed %.1f (baseline %.1f)\n", name, c.AllocsPerOp, allowedAllocs, b.AllocsPerOp)
+			code = 1
+		case c.BytesPerOp > allowedBytes:
+			fmt.Printf("FAIL %s: B/op %.0f > allowed %.0f (baseline %.0f)\n", name, c.BytesPerOp, allowedBytes, b.BytesPerOp)
 			code = 1
 		case c.NsPerOp > allowed:
 			fmt.Printf("FAIL %s: %.1f ns/op > %.1f allowed (baseline %.1f x %.2f cal x %.0f%% tolerance)\n",
 				name, c.NsPerOp, allowed, b.NsPerOp, scale, 100*(1+tol))
 			code = 1
 		default:
-			fmt.Printf("ok   %s: %.1f ns/op (allowed %.1f), %.1f allocs/op\n", name, c.NsPerOp, allowed, c.AllocsPerOp)
+			fmt.Printf("ok   %s: %.1f ns/op (allowed %.1f), %.1f allocs/op, %.0f B/op\n", name, c.NsPerOp, allowed, c.AllocsPerOp, c.BytesPerOp)
 		}
 	}
 	return code

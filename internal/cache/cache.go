@@ -77,29 +77,53 @@ type line struct {
 	lru   uint64
 }
 
-// socketCache is one socket's set-associative array. The lines live in
-// one flat backing slice, set-major — building a large experiment sweep
-// constructs thousands of sockets, and per-set slices would dominate
-// its allocation count.
+// setsPerBlock is how many sets' lines one storage block holds: 6 KiB
+// of the default geometry.
+const setsPerBlock = 32
+
+// socketCache is one socket's set-associative array. Tag storage is
+// materialized per set on first fill, so a run pays for the sets it
+// touches, not the full geometry: a 1024-node mesh builds 4096 sockets
+// and fills a few percent of their sets. slots, the set→slot index, is
+// allocated on the socket's first fill; a slot's lines are carved from
+// blocks of setsPerBlock sets that the socket owns. A block is never
+// copied once handed out and never shared with another socket, since
+// nodes on different shards run concurrently. A never-filled set is
+// all Invalid: lookups skip it without touching memory.
 type socketCache struct {
-	cfg   Config
-	lines []line
-	clock uint64
+	cfg    Config
+	slots  []uint32 // set index → 1 + slot; 0 while the set was never filled
+	blocks [][]line // slot s: blocks[s/setsPerBlock], ways from (s%setsPerBlock)*Ways
+	used   int      // slots handed out
+	clock  uint64
 }
 
-func newSocketCache(cfg Config) *socketCache {
-	return &socketCache{cfg: cfg, lines: make([]line, cfg.Sets*cfg.Ways)}
+// set returns the lines of set idx, or nil if it was never filled.
+func (c *socketCache) set(idx uint64) []line {
+	if idx >= uint64(len(c.slots)) || c.slots[idx] == 0 {
+		return nil
+	}
+	s := uint(c.slots[idx] - 1)
+	off := int(s%setsPerBlock) * c.cfg.Ways
+	return c.blocks[s/setsPerBlock][off : off+c.cfg.Ways]
 }
 
-func (c *socketCache) setOf(tag addr.Phys) []line {
-	idx := (uint64(tag) / c.cfg.LineSize) % uint64(c.cfg.Sets)
-	ways := uint64(c.cfg.Ways)
-	return c.lines[idx*ways : idx*ways+ways]
+// materialize hands never-filled set idx its slot, all ways Invalid.
+func (c *socketCache) materialize(idx uint64) []line {
+	if c.slots == nil {
+		c.slots = make([]uint32, c.cfg.Sets)
+	}
+	if c.used%setsPerBlock == 0 {
+		n := min(setsPerBlock, c.cfg.Sets-c.used)
+		c.blocks = append(c.blocks, make([]line, n*c.cfg.Ways))
+	}
+	c.used++
+	c.slots[idx] = uint32(c.used)
+	return c.set(idx)
 }
 
-// find returns the way holding tag, or -1.
-func (c *socketCache) find(tag addr.Phys) int {
-	set := c.setOf(tag)
+// find returns the way of set holding tag, or -1.
+func find(set []line, tag addr.Phys) int {
 	for w := range set {
 		if set[w].state != Invalid && set[w].tag == tag {
 			return w
@@ -108,9 +132,9 @@ func (c *socketCache) find(tag addr.Phys) int {
 	return -1
 }
 
-// victim returns the way to fill: an invalid way if any, else LRU.
-func (c *socketCache) victim(tag addr.Phys) int {
-	set := c.setOf(tag)
+// victim returns the way of a materialized set to fill: an invalid way
+// if any, else LRU.
+func victim(set []line) int {
 	best, bestLRU := -1, ^uint64(0)
 	for w := range set {
 		if set[w].state == Invalid {
@@ -123,9 +147,9 @@ func (c *socketCache) victim(tag addr.Phys) int {
 	return best
 }
 
-func (c *socketCache) touch(tag addr.Phys, w int) {
+func (c *socketCache) touch(set []line, w int) {
 	c.clock++
-	c.setOf(tag)[w].lru = c.clock
+	set[w].lru = c.clock
 }
 
 // Result describes what one access did, for the timing layer to price.
@@ -152,7 +176,7 @@ type Result struct {
 // MESI between them. It is deliberately *not* aware of other nodes.
 type Hierarchy struct {
 	cfg     Config
-	sockets []*socketCache
+	sockets []socketCache
 
 	// Accesses, Hits, Misses, Probes, Writebacks, and Installs are
 	// running totals (Installs are prefetch fills).
@@ -167,9 +191,9 @@ func NewHierarchy(sockets int, cfg Config) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h := &Hierarchy{cfg: cfg}
-	for i := 0; i < sockets; i++ {
-		h.sockets = append(h.sockets, newSocketCache(cfg))
+	h := &Hierarchy{cfg: cfg, sockets: make([]socketCache, sockets)}
+	for i := range h.sockets {
+		h.sockets[i].cfg = cfg
 	}
 	return h, nil
 }
@@ -179,6 +203,11 @@ func (h *Hierarchy) Sockets() int { return len(h.sockets) }
 
 // LineSize returns the coherence granule.
 func (h *Hierarchy) LineSize() uint64 { return h.cfg.LineSize }
+
+// setIndex returns the set a line-aligned tag maps to in every socket.
+func (h *Hierarchy) setIndex(tag addr.Phys) uint64 {
+	return (uint64(tag) / h.cfg.LineSize) % uint64(h.cfg.Sets)
+}
 
 // Access performs one load (write=false) or store (write=true) by the
 // given socket to the line containing a, running the MESI protocol
@@ -190,33 +219,34 @@ func (h *Hierarchy) Access(socket int, a addr.Phys, write bool) (Result, error) 
 	}
 	h.Accesses++
 	tag := a.Line(h.cfg.LineSize)
-	own := h.sockets[socket]
+	idx := h.setIndex(tag)
+	own := &h.sockets[socket]
+	set := own.set(idx)
 	var res Result
 
-	if w := own.find(tag); w >= 0 {
-		set := own.setOf(tag)
+	if w := find(set, tag); w >= 0 {
 		st := set[w].state
 		if !write || st == Modified {
 			// Plain hit.
 			res.Hit = true
 			res.State = st
-			own.touch(tag, w)
+			own.touch(set, w)
 			h.Hits++
 			return res, nil
 		}
 		if st == Exclusive {
 			// Silent E->M upgrade.
 			set[w].state = Modified
-			own.touch(tag, w)
+			own.touch(set, w)
 			res.Hit = true
 			res.State = Modified
 			h.Hits++
 			return res, nil
 		}
 		// S->M upgrade: invalidate the other sharers.
-		res.Probes = h.invalidateOthers(socket, tag)
+		res.Probes = h.invalidateOthers(socket, idx, tag)
 		set[w].state = Modified
-		own.touch(tag, w)
+		own.touch(set, w)
 		res.Hit = true
 		res.State = Modified
 		h.Hits++
@@ -227,31 +257,33 @@ func (h *Hierarchy) Access(socket int, a addr.Phys, write bool) (Result, error) 
 	// Miss: consult the siblings.
 	h.Misses++
 	sharers := 0
-	for s, c := range h.sockets {
+	for s := range h.sockets {
 		if s == socket {
 			continue
 		}
-		if w := c.find(tag); w >= 0 {
-			set := c.setOf(tag)
+		peer := h.sockets[s].set(idx)
+		if w := find(peer, tag); w >= 0 {
 			res.Probes++
 			if write {
-				if set[w].state == Modified {
+				if peer[w].state == Modified {
 					res.Writebacks++ // dirty data forwarded/written back
 				}
-				set[w].state = Invalid
+				peer[w].state = Invalid
 			} else {
-				if set[w].state == Modified {
+				if peer[w].state == Modified {
 					res.Writebacks++
 				}
-				set[w].state = Shared
+				peer[w].state = Shared
 				sharers++
 			}
 		}
 	}
 
 	// Fill into our cache, possibly evicting.
-	w := own.victim(tag)
-	set := own.setOf(tag)
+	if set == nil {
+		set = own.materialize(idx)
+	}
+	w := victim(set)
 	if set[w].state != Invalid {
 		res.Victim = set[w].tag
 		if set[w].state == Modified {
@@ -266,21 +298,22 @@ func (h *Hierarchy) Access(socket int, a addr.Phys, write bool) (Result, error) 
 		newState = Shared
 	}
 	set[w] = line{tag: tag, state: newState}
-	own.touch(tag, w)
+	own.touch(set, w)
 	res.State = newState
 	h.Probes += uint64(res.Probes)
 	h.Writebacks += uint64(res.Writebacks)
 	return res, nil
 }
 
-func (h *Hierarchy) invalidateOthers(socket int, tag addr.Phys) int {
+func (h *Hierarchy) invalidateOthers(socket int, idx uint64, tag addr.Phys) int {
 	probes := 0
-	for s, c := range h.sockets {
+	for s := range h.sockets {
 		if s == socket {
 			continue
 		}
-		if w := c.find(tag); w >= 0 {
-			c.setOf(tag)[w].state = Invalid
+		peer := h.sockets[s].set(idx)
+		if w := find(peer, tag); w >= 0 {
+			peer[w].state = Invalid
 			probes++
 		}
 	}
@@ -297,14 +330,18 @@ func (h *Hierarchy) Install(socket int, a addr.Phys) (Result, error) {
 		return Result{}, fmt.Errorf("cache: socket %d outside domain of %d", socket, len(h.sockets))
 	}
 	tag := a.Line(h.cfg.LineSize)
-	for _, c := range h.sockets {
-		if c.find(tag) >= 0 {
+	idx := h.setIndex(tag)
+	for s := range h.sockets {
+		if find(h.sockets[s].set(idx), tag) >= 0 {
 			return Result{Hit: true, State: Shared}, nil
 		}
 	}
-	own := h.sockets[socket]
-	w := own.victim(tag)
-	set := own.setOf(tag)
+	own := &h.sockets[socket]
+	set := own.set(idx)
+	if set == nil {
+		set = own.materialize(idx)
+	}
+	w := victim(set)
 	var res Result
 	if set[w].state != Invalid {
 		res.Victim = set[w].tag
@@ -315,7 +352,7 @@ func (h *Hierarchy) Install(socket int, a addr.Phys) (Result, error) {
 		}
 	}
 	set[w] = line{tag: tag, state: Exclusive}
-	own.touch(tag, w)
+	own.touch(set, w)
 	res.State = Exclusive
 	h.Installs++
 	return res, nil
@@ -324,8 +361,9 @@ func (h *Hierarchy) Install(socket int, a addr.Phys) (Result, error) {
 // Present reports whether any socket currently caches the line.
 func (h *Hierarchy) Present(a addr.Phys) bool {
 	tag := a.Line(h.cfg.LineSize)
-	for _, c := range h.sockets {
-		if c.find(tag) >= 0 {
+	idx := h.setIndex(tag)
+	for s := range h.sockets {
+		if find(h.sockets[s].set(idx), tag) >= 0 {
 			return true
 		}
 	}
@@ -336,8 +374,9 @@ func (h *Hierarchy) Present(a addr.Phys) bool {
 // introspection.
 func (h *Hierarchy) StateIn(socket int, a addr.Phys) State {
 	tag := a.Line(h.cfg.LineSize)
-	if w := h.sockets[socket].find(tag); w >= 0 {
-		return h.sockets[socket].setOf(tag)[w].state
+	set := h.sockets[socket].set(h.setIndex(tag))
+	if w := find(set, tag); w >= 0 {
+		return set[w].state
 	}
 	return Invalid
 }
@@ -345,15 +384,18 @@ func (h *Hierarchy) StateIn(socket int, a addr.Phys) State {
 // FlushAll writes back and invalidates every line in the domain,
 // returning the number of dirty lines written back. The prototype does
 // this between a write phase and a read-only parallel phase, after which
-// several threads may cache remote data safely.
+// several threads may cache remote data safely. Sets keep their storage:
+// a flushed set is all Invalid, like one never filled.
 func (h *Hierarchy) FlushAll() int {
 	dirty := 0
-	for _, c := range h.sockets {
-		for i := range c.lines {
-			if c.lines[i].state == Modified {
-				dirty++
+	for s := range h.sockets {
+		for _, b := range h.sockets[s].blocks {
+			for i := range b {
+				if b[i].state == Modified {
+					dirty++
+				}
+				b[i].state = Invalid
 			}
-			c.lines[i].state = Invalid
 		}
 	}
 	h.Writebacks += uint64(dirty)

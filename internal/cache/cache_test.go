@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -209,6 +210,38 @@ func TestStateString(t *testing.T) {
 	for s, want := range map[State]string{Invalid: "I", Shared: "S", Exclusive: "E", Modified: "M"} {
 		if s.String() != want {
 			t.Errorf("%d renders %q", s, s.String())
+		}
+	}
+}
+
+// TestFreshHierarchyFootprint pins the point of per-set
+// materialization: a node's four-socket domain costs a few hundred
+// bytes until it is used (the eager arrays were 768 KiB), and one
+// access materializes exactly one set of one socket.
+func TestFreshHierarchyFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h, err := NewHierarchy(4, DefaultConfig())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1024 {
+		t.Errorf("fresh 4-socket hierarchy allocated %d B, want a few hundred", n)
+	}
+	if _, err := h.Access(2, 0x12340, true); err != nil {
+		t.Fatal(err)
+	}
+	for s := range h.sockets {
+		want := 0
+		if s == 2 {
+			want = 1
+		}
+		if got := h.sockets[s].used; got != want {
+			t.Errorf("socket %d materialized %d sets after one access by socket 2, want %d", s, got, want)
+		}
+		if s != 2 && h.sockets[s].slots != nil {
+			t.Errorf("untouched socket %d allocated its set index", s)
 		}
 	}
 }

@@ -22,8 +22,10 @@ func TestTopologyValidation(t *testing.T) {
 	if _, err := NewTopology(0, 4); err == nil {
 		t.Error("0-width mesh accepted")
 	}
-	if _, err := NewTopology(200, 200); err == nil {
-		t.Error("mesh exceeding addressable nodes accepted")
+	for _, wh := range [][2]int{{200, 200}, {4294967296, 4294967296}, {3037000500, 3037000500}} {
+		if _, err := NewTopology(wh[0], wh[1]); err == nil {
+			t.Errorf("%dx%d mesh exceeding addressable nodes accepted", wh[0], wh[1])
+		}
 	}
 }
 

@@ -24,7 +24,9 @@ func NewTopology(w, h int) (Topology, error) {
 	if w < 1 || h < 1 {
 		return Topology{}, fmt.Errorf("mesh: invalid geometry %dx%d", w, h)
 	}
-	if w*h > addr.MaxNode {
+	// Bound each side before multiplying: the product of two sides
+	// past ~3e9 overflows int.
+	if w > addr.MaxNode || h > addr.MaxNode || w*h > addr.MaxNode {
 		return Topology{}, fmt.Errorf("mesh: %dx%d exceeds %d addressable nodes", w, h, addr.MaxNode)
 	}
 	return Topology{W: w, H: h}, nil

@@ -343,8 +343,10 @@ func (p Params) Validate() error {
 	switch {
 	case p.MeshWidth < 1 || p.MeshHeight < 1:
 		return fmt.Errorf("params: mesh %dx%d must be at least 1x1", p.MeshWidth, p.MeshHeight)
-	case p.Nodes() >= 1<<NodePrefixBits:
-		return fmt.Errorf("params: %d nodes exceed %d-bit prefix space (node 0 is reserved)", p.Nodes(), NodePrefixBits)
+	case p.MeshWidth >= 1<<NodePrefixBits || p.MeshHeight >= 1<<NodePrefixBits || p.Nodes() >= 1<<NodePrefixBits:
+		// Each dimension is bounded before Nodes multiplies them: past
+		// ~3e9 a side the product overflows int and reads as small.
+		return fmt.Errorf("params: mesh %dx%d exceeds the %d-bit node prefix space (node 0 is reserved)", p.MeshWidth, p.MeshHeight, NodePrefixBits)
 	case p.CoresPerNode < 1:
 		return fmt.Errorf("params: CoresPerNode %d < 1", p.CoresPerNode)
 	case p.SocketsPerNode < 1:

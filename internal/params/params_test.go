@@ -48,6 +48,8 @@ func TestValidateRejections(t *testing.T) {
 	}{
 		{"zero mesh", func(p *Params) { p.MeshWidth = 0 }},
 		{"too many nodes", func(p *Params) { p.MeshWidth, p.MeshHeight = 1<<7, 1<<7 }},
+		{"mesh 4294967296x4294967296 wraps to 0 nodes", func(p *Params) { p.MeshWidth, p.MeshHeight = 4294967296, 4294967296 }},
+		{"mesh 3037000500x3037000500 wraps negative", func(p *Params) { p.MeshWidth, p.MeshHeight = 3037000500, 3037000500 }},
 		{"no cores", func(p *Params) { p.CoresPerNode = 0 }},
 		{"no sockets", func(p *Params) { p.SocketsPerNode = 0 }},
 		{"zero memory", func(p *Params) { p.MemPerNode = 0 }},
