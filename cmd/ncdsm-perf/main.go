@@ -12,6 +12,9 @@
 //	ncdsm-perf -check BENCH_sim.json -tolerance 0.3
 //	ncdsm-perf -scale BENCH_scale.json      # GOMAXPROCS scaling sweep
 //
+// The scaling sweep prints, next to each speedup, the serial share of
+// the sharded run and its straggler ratio, from ShardSet.Phases.
+//
 // The check fails when any benchmark's ns/op regresses more than the
 // tolerance (default 20%) or its allocs/op or bytes/op grows. Because
 // ns/op is host-dependent, every run also times a fixed pure-CPU
@@ -29,6 +32,7 @@ import (
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/addr"
 	"repro/internal/btree"
@@ -200,12 +204,17 @@ func measure() Baseline {
 
 // ScalePoint is one GOMAXPROCS setting's measurement in the scaling
 // sweep: the paper-scale sharded benchmark's throughput at that worker
-// width, plus its speedup over the single-proc run of the same sweep.
+// width, its speedup over the single-proc run of the same sweep, and
+// why the speedup is what it is — the serial share of the run (plan plus
+// drain, over run time: Amdahl's bound on what more cores can buy) and
+// the straggler ratio (the busiest shard's window time over the mean).
 type ScalePoint struct {
 	GOMAXPROCS   int     `json:"gomaxprocs"`
 	NsPerOp      float64 `json:"ns_per_op"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	Speedup      float64 `json:"speedup_vs_1"`
+	SerialShare  float64 `json:"serial_share"`
+	Straggler    float64 `json:"straggler"`
 }
 
 // ScaleDoc is the BENCH_scale.json document. Unlike BENCH_sim.json it
@@ -245,9 +254,10 @@ func measureScale() ScaleDoc {
 		if base > 0 && r.NsPerOp > 0 {
 			pt.Speedup = base / r.NsPerOp
 		}
+		pt.SerialShare, pt.Straggler = phaseRatios(shardedPhases)
 		doc.Points = append(doc.Points, pt)
-		fmt.Printf("GOMAXPROCS=%-2d %12.1f ns/op %14.0f events/sec %6.2fx\n",
-			procs, pt.NsPerOp, pt.EventsPerSec, pt.Speedup)
+		fmt.Printf("GOMAXPROCS=%-2d %12.1f ns/op %14.0f events/sec %6.2fx  serial %5.1f%%  straggler %.2f\n",
+			procs, pt.NsPerOp, pt.EventsPerSec, pt.Speedup, 100*pt.SerialShare, pt.Straggler)
 	}
 	return doc
 }
@@ -654,8 +664,29 @@ func benchShardedBarrierOverhead(b *testing.B) {
 }
 
 // shardedEvents reports the engine events the last benchSharded16x16
-// timing loop executed, for the events/sec figure.
-var shardedEvents float64
+// timing loop executed, for the events/sec figure, and shardedPhases
+// the host-time phases of that benchmark's shard set.
+var (
+	shardedEvents float64
+	shardedPhases sim.Phases
+)
+
+// phaseRatios returns the serial share of a sharded run, (plan +
+// drain) / run, and its straggler ratio, max / mean shard busy time.
+func phaseRatios(p sim.Phases) (serial, straggler float64) {
+	if p.Run > 0 {
+		serial = float64(p.Plan+p.Drain) / float64(p.Run)
+	}
+	var sum, most time.Duration
+	for _, b := range p.Busy {
+		sum += b
+		most = max(most, b)
+	}
+	if sum > 0 {
+		straggler = float64(most) * float64(len(p.Busy)) / float64(sum)
+	}
+	return serial, straggler
+}
 
 // benchSharded16x16 is the paper-scale fabric under the parallel
 // engine: a 16x16 mesh (256 RMCs) split 8 ways, every node issuing one
@@ -714,6 +745,7 @@ func benchSharded16x16(b *testing.B) {
 	}
 	b.StopTimer()
 	shardedEvents = processed() - start
+	shardedPhases = set.Phases()
 }
 
 // benchFig7Faulted runs the full Figure 7 sweep under an armed fault

@@ -21,10 +21,10 @@ func TestBurstFrameOccupancy(t *testing.T) {
 
 	scalarWire := 64 + 16   // one line + headers
 	burstWire := 16*64 + 16 // one 16-line data frame + headers
-	scalarDone, _ := f.Deliver(0, 1, 2, scalarWire)
+	scalarDone := f.DeliverOutcome(0, 1, 2, scalarWire).Arrive
 	eng2 := sim.New()
 	f2 := NewFabric(eng2, topo4x4(t), p, nil)
-	burstDone, _ := f2.Deliver(0, 1, 2, burstWire)
+	burstDone := f2.DeliverOutcome(0, 1, 2, burstWire).Arrive
 
 	scalarUnits := sim.Time((scalarWire + params.CacheLineSize - 1) / params.CacheLineSize)
 	burstUnits := sim.Time((burstWire + params.CacheLineSize - 1) / params.CacheLineSize)
@@ -44,13 +44,13 @@ func TestBurstContendsWithScalarTraffic(t *testing.T) {
 
 	burstWire := 16*64 + 16
 	scalarWire := 64 + 16
-	burstDone, _ := f.Deliver(0, 1, 2, burstWire)
-	queuedDone, _ := f.Deliver(0, 1, 2, scalarWire)
+	burstDone := f.DeliverOutcome(0, 1, 2, burstWire).Arrive
+	queuedDone := f.DeliverOutcome(0, 1, 2, scalarWire).Arrive
 
 	// Alone, the scalar frame finishes in hop latency + its own (small)
 	// occupancy; behind the burst it cannot finish before the burst does.
 	eng2 := sim.New()
-	alone, _ := NewFabric(eng2, topo4x4(t), p, nil).Deliver(0, 1, 2, scalarWire)
+	alone := NewFabric(eng2, topo4x4(t), p, nil).DeliverOutcome(0, 1, 2, scalarWire).Arrive
 	if queuedDone <= alone {
 		t.Errorf("scalar frame behind a burst finished at %d, alone at %d; no contention", queuedDone, alone)
 	}

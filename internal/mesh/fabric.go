@@ -25,27 +25,33 @@ const (
 	dirSouth
 )
 
-// link is one directed link: its timed occupancy, its traversal latency
-// (per-edge under a -linklat table, HopLatency otherwise), plus traffic
-// tallies the metrics layer samples lazily.
+// link is one directed link, 40 bytes: when it can start serializing
+// the next frame, its traversal latency (per-edge under a -linklat
+// table, HopLatency otherwise), the occupancy it has accumulated, and
+// the traffic tallies the metrics layer samples lazily. A link is an
+// unbounded FIFO server, so it keeps no queue: a frame finishes
+// serializing at max(t, free) plus its occupancy.
 type link struct {
-	res    sim.Resource
+	free   sim.Time
 	lat    sim.Time
+	busy   sim.Time
 	frames uint64
 	bytes  uint64
 }
 
-// cross serializes a frame of wireBytes onto the link no earlier than t
-// (mesh and express links have unbounded queues) and returns when it
+// cross serializes a frame of wireBytes onto the link no earlier than t,
+// behind every frame already booked on it, and returns when the frame
 // reaches the far end.
 func (l *link) cross(t, occ sim.Time, wireBytes int) sim.Time {
-	done, _ := l.res.Acquire(t, occ)
+	done := max(t, l.free) + occ
+	l.free = done
+	l.busy += occ
 	l.frames++
 	l.bytes += uint64(wireBytes)
 	return done + l.lat
 }
 
-// Fabric is the timed fabric: every directed mesh link is a FIFO resource
+// Fabric is the timed fabric: every directed mesh link is a FIFO server
 // whose occupancy models serialization bandwidth, and crossing a link
 // additionally costs the hop latency (SerDes + router traversal).
 // Express links are dedicated point-to-point connections outside the
@@ -89,10 +95,8 @@ func NewFabric(eng *sim.Engine, topo Topology, p params.Params, inj *faults.Inje
 		fx, fy := topo.Coord(id)
 		for _, nb := range topo.Neighbors(id) {
 			i, _ := f.linkIndex(id, nb)
-			l := &f.links[i]
-			f.initLink(l, id, nb, "mesh")
 			tx, ty := topo.Coord(nb)
-			l.lat = p.LinkLat.EdgeLatency(fx, fy, tx, ty, p.HopLatency)
+			f.initLink(&f.links[i], id, nb, "mesh", p.LinkLat.EdgeLatency(fx, fy, tx, ty, p.HopLatency))
 		}
 	}
 	m := eng.Metrics()
@@ -111,16 +115,10 @@ func NewFabric(eng *sim.Engine, topo Topology, p params.Params, inj *faults.Inje
 	return f
 }
 
-// initLink sets up the directed link from->to in place and registers its
-// traffic counters.
-func (f *Fabric) initLink(l *link, from, to addr.NodeID, class string) {
-	name := fmt.Sprintf("link %d->%d", from, to)
-	if class == "express" {
-		name = fmt.Sprintf("express %d->%d", from, to)
-	}
-	// The resource lives inside the link, so a hop touches one dense
-	// table entry instead of chasing a pointer to a separate allocation.
-	*l = link{res: *sim.NewResource(f.eng, name, 0), lat: f.p.HopLatency}
+// initLink sets up the directed link from->to in place with traversal
+// latency lat and registers its traffic counters.
+func (f *Fabric) initLink(l *link, from, to addr.NodeID, class string, lat sim.Time) {
+	*l = link{lat: lat}
 	ls := metrics.L(
 		"from", fmt.Sprintf("%d", from),
 		"to", fmt.Sprintf("%d", to),
@@ -172,7 +170,7 @@ func (f *Fabric) AddExpressLink(a, b addr.NodeID) error {
 			return fmt.Errorf("mesh: express link %d->%d already exists", k.from, k.to)
 		}
 		l := new(link)
-		f.initLink(l, k.from, k.to, "express")
+		f.initLink(l, k.from, k.to, "express", f.p.HopLatency)
 		f.express[k] = l
 	}
 	if f.onChange != nil {
@@ -198,25 +196,16 @@ func (f *Fabric) occupancy(wireBytes int) sim.Time {
 	return sim.Time(units) * f.p.LinkOccupancy
 }
 
-// Deliver sends a frame of wireBytes from src to dst along the XY route,
-// starting at now. It returns the arrival time at dst and the hop count.
-// Each hop is store-and-forward: the frame serializes onto the link
-// (waiting behind earlier frames), then takes the hop latency to cross,
-// which is how contention on shared mesh links appears in Figure 8.
-// Deliver is the fault-oblivious entry: callers that must survive drops
-// or outages use DeliverOutcome instead.
-func (f *Fabric) Deliver(now sim.Time, src, dst addr.NodeID, wireBytes int) (sim.Time, int) {
-	out := f.DeliverOutcome(now, src, dst, wireBytes)
-	return sim.Time(out.Arrive), out.Hops
-}
-
-// DeliverOutcome pushes one frame through the (possibly faulty) mesh:
-// hop by hop along the XY route, detouring around links the fault plan
-// has taken down (greedy: the up neighbor closest to the destination
-// that is not an immediate bounce back), rolling the plan's drop,
-// corruption, and delay probabilities on every traversal. Without an
-// injector it is exactly Deliver: same route, same link occupancies,
-// same counters.
+// DeliverOutcome pushes one frame of wireBytes from src to dst, starting
+// at now, and reports its arrival time, hop count, and fate. Each hop is
+// store-and-forward: the frame serializes onto the link (waiting behind
+// earlier frames), then takes the hop latency to cross, which is how
+// contention on shared mesh links appears in Figure 8. Without an
+// injector the frame takes the XY route and is always delivered. Under a
+// fault plan it detours around links the plan has taken down (greedy:
+// the up neighbor closest to the destination that is not an immediate
+// bounce back) and rolls the plan's drop, corruption, and delay
+// probabilities on every traversal.
 func (f *Fabric) DeliverOutcome(now sim.Time, src, dst addr.NodeID, wireBytes int) faults.Outcome {
 	if src == dst {
 		return faults.Outcome{Arrive: int64(now), Status: faults.Delivered}
@@ -388,7 +377,10 @@ func (f *Fabric) LinkUtilization(from, to addr.NodeID, elapsed sim.Time) (float6
 	if !ok {
 		return 0, fmt.Errorf("mesh: no link %d->%d", from, to)
 	}
-	return f.links[i].res.Utilization(elapsed), nil
+	if elapsed <= 0 {
+		return 0, nil
+	}
+	return float64(f.links[i].busy) / float64(elapsed), nil
 }
 
 // Links returns the number of directed mesh links.

@@ -15,26 +15,27 @@ func faultFabric(t *testing.T, plan *faults.Plan) (*Fabric, *faults.Injector) {
 	return NewFabric(sim.New(), topo, params.Default(), inj), inj
 }
 
-// TestFaultFreeOutcomeMatchesDeliver: without an injector the fault-aware
-// path is exactly the old XY delivery — same arrival, same hops, same
-// counters — which is what keeps empty-plan runs byte-identical.
+// TestFaultFreeOutcomeMatchesDeliver: without an injector DeliverOutcome
+// takes the plain XY delivery — the same arrival, hops, and counters as
+// the fault-aware walk under a plan that never fires — which is what
+// keeps empty-plan runs byte-identical.
 func TestFaultFreeOutcomeMatchesDeliver(t *testing.T) {
 	topo := topo4x4(t)
 	p := params.Default()
-	a := NewFabric(sim.New(), topo, p, nil)
+	a := NewFabric(sim.New(), topo, p, faults.NewInjector(&faults.Plan{Seed: 1}))
 	b := NewFabric(sim.New(), topo, p, nil)
 
 	src, dst := topo.NodeAt(0, 0), topo.NodeAt(3, 2)
-	arrive, hops := a.Deliver(0, src, dst, 72)
+	walked := a.DeliverOutcome(0, src, dst, 72)
 	out := b.DeliverOutcome(0, src, dst, 72)
 	if out.Status != faults.Delivered {
 		t.Fatalf("status = %v", out.Status)
 	}
-	if sim.Time(out.Arrive) != arrive || out.Hops != hops {
-		t.Errorf("outcome (%d, %d hops) != deliver (%d, %d hops)", out.Arrive, out.Hops, arrive, hops)
+	if out != walked {
+		t.Errorf("fault-free outcome %+v != inert-plan walk %+v", out, walked)
 	}
-	if hops != topo.Hops(src, dst) {
-		t.Errorf("fault-free route took %d hops, XY distance is %d", hops, topo.Hops(src, dst))
+	if out.Hops != topo.Hops(src, dst) {
+		t.Errorf("fault-free route took %d hops, XY distance is %d", out.Hops, topo.Hops(src, dst))
 	}
 	if a.Reroutes != 0 || b.Reroutes != 0 || b.Unreachable != 0 {
 		t.Error("fault-free fabric counted faults")
@@ -160,12 +161,12 @@ func TestDelayAddsLatency(t *testing.T) {
 	clean := NewFabric(sim.New(), topo, p, nil)
 	slow := NewFabric(sim.New(), topo, p, faults.NewInjector(&faults.Plan{Seed: 1, Delay: 1, DelayBy: extra}))
 
-	base, hops := clean.Deliver(0, 1, 3, 72)
+	base := clean.DeliverOutcome(0, 1, 3, 72)
 	out := slow.DeliverOutcome(0, 1, 3, 72)
 	if out.Status != faults.Delivered {
 		t.Fatalf("status = %v", out.Status)
 	}
-	if want := base + sim.Time(hops)*extra; sim.Time(out.Arrive) != want {
-		t.Errorf("delayed arrival %d, want %d (base %d + %d hops x %d)", out.Arrive, want, base, hops, extra)
+	if want := base.Arrive + int64(base.Hops)*extra; out.Arrive != want {
+		t.Errorf("delayed arrival %d, want %d (base %d + %d hops x %d)", out.Arrive, want, base.Arrive, base.Hops, extra)
 	}
 }

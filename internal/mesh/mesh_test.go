@@ -147,12 +147,12 @@ func TestFabricDeliveryLatency(t *testing.T) {
 	}
 
 	src, dst := topo.NodeAt(0, 0), topo.NodeAt(2, 0)
-	arrive, hops := f.Deliver(0, src, dst, 72)
-	if hops != 2 {
-		t.Errorf("hops = %d, want 2", hops)
+	out := f.DeliverOutcome(0, src, dst, 72)
+	if out.Hops != 2 {
+		t.Errorf("hops = %d, want 2", out.Hops)
 	}
 	want := 2 * (p.LinkOccupancy*2 + p.HopLatency) // 72B -> 2 occupancy units/hop
-	if arrive != want {
+	if arrive := out.Arrive; arrive != want {
 		t.Errorf("uncontended 2-hop delivery = %d, want %d", arrive, want)
 	}
 }
@@ -160,9 +160,9 @@ func TestFabricDeliveryLatency(t *testing.T) {
 func TestFabricSelfDelivery(t *testing.T) {
 	p := params.Default()
 	f := NewFabric(sim.New(), topo4x4(t), p, nil)
-	arrive, hops := f.Deliver(100, 3, 3, 72)
-	if arrive != 100 || hops != 0 {
-		t.Errorf("self delivery = (%d, %d), want (100, 0)", arrive, hops)
+	out := f.DeliverOutcome(100, 3, 3, 72)
+	if out.Arrive != 100 || out.Hops != 0 {
+		t.Errorf("self delivery = (%d, %d), want (100, 0)", out.Arrive, out.Hops)
 	}
 }
 
@@ -173,8 +173,8 @@ func TestFabricContention(t *testing.T) {
 	src, dst := topo.NodeAt(0, 0), topo.NodeAt(1, 0)
 	// Two simultaneous frames on one link: the second serializes behind
 	// the first.
-	a1, _ := f.Deliver(0, src, dst, 72)
-	a2, _ := f.Deliver(0, src, dst, 72)
+	a1 := f.DeliverOutcome(0, src, dst, 72).Arrive
+	a2 := f.DeliverOutcome(0, src, dst, 72).Arrive
 	if a2 <= a1 {
 		t.Errorf("contended frame arrived at %d, not after %d", a2, a1)
 	}
@@ -188,9 +188,9 @@ func TestFabricLargeTransferScalesOccupancy(t *testing.T) {
 	f := NewFabric(sim.New(), topo4x4(t), p, nil)
 	topo := f.Topology()
 	src, dst := topo.NodeAt(0, 0), topo.NodeAt(1, 0)
-	small, _ := f.Deliver(0, src, dst, 64)
+	small := f.DeliverOutcome(0, src, dst, 64).Arrive
 	f2 := NewFabric(sim.New(), topo, p, nil)
-	big, _ := f2.Deliver(0, src, dst, 4096)
+	big := f2.DeliverOutcome(0, src, dst, 4096).Arrive
 	if big <= small {
 		t.Errorf("4 KiB frame (%d) not slower than 64 B frame (%d)", big, small)
 	}
@@ -242,7 +242,7 @@ func TestExpressLink(t *testing.T) {
 func TestLinkUtilization(t *testing.T) {
 	p := params.Default()
 	f := NewFabric(sim.New(), topo4x4(t), p, nil)
-	f.Deliver(0, 1, 2, 64)
+	f.DeliverOutcome(0, 1, 2, 64)
 	u, err := f.LinkUtilization(1, 2, p.LinkOccupancy*10)
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,7 @@ func TestMetricsInstrumentation(t *testing.T) {
 	eng := sim.New()
 	f := NewFabric(eng, topo4x4(t), params.Default(), nil)
 	// Node 1 -> node 3 is two hops along the first row.
-	_, hops := f.Deliver(0, 1, 3, 72)
-	if hops != 2 {
+	if hops := f.DeliverOutcome(0, 1, 3, 72).Hops; hops != 2 {
 		t.Fatalf("hops = %d, want 2", hops)
 	}
 	snap := eng.Metrics().Snapshot()

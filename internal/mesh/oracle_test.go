@@ -216,7 +216,8 @@ func randomPlan(rng *rand.Rand, topo Topology) *faults.Plan {
 // with random -linklat tables, with and without an armed fault plan —
 // through the dense-table fabric and the map-walk oracle, asserting
 // identical Outcomes, identical fabric counters and fault tallies, and
-// identical per-link frames, bytes, and Busy on every directed link.
+// identical per-link frames, bytes, busy time, and latency on every
+// directed link.
 func TestFabricOracleEquivalence(t *testing.T) {
 	shapes := [][2]int{{1, 2}, {2, 1}, {1, 9}, {9, 1}, {2, 2}, {3, 5}, {4, 4}, {5, 3}, {8, 2}, {16, 16}, {32, 32}}
 	rng := rand.New(rand.NewSource(13))
@@ -278,9 +279,9 @@ func TestFabricOracleEquivalence(t *testing.T) {
 					t.Fatalf("%dx%d: no dense link %d->%d", shape[0], shape[1], k.from, k.to)
 				}
 				l := &f.links[i]
-				if l.frames != ol.frames || l.bytes != ol.bytes || l.res.Busy != ol.res.Busy || l.lat != ol.lat {
+				if l.frames != ol.frames || l.bytes != ol.bytes || l.busy != ol.res.Busy || l.lat != ol.lat {
 					t.Errorf("%dx%d armed=%v link %d->%d: (frames %d, bytes %d, busy %d, lat %d), oracle (%d, %d, %d, %d)",
-						shape[0], shape[1], armed, k.from, k.to, l.frames, l.bytes, l.res.Busy, l.lat,
+						shape[0], shape[1], armed, k.from, k.to, l.frames, l.bytes, l.busy, l.lat,
 						ol.frames, ol.bytes, ol.res.Busy, ol.lat)
 				}
 			}
@@ -311,7 +312,7 @@ func TestLinkIndexMatchesNeighbors(t *testing.T) {
 					t.Fatalf("%dx%d: linkIndex(%d, %d) ok=%v, adjacent=%v", shape[0], shape[1], a, b, ok, adjacent)
 				}
 				if ok {
-					if seen[i] || f.links[i].res.Name() == "" {
+					if seen[i] || f.links[i].lat == 0 {
 						t.Fatalf("%dx%d: link %d->%d maps to index %d (reused or unbuilt)", shape[0], shape[1], a, b, i)
 					}
 					seen[i] = true

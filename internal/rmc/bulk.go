@@ -13,9 +13,12 @@
 // resends only itself — the burst's other frames are unaffected and the
 // client reassembles out-of-order arrivals by frame index.
 //
-// The continuation and buffer pools follow rmc.go's recycling rule:
-// nothing returns to a pool under a fault plan, because late duplicate
-// deliveries may fire a completed op's callbacks.
+// The continuation and buffer pools follow rmc.go's recycling rule, with
+// or without a fault plan: each frame gets exactly one clean delivery or
+// one abandon, and a mangled duplicate never reaches the op. A burst can
+// complete while frames are still scheduled or on the wire — an abort,
+// or one frame abandoned while the others travel — so its op counts
+// those frames and returns to the pool only when the last has landed.
 package rmc
 
 import (
@@ -134,7 +137,8 @@ func (r *RMC) RequestBulk(now sim.Time, req BulkRequest) error {
 	if dst == r.self {
 		return fmt.Errorf("rmc: bulk spans own node %d's memory; local spans are served by the memory controllers", dst)
 	}
-	if err := r.peersCheck(dst); err != nil {
+	peer, err := r.peer(dst)
+	if err != nil {
 		return err
 	}
 	if r.exch.setSize > 1 {
@@ -151,6 +155,7 @@ func (r *RMC) RequestBulk(now sim.Time, req BulkRequest) error {
 		return fmt.Errorf("rmc: burst needs %d frames, cap is %d; split the transfer", frames, maxFrames)
 	}
 	total := lines * params.CacheLineSize
+	var wrServer *RMC // the RMC serving the write frames and sending the ack
 	switch req.Kind {
 	case BulkRead:
 		if req.Data != nil && len(req.Data) != total {
@@ -160,6 +165,7 @@ func (r *RMC) RequestBulk(now sim.Time, req BulkRequest) error {
 		if len(req.Data) != total {
 			return fmt.Errorf("rmc: bulk write payload carries %d bytes, spans say %d", len(req.Data), total)
 		}
+		wrServer = peer
 	case BulkCopy:
 		cd := req.CopyDst
 		switch {
@@ -168,10 +174,8 @@ func (r *RMC) RequestBulk(now sim.Time, req BulkRequest) error {
 		case uint64(cd)%params.CacheLineSize != 0:
 			return fmt.Errorf("rmc: bulk copy destination %v is not line aligned", cd)
 		}
-		if cd.Node() != r.self {
-			if err := r.peersCheck(cd.Node()); err != nil {
-				return err
-			}
+		if wrServer, err = r.peer(cd.Node()); err != nil {
+			return err
 		}
 	default:
 		return fmt.Errorf("rmc: unknown bulk kind %v", req.Kind)
@@ -197,21 +201,11 @@ func (r *RMC) RequestBulk(now sim.Time, req BulkRequest) error {
 	op.srvMemDone = 0
 	op.got = resetBools(op.got, frames)
 	op.srvGot = resetBools(op.srvGot, frames)
-	op.peer, _ = r.peers.RMC(dst)
-	switch req.Kind {
-	case BulkWrite:
-		op.wrServer = op.peer
-	case BulkCopy:
-		switch cdNode := req.CopyDst.Node(); cdNode {
-		case r.self:
-			op.wrServer = r
-		case dst:
-			op.wrServer = op.peer
-		default:
-			op.wrServer, _ = r.peers.RMC(cdNode)
-		}
-	default:
-		op.wrServer = nil
+	op.peer, op.wrServer = peer, wrServer
+	for len(op.fsend) < frames {
+		so := new(sendOp)
+		so.bind(nil, op.abandonFn, r.exch)
+		op.fsend = append(op.fsend, so)
 	}
 	if req.Kind == BulkRead {
 		// Frame index -> sink byte offset, precomputed so out-of-order
@@ -254,6 +248,18 @@ type bulkOp struct {
 	peer     *RMC // RMC owning the spans (descriptor / read-frame source)
 	wrServer *RMC // RMC serving the burst's write frames and sending the ack
 
+	// The burst's send ops, bound once with the op: the doorbell
+	// descriptor, the completion ack, and one per data frame by index
+	// (each data frame's deliver is set per burst). pending counts the
+	// frames still scheduled at a server or on the wire: a burst that
+	// completes early is recycled only once its last frame has landed,
+	// so neither the op nor a send op is reused while an event that
+	// reads it is still queued.
+	desc    sendOp
+	ack     sendOp
+	fsend   []*sendOp
+	pending int
+
 	// Client-side burst assembly (read data frames).
 	got      []bool
 	gotCount int
@@ -285,40 +291,73 @@ func (r *RMC) getBulkOp() *bulkOp {
 	op := &bulkOp{r: r}
 	op.retryFn = func() { op.r.admitBulk(op.r.eng.Now(), op) }
 	op.launchFn = func() { op.r.launchBulk(op) }
-	op.descDeliverFn = func(t sim.Time, s hnc.Sealed) { op.peer.serveBulkDesc(t, s, op) }
-	op.frameDeliverFn = func(t sim.Time, s hnc.Sealed) { op.frameDelivered(t, s) }
-	op.wrDeliverFn = func(t sim.Time, s hnc.Sealed) { op.wrServer.serveBulkWriteFrame(t, s, op) }
-	op.ackDeliverFn = func(t sim.Time, s hnc.Sealed) { op.ackDelivered(t, s) }
+	op.descDeliverFn = func(t sim.Time, s hnc.Sealed) {
+		op.peer.serveBulkDesc(t, s, op)
+		op.landed()
+	}
+	op.frameDeliverFn = func(t sim.Time, s hnc.Sealed) {
+		op.frameDelivered(t, s)
+		op.landed()
+	}
+	op.wrDeliverFn = func(t sim.Time, s hnc.Sealed) {
+		op.wrServer.serveBulkWriteFrame(t, s, op)
+		op.landed()
+	}
+	op.ackDeliverFn = func(t sim.Time, s hnc.Sealed) {
+		op.ackDelivered(t, s)
+		op.landed()
+	}
 	op.abandonFn = func(t sim.Time, attempts int) {
 		op.complete(t, &UnreachableError{Dst: op.dst, Attempts: attempts})
+		op.landed()
 	}
 	op.srvAckFn = func() { op.wrServer.sendBulkAck(op.srvMemDone, op, false) }
+	op.desc.bind(op.descDeliverFn, op.abandonFn, r.exch)
+	op.ack.bind(op.ackDeliverFn, op.abandonFn, r.exch)
 	return op
 }
 
 func (r *RMC) putBulkOp(op *bulkOp) {
-	if r.inj != nil {
-		return
-	}
 	op.data = nil
 	op.done = nil
 	op.peer, op.wrServer = nil, nil
+	op.desc.release()
+	op.ack.release()
+	for _, so := range op.fsend {
+		so.release()
+	}
 	r.bulkFreeOps = append(r.bulkFreeOps, op)
 }
 
-// complete finishes the burst exactly once on the client side.
+// send transmits one of the burst's frames from `from` to dst over so,
+// counting it pending until its delivery or abandonment lands.
+func (op *bulkOp) send(from *RMC, now sim.Time, so *sendOp, s hnc.Sealed, dst *RMC) {
+	op.pending++
+	from.sendSealed(now, so, s, dst, op.express)
+}
+
+// landed retires one pending frame once its delivery or abandon callback
+// (or, for a frame scheduled at a server, its send) has run; the last
+// frame home of a completed burst recycles the op.
+func (op *bulkOp) landed() {
+	op.pending--
+	if op.completed && op.pending == 0 {
+		op.r.putBulkOp(op)
+	}
+}
+
+// complete finishes the burst exactly once on the client side. It runs
+// inside a frame's delivery or abandon callback, so that frame's landed
+// recycles the op afterwards.
 func (op *bulkOp) complete(t sim.Time, err error) {
 	if op.completed {
 		return
 	}
 	op.completed = true
-	r := op.r
 	if err == nil {
-		r.bulkLat.Observe(t - op.issued)
+		op.r.bulkLat.Observe(t - op.issued)
 	}
-	done := op.done
-	r.putBulkOp(op)
-	done(t, err)
+	op.done(t, err)
 }
 
 // admitBulk enters the client queue once for the whole burst — the
@@ -364,7 +403,7 @@ func (r *RMC) launchBulk(op *bulkOp) {
 		if err != nil {
 			panic(fmt.Sprintf("rmc%d: bulk outbound bridge failed: %v", r.self, err))
 		}
-		r.sendSealed(now, hnc.Seal(frame), op.dst, op.express, op.r.eng, op.descDeliverFn, op.abandonFn)
+		op.send(r, now, &op.desc, hnc.Seal(frame), op.peer)
 	case BulkWrite:
 		frameLines := r.p.BurstFrameLines()
 		idx, pos := 0, 0
@@ -383,7 +422,9 @@ func (r *RMC) launchBulk(op *bulkOp) {
 				if err != nil {
 					panic(fmt.Sprintf("rmc%d: bulk outbound bridge failed: %v", r.self, err))
 				}
-				r.sendSealed(now, hnc.Seal(frame), op.dst, op.express, op.r.eng, op.wrDeliverFn, op.abandonFn)
+				so := op.fsend[idx]
+				so.deliver = op.wrDeliverFn
+				op.send(r, now, so, hnc.Seal(frame), op.peer)
 				idx++
 				pos += nbytes
 			}
@@ -499,6 +540,7 @@ func (r *RMC) serveBulkDesc(now sim.Time, sealed hnc.Sealed, op *bulkOp) {
 					f.pkt = ht.Packet{Cmd: ht.CmdBulkWr, SrcTag: ht.BurstTag(idx, op.frames), Addr: daddr, Count: nbytes, Data: data}
 				}
 			}
+			op.pending++ // until sendBulkFrame puts it on the wire
 			r.eng.At(memDone, f.sendFn)
 			idx++
 			doff += nbytes
@@ -540,9 +582,6 @@ func (r *RMC) getBulkFrame() *bulkFrame {
 }
 
 func (r *RMC) putBulkFrame(f *bulkFrame) {
-	if r.inj != nil {
-		return
-	}
 	f.op = nil
 	f.pkt = ht.Packet{}
 	r.bulkFreeFrames = append(r.bulkFreeFrames, f)
@@ -557,17 +596,22 @@ func (r *RMC) sendBulkFrame(f *bulkFrame) {
 		if err != nil {
 			panic(fmt.Sprintf("rmc%d: bulk reply bridge failed: %v", r.self, err))
 		}
-		r.sendSealed(f.at, hnc.Seal(reply), op.r.self, op.express, op.r.eng, op.frameDeliverFn, op.abandonFn)
+		so := op.fsend[f.idx]
+		so.deliver = op.frameDeliverFn
+		op.send(r, f.at, so, hnc.Seal(reply), op.r)
 	case frameCopyData:
 		frame, err := r.bridge.Outbound(f.pkt)
 		if err != nil {
 			panic(fmt.Sprintf("rmc%d: bulk outbound bridge failed: %v", r.self, err))
 		}
-		r.sendSealed(f.at, hnc.Seal(frame), f.pkt.Addr.Node(), op.express, op.r.eng, op.wrDeliverFn, op.abandonFn)
+		so := op.fsend[f.idx]
+		so.deliver = op.wrDeliverFn
+		op.send(r, f.at, so, hnc.Seal(frame), op.wrServer)
 	case frameLocalCopy:
 		r.applyBulkWrite(f.at, f.pkt, op)
 	}
 	r.putBulkFrame(f)
+	op.landed()
 }
 
 // frameDelivered runs at the client when one read data frame arrives.
@@ -682,7 +726,7 @@ func (r *RMC) sendBulkAck(now sim.Time, op *bulkOp, abort bool) {
 	if err != nil {
 		panic(fmt.Sprintf("rmc%d: bulk reply bridge failed: %v", r.self, err))
 	}
-	r.sendSealed(now, hnc.Seal(reply), op.r.self, op.express, op.r.eng, op.ackDeliverFn, op.abandonFn)
+	op.send(r, now, &op.ack, hnc.Seal(reply), op.r)
 }
 
 // ackDelivered runs at the client when the cumulative ack arrives.

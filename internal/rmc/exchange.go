@@ -1,21 +1,20 @@
 package rmc
 
 import (
-	"cmp"
-	"slices"
+	"fmt"
 
 	"repro/internal/addr"
-	"repro/internal/hnc"
 	"repro/internal/sim"
 )
 
 // The windowed exchange is the cross-shard half of the conservative PDES
 // engine (DESIGN §16). An RMC's sendAttempt never walks the fabric; it
 // appends a transmission intent to its shard's Exchange — at every
-// shard count, one included. At every window barrier the coordinator —
-// with all shards parked — merges the intents of every shard, sorts
-// them by (time, source node, per-source sequence), and replays those
-// below the barrier's replay horizon through completeSend, holding the
+// shard count, one included. Each shard keeps its intents sorted by
+// (time, source node, per-source sequence) as it records them. At every
+// window barrier the coordinator — with all shards parked — merges those
+// runs with the intents held from earlier barriers, replays the ones
+// below the barrier's replay horizon through completeSend, and holds the
 // rest for a later barrier. The horizon guarantees no future intent can
 // be recorded below it, so the replayed prefix extends one canonical
 // stream — a pure function of simulated state — and link occupancies
@@ -40,6 +39,19 @@ type xmit struct {
 	op    *sendOp
 }
 
+// before reports whether a precedes b in the canonical (time, source
+// node, per-source sequence) order. Sequences are unique per source, so
+// the order is total.
+func (a *xmit) before(b *xmit) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	if a.src != b.src {
+		return a.src < b.src
+	}
+	return a.seq < b.seq
+}
+
 // deferredSrv returns a server-role op to its owner's pool at the
 // barrier (its final callback ran on the requester's shard).
 type deferredSrv struct {
@@ -53,21 +65,9 @@ type deferredBuf struct {
 	b []byte
 }
 
-// deliverEv is a pooled frame-delivery event. The coordinator fills one
-// from the destination exchange's pool at the barrier; it recycles
-// itself when it fires on the destination shard — the two phases are
-// mutually exclusive, so the pool needs no synchronization.
-type deliverEv struct {
-	x       *Exchange
-	deliver func(sim.Time, hnc.Sealed)
-	arrive  sim.Time
-	s       hnc.Sealed
-	fireFn  func()
-}
-
 // Exchange is one shard's side of the windowed exchange: the intents its
-// RMCs recorded this window, the cross-shard pool returns deferred to
-// the barrier, and the shard's delivery-event pool.
+// RMCs recorded this window and the cross-shard pool returns deferred to
+// the barrier.
 type Exchange struct {
 	eng     *sim.Engine
 	idx     int32 // shard index within the set
@@ -82,63 +82,58 @@ type Exchange struct {
 	// send pulls the limit back to exactly what remains provable.
 	selfBound sim.Time
 
-	// freshMin is the earliest intent in xmits — recorded since the last
-	// Drain, not yet merged into the set's held suffix — or sim.MaxTime.
-	// The set's Earliest must see these the moment the shard parks: the
-	// replay horizon's cascade bound is derived from Earliest *before*
-	// Drain merges, and a horizon blind to fresh intents could replay a
-	// late intent ahead of an earlier one's not-yet-recorded response.
-	freshMin sim.Time
-
+	// xmits is the run of intents recorded since the last Drain, kept in
+	// canonical order by record, so its head is the shard's earliest
+	// fresh intent and Drain merges it without sorting.
 	xmits  []xmit
 	defSrv []deferredSrv
 	defBuf []deferredBuf
-	evs    []*deliverEv
 }
 
 // record holds one transmission intent for the next barrier drain and,
 // when a self-delivery bound is installed, clamps the running window so
-// the shard cannot outrun the send it just recorded.
+// the shard cannot outrun the send it just recorded. One insertion step
+// keeps the run sorted: a shard records in event-time order, so the step
+// only passes same-time intents of higher-numbered sources (and, rarely,
+// a bulk abort ack stamped at its server's future service time).
 func (x *Exchange) record(m xmit) {
 	x.xmits = append(x.xmits, m)
-	if m.t < x.freshMin {
-		x.freshMin = m.t
+	i := len(x.xmits) - 1
+	for ; i > 0 && m.before(&x.xmits[i-1]); i-- {
+		x.xmits[i] = x.xmits[i-1]
 	}
+	x.xmits[i] = m
 	if x.selfBound > 0 {
 		x.eng.ClampWindow(m.t + x.selfBound)
 	}
 }
 
-func (x *Exchange) getEv() *deliverEv {
-	if n := len(x.evs); n > 0 {
-		ev := x.evs[n-1]
-		x.evs = x.evs[:n-1]
-		return ev
+// schedule places a barrier-time consequence of intent m — its delivery,
+// a corrupted duplicate, a retransmission timer or an abandon — on this
+// shard's engine at at, recording the horizon from the send time. The
+// lookahead plan guarantees at lands in the shard's future; when a bound
+// matrix fails to cover a send, the panic names the intent, where it
+// landed, and how far the shard had already run, instead of the
+// engine's bare "scheduling before now".
+func (x *Exchange) schedule(m *xmit, at sim.Time, fn func()) {
+	if now := x.eng.Now(); at < now {
+		panic(fmt.Sprintf("rmc: intent t=%d src=%d seq=%d arrives at %d in shard %d's past: the shard ran to limit %d (now %d); the lookahead bounds do not cover this send",
+			m.t, m.src, m.seq, at, x.idx, x.eng.Limit(), now))
 	}
-	ev := &deliverEv{x: x}
-	ev.fireFn = func() {
-		deliver, arrive, s := ev.deliver, ev.arrive, ev.s
-		ev.x.putEv(ev)
-		deliver(arrive, s)
-	}
-	return ev
-}
-
-func (x *Exchange) putEv(ev *deliverEv) {
-	ev.deliver = nil
-	ev.s = hnc.Sealed{}
-	x.evs = append(x.evs, ev)
+	x.eng.AtFrom(m.t, at, fn)
 }
 
 // ExchangeSet drains every shard's exchange at a window barrier: its
 // Drain is the shard set's barrier hook and Earliest its intent source.
-// held is the sorted suffix of intents past every horizon so far;
-// heldMin[j] is the earliest held time attributable to source shard j
-// (sim.MaxTime when none), the elision scheduler's view of in-flight
-// cross-shard work.
+// held is the sorted suffix of intents past every horizon so far (spare
+// is its double buffer); heldMin[j] is the earliest held time
+// attributable to source shard j (sim.MaxTime when none), the elision
+// scheduler's view of in-flight cross-shard work.
 type ExchangeSet struct {
 	shards  []*Exchange
 	held    []xmit
+	spare   []xmit
+	runs    [][]xmit // Drain's merge cursors, reused
 	heldMin []sim.Time
 	trace   func(t sim.Time, src, dst addr.NodeID, seq uint64)
 }
@@ -149,7 +144,7 @@ func NewExchangeSet(set *sim.ShardSet) *ExchangeSet {
 	k := set.Shards()
 	es := &ExchangeSet{heldMin: make([]sim.Time, k)}
 	for i := 0; i < k; i++ {
-		es.shards = append(es.shards, &Exchange{eng: set.Engine(i), idx: int32(i), setSize: int32(k), freshMin: sim.MaxTime})
+		es.shards = append(es.shards, &Exchange{eng: set.Engine(i), idx: int32(i), setSize: int32(k)})
 		es.heldMin[i] = sim.MaxTime
 	}
 	set.OnBarrier(es.Drain)
@@ -174,10 +169,11 @@ func (es *ExchangeSet) Trace(fn func(t sim.Time, src, dst addr.NodeID, seq uint6
 // the held suffix of past drains and the intents shard j recorded in
 // the window that just ran — the scheduler reads it at the barrier,
 // before Drain merges those into held, and the replay horizon is only
-// safe if every pending intent's delivery cascade bounds it.
+// safe if every pending intent's delivery cascade bounds it. The fresh
+// run is sorted, so its head is its minimum.
 func (es *ExchangeSet) Earliest(j int) sim.Time {
-	if f := es.shards[j].freshMin; f < es.heldMin[j] {
-		return f
+	if x := es.shards[j].xmits; len(x) > 0 && x[0].t < es.heldMin[j] {
+		return x[0].t
 	}
 	return es.heldMin[j]
 }
@@ -191,53 +187,14 @@ func (es *ExchangeSet) SetSelfBounds(bounds [][]sim.Time) {
 	}
 }
 
-// Drain merges the freshly recorded intents into the held set, replays
-// every intent with time strictly below horizon in canonical
-// (time, source, sequence) order through the fabric, keeps the rest
-// held, then applies the deferred cross-shard pool returns. It runs on
-// the coordinator with all shards parked. Replays never record new
+// Drain replays every pending intent with time strictly below horizon in
+// canonical (time, source, sequence) order through the fabric, keeps the
+// rest held, then applies the deferred cross-shard pool returns. It runs
+// on the coordinator with all shards parked. Replays never record new
 // intents (completeSend schedules deliveries and timers as events), so
-// the sort is stable under replay.
+// the runs being merged stay fixed while they replay.
 func (es *ExchangeSet) Drain(horizon sim.Time) {
-	for _, x := range es.shards {
-		es.held = append(es.held, x.xmits...)
-		x.xmits = x.xmits[:0]
-		x.freshMin = sim.MaxTime // merged: whatever survives replay re-enters through heldMin
-	}
-	if len(es.held) > 1 {
-		slices.SortFunc(es.held, func(a, b xmit) int {
-			if c := cmp.Compare(a.t, b.t); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(a.src, b.src); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.seq, b.seq)
-		})
-	}
-	n := 0
-	for n < len(es.held) && es.held[n].t < horizon {
-		m := &es.held[n]
-		if es.trace != nil {
-			es.trace(m.t, m.src, m.op.dst, m.seq)
-		}
-		m.op.r.completeSend(m.t, m.op)
-		n++
-	}
-	if n > 0 {
-		kept := copy(es.held, es.held[n:])
-		clear(es.held[kept:])
-		es.held = es.held[:kept]
-	}
-	for j := range es.heldMin {
-		es.heldMin[j] = sim.MaxTime
-	}
-	for i := range es.held {
-		m := &es.held[i]
-		if m.t < es.heldMin[m.shard] {
-			es.heldMin[m.shard] = m.t
-		}
-	}
+	es.drain(horizon, es.replay)
 	for _, x := range es.shards {
 		for i, d := range x.defSrv {
 			d.r.putSrvOp(d.op)
@@ -250,4 +207,69 @@ func (es *ExchangeSet) Drain(horizon sim.Time) {
 		}
 		x.defBuf = x.defBuf[:0]
 	}
+}
+
+// replay walks one intent through the fabric.
+func (es *ExchangeSet) replay(m *xmit) {
+	if es.trace != nil {
+		es.trace(m.t, m.src, m.op.dst.self, m.seq)
+	}
+	m.op.r.completeSend(m)
+}
+
+// drain is Drain's ordering half: it hands replay every pending intent
+// below horizon in canonical order, then keeps the rest, still sorted,
+// as the new held suffix. The held suffix and each shard's fresh run are
+// sorted already, so that order is a merge of at most K+1 runs — and
+// with one non-empty run (always, at one shard) a walk of that run in
+// place.
+func (es *ExchangeSet) drain(horizon sim.Time, replay func(*xmit)) {
+	runs := es.runs[:0]
+	if len(es.held) > 0 {
+		runs = append(runs, es.held)
+	}
+	for _, x := range es.shards {
+		if len(x.xmits) > 0 {
+			runs = append(runs, x.xmits)
+		}
+	}
+	for b := earliestRun(runs); b >= 0 && runs[b][0].t < horizon; b = earliestRun(runs) {
+		replay(&runs[b][0])
+		runs[b] = runs[b][1:]
+	}
+	// Everything left is at or past the horizon.
+	rest := es.spare[:0]
+	for b := earliestRun(runs); b >= 0; b = earliestRun(runs) {
+		rest = append(rest, runs[b][0])
+		runs[b] = runs[b][1:]
+	}
+	clear(runs)
+	es.runs = runs[:0]
+	clear(es.held)
+	es.held, es.spare = rest, es.held[:0]
+	for _, x := range es.shards {
+		clear(x.xmits)
+		x.xmits = x.xmits[:0]
+	}
+	for j := range es.heldMin {
+		es.heldMin[j] = sim.MaxTime
+	}
+	for i := range es.held {
+		m := &es.held[i]
+		if m.t < es.heldMin[m.shard] {
+			es.heldMin[m.shard] = m.t
+		}
+	}
+}
+
+// earliestRun returns the index of the run whose head comes first in
+// canonical order, or -1 when every run is exhausted.
+func earliestRun(runs [][]xmit) int {
+	b := -1
+	for i := range runs {
+		if len(runs[i]) > 0 && (b < 0 || runs[i][0].before(&runs[b][0])) {
+			b = i
+		}
+	}
+	return b
 }

@@ -113,14 +113,14 @@ type RMC struct {
 	verif *hnc.Verifier
 	lat   *metrics.Histogram
 
-	// Free lists for the reified request/serve/send continuations and
-	// for line-sized data buffers. They recycle with or without a fault
-	// plan (see the recycling rule above clientOp): a remote load/store
-	// completes without allocating, and under faults only a corrupted
-	// frame's mangled duplicate copies its payload.
+	// Free lists for the reified request/serve continuations (each with
+	// the send op for the frame it carries) and for line-sized data
+	// buffers. They recycle with or without a fault plan (see the
+	// recycling rule above clientOp): a remote load/store completes
+	// without allocating, and under faults only a corrupted frame's
+	// mangled duplicate copies its payload.
 	clientOps []*clientOp
 	srvOps    []*srvOp
-	sendOps   []*sendOp
 	lineBufs  [][]byte
 
 	// Bulk data plane (bulk.go): pooled burst continuations plus the
@@ -263,11 +263,13 @@ func (r *RMC) StallServer(now sim.Time, d sim.Time) {
 	r.server.Penalize(now, d)
 }
 
-// The three continuation structs below reify what used to be per-access
-// closure chains. Each op is allocated once, its callbacks bound once
-// (the closures capture only the op pointer), and then recycled through
-// a per-RMC free list — so a steady-state remote load/store schedules
+// The continuation structs below reify the per-access closure chains.
+// Each op is allocated once, its callbacks bound once (the closures
+// capture only the op pointer), and then recycled through a per-RMC
+// free list — so a steady-state remote load/store schedules
 // every event through prebound funcs and completes without allocating.
+// Each op also carries the send op of the frame it transmits, bound with
+// it, so a send draws nothing from a pool either.
 //
 // Recycling rule: every op sees exactly one clean delivery per frame it
 // owns — a transmission attempt's outcomes are mutually exclusive
@@ -288,8 +290,9 @@ type clientOp struct {
 	attempt  uint
 	issued   sim.Time
 	serviced sim.Time
-	peer     *RMC
+	peer     *RMC // the serving RMC; r itself for a loopback address
 	done     func(sim.Time, ht.Packet, error)
+	send     sendOp // the request frame
 
 	retryFn   func()
 	launchFn  func()
@@ -308,10 +311,11 @@ func (r *RMC) getClientOp() *clientOp {
 	op.retryFn = func() { op.r.admitAttempt(op.r.eng.Now(), op) }
 	op.launchFn = func() { op.r.launch(op) }
 	op.finishFn = func(t sim.Time, rsp ht.Packet, err error) { op.finish(t, rsp, err) }
-	op.deliverFn = func(t sim.Time, s hnc.Sealed) { op.peer.serve(t, s, op.express, op.finishFn) }
+	op.deliverFn = func(t sim.Time, s hnc.Sealed) { op.peer.serve(t, s, op.r, op.express, op.finishFn) }
 	op.abandonFn = func(t sim.Time, attempts int) {
 		op.finish(t, ht.Packet{}, &UnreachableError{Dst: op.pkt.Addr.Node(), Attempts: attempts})
 	}
+	op.send.bind(op.deliverFn, op.abandonFn, r.exch)
 	return op
 }
 
@@ -319,6 +323,7 @@ func (r *RMC) putClientOp(op *clientOp) {
 	op.pkt = ht.Packet{}
 	op.peer = nil
 	op.done = nil
+	op.send.release()
 	r.clientOps = append(r.clientOps, op)
 }
 
@@ -332,9 +337,6 @@ func (op *clientOp) finish(t sim.Time, rsp ht.Packet, err error) {
 		r.lat.Observe(t - op.issued)
 	}
 	done, reqData, server := op.done, op.pkt.Data, op.peer
-	if server == nil { // loopback: this RMC served itself
-		server = r
-	}
 	r.putClientOp(op)
 	done(t, rsp, err)
 	// Both buffers are dead once the caller's callback has returned
@@ -370,23 +372,26 @@ func (r *RMC) Request(now sim.Time, pkt ht.Packet, express bool, done func(sim.T
 	if dst == 0 {
 		return fmt.Errorf("rmc: address %v is local; the BARs should have routed it to a memory controller", pkt.Addr)
 	}
-	if err := r.peersCheck(dst); err != nil {
+	peer, err := r.peer(dst)
+	if err != nil {
 		return err
 	}
 	r.Requests++
 	op := r.getClientOp()
-	op.pkt, op.express, op.done = pkt, express, done
+	op.pkt, op.peer, op.express, op.done = pkt, peer, express, done
 	op.attempt, op.issued = 0, now
 	r.admitAttempt(now, op)
 	return nil
 }
 
-func (r *RMC) peersCheck(dst addr.NodeID) error {
+// peer resolves the RMC serving node dst — r itself for a loopback
+// address. Requests resolve their peer once, here, at issue: every frame
+// then carries its destination RMC, so nothing downstream looks it up.
+func (r *RMC) peer(dst addr.NodeID) (*RMC, error) {
 	if dst == r.self {
-		return nil
+		return r, nil
 	}
-	_, err := r.peers.RMC(dst)
-	return err
+	return r.peers.RMC(dst)
 }
 
 // LineBuf returns a pooled buffer of n bytes for packet data. Callers
@@ -463,8 +468,7 @@ func (r *RMC) nack(now sim.Time, op *clientOp) {
 // launch bridges the packet onto the fabric once client service is done.
 func (r *RMC) launch(op *clientOp) {
 	now := op.serviced
-	dst := op.pkt.Addr.Node()
-	if dst == r.self {
+	if op.peer == r {
 		// Loopback mode: the paper notes the overlapped segment exists
 		// but is never used in practice; the hardware would replay the
 		// request into its own local system, so we do.
@@ -479,65 +483,63 @@ func (r *RMC) launch(op *clientOp) {
 	}
 	// Frames travel sealed: the CRC rides in the existing HeaderBytes
 	// budget, so link timing (and the paper calibration) is unchanged.
-	sealed := hnc.Seal(frame)
-	op.peer, _ = r.peers.RMC(dst)
-	r.sendSealed(now, sealed, dst, op.express, r.eng, op.deliverFn, op.abandonFn)
+	r.sendSealed(now, &op.send, hnc.Seal(frame), op.peer, op.express)
 }
 
 // sendOp is one sealed frame's journey under the retransmission
-// discipline: it carries the frame, its attempt count, and the delivery
-// callbacks across timer events without a fresh closure per attempt.
+// discipline: the frame, its destination RMC, its attempt count, and the
+// delivery and abandon callbacks, carried across timer events without a
+// fresh closure per attempt. A send op belongs to the op whose frame it
+// carries and is bound once with it. The delivery event the barrier
+// schedules fires straight from it: nothing else touches the send op
+// until its owner sends again, and that needs this delivery first.
 type sendOp struct {
-	r       *RMC
+	r       *RMC // the sending RMC
+	dst     *RMC
 	s       hnc.Sealed
-	dst     addr.NodeID
 	express bool
 	wire    int
 	n       int
+	arrive  sim.Time
 	deliver func(sim.Time, hnc.Sealed)
 	abandon func(sim.Time, int)
-	// owner is the engine of the shard that owns the abandon
-	// continuation (the requester's shard for both legs: a client op
-	// completes there directly, and a server reply's abandon hands the
-	// completion to the requester's callbacks too).
-	owner *sim.Engine
+	// owner is the exchange of the shard that owns the abandon
+	// continuation: the requester's shard for every frame (a client op
+	// completes there directly, and a server reply's or burst frame's
+	// abandon hands the completion to the requester's callbacks too).
+	owner *Exchange
 
 	attemptFn func()
+	fireFn    func()
 }
 
-func (r *RMC) getSendOp() *sendOp {
-	if n := len(r.sendOps); n > 0 {
-		op := r.sendOps[n-1]
-		r.sendOps = r.sendOps[:n-1]
-		return op
-	}
-	op := &sendOp{r: r}
-	op.attemptFn = func() { op.r.sendAttempt(op.r.eng.Now(), op) }
-	return op
+// bind prebinds the send op's retransmission timer and delivery event
+// and installs its continuations; call it once, when the owning op is
+// built.
+func (so *sendOp) bind(deliver func(sim.Time, hnc.Sealed), abandon func(sim.Time, int), owner *Exchange) {
+	so.deliver, so.abandon, so.owner = deliver, abandon, owner
+	so.attemptFn = func() { so.r.sendAttempt(so.r.eng.Now(), so) }
+	so.fireFn = func() { so.deliver(so.arrive, so.s) }
 }
 
-func (r *RMC) putSendOp(op *sendOp) {
-	op.s = hnc.Sealed{}
-	op.deliver, op.abandon = nil, nil
-	op.owner = nil
-	r.sendOps = append(r.sendOps, op)
+// release drops the send op's references to its last frame and peer
+// when the owning op returns to its pool.
+func (so *sendOp) release() {
+	so.s = hnc.Sealed{}
+	so.dst = nil
 }
 
-// sendSealed pushes one sealed frame toward dst under the retransmission
-// discipline. Delivered and corrupted frames arrive (the latter with a
-// mangled CRC the receiver will reject); every non-clean outcome arms a
-// resend after RetransmitTimeout with capped exponential backoff, until
-// the budget runs out and abandon fires. On a fault-free fabric the
-// frame is simply delivered — one arrival event, exactly as before the
-// fault layer existed. owner is the engine of the shard that owns the
-// abandon continuation.
-func (r *RMC) sendSealed(now sim.Time, s hnc.Sealed, dst addr.NodeID, express bool, owner *sim.Engine, deliver func(sim.Time, hnc.Sealed), abandon func(sim.Time, int)) {
-	op := r.getSendOp()
-	op.s, op.dst, op.express, op.wire = s, dst, express, s.Frame.WireBytes()
-	op.n = 0
-	op.deliver, op.abandon = deliver, abandon
-	op.owner = owner
-	r.sendAttempt(now, op)
+// sendSealed pushes one sealed frame from r toward dst over so, under
+// the retransmission discipline. Delivered and corrupted frames arrive
+// (the latter with a mangled CRC the receiver will reject); every
+// non-clean outcome arms a resend after RetransmitTimeout with capped
+// exponential backoff, until the budget runs out and abandon fires. On a
+// fault-free fabric the frame is simply delivered — one arrival event,
+// exactly as before the fault layer existed.
+func (r *RMC) sendSealed(now sim.Time, so *sendOp, s hnc.Sealed, dst *RMC, express bool) {
+	so.r, so.dst, so.s, so.express = r, dst, s, express
+	so.wire, so.n = s.Frame.WireBytes(), 0
+	r.sendAttempt(now, so)
 }
 
 // sendAttempt transmits one attempt by recording the intent on the
@@ -551,27 +553,20 @@ func (r *RMC) sendAttempt(now sim.Time, op *sendOp) {
 	r.exch.record(xmit{t: now, src: r.self, seq: r.xmitSeq, shard: r.exch.idx, op: op})
 }
 
-// completeSend walks the fabric for one attempt and schedules its
+// completeSend walks the fabric for intent m and schedules its
 // consequences. It runs on the coordinator with every shard parked, so
 // it may touch any shard's engine and fabric state.
-func (r *RMC) completeSend(now sim.Time, op *sendOp) {
-	out := r.deliverOutcome(now, op.dst, op.wire, op.express)
+func (r *RMC) completeSend(m *xmit) {
+	op := m.op
+	out := r.deliverOutcome(m.t, op.dst.self, op.wire, op.express)
 	switch out.Status {
 	case faults.Delivered:
-		arrive := sim.Time(out.Arrive)
 		// The lookahead window is no longer than the minimum link
-		// latency, so arrive lands at or past the window limit — in the
-		// destination shard's future. The delivery event comes from the
-		// destination exchange's pool and the send op recycles now; the
-		// horizon observed is arrive-now.
-		dst, err := r.peers.RMC(op.dst)
-		if err != nil {
-			panic(fmt.Sprintf("rmc%d: destination node %d vanished: %v", r.self, op.dst, err))
-		}
-		ev := dst.exch.getEv()
-		ev.deliver, ev.arrive, ev.s = op.deliver, arrive, op.s
-		dst.exch.eng.AtFrom(now, arrive, ev.fireFn)
-		r.putSendOp(op)
+		// latency, so the arrival lands at or past the window limit — in
+		// the destination shard's future. The horizon observed is
+		// arrival minus send time.
+		op.arrive = sim.Time(out.Arrive)
+		op.dst.exch.schedule(m, op.arrive, op.fireFn)
 	case faults.Corrupted:
 		// The mangled copy still arrives — the receiver's CRC check
 		// counts and discards it — and the sender, hearing nothing,
@@ -582,26 +577,16 @@ func (r *RMC) completeSend(now sim.Time, op *sendOp) {
 		// recycle it before the duplicate's CRC check reads it), and this
 		// rare per-corruption allocation is what lets every line buffer
 		// recycle under an armed fault plan.
-		arrive := sim.Time(out.Arrive)
 		mangled := hnc.Sealed{Frame: op.s.Frame, CRC: r.inj.MangleCRC(op.s.CRC)}
 		if d := op.s.Frame.Payload.Data; d != nil {
 			mangled.Frame.Payload.Data = append([]byte(nil), d...)
 		}
-		r.scheduleMangled(now, arrive, mangled)
-		r.resend(now, op)
+		dst := op.dst
+		dst.exch.schedule(m, sim.Time(out.Arrive), func() { dst.acceptMangled(mangled) })
+		r.resend(m)
 	default: // Dropped, Unreachable
-		r.resend(now, op)
+		r.resend(m)
 	}
-}
-
-// scheduleMangled arranges for an injector-corrupted frame to reach its
-// destination's verifier, on the destination's shard.
-func (r *RMC) scheduleMangled(sent, arrive sim.Time, s hnc.Sealed) {
-	dst, err := r.peers.RMC(s.Frame.Dst)
-	if err != nil {
-		panic(fmt.Sprintf("rmc%d: corrupted frame for unknown node %d: %v", r.self, s.Frame.Dst, err))
-	}
-	dst.eng.AtFrom(sent, arrive, func() { dst.acceptMangled(s) })
 }
 
 // acceptMangled runs the receiver-side integrity check on a frame the
@@ -616,21 +601,20 @@ func (r *RMC) acceptMangled(s hnc.Sealed) {
 	panic(fmt.Sprintf("rmc%d: injector-mangled frame passed the CRC check", r.self))
 }
 
-// resend arms the retransmission timer for the op's current attempt, or
+// resend arms the retransmission timer for intent m's send op, or
 // abandons once the budget is spent.
-func (r *RMC) resend(now sim.Time, op *sendOp) {
+func (r *RMC) resend(m *xmit) {
+	op, now := m.op, m.t
 	if op.n >= r.p.RetransmitBudget {
 		r.Abandoned++
-		ab, attempts := op.abandon, op.n+1
 		// The abandon continuation belongs to the requester's shard;
 		// running at the barrier, hand it to that engine one retransmit
 		// timeout after the final attempt — a pure function of simulated
 		// state (unlike the window limit, which depends on the barrier
 		// schedule), and never in the owner's past: limits are capped at
 		// the global minimum plus the timeout while a plan is armed.
-		owner, at := op.owner, now+r.p.RetransmitTimeout
-		r.putSendOp(op)
-		owner.AtFrom(now, at, func() { ab(at, attempts) })
+		ab, attempts, at := op.abandon, op.n+1, now+r.p.RetransmitTimeout
+		op.owner.schedule(m, at, func() { ab(at, attempts) })
 		return
 	}
 	r.Retransmits++
@@ -644,7 +628,7 @@ func (r *RMC) resend(now sim.Time, op *sendOp) {
 	// past the global minimum G of its scheduling round, and window
 	// limits are capped at G + RetransmitTimeout while a plan is armed,
 	// so the wake-up is in the shard's future.
-	r.eng.AtFrom(now, now+wait, op.attemptFn)
+	r.exch.schedule(m, now+wait, op.attemptFn)
 }
 
 // deliverOutcome routes one frame over the chosen path. Express links
@@ -667,6 +651,7 @@ func (r *RMC) deliverOutcome(now sim.Time, dst addr.NodeID, bytes int, express b
 type srvOp struct {
 	r        *RMC
 	src      addr.NodeID
+	req      *RMC // the requesting RMC, where the reply completes
 	loopback bool
 	local    ht.Packet
 	express  bool
@@ -675,6 +660,7 @@ type srvOp struct {
 	memDone  sim.Time
 	rsp      ht.Packet
 	done     func(sim.Time, ht.Packet, error)
+	send     sendOp // the reply frame
 
 	serviceFn      func()
 	respondFn      func()
@@ -695,9 +681,9 @@ func (r *RMC) getSrvOp() *srvOp {
 		// Only the one clean arrival of the reply frame reaches this
 		// callback (mangled duplicates go through acceptMangled), so
 		// the op is live here by construction.
-		if op.r.acceptReply(op.src, s) {
-			done, rsp, src := op.done, op.rsp, op.src
-			op.r.reclaimSrvOp(src, op)
+		if op.r.acceptReply(op.req, s) {
+			done, rsp := op.done, op.rsp
+			op.r.reclaimSrvOp(op)
 			done(t, rsp, nil)
 		}
 	}
@@ -706,15 +692,18 @@ func (r *RMC) getSrvOp() *srvOp {
 		// server holds the completion, so it can still fail the
 		// request instead of leaving the issuer hanging.
 		done, src := op.done, op.src
-		op.r.reclaimSrvOp(src, op)
+		op.r.reclaimSrvOp(op)
 		done(t, ht.Packet{}, &UnreachableError{Dst: src, Attempts: attempts})
 	}
+	op.send.bind(op.replyDeliverFn, op.replyAbandonFn, nil)
 	return op
 }
 
 func (r *RMC) putSrvOp(op *srvOp) {
 	op.local, op.rsp = ht.Packet{}, ht.Packet{}
+	op.req = nil
 	op.done = nil
+	op.send.release()
 	r.srvOps = append(r.srvOps, op)
 }
 
@@ -722,23 +711,20 @@ func (r *RMC) putSrvOp(op *srvOp) {
 // on the requester's shard (reply delivery and reply abandon both run
 // there). A cross-shard return is deferred onto the executing shard's
 // exchange and applied at the next barrier.
-func (r *RMC) reclaimSrvOp(requester addr.NodeID, op *srvOp) {
-	req, err := r.peers.RMC(requester)
-	if err != nil {
-		panic(fmt.Sprintf("rmc%d: requester node %d vanished: %v", r.self, requester, err))
-	}
-	if req.exch == r.exch {
-		r.putSrvOp(op)
+func (r *RMC) reclaimSrvOp(op *srvOp) {
+	if x := op.req.exch; x != r.exch {
+		x.defSrv = append(x.defSrv, deferredSrv{r: r, op: op})
 		return
 	}
-	req.exch.defSrv = append(req.exch.defSrv, deferredSrv{r: r, op: op})
+	r.putSrvOp(op)
 }
 
-// serve handles a sealed frame arriving from the fabric: verify
-// integrity (loosely — sequence anomalies are counted, not refused),
-// decapsulate (zero the prefix), queue through the server occupancy,
-// access local memory, and send the sealed response back.
-func (r *RMC) serve(now sim.Time, sealed hnc.Sealed, express bool, done func(sim.Time, ht.Packet, error)) {
+// serve handles a sealed frame arriving from the fabric on behalf of the
+// requesting RMC req: verify integrity (loosely — sequence anomalies are
+// counted, not refused), decapsulate (zero the prefix), queue through
+// the server occupancy, access local memory, and send the sealed
+// response back.
+func (r *RMC) serve(now sim.Time, sealed hnc.Sealed, req *RMC, express bool, done func(sim.Time, ht.Packet, error)) {
 	frame, err := r.verif.AcceptLoose(sealed)
 	if err != nil {
 		if r.inj != nil {
@@ -756,7 +742,7 @@ func (r *RMC) serve(now sim.Time, sealed hnc.Sealed, express bool, done func(sim
 	}
 	serviced, _ := r.server.Acquire(now, r.p.RMCServerOccupancy)
 	op := r.getSrvOp()
-	op.src, op.loopback, op.local, op.express = frame.Src, false, local, express
+	op.src, op.req, op.loopback, op.local, op.express = frame.Src, req, false, local, express
 	op.done, op.serviced, op.abort = done, serviced, false
 	if r.protection != nil && local.Cmd.IsRequest() {
 		rng := addr.Range{Start: local.Addr, Size: uint64(local.Count)}
@@ -799,27 +785,16 @@ func (r *RMC) sendReply(now sim.Time, op *srvOp) {
 	if err != nil {
 		panic(fmt.Sprintf("rmc%d: reply bridge failed: %v", r.self, err))
 	}
-	r.sendSealed(now, hnc.Seal(reply), op.src, op.express, r.replyOwner(op.src), op.replyDeliverFn, op.replyAbandonFn)
-}
-
-// replyOwner resolves the engine that owns a reply's completion — the
-// requester's shard, where the clientOp callbacks live.
-func (r *RMC) replyOwner(requester addr.NodeID) *sim.Engine {
-	req, err := r.peers.RMC(requester)
-	if err != nil {
-		panic(fmt.Sprintf("rmc%d: requester node %d vanished: %v", r.self, requester, err))
-	}
-	return req.eng
+	// The reply's completion belongs to the requester's shard, where the
+	// clientOp callbacks live.
+	op.send.owner = op.req.exch
+	r.sendSealed(now, &op.send, hnc.Seal(reply), op.req, op.express)
 }
 
 // acceptReply runs the requester-side integrity check on a sealed
 // response arriving back from a server, reporting whether the frame was
 // clean enough to complete the request.
-func (r *RMC) acceptReply(requester addr.NodeID, s hnc.Sealed) bool {
-	req, err := r.peers.RMC(requester)
-	if err != nil {
-		panic(fmt.Sprintf("rmc%d: requester node %d vanished: %v", r.self, requester, err))
-	}
+func (r *RMC) acceptReply(req *RMC, s hnc.Sealed) bool {
 	if _, err := req.verif.AcceptLoose(s); err != nil {
 		if r.inj != nil {
 			return false
@@ -835,7 +810,7 @@ func (r *RMC) serveLocal(now sim.Time, pkt ht.Packet, done func(sim.Time, ht.Pac
 	localPkt.Addr = pkt.Addr.Local()
 	serviced, _ := r.server.Acquire(now, r.p.RMCServerOccupancy)
 	op := r.getSrvOp()
-	op.src, op.loopback, op.local, op.express = r.self, true, localPkt, false
+	op.src, op.req, op.loopback, op.local, op.express = r.self, r, true, localPkt, false
 	op.done, op.serviced, op.abort = done, serviced, false
 	r.eng.At(serviced, op.serviceFn)
 }

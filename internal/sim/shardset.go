@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/metrics"
 )
@@ -70,6 +72,51 @@ type ShardSet struct {
 	spawnEpoch uint32
 
 	merged *metrics.Histogram // snapshot-time scratch for the delay merge
+
+	// phases sums host time per phase of the multi-shard loop (see
+	// Phases). Worker i writes only phases.Busy[i], before counting
+	// itself done; the coordinator writes the rest. Every phase is
+	// timed as a monotonic offset from runStart, the current Run's start
+	// (published to the workers by their go statements): one clock read
+	// per boundary, against two for a full time.Now. released is the
+	// offset at which the current window was opened, published with the
+	// epoch, so a worker times its window with a single read.
+	phases   Phases
+	runStart time.Time
+	released time.Duration
+}
+
+// Phases is where a multi-shard set's Run calls spent host time, summed
+// over every window since the set was built. It is wall-clock data,
+// different on every run and host, so it never enters the deterministic
+// metrics registry. Each window runs, on the coordinator, Plan, then
+// shard 0's window (Busy[0]), then Wait for the other shards, then
+// Drain; every other shard's Busy overlaps the coordinator's window and
+// wait. Plan and Drain are serial: (Plan+Drain)/Run caps the speedup
+// more shards can buy, and max(Busy)/mean(Busy) measures the straggler.
+type Phases struct {
+	Run   time.Duration   // wall time inside Run
+	Plan  time.Duration   // planning every shard's window limit
+	Wait  time.Duration   // the coordinator waiting out the other shards
+	Drain time.Duration   // the barrier: replay horizon and barrier hook
+	Busy  []time.Duration // per shard, from each window's release to the shard finishing it
+}
+
+// Phases returns the host-time phase sums of a multi-shard set, and the
+// zero Phases for a single-shard set, whose inline loop reads no clock.
+// Call it with the set parked.
+func (s *ShardSet) Phases() Phases {
+	p := s.phases
+	p.Busy = slices.Clone(p.Busy)
+	return p
+}
+
+// lap adds the host time since the offset *mark to *d and moves the
+// mark to now.
+func (s *ShardSet) lap(d, mark *time.Duration) {
+	now := time.Since(s.runStart)
+	*d += now - *mark
+	*mark = now
 }
 
 // WrapEngine adapts a self-registered engine (from New) into a
@@ -105,6 +152,7 @@ func NewShardSet(k int, window Time) *ShardSet {
 		limits: make([]Time, k),
 		ev:     make([]Time, k),
 		hv:     make([]Time, k),
+		phases: Phases{Busy: make([]time.Duration, k)},
 	}
 	for i := 0; i < k; i++ {
 		s.engines = append(s.engines, newBare(met))
@@ -384,31 +432,46 @@ func (s *ShardSet) runParallel() Time {
 			s.workers = append(s.workers, func() { s.work(i, s.spawnEpoch) })
 		}
 	}
+	s.runStart = time.Now()
+	var mark time.Duration
+	ph := &s.phases
 	s.quit.Store(false)
 	s.spawnEpoch = s.epoch.Load()
 	for _, w := range s.workers {
 		go w()
 	}
+	// Release the workers on the way out, including when an event or
+	// the barrier hook panics on the coordinator: a diagnosed model
+	// failure must not leave the other shards spinning.
+	defer func() {
+		s.quit.Store(true)
+		s.done.Store(0)
+		s.epoch.Add(1)
+		s.await(k - 1)
+		ph.Run += time.Since(s.runStart)
+	}()
 	for {
-		if s.plan() == MaxTime {
+		g := s.plan()
+		s.lap(&ph.Plan, &mark)
+		if g == MaxTime {
 			break
 		}
+		s.released = mark
 		s.done.Store(0)
 		s.epoch.Add(1)
 		s.engines[0].runWindow(s.limits[0]) // the coordinator is shard 0's worker
+		s.lap(&ph.Busy[0], &mark)
 		s.await(k - 1)
+		s.lap(&ph.Wait, &mark)
 		if s.barrier != nil {
 			s.barrier(s.horizon())
 		}
+		s.lap(&ph.Drain, &mark)
 		if s.stopReq.Load() {
 			s.stopReq.Store(false)
 			break
 		}
 	}
-	s.quit.Store(true)
-	s.done.Store(0)
-	s.epoch.Add(1)
-	s.await(k - 1)
 	return s.Now()
 }
 
@@ -432,6 +495,7 @@ func (s *ShardSet) work(i int, seen uint32) {
 			return
 		}
 		s.engines[i].runWindow(s.limits[i])
+		s.phases.Busy[i] += time.Since(s.runStart) - s.released
 		s.done.Add(1)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestShardSetWindowedOrder drives two shards whose events interleave in
@@ -244,4 +245,52 @@ func TestShardSetMetricsAggregate(t *testing.T) {
 		}
 	}
 	t.Fatal("ncdsm_sim_events_total family missing from shard-set registry")
+}
+
+// TestShardSetPhases: a 2-shard run reports host time in every phase,
+// and the coordinator's timeline — plan, its own window, the wait, the
+// drain — fits inside the wall time of the run; a 1-shard run reads no
+// clock and reports zero.
+func TestShardSetPhases(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		const window = Time(100)
+		s := NewShardSet(k, window)
+		s.OnBarrier(func(Time) {})
+		for i := 0; i < k; i++ {
+			e := s.Engine(i)
+			left := 300
+			var step func()
+			step = func() {
+				if left--; left > 0 {
+					e.After(2*window, step) // past the limit: one window each
+				}
+			}
+			e.At(Time(i), step)
+		}
+		start := time.Now()
+		s.Run()
+		wall := time.Since(start)
+		ph := s.Phases()
+		if k == 1 {
+			if ph.Run != 0 || ph.Plan != 0 || ph.Wait != 0 || ph.Drain != 0 || len(ph.Busy) != 0 {
+				t.Errorf("1-shard phases = %+v, want zero", ph)
+			}
+			continue
+		}
+		if ph.Run <= 0 || ph.Plan <= 0 || ph.Wait <= 0 || ph.Drain <= 0 {
+			t.Errorf("2-shard phases %+v: every phase must be non-zero", ph)
+		}
+		if len(ph.Busy) != k || ph.Busy[0] <= 0 || ph.Busy[1] <= 0 {
+			t.Errorf("2-shard busy times %v, want %d non-zero entries", ph.Busy, k)
+		}
+		if sum := ph.Plan + ph.Busy[0] + ph.Wait + ph.Drain; sum > ph.Run || ph.Run > wall {
+			t.Errorf("phases sum to %v inside a %v Run of %v wall time", sum, ph.Run, wall)
+		}
+		// The accessor hands out a copy: callers cannot reach the
+		// workers' accumulators.
+		ph.Busy[0] = 0
+		if s.Phases().Busy[0] == 0 {
+			t.Error("Phases shares its Busy slice with the set")
+		}
+	}
 }

@@ -335,3 +335,9 @@ func (e *Engine) ClampWindow(t Time) {
 		e.limit = t
 	}
 }
+
+// Limit returns the limit of the window the engine ran last, as lowered
+// by any ClampWindow: the point up to which the shard may already have
+// executed events. Read it with the shard parked; the exchange names it
+// when a barrier-time schedule lands in the shard's past.
+func (e *Engine) Limit() Time { return e.limit }
