@@ -57,7 +57,8 @@ perf-gate:
 # slip past, random litmus programs under every protocol with
 # directory invariants held at every step, the -linklat, -bulk and
 # -faults spec parsers (no panic; String renders exactly what Parse
-# reads), and the -mesh parser with the node-count check behind it.
+# reads), the -mesh parser with the node-count check behind it, and the
+# -sweep and -explore parsers (no panic; accepted specs round-trip).
 # CI runs the same 10-second smokes.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s -run='^$$' ./internal/trace
@@ -67,3 +68,5 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseBulk -fuzztime=10s -run='^$$' ./internal/params
 	$(GO) test -fuzz=FuzzParsePlan -fuzztime=10s -run='^$$' ./internal/faults
 	$(GO) test -fuzz=FuzzParseMesh -fuzztime=10s -run='^$$' .
+	$(GO) test -fuzz=FuzzParseSweep -fuzztime=10s -run='^$$' ./internal/experiments
+	$(GO) test -fuzz=FuzzParseExplore -fuzztime=10s -run='^$$' ./cmd/ncdsm-cluster

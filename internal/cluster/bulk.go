@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"repro/internal/addr"
 	"repro/internal/params"
 	"repro/internal/rmc"
 	"repro/internal/sim"
@@ -127,15 +126,9 @@ func (n *Node) issueBulkLocal(now sim.Time, req rmc.BulkRequest) error {
 			if uint64(dst)%params.CacheLineSize != 0 {
 				return fmt.Errorf("cluster: node %d: bulk copy destination %v is not line-aligned", n.id, req.CopyDst)
 			}
-			memDone := readDone
-			for i := 0; i < lines; i++ {
-				t, err := n.bank.Access(readDone, dst+addr.Phys(i*params.CacheLineSize), true)
-				if err != nil {
-					return err
-				}
-				if t > memDone {
-					memDone = t
-				}
+			memDone, err := n.bank.AccessLines(readDone, dst, lines, true)
+			if err != nil {
+				return err
 			}
 			if err := n.store.WriteAt(dst, payload); err != nil {
 				return err
@@ -174,16 +167,11 @@ func (n *Node) issueBulkLocal(now sim.Time, req rmc.BulkRequest) error {
 func (n *Node) bulkBankRun(now sim.Time, spans []rmc.Span, write bool) (sim.Time, error) {
 	memDone := now
 	for _, s := range spans {
-		local := s.Start.Canonical(n.id)
-		for i := 0; i < s.Lines; i++ {
-			t, err := n.bank.Access(now, local+addr.Phys(i*params.CacheLineSize), write)
-			if err != nil {
-				return 0, fmt.Errorf("cluster: node %d: bulk line %v: %w", n.id, s.Start, err)
-			}
-			if t > memDone {
-				memDone = t
-			}
+		t, err := n.bank.AccessLines(now, s.Start.Canonical(n.id), s.Lines, write)
+		if err != nil {
+			return 0, fmt.Errorf("cluster: node %d: bulk line %v: %w", n.id, s.Start, err)
 		}
+		memDone = max(memDone, t)
 	}
 	return memDone, nil
 }

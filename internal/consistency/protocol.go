@@ -176,7 +176,7 @@ func NewProtocol(name string, p params.Params, nodes int) (Protocol, error) {
 	case "msi":
 		return NewMSI(p, nodes)
 	case "mesi":
-		return NewMESIProtocol(p, nodes)
+		return NewMESI(p, nodes)
 	case "rmc":
 		return NewNonCoherent(p, nodes)
 	case "rc":

@@ -190,13 +190,16 @@ func owner(pa addr.Phys, self addr.NodeID) addr.NodeID {
 }
 
 // issueRuns groups consecutive same-owner runs into bursts (capped at
-// the burst geometry) and issues them, joining the completions.
+// the burst geometry) and issues them, joining the completions. The cap
+// is counted in frames, as the RMC counts it: each span is framed on its
+// own, so many short spans exhaust a burst's frames long before its
+// line capacity.
 func (r *Region) issueRuns(now sim.Time, kind rmc.BulkKind, runs []physRun, data []byte, done func(sim.Time, error)) error {
 	if done == nil {
 		return fmt.Errorf("core: bulk operation needs a done callback")
 	}
 	self := r.node.ID()
-	maxLines := r.sys.p.BurstMaxLines()
+	frameLines, maxFrames := r.sys.p.BurstFrameLines(), r.sys.p.BurstMaxFrames()
 
 	// First pass: count the bursts so the join knows its fan-in before
 	// the first completion can fire.
@@ -207,11 +210,11 @@ func (r *Region) issueRuns(now sim.Time, kind rmc.BulkKind, runs []physRun, data
 	var bursts []burst
 	cur := burst{}
 	curNode := addr.NodeID(0)
-	curLines := 0
+	curFrames := 0
 	flush := func() {
 		if len(cur.spans) > 0 {
 			bursts = append(bursts, cur)
-			cur, curLines = burst{}, 0
+			cur, curFrames = burst{}, 0
 		}
 	}
 	for _, run := range runs {
@@ -222,14 +225,14 @@ func (r *Region) issueRuns(now sim.Time, kind rmc.BulkKind, runs []physRun, data
 		}
 		pa, lines := run.pa, run.lines
 		for lines > 0 {
-			take := min(lines, maxLines-curLines)
+			take := min(lines, (maxFrames-curFrames)*frameLines)
 			if take == 0 {
 				flush()
 				continue
 			}
 			cur.spans = append(cur.spans, rmc.Span{Start: pa, Lines: take})
 			cur.bytes += take * params.CacheLineSize
-			curLines += take
+			curFrames += (take + frameLines - 1) / frameLines
 			pa += addr.Phys(take * params.CacheLineSize)
 			lines -= take
 		}

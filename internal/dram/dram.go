@@ -109,6 +109,23 @@ func (b *Bank) Access(now sim.Time, a addr.Phys, write bool) (sim.Time, error) {
 	return b.ctrls[s].Access(now, a, write), nil
 }
 
+// AccessLines issues a run of lines consecutive cache-line accesses from
+// local address start, all arriving at now in address order, and returns
+// the last completion time. Controller occupancy serializes the lines —
+// the pipelined bank run every burst and local bulk transfer is priced
+// with.
+func (b *Bank) AccessLines(now sim.Time, start addr.Phys, lines int, write bool) (sim.Time, error) {
+	done := now
+	for i := 0; i < lines; i++ {
+		t, err := b.Access(now, start+addr.Phys(i*params.CacheLineSize), write)
+		if err != nil {
+			return 0, err
+		}
+		done = max(done, t)
+	}
+	return done, nil
+}
+
 // Controllers returns the per-socket controllers for inspection.
 func (b *Bank) Controllers() []*Controller { return b.ctrls }
 

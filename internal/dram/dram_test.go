@@ -124,3 +124,36 @@ func TestBankRejections(t *testing.T) {
 		t.Error("beyond-memory address accepted")
 	}
 }
+
+// TestBankAccessLines: a line run is the per-line accesses it replaces —
+// same completion, same controller state — pipelined behind occupancy,
+// and it fails where its first line beyond installed memory would.
+func TestBankAccessLines(t *testing.T) {
+	p := params.Default()
+	run, ref := NewBank(sim.New(), 1, p), NewBank(sim.New(), 1, p)
+	start := addr.Phys(4<<30 - 2*64) // straddles the socket 0/1 boundary
+	done, err := run.AccessLines(10, start, 5, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sim.Time(10)
+	for i := 0; i < 5; i++ {
+		d, _ := ref.Access(10, start+addr.Phys(i*64), true)
+		want = max(want, d)
+	}
+	if done != want {
+		t.Errorf("AccessLines done = %d, per-line accesses = %d", done, want)
+	}
+	for s, c := range run.Controllers() {
+		r := ref.Controllers()[s]
+		if got, want := [3]uint64{c.Writes, c.RowHits, c.RowConflicts}, [3]uint64{r.Writes, r.RowHits, r.RowConflicts}; got != want {
+			t.Errorf("socket %d writes/row hits/conflicts = %v, per-line %v", s, got, want)
+		}
+	}
+	if done, err := run.AccessLines(7, 0, 0, false); err != nil || done != 7 {
+		t.Errorf("empty run = %d, %v; want 7, nil", done, err)
+	}
+	if _, err := run.AccessLines(0, addr.Phys(p.MemPerNode-64), 2, false); err == nil {
+		t.Error("run past installed memory accepted")
+	}
+}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/cluster"
-	"repro/internal/dram"
 	"repro/internal/params"
 	"repro/internal/rmc"
 	"repro/internal/sim"
@@ -76,41 +75,19 @@ func (m *BulkModel) price(lines int, write bool) params.Duration {
 	if d, ok := m.cache[k]; ok {
 		return d
 	}
-	var d params.Duration
-	if m.Hops == 0 {
-		d = m.priceLocal(lines, write)
-	} else {
-		d = m.priceRemote(lines, write)
-	}
+	d := m.run(lines, write)
 	m.cache[k] = d
 	return d
 }
 
-// priceLocal runs the lines through one node's memory controllers: the
-// same pipelined bank run cluster.Node serves local bursts with.
-func (m *BulkModel) priceLocal(lines int, write bool) params.Duration {
-	eng := sim.New()
-	bank := dram.NewBank(eng, 1, m.P)
-	var memDone sim.Time
-	for i := 0; i < lines; i++ {
-		t, err := bank.Access(0, addr.Phys(uint64(i)*params.CacheLineSize), write)
-		if err != nil {
-			panic(fmt.Sprintf("memmodel: bulk local pricing: %v", err))
-		}
-		if t > memDone {
-			memDone = t
-		}
-	}
-	return params.Duration(memDone)
-}
-
-// priceRemote builds a 1×(hops+1) mesh with a client at one end and the
-// serving node at the other, issues the transfer as bursts, and returns
-// the drain time. The rig is the production machine on one shard and
-// without a fault plan: a price belongs to the calibration, not to a
-// run's faults. It is the first row of the configured mesh, so only the
-// link-latency overrides of that row carry over.
-func (m *BulkModel) priceRemote(lines int, write bool) params.Duration {
+// run builds a 1×(hops+1) mesh with a client at one end and the serving
+// node at the other — at 0 hops a 1×1 mesh whose client owns the spans,
+// so its memory controllers serve them — issues the transfer as bursts,
+// and returns the drain time. The rig is the production machine on one
+// shard and without a fault plan: a price belongs to the calibration,
+// not to a run's faults. It is the first row of the configured mesh, so
+// only the link-latency overrides of that row carry over.
+func (m *BulkModel) run(lines int, write bool) params.Duration {
 	p := m.P
 	p.MeshWidth, p.MeshHeight, p.Shards = m.Hops+1, 1, 1
 	p.Fabric, p.Faults = params.FabricMesh, nil
@@ -125,23 +102,25 @@ func (m *BulkModel) priceRemote(lines int, write bool) params.Duration {
 	if err != nil {
 		panic(fmt.Sprintf("memmodel: bulk pricing rig: %v", err))
 	}
-	client, dst := c.MustNode(1).RMC(), addr.NodeID(m.Hops+1)
+	client, dst := c.MustNode(1), addr.NodeID(m.Hops+1)
 	kind := rmc.BulkRead
 	if write {
 		kind = rmc.BulkWrite
 	}
 	// Issue the burst set the core layer would emit for this many
-	// lines: full bursts concurrently, contending at the client RMC.
+	// lines: full bursts concurrently, contending at the client RMC (or,
+	// local, queueing at the controllers).
 	maxLines := m.P.BurstMaxLines()
 	var last sim.Time
 	for off := 0; off < lines; off += maxLines {
 		n := min(maxLines, lines-off)
+		start := addr.Phys(uint64(off) * params.CacheLineSize)
+		if m.Hops > 0 {
+			start = start.WithNode(dst)
+		}
 		req := rmc.BulkRequest{
-			Kind: kind,
-			Spans: []rmc.Span{{
-				Start: addr.Phys(uint64(off) * params.CacheLineSize).WithNode(dst),
-				Lines: n,
-			}},
+			Kind:  kind,
+			Spans: []rmc.Span{{Start: start, Lines: n}},
 			Done: func(t sim.Time, err error) {
 				if err != nil {
 					panic(fmt.Sprintf("memmodel: bulk pricing run: %v", err))
@@ -154,7 +133,7 @@ func (m *BulkModel) priceRemote(lines int, write bool) params.Duration {
 		if write {
 			req.Data = make([]byte, n*params.CacheLineSize)
 		}
-		if err := client.RequestBulk(0, req); err != nil {
+		if err := client.IssueBulk(0, req); err != nil {
 			panic(fmt.Sprintf("memmodel: bulk pricing request: %v", err))
 		}
 	}

@@ -88,14 +88,21 @@ func ParseBulk(spec string) (BulkSpec, error) {
 		if err != nil {
 			return BulkSpec{}, fmt.Errorf("params: bulk %s=%s: %w", key, val, err)
 		}
+		var dst *int
 		switch key {
 		case "frame":
-			s.FrameLines = n
+			dst = &s.FrameLines
 		case "maxframes":
-			s.MaxFrames = n
+			dst = &s.MaxFrames
 		default:
 			return BulkSpec{}, fmt.Errorf("params: unknown bulk key %q", key)
 		}
+		// In the spec struct zero means "unset: keep the default", so an
+		// explicit zero must fail loudly rather than silently vanish.
+		if n <= 0 {
+			return BulkSpec{}, fmt.Errorf("params: bulk %s=%s must be positive (omit %s to keep the default)", key, val, key)
+		}
+		*dst = n
 	}
 	if err := s.Validate(); err != nil {
 		return BulkSpec{}, err
@@ -103,13 +110,14 @@ func ParseBulk(spec string) (BulkSpec, error) {
 	return s, nil
 }
 
-// Validate reports the first inconsistency in the spec.
+// Validate reports the first inconsistency in the spec. Zero fields
+// override nothing.
 func (s BulkSpec) Validate() error {
 	switch {
 	case s.FrameLines < 0 || s.FrameLines > MaxBulkFrameLines:
-		return fmt.Errorf("params: bulk frame=%d outside [1,%d]", s.FrameLines, MaxBulkFrameLines)
+		return fmt.Errorf("params: bulk frame=%d outside [0,%d] (0 keeps the default)", s.FrameLines, MaxBulkFrameLines)
 	case s.MaxFrames < 0 || s.MaxFrames > MaxBulkFrames:
-		return fmt.Errorf("params: bulk maxframes=%d outside [1,%d]", s.MaxFrames, MaxBulkFrames)
+		return fmt.Errorf("params: bulk maxframes=%d outside [0,%d] (0 keeps the default)", s.MaxFrames, MaxBulkFrames)
 	}
 	return nil
 }

@@ -31,4 +31,6 @@ func fuzzRoundTrip[T interface{ String() string }](f *testing.F, parse func(stri
 
 func FuzzParseLinkLat(f *testing.F) { fuzzRoundTrip(f, ParseLinkLat, linkLatSpecs) }
 
-func FuzzParseBulk(f *testing.F) { fuzzRoundTrip(f, ParseBulk, append(bulkSpecs, "on")) }
+func FuzzParseBulk(f *testing.F) {
+	fuzzRoundTrip(f, ParseBulk, append(bulkSpecs, "on", "frame=0", "maxframes=0"))
+}

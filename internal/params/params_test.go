@@ -156,7 +156,7 @@ func TestBulkSpecRoundTrip(t *testing.T) {
 	if err != nil || on.FrameLines != DefaultBulkFrameLines || on.MaxFrames != DefaultBulkMaxFrames {
 		t.Errorf(`ParseBulk("on") = %+v, %v`, on, err)
 	}
-	for _, bad := range []string{"frame", "frame=x", "what=1", "frame=257", "maxframes=300"} {
+	for _, bad := range []string{"frame", "frame=x", "what=1", "frame=257", "maxframes=300", "frame=0", "maxframes=0", "frame=-1"} {
 		if _, err := ParseBulk(bad); err == nil {
 			t.Errorf("ParseBulk(%q) accepted", bad)
 		}

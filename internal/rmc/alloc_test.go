@@ -44,7 +44,7 @@ func TestRemoteWriteSteadyStateAllocs(t *testing.T) {
 	issue := func() {
 		// The write buffer comes from the client pool and is recycled on
 		// completion, exactly as the cluster layer uses it.
-		data := r.rmcs[1].LineBuf(64)
+		data := r.rmcs[1].getLineBuf(64)
 		wr := ht.Packet{Cmd: ht.CmdWrSized, Addr: addr.Phys(0x2000).WithNode(3), Count: 64, Data: data}
 		if err := r.rmcs[1].Request(r.eng.Now(), wr, false, done); err != nil {
 			t.Fatal(err)

@@ -1,17 +1,18 @@
-// Bulk (scatter-gather) transfers: the RMC's second transfer discipline
-// beside the single-line path. One doorbell descriptor carries N line
-// ranges; the server walks them as a pipelined burst of multi-line data
-// frames, so the per-request overheads — client admission, HNC headers,
-// server occupancy, the completion ack — amortize over the whole
-// transfer instead of repeating per line. Region-to-region DMA copy
-// rides the same machinery with the source node streaming data frames
-// straight to the destination node; the payload never transits the
-// requester.
+// Bulk (scatter-gather) transfers over the single-line path's
+// machinery. One doorbell descriptor carries N line ranges; the server
+// walks them as a pipelined burst of multi-line data frames, so the
+// per-request overheads — client admission, HNC headers, server
+// occupancy, the completion ack — amortize over the whole transfer
+// instead of repeating per line. Region-to-region DMA copy rides the
+// same machinery with the source node streaming data frames straight to
+// the destination node; the payload never transits the requester.
 //
-// Every data frame travels under the same sealed-frame retransmission
-// discipline as scalar traffic, so under a fault plan a dropped frame
-// resends only itself — the burst's other frames are unaffected and the
-// client reassembles out-of-order arrivals by frame index.
+// A burst is admitted, sealed and received exactly as a scalar request
+// is (admit, seal/sealReply, accept/receive), and every data frame
+// travels under the same retransmission discipline, so under a fault
+// plan a dropped frame resends only itself — the burst's other frames
+// are unaffected and the client reassembles out-of-order arrivals by
+// frame index.
 //
 // The continuation and buffer pools follow rmc.go's recycling rule, with
 // or without a fault plan: each frame gets exactly one clean delivery or
@@ -202,10 +203,8 @@ func (r *RMC) RequestBulk(now sim.Time, req BulkRequest) error {
 	op.got = resetBools(op.got, frames)
 	op.srvGot = resetBools(op.srvGot, frames)
 	op.peer, op.wrServer = peer, wrServer
-	for len(op.fsend) < frames {
-		so := new(sendOp)
-		so.bind(nil, op.abandonFn, r.exch)
-		op.fsend = append(op.fsend, so)
+	for len(op.slots) < frames {
+		op.slots = append(op.slots, op.newFrameSlot())
 	}
 	if req.Kind == BulkRead {
 		// Frame index -> sink byte offset, precomputed so out-of-order
@@ -219,7 +218,7 @@ func (r *RMC) RequestBulk(now sim.Time, req BulkRequest) error {
 			}
 		}
 	}
-	r.admitBulk(now, op)
+	r.admit(now, &op.admission)
 	return nil
 }
 
@@ -228,6 +227,7 @@ func (r *RMC) RequestBulk(now sim.Time, req BulkRequest) error {
 // one process, and the scalar path already threads the client's
 // completion through the serving RMC the same way.
 type bulkOp struct {
+	admission
 	r       *RMC
 	kind    BulkKind
 	express bool
@@ -239,9 +239,7 @@ type bulkOp struct {
 	frames  int
 	offs    []int
 
-	attempt   uint
 	issued    sim.Time
-	serviced  sim.Time
 	completed bool
 	done      func(sim.Time, error)
 
@@ -249,15 +247,14 @@ type bulkOp struct {
 	wrServer *RMC // RMC serving the burst's write frames and sending the ack
 
 	// The burst's send ops, bound once with the op: the doorbell
-	// descriptor, the completion ack, and one per data frame by index
-	// (each data frame's deliver is set per burst). pending counts the
-	// frames still scheduled at a server or on the wire: a burst that
-	// completes early is recycled only once its last frame has landed,
-	// so neither the op nor a send op is reused while an event that
-	// reads it is still queued.
+	// descriptor, the completion ack, and one slot per data frame by
+	// index. pending counts the frames still scheduled at a server or on
+	// the wire: a burst that completes early is recycled only once its
+	// last frame has landed, so neither the op nor a send op is reused
+	// while an event that reads it is still queued.
 	desc    sendOp
 	ack     sendOp
-	fsend   []*sendOp
+	slots   []*frameSlot
 	pending int
 
 	// Client-side burst assembly (read data frames).
@@ -272,14 +269,21 @@ type bulkOp struct {
 	srvAborted  bool
 	srvMemDone  sim.Time
 
-	retryFn        func()
-	launchFn       func()
-	descDeliverFn  func(sim.Time, hnc.Sealed)
-	frameDeliverFn func(sim.Time, hnc.Sealed)
-	wrDeliverFn    func(sim.Time, hnc.Sealed)
-	ackDeliverFn   func(sim.Time, hnc.Sealed)
-	abandonFn      func(sim.Time, int)
-	srvAckFn       func()
+	descDeliverFn func(sim.Time, hnc.Sealed)
+	dataDeliverFn func(sim.Time, hnc.Sealed)
+	ackDeliverFn  func(sim.Time, hnc.Sealed)
+	abandonFn     func(sim.Time, int)
+	srvAckFn      func()
+}
+
+// frameSlot is one data frame of a burst: its send op, and — for a frame
+// the span owner reads out of memory — the packet staged at the owner and
+// the memory-done instant sendFn puts it on the wire at.
+type frameSlot struct {
+	send   sendOp
+	pkt    ht.Packet
+	at     sim.Time
+	sendFn func()
 }
 
 func (r *RMC) getBulkOp() *bulkOp {
@@ -289,18 +293,18 @@ func (r *RMC) getBulkOp() *bulkOp {
 		return op
 	}
 	op := &bulkOp{r: r}
-	op.retryFn = func() { op.r.admitBulk(op.r.eng.Now(), op) }
+	op.retryFn = func() { op.r.admit(op.r.eng.Now(), &op.admission) }
 	op.launchFn = func() { op.r.launchBulk(op) }
 	op.descDeliverFn = func(t sim.Time, s hnc.Sealed) {
 		op.peer.serveBulkDesc(t, s, op)
 		op.landed()
 	}
-	op.frameDeliverFn = func(t sim.Time, s hnc.Sealed) {
-		op.frameDelivered(t, s)
-		op.landed()
-	}
-	op.wrDeliverFn = func(t sim.Time, s hnc.Sealed) {
-		op.wrServer.serveBulkWriteFrame(t, s, op)
+	op.dataDeliverFn = func(t sim.Time, s hnc.Sealed) {
+		if op.kind == BulkRead {
+			op.frameDelivered(t, s)
+		} else {
+			op.wrServer.serveBulkWriteFrame(t, s, op)
+		}
 		op.landed()
 	}
 	op.ackDeliverFn = func(t sim.Time, s hnc.Sealed) {
@@ -317,14 +321,23 @@ func (r *RMC) getBulkOp() *bulkOp {
 	return op
 }
 
+// newFrameSlot builds the op's next data-frame slot, bound once.
+func (op *bulkOp) newFrameSlot() *frameSlot {
+	fs := &frameSlot{}
+	fs.send.bind(op.dataDeliverFn, op.abandonFn, op.r.exch)
+	fs.sendFn = func() { op.sendFrame(fs) }
+	return fs
+}
+
 func (r *RMC) putBulkOp(op *bulkOp) {
 	op.data = nil
 	op.done = nil
 	op.peer, op.wrServer = nil, nil
 	op.desc.release()
 	op.ack.release()
-	for _, so := range op.fsend {
-		so.release()
+	for _, fs := range op.slots {
+		fs.send.release()
+		fs.pkt = ht.Packet{}
 	}
 	r.bulkFreeOps = append(r.bulkFreeOps, op)
 }
@@ -337,7 +350,7 @@ func (op *bulkOp) send(from *RMC, now sim.Time, so *sendOp, s hnc.Sealed, dst *R
 }
 
 // landed retires one pending frame once its delivery or abandon callback
-// (or, for a frame scheduled at a server, its send) has run; the last
+// (or, for a frame staged at a server, its send) has run; the last
 // frame home of a completed burst recycles the op.
 func (op *bulkOp) landed() {
 	op.pending--
@@ -360,33 +373,6 @@ func (op *bulkOp) complete(t sim.Time, err error) {
 	op.done(t, err)
 }
 
-// admitBulk enters the client queue once for the whole burst — the
-// doorbell amortization: N lines pay one admission and one client
-// occupancy instead of N.
-func (r *RMC) admitBulk(now sim.Time, op *bulkOp) {
-	if r.inj.NackStorm(r.self, int64(now)) {
-		r.StormNACKs++
-		r.nackBulk(now, op)
-		return
-	}
-	serviced, ok := r.client.Acquire(now, r.p.RMCClientOccupancy)
-	if !ok {
-		r.nackBulk(now, op)
-		return
-	}
-	r.Forwarded++
-	op.serviced = serviced
-	r.eng.At(serviced, op.launchFn)
-}
-
-func (r *RMC) nackBulk(now sim.Time, op *bulkOp) {
-	r.Retries++
-	r.client.Penalize(now, r.p.RMCRetryWaste)
-	backoff := r.p.RMCRetryPenalty << min(op.attempt, 8)
-	op.attempt++
-	r.eng.After(backoff, op.retryFn)
-}
-
 // launchBulk puts the burst on the wire once client service is done:
 // reads and copies send one doorbell descriptor; writes send their data
 // frames directly (the payload is the doorbell).
@@ -399,18 +385,13 @@ func (r *RMC) launchBulk(op *bulkOp) {
 			cmd = ht.CmdBulkCopy
 		}
 		pkt := ht.Packet{Cmd: cmd, Addr: op.spans[0].Start, Count: op.lines * params.CacheLineSize, Data: r.encodeDescriptor(op)}
-		frame, err := r.bridge.Outbound(pkt)
-		if err != nil {
-			panic(fmt.Sprintf("rmc%d: bulk outbound bridge failed: %v", r.self, err))
-		}
-		op.send(r, now, &op.desc, hnc.Seal(frame), op.peer)
+		op.send(r, now, &op.desc, r.seal(pkt), op.peer)
 	case BulkWrite:
 		frameLines := r.p.BurstFrameLines()
 		idx, pos := 0, 0
 		for _, s := range op.spans {
 			for off := 0; off < s.Lines; off += frameLines {
-				n := min(frameLines, s.Lines-off)
-				nbytes := n * params.CacheLineSize
+				nbytes := min(frameLines, s.Lines-off) * params.CacheLineSize
 				pkt := ht.Packet{
 					Cmd:    ht.CmdBulkWr,
 					SrcTag: ht.BurstTag(idx, op.frames),
@@ -418,13 +399,7 @@ func (r *RMC) launchBulk(op *bulkOp) {
 					Count:  nbytes,
 					Data:   op.data[pos : pos+nbytes],
 				}
-				frame, err := r.bridge.Outbound(pkt)
-				if err != nil {
-					panic(fmt.Sprintf("rmc%d: bulk outbound bridge failed: %v", r.self, err))
-				}
-				so := op.fsend[idx]
-				so.deliver = op.wrDeliverFn
-				op.send(r, now, so, hnc.Seal(frame), op.peer)
+				op.send(r, now, &op.slots[idx].send, r.seal(pkt), op.peer)
 				idx++
 				pos += nbytes
 			}
@@ -457,22 +432,12 @@ func (r *RMC) encodeDescriptor(op *bulkOp) []byte {
 // serveBulkDesc handles a read/copy doorbell at the node owning the
 // spans: one server occupancy for the whole burst, then per-frame DRAM
 // accesses whose bank contention pipelines the data frames — each frame
-// leaves at its own memory-done instant while later frames are still
-// being read.
+// is staged in its slot and leaves at its own memory-done instant while
+// later frames are still being read.
 func (r *RMC) serveBulkDesc(now sim.Time, sealed hnc.Sealed, op *bulkOp) {
-	frame, err := r.verif.AcceptLoose(sealed)
-	if err != nil {
-		if r.inj != nil {
-			return // counted; the sender's retransmission recovers
-		}
-		panic(fmt.Sprintf("rmc%d: bulk frame integrity failed: %v", r.self, err))
-	}
-	local, err := r.bridge.Inbound(frame)
-	if err != nil {
-		panic(fmt.Sprintf("rmc%d: bulk inbound bridge failed: %v", r.self, err))
-	}
-	if op.completed || op.srvAdmitted {
-		return // duplicate delivery of a retransmitted doorbell
+	local, ok := r.receive(sealed)
+	if !ok || op.completed || op.srvAdmitted {
+		return // corrupted, or a duplicate delivery of a retransmitted doorbell
 	}
 	op.srvAdmitted = true
 	serviced, _ := r.server.Acquire(now, r.p.RMCServerOccupancy)
@@ -489,7 +454,7 @@ func (r *RMC) serveBulkDesc(now sim.Time, sealed hnc.Sealed, op *bulkOp) {
 		for p := pos; p < len(desc); p += ht.SpanBytes {
 			start, lines := ht.GetSpan(desc[p:])
 			rng := addr.Range{Start: start.Local(), Size: uint64(lines) * params.CacheLineSize}
-			if !r.protection.Allowed(frame.Src, rng) {
+			if !r.protection.Allowed(sealed.Frame.Src, rng) {
 				r.Aborted++
 				op.srvAborted = true
 				r.sendBulkAck(serviced, op, true)
@@ -508,40 +473,28 @@ func (r *RMC) serveBulkDesc(now sim.Time, sealed hnc.Sealed, op *bulkOp) {
 			n := min(frameLines, int(spanLines)-off)
 			nbytes := n * params.CacheLineSize
 			fstart := lstart + addr.Phys(off*params.CacheLineSize)
-			memDone := serviced
-			for l := 0; l < n; l++ {
-				t, err := r.bank.Access(serviced, fstart+addr.Phys(l*params.CacheLineSize), false)
-				if err != nil {
-					panic(fmt.Sprintf("rmc%d: bulk memory access failed: %v", r.self, err))
-				}
-				if t > memDone {
-					memDone = t
-				}
+			memDone, err := r.bank.AccessLines(serviced, fstart, n, false)
+			if err != nil {
+				panic(fmt.Sprintf("rmc%d: bulk memory access failed: %v", r.self, err))
 			}
 			data := r.getLineBuf(nbytes)
 			if err := r.store.ReadAt(fstart, data); err != nil {
 				panic(fmt.Sprintf("rmc%d: bulk functional read failed: %v", r.self, err))
 			}
-			f := r.getBulkFrame()
-			f.op, f.idx, f.at = op, idx, memDone
-			switch local.Cmd {
-			case ht.CmdBulkRd:
-				f.mode = frameReadData
-				f.pkt = ht.Packet{Cmd: ht.CmdRdResponse, SrcTag: ht.BurstTag(idx, op.frames), Count: nbytes, Data: data}
-			case ht.CmdBulkCopy:
+			fs := op.slots[idx]
+			fs.at = memDone
+			fs.pkt = ht.Packet{Cmd: ht.CmdRdResponse, SrcTag: ht.BurstTag(idx, op.frames), Count: nbytes, Data: data}
+			if op.kind == BulkCopy {
 				daddr := dstBase + addr.Phys(doff)
-				if dstBase.Node() == r.self {
+				if op.wrServer == r {
 					// Same-node DMA: source and destination share a
 					// memory system, so the copy never leaves the node.
-					f.mode = frameLocalCopy
-					f.pkt = ht.Packet{Cmd: ht.CmdBulkWr, SrcTag: ht.BurstTag(idx, op.frames), Addr: daddr.Local(), Count: nbytes, Data: data}
-				} else {
-					f.mode = frameCopyData
-					f.pkt = ht.Packet{Cmd: ht.CmdBulkWr, SrcTag: ht.BurstTag(idx, op.frames), Addr: daddr, Count: nbytes, Data: data}
+					daddr = daddr.Local()
 				}
+				fs.pkt.Cmd, fs.pkt.Addr = ht.CmdBulkWr, daddr
 			}
-			op.pending++ // until sendBulkFrame puts it on the wire
-			r.eng.At(memDone, f.sendFn)
+			op.pending++ // until sendFrame puts it on the wire
+			r.eng.At(memDone, fs.sendFn)
 			idx++
 			doff += nbytes
 		}
@@ -549,82 +502,26 @@ func (r *RMC) serveBulkDesc(now sim.Time, sealed hnc.Sealed, op *bulkOp) {
 	op.r.putLineBuf(desc)
 }
 
-// bulkFrame carries one scheduled data frame from its memory-done
-// instant to the wire (or, for same-node copies, to the local store).
-type bulkFrame struct {
-	r    *RMC
-	op   *bulkOp
-	idx  int
-	at   sim.Time
-	mode bulkFrameMode
-	pkt  ht.Packet
-
-	sendFn func()
-}
-
-type bulkFrameMode int
-
-const (
-	frameReadData bulkFrameMode = iota + 1
-	frameCopyData
-	frameLocalCopy
-)
-
-func (r *RMC) getBulkFrame() *bulkFrame {
-	if n := len(r.bulkFreeFrames); n > 0 {
-		f := r.bulkFreeFrames[n-1]
-		r.bulkFreeFrames = r.bulkFreeFrames[:n-1]
-		return f
+// sendFrame fires at a staged data frame's memory-done instant at the
+// span owner: read data returns to the client, copy data leaves for the
+// destination node, and a same-node copy lands in the owner's store.
+func (op *bulkOp) sendFrame(fs *frameSlot) {
+	owner := op.peer
+	switch {
+	case op.kind == BulkRead:
+		op.send(owner, fs.at, &fs.send, owner.sealReply(op.r.self, fs.pkt), op.r)
+	case op.wrServer != owner:
+		op.send(owner, fs.at, &fs.send, owner.seal(fs.pkt), op.wrServer)
+	default:
+		owner.applyBulkWrite(fs.at, fs.pkt, op)
 	}
-	f := &bulkFrame{r: r}
-	f.sendFn = func() { f.r.sendBulkFrame(f) }
-	return f
-}
-
-func (r *RMC) putBulkFrame(f *bulkFrame) {
-	f.op = nil
-	f.pkt = ht.Packet{}
-	r.bulkFreeFrames = append(r.bulkFreeFrames, f)
-}
-
-// sendBulkFrame fires at the frame's memory-done instant.
-func (r *RMC) sendBulkFrame(f *bulkFrame) {
-	op := f.op
-	switch f.mode {
-	case frameReadData:
-		reply, err := r.bridge.Reply(op.r.self, f.pkt)
-		if err != nil {
-			panic(fmt.Sprintf("rmc%d: bulk reply bridge failed: %v", r.self, err))
-		}
-		so := op.fsend[f.idx]
-		so.deliver = op.frameDeliverFn
-		op.send(r, f.at, so, hnc.Seal(reply), op.r)
-	case frameCopyData:
-		frame, err := r.bridge.Outbound(f.pkt)
-		if err != nil {
-			panic(fmt.Sprintf("rmc%d: bulk outbound bridge failed: %v", r.self, err))
-		}
-		so := op.fsend[f.idx]
-		so.deliver = op.wrDeliverFn
-		op.send(r, f.at, so, hnc.Seal(frame), op.wrServer)
-	case frameLocalCopy:
-		r.applyBulkWrite(f.at, f.pkt, op)
-	}
-	r.putBulkFrame(f)
 	op.landed()
 }
 
 // frameDelivered runs at the client when one read data frame arrives.
 func (op *bulkOp) frameDelivered(t sim.Time, s hnc.Sealed) {
-	r := op.r
-	if op.completed {
+	if op.completed || !op.r.accept(s) {
 		return
-	}
-	if _, err := r.verif.AcceptLoose(s); err != nil {
-		if r.inj != nil {
-			return
-		}
-		panic(fmt.Sprintf("rmc%d: bulk frame integrity failed: %v", r.self, err))
 	}
 	pay := s.Frame.Payload
 	idx, total := ht.BurstIndex(pay.SrcTag)
@@ -647,18 +544,8 @@ func (op *bulkOp) frameDelivered(t sim.Time, s hnc.Sealed) {
 // occupancy; the rest only pay DRAM — the server-side half of the
 // amortization. One cumulative TgtDone acknowledges the whole burst.
 func (r *RMC) serveBulkWriteFrame(now sim.Time, sealed hnc.Sealed, op *bulkOp) {
-	frame, err := r.verif.AcceptLoose(sealed)
-	if err != nil {
-		if r.inj != nil {
-			return
-		}
-		panic(fmt.Sprintf("rmc%d: bulk frame integrity failed: %v", r.self, err))
-	}
-	local, err := r.bridge.Inbound(frame)
-	if err != nil {
-		panic(fmt.Sprintf("rmc%d: bulk inbound bridge failed: %v", r.self, err))
-	}
-	if op.completed || op.srvAborted {
+	local, ok := r.receive(sealed)
+	if !ok || op.completed || op.srvAborted {
 		return
 	}
 	idx, total := ht.BurstIndex(local.SrcTag)
@@ -674,7 +561,7 @@ func (r *RMC) serveBulkWriteFrame(now sim.Time, sealed hnc.Sealed, op *bulkOp) {
 	op.srvGotCount++
 	if r.protection != nil {
 		rng := addr.Range{Start: local.Addr, Size: uint64(local.Count)}
-		if !r.protection.Allowed(frame.Src, rng) {
+		if !r.protection.Allowed(sealed.Frame.Src, rng) {
 			r.Aborted++
 			op.srvAborted = true
 			r.sendBulkAck(serviced, op, true)
@@ -684,19 +571,13 @@ func (r *RMC) serveBulkWriteFrame(now sim.Time, sealed hnc.Sealed, op *bulkOp) {
 	r.applyBulkWrite(serviced, local, op)
 }
 
-// applyBulkWrite performs one frame's timed per-line bank accesses and
-// the functional store write, then sends the cumulative ack once every
-// frame of the burst has landed.
+// applyBulkWrite performs one frame's timed bank run and the functional
+// store write, then sends the cumulative ack once every frame of the
+// burst has landed.
 func (r *RMC) applyBulkWrite(now sim.Time, local ht.Packet, op *bulkOp) {
-	memDone := now
-	for l := 0; l < local.Count/params.CacheLineSize; l++ {
-		t, err := r.bank.Access(now, local.Addr+addr.Phys(l*params.CacheLineSize), true)
-		if err != nil {
-			panic(fmt.Sprintf("rmc%d: bulk memory access failed: %v", r.self, err))
-		}
-		if t > memDone {
-			memDone = t
-		}
+	memDone, err := r.bank.AccessLines(now, local.Addr, local.Count/params.CacheLineSize, true)
+	if err != nil {
+		panic(fmt.Sprintf("rmc%d: bulk memory access failed: %v", r.self, err))
 	}
 	if err := r.store.WriteAt(local.Addr, local.Data); err != nil {
 		panic(fmt.Sprintf("rmc%d: bulk functional write failed: %v", r.self, err))
@@ -722,24 +603,13 @@ func (r *RMC) sendBulkAck(now sim.Time, op *bulkOp, abort bool) {
 	if abort {
 		rsp = ht.Packet{Cmd: ht.CmdTgtAbort}
 	}
-	reply, err := r.bridge.Reply(op.r.self, rsp)
-	if err != nil {
-		panic(fmt.Sprintf("rmc%d: bulk reply bridge failed: %v", r.self, err))
-	}
-	op.send(r, now, &op.ack, hnc.Seal(reply), op.r)
+	op.send(r, now, &op.ack, r.sealReply(op.r.self, rsp), op.r)
 }
 
 // ackDelivered runs at the client when the cumulative ack arrives.
 func (op *bulkOp) ackDelivered(t sim.Time, s hnc.Sealed) {
-	r := op.r
-	if op.completed {
+	if op.completed || !op.r.accept(s) {
 		return
-	}
-	if _, err := r.verif.AcceptLoose(s); err != nil {
-		if r.inj != nil {
-			return
-		}
-		panic(fmt.Sprintf("rmc%d: bulk ack integrity failed: %v", r.self, err))
 	}
 	if s.Frame.Payload.Cmd == ht.CmdTgtAbort {
 		op.complete(t, &AbortError{Dst: s.Frame.Src})

@@ -119,7 +119,7 @@ func TestBulkScalarWriteOracle(t *testing.T) {
 			scalarDone = now
 			return
 		}
-		data := scalarRig.rmcs[1].LineBuf(64)
+		data := scalarRig.rmcs[1].getLineBuf(64)
 		copy(data, payload[i*64:(i+1)*64])
 		pkt := ht.Packet{Cmd: ht.CmdWrSized, Addr: addr.Phys(0x30000000 + i*64).WithNode(2), Count: 64, Data: data}
 		if err := scalarRig.rmcs[1].Request(now, pkt, false, func(ts sim.Time, _ ht.Packet, err error) {

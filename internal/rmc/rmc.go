@@ -126,9 +126,8 @@ type RMC struct {
 	// Bulk data plane (bulk.go): pooled burst continuations plus the
 	// lazily-registered burst metrics — nil bulkLat means this RMC has
 	// never issued a burst and its snapshot carries no bulk families.
-	bulkFreeOps    []*bulkOp
-	bulkFreeFrames []*bulkFrame
-	bulkLat        *metrics.Histogram
+	bulkFreeOps []*bulkOp
+	bulkLat     *metrics.Histogram
 
 	// Stats.
 	Requests    uint64 // remote requests submitted at this node
@@ -281,21 +280,28 @@ func (r *RMC) StallServer(now sim.Time, d sim.Time) {
 // ownership — carries its own copy of the payload (see completeSend),
 // so a recycled buffer is never read after its request completed.
 
+// admission is the client-queue state a request or a burst carries
+// through NACK backoff: its attempt count, the instant client service
+// ends, and the prebound retry and launch continuations.
+type admission struct {
+	attempt  uint
+	serviced sim.Time
+	retryFn  func()
+	launchFn func()
+}
+
 // clientOp is the requester role's continuation: admission (with NACK
 // backoff), launch onto the fabric, and final completion.
 type clientOp struct {
-	r        *RMC
-	pkt      ht.Packet
-	express  bool
-	attempt  uint
-	issued   sim.Time
-	serviced sim.Time
-	peer     *RMC // the serving RMC; r itself for a loopback address
-	done     func(sim.Time, ht.Packet, error)
-	send     sendOp // the request frame
+	admission
+	r       *RMC
+	pkt     ht.Packet
+	express bool
+	issued  sim.Time
+	peer    *RMC // the serving RMC; r itself for a loopback address
+	done    func(sim.Time, ht.Packet, error)
+	send    sendOp // the request frame
 
-	retryFn   func()
-	launchFn  func()
 	finishFn  func(sim.Time, ht.Packet, error)
 	deliverFn func(sim.Time, hnc.Sealed)
 	abandonFn func(sim.Time, int)
@@ -308,7 +314,7 @@ func (r *RMC) getClientOp() *clientOp {
 		return op
 	}
 	op := &clientOp{r: r}
-	op.retryFn = func() { op.r.admitAttempt(op.r.eng.Now(), op) }
+	op.retryFn = func() { op.r.admit(op.r.eng.Now(), &op.admission) }
 	op.launchFn = func() { op.r.launch(op) }
 	op.finishFn = func(t sim.Time, rsp ht.Packet, err error) { op.finish(t, rsp, err) }
 	op.deliverFn = func(t sim.Time, s hnc.Sealed) { op.peer.serve(t, s, op.r, op.express, op.finishFn) }
@@ -380,7 +386,7 @@ func (r *RMC) Request(now sim.Time, pkt ht.Packet, express bool, done func(sim.T
 	op := r.getClientOp()
 	op.pkt, op.peer, op.express, op.done = pkt, peer, express, done
 	op.attempt, op.issued = 0, now
-	r.admitAttempt(now, op)
+	r.admit(now, &op.admission)
 	return nil
 }
 
@@ -394,12 +400,9 @@ func (r *RMC) peer(dst addr.NodeID) (*RMC, error) {
 	return r.peers.RMC(dst)
 }
 
-// LineBuf returns a pooled buffer of n bytes for packet data. Callers
-// that build write packets from it get it recycled automatically when
-// the request completes; it may contain stale bytes (every consumer
-// overwrites the full length).
-func (r *RMC) LineBuf(n int) []byte { return r.getLineBuf(n) }
-
+// getLineBuf returns a pooled buffer of n bytes for packet data. Write
+// packets built from it are recycled when the request completes; it may
+// contain stale bytes (every consumer overwrites the full length).
 func (r *RMC) getLineBuf(n int) []byte {
 	if l := len(r.lineBufs); l > 0 {
 		if b := r.lineBufs[l-1]; cap(b) >= n {
@@ -433,36 +436,37 @@ func (r *RMC) putLineBufOf(owner *RMC, b []byte) {
 	r.exch.defBuf = append(r.exch.defBuf, deferredBuf{r: owner, b: b})
 }
 
-// admitAttempt tries to enter the client queue, retrying on NACK with
-// capped exponential backoff. The backoff matters: a requester retrying
-// at a fixed interval against a full queue would waste RMC capacity
-// faster than the RMC serves, and nothing would ever complete.
-func (r *RMC) admitAttempt(now sim.Time, op *clientOp) {
+// admit tries to enter the client queue, retrying on NACK with capped
+// exponential backoff. A burst enters once for all its lines — the
+// doorbell amortization. The backoff matters: a requester retrying at a
+// fixed interval against a full queue would waste RMC capacity faster
+// than the RMC serves, and nothing would ever complete.
+func (r *RMC) admit(now sim.Time, a *admission) {
 	if r.inj.NackStorm(r.self, int64(now)) {
 		// A scheduled NACK storm: the client RMC refuses every admission
 		// as if its queue were wedged full. Same waste, same backoff —
 		// progress resumes when the window closes.
 		r.StormNACKs++
-		r.nack(now, op)
+		r.nack(now, a)
 		return
 	}
 	serviced, ok := r.client.Acquire(now, r.p.RMCClientOccupancy)
 	if !ok {
-		r.nack(now, op)
+		r.nack(now, a)
 		return
 	}
 	r.Forwarded++
-	op.serviced = serviced
-	r.eng.At(serviced, op.launchFn)
+	a.serviced = serviced
+	r.eng.At(serviced, a.launchFn)
 }
 
 // nack charges the NACK-processing waste and schedules the reissue.
-func (r *RMC) nack(now sim.Time, op *clientOp) {
+func (r *RMC) nack(now sim.Time, a *admission) {
 	r.Retries++
 	r.client.Penalize(now, r.p.RMCRetryWaste)
-	backoff := r.p.RMCRetryPenalty << min(op.attempt, 8)
-	op.attempt++
-	r.eng.After(backoff, op.retryFn)
+	backoff := r.p.RMCRetryPenalty << min(a.attempt, 8)
+	a.attempt++
+	r.eng.After(backoff, a.retryFn)
 }
 
 // launch bridges the packet onto the fabric once client service is done.
@@ -476,14 +480,56 @@ func (r *RMC) launch(op *clientOp) {
 		r.serveLocal(now, op.pkt, op.finishFn)
 		return
 	}
-	frame, err := r.bridge.Outbound(op.pkt)
+	r.sendSealed(now, &op.send, r.seal(op.pkt), op.peer, op.express)
+}
+
+// seal bridges a prefixed request onto the wire and seals it. Frames
+// travel sealed: the CRC rides in the existing HeaderBytes budget, so
+// link timing (and the paper calibration) is unchanged. The bridge fails
+// only on packets the RMC never builds, so a failure is a model bug.
+func (r *RMC) seal(pkt ht.Packet) hnc.Sealed {
+	frame, err := r.bridge.Outbound(pkt)
 	if err != nil {
-		// Unreachable for validated packets; surface loudly in sim.
 		panic(fmt.Sprintf("rmc%d: outbound bridge failed: %v", r.self, err))
 	}
-	// Frames travel sealed: the CRC rides in the existing HeaderBytes
-	// budget, so link timing (and the paper calibration) is unchanged.
-	r.sendSealed(now, &op.send, hnc.Seal(frame), op.peer, op.express)
+	return hnc.Seal(frame)
+}
+
+// sealReply bridges a response back to node to and seals it.
+func (r *RMC) sealReply(to addr.NodeID, pkt ht.Packet) hnc.Sealed {
+	frame, err := r.bridge.Reply(to, pkt)
+	if err != nil {
+		panic(fmt.Sprintf("rmc%d: reply bridge failed: %v", r.self, err))
+	}
+	return hnc.Seal(frame)
+}
+
+// accept runs this RMC's integrity check on a frame arriving here,
+// loosely: sequence anomalies are counted, not refused. It reports false
+// for an injected corruption — counted and dropped; the sender's
+// retransmission recovers. The fault-free fabric never corrupts frames,
+// so there a failure is a model bug.
+func (r *RMC) accept(s hnc.Sealed) bool {
+	if _, err := r.verif.AcceptLoose(s); err != nil {
+		if r.inj != nil {
+			return false
+		}
+		panic(fmt.Sprintf("rmc%d: frame integrity failed: %v", r.self, err))
+	}
+	return true
+}
+
+// receive accepts a request frame and decapsulates it: the packet to
+// replay into the local system, with the node prefix zeroed.
+func (r *RMC) receive(s hnc.Sealed) (ht.Packet, bool) {
+	if !r.accept(s) {
+		return ht.Packet{}, false
+	}
+	local, err := r.bridge.Inbound(s.Frame)
+	if err != nil {
+		panic(fmt.Sprintf("rmc%d: inbound bridge failed: %v", r.self, err))
+	}
+	return local, true
 }
 
 // sendOp is one sealed frame's journey under the retransmission
@@ -591,7 +637,7 @@ func (r *RMC) completeSend(m *xmit) {
 
 // acceptMangled runs the receiver-side integrity check on a frame the
 // injector corrupted in flight: the verifier counts and discards it,
-// exactly as serve/acceptReply would. A mangled frame can never pass the
+// exactly as accept would. A mangled frame can never pass the
 // CRC, so it never reaches the op that sent it — which is what lets ops
 // recycle under a fault plan.
 func (r *RMC) acceptMangled(s hnc.Sealed) {
@@ -681,7 +727,7 @@ func (r *RMC) getSrvOp() *srvOp {
 		// Only the one clean arrival of the reply frame reaches this
 		// callback (mangled duplicates go through acceptMangled), so
 		// the op is live here by construction.
-		if op.r.acceptReply(op.req, s) {
+		if op.req.accept(s) {
 			done, rsp := op.done, op.rsp
 			op.r.reclaimSrvOp(op)
 			done(t, rsp, nil)
@@ -725,28 +771,18 @@ func (r *RMC) reclaimSrvOp(op *srvOp) {
 // the server occupancy, access local memory, and send the sealed
 // response back.
 func (r *RMC) serve(now sim.Time, sealed hnc.Sealed, req *RMC, express bool, done func(sim.Time, ht.Packet, error)) {
-	frame, err := r.verif.AcceptLoose(sealed)
-	if err != nil {
-		if r.inj != nil {
-			// An injected corruption: count it (AcceptLoose already did)
-			// and drop the frame. The sender's retransmission recovers.
-			return
-		}
-		// The fault-free fabric never corrupts frames; a CRC failure
-		// here is a model bug.
-		panic(fmt.Sprintf("rmc%d: frame integrity failed: %v", r.self, err))
+	local, ok := r.receive(sealed)
+	if !ok {
+		return
 	}
-	local, err := r.bridge.Inbound(frame)
-	if err != nil {
-		panic(fmt.Sprintf("rmc%d: inbound bridge failed: %v", r.self, err))
-	}
+	src := sealed.Frame.Src
 	serviced, _ := r.server.Acquire(now, r.p.RMCServerOccupancy)
 	op := r.getSrvOp()
-	op.src, op.req, op.loopback, op.local, op.express = frame.Src, req, false, local, express
+	op.src, op.req, op.loopback, op.local, op.express = src, req, false, local, express
 	op.done, op.serviced, op.abort = done, serviced, false
 	if r.protection != nil && local.Cmd.IsRequest() {
 		rng := addr.Range{Start: local.Addr, Size: uint64(local.Count)}
-		if !r.protection.Allowed(frame.Src, rng) {
+		if !r.protection.Allowed(src, rng) {
 			r.Aborted++
 			op.abort = true
 		}
@@ -781,27 +817,10 @@ func (op *srvOp) respond() {
 // sendReply seals the op's response frame back to the requester under
 // the same retransmission discipline as the request leg.
 func (r *RMC) sendReply(now sim.Time, op *srvOp) {
-	reply, err := r.bridge.Reply(op.src, op.rsp)
-	if err != nil {
-		panic(fmt.Sprintf("rmc%d: reply bridge failed: %v", r.self, err))
-	}
 	// The reply's completion belongs to the requester's shard, where the
 	// clientOp callbacks live.
 	op.send.owner = op.req.exch
-	r.sendSealed(now, &op.send, hnc.Seal(reply), op.req, op.express)
-}
-
-// acceptReply runs the requester-side integrity check on a sealed
-// response arriving back from a server, reporting whether the frame was
-// clean enough to complete the request.
-func (r *RMC) acceptReply(req *RMC, s hnc.Sealed) bool {
-	if _, err := req.verif.AcceptLoose(s); err != nil {
-		if r.inj != nil {
-			return false
-		}
-		panic(fmt.Sprintf("rmc%d: reply integrity failed: %v", r.self, err))
-	}
-	return true
+	r.sendSealed(now, &op.send, r.sealReply(op.src, op.rsp), op.req, op.express)
 }
 
 // serveLocal runs the server path without the fabric (loopback).

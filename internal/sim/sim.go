@@ -46,13 +46,12 @@ type slot struct {
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; create engines with New.
 type Engine struct {
-	now     Time
-	seq     uint64
-	queue   []entry
-	arena   []slot
-	free    int32 // head of the slot free list, -1 when empty
-	live    int   // scheduled events not yet fired or canceled
-	stopped bool
+	now   Time
+	seq   uint64
+	queue []entry
+	arena []slot
+	free  int32 // head of the slot free list, -1 when empty
+	live  int   // scheduled events not yet fired or canceled
 	// limit is the live bound of the window runWindow is executing.
 	// The windowed send path lowers it mid-window (ClampWindow) when
 	// the shard records a transmission whose own-shard delivery bound
@@ -249,9 +248,6 @@ func (e *Engine) After(d Time, fn func()) Handle {
 	return e.At(e.now+d, fn)
 }
 
-// Stop makes Run return after the currently executing event.
-func (e *Engine) Stop() { e.stopped = true }
-
 // fire pops the minimum entry and executes it if still live. The slot is
 // released before the closure runs, so an event may reschedule into its
 // own slot; the generation bump keeps its old Handle stale.
@@ -270,31 +266,11 @@ func (e *Engine) fire() {
 	fn()
 }
 
-// Run executes events until the queue drains or Stop is called. It
-// returns the final simulation time.
+// Run executes events until the queue drains. It returns the final
+// simulation time.
 func (e *Engine) Run() Time {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
+	for len(e.queue) > 0 {
 		e.fire()
-	}
-	return e.now
-}
-
-// RunUntil executes events with timestamps <= deadline (or until the
-// queue drains / Stop). When the queue drains or only later events
-// remain, the clock advances to the deadline; when Stop ends the loop
-// early, the clock stays at the stopping event's time.
-func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].at > deadline {
-			e.now = deadline
-			return e.now
-		}
-		e.fire()
-	}
-	if !e.stopped && e.now < deadline {
-		e.now = deadline
 	}
 	return e.now
 }

@@ -85,56 +85,6 @@ func TestCancel(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := New()
-	count := 0
-	for i := Time(1); i <= 10; i++ {
-		e.At(i, func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Errorf("executed %d events before stop, want 3", count)
-	}
-	if e.Pending() != 7 {
-		t.Errorf("Pending = %d, want 7", e.Pending())
-	}
-	e.Run() // resume
-	if count != 10 {
-		t.Errorf("after resume executed %d, want 10", count)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	e := New()
-	var fired []Time
-	for _, at := range []Time{5, 10, 15, 20} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
-	}
-	if now := e.RunUntil(12); now != 12 {
-		t.Errorf("RunUntil returned %d, want 12", now)
-	}
-	if len(fired) != 2 {
-		t.Errorf("fired %v, want events at 5 and 10 only", fired)
-	}
-	e.Run()
-	if len(fired) != 4 {
-		t.Errorf("after Run fired %v, want all 4", fired)
-	}
-}
-
-func TestRunUntilEmptyAdvancesClock(t *testing.T) {
-	e := New()
-	if now := e.RunUntil(100); now != 100 {
-		t.Errorf("RunUntil on empty queue = %d, want 100", now)
-	}
-}
-
 func TestResourceFIFO(t *testing.T) {
 	e := New()
 	r := NewResource(e, "mc", 0)
@@ -262,25 +212,6 @@ func TestDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("runs diverge at %d: %d vs %d", i, a[i], b[i])
 		}
-	}
-}
-
-func TestRunUntilStopKeepsClock(t *testing.T) {
-	e := New()
-	e.At(5, func() { e.Stop() })
-	e.At(7, func() {})
-	// Stop ends the loop at t=5; the clock must not jump to the deadline
-	// (the documented min(deadline, stop time) contract).
-	if now := e.RunUntil(100); now != 5 {
-		t.Errorf("RunUntil after Stop = %d, want 5", now)
-	}
-	if e.Now() != 5 {
-		t.Errorf("Now after stopped RunUntil = %d, want 5", e.Now())
-	}
-	// The remaining event is still pending; resuming runs it and then
-	// advances to the deadline as usual.
-	if now := e.RunUntil(100); now != 100 {
-		t.Errorf("resumed RunUntil = %d, want 100", now)
 	}
 }
 

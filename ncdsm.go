@@ -109,8 +109,9 @@ type LinkLatSpec = params.LinkLatSpec
 func ParseLinkLatSpec(spec string) (LinkLatSpec, error) { return params.ParseLinkLat(spec) }
 
 // ShardGateError is returned when a feature that only runs on the
-// single-shard engine (today: the bulk data plane) is combined with
-// Shards > 1. Detect it with errors.As.
+// single-shard engine is used with Shards > 1: the HT-over-Ethernet
+// fabric when the configuration is validated, a bulk burst when it is
+// issued. Detect it with errors.As.
 type ShardGateError = params.ShardGateError
 
 // ParseMesh reads the CLI -mesh syntax "WxH" (e.g. "16x16") and returns
@@ -508,12 +509,6 @@ func (o ExperimentOptions) internal() (experiments.Options, error) {
 	}
 	if !o.LinkLat.Empty() {
 		io.P.LinkLat = o.LinkLat
-	}
-	if !o.Bulk.Empty() && io.P.Shards > 1 {
-		// Fail loudly up front: the bulk data plane only runs on the
-		// single-shard engine, and silently downgrading the shard count
-		// would change what the user asked to measure.
-		return experiments.Options{}, &params.ShardGateError{Feature: "the bulk data plane", Shards: io.P.Shards}
 	}
 	if err := io.P.Validate(); err != nil {
 		return experiments.Options{}, err

@@ -142,6 +142,66 @@ func TestWriteBulkRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBulkScatteredSpans: short spans at a stride never coalesce, and
+// the RMC frames each span on its own, so a scatter-gather operation
+// runs out of burst frames long before burst lines. It must split on
+// the frame cap and still move every byte.
+func TestBulkScatteredSpans(t *testing.T) {
+	for _, tc := range []struct {
+		frameLines, maxFrames int // burst geometry; 0 keeps the default
+		spans, spanLines      int
+	}{
+		{0, 0, 257, 1},
+		{0, 0, 1000, 1},
+		{4, 64, 257, 5},
+	} {
+		cfg := DefaultConfig()
+		if tc.frameLines != 0 {
+			cfg.BulkFrameLines, cfg.BulkMaxFrames = tc.frameLines, tc.maxFrames
+		}
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		region, err := sys.Region(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := growMapped(t, region, 2, 1<<20)
+		spanBytes := uint64(tc.spanLines * 64)
+		spans := make([]Span, tc.spans)
+		for i := range spans {
+			// One line of gap after each span keeps them apart.
+			spans[i] = Span{Offset: uint64(i) * (spanBytes + 64), Bytes: spanBytes}
+		}
+		want := make([]byte, tc.spans*int(spanBytes))
+		for i := range want {
+			want[i] = byte(i*7 + 3)
+		}
+		got := make([]byte, len(want))
+		var errs []error
+		record := func(_ Time, err error) {
+			if err != nil {
+				errs = append(errs, err)
+			}
+		}
+		if err := region.WriteBulk(p, spans, want, record); err != nil {
+			t.Fatalf("%+v: WriteBulk: %v", tc, err)
+		}
+		sys.Run()
+		if err := region.ReadBulk(p, spans, got, record); err != nil {
+			t.Fatalf("%+v: ReadBulk: %v", tc, err)
+		}
+		sys.Run()
+		if len(errs) > 0 {
+			t.Fatalf("%+v: bursts failed: %v", tc, errs)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%+v: ReadBulk did not return the bytes WriteBulk wrote", tc)
+		}
+	}
+}
+
 func TestCopyServerToServer(t *testing.T) {
 	sys := newSys(t)
 	region, err := sys.Region(1)

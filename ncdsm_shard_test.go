@@ -6,8 +6,9 @@ import (
 )
 
 // TestBulkShardGateTyped pins the loud failure mode for -bulk with
-// -shards: a typed ShardGateError detectable with errors.As, instead of
-// a silent downgrade to one shard.
+// -shards on an experiment that bursts: a typed ShardGateError from the
+// RMC, detectable with errors.As through every wrap, instead of a
+// silent downgrade to one shard.
 func TestBulkShardGateTyped(t *testing.T) {
 	bulk, err := ParseBulkSpec("on")
 	if err != nil {
@@ -17,7 +18,7 @@ func TestBulkShardGateTyped(t *testing.T) {
 	opts.Scale = 0.01
 	opts.Bulk = bulk
 	opts.Shards = 4
-	_, _, err = RunExperiment("table1", opts)
+	_, _, err = RunExperiment("I", opts)
 	var gate *ShardGateError
 	if !errors.As(err, &gate) {
 		t.Fatalf("RunExperiment with -bulk -shards 4 = %v, want a *ShardGateError", err)
