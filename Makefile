@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmt test race bench perf-gate scale-bench fuzz
+.PHONY: check build vet fmt test race bench perf-gate scale-bench fuzz loc
 
 check: fmt vet build test race
 
@@ -21,7 +21,7 @@ test:
 	$(GO) test ./...
 	cd benchmark && $(GO) test .
 
-# The harness's concurrency surface: the worker pool itself, the
+# The harness's concurrency surface: runner.Map itself, the
 # experiment generators that fan out over it (including the chaos tests,
 # which run fault-plan sweeps at -parallel 8), the engine they drive,
 # and the consistency lab (litmus suite + checker), whose determinism
@@ -70,3 +70,10 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseMesh -fuzztime=10s -run='^$$' .
 	$(GO) test -fuzz=FuzzParseSweep -fuzztime=10s -run='^$$' ./internal/experiments
 	$(GO) test -fuzz=FuzzParseExplore -fuzztime=10s -run='^$$' ./cmd/ncdsm-cluster
+
+# loc prints the Go line totals outside benchmark/ (its own module),
+# non-test and test: the two numbers ROADMAP tracks and each CHANGES.md
+# entry reports as a delta.
+loc:
+	@printf 'non-test Go lines: %s\n' $$(find . -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)
+	@printf 'test Go lines:     %s\n' $$(find . -path ./benchmark -prune -o -name '*_test.go' -print | xargs cat | wc -l)

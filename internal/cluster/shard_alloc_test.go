@@ -35,7 +35,7 @@ func TestCrossShardExchangeSteadyStateAllocs(t *testing.T) {
 		n.Issue(set.Now(), 0, cpu.Access{Addr: remote, Write: false}, false, noop)
 		set.Run()
 	}
-	// Warm the pools: event arenas, exchange slices, op free lists, and
+	// Warm the pools: event heaps, exchange slices, op free lists, and
 	// the cache sets the access path touches.
 	for i := 0; i < 50; i++ {
 		roundTrip()

@@ -40,6 +40,12 @@ type System struct {
 // Once the mesh geometry is known, the cluster installs the lookahead
 // bound matrix on multi-shard sets.
 func NewSystem(p params.Params) (*System, error) {
+	// Validate before the shard set exists: it panics on the lookahead
+	// window a bad calibration implies (a zero hop latency, say), where
+	// the caller is owed the calibration error.
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	k := p.Shards
 	if k < 1 {
 		k = 1

@@ -14,6 +14,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/addr"
@@ -64,6 +65,17 @@ func DefaultOptions() Options {
 	return Options{P: params.Default(), Scale: 1.0, Seed: 1}
 }
 
+// Validate reports why o cannot run: Scale must be positive and finite,
+// and the calibration must pass params.Validate. Every generator Lookup
+// returns checks it first, so the facade and each -sweep point refuse a
+// bad option set before any system is built.
+func (o Options) Validate() error {
+	if !(o.Scale > 0) || math.IsInf(o.Scale, 1) {
+		return fmt.Errorf("experiments: Scale must be positive and finite (got %v)", o.Scale)
+	}
+	return o.P.Validate()
+}
+
 // scaled applies Scale to a base count with a floor.
 func (o Options) scaled(base, floor int) int {
 	n := int(float64(base) * o.Scale)
@@ -107,11 +119,17 @@ func Registry() []struct {
 	}
 }
 
-// Lookup finds a generator by identifier.
+// Lookup finds a generator by identifier. The generator it returns
+// refuses options that fail Validate.
 func Lookup(id string) (Generator, error) {
 	for _, e := range Registry() {
 		if e.ID == id {
-			return e.Gen, nil
+			return func(o Options) (*stats.Figure, error) {
+				if err := o.Validate(); err != nil {
+					return nil, err
+				}
+				return e.Gen(o)
+			}, nil
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q", id)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -493,6 +494,41 @@ func TestApplyParam(t *testing.T) {
 		if err := ApplyParam(&q, k, v); err != nil {
 			t.Errorf("advertised knob %s rejected: %v", k, err)
 		}
+	}
+}
+
+// TestSweptCalibrationValidated: a -sweep point applies its value with
+// ApplyParam and runs the generator Lookup returns. A value the
+// calibration refuses must come back as that error from every
+// experiment: unchecked, a zero hop latency panics in engine
+// construction on the micro figures and runs the macro ones silently.
+func TestSweptCalibrationValidated(t *testing.T) {
+	o := testOptions()
+	o.Parallel = 1
+	if err := ApplyParam(&o.P, "HopLatency", "0"); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range Registry() {
+		gen, err := Lookup(e.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gen(o); err == nil || !strings.Contains(err.Error(), "latencies must be positive") {
+			t.Errorf("%s with HopLatency=0: err = %v, want the calibration error", e.ID, err)
+		}
+	}
+}
+
+func TestOptionsValidate(t *testing.T) {
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		o := testOptions()
+		o.Scale = scale
+		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "Scale must be positive and finite") {
+			t.Errorf("Scale %v: err = %v", scale, err)
+		}
+	}
+	if err := testOptions().Validate(); err != nil {
+		t.Errorf("test options refused: %v", err)
 	}
 }
 

@@ -14,24 +14,24 @@ func sealedFrom(t *testing.T, src, dst addr.NodeID, seq uint64) Sealed {
 	return Seal(f)
 }
 
-// TestAcceptLoose checks the serving-path contract: sequence anomalies
-// are counted but the frame is still returned, while corruption and
-// misdelivery remain hard errors.
+// TestAcceptLoose checks Accept's one rule, the serving path's loose
+// contract: sequence anomalies are counted but the frame is still
+// returned, while corruption and misdelivery remain hard errors.
 func TestAcceptLoose(t *testing.T) {
 	v := NewVerifier(3)
 
-	if _, err := v.AcceptLoose(sealedFrom(t, 1, 3, 1)); err != nil {
+	if _, err := v.Accept(sealedFrom(t, 1, 3, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// A gap of two dropped frames: served anyway, counted.
-	if _, err := v.AcceptLoose(sealedFrom(t, 1, 3, 4)); err != nil {
+	if _, err := v.Accept(sealedFrom(t, 1, 3, 4)); err != nil {
 		t.Errorf("gap refused on the serving path: %v", err)
 	}
 	if v.Gaps != 2 {
 		t.Errorf("Gaps = %d, want 2", v.Gaps)
 	}
 	// A regression (replay): served anyway, counted.
-	if _, err := v.AcceptLoose(sealedFrom(t, 1, 3, 2)); err != nil {
+	if _, err := v.Accept(sealedFrom(t, 1, 3, 2)); err != nil {
 		t.Errorf("regression refused on the serving path: %v", err)
 	}
 	if v.Regressions != 1 {
@@ -44,14 +44,14 @@ func TestAcceptLoose(t *testing.T) {
 	// Corruption still errors.
 	s := sealedFrom(t, 1, 3, 5)
 	s.CRC ^= 1
-	if _, err := v.AcceptLoose(s); err == nil {
+	if _, err := v.Accept(s); err == nil {
 		t.Error("corrupt frame accepted")
 	}
 	if v.Corrupt != 1 {
 		t.Errorf("Corrupt = %d, want 1", v.Corrupt)
 	}
 	// Misdelivery still errors.
-	if _, err := v.AcceptLoose(sealedFrom(t, 1, 4, 1)); err == nil {
+	if _, err := v.Accept(sealedFrom(t, 1, 4, 1)); err == nil {
 		t.Error("misdelivered frame accepted")
 	}
 }

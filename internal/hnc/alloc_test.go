@@ -25,7 +25,7 @@ func TestSealVerifyRoundTripAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := v.AcceptLoose(Seal(f)); err != nil {
+		if _, err := v.Accept(Seal(f)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -35,7 +35,7 @@ func TestSealVerifyRoundTripAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := Seal(f)
-		if _, err := v.AcceptLoose(s); err != nil {
+		if _, err := v.Accept(s); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {

@@ -12,7 +12,7 @@ import (
 // checksum-covered field — routing header, sequence, payload metadata,
 // the Posted flag, the data, or the CRC itself — must be refused by
 // Open/Accept, and the verifier must count it as corrupt rather than
-// advance the peer window.
+// receive it or advance the peer window.
 func FuzzFrameIntegrity(f *testing.F) {
 	f.Add([]byte("seed payload"), uint64(1), uint16(3), uint8(0), uint8(0), false)
 	f.Add([]byte{}, uint64(9), uint16(0xfff), uint8(6), uint8(31), true)
@@ -76,16 +76,15 @@ func FuzzFrameIntegrity(f *testing.F) {
 		if _, err := v.Accept(m); err == nil {
 			t.Fatal("bit-flipped frame accepted")
 		}
-		if v.Corrupt != 1 || v.Received != 0 {
-			t.Fatalf("corrupt frame miscounted: Corrupt=%d Received=%d", v.Corrupt, v.Received)
+		if v.Corrupt != 1 || v.Received != 0 || v.Gaps != 0 || v.Regressions != 0 {
+			t.Fatalf("corrupt frame miscounted: Corrupt=%d Received=%d Gaps=%d Regressions=%d",
+				v.Corrupt, v.Received, v.Gaps, v.Regressions)
 		}
-		if v.Clean() {
-			t.Fatal("verifier clean after refusing a corrupt frame")
-		}
-		// The loose serving path refuses corruption just as hard.
-		lv := NewVerifier(3)
-		if _, err := lv.AcceptLoose(m); err == nil {
-			t.Fatal("bit-flipped frame served")
+		// The refused frame left the peer window alone: the pristine
+		// frame still arrives in order or as a head gap, never as a
+		// regression.
+		if _, err := v.Accept(s); err != nil || v.Regressions != 0 || v.Gaps != seq-1 {
+			t.Fatalf("window moved by a refused frame: err=%v Gaps=%d Regressions=%d", err, v.Gaps, v.Regressions)
 		}
 	})
 }

@@ -4,6 +4,11 @@
 // RMCs encapsulate HT packets in HNC frames carrying 14-bit source and
 // destination node identifiers and bridge between the two standards
 // (specification Section 7.2 analogue).
+//
+// Frames cross the fabric sealed with a CRC. A receiver checks each one
+// with its Verifier, whose one Accept rule refuses a corrupt or
+// misdelivered frame and serves, while counting, a sequence gap or
+// regression.
 package hnc
 
 import (

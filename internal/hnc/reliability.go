@@ -5,7 +5,6 @@ import (
 	"hash/crc32"
 
 	"repro/internal/addr"
-	"repro/internal/ht"
 )
 
 // The paper lists "concerns related to communication reliability and
@@ -114,9 +113,15 @@ func NewVerifier(self addr.NodeID) *Verifier {
 	return &Verifier{self: self, last: make(map[addr.NodeID]uint64)}
 }
 
-// open runs the checks shared by both acceptance paths: checksum and
-// destination. Failures there are hard errors on every path.
-func (v *Verifier) open(s Sealed) (Frame, error) {
+// Accept verifies a sealed frame at its receiving node and returns it.
+// Checksum and destination failures return errors; a checksum failure
+// is counted as Corrupt. Sequence anomalies are counted, never refused:
+// a live RMC cannot refuse work because an earlier frame was dropped,
+// so a gap or a regression is served and surfaces through the metrics
+// layer instead. In-order and gap arrivals advance the peer window; a
+// regression leaves it untouched, so a replayed max-seq frame cannot
+// poison it.
+func (v *Verifier) Accept(s Sealed) (Frame, error) {
 	f, err := s.Open()
 	if err != nil {
 		v.Corrupt++
@@ -125,73 +130,17 @@ func (v *Verifier) open(s Sealed) (Frame, error) {
 	if f.Dst != v.self {
 		return Frame{}, fmt.Errorf("hnc: frame for node %d accepted at node %d", f.Dst, v.self)
 	}
-	return f, nil
-}
-
-// note applies the sequencing rules, shared by both paths so their
-// windows can never diverge. In-order and gap arrivals advance the peer
-// window and count as received; a regression never touches the window
-// (a replayed max-seq frame must not poison it). The paths differ only
-// in what a regression yields: strict refuses the frame (not received),
-// loose serves it (received, counted).
-func (v *Verifier) note(src addr.NodeID, seq uint64, strict bool) error {
-	last := v.last[src]
+	v.Received++
+	last := v.last[f.Src]
 	switch {
-	case seq == last+1:
+	case f.Seq == last+1:
 		// In order.
-	case seq > last+1:
-		v.Gaps += seq - last - 1
+	case f.Seq > last+1:
+		v.Gaps += f.Seq - last - 1
 	default:
 		v.Regressions++
-		if strict {
-			return fmt.Errorf("hnc: frame %d from node %d after %d (reorder or replay)", seq, src, last)
-		}
-		v.Received++
-		return nil
+		return f, nil
 	}
-	v.Received++
-	v.last[src] = seq
-	return nil
-}
-
-// Accept verifies a sealed frame end to end: checksum, destination, and
-// per-source sequencing. It returns the frame when clean; integrity
-// failures return errors and bump the counters. Refused frames leave
-// the peer window untouched, so one replay cannot wedge a stream.
-func (v *Verifier) Accept(s Sealed) (Frame, error) {
-	f, err := v.open(s)
-	if err != nil {
-		return Frame{}, err
-	}
-	if err := v.note(f.Src, f.Seq, true); err != nil {
-		return Frame{}, err
-	}
+	v.last[f.Src] = f.Seq
 	return f, nil
-}
-
-// AcceptLoose is the serving-path variant of Accept: checksum and
-// destination failures still error, but sequence anomalies (gaps,
-// regressions) are only counted — the frame is returned and served. A
-// live RMC cannot refuse work because an earlier frame was dropped; the
-// anomaly surfaces through the metrics layer instead.
-func (v *Verifier) AcceptLoose(s Sealed) (Frame, error) {
-	f, err := v.open(s)
-	if err != nil {
-		return Frame{}, err
-	}
-	v.note(f.Src, f.Seq, false)
-	return f, nil
-}
-
-// Clean reports whether no integrity events have been observed.
-func (v *Verifier) Clean() bool { return v.Gaps == 0 && v.Regressions == 0 && v.Corrupt == 0 }
-
-// ReassembledPayload is a convenience for tests: verify and decapsulate
-// in one step through a bridge.
-func (v *Verifier) ReassembledPayload(b *Bridge, s Sealed) (ht.Packet, error) {
-	f, err := v.Accept(s)
-	if err != nil {
-		return ht.Packet{}, err
-	}
-	return b.Inbound(f)
 }

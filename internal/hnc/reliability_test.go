@@ -101,8 +101,8 @@ func TestVerifierSequencing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !v.Clean() || v.Received != 3 {
-		t.Errorf("clean stream flagged: gaps=%d received=%d", v.Gaps, v.Received)
+	if v.Gaps != 0 || v.Regressions != 0 || v.Received != 3 {
+		t.Errorf("clean stream flagged: gaps=%d regressions=%d received=%d", v.Gaps, v.Regressions, v.Received)
 	}
 
 	// A gap (dropped frames 4 and 5).
@@ -113,20 +113,21 @@ func TestVerifierSequencing(t *testing.T) {
 		t.Errorf("Gaps = %d, want 2", v.Gaps)
 	}
 
-	// A regression (replay of frame 2).
-	if _, err := v.Accept(Seal(mkFrame(t, 1, 2, 0))); err == nil {
-		t.Error("replayed frame accepted")
+	// A regression (replay of frame 2): served and counted.
+	f, err := v.Accept(Seal(mkFrame(t, 1, 2, 0)))
+	if err != nil || f.Seq != 2 {
+		t.Errorf("replayed frame not served: seq %d, %v", f.Seq, err)
 	}
-	if v.Regressions != 1 {
-		t.Errorf("Regressions = %d", v.Regressions)
+	if v.Regressions != 1 || v.Received != 5 {
+		t.Errorf("Regressions = %d, Received = %d, want 1 and 5", v.Regressions, v.Received)
 	}
 
 	// Streams from different peers are independent.
 	if _, err := v.Accept(Seal(mkFrame(t, 2, 1, 0))); err != nil {
 		t.Errorf("fresh peer rejected: %v", err)
 	}
-	if v.Clean() {
-		t.Error("Clean() after gaps and regressions")
+	if v.Gaps != 2 || v.Regressions != 1 {
+		t.Errorf("fresh peer counted as an anomaly: gaps=%d regressions=%d", v.Gaps, v.Regressions)
 	}
 }
 
@@ -155,7 +156,11 @@ func TestVerifierWithBridge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := v.ReassembledPayload(b, Seal(mkFrame(t, 1, 1, 0x11)))
+	f, err := v.Accept(Seal(mkFrame(t, 1, 1, 0x11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt, err := b.Inbound(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +169,7 @@ func TestVerifierWithBridge(t *testing.T) {
 	}
 	bad := Seal(mkFrame(t, 1, 2, 0))
 	bad.CRC++
-	if _, err := v.ReassembledPayload(b, bad); err == nil {
-		t.Error("corrupt frame decapsulated")
+	if _, err := v.Accept(bad); err == nil {
+		t.Error("corrupt frame accepted")
 	}
 }

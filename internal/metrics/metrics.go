@@ -5,11 +5,12 @@
 //
 // Two properties drive the design:
 //
-//   - Cheap on the hot path. Substrates that already keep raw uint64
-//     tallies register *sampling functions* (CounterFunc/GaugeFunc) that
-//     are only evaluated when a snapshot is taken — instrumenting an
-//     existing counter costs nothing per event. Only histograms pay a
-//     per-observation cost (one bucket scan over a fixed bound slice).
+//   - Cheap on the hot path. Counters and gauges exist only as
+//     *sampling functions* (CounterFunc/GaugeFunc) over tallies the
+//     substrates already keep, evaluated only when a snapshot is taken —
+//     instrumenting a counter costs nothing per event. Only histograms
+//     pay a per-observation cost (one bucket scan over a fixed bound
+//     slice); HistogramFunc samples a histogram the caller owns.
 //
 //   - Deterministic output. A Registry belongs to exactly one simulated
 //     System (it hangs off the sim.Engine, like everything else shared),
@@ -102,32 +103,6 @@ const (
 	KindGauge     Kind = "gauge"
 	KindHistogram Kind = "histogram"
 )
-
-// Counter is a monotonically increasing event count owned by the
-// registry. Substrates with existing tallies should prefer CounterFunc.
-type Counter struct {
-	v uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds d.
-func (c *Counter) Add(d uint64) { c.v += d }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
-// Gauge is an instantaneous level.
-type Gauge struct {
-	v float64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Value returns the current level.
-func (g *Gauge) Value() float64 { return g.v }
 
 // Histogram is a fixed-bucket distribution of int64 samples (simulated
 // time in picoseconds, by convention). Bounds are inclusive upper edges;
@@ -230,9 +205,7 @@ func TimeBuckets() []int64 {
 // series is one labeled instrument inside a family.
 type series struct {
 	labels  Labels
-	ctr     *Counter
 	ctrFn   func() uint64
-	gauge   *Gauge
 	gaugeFn func() float64
 	hist    *Histogram
 	histFn  func() *Histogram
@@ -271,36 +244,12 @@ func (r *Registry) family(name, help string, kind Kind) *family {
 	return f
 }
 
-// Counter returns the counter for name+labels, creating it on first use.
-func (r *Registry) Counter(name, help string, ls Labels) *Counter {
-	f := r.family(name, help, KindCounter)
-	sig := ls.signature()
-	if s, ok := f.series[sig]; ok && s.ctr != nil {
-		return s.ctr
-	}
-	c := &Counter{}
-	f.series[sig] = &series{labels: ls.sorted(), ctr: c}
-	return c
-}
-
 // CounterFunc registers a sampling function for name+labels: fn is read
 // only when a snapshot is taken, so instrumenting an existing tally has
 // no hot-path cost. Re-registering replaces the function (last wins).
 func (r *Registry) CounterFunc(name, help string, ls Labels, fn func() uint64) {
 	f := r.family(name, help, KindCounter)
 	f.series[ls.signature()] = &series{labels: ls.sorted(), ctrFn: fn}
-}
-
-// Gauge returns the gauge for name+labels, creating it on first use.
-func (r *Registry) Gauge(name, help string, ls Labels) *Gauge {
-	f := r.family(name, help, KindGauge)
-	sig := ls.signature()
-	if s, ok := f.series[sig]; ok && s.gauge != nil {
-		return s.gauge
-	}
-	g := &Gauge{}
-	f.series[sig] = &series{labels: ls.sorted(), gauge: g}
-	return g
 }
 
 // GaugeFunc registers a sampling function evaluated at snapshot time.
@@ -370,24 +319,15 @@ func (r *Registry) Snapshot() Snapshot {
 			s := f.series[sig]
 			sample := Sample{Labels: s.labels}
 			switch {
-			case s.ctr != nil:
-				sample.Value = float64(s.ctr.Value())
 			case s.ctrFn != nil:
 				sample.Value = float64(s.ctrFn())
-			case s.gauge != nil:
-				sample.Value = s.gauge.Value()
 			case s.gaugeFn != nil:
 				sample.Value = s.gaugeFn()
-			case s.hist != nil:
-				sample.Buckets = make([]Bucket, len(s.hist.bounds)+1)
-				for i, b := range s.hist.bounds {
-					sample.Buckets[i] = Bucket{Le: b, Count: s.hist.counts[i]}
+			default:
+				h := s.hist
+				if h == nil {
+					h = s.histFn()
 				}
-				sample.Buckets[len(s.hist.bounds)] = Bucket{Le: BucketInf, Count: s.hist.counts[len(s.hist.bounds)]}
-				sample.Sum = s.hist.sum
-				sample.Count = s.hist.n
-			case s.histFn != nil:
-				h := s.histFn()
 				sample.Buckets = make([]Bucket, len(h.bounds)+1)
 				for i, b := range h.bounds {
 					sample.Buckets[i] = Bucket{Le: b, Count: h.counts[i]}

@@ -6,15 +6,18 @@ import (
 	"testing"
 )
 
+// counter registers a sampled counter fixed at v.
+func counter(r *Registry, name string, ls Labels, v uint64) {
+	r.CounterFunc(name, "", ls, func() uint64 { return v })
+}
+
 func TestCounterGaugeSnapshot(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("ncdsm_test_ops_total", "ops", L("node", "1"))
-	c.Inc()
-	c.Add(4)
 	var tally uint64 = 7
 	r.CounterFunc("ncdsm_test_ops_total", "ops", L("node", "0"), func() uint64 { return tally })
-	g := r.Gauge("ncdsm_test_level", "level", nil)
-	g.Set(2.5)
+	r.CounterFunc("ncdsm_test_ops_total", "ops", L("node", "1"), func() uint64 { return 5 })
+	level := 2.5
+	r.GaugeFunc("ncdsm_test_level", "level", nil, func() float64 { return level })
 
 	s := r.Snapshot()
 	if v, ok := s.Value("ncdsm_test_ops_total", L("node", "1")); !ok || v != 5 {
@@ -30,14 +33,21 @@ func TestCounterGaugeSnapshot(t *testing.T) {
 		t.Errorf("gauge = %v,%v want 2.5,true", v, ok)
 	}
 
-	// CounterFunc samples lazily: bumping the tally changes the next
+	// Sampling is lazy: moving the tally and the level changes the next
 	// snapshot but not the one already taken.
-	tally = 100
+	tally, level = 100, -1
 	if v, _ := s.Value("ncdsm_test_ops_total", L("node", "0")); v != 7 {
 		t.Errorf("old snapshot mutated: %v", v)
 	}
-	if v, _ := r.Snapshot().Value("ncdsm_test_ops_total", L("node", "0")); v != 100 {
+	if v, _ := s.Value("ncdsm_test_level", nil); v != 2.5 {
+		t.Errorf("old gauge sample mutated: %v", v)
+	}
+	next := r.Snapshot()
+	if v, _ := next.Value("ncdsm_test_ops_total", L("node", "0")); v != 100 {
 		t.Errorf("new snapshot = %v want 100", v)
+	}
+	if v, _ := next.Value("ncdsm_test_level", nil); v != -1 {
+		t.Errorf("new gauge sample = %v want -1", v)
 	}
 }
 
@@ -75,11 +85,11 @@ func TestSnapshotOrderingDeterministic(t *testing.T) {
 		for _, i := range order {
 			switch i {
 			case 0:
-				r.Counter("ncdsm_b_total", "", L("node", "2")).Add(2)
+				counter(r, "ncdsm_b_total", L("node", "2"), 2)
 			case 1:
-				r.Counter("ncdsm_a_total", "", L("zone", "x", "node", "1")).Add(1)
+				counter(r, "ncdsm_a_total", L("zone", "x", "node", "1"), 1)
 			case 2:
-				r.Counter("ncdsm_b_total", "", L("node", "0")).Add(3)
+				counter(r, "ncdsm_b_total", L("node", "0"), 3)
 			}
 		}
 		return r.Snapshot().Prometheus()
@@ -97,7 +107,7 @@ func TestSnapshotOrderingDeterministic(t *testing.T) {
 func TestMergeFoldsInOrder(t *testing.T) {
 	mk := func(n uint64, lat int64) Snapshot {
 		r := NewRegistry()
-		r.Counter("ncdsm_ops_total", "", L("node", "0")).Add(n)
+		counter(r, "ncdsm_ops_total", L("node", "0"), n)
 		r.Histogram("ncdsm_lat_seconds", "", nil, []int64{10, 100}).Observe(lat)
 		return r.Snapshot()
 	}
@@ -125,7 +135,7 @@ func TestMergeFoldsInOrder(t *testing.T) {
 	}
 	// Disjoint families and samples pass through.
 	r := NewRegistry()
-	r.Counter("ncdsm_other_total", "", nil).Add(9)
+	counter(r, "ncdsm_other_total", nil, 9)
 	s2 := s.Merge(r.Snapshot())
 	if got := s2.Total("ncdsm_other_total"); got != 9 {
 		t.Errorf("disjoint family = %v want 9", got)
@@ -137,7 +147,7 @@ func TestMergeFoldsInOrder(t *testing.T) {
 
 func TestPrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("ncdsm_x_total", "things that happened", L("node", "0")).Add(42)
+	r.CounterFunc("ncdsm_x_total", "things that happened", L("node", "0"), func() uint64 { return 42 })
 	r.Histogram("ncdsm_y_seconds", "a latency", L("node", "0"), []int64{1_000_000}).Observe(500_000)
 	out := r.Snapshot().Prometheus()
 	for _, want := range []string{
@@ -157,7 +167,7 @@ func TestPrometheusFormat(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("ncdsm_x_total", "", L("node", "3")).Add(7)
+	counter(r, "ncdsm_x_total", L("node", "3"), 7)
 	var back Snapshot
 	if err := json.Unmarshal([]byte(r.Snapshot().JSON()), &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
@@ -169,11 +179,11 @@ func TestJSONRoundTrip(t *testing.T) {
 
 func TestViews(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(FamCacheHits, "", L("node", "1")).Add(10)
-	r.Counter(FamCacheMisses, "", L("node", "1")).Add(2)
-	r.Counter(FamCacheHits, "", L("node", "0")).Add(5)
-	r.Counter(FamMeshLinkFrames, "", L("from", "0", "to", "1", "class", "mesh")).Add(3)
-	r.Counter(FamMeshLinkBytes, "", L("from", "0", "to", "1", "class", "mesh")).Add(192)
+	counter(r, FamCacheHits, L("node", "1"), 10)
+	counter(r, FamCacheMisses, L("node", "1"), 2)
+	counter(r, FamCacheHits, L("node", "0"), 5)
+	counter(r, FamMeshLinkFrames, L("from", "0", "to", "1", "class", "mesh"), 3)
+	counter(r, FamMeshLinkBytes, L("from", "0", "to", "1", "class", "mesh"), 192)
 	s := r.Snapshot()
 
 	nodes := s.Nodes()

@@ -25,7 +25,7 @@ func TestRemoteRoundTripSteadyStateAllocs(t *testing.T) {
 		r.set.Run()
 	}
 	// Warm every pool on the path: ops, line buffers, verifier windows,
-	// resource and engine arenas.
+	// resource and engine heaps.
 	for i := 0; i < 16; i++ {
 		issue()
 	}

@@ -510,7 +510,7 @@ func (r *RMC) sealReply(to addr.NodeID, pkt ht.Packet) hnc.Sealed {
 // retransmission recovers. The fault-free fabric never corrupts frames,
 // so there a failure is a model bug.
 func (r *RMC) accept(s hnc.Sealed) bool {
-	if _, err := r.verif.AcceptLoose(s); err != nil {
+	if _, err := r.verif.Accept(s); err != nil {
 		if r.inj != nil {
 			return false
 		}
@@ -641,7 +641,7 @@ func (r *RMC) completeSend(m *xmit) {
 // CRC, so it never reaches the op that sent it — which is what lets ops
 // recycle under a fault plan.
 func (r *RMC) acceptMangled(s hnc.Sealed) {
-	if _, err := r.verif.AcceptLoose(s); err != nil {
+	if _, err := r.verif.Accept(s); err != nil {
 		return
 	}
 	panic(fmt.Sprintf("rmc%d: injector-mangled frame passed the CRC check", r.self))

@@ -2,173 +2,67 @@
 // experiment harness. Every sweep point of the paper's evaluation is an
 // independent, deterministic, single-threaded simulation (fresh
 // sim.Engine + core.System per run), so runs can execute concurrently
-// without touching the event engine's determinism. The runner provides
-// the three pieces the harness needs:
-//
-//   - Pool: a bounded worker pool (default GOMAXPROCS workers) with a
-//     FIFO task queue, so one worker executes tasks in exactly
-//     submission order — `-parallel 1` reproduces the old serial
-//     harness bit for bit.
-//   - Future/Group: futures with index-stable collection, so figure
-//     rows come out in submission order no matter which worker finished
-//     first.
-//   - Map: the convenience wrapper generators use to convert a
-//     `for i { run(i) }` sweep into a parallel fan-out.
-//
-// Determinism contract: simulations are single-threaded *per run*; runs
-// execute concurrently; results are merged in submission order. A task
-// must not share mutable state with other tasks — each builds its own
-// engine, system, accessors, and RNGs from the experiment seed.
-//
-// Tasks must not submit to the pool they run on: with every worker
-// blocked in Submit the queue can never drain. The harness has no such
-// nesting (generators submit, workers only simulate).
-package runner
-
-import (
-	"errors"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// ErrCanceled marks a task that was skipped because an earlier-submitted
-// task in its Group failed before this one started.
-var ErrCanceled = errors.New("runner: canceled after earlier failure")
-
-// Pool is a bounded worker pool with a FIFO task queue. The zero value
-// is not usable; create pools with NewPool and release them with Close.
-type Pool struct {
-	tasks   chan func()
-	wg      sync.WaitGroup
-	workers int
-	closed  bool
-}
-
-// NewPool starts a pool with the given number of workers; workers <= 0
-// means GOMAXPROCS (all cores).
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := &Pool{tasks: make(chan func()), workers: workers}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer p.wg.Done()
-			for fn := range p.tasks {
-				fn()
-			}
-		}()
-	}
-	return p
-}
-
-// Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
-
-// Close waits for all submitted work to finish and releases the
-// workers. The pool cannot be reused afterward. Close is idempotent but
-// must be called from the submitting goroutine (it is not safe to race
-// with Submit).
-func (p *Pool) Close() {
-	if !p.closed {
-		p.closed = true
-		close(p.tasks)
-		p.wg.Wait()
-	}
-}
-
-// Future holds the eventual result of a submitted task.
-type Future[T any] struct {
-	done chan struct{}
-	val  T
-	err  error
-}
-
-// Wait blocks until the task finishes and returns its result.
-func (f *Future[T]) Wait() (T, error) {
-	<-f.done
-	return f.val, f.err
-}
-
-// Submit hands fn to the pool and returns its future. Submit blocks
-// while every worker is busy, bounding in-flight work at the pool size;
-// the FIFO queue means a one-worker pool executes tasks in exactly
-// submission order.
-func Submit[T any](p *Pool, fn func() (T, error)) *Future[T] {
-	f := &Future[T]{done: make(chan struct{})}
-	p.tasks <- func() {
-		defer close(f.done)
-		f.val, f.err = fn()
-	}
-	return f
-}
-
-// Group collects the futures of a related set of tasks so their results
-// can be read back in submission order. After any task fails, tasks
-// that have not yet started are skipped (their result is ErrCanceled),
-// mirroring a serial loop that stops at the first error. Go and Wait
-// must be called from one goroutine.
-type Group[T any] struct {
-	pool   *Pool
-	futs   []*Future[T]
-	failed atomic.Bool
-}
-
-// NewGroup creates a group submitting to p.
-func NewGroup[T any](p *Pool) *Group[T] { return &Group[T]{pool: p} }
-
-// Go submits one task. Wait returns results in Go-call order.
-func (g *Group[T]) Go(fn func() (T, error)) {
-	g.futs = append(g.futs, Submit(g.pool, func() (T, error) {
-		if g.failed.Load() {
-			var zero T
-			return zero, ErrCanceled
-		}
-		v, err := fn()
-		if err != nil {
-			g.failed.Store(true)
-		}
-		return v, err
-	}))
-}
-
-// Wait blocks for every submitted task and returns their results in
-// submission order. The returned error is the earliest-submitted task
-// failure that actually ran — never ErrCanceled. With one worker this
-// is exactly the error a serial loop would have stopped at; with more,
-// a later-submitted failure can cancel an earlier task before it runs,
-// in which case the later error surfaces.
-func (g *Group[T]) Wait() ([]T, error) {
-	out := make([]T, len(g.futs))
-	var firstErr error
-	for i, f := range g.futs {
-		v, err := f.Wait()
-		out[i] = v
-		if err != nil && firstErr == nil && !errors.Is(err, ErrCanceled) {
-			firstErr = err
-		}
-	}
-	return out, firstErr
-}
-
-// Map runs fn(0..n-1) on a fresh pool with the given worker bound and
-// returns the results in index order, or the earliest-index error. It
-// is the harness's standard conversion of a serial sweep loop:
+// without touching the event engine's determinism. The package is one
+// function, Map, the harness's conversion of a serial sweep loop:
 //
 //	for i := range points { y[i] = run(i) }
 //
 // becomes
 //
 //	y, err := runner.Map(parallel, len(points), run)
+//
+// Determinism contract: simulations are single-threaded *per run*; runs
+// execute concurrently; each result lands at its own index, so figure
+// rows come out in index order no matter which worker finished first,
+// and one worker reproduces the serial loop bit for bit. A task must
+// not share mutable state with other tasks — each builds its own
+// engine, system, accessors, and RNGs from the experiment seed.
+package runner
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
+
+// Map runs fn(0..n-1) on at most workers goroutines (workers <= 0 means
+// GOMAXPROCS) and returns the results in index order. Workers take
+// indices in ascending order from one shared counter, and once a task
+// fails no new index starts. The returned error is the lowest-index
+// failure: every index below a started one has started too, so that
+// task always runs. One worker therefore runs the tasks in index order
+// and stops at the first error, as a serial loop does. A task may call
+// Map itself; each call runs its own goroutines.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	p := NewPool(workers)
-	defer p.Close()
-	g := NewGroup[T](p)
-	for i := 0; i < n; i++ {
-		i := i
-		g.Go(func() (T, error) { return fn(i) })
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return g.Wait()
+	workers = min(workers, n)
+	out := make([]T, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if out[i], errs[i] = fn(i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return out, err
+		}
+	}
+	return out, nil
 }

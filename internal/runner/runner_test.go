@@ -3,6 +3,7 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,7 +45,7 @@ func TestSingleWorkerRunsInSubmissionOrder(t *testing.T) {
 	}
 	for i, v := range order {
 		if v != i {
-			t.Fatalf("execution order %v not FIFO at position %d", order, i)
+			t.Fatalf("execution order %v not index order at position %d", order, i)
 		}
 	}
 }
@@ -53,6 +54,9 @@ func TestErrorPropagation(t *testing.T) {
 	boom7 := errors.New("boom at 7")
 	out, err := Map(4, 20, func(i int) (int, error) {
 		if i == 7 {
+			// Fail late, so the other workers usually reach 13 and
+			// fail there first.
+			time.Sleep(20 * time.Millisecond)
 			return 0, boom7
 		}
 		if i == 13 {
@@ -60,10 +64,10 @@ func TestErrorPropagation(t *testing.T) {
 		}
 		return i, nil
 	})
-	// Which real failure surfaces depends on scheduling, but a real
-	// failure must surface, never the internal cancellation sentinel.
-	if err == nil || errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want a task failure", err)
+	// Indices start in ascending order, so the lowest-index failure
+	// always runs and surfaces at any worker count.
+	if !errors.Is(err, boom7) {
+		t.Fatalf("err = %v, want the lowest-index failure", err)
 	}
 	if len(out) != 20 {
 		t.Fatalf("results truncated to %d", len(out))
@@ -71,9 +75,9 @@ func TestErrorPropagation(t *testing.T) {
 }
 
 func TestErrorPropagationSerialSemantics(t *testing.T) {
-	// One worker executes in submission order, so the earliest-index
-	// failure surfaces and later tasks are canceled — exactly what the
-	// old serial sweep loops did.
+	// One worker executes in index order, so the earliest-index failure
+	// surfaces and later tasks never start — exactly what the old serial
+	// sweep loops did.
 	boom7 := errors.New("boom at 7")
 	out, err := Map(1, 20, func(i int) (int, error) {
 		if i == 7 {
@@ -96,30 +100,33 @@ func TestErrorPropagationSerialSemantics(t *testing.T) {
 }
 
 func TestCancellationOnFirstError(t *testing.T) {
-	// One worker: task 3 fails, so tasks 4..9 must be skipped, never run.
+	// One worker: task 3 fails, so tasks 4..9 must never start.
 	var ran atomic.Int32
-	p := NewPool(1)
-	defer p.Close()
-	g := NewGroup[int](p)
-	for i := 0; i < 10; i++ {
-		i := i
-		g.Go(func() (int, error) {
-			ran.Add(1)
-			if i == 3 {
-				return 0, fmt.Errorf("fail at %d", i)
-			}
-			return i, nil
-		})
-	}
-	out, err := g.Wait()
+	out, err := Map(1, 10, func(i int) (int, error) {
+		ran.Add(1)
+		if i == 3 {
+			return 0, fmt.Errorf("fail at %d", i)
+		}
+		return i, nil
+	})
 	if err == nil || err.Error() != "fail at 3" {
 		t.Fatalf("err = %v", err)
 	}
 	if got := ran.Load(); got != 4 {
-		t.Errorf("%d tasks ran, want 4 (0..3 then cancellation)", got)
+		t.Errorf("%d tasks ran, want 4 (0..3, then no new index)", got)
 	}
 	if len(out) != 10 {
 		t.Errorf("got %d results", len(out))
+	}
+}
+
+// raise lifts peak to at least n.
+func raise(peak *atomic.Int32, n int32) {
+	for {
+		p := peak.Load()
+		if n <= p || peak.CompareAndSwap(p, n) {
+			return
+		}
 	}
 }
 
@@ -127,13 +134,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var inFlight, peak atomic.Int32
 	_, err := Map(workers, 30, func(i int) (struct{}, error) {
-		n := inFlight.Add(1)
-		for {
-			p := peak.Load()
-			if n <= p || peak.CompareAndSwap(p, n) {
-				break
-			}
-		}
+		raise(&peak, inFlight.Add(1))
 		time.Sleep(200 * time.Microsecond)
 		inFlight.Add(-1)
 		return struct{}{}, nil
@@ -142,37 +143,30 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > workers {
-		t.Errorf("peak concurrency %d exceeded pool bound %d", p, workers)
+		t.Errorf("peak concurrency %d exceeded the worker bound %d", p, workers)
 	}
 }
 
 func TestPoolDefaultsToAllCores(t *testing.T) {
-	p := NewPool(0)
-	defer p.Close()
-	if p.Workers() < 1 {
-		t.Errorf("Workers() = %d", p.Workers())
+	procs := int32(runtime.GOMAXPROCS(0))
+	for _, workers := range []int{0, -1} {
+		var inFlight, peak atomic.Int32
+		_, err := Map(workers, 4*int(procs), func(int) (struct{}, error) {
+			raise(&peak, inFlight.Add(1))
+			// Hold the slot until every core's worker has joined.
+			for deadline := time.Now().Add(time.Second); peak.Load() < procs && time.Now().Before(deadline); {
+				time.Sleep(50 * time.Microsecond)
+			}
+			inFlight.Add(-1)
+			return struct{}{}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := peak.Load(); p != procs {
+			t.Errorf("workers=%d: peak concurrency %d, want GOMAXPROCS = %d", workers, p, procs)
+		}
 	}
-}
-
-func TestFutureWait(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	f := Submit(p, func() (string, error) { return "done", nil })
-	v, err := f.Wait()
-	if v != "done" || err != nil {
-		t.Fatalf("Wait = %q, %v", v, err)
-	}
-	// Waiting again returns the same result.
-	v, err = f.Wait()
-	if v != "done" || err != nil {
-		t.Fatalf("second Wait = %q, %v", v, err)
-	}
-}
-
-func TestCloseIdempotent(t *testing.T) {
-	p := NewPool(2)
-	p.Close()
-	p.Close()
 }
 
 func TestMapZeroTasks(t *testing.T) {

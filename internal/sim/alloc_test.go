@@ -3,15 +3,15 @@ package sim
 import "testing"
 
 // The zero-allocation contract of the engine hot path: schedule + run
-// and schedule + cancel + run must not allocate in steady state, so the
-// arena/free-list win cannot silently rot. The closures under test are
-// hoisted so only the engine's own cost is measured (callers that build
-// a fresh capturing closure per event pay for that closure themselves;
-// the hot paths in rmc/cluster/cpu pool theirs).
+// must not allocate in steady state, so the heap's reuse of its backing
+// array cannot silently rot. The closures under test are hoisted so only
+// the engine's own cost is measured (callers that build a fresh
+// capturing closure per event pay for that closure themselves; the hot
+// paths in rmc/cluster/cpu pool theirs).
 func TestScheduleRunSteadyStateAllocs(t *testing.T) {
 	e := New()
 	fn := func() {}
-	// Warm the arena and heap past their steady-state size.
+	// Warm the heap past its steady-state size.
 	for i := 0; i < 64; i++ {
 		e.After(Time(i), fn)
 	}
@@ -26,62 +26,34 @@ func TestScheduleRunSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestScheduleCancelSteadyStateAllocs(t *testing.T) {
-	e := New()
-	fn := func() {}
-	for i := 0; i < 64; i++ {
-		e.After(Time(i), fn)
-	}
-	e.Run()
-	if avg := testing.AllocsPerRun(1000, func() {
-		h := e.After(10, fn)
-		e.After(20, fn)
-		h.Cancel()
-		h.Cancel() // double-cancel stays free too
-		e.Run()
-	}); avg != 0 {
-		t.Errorf("schedule/cancel/run steady state allocates %.2f/op, want 0", avg)
-	}
-}
-
-// Pending must be O(1) bookkeeping, not a queue scan: a canceled event
-// leaves the count immediately, double-cancel does not decrement twice,
-// and firing drains it to zero.
+// Pending is the queue length: scheduling adds to it, firing drains it,
+// and a firing event has already left the queue when it runs.
 func TestPendingCounter(t *testing.T) {
 	e := New()
 	fn := func() {}
-	h1 := e.After(10, fn)
-	h2 := e.After(20, fn)
+	e.After(10, fn)
+	e.After(20, fn)
 	e.After(30, fn)
 	if got := e.Pending(); got != 3 {
 		t.Fatalf("Pending = %d, want 3", got)
-	}
-	h1.Cancel()
-	if got := e.Pending(); got != 2 {
-		t.Fatalf("Pending after cancel = %d, want 2", got)
-	}
-	h1.Cancel() // double-cancel must not decrement again
-	if got := e.Pending(); got != 2 {
-		t.Fatalf("Pending after double-cancel = %d, want 2", got)
-	}
-	h2.Cancel()
-	h2.Cancel()
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("Pending after second handle canceled twice = %d, want 1", got)
 	}
 	e.Run()
 	if got := e.Pending(); got != 0 {
 		t.Fatalf("Pending after run = %d, want 0", got)
 	}
-	// Canceling a long-fired handle is a no-op on the fresh queue.
-	h3 := e.After(10, fn)
-	h1.Cancel()
-	h2.Cancel()
+	inside := -1
+	e.After(10, func() {
+		e.After(5, fn)
+		inside = e.Pending()
+	})
 	if got := e.Pending(); got != 1 {
-		t.Fatalf("stale cancels touched the counter: Pending = %d, want 1", got)
+		t.Fatalf("Pending = %d, want 1", got)
 	}
-	h3.Cancel()
+	e.Run()
+	if inside != 1 {
+		t.Errorf("Pending inside a firing event that scheduled one more = %d, want 1", inside)
+	}
 	if got := e.Pending(); got != 0 {
-		t.Fatalf("Pending = %d, want 0", got)
+		t.Fatalf("Pending after second run = %d, want 0", got)
 	}
 }

@@ -38,22 +38,6 @@ func BenchmarkEngineFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineScheduleCancel exercises the cancel path: every other
-// event is canceled before the queue drains.
-func BenchmarkEngineScheduleCancel(b *testing.B) {
-	e := New()
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now := e.Now()
-		h1 := e.At(now+10, fn)
-		e.At(now+20, fn)
-		h1.Cancel()
-		e.Run()
-	}
-}
-
 // BenchmarkResourceAcquire prices the FIFO server fast path.
 func BenchmarkResourceAcquire(b *testing.B) {
 	e := New()

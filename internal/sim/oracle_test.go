@@ -8,17 +8,16 @@ import (
 
 // ---- reference implementation: the original container/heap engine ----
 //
-// The arena engine must replay the exact (time, seq) order the original
+// The engine must replay the exact (time, seq) order the original
 // pointer-based engine produced — that order is what makes every figure
 // byte-identical. The oracle below is the pre-refactor implementation,
-// kept verbatim (minus metrics) as the specification.
+// kept (minus metrics and cancellation) as the specification.
 
 type oracleEvent struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	idx  int
-	dead bool
+	at  Time
+	seq uint64
+	fn  func()
+	idx int
 }
 
 type oracleQueue []*oracleEvent
@@ -54,19 +53,15 @@ type oracleEngine struct {
 	queue oracleQueue
 }
 
-func (e *oracleEngine) At(at Time, fn func()) *oracleEvent {
+func (e *oracleEngine) At(at Time, fn func()) {
 	ev := &oracleEvent{at: at, seq: e.seq, fn: fn}
 	e.seq++
 	heap.Push(&e.queue, ev)
-	return ev
 }
 
 func (e *oracleEngine) Run() Time {
 	for len(e.queue) > 0 {
 		ev := heap.Pop(&e.queue).(*oracleEvent)
-		if ev.dead {
-			continue
-		}
 		e.now = ev.at
 		ev.fn()
 	}
@@ -81,63 +76,48 @@ type firing struct {
 	at Time
 }
 
-// script drives an engine through a seeded random schedule/cancel/fire
-// interleaving via the tiny adapter interface below, logging firings.
+// testEngine is the tiny adapter interface runScript drives both
+// engines through.
 type testEngine interface {
-	schedule(at Time, fn func()) (cancel func())
+	schedule(at Time, fn func())
 	now() Time
 	run()
 }
 
-type arenaAdapter struct{ e *Engine }
+type engineAdapter struct{ e *Engine }
 
-func (a arenaAdapter) schedule(at Time, fn func()) func() {
-	h := a.e.At(at, fn)
-	return h.Cancel
-}
-func (a arenaAdapter) now() Time { return a.e.Now() }
-func (a arenaAdapter) run()      { a.e.Run() }
+func (a engineAdapter) schedule(at Time, fn func()) { a.e.At(at, fn) }
+func (a engineAdapter) now() Time                   { return a.e.Now() }
+func (a engineAdapter) run()                        { a.e.Run() }
 
 type oracleAdapter struct{ e *oracleEngine }
 
-func (o oracleAdapter) schedule(at Time, fn func()) func() {
-	ev := o.e.At(at, fn)
-	return func() { ev.dead = true }
-}
-func (o oracleAdapter) now() Time { return o.e.now }
-func (o oracleAdapter) run()      { o.e.Run() }
+func (o oracleAdapter) schedule(at Time, fn func()) { o.e.At(at, fn) }
+func (o oracleAdapter) now() Time                   { return o.e.now }
+func (o oracleAdapter) run()                        { o.e.Run() }
 
-// runScript replays a seeded interleaving: a cascade of events that
-// schedule further events, cancel random outstanding ones (sometimes
-// twice), and occasionally reschedule at the current instant. All
-// decisions come from the seeded source, so both engines see the same
-// logical workload.
+// runScript replays a seeded cascade: events that schedule further
+// events, sometimes at the current instant and often at a time another
+// event shares, so the sequence tie-break decides many firings. All decisions come
+// from the seeded source, so both engines see the same logical
+// workload.
 func runScript(seed int64, eng testEngine) []firing {
 	rng := rand.New(rand.NewSource(seed))
 	var log []firing
-	var cancels []func()
 	nextID := 0
 	var spawn func(depth int) // schedules one event; fires transitively
 	spawn = func(depth int) {
 		id := nextID
 		nextID++
 		at := eng.now() + Time(rng.Intn(50))
-		cancel := eng.schedule(at, func() {
+		eng.schedule(at, func() {
 			log = append(log, firing{id: id, at: eng.now()})
 			if depth < 6 {
 				for k := rng.Intn(3); k > 0; k-- {
 					spawn(depth + 1)
 				}
 			}
-			if len(cancels) > 0 && rng.Intn(3) == 0 {
-				c := cancels[rng.Intn(len(cancels))]
-				c()
-				if rng.Intn(2) == 0 {
-					c() // double-cancel must be a no-op
-				}
-			}
 		})
-		cancels = append(cancels, cancel)
 	}
 	for i := 0; i < 20; i++ {
 		spawn(0)
@@ -146,100 +126,21 @@ func runScript(seed int64, eng testEngine) []firing {
 	return log
 }
 
-// TestArenaMatchesHeapOracle: for many seeds, the arena engine fires the
-// same events at the same times in the same order as the original
-// container/heap implementation, under random schedule/cancel/fire
-// interleavings (the determinism contract, event for event).
+// TestArenaMatchesHeapOracle: for many seeds, the engine fires the same
+// events at the same times in the same order as the original
+// container/heap implementation, under random schedule/fire cascades
+// (the determinism contract, event for event).
 func TestArenaMatchesHeapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
-		got := runScript(seed, arenaAdapter{New()})
+		got := runScript(seed, engineAdapter{New()})
 		want := runScript(seed, oracleAdapter{&oracleEngine{}})
 		if len(got) != len(want) {
-			t.Fatalf("seed %d: arena fired %d events, oracle %d", seed, len(got), len(want))
+			t.Fatalf("seed %d: engine fired %d events, oracle %d", seed, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("seed %d: firing %d diverges: arena %+v, oracle %+v", seed, i, got[i], want[i])
+				t.Fatalf("seed %d: firing %d diverges: engine %+v, oracle %+v", seed, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// TestHandleNeverCancelsReusedSlot: a Handle kept across its event's
-// firing (or cancellation) must never kill the event that later reuses
-// the slot. Slots recycle LIFO, so scheduling right after a fire reuses
-// the hottest slot — the exact aliasing the generation counter guards.
-func TestHandleNeverCancelsReusedSlot(t *testing.T) {
-	e := New()
-	fired := make(map[int]bool)
-	var stale []Handle
-
-	// Round 1: events that fire (handles go stale at fire time).
-	for i := 0; i < 8; i++ {
-		i := i
-		stale = append(stale, e.At(Time(i), func() { fired[i] = true }))
-	}
-	// One canceled before firing: its slot is also recycled.
-	hc := e.At(3, func() { t.Error("canceled event fired") })
-	hc.Cancel()
-	e.Run()
-
-	// Round 2: new events reuse the freed slots.
-	for i := 100; i < 110; i++ {
-		i := i
-		e.At(e.Now()+Time(i), func() { fired[i] = true })
-	}
-	// Stale handles from round 1 must not touch round 2's events.
-	for _, h := range stale {
-		h.Cancel()
-	}
-	hc.Cancel()
-	if got := e.Pending(); got != 10 {
-		t.Fatalf("stale cancels killed reused slots: Pending = %d, want 10", got)
-	}
-	e.Run()
-	for i := 100; i < 110; i++ {
-		if !fired[i] {
-			t.Errorf("event %d (in a reused slot) never fired", i)
-		}
-	}
-}
-
-// TestHandleSafetyProperty: seeded random interleavings where every
-// handle is canceled again *after* the run. No late cancel may affect
-// events scheduled afterwards, and rerunning the same seed twice is
-// bit-identical.
-func TestHandleSafetyProperty(t *testing.T) {
-	for seed := int64(1); seed <= 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		e := New()
-		var handles []Handle
-		count := 0
-		for i := 0; i < 100; i++ {
-			h := e.At(Time(rng.Intn(1000)), func() { count++ })
-			handles = append(handles, h)
-			if rng.Intn(4) == 0 {
-				handles[rng.Intn(len(handles))].Cancel()
-			}
-		}
-		e.Run()
-		if e.Pending() != 0 {
-			t.Fatalf("seed %d: Pending = %d after drain", seed, e.Pending())
-		}
-		// Late cancels against reused slots.
-		survivors := count
-		next := 0
-		for i := 0; i < 50; i++ {
-			e.At(e.Now()+Time(rng.Intn(100)), func() { next++ })
-			handles[rng.Intn(len(handles))].Cancel()
-		}
-		if e.Pending() != 50 {
-			t.Fatalf("seed %d: stale handles canceled new events (Pending = %d, want 50)", seed, e.Pending())
-		}
-		e.Run()
-		if next != 50 {
-			t.Fatalf("seed %d: %d of 50 post-run events fired", seed, next)
-		}
-		_ = survivors
 	}
 }

@@ -266,12 +266,12 @@ func (s *ShardSet) Now() Time {
 	return t
 }
 
-// Pending returns the total live events queued across shards. Like
-// Now, call it only with the shards parked.
+// Pending returns the total events queued across shards. Like Now,
+// call it only with the shards parked.
 func (s *ShardSet) Pending() int {
 	var n int
 	for _, e := range s.engines {
-		n += e.live
+		n += len(e.queue)
 	}
 	return n
 }

@@ -195,9 +195,11 @@ func TestShardSetStopIsDeterministic(t *testing.T) {
 
 // TestShardSetSingleShardMatchesEngine runs the same event program
 // through a bare engine and a 1-shard set and compares execution traces
-// — WrapEngine must keep the plain engine's exact semantics.
+// — WrapEngine must keep the plain engine's exact semantics. Each trace
+// is read after its Run: the program only schedules, so the events it
+// records have not fired when it returns.
 func TestShardSetSingleShardMatchesEngine(t *testing.T) {
-	program := func(at func(Time, func()) Handle) []Time {
+	program := func(at func(Time, func())) *[]Time {
 		var trace []Time
 		var rec func(Time)
 		rec = func(base Time) {
@@ -207,7 +209,7 @@ func TestShardSetSingleShardMatchesEngine(t *testing.T) {
 			}
 		}
 		at(3, func() { rec(3) })
-		return trace
+		return &trace
 	}
 
 	e := New()
@@ -218,12 +220,14 @@ func TestShardSetSingleShardMatchesEngine(t *testing.T) {
 	gotTrace := program(s.Engine(0).At)
 	s.Run()
 
-	if len(wantTrace) != len(gotTrace) {
-		t.Fatalf("trace lengths differ: engine %d, set %d", len(wantTrace), len(gotTrace))
-	}
-	for i := range wantTrace {
-		if wantTrace[i] != gotTrace[i] {
-			t.Fatalf("trace[%d]: engine %d, set %d", i, wantTrace[i], gotTrace[i])
+	for name, trace := range map[string][]Time{"engine": *wantTrace, "set": *gotTrace} {
+		if len(trace) != 9 {
+			t.Fatalf("%s fired %d events, want 9", name, len(trace))
+		}
+		for k, at := range trace {
+			if want := 3 + 137*Time(k); at != want {
+				t.Fatalf("%s firing %d at %d, want %d", name, k, at, want)
+			}
 		}
 	}
 }

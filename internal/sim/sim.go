@@ -8,9 +8,8 @@
 // with an optional bounded queue.
 //
 // The hot path is allocation-free in steady state: events are values in
-// an index-based 4-ary min-heap backed by a free-list arena of event
-// slots, and Handles carry a generation counter so Cancel stays O(1)
-// and safe across slot reuse (see DESIGN.md §11).
+// an index-based 4-ary min-heap that carry their own closures. A
+// scheduled event always fires; nothing cancels one (see DESIGN.md §11).
 package sim
 
 import (
@@ -22,25 +21,12 @@ import (
 // Time is simulation time in picoseconds.
 type Time = int64
 
-// entry is one scheduled event's position in the priority queue: its
-// firing time, the global FIFO tie-breaker, and the arena slot holding
-// its closure. Entries are values — sifting moves 24 bytes, never a
-// pointer the GC has to trace.
+// entry is one scheduled event: its firing time, the global FIFO
+// tie-breaker, and the closure to run.
 type entry struct {
-	at   Time
-	seq  uint64
-	slot int32
-}
-
-// slot is one arena cell. While scheduled it holds the event's closure;
-// canceled slots keep their (nil'd) cell until the queue entry pops, so
-// a slot is never reused while an entry still points at it. gen bumps
-// on every release, invalidating stale Handles.
-type slot struct {
-	fn   func()
-	gen  uint32
-	live bool
-	next int32 // free-list link, meaningful only when free
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not
@@ -49,9 +35,6 @@ type Engine struct {
 	now   Time
 	seq   uint64
 	queue []entry
-	arena []slot
-	free  int32 // head of the slot free list, -1 when empty
-	live  int   // scheduled events not yet fired or canceled
 	// limit is the live bound of the window runWindow is executing.
 	// The windowed send path lowers it mid-window (ClampWindow) when
 	// the shard records a transmission whose own-shard delivery bound
@@ -68,7 +51,7 @@ type Engine struct {
 
 // New returns an empty engine at time zero.
 func New() *Engine {
-	e := &Engine{free: -1, met: metrics.NewRegistry()}
+	e := &Engine{met: metrics.NewRegistry()}
 	e.met.CounterFunc(metrics.FamSimEvents, "events executed by the engine", nil,
 		func() uint64 { return e.Processed })
 	e.met.GaugeFunc(metrics.FamSimPending, "live events still queued", nil,
@@ -85,7 +68,7 @@ func New() *Engine {
 // presents the per-shard values aggregated, so a sharded system's
 // snapshot carries the same sim_* families as a single-engine one.
 func newBare(met *metrics.Registry) *Engine {
-	return &Engine{free: -1, met: met, delay: metrics.NewHistogram(metrics.TimeBuckets())}
+	return &Engine{met: met, delay: metrics.NewHistogram(metrics.TimeBuckets())}
 }
 
 // Metrics returns the registry every substrate sharing this engine
@@ -96,56 +79,8 @@ func (e *Engine) Metrics() *metrics.Registry { return e.met }
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// Handle identifies a scheduled event so it can be canceled. The zero
-// Handle is valid and cancels nothing.
-type Handle struct {
-	eng  *Engine
-	slot int32
-	gen  uint32
-}
-
-// Cancel prevents the event from firing. Canceling an already-fired,
-// already-canceled, or zero Handle is a no-op: the generation check
-// makes a stale Handle harmless even after its slot has been reused.
-func (h Handle) Cancel() {
-	if h.eng == nil {
-		return
-	}
-	s := &h.eng.arena[h.slot]
-	if s.gen != h.gen || !s.live {
-		return
-	}
-	s.live = false
-	s.fn = nil
-	h.eng.live--
-}
-
-// alloc takes a slot from the free list, growing the arena when empty.
-func (e *Engine) alloc(fn func()) int32 {
-	if i := e.free; i >= 0 {
-		s := &e.arena[i]
-		e.free = s.next
-		s.fn = fn
-		s.live = true
-		return i
-	}
-	e.arena = append(e.arena, slot{fn: fn, live: true})
-	return int32(len(e.arena) - 1)
-}
-
-// release returns a slot to the free list, bumping its generation so
-// outstanding Handles to the old occupant go stale.
-func (e *Engine) release(i int32) {
-	s := &e.arena[i]
-	s.fn = nil
-	s.live = false
-	s.gen++
-	s.next = e.free
-	e.free = i
-}
-
 // push inserts an entry, sifting up through the 4-ary heap.
-func (e *Engine) push(at Time, seq uint64, sl int32) {
+func (e *Engine) push(at Time, seq uint64, fn func()) {
 	e.queue = append(e.queue, entry{})
 	q := e.queue
 	i := len(q) - 1
@@ -157,7 +92,7 @@ func (e *Engine) push(at Time, seq uint64, sl int32) {
 		q[i] = q[p]
 		i = p
 	}
-	q[i] = entry{at: at, seq: seq, slot: sl}
+	q[i] = entry{at: at, seq: seq, fn: fn}
 }
 
 // pop removes and returns the minimum entry, sifting the displaced tail
@@ -213,8 +148,8 @@ const replayBand = uint64(1) << 63
 
 // At schedules fn to run at the absolute time at. Scheduling in the past
 // panics: it would silently corrupt causality in a model.
-func (e *Engine) At(at Time, fn func()) Handle {
-	return e.schedule(at, at-e.now, 0, fn)
+func (e *Engine) At(at Time, fn func()) {
+	e.schedule(at, at-e.now, 0, fn)
 }
 
 // AtFrom schedules fn at the absolute time at, recording the scheduling
@@ -224,46 +159,33 @@ func (e *Engine) At(at Time, fn func()) Handle {
 // it observes (arrival minus send time) is a pure function of simulated
 // state, so the delay histogram stays byte-identical at any shard
 // count, and the band keeps same-time tie order schedule-invariant.
-func (e *Engine) AtFrom(base, at Time, fn func()) Handle {
-	return e.schedule(at, at-base, replayBand, fn)
+func (e *Engine) AtFrom(base, at Time, fn func()) {
+	e.schedule(at, at-base, replayBand, fn)
 }
 
-func (e *Engine) schedule(at, horizon Time, band uint64, fn func()) Handle {
+func (e *Engine) schedule(at, horizon Time, band uint64, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %d before now %d", at, e.now))
 	}
 	e.delay.Observe(horizon)
-	sl := e.alloc(fn)
-	e.push(at, band|e.seq, sl)
+	e.push(at, band|e.seq, fn)
 	e.seq++
-	e.live++
-	return Handle{eng: e, slot: sl, gen: e.arena[sl].gen}
 }
 
 // After schedules fn to run d picoseconds from now.
-func (e *Engine) After(d Time, fn func()) Handle {
+func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
-	return e.At(e.now+d, fn)
+	e.At(e.now+d, fn)
 }
 
-// fire pops the minimum entry and executes it if still live. The slot is
-// released before the closure runs, so an event may reschedule into its
-// own slot; the generation bump keeps its old Handle stale.
+// fire pops the minimum entry and runs it.
 func (e *Engine) fire() {
 	ev := e.pop()
-	s := &e.arena[ev.slot]
-	fn := s.fn
-	wasLive := s.live
-	e.release(ev.slot)
-	if !wasLive {
-		return
-	}
-	e.live--
 	e.now = ev.at
 	e.Processed++
-	fn()
+	ev.fn()
 }
 
 // Run executes events until the queue drains. It returns the final
@@ -275,14 +197,10 @@ func (e *Engine) Run() Time {
 	return e.now
 }
 
-// Pending returns the number of live events still queued. It is O(1):
-// the engine maintains the count on schedule, fire, and cancel (the
-// metrics layer samples it on every snapshot).
-func (e *Engine) Pending() int { return e.live }
+// Pending returns the number of events still queued.
+func (e *Engine) Pending() int { return len(e.queue) }
 
-// nextTime returns the firing time of the earliest queued entry (which
-// may be a canceled slot: popping it is a cheap no-op, so the window
-// coordinator does not need to distinguish).
+// nextTime returns the firing time of the earliest queued event.
 func (e *Engine) nextTime() (Time, bool) {
 	if len(e.queue) == 0 {
 		return 0, false

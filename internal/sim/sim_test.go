@@ -70,21 +70,6 @@ func TestNegativeDelayPanics(t *testing.T) {
 	e.After(-1, func() {})
 }
 
-func TestCancel(t *testing.T) {
-	e := New()
-	fired := false
-	h := e.At(10, func() { fired = true })
-	h.Cancel()
-	h.Cancel() // double-cancel is a no-op
-	e.Run()
-	if fired {
-		t.Error("canceled event fired")
-	}
-	if got := e.Pending(); got != 0 {
-		t.Errorf("Pending = %d after run", got)
-	}
-}
-
 func TestResourceFIFO(t *testing.T) {
 	e := New()
 	r := NewResource(e, "mc", 0)

@@ -436,10 +436,11 @@ func (r *Region) Owner(p Pointer) (NodeID, error) {
 
 // ExperimentOptions configures an experiment run. Use
 // DefaultExperimentOptions and override fields; the zero value is
-// invalid (Scale must be positive — there is no sentinel).
+// invalid (Scale must be positive and finite — there is no sentinel).
 type ExperimentOptions struct {
 	// Scale multiplies workload sizes; 1.0 reproduces the paper-sized
-	// runs, small fractions finish in seconds. Must be > 0.
+	// runs, small fractions finish in seconds. Must be positive and
+	// finite.
 	Scale float64
 	// Parallel bounds how many sweep points simulate concurrently: 0
 	// means all cores, 1 is fully serial. Results — figures and metrics
@@ -476,10 +477,10 @@ func DefaultExperimentOptions() ExperimentOptions {
 	return ExperimentOptions{Scale: 1.0, Parallel: 0, Seed: 1}
 }
 
+// internal maps o onto the harness's options. The generator
+// experiments.Lookup returns validates the result (Scale and the
+// calibration), so only the facade-level fields are checked here.
 func (o ExperimentOptions) internal() (experiments.Options, error) {
-	if o.Scale <= 0 {
-		return experiments.Options{}, fmt.Errorf("ncdsm: ExperimentOptions.Scale must be > 0 (got %v); start from DefaultExperimentOptions", o.Scale)
-	}
 	io := experiments.DefaultOptions()
 	io.Scale = o.Scale
 	io.Parallel = o.Parallel
@@ -487,9 +488,6 @@ func (o ExperimentOptions) internal() (experiments.Options, error) {
 		io.Seed = o.Seed
 	}
 	if !o.Faults.Empty() {
-		if err := o.Faults.Validate(); err != nil {
-			return experiments.Options{}, err
-		}
 		io.P.Faults = o.Faults
 	}
 	if !o.Bulk.Empty() {
@@ -509,9 +507,6 @@ func (o ExperimentOptions) internal() (experiments.Options, error) {
 	}
 	if !o.LinkLat.Empty() {
 		io.P.LinkLat = o.LinkLat
-	}
-	if err := io.P.Validate(); err != nil {
-		return experiments.Options{}, err
 	}
 	return io, nil
 }

@@ -2,6 +2,7 @@ package ncdsm
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -206,6 +207,30 @@ func TestExperimentAPI(t *testing.T) {
 	}
 	if _, _, err := RunExperiment("fig6", ExperimentOptions{Scale: -1}); err == nil {
 		t.Error("negative scale accepted")
+	}
+}
+
+// TestRunExperimentRejectsNonFiniteScale: NaN and +Inf both slip past a
+// "Scale <= 0" guard and then run every figure silently at its floor
+// sizes, so the check must refuse them too.
+func TestRunExperimentRejectsNonFiniteScale(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), math.Inf(1)} {
+		opts := DefaultExperimentOptions()
+		opts.Scale = scale
+		if _, _, err := RunExperiment("fig6", opts); err == nil {
+			t.Errorf("Scale %v accepted", scale)
+		}
+	}
+}
+
+// TestNewRejectsInvalidConfig: a calibration Validate refuses comes back
+// as its error, not as a panic from building the engine it implies.
+func TestNewRejectsInvalidConfig(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.HopLatency = 0
+	sys, err := New(cfg)
+	if err == nil || err.Error() != "params: latencies must be positive" {
+		t.Fatalf("New with HopLatency 0 = %v, %v; want the calibration error", sys, err)
 	}
 }
 
