@@ -58,7 +58,8 @@ perf-gate:
 # directory invariants held at every step, the -linklat, -bulk and
 # -faults spec parsers (no panic; String renders exactly what Parse
 # reads), the -mesh parser with the node-count check behind it, and the
-# -sweep and -explore parsers (no panic; accepted specs round-trip).
+# -sweep and -explore parsers (no panic; accepted specs round-trip), and
+# the -reserve parser (node IDs in range, sizes unwrapped, round-trip).
 # CI runs the same 10-second smokes.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s -run='^$$' ./internal/trace
@@ -70,6 +71,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseMesh -fuzztime=10s -run='^$$' .
 	$(GO) test -fuzz=FuzzParseSweep -fuzztime=10s -run='^$$' ./internal/experiments
 	$(GO) test -fuzz=FuzzParseExplore -fuzztime=10s -run='^$$' ./cmd/ncdsm-cluster
+	$(GO) test -fuzz=FuzzParseReserve -fuzztime=10s -run='^$$' ./cmd/ncdsm-cluster
 
 # loc prints the Go line totals outside benchmark/ (its own module),
 # non-test and test: the two numbers ROADMAP tracks and each CHANGES.md

@@ -272,7 +272,7 @@ func BenchmarkMallocFree(b *testing.B) {
 }
 
 func BenchmarkPrefixRoute(b *testing.B) {
-	rt, err := ht.BuildNodeTable(4, 16<<30, 16, 8)
+	mm, err := addr.NewMemMap(1, 16, 16<<30)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func BenchmarkPrefixRoute(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rt.Route(addrs[i%len(addrs)]); err != nil {
+		if _, err := mm.Route(addrs[i%len(addrs)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -91,9 +92,13 @@ func main() {
 	fmt.Println()
 
 	did := false
-	if *memmap > 0 {
+	if *memmap != 0 {
 		did = true
-		if err := sys.MemoryMap(ncdsmfacade.NodeID(*memmap), os.Stdout); err != nil {
+		id, err := nodeID(*memmap)
+		if err != nil {
+			fatal(fmt.Errorf("-memmap: %w", err))
+		}
+		if err := sys.MemoryMap(id, os.Stdout); err != nil {
 			fatal(err)
 		}
 	}
@@ -159,37 +164,71 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// walkReservation narrates the Figure 4 protocol.
-func walkReservation(sys *ncdsmfacade.System, spec string) error {
+// nodeID checks a node identifier given on the command line. NodeID is
+// a uint16, so an unchecked conversion would turn node 65537 into node 1.
+func nodeID(n int) (addr.NodeID, error) {
+	if n < 1 || n > addr.MaxNode {
+		return 0, fmt.Errorf("node %d outside 1..%d", n, addr.MaxNode)
+	}
+	return addr.NodeID(n), nil
+}
+
+// parseNodeID parses a decimal node identifier and checks it with nodeID.
+func parseNodeID(s string) (addr.NodeID, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, err
+	}
+	return nodeID(n)
+}
+
+// reservation is a parsed -reserve spec, requester:donor:size.
+type reservation struct {
+	req, donor addr.NodeID
+	size       uint64
+	sizeText   string // the size as written, for the narration
+}
+
+// parseReserve parses a -reserve spec.
+func parseReserve(spec string) (reservation, error) {
 	parts := strings.Split(spec, ":")
 	if len(parts) != 3 {
-		return fmt.Errorf("reserve spec %q, want requester:donor:size", spec)
+		return reservation{}, fmt.Errorf("reserve spec %q, want requester:donor:size", spec)
 	}
-	req, err := strconv.Atoi(parts[0])
+	req, err := parseNodeID(parts[0])
 	if err != nil {
-		return err
+		return reservation{}, fmt.Errorf("reserve spec %q: requester: %w", spec, err)
 	}
-	donor, err := strconv.Atoi(parts[1])
+	donor, err := parseNodeID(parts[1])
 	if err != nil {
-		return err
+		return reservation{}, fmt.Errorf("reserve spec %q: donor: %w", spec, err)
 	}
 	size, err := parseSize(parts[2])
 	if err != nil {
+		return reservation{}, err
+	}
+	return reservation{req: req, donor: donor, size: size, sizeText: parts[2]}, nil
+}
+
+// walkReservation narrates the Figure 4 protocol.
+func walkReservation(sys *ncdsmfacade.System, spec string) error {
+	rs, err := parseReserve(spec)
+	if err != nil {
 		return err
 	}
-
-	region, err := sys.Region(ncdsmfacade.NodeID(req))
+	req, donor := rs.req, rs.donor
+	region, err := sys.Region(req)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("1. node %d is running out of local memory and asks node %d for %s\n",
-		req, donor, parts[2])
+		req, donor, rs.sizeText)
 	core := sys.Core()
-	agent, err := core.Agent(ncdsmfacade.NodeID(req))
+	agent, err := core.Agent(req)
 	if err != nil {
 		return err
 	}
-	rng, err := agent.ReserveRemoteFrom(addr.NodeID(donor), size)
+	rng, err := agent.ReserveRemoteFrom(donor, rs.size)
 	if err != nil {
 		return err
 	}
@@ -197,7 +236,7 @@ func walkReservation(sys *ncdsmfacade.System, spec string) error {
 		donor, rng.Start.Local(), rng.Start.Local()+addr.Phys(rng.Size))
 	fmt.Printf("3. the acknowledgment carries the range prefixed with node %d's identifier: %v\n",
 		donor, rng)
-	r, err := core.Region(addr.NodeID(req))
+	r, err := core.Region(req)
 	if err != nil {
 		return err
 	}
@@ -489,7 +528,8 @@ func demoBulk(sys *ncdsmfacade.System) error {
 	return nil
 }
 
-// parseSize parses human sizes like 512MB, 4GB, 8192 (bytes).
+// parseSize parses human sizes like 512MB, 4GB, 8192 (bytes). A size
+// past 2^64-1 bytes is refused rather than wrapped.
 func parseSize(s string) (uint64, error) {
 	u := strings.ToUpper(strings.TrimSpace(s))
 	mult := uint64(1)
@@ -504,6 +544,9 @@ func parseSize(s string) (uint64, error) {
 	n, err := strconv.ParseUint(strings.TrimSpace(u), 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad size %q: %w", s, err)
+	}
+	if n > math.MaxUint64/mult {
+		return 0, fmt.Errorf("bad size %q: overflows 64 bits", s)
 	}
 	return n * mult, nil
 }

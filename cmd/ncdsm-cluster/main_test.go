@@ -28,9 +28,32 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("parseSize(%q) = %d, want %d", in, got, want)
 		}
 	}
-	for _, bad := range []string{"", "abc", "GB", "-4GB", "4TBx"} {
+	// The last two overflow 64 bits; unchecked, they wrap to 1 GiB and
+	// 2^64-1024 bytes.
+	for _, bad := range []string{"", "abc", "GB", "-4GB", "4TBx", "17179869185GB", "18446744073709551615KB"} {
 		if _, err := parseSize(bad); err == nil {
 			t.Errorf("parseSize(%q) accepted", bad)
+		}
+	}
+}
+
+// TestWalkReservation: node identifiers are checked, not wrapped.
+// NodeID is a uint16, so unchecked, 65537:65539 reserves from node 3
+// for node 1.
+func TestWalkReservation(t *testing.T) {
+	sys, err := ncdsmfacade.New(ncdsmfacade.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := walkReservation(sys, "1:3:4GB"); err != nil {
+		t.Errorf("walkReservation(1:3:4GB): %v", err)
+	}
+	for _, bad := range []string{
+		"65537:65539:17179869185GB", "65537:3:1GB", "1:65539:1GB",
+		"0:3:1GB", "-1:3:1GB", "1:3", "1:3:4TB", "1:17:1GB",
+	} {
+		if err := walkReservation(sys, bad); err == nil {
+			t.Errorf("walkReservation(%q) accepted", bad)
 		}
 	}
 }

@@ -233,8 +233,6 @@ type Node struct {
 	eng     *sim.Engine
 
 	memmap *addr.MemMap
-	bars   *ht.RoutingTable
-	rmcU   ht.UnitID
 	caches *cache.Hierarchy
 	bank   *dram.Bank
 	store  *mem.Store
@@ -269,11 +267,6 @@ func newNode(c *Cluster, id addr.NodeID) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	rmcUnit := ht.UnitID(p.SocketsPerNode) // first unit after the MCs
-	bars, err := ht.BuildNodeTable(p.SocketsPerNode, p.MemPerNode, c.topo.Nodes(), rmcUnit)
-	if err != nil {
-		return nil, err
-	}
 	caches, err := cache.NewHierarchy(p.SocketsPerNode, cache.DefaultConfig())
 	if err != nil {
 		return nil, err
@@ -294,8 +287,6 @@ func newNode(c *Cluster, id addr.NodeID) (*Node, error) {
 		p:       p,
 		eng:     eng,
 		memmap:  mm,
-		bars:    bars,
-		rmcU:    rmcUnit,
 		caches:  caches,
 		bank:    dram.NewBank(eng, id, p),
 		store:   store,
@@ -362,9 +353,6 @@ func (n *Node) Store() *mem.Store { return n.store }
 // MemMap returns the node's view of the cluster memory map.
 func (n *Node) MemMap() *addr.MemMap { return n.memmap }
 
-// BARs returns the node's HT routing table.
-func (n *Node) BARs() *ht.RoutingTable { return n.bars }
-
 // FlushCaches writes back and invalidates every line in the node's
 // coherent domain — the operation the prototype performs between a
 // write phase and a read-only parallel phase. Timing: the flush itself
@@ -389,13 +377,14 @@ func (n *Node) FlushCaches(now sim.Time) int {
 }
 
 // IsRemote implements cpu.MemorySystem: an address is remote exactly when
-// the BARs route it to the RMC unit.
+// the node's memory map — the processors' BAR comparison — routes it to
+// the RMC. An address no segment claims panics.
 func (n *Node) IsRemote(a addr.Phys) bool {
-	u, err := n.bars.Route(a)
+	t, err := n.memmap.Route(a)
 	if err != nil {
 		panic(fmt.Sprintf("cluster: node %d has no route for %v: %v", n.id, a, err))
 	}
-	return u == n.rmcU
+	return t == addr.TargetRMC
 }
 
 // socketOf maps a core index to its socket.
@@ -469,7 +458,8 @@ func (n *Node) Issue(now sim.Time, core int, a cpu.Access, express bool, done fu
 		n.writeback(now, res.Victim)
 	}
 	line := a.Addr.Line(n.caches.LineSize())
-	if n.IsRemote(line) {
+	remote := n.IsRemote(line)
+	if remote {
 		// Feed the stream detector on every remote access, hit or miss:
 		// hits on previously prefetched lines are exactly what keeps a
 		// stream alive and the prefetcher running ahead of it.
@@ -481,7 +471,7 @@ func (n *Node) Issue(now sim.Time, core int, a cpu.Access, express bool, done fu
 		n.eng.At(now+lat, op.completeFn)
 		return
 	}
-	if !n.IsRemote(line) {
+	if !remote {
 		n.LocalOps++
 		memDone, err := n.bank.Access(now+lat, line, a.Write)
 		if err != nil {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/addr"
@@ -65,6 +67,31 @@ func TestIsRemote(t *testing.T) {
 	// bits, nothing else.
 	if !n.IsRemote(addr.Phys(0x1000).WithNode(1)) {
 		t.Error("loopback alias reported local")
+	}
+	// An address no segment claims has no route: a prefix past the
+	// 16-node cluster, or an address past a node's installed memory
+	// (4 GiB nodes leave the top of each 16 GiB local space unclaimed).
+	p := params.Default()
+	p.MemPerNode, p.PrivateMemPerNode = 4<<30, 2<<30
+	small, err := New(sim.WrapEngine(sim.New(), p.HopLatency), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n = small.MustNode(1)
+	unclaimed := []addr.Phys{
+		addr.Phys(0x1000).WithNode(17),
+		addr.Phys(p.MemPerNode),
+		addr.Phys(p.MemPerNode).WithNode(3),
+	}
+	for _, a := range unclaimed {
+		var msg string
+		func() {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			n.IsRemote(a)
+		}()
+		if !strings.Contains(msg, "no route") {
+			t.Errorf("IsRemote(%v) panicked with %q, want a no-route panic", a, msg)
+		}
 	}
 }
 
@@ -376,7 +403,7 @@ func TestMeshFabricAccessor(t *testing.T) {
 		t.Error("no interconnect")
 	}
 	n := c.MustNode(2)
-	if n.MemMap() == nil || n.BARs() == nil || n.Bank() == nil || n.Store() == nil {
+	if n.MemMap() == nil || n.Bank() == nil || n.Store() == nil {
 		t.Error("node getters broken")
 	}
 }

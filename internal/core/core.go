@@ -153,7 +153,6 @@ func (s *System) Region(n addr.NodeID) (*Region, error) {
 		node:       node,
 		agent:      agent,
 		as:         vm.NewAddressSpace(),
-		tlb:        vm.NewTLB(vm.DefaultTLBEntries),
 		writerCore: -1,
 	}
 	heap, err := rmalloc.NewHeap(r.as, (*regionBacking)(r), 0)
@@ -176,7 +175,6 @@ type Region struct {
 	node  *cluster.Node
 	agent *osmodel.Agent
 	as    *vm.AddressSpace
-	tlb   *vm.TLB
 	heap  *rmalloc.Heap
 
 	// Policy selects donors when the region grows implicitly (heap
@@ -240,9 +238,6 @@ func (r *Region) Heap() *rmalloc.Heap { return r.heap }
 // AddressSpace returns the process address space.
 func (r *Region) AddressSpace() *vm.AddressSpace { return r.as }
 
-// TLB returns the process's TLB model.
-func (r *Region) TLB() *vm.TLB { return r.tlb }
-
 // Agent returns the region's OS agent.
 func (r *Region) Agent() *osmodel.Agent { return r.agent }
 
@@ -280,7 +275,6 @@ func (r *Region) UnmapBorrowed(rng addr.Range) error {
 	if err := r.as.Unmap(mb.va, vm.PagesFor(rng.Size)); err != nil {
 		return err
 	}
-	r.tlb.Flush()
 	delete(r.mappedBorrows, rng.Start)
 	return nil
 }
@@ -331,13 +325,7 @@ func (r *Region) Malloc(size uint64) (vm.Virt, error) { return r.heap.Malloc(siz
 // Trim returns heap arenas with no live allocations to their backing —
 // freed local memory back to the private zone, freed borrowings back to
 // their donors' pools (the hot-remove flow). Returns the bytes released.
-func (r *Region) Trim() (uint64, error) {
-	released, err := r.heap.Trim()
-	if released > 0 {
-		r.tlb.Flush()
-	}
-	return released, err
-}
+func (r *Region) Trim() (uint64, error) { return r.heap.Trim() }
 
 // Free releases a Malloc pointer.
 func (r *Region) Free(ptr vm.Virt) error { return r.heap.Free(ptr) }
@@ -350,7 +338,7 @@ func (r *Region) MapBorrowed(rng addr.Range) (vm.Virt, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := r.as.MapRange(base, rng.Start, vm.PagesFor(rng.Size), true); err != nil {
+	if err := r.as.MapRange(base, rng.Start, vm.PagesFor(rng.Size)); err != nil {
 		return 0, err
 	}
 	if r.mappedBorrows == nil {
@@ -360,20 +348,9 @@ func (r *Region) MapBorrowed(rng addr.Range) (vm.Virt, error) {
 	return base, nil
 }
 
-// Translate resolves a virtual address through the TLB and page table,
-// with the TLB model accounting hits and misses.
-func (r *Region) Translate(va vm.Virt) (addr.Phys, error) {
-	if pte, ok := r.tlb.Lookup(va); ok {
-		return pte.Phys + addr.Phys(va.Offset()), nil
-	}
-	pa, err := r.as.Translate(va)
-	if err != nil {
-		return 0, err
-	}
-	pte, _ := r.as.Lookup(va)
-	r.tlb.Insert(va, pte)
-	return pa, nil
-}
+// Translate resolves a virtual address through the process's page
+// table; an unmapped address is a page fault.
+func (r *Region) Translate(va vm.Virt) (addr.Phys, error) { return r.as.Translate(va) }
 
 // Write stores data at a virtual address (functional path: what the
 // bytes are, not when). It spans mappings page by page.
@@ -522,11 +499,15 @@ func (r *Region) BeginSerial(core int) {
 }
 
 // Access issues one timed access at a virtual address through the
-// node's full memory path (cache, BARs, RMC, fabric); done fires at the
-// completion time. This is the paper's fast path: note it begins with a
-// translation, not a syscall. The access must satisfy the region's
-// execution discipline (CheckAccess).
+// node's full memory path (cache, memory map, RMC, fabric); done fires
+// at the completion time. This is the paper's fast path: note it begins
+// with a translation, not a syscall. The core must exist on the node,
+// and the access must satisfy the region's execution discipline
+// (CheckAccess).
 func (r *Region) Access(now sim.Time, core int, va vm.Virt, write bool, done func(sim.Time)) error {
+	if core < 0 || core >= r.sys.p.CoresPerNode {
+		return fmt.Errorf("core: core %d outside node %d's %d cores", core, r.node.ID(), r.sys.p.CoresPerNode)
+	}
 	if err := r.CheckAccess(core, write); err != nil {
 		return err
 	}
@@ -554,9 +535,8 @@ func (r *Region) NewThread(name string, core int, stream cpu.Stream, onDone func
 }
 
 // translatingStream translates a virtual-address stream to physical on
-// the fly (TLB-accounted) and enforces the phase discipline, so cpu
-// threads see physical addresses and cannot violate the single-writer
-// rule.
+// the fly and enforces the phase discipline, so cpu threads see physical
+// addresses and cannot violate the single-writer rule.
 type translatingStream struct {
 	r     *Region
 	core  int

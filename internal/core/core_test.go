@@ -217,27 +217,6 @@ func TestCrossPageFunctionalCopyProperty(t *testing.T) {
 	}
 }
 
-func TestTranslateUsesTLB(t *testing.T) {
-	s := newSystem(t)
-	r, _ := s.Region(1)
-	ptr, _ := r.Malloc(1 << 20)
-	if _, err := r.Translate(ptr); err != nil {
-		t.Fatal(err)
-	}
-	missesAfterFirst := r.TLB().Misses
-	for i := 0; i < 10; i++ {
-		if _, err := r.Translate(ptr + 64); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r.TLB().Misses != missesAfterFirst {
-		t.Error("same-page translations missed the TLB")
-	}
-	if r.TLB().Hits == 0 {
-		t.Error("no TLB hits recorded")
-	}
-}
-
 func TestTranslateUnmappedFails(t *testing.T) {
 	s := newSystem(t)
 	r, _ := s.Region(1)

@@ -55,8 +55,9 @@ type FuncStream func() (Access, bool)
 func (f FuncStream) Next() (Access, bool) { return f() }
 
 // MemorySystem is the node-side interface a thread issues into. The
-// node implementation routes by BAR (local controller vs RMC), runs the
-// cache hierarchy, and calls done at the access's completion time.
+// node implementation routes by its memory map (local controller vs
+// RMC), runs the cache hierarchy, and calls done at the access's
+// completion time.
 type MemorySystem interface {
 	// Issue starts one access by the given core. express requests routing
 	// over a dedicated express link where the fabric has one.

@@ -1,8 +1,8 @@
 // Package dram models the per-socket memory controllers of one node:
 // each socket's controller is a FIFO single server with a fixed access
 // latency plus a service occupancy that bounds its bandwidth. Local
-// addresses are interleaved across sockets exactly as the BAR layout in
-// package ht distributes them.
+// memory is split into one contiguous block per socket, and the bank
+// picks an address's socket from that split.
 package dram
 
 import (

@@ -1,7 +1,8 @@
 // Package ht models the HyperTransport transaction layer used inside one
 // node: the packet vocabulary processors and devices exchange (sized
-// reads/writes and their responses), unit identifiers, and the BAR-style
-// routing performed when a processor issues a memory operation.
+// reads/writes and their responses) and unit identifiers. The BAR
+// comparison that picks a local controller or the RMC is the node's
+// memory map (addr.MemMap).
 //
 // HyperTransport proper addresses at most 32 devices; inter-node traffic
 // therefore travels on the High Node Count extension (package hnc), and

@@ -2,7 +2,6 @@ package ht
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/addr"
 )
@@ -90,93 +89,24 @@ func TestFlitBytes(t *testing.T) {
 	}
 }
 
-func TestRoutingTableBasics(t *testing.T) {
-	var rt RoutingTable
-	if err := rt.AddBAR(BAR{Range: addr.Range{Start: 0, Size: 0x1000}, Unit: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.AddBAR(BAR{Range: addr.Range{Start: 0x1000, Size: 0x1000}, Unit: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.AddBAR(BAR{Range: addr.Range{Start: 0x800, Size: 0x100}, Unit: 2}); err == nil {
-		t.Error("overlapping BAR accepted")
-	}
-	if err := rt.AddBAR(BAR{Range: addr.Range{Start: 0x9000, Size: 0}, Unit: 2}); err == nil {
-		t.Error("empty BAR accepted")
-	}
-	if err := rt.AddBAR(BAR{Range: addr.Range{Start: 0x9000, Size: 4}, Unit: MaxUnits}); err == nil {
-		t.Error("out-of-range unit accepted")
-	}
-	if u, err := rt.Route(0xfff); err != nil || u != 0 {
-		t.Errorf("Route(0xfff) = %d, %v", u, err)
-	}
-	if u, err := rt.Route(0x1000); err != nil || u != 1 {
-		t.Errorf("Route(0x1000) = %d, %v", u, err)
-	}
-	if _, err := rt.Route(0x2000); err == nil {
-		t.Error("unclaimed address routed")
-	}
-	if rt.Len() != 2 || len(rt.BARs()) != 2 {
-		t.Error("BAR bookkeeping wrong")
-	}
-}
-
 func TestBuildNodeTable(t *testing.T) {
-	// 4 sockets × 4 GB, 16-node cluster, RMC at unit 8 — the prototype.
-	rt, err := BuildNodeTable(4, 16<<30, 16, 8)
+	// A node's routing table is its memory map: the BAR comparison that
+	// picks an on-board controller or the RMC. 4 sockets × 4 GB, 16-node
+	// cluster — the prototype.
+	rt, err := addr.NewMemMap(1, 16, 16<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Local address in the second socket's range.
-	if u, err := rt.Route(addr.Phys(5 << 30)); err != nil || u != 1 {
-		t.Errorf("Route(5GB) = %d, %v; want socket 1", u, err)
+	if tg, err := rt.Route(addr.Phys(5 << 30)); err != nil || tg != addr.TargetLocalMC {
+		t.Errorf("Route(5GB) = %v, %v; want %v", tg, err, addr.TargetLocalMC)
 	}
 	// Any prefixed address goes to the RMC.
-	if u, err := rt.Route(addr.Phys(0x100).WithNode(13)); err != nil || u != 8 {
-		t.Errorf("prefixed route = %d, %v; want RMC unit 8", u, err)
+	if tg, err := rt.Route(addr.Phys(0x100).WithNode(13)); err != nil || tg != addr.TargetRMC {
+		t.Errorf("prefixed route = %v, %v; want %v", tg, err, addr.TargetRMC)
 	}
 	// Address beyond the cluster is unclaimed.
 	if _, err := rt.Route(addr.Phys(0x100).WithNode(17)); err == nil {
 		t.Error("address beyond cluster claimed")
-	}
-}
-
-func TestBuildNodeTableErrors(t *testing.T) {
-	if _, err := BuildNodeTable(0, 16<<30, 16, 8); err == nil {
-		t.Error("zero sockets accepted")
-	}
-	if _, err := BuildNodeTable(3, 16<<30, 16, 8); err == nil {
-		t.Error("non-divisible memory accepted")
-	}
-}
-
-func TestRouteMatchesSocketOfProperty(t *testing.T) {
-	rt, err := BuildNodeTable(4, 16<<30, 16, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(raw uint64) bool {
-		a := addr.Phys(raw % (16 << 30))
-		u, err := rt.Route(a)
-		if err != nil {
-			return false
-		}
-		s, err := SocketOf(a, 4, 16<<30)
-		if err != nil {
-			return false
-		}
-		return int(u) == s
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSocketOfErrors(t *testing.T) {
-	if _, err := SocketOf(addr.Phys(0x100).WithNode(2), 4, 1<<30); err == nil {
-		t.Error("prefixed address accepted")
-	}
-	if _, err := SocketOf(addr.Phys(2<<30), 4, 1<<30); err == nil {
-		t.Error("beyond-memory address accepted")
 	}
 }

@@ -190,12 +190,9 @@ func (h *Heap) grow(size uint64) error {
 		release()
 		return err
 	}
-	// Remote frames are pinned by construction of the reservation
-	// protocol; local ones need no pin in this model, but marking them
-	// uniformly keeps the allocator's pages out of any swap experiment.
 	va := base
 	for _, phys := range pieces {
-		if err := h.as.MapRange(va, phys.Start, vm.PagesFor(phys.Size), true); err != nil {
+		if err := h.as.MapRange(va, phys.Start, vm.PagesFor(phys.Size)); err != nil {
 			release()
 			return err
 		}

@@ -1,9 +1,8 @@
-// Package vm models the virtual-memory machinery of one node's OS: page
-// tables whose entries can point at *prefixed* physical addresses (the
-// one kernel modification the reservation protocol of Figure 4 needs),
-// a TLB with hit/miss accounting, and page pinning — reserved remote
-// frames must never swap to disk, or the scheme would degenerate into
-// remote swapping.
+// Package vm models the virtual-memory machinery of one node's OS: a
+// page table whose entries can point at *prefixed* physical addresses,
+// the one kernel modification the reservation protocol of Figure 4
+// needs. Remote frames never swap: the donor pins them by granting only
+// its pooled zone (package osmodel), so a page-table entry needs no flags.
 package vm
 
 import (
@@ -25,24 +24,14 @@ func (v Virt) Offset() uint64 { return uint64(v) & (params.PageSize - 1) }
 // vpn returns the virtual page number.
 func (v Virt) vpn() uint64 { return uint64(v) / params.PageSize }
 
-// PTE is one page-table entry. Phys may carry a node prefix: that is the
-// entire trick — once the OS writes a prefixed translation, ordinary
-// loads and stores reach remote memory with no software on the path.
-type PTE struct {
-	Phys    addr.Phys
-	Present bool
-	// Pinned entries may never be evicted or swapped.
-	Pinned bool
-}
-
 // AddressSpace is one process's page table plus a bump allocator for
-// fresh virtual ranges.
+// fresh virtual ranges. A page-table entry is its physical frame, which
+// may carry a node prefix: that is the entire trick — once the OS writes
+// a prefixed translation, ordinary loads and stores reach remote memory
+// with no software on the path.
 type AddressSpace struct {
-	pages  map[uint64]PTE
+	pages  map[uint64]addr.Phys
 	nextVA Virt
-
-	// Faults counts page-table misses observed via Translate.
-	Faults uint64
 }
 
 // heapBase is where allocated virtual ranges start, clear of the nil
@@ -51,7 +40,7 @@ const heapBase Virt = 0x0000_1000_0000
 
 // NewAddressSpace returns an empty address space.
 func NewAddressSpace() *AddressSpace {
-	return &AddressSpace{pages: make(map[uint64]PTE), nextVA: heapBase}
+	return &AddressSpace{pages: make(map[uint64]addr.Phys), nextVA: heapBase}
 }
 
 // ReserveVirtual carves a fresh, unmapped virtual range of the given
@@ -68,9 +57,8 @@ func (as *AddressSpace) ReserveVirtual(size uint64) (Virt, error) {
 
 // MapRange installs translations for npages pages starting at virtual
 // base va, backed by the contiguous physical range starting at pa. pa
-// may be prefixed (a remote reservation); pinned marks the pages
-// unswappable, which remote reservations always are.
-func (as *AddressSpace) MapRange(va Virt, pa addr.Phys, npages int, pinned bool) error {
+// may be prefixed (a remote reservation).
+func (as *AddressSpace) MapRange(va Virt, pa addr.Phys, npages int) error {
 	if va.Offset() != 0 || uint64(pa)%params.PageSize != 0 {
 		return fmt.Errorf("vm: unaligned mapping %x -> %v", uint64(va), pa)
 	}
@@ -85,7 +73,7 @@ func (as *AddressSpace) MapRange(va Virt, pa addr.Phys, npages int, pinned bool)
 	}
 	for i := 0; i < npages; i++ {
 		v := va + Virt(i)*params.PageSize
-		as.pages[v.vpn()] = PTE{Phys: pa + addr.Phys(i*params.PageSize), Present: true, Pinned: pinned}
+		as.pages[v.vpn()] = pa + addr.Phys(i*params.PageSize)
 	}
 	return nil
 }
@@ -107,38 +95,22 @@ func (as *AddressSpace) Unmap(va Virt, npages int) error {
 	return nil
 }
 
-// Translate walks the page table for va. A missing translation counts as
-// a fault and returns an error (the OS model decides what a fault means:
-// allocation, swap-in, or a crash).
+// Translate walks the page table for va. A missing translation is a
+// page fault and returns an error (the OS model decides what a fault
+// means: allocation, swap-in, or a crash).
 func (as *AddressSpace) Translate(va Virt) (addr.Phys, error) {
-	pte, ok := as.pages[va.vpn()]
-	if !ok || !pte.Present {
-		as.Faults++
+	frame, ok := as.pages[va.vpn()]
+	if !ok {
 		return 0, fmt.Errorf("vm: page fault at %#x", uint64(va))
 	}
-	return pte.Phys + addr.Phys(va.Offset()), nil
-}
-
-// Lookup returns the PTE for the page containing va without fault
-// accounting.
-func (as *AddressSpace) Lookup(va Virt) (PTE, bool) {
-	pte, ok := as.pages[va.vpn()]
-	return pte, ok
-}
-
-// SetPresent flips a page's presence (swap models use this).
-func (as *AddressSpace) SetPresent(va Virt, present bool) error {
-	pte, ok := as.pages[va.vpn()]
-	if !ok {
-		return fmt.Errorf("vm: SetPresent on unmapped page %#x", uint64(va))
-	}
-	if pte.Pinned && !present {
-		return fmt.Errorf("vm: cannot page out pinned page %#x", uint64(va))
-	}
-	pte.Present = present
-	as.pages[va.vpn()] = pte
-	return nil
+	return frame + addr.Phys(va.Offset()), nil
 }
 
 // MappedPages returns the number of installed translations.
 func (as *AddressSpace) MappedPages() int { return len(as.pages) }
+
+// PagesFor returns how many pages a byte range spans, a helper shared by
+// OS-level code.
+func PagesFor(size uint64) int {
+	return int((size + params.PageSize - 1) / params.PageSize)
+}

@@ -30,7 +30,7 @@ func TestMapTranslateUnmap(t *testing.T) {
 	as := NewAddressSpace()
 	va, _ := as.ReserveVirtual(4 * params.PageSize)
 	pa := addr.Phys(0x41000000).WithNode(3) // a remote reservation
-	if err := as.MapRange(va, pa, 4, true); err != nil {
+	if err := as.MapRange(va, pa, 4); err != nil {
 		t.Fatal(err)
 	}
 	if as.MappedPages() != 4 {
@@ -55,27 +55,24 @@ func TestMapTranslateUnmap(t *testing.T) {
 	if _, err := as.Translate(va); err == nil {
 		t.Error("translation survived unmap")
 	}
-	if as.Faults != 1 {
-		t.Errorf("Faults = %d", as.Faults)
-	}
 }
 
 func TestMapErrors(t *testing.T) {
 	as := NewAddressSpace()
 	va, _ := as.ReserveVirtual(2 * params.PageSize)
-	if err := as.MapRange(va+1, 0, 1, false); err == nil {
+	if err := as.MapRange(va+1, 0, 1); err == nil {
 		t.Error("unaligned va accepted")
 	}
-	if err := as.MapRange(va, 1, 1, false); err == nil {
+	if err := as.MapRange(va, 1, 1); err == nil {
 		t.Error("unaligned pa accepted")
 	}
-	if err := as.MapRange(va, 0, 0, false); err == nil {
+	if err := as.MapRange(va, 0, 0); err == nil {
 		t.Error("zero pages accepted")
 	}
-	if err := as.MapRange(va, 0, 2, false); err != nil {
+	if err := as.MapRange(va, 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.MapRange(va+params.PageSize, 0x10000, 1, false); err == nil {
+	if err := as.MapRange(va+params.PageSize, 0x10000, 1); err == nil {
 		t.Error("double map accepted")
 	}
 	if err := as.Unmap(va, 3); err == nil {
@@ -87,40 +84,11 @@ func TestMapErrors(t *testing.T) {
 	}
 }
 
-func TestPinnedPagesCannotPageOut(t *testing.T) {
-	as := NewAddressSpace()
-	va, _ := as.ReserveVirtual(2 * params.PageSize)
-	if err := as.MapRange(va, addr.Phys(0x1000).WithNode(2), 1, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := as.MapRange(va+params.PageSize, 0x2000, 1, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := as.SetPresent(va, false); err == nil {
-		t.Error("pinned remote page paged out — this would be remote swap")
-	}
-	if err := as.SetPresent(va+params.PageSize, false); err != nil {
-		t.Errorf("unpinned page refuses to page out: %v", err)
-	}
-	if _, err := as.Translate(va + params.PageSize); err == nil {
-		t.Error("non-present page translated")
-	}
-	if err := as.SetPresent(va+params.PageSize, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := as.Translate(va + params.PageSize); err != nil {
-		t.Error("page-in did not restore translation")
-	}
-	if err := as.SetPresent(va+5*params.PageSize, true); err == nil {
-		t.Error("SetPresent on unmapped page accepted")
-	}
-}
-
 func TestTranslateRoundTripProperty(t *testing.T) {
 	as := NewAddressSpace()
 	va, _ := as.ReserveVirtual(256 * params.PageSize)
 	pa := addr.Phys(0x10000000).WithNode(7)
-	if err := as.MapRange(va, pa, 256, true); err != nil {
+	if err := as.MapRange(va, pa, 256); err != nil {
 		t.Fatal(err)
 	}
 	f := func(off uint32) bool {
@@ -130,74 +98,6 @@ func TestTranslateRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTLBBasics(t *testing.T) {
-	tlb := NewTLB(2)
-	va := Virt(0x10000)
-	if _, ok := tlb.Lookup(va); ok {
-		t.Error("empty TLB hit")
-	}
-	tlb.Insert(va, PTE{Phys: 0x5000, Present: true})
-	pte, ok := tlb.Lookup(va)
-	if !ok || pte.Phys != 0x5000 {
-		t.Errorf("lookup = %+v, %v", pte, ok)
-	}
-	if tlb.Hits != 1 || tlb.Misses != 1 {
-		t.Errorf("hits/misses = %d/%d", tlb.Hits, tlb.Misses)
-	}
-	if tlb.HitRate() != 0.5 {
-		t.Errorf("HitRate = %v", tlb.HitRate())
-	}
-}
-
-func TestTLBLRUEviction(t *testing.T) {
-	tlb := NewTLB(2)
-	a, b, c := Virt(0), Virt(params.PageSize), Virt(2*params.PageSize)
-	tlb.Insert(a, PTE{Phys: 1})
-	tlb.Insert(b, PTE{Phys: 2})
-	tlb.Lookup(a)               // a is now MRU
-	tlb.Insert(c, PTE{Phys: 3}) // evicts b
-	if _, ok := tlb.Lookup(b); ok {
-		t.Error("LRU entry survived")
-	}
-	if _, ok := tlb.Lookup(a); !ok {
-		t.Error("MRU entry evicted")
-	}
-	if tlb.Len() != 2 {
-		t.Errorf("Len = %d", tlb.Len())
-	}
-}
-
-func TestTLBUpdateInvalidateFlush(t *testing.T) {
-	tlb := NewTLB(4)
-	va := Virt(0x3000)
-	tlb.Insert(va, PTE{Phys: 1})
-	tlb.Insert(va, PTE{Phys: 2}) // update in place
-	if pte, _ := tlb.Lookup(va); pte.Phys != 2 {
-		t.Error("update did not take")
-	}
-	tlb.Invalidate(va)
-	if _, ok := tlb.Lookup(va); ok {
-		t.Error("invalidated entry hit")
-	}
-	tlb.Insert(va, PTE{Phys: 3})
-	tlb.Flush()
-	if tlb.Len() != 0 {
-		t.Error("flush left entries")
-	}
-}
-
-func TestTLBMinCapacity(t *testing.T) {
-	tlb := NewTLB(0) // clamps to 1
-	tlb.Insert(0, PTE{Phys: 1})
-	tlb.Insert(params.PageSize, PTE{Phys: 2})
-	if tlb.Len() != 1 {
-		t.Errorf("Len = %d, want 1", tlb.Len())
-	}
-	if tlb.HitRate() != 0 {
-		t.Error("no lookups but nonzero hit rate")
 	}
 }
 

@@ -321,7 +321,7 @@ type AccessRequest struct {
 }
 
 // Access issues one timed access through the full simulated memory path
-// (TLB, cache hierarchy, BARs, RMC, mesh). It is AccessBatch of one —
+// (page table, cache hierarchy, memory map, RMC, mesh). It is AccessBatch of one —
 // the batch path is the only code path.
 func (r *Region) Access(req AccessRequest) error {
 	batch := [1]AccessRequest{req}
@@ -446,7 +446,8 @@ type ExperimentOptions struct {
 	// means all cores, 1 is fully serial. Results — figures and metrics
 	// alike — are byte-identical at every setting.
 	Parallel int
-	// Seed varies the deterministic workload inputs (default 1).
+	// Seed varies the deterministic workload inputs. It is used as
+	// given, 0 included; DefaultExperimentOptions sets 1.
 	Seed int64
 	// Faults, when non-nil and non-empty, runs every simulated point of
 	// the experiment under the fault plan. Results stay deterministic:
@@ -484,9 +485,7 @@ func (o ExperimentOptions) internal() (experiments.Options, error) {
 	io := experiments.DefaultOptions()
 	io.Scale = o.Scale
 	io.Parallel = o.Parallel
-	if o.Seed != 0 {
-		io.Seed = o.Seed
-	}
+	io.Seed = o.Seed
 	if !o.Faults.Empty() {
 		io.P.Faults = o.Faults
 	}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func newSys(t *testing.T) *System {
@@ -210,6 +212,31 @@ func TestExperimentAPI(t *testing.T) {
 	}
 }
 
+// TestExperimentSeedZero: the facade runs Seed as given, 0 included,
+// as the internal harness (ncdsm-bench's -sweep path) does, so one seed
+// renders one figure on both paths.
+func TestExperimentSeedZero(t *testing.T) {
+	opts := DefaultExperimentOptions()
+	opts.Scale, opts.Seed = 0.01, 0
+	fig, _, err := RunExperiment("fig10", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := experiments.Lookup("fig10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := experiments.DefaultOptions()
+	o.Scale, o.Seed = 0.01, 0
+	want, err := gen(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fig.Render(); got != want.Render() {
+		t.Errorf("facade at seed 0 rendered\n%s\nharness at seed 0 rendered\n%s", got, want.Render())
+	}
+}
+
 // TestRunExperimentRejectsNonFiniteScale: NaN and +Inf both slip past a
 // "Scale <= 0" guard and then run every figure silently at its floor
 // sizes, so the check must refuse them too.
@@ -295,6 +322,26 @@ func TestPhaseAPIThroughFacade(t *testing.T) {
 	region.BeginSerial(0)
 	if err := region.Access(AccessRequest{Now: sys.Now(), Pointer: ptr, Write: true}); err != nil {
 		t.Errorf("serial write rejected: %v", err)
+	}
+	sys.Run()
+}
+
+func TestAccessRejectsMissingCore(t *testing.T) {
+	sys := newSys(t)
+	region, _ := sys.Region(1)
+	ptr, err := region.GrowFrom(2, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cores := sys.Config().CoresPerNode
+	for _, c := range []int{cores, -1} {
+		if err := region.Access(AccessRequest{Now: sys.Now(), Core: c, Pointer: ptr}); err == nil {
+			t.Errorf("access by core %d of a %d-core node accepted", c, cores)
+		}
+	}
+	// The refused accesses must not have claimed the serial phase.
+	if err := region.Access(AccessRequest{Now: sys.Now(), Core: 0, Pointer: ptr}); err != nil {
+		t.Errorf("core 0 refused after the out-of-range accesses: %v", err)
 	}
 	sys.Run()
 }
