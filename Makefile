@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build vet fmt test race bench perf-gate scale-bench fuzz loc
+.PHONY: check build vet fmt test examples race bench perf-gate scale-bench fuzz loc
 
-check: fmt vet build test race
+check: fmt vet build test examples race
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,12 @@ fmt:
 test:
 	$(GO) test ./...
 	cd benchmark && $(GO) test .
+
+# examples runs every program under examples/, which the facade's users
+# copy from: go build ./... only proves they compile. CI's check job
+# runs the same target.
+examples:
+	@for d in examples/*/; do echo "== go run ./$$d"; $(GO) run ./$$d || exit 1; done
 
 # The harness's concurrency surface: runner.Map itself, the
 # experiment generators that fan out over it (including the chaos tests,

@@ -14,11 +14,21 @@
 //	ncdsm-bench -fig I -bulk frame=4   # same, with 4-line burst frames
 //	ncdsm-bench -fig all -parallel 1   # serial sweep points (old harness)
 //	ncdsm-bench -fig 7 -metrics prom   # plus the merged metrics snapshot
+//	ncdsm-bench -fig B -sweep RMCClientOccupancy=200ns,420ns   # once per value
 //	ncdsm-bench -fig 7 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Scale 1.0 runs paper-sized workloads (10M-key b-trees, 500k searches)
 // and can take many minutes; the default 0.05 preserves every shape in
 // seconds.
+//
+// Every run takes one path, the one a library user takes: the flags
+// build one ncdsm.ExperimentOptions — the machine flags (-mesh -shards
+// -linklat -faults -bulk) through ncdsm.MachineFlags — and each
+// experiment is ncdsm.RunExperiment over it. Each -sweep value re-runs
+// the selection on a copy of those options with one calibration knob
+// set, after a "--- Key = value ---" header. Malformed specs, unknown
+// formats and unknown experiment ids are refused (exit 2) before
+// anything runs.
 //
 // Sweep points within each experiment run concurrently (-parallel,
 // default all cores). Every sweep point is an independent
@@ -33,11 +43,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/stats"
 
 	ncdsm "repro"
@@ -67,12 +77,10 @@ func main() {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ncdsm-bench:", err)
-			os.Exit(2)
+			fail(2, err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "ncdsm-bench:", err)
-			os.Exit(2)
+			fail(2, err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -94,31 +102,17 @@ func main() {
 		}()
 	}
 
-	plan, err := ncdsm.ParseFaultPlan(*faultSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ncdsm-bench:", err)
-		os.Exit(2)
-	}
-	bulk, err := ncdsm.ParseBulkSpec(*bulkSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ncdsm-bench:", err)
-		os.Exit(2)
-	}
-	meshW, meshH, err := ncdsm.ParseMesh(*meshSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ncdsm-bench:", err)
-		os.Exit(2)
-	}
-	linkLatSpec, err := ncdsm.ParseLinkLatSpec(*linkLat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ncdsm-bench:", err)
-		os.Exit(2)
+	opts := ncdsm.DefaultExperimentOptions()
+	opts.Scale, opts.Parallel, opts.Seed = *scale, *parallel, *seed
+	machine := ncdsm.MachineFlags{Mesh: *meshSpec, Shards: *shards, LinkLat: *linkLat, Faults: *faultSpec, Bulk: *bulkSpec}
+	if err := machine.Apply(&opts.Config); err != nil {
+		fail(2, err)
 	}
 
 	if *list {
 		fmt.Println("available experiments:")
-		for _, e := range experiments.Registry() {
-			fmt.Printf("  %s\n", e.ID)
+		for _, id := range ncdsm.Experiments() {
+			fmt.Printf("  %s\n", id)
 		}
 		fmt.Println("sweepable parameters (-sweep Key=v1,v2,...):")
 		for _, k := range experiments.SweepableParams() {
@@ -126,97 +120,71 @@ func main() {
 		}
 		return
 	}
-	if err := checkMetricsFormat(*metricsFmt); err != nil {
-		fmt.Fprintln(os.Stderr, "ncdsm-bench:", err)
-		os.Exit(2)
+	// Usage errors are refused here, before any experiment runs.
+	if err := checkFormats(*format, *metricsFmt); err != nil {
+		fail(2, err)
 	}
-
 	ids, err := selectIDs(*fig, *table)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ncdsm-bench:", err)
-		os.Exit(2)
+		fail(2, err)
 	}
 	if len(ids) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
+	points, err := sweepPoints(opts, *sweep)
+	if err != nil {
+		fail(2, err)
+	}
 
-	if *sweep == "" {
-		// Plain runs go through the public ncdsm API, exercising the
-		// surface a downstream user sees.
-		opts := ncdsm.ExperimentOptions{
-			Scale: *scale, Parallel: *parallel, Seed: *seed, Faults: plan, Bulk: bulk,
-			MeshWidth: meshW, MeshHeight: meshH, Shards: *shards,
-			LinkLat: linkLatSpec,
-		}
+	for _, pt := range points {
+		fmt.Print(pt.header)
 		for _, id := range ids {
 			start := time.Now()
-			figure, snap, err := ncdsm.RunExperiment(id, opts)
+			figure, snap, err := ncdsm.RunExperiment(id, pt.opts)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "ncdsm-bench: %s: %v\n", id, err)
-				os.Exit(1)
+				fail(1, fmt.Errorf("%s: %w", id, err))
 			}
 			printFigure(figure, *format, time.Since(start), *scale)
 			printMetrics(snap, *metricsFmt)
 		}
-		return
-	}
-
-	// Sweeps vary internal calibration knobs, so they drive the internal
-	// harness directly.
-	base := experiments.DefaultOptions()
-	base.Scale = *scale
-	base.Seed = *seed
-	base.Parallel = *parallel
-	if !plan.Empty() {
-		base.P.Faults = plan
-	}
-	bulk.Apply(&base.P)
-	if meshW != 0 {
-		base.P.MeshWidth, base.P.MeshHeight = meshW, meshH
-	}
-	if *shards != 0 {
-		base.P.Shards = *shards
-	}
-	if !linkLatSpec.Empty() {
-		base.P.LinkLat = linkLatSpec
-	}
-
-	sweepKey, sweepValues, err := experiments.ParseSweep(*sweep)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ncdsm-bench:", err)
-		os.Exit(2)
-	}
-	for _, sv := range sweepValues {
-		o := base
-		if err := experiments.ApplyParam(&o.P, sweepKey, sv); err != nil {
-			fmt.Fprintln(os.Stderr, "ncdsm-bench:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("--- %s = %s ---\n", sweepKey, sv)
-		runAll(ids, o, *format, *metricsFmt)
 	}
 }
 
-// runAll generates and prints each selected experiment under o.
-func runAll(ids []string, o experiments.Options, format, metricsFmt string) {
-	for _, id := range ids {
-		gen, err := experiments.Lookup(id)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ncdsm-bench:", err)
-			os.Exit(2)
-		}
-		var merged metrics.Merged
-		o.Metrics = &merged
-		start := time.Now()
-		figure, err := gen(o)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ncdsm-bench: %s: %v\n", id, err)
-			os.Exit(1)
-		}
-		printFigure(figure, format, time.Since(start), o.Scale)
-		printMetrics(merged.Snapshot(), metricsFmt)
+// fail prints err and exits with code: 2 for a usage error, 1 for a
+// run that failed.
+func fail(code int, err error) {
+	fmt.Fprintln(os.Stderr, "ncdsm-bench:", err)
+	os.Exit(code)
+}
+
+// point is one pass over the selected experiments: its options, and
+// the header naming its sweep value ("" without -sweep).
+type point struct {
+	header string
+	opts   ncdsm.ExperimentOptions
+}
+
+// sweepPoints expands -sweep Key=v1,v2,... into one point per value,
+// each a copy of opts with the key set to that value. Without a sweep
+// there is one point, opts itself.
+func sweepPoints(opts ncdsm.ExperimentOptions, spec string) ([]point, error) {
+	if spec == "" {
+		return []point{{opts: opts}}, nil
 	}
+	key, values, err := experiments.ParseSweep(spec)
+	if err != nil {
+		return nil, err
+	}
+	points := make([]point, len(values))
+	for i, v := range values {
+		o := opts
+		if err := experiments.ApplyParam(&o.Config, key, v); err != nil {
+			return nil, err
+		}
+		points[i] = point{header: fmt.Sprintf("--- %s = %s ---\n", key, v), opts: o}
+	}
+	return points, nil
 }
 
 // printFigure renders one figure in the selected format.
@@ -225,8 +193,7 @@ func printFigure(figure *stats.Figure, format string, took time.Duration, scale 
 	case "csv":
 		out, err := figure.CSV()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ncdsm-bench: %s: %v\n", figure.ID, err)
-			os.Exit(1)
+			fail(1, fmt.Errorf("%s: %w", figure.ID, err))
 		}
 		fmt.Print(out)
 		fmt.Println()
@@ -238,14 +205,11 @@ func printFigure(figure *stats.Figure, format string, took time.Duration, scale 
 	case "table":
 		fmt.Print(figure.Render())
 		fmt.Printf("[generated in %.1fs at scale %g]\n\n", took.Seconds(), scale)
-	default:
-		fmt.Fprintf(os.Stderr, "ncdsm-bench: unknown format %q\n", format)
-		os.Exit(2)
 	}
 }
 
 // printMetrics renders the experiment's merged snapshot, if asked for.
-func printMetrics(snap metrics.Snapshot, format string) {
+func printMetrics(snap ncdsm.Snapshot, format string) {
 	switch format {
 	case "":
 	case "prom":
@@ -256,27 +220,37 @@ func printMetrics(snap metrics.Snapshot, format string) {
 	}
 }
 
-func checkMetricsFormat(format string) error {
-	switch format {
+// checkFormats refuses an unknown -format or -metrics value.
+func checkFormats(format, metricsFmt string) error {
+	switch metricsFmt {
 	case "", "prom", "json":
-		return nil
+	default:
+		return fmt.Errorf("unknown -metrics format %q (want prom or json)", metricsFmt)
 	}
-	return fmt.Errorf("unknown -metrics format %q (want prom or json)", format)
+	switch format {
+	case "table", "csv", "md", "chart":
+	default:
+		return fmt.Errorf("unknown format %q", format)
+	}
+	return nil
 }
 
-// selectIDs maps the -fig/-table flags to experiment identifiers.
+// selectIDs maps the -fig/-table flags to experiment identifiers,
+// refusing any id the harness does not have.
 func selectIDs(fig, table string) ([]string, error) {
+	known := ncdsm.Experiments()
 	var ids []string
 	switch {
 	case fig == "all":
-		for _, e := range experiments.Registry() {
-			ids = append(ids, e.ID)
-		}
+		ids = known
 	case fig != "":
 		id := fig
 		if _, err := strconv.Atoi(id); err == nil {
 			// Bare figure numbers map to the paper's figure ids.
 			id = "fig" + id
+		}
+		if !slices.Contains(known, id) {
+			return nil, fmt.Errorf("unknown experiment %q (see -list)", id)
 		}
 		ids = append(ids, id)
 	}

@@ -51,43 +51,28 @@ func main() {
 	flag.Parse()
 
 	cfg := ncdsmfacade.DefaultConfig()
-	if w, h, err := ncdsmfacade.ParseMesh(*meshSpec); err != nil {
-		fatal(err)
-	} else if w != 0 {
-		cfg.MeshWidth, cfg.MeshHeight = w, h
-	}
-	if *shards != 0 {
-		cfg.Shards = *shards
-	}
-	if ll, err := ncdsmfacade.ParseLinkLatSpec(*linkLat); err != nil {
-		fatal(err)
-	} else if !ll.Empty() {
-		cfg.LinkLat = ll
-	}
-	plan, err := ncdsmfacade.ParseFaultPlan(*faultSpec)
-	if err != nil {
+	machine := ncdsmfacade.MachineFlags{Mesh: *meshSpec, Shards: *shards, LinkLat: *linkLat, Faults: *faultSpec, Bulk: *bulkSpec}
+	if err := machine.Apply(&cfg); err != nil {
 		fatal(err)
 	}
-	if !plan.Empty() {
-		cfg.Faults = plan
-	}
-	bulk, err := ncdsmfacade.ParseBulkSpec(*bulkSpec)
-	if err != nil {
-		fatal(err)
-	}
-	if !bulk.Empty() && cfg.Shards > 1 {
+	if *bulkSpec != "" && cfg.Shards > 1 {
 		// Fail loudly instead of letting the bulk demo die mid-walkthrough:
 		// the bulk data plane only runs on the single-shard engine.
 		fatal(&ncdsmfacade.ShardGateError{Feature: "the bulk data plane", Shards: cfg.Shards})
 	}
-	bulk.Apply(&cfg)
+	// Refuse an unknown -metrics format before any system is built.
+	switch *metricsFmt {
+	case "", "prom", "json":
+	default:
+		fatal(fmt.Errorf("unknown -metrics format %q (want prom or json)", *metricsFmt))
+	}
 	sys, err := ncdsmfacade.New(cfg)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Println(ncdsmfacade.Describe(sys.Config()))
-	if !plan.Empty() {
-		fmt.Printf("fault plan: %s\n", plan)
+	if !cfg.Faults.Empty() {
+		fmt.Printf("fault plan: %s\n", cfg.Faults)
 	}
 	fmt.Println()
 
@@ -150,8 +135,6 @@ func main() {
 			fmt.Print(snap.Prometheus())
 		case "json":
 			fmt.Print(snap.JSON())
-		default:
-			fatal(fmt.Errorf("unknown -metrics format %q (want prom or json)", *metricsFmt))
 		}
 	}
 	if !did {
@@ -435,7 +418,7 @@ func runExplore(cfg ncdsmfacade.Config, protoSpec string, spec ncdsmfacade.Explo
 func demoBulk(sys *ncdsmfacade.System) error {
 	p := sys.Config()
 	fmt.Printf("bulk data plane: %d-line data frames, up to %d frames per burst (%d KiB per burst)\n\n",
-		p.BurstFrameLines(), p.BurstMaxFrames(), p.BurstMaxLines()*int(params.CacheLineSize)>>10)
+		p.BulkFrameLines, p.BulkMaxFrames, p.BurstMaxLines()*int(params.CacheLineSize)>>10)
 
 	region, err := sys.Region(1)
 	if err != nil {

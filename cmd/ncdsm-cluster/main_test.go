@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"reflect"
 	"runtime"
 	"strings"
@@ -8,6 +11,49 @@ import (
 
 	ncdsmfacade "repro"
 )
+
+// TestMain lets a test run the command itself: with NCDSM_CLUSTER_MAIN
+// set, the test binary is ncdsm-cluster, run on its own arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("NCDSM_CLUSTER_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestUsageErrorsRefusedBeforeWork: a bad machine spec or -metrics
+// format exits 1 before the system is built, so nothing reaches stdout
+// — not the banner, not the -stats workload.
+func TestUsageErrorsRefusedBeforeWork(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		stderr string
+	}{
+		{[]string{"-stats", "-metrics", "xml"}, `unknown -metrics format "xml" (want prom or json)`},
+		{[]string{"-stats", "-mesh", "0x4"}, `ncdsm: mesh spec "0x4" must be WxH with both dimensions >= 2`},
+		{[]string{"-stats", "-bulk", "frame=0"}, "params: bulk frame=0 must be positive (omit frame to keep the default)"},
+		{[]string{"-stats", "-faults", "drop=2"}, "faults: drop probability 2 outside [0,1]"},
+		{[]string{"-stats", "-linklat", "x=-1ns"}, "params: linklat x=-1ns must be positive (omit x to keep the uniform hop latency)"},
+		{[]string{"-bulk", "on", "-shards", "4"}, "params: the bulk data plane is not shard-partitioned; it requires -shards 1, got 4"},
+	} {
+		cmd := exec.Command(os.Args[0], tc.args...)
+		cmd.Env = append(os.Environ(), "NCDSM_CLUSTER_MAIN=1")
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		code := 0
+		var exit *exec.ExitError
+		if err := cmd.Run(); errors.As(err, &exit) {
+			code = exit.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if want := "ncdsm-cluster: " + tc.stderr + "\n"; code != 1 || stdout.Len() != 0 || stderr.String() != want {
+			t.Errorf("ncdsm-cluster %s: exit %d, stderr %q, stdout %q; want exit 1, stderr %q and no output",
+				strings.Join(tc.args, " "), code, stderr.String(), stdout.String(), want)
+		}
+	}
+}
 
 func TestParseSize(t *testing.T) {
 	cases := map[string]uint64{

@@ -415,11 +415,11 @@ func benchExchangeDrain(b *testing.B) {
 	p := params.Default()
 	p.MeshWidth, p.MeshHeight = 16, 16
 	p.Shards = 2
-	set := sim.NewShardSet(p.Shards, p.HopLatency)
-	c, err := cluster.New(set, p)
+	c, err := cluster.New(p)
 	if err != nil {
 		b.Fatal(err)
 	}
+	set := c.Set()
 	topo := c.Topology()
 	type read struct {
 		r   *rmc.RMC
@@ -476,12 +476,11 @@ func benchExchangeDrain(b *testing.B) {
 func bulkRig(b *testing.B, nodes int) (*sim.ShardSet, *rmc.RMC) {
 	p := params.Default()
 	p.MeshWidth, p.MeshHeight = nodes, 1
-	set := sim.NewShardSet(1, p.HopLatency)
-	c, err := cluster.New(set, p)
+	c, err := cluster.New(p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return set, c.MustNode(1).RMC()
+	return c.Set(), c.MustNode(1).RMC()
 }
 
 // benchBulkRoundTrip is the bulk data plane's hot path: one 64-line
@@ -697,11 +696,11 @@ func benchSharded16x16(b *testing.B) {
 	p := params.Default()
 	p.MeshWidth, p.MeshHeight = 16, 16
 	p.Shards = 8
-	set := sim.NewShardSet(p.Shards, p.HopLatency)
-	c, err := cluster.New(set, p)
+	c, err := cluster.New(p)
 	if err != nil {
 		b.Fatal(err)
 	}
+	set := c.Set()
 	topo, err := mesh.NewTopology(p.MeshWidth, p.MeshHeight)
 	if err != nil {
 		b.Fatal(err)

@@ -111,11 +111,11 @@ func ExampleRegion_ReadBulk() {
 	// 64 remote lines, one burst: 2.11 µs
 }
 
-// ExampleExperiment regenerates a paper figure programmatically.
-func ExampleExperiment() {
+// ExampleRunExperiment regenerates a paper figure programmatically.
+func ExampleRunExperiment() {
 	opts := ncdsm.DefaultExperimentOptions()
 	opts.Scale = 0.01
-	fig, err := ncdsm.ExperimentFigure("eq", opts)
+	fig, _, err := ncdsm.RunExperiment("eq", opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,17 +39,24 @@ type Cluster struct {
 	nodes   []*Node
 }
 
-// New builds a cluster from the parameter set, partitioned over the
-// shard set's engines. The mesh is tiled into one rectangular region per
-// shard (mesh.Partition); every node's events — cache, DRAM, RMC client
-// and server work — run on its region's engine, and every frame travels
-// through the windowed exchange drained at the set's barriers. A
-// single-shard set runs the same exchange schedule, so figures are
-// byte-identical at any shard count.
-func New(set *sim.ShardSet, p params.Params) (*Cluster, error) {
+// New builds a cluster from the parameter set on a fresh shard set of
+// max(p.Shards, 1) engines (Set). The set's uniform lookahead window is
+// the minimum single-link traversal latency — HopLatency, unless a
+// -linklat table names a faster edge — the floor on the time any frame
+// needs to cross a region boundary. The mesh is tiled into one
+// rectangular region per shard (mesh.Partition); every node's events —
+// cache, DRAM, RMC client and server work — run on its region's engine,
+// and every frame travels through the windowed exchange drained at the
+// set's barriers. A single-shard set runs the same exchange schedule, so
+// figures are byte-identical at any shard count.
+func New(p params.Params) (*Cluster, error) {
+	// Validate before the shard set exists: it panics on the lookahead
+	// window a bad calibration implies (a zero hop latency, say), where
+	// the caller is owed the calibration error.
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	set := sim.NewShardSet(max(p.Shards, 1), p.LinkLat.MinLatency(p.HopLatency))
 	topo, err := mesh.NewTopology(p.MeshWidth, p.MeshHeight)
 	if err != nil {
 		return nil, err

@@ -13,7 +13,7 @@ import (
 
 func build(t *testing.T) *Cluster {
 	t.Helper()
-	c, err := New(sim.WrapEngine(sim.New(), params.Default().HopLatency), params.Default())
+	c, err := New(params.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestBuildPrototype(t *testing.T) {
 func TestInvalidParams(t *testing.T) {
 	p := params.Default()
 	p.MeshWidth = 0
-	if _, err := New(sim.WrapEngine(sim.New(), p.HopLatency), p); err == nil {
+	if _, err := New(p); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
@@ -73,7 +73,7 @@ func TestIsRemote(t *testing.T) {
 	// (4 GiB nodes leave the top of each 16 GiB local space unclaimed).
 	p := params.Default()
 	p.MemPerNode, p.PrivateMemPerNode = 4<<30, 2<<30
-	small, err := New(sim.WrapEngine(sim.New(), p.HopLatency), p)
+	small, err := New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestPrefetchAcceleratesStreams(t *testing.T) {
 		if depth > 0 {
 			p.RMCQueueDepth = depth + 1
 		}
-		c, err := New(sim.WrapEngine(sim.New(), p.HopLatency), p)
+		c, err := New(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func TestPrefetchPreservesRandomAccessTime(t *testing.T) {
 	run := func(depth int) sim.Time {
 		p := params.Default()
 		p.PrefetchDepth = depth
-		c, err := New(sim.WrapEngine(sim.New(), p.HopLatency), p)
+		c, err := New(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +369,7 @@ func TestHToEClusterEndToEnd(t *testing.T) {
 	// higher per-line cost, no express links.
 	p := params.Default()
 	p.Fabric = params.FabricHToE
-	c, err := New(sim.WrapEngine(sim.New(), p.HopLatency), p)
+	c, err := New(p)
 	if err != nil {
 		t.Fatal(err)
 	}

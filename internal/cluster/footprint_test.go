@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/params"
-	"repro/internal/sim"
 )
 
 // TestNew32x32Footprint pins what building the 1024-node fabric costs
@@ -20,7 +19,7 @@ func TestNew32x32Footprint(t *testing.T) {
 	p.Shards = 1
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	c, err := New(sim.NewShardSet(p.Shards, p.HopLatency), p)
+	c, err := New(p)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

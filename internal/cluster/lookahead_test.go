@@ -22,11 +22,11 @@ import (
 func TestPastDeliveryIsDiagnosed(t *testing.T) {
 	p := params.Default()
 	p.Shards = 2
-	set := sim.NewShardSet(p.Shards, p.HopLatency)
-	c, err := New(set, p)
+	c, err := New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	set := c.Set()
 	// On the 4x4 mesh split 2x1, node 1 is on shard 0 and node 3 on
 	// shard 1.
 	src, dst := c.MustNode(1), c.MustNode(3)

@@ -17,11 +17,11 @@ import (
 func TestCrossShardExchangeSteadyStateAllocs(t *testing.T) {
 	p := params.Default()
 	p.Shards = 2
-	set := sim.NewShardSet(p.Shards, p.HopLatency)
-	c, err := New(set, p)
+	c, err := New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	set := c.Set()
 	// On the 4x4 mesh split 2x1, node 1 (0,0) is on shard 0 and node 3
 	// (2,0) on shard 1; every access below crosses the partition.
 	n := c.MustNode(1)

@@ -199,7 +199,7 @@ func (r *Region) issueRuns(now sim.Time, kind rmc.BulkKind, runs []physRun, data
 		return fmt.Errorf("core: bulk operation needs a done callback")
 	}
 	self := r.node.ID()
-	frameLines, maxFrames := r.sys.p.BurstFrameLines(), r.sys.p.BurstMaxFrames()
+	frameLines, maxFrames := r.sys.p.BulkFrameLines, r.sys.p.BulkMaxFrames
 
 	// First pass: count the bursts so the join knows its fan-in before
 	// the first completion can fire.

@@ -34,31 +34,16 @@ type System struct {
 
 // NewSystem builds the cluster hardware and boots one OS per node. The
 // simulation runs on p.Shards conservative-PDES shards (default one);
-// the uniform lookahead window is the minimum single-link traversal
-// latency — HopLatency, unless a -linklat table names a faster edge —
-// the floor on the time any frame needs to cross a region boundary.
-// Once the mesh geometry is known, the cluster installs the lookahead
-// bound matrix on multi-shard sets.
+// cluster.New builds the shard set and validates p first.
 func NewSystem(p params.Params) (*System, error) {
-	// Validate before the shard set exists: it panics on the lookahead
-	// window a bad calibration implies (a zero hop latency, say), where
-	// the caller is owed the calibration error.
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	k := p.Shards
-	if k < 1 {
-		k = 1
-	}
-	set := sim.NewShardSet(k, p.LinkLat.MinLatency(p.HopLatency))
-	cl, err := cluster.New(set, p)
+	cl, err := cluster.New(p)
 	if err != nil {
 		return nil, err
 	}
 	topo := cl.Topology()
 	s := &System{
 		p:       p,
-		set:     set,
+		set:     cl.Set(),
 		cl:      cl,
 		dir:     memdir.New(func(a, b addr.NodeID) int { return topo.Hops(a, b) }),
 		agents:  make(map[addr.NodeID]*osmodel.Agent),
@@ -88,13 +73,13 @@ func NewSystem(p params.Params) (*System, error) {
 			r.SetProtection(a)
 		}
 	}
-	set.Metrics().GaugeFunc(metrics.FamPoolFreeBytes,
+	s.set.Metrics().GaugeFunc(metrics.FamPoolFreeBytes,
 		"free bytes in the cluster-wide memory pool", nil,
 		func() float64 { return float64(s.dir.TotalFree()) })
 	// Directory-transaction families register lazily on the first donor
 	// search or grant, so systems that never borrow memory snapshot
 	// exactly as before.
-	s.dir.Instrument(set.Metrics())
+	s.dir.Instrument(s.set.Metrics())
 	return s, nil
 }
 

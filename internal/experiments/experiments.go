@@ -67,8 +67,8 @@ func DefaultOptions() Options {
 
 // Validate reports why o cannot run: Scale must be positive and finite,
 // and the calibration must pass params.Validate. Every generator Lookup
-// returns checks it first, so the facade and each -sweep point refuse a
-// bad option set before any system is built.
+// returns checks it first, so the facade's RunExperiment refuses a bad
+// option set before any system is built.
 func (o Options) Validate() error {
 	if !(o.Scale > 0) || math.IsInf(o.Scale, 1) {
 		return fmt.Errorf("experiments: Scale must be positive and finite (got %v)", o.Scale)

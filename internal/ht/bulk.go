@@ -19,7 +19,7 @@ const (
 	// CmdBulkRd is a read-burst doorbell: Data carries an encoded span
 	// list (see PutSpan), Count the total payload bytes the burst will
 	// return. The server answers with pipelined multi-line RdResponse
-	// frames, one per up-to-BurstFrameLines lines.
+	// frames, one per up-to-BulkFrameLines lines.
 	CmdBulkRd Command = iota + 6
 	// CmdBulkWr is one multi-line write data frame of a burst. It is
 	// self-routing (Addr + Count describe its line run) and carries its

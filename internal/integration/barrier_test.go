@@ -31,11 +31,11 @@ func newBarrierSmoke(t *testing.T, mut func(*params.Params)) (*cluster.Cluster, 
 	if mut != nil {
 		mut(&p)
 	}
-	set := sim.NewShardSet(p.Shards, p.LinkLat.MinLatency(p.HopLatency))
-	c, err := cluster.New(set, p)
+	c, err := cluster.New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	set := c.Set()
 	topo, err := mesh.NewTopology(p.MeshWidth, p.MeshHeight)
 	if err != nil {
 		t.Fatal(err)

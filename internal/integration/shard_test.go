@@ -158,11 +158,11 @@ func sparseStreamRun(t *testing.T, k int) []traceRec {
 		t.Fatal(err)
 	}
 	p.LinkLat = ll
-	set := sim.NewShardSet(k, p.LinkLat.MinLatency(p.HopLatency))
-	c, err := cluster.New(set, p)
+	c, err := cluster.New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	set := c.Set()
 	var stream []traceRec
 	c.Exchanges().Trace(func(at sim.Time, src, dst addr.NodeID, seq uint64) {
 		stream = append(stream, traceRec{at, src, dst, seq})

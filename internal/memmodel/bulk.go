@@ -97,8 +97,7 @@ func (m *BulkModel) run(lines int, write bool) params.Duration {
 			p.LinkLat.Edges = append(p.LinkLat.Edges, e)
 		}
 	}
-	set := sim.NewShardSet(1, p.LinkLat.MinLatency(p.HopLatency))
-	c, err := cluster.New(set, p)
+	c, err := cluster.New(p)
 	if err != nil {
 		panic(fmt.Sprintf("memmodel: bulk pricing rig: %v", err))
 	}
@@ -137,7 +136,7 @@ func (m *BulkModel) run(lines int, write bool) params.Duration {
 			panic(fmt.Sprintf("memmodel: bulk pricing request: %v", err))
 		}
 	}
-	set.Run()
+	c.Set().Run()
 	return params.Duration(last)
 }
 

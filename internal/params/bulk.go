@@ -1,4 +1,4 @@
-// Bulk data-plane tuning: the defaults behind the zero values of
+// Bulk data-plane tuning: the bounds and defaults of
 // Params.BulkFrameLines / Params.BulkMaxFrames, and the parsed form of
 // the CLIs' -bulk flag (same canonical round-trip discipline as the
 // -faults spec in package faults: String renders exactly what Parse
@@ -31,25 +31,9 @@ const (
 	MaxBulkFrames = 256
 )
 
-// BurstFrameLines returns the effective lines per bulk data frame.
-func (p Params) BurstFrameLines() int {
-	if p.BulkFrameLines > 0 {
-		return p.BulkFrameLines
-	}
-	return DefaultBulkFrameLines
-}
-
-// BurstMaxFrames returns the effective data-frame cap per burst.
-func (p Params) BurstMaxFrames() int {
-	if p.BulkMaxFrames > 0 {
-		return p.BulkMaxFrames
-	}
-	return DefaultBulkMaxFrames
-}
-
 // BurstMaxLines returns the largest line count one burst can carry;
 // larger transfers split into multiple bursts.
-func (p Params) BurstMaxLines() int { return p.BurstFrameLines() * p.BurstMaxFrames() }
+func (p Params) BurstMaxLines() int { return p.BulkFrameLines * p.BulkMaxFrames }
 
 // BulkSpec is the parsed -bulk flag: burst-geometry overrides for the
 // bulk data plane. The zero value is the empty spec (flag absent).

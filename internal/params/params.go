@@ -199,14 +199,14 @@ type Params struct {
 	// BulkFrameLines is the number of cache lines one bulk data frame
 	// carries. Bigger frames amortize the 8-byte HNC header and the
 	// per-frame CRC/ack machinery over more payload but raise the cost
-	// of a retransmission when a fault plan drops one. 0 selects
-	// DefaultBulkFrameLines.
+	// of a retransmission when a fault plan drops one. Default sets
+	// DefaultBulkFrameLines; Validate requires 1..MaxBulkFrameLines.
 	BulkFrameLines int
 
 	// BulkMaxFrames caps the data frames of one burst; the wire format
 	// (frame index and burst length share the 16-bit tag) allows at most
-	// 256. Callers split larger transfers into multiple bursts. 0
-	// selects DefaultBulkMaxFrames.
+	// 256. Callers split larger transfers into multiple bursts. Default
+	// sets DefaultBulkMaxFrames; Validate requires 1..MaxBulkFrames.
 	BulkMaxFrames int
 
 	// ---- Remote swap / disk baselines ----
@@ -367,10 +367,10 @@ func (p Params) Validate() error {
 		return fmt.Errorf("params: RMCQueueDepth %d < 1", p.RMCQueueDepth)
 	case p.PrefetchDepth < 0:
 		return fmt.Errorf("params: PrefetchDepth %d < 0", p.PrefetchDepth)
-	case p.BulkFrameLines < 0 || p.BulkFrameLines > MaxBulkFrameLines:
-		return fmt.Errorf("params: BulkFrameLines %d outside [0,%d]", p.BulkFrameLines, MaxBulkFrameLines)
-	case p.BulkMaxFrames < 0 || p.BulkMaxFrames > MaxBulkFrames:
-		return fmt.Errorf("params: BulkMaxFrames %d outside [0,%d]", p.BulkMaxFrames, MaxBulkFrames)
+	case p.BulkFrameLines < 1 || p.BulkFrameLines > MaxBulkFrameLines:
+		return fmt.Errorf("params: BulkFrameLines %d outside [1,%d]", p.BulkFrameLines, MaxBulkFrameLines)
+	case p.BulkMaxFrames < 1 || p.BulkMaxFrames > MaxBulkFrames:
+		return fmt.Errorf("params: BulkMaxFrames %d outside [1,%d]", p.BulkMaxFrames, MaxBulkFrames)
 	case p.DRAMLatency <= 0 || p.HopLatency <= 0 || p.RMCClientOccupancy <= 0 || p.RMCServerOccupancy <= 0:
 		return fmt.Errorf("params: latencies must be positive")
 	case p.SwapResidentPages < 1:

@@ -62,6 +62,11 @@ func TestValidateRejections(t *testing.T) {
 		{"zero rmc queue", func(p *Params) { p.RMCQueueDepth = 0 }},
 		{"negative latency", func(p *Params) { p.DRAMLatency = -1 }},
 		{"zero resident pages", func(p *Params) { p.SwapResidentPages = 0 }},
+		// Zero is not a spelling of the default: Default sets the geometry.
+		{"zero bulk frame lines", func(p *Params) { p.BulkFrameLines = 0 }},
+		{"zero bulk max frames", func(p *Params) { p.BulkMaxFrames = 0 }},
+		{"bulk frame lines past bound", func(p *Params) { p.BulkFrameLines = MaxBulkFrameLines + 1 }},
+		{"bulk max frames past wire cap", func(p *Params) { p.BulkMaxFrames = MaxBulkFrames + 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -165,7 +170,7 @@ func TestBulkSpecRoundTrip(t *testing.T) {
 	p := Default()
 	s, _ := ParseBulk("frame=4")
 	s.Apply(&p)
-	if p.BulkFrameLines != 4 || p.BurstMaxFrames() != DefaultBulkMaxFrames {
+	if p.BulkFrameLines != 4 || p.BulkMaxFrames != DefaultBulkMaxFrames {
 		t.Errorf("Apply wrote %d/%d", p.BulkFrameLines, p.BulkMaxFrames)
 	}
 	if p.BurstMaxLines() != 4*DefaultBulkMaxFrames {

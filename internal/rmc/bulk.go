@@ -115,7 +115,7 @@ func (r *RMC) RequestBulk(now sim.Time, req BulkRequest) error {
 	if len(req.Spans) == 0 {
 		return fmt.Errorf("rmc: bulk request with no spans")
 	}
-	frameLines := r.p.BurstFrameLines()
+	frameLines := r.p.BulkFrameLines
 	dst := req.Spans[0].Start.Node()
 	lines, frames := 0, 0
 	for _, s := range req.Spans {
@@ -148,7 +148,7 @@ func (r *RMC) RequestBulk(now sim.Time, req BulkRequest) error {
 		// sound on a single engine but not across shards.
 		return &params.ShardGateError{Feature: "the bulk data plane", Shards: int(r.exch.setSize)}
 	}
-	maxFrames := r.p.BurstMaxFrames()
+	maxFrames := r.p.BulkMaxFrames
 	if maxFrames > ht.MaxBurstFrames {
 		maxFrames = ht.MaxBurstFrames
 	}
@@ -387,7 +387,7 @@ func (r *RMC) launchBulk(op *bulkOp) {
 		pkt := ht.Packet{Cmd: cmd, Addr: op.spans[0].Start, Count: op.lines * params.CacheLineSize, Data: r.encodeDescriptor(op)}
 		op.send(r, now, &op.desc, r.seal(pkt), op.peer)
 	case BulkWrite:
-		frameLines := r.p.BurstFrameLines()
+		frameLines := r.p.BulkFrameLines
 		idx, pos := 0, 0
 		for _, s := range op.spans {
 			for off := 0; off < s.Lines; off += frameLines {
@@ -464,7 +464,7 @@ func (r *RMC) serveBulkDesc(now sim.Time, sealed hnc.Sealed, op *bulkOp) {
 		}
 	}
 
-	frameLines := r.p.BurstFrameLines()
+	frameLines := r.p.BulkFrameLines
 	idx, doff := 0, 0
 	for p := pos; p < len(desc); p += ht.SpanBytes {
 		start, spanLines := ht.GetSpan(desc[p:])

@@ -119,30 +119,25 @@ func (s *ShardSet) lap(d, mark *time.Duration) {
 	*mark = now
 }
 
-// WrapEngine adapts a self-registered engine (from New) into a
-// single-shard set: same registry, same families, inline execution.
-func WrapEngine(e *Engine, window Time) *ShardSet {
-	if window <= 0 {
-		panic(fmt.Sprintf("sim: non-positive lookahead window %d", window))
-	}
-	return &ShardSet{engines: []*Engine{e}, window: window, met: e.met}
-}
-
-// NewShardSet builds k bare engines over one fresh shared registry and
-// registers aggregated sim_* families matching what a single engine
+// NewShardSet builds a set of k engines. One shard is a self-registered
+// engine (from New) run inline: same registry, same families. More are
+// bare engines over one fresh shared registry, which registers
+// aggregated sim_* families matching what a single engine
 // self-registers, so snapshots are byte-identical across shard counts.
-// The barrier/elision families exist only here — they are properties of
-// the multi-shard schedule, inherently shard-count-dependent, and a
-// single-shard run must stay byte-identical to its pre-sharding output.
+// The barrier/elision families exist only at k > 1 — they are
+// properties of the multi-shard schedule, inherently
+// shard-count-dependent, and a single-shard run must stay byte-identical
+// to its pre-sharding output.
 func NewShardSet(k int, window Time) *ShardSet {
 	if k < 1 {
 		panic(fmt.Sprintf("sim: shard count %d < 1", k))
 	}
-	if k == 1 {
-		return WrapEngine(New(), window)
-	}
 	if window <= 0 {
 		panic(fmt.Sprintf("sim: non-positive lookahead window %d", window))
+	}
+	if k == 1 {
+		e := New()
+		return &ShardSet{engines: []*Engine{e}, window: window, met: e.met}
 	}
 	met := metrics.NewRegistry()
 	s := &ShardSet{

@@ -195,7 +195,7 @@ func TestShardSetStopIsDeterministic(t *testing.T) {
 
 // TestShardSetSingleShardMatchesEngine runs the same event program
 // through a bare engine and a 1-shard set and compares execution traces
-// — WrapEngine must keep the plain engine's exact semantics. Each trace
+// — a one-shard set must keep the plain engine's exact semantics. Each trace
 // is read after its Run: the program only schedules, so the events it
 // records have not fired when it returns.
 func TestShardSetSingleShardMatchesEngine(t *testing.T) {
@@ -216,7 +216,7 @@ func TestShardSetSingleShardMatchesEngine(t *testing.T) {
 	wantTrace := program(e.At)
 	e.Run()
 
-	s := WrapEngine(New(), 120)
+	s := NewShardSet(1, 120)
 	gotTrace := program(s.Engine(0).At)
 	s.Run()
 

@@ -108,6 +108,54 @@ type LinkLatSpec = params.LinkLatSpec
 // "x=100ns,y=140ns,edge=1.0-2.0:250ns".
 func ParseLinkLatSpec(spec string) (LinkLatSpec, error) { return params.ParseLinkLat(spec) }
 
+// MachineFlags holds the raw values of the machine flags both CLIs
+// share: -mesh WxH, -shards N, and the -linklat, -faults and -bulk
+// specs.
+type MachineFlags struct {
+	Mesh    string
+	Shards  int
+	LinkLat string
+	Faults  string
+	Bulk    string
+}
+
+// Apply parses the flags and writes what each one sets into cfg; an
+// empty spec or a zero shard count leaves its fields as they are. A bad
+// spec returns its parser's error with cfg untouched. The result is not
+// validated: New and RunExperiment do that.
+func (f MachineFlags) Apply(cfg *Config) error {
+	w, h, err := ParseMesh(f.Mesh)
+	if err != nil {
+		return err
+	}
+	ll, err := ParseLinkLatSpec(f.LinkLat)
+	if err != nil {
+		return err
+	}
+	plan, err := ParseFaultPlan(f.Faults)
+	if err != nil {
+		return err
+	}
+	bulk, err := ParseBulkSpec(f.Bulk)
+	if err != nil {
+		return err
+	}
+	if w != 0 {
+		cfg.MeshWidth, cfg.MeshHeight = w, h
+	}
+	if f.Shards != 0 {
+		cfg.Shards = f.Shards
+	}
+	if !ll.Empty() {
+		cfg.LinkLat = ll
+	}
+	if !plan.Empty() {
+		cfg.Faults = plan
+	}
+	bulk.Apply(cfg)
+	return nil
+}
+
 // ShardGateError is returned when a feature that only runs on the
 // single-shard engine is used with Shards > 1: the HT-over-Ethernet
 // fabric when the configuration is validated, a bulk burst when it is
@@ -434,10 +482,20 @@ func (r *Region) Owner(p Pointer) (NodeID, error) {
 	return pa.Node(), nil
 }
 
-// ExperimentOptions configures an experiment run. Use
-// DefaultExperimentOptions and override fields; the zero value is
-// invalid (Scale must be positive and finite — there is no sentinel).
+// ExperimentOptions configures an experiment run: the embedded Config
+// is the machine every simulated point builds, and the other fields say
+// how the harness drives it. Use DefaultExperimentOptions and override
+// fields; the zero value is invalid (its Config fails Validate, and
+// Scale must be positive and finite — there is no sentinel). The
+// promoted Validate checks the Config alone; RunExperiment checks both.
 type ExperimentOptions struct {
+	// Config is the calibration of every simulated point: mesh size,
+	// shard count, link latencies, fault plan, burst geometry and every
+	// timing. Results are byte-identical at every Shards setting, and a
+	// fault plan binds to each sweep point's own injector stream, so
+	// merged figures and metrics are byte-identical at every Parallel
+	// setting too.
+	Config
 	// Scale multiplies workload sizes; 1.0 reproduces the paper-sized
 	// runs, small fractions finish in seconds. Must be positive and
 	// finite.
@@ -449,102 +507,31 @@ type ExperimentOptions struct {
 	// Seed varies the deterministic workload inputs. It is used as
 	// given, 0 included; DefaultExperimentOptions sets 1.
 	Seed int64
-	// Faults, when non-nil and non-empty, runs every simulated point of
-	// the experiment under the fault plan. Results stay deterministic:
-	// each sweep point binds the plan to its own injector stream, so
-	// merged figures and metrics are byte-identical at every Parallel
-	// setting.
-	Faults *FaultPlan
-	// Bulk overrides the bulk data plane's burst geometry for every
-	// simulated point (the CLIs' -bulk flag). The zero value keeps the
-	// defaults and is byte-identical to not setting it.
-	Bulk BulkSpec
-	// MeshWidth and MeshHeight override the fabric mesh dimensions (the
-	// CLIs' -mesh WxH flag). Zero keeps the calibrated 4×4. Both must be
-	// set together.
-	MeshWidth, MeshHeight int
-	// Shards splits the mesh across that many concurrent conservative
-	// PDES shards (the CLIs' -shards flag). 0 or 1 is single-shard;
-	// results are byte-identical at every setting.
-	Shards int
-	// LinkLat overrides mesh link traversal latencies per axis or per
-	// edge (the CLIs' -linklat flag). The zero value keeps the uniform
-	// calibrated hop latency and is byte-identical to not setting it.
-	LinkLat LinkLatSpec
 }
 
-// DefaultExperimentOptions returns paper-scale, all-cores options.
+// DefaultExperimentOptions returns the prototype machine at paper
+// scale, on all cores.
 func DefaultExperimentOptions() ExperimentOptions {
-	return ExperimentOptions{Scale: 1.0, Parallel: 0, Seed: 1}
+	return ExperimentOptions{Config: DefaultConfig(), Scale: 1.0, Parallel: 0, Seed: 1}
 }
 
-// internal maps o onto the harness's options. The generator
-// experiments.Lookup returns validates the result (Scale and the
-// calibration), so only the facade-level fields are checked here.
-func (o ExperimentOptions) internal() (experiments.Options, error) {
-	io := experiments.DefaultOptions()
-	io.Scale = o.Scale
-	io.Parallel = o.Parallel
-	io.Seed = o.Seed
-	if !o.Faults.Empty() {
-		io.P.Faults = o.Faults
-	}
-	if !o.Bulk.Empty() {
-		if err := o.Bulk.Validate(); err != nil {
-			return experiments.Options{}, err
-		}
-		o.Bulk.Apply(&io.P)
-	}
-	if o.MeshWidth != 0 || o.MeshHeight != 0 {
-		if o.MeshWidth <= 0 || o.MeshHeight <= 0 {
-			return experiments.Options{}, fmt.Errorf("ncdsm: MeshWidth and MeshHeight must be set together and positive (got %dx%d)", o.MeshWidth, o.MeshHeight)
-		}
-		io.P.MeshWidth, io.P.MeshHeight = o.MeshWidth, o.MeshHeight
-	}
-	if o.Shards != 0 {
-		io.P.Shards = o.Shards
-	}
-	if !o.LinkLat.Empty() {
-		io.P.LinkLat = o.LinkLat
-	}
-	return io, nil
-}
-
-// Experiment regenerates one of the paper's tables/figures ("table1",
-// "fig6".."fig11", "eq", ablations "A".."H") and returns its rendered
-// text table.
-func Experiment(id string, opts ExperimentOptions) (string, error) {
-	fig, _, err := RunExperiment(id, opts)
-	if err != nil {
-		return "", err
-	}
-	return fig.Render(), nil
-}
-
-// ExperimentFigure is Experiment returning the structured figure.
-func ExperimentFigure(id string, opts ExperimentOptions) (*stats.Figure, error) {
-	fig, _, err := RunExperiment(id, opts)
-	return fig, err
-}
-
-// RunExperiment regenerates one experiment and returns both its figure
-// and the merged metrics snapshot of every simulation the generator
-// ran. Snapshots are folded in sweep submission order, so the result is
-// byte-identical at every Parallel setting. Macro-layer experiments
-// (fig9–fig11, "eq", "G") run no event-driven simulations and return an
-// empty snapshot.
+// RunExperiment regenerates one of the paper's tables/figures ("table1",
+// "fig6".."fig11", "eq", ablations "A".."I", "scale") and returns both
+// its figure and the merged metrics snapshot of every simulation the
+// generator ran. Snapshots are folded in sweep submission order, so the
+// result is byte-identical at every Parallel setting. Macro-layer
+// experiments (fig9–fig11, "eq", "G") run no event-driven simulations
+// and return an empty snapshot. The options are validated (Scale and
+// the Config) before anything runs.
 func RunExperiment(id string, opts ExperimentOptions) (*stats.Figure, Snapshot, error) {
 	gen, err := experiments.Lookup(id)
 	if err != nil {
 		return nil, Snapshot{}, err
 	}
-	o, err := opts.internal()
-	if err != nil {
-		return nil, Snapshot{}, err
-	}
 	var merged metrics.Merged
-	o.Metrics = &merged
-	fig, err := gen(o)
+	fig, err := gen(experiments.Options{
+		P: opts.Config, Scale: opts.Scale, Parallel: opts.Parallel, Seed: opts.Seed, Metrics: &merged,
+	})
 	if err != nil {
 		return nil, Snapshot{}, err
 	}

@@ -16,7 +16,7 @@ func TestBulkShardGateTyped(t *testing.T) {
 	}
 	opts := DefaultExperimentOptions()
 	opts.Scale = 0.01
-	opts.Bulk = bulk
+	bulk.Apply(&opts.Config)
 	opts.Shards = 4
 	_, _, err = RunExperiment("I", opts)
 	var gate *ShardGateError

@@ -3,6 +3,7 @@ package ncdsm
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -184,37 +185,72 @@ func TestExperimentAPI(t *testing.T) {
 	}
 	opts := DefaultExperimentOptions()
 	opts.Scale = 0.01
-	out, err := Experiment("fig6", opts)
+	fig, _, err := RunExperiment("fig6", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "fig6") || !strings.Contains(out, "hops") {
+	if out := fig.Render(); !strings.Contains(out, "fig6") || !strings.Contains(out, "hops") {
 		t.Errorf("experiment output malformed:\n%s", out)
 	}
-	fig, err := ExperimentFigure("eq", opts)
+	fig, _, err = RunExperiment("eq", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fig.ID != "eq" || len(fig.Series) == 0 {
 		t.Error("structured figure malformed")
 	}
-	if _, err := Experiment("nope", DefaultExperimentOptions()); err == nil {
+	if _, _, err := RunExperiment("nope", DefaultExperimentOptions()); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if _, err := ExperimentFigure("nope", DefaultExperimentOptions()); err == nil {
-		t.Error("unknown experiment figure accepted")
+	if _, _, err := RunExperiment("fig6", ExperimentOptions{Scale: 0.01}); err == nil {
+		t.Error("zero-value Config accepted; it must fail Validate, not fall back to the prototype")
 	}
-	if _, err := Experiment("fig6", ExperimentOptions{}); err == nil {
-		t.Error("zero-value options accepted; Scale must be validated")
-	}
-	if _, _, err := RunExperiment("fig6", ExperimentOptions{Scale: -1}); err == nil {
+	bad := opts
+	bad.Scale = -1
+	if _, _, err := RunExperiment("fig6", bad); err == nil {
 		t.Error("negative scale accepted")
 	}
 }
 
-// TestExperimentSeedZero: the facade runs Seed as given, 0 included,
-// as the internal harness (ncdsm-bench's -sweep path) does, so one seed
-// renders one figure on both paths.
+// TestMachineFlags: empty flags leave the Config as it is, each flag
+// writes exactly its own fields, and a bad spec fails with the Config
+// untouched.
+func TestMachineFlags(t *testing.T) {
+	cfg := DefaultConfig()
+	if err := (MachineFlags{}).Apply(&cfg); err != nil || !reflect.DeepEqual(cfg, DefaultConfig()) {
+		t.Errorf("empty flags: %v; Config changed to %+v", err, cfg)
+	}
+	f := MachineFlags{Mesh: "8x6", Shards: 4, LinkLat: "x=100ns", Faults: "seed=3,drop=0.01", Bulk: "frame=4"}
+	if err := f.Apply(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := DefaultConfig()
+	want.MeshWidth, want.MeshHeight, want.Shards = 8, 6, 4
+	want.LinkLat, _ = ParseLinkLatSpec(f.LinkLat)
+	want.Faults, _ = ParseFaultPlan(f.Faults)
+	want.BulkFrameLines = 4
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("Apply(%+v) = %+v, want %+v", f, cfg, want)
+	}
+	if err := Validate(cfg); err != nil {
+		t.Errorf("applied Config invalid: %v", err)
+	}
+	for _, bad := range []MachineFlags{
+		{Mesh: "0x4"}, {Mesh: "8x8", Bulk: "frame=0"}, {Mesh: "8x8", Faults: "drop=2"}, {Mesh: "8x8", LinkLat: "x=-1ns"},
+	} {
+		cfg := DefaultConfig()
+		if err := bad.Apply(&cfg); err == nil {
+			t.Errorf("Apply(%+v) accepted", bad)
+		}
+		if !reflect.DeepEqual(cfg, DefaultConfig()) {
+			t.Errorf("Apply(%+v) failed but changed the Config to %+v", bad, cfg)
+		}
+	}
+}
+
+// TestExperimentSeedZero: the facade runs Seed as given, 0 included —
+// seed 0 is a seed like any other, not a request for the default — so
+// it renders exactly what the harness's generator renders at seed 0.
 func TestExperimentSeedZero(t *testing.T) {
 	opts := DefaultExperimentOptions()
 	opts.Scale, opts.Seed = 0.01, 0
