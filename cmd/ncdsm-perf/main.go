@@ -2,7 +2,8 @@
 // the benchmarks the hot-path work is judged by — engine event churn, a
 // full RMC remote-line round trip, a corner-to-corner mesh traversal, the
 // sharded engine's barrier and exchange drain, the faulted Figure 7
-// sweep, and the macro layer's batched access engine (the Figure 9
+// sweep with its metrics merge, building a 32x32 system and snapshotting
+// its metrics, and the macro layer's batched access engine (the Figure 9
 // search hot loop and the LineCached and Swap batch pricing loops) — and
 // either writes the results to a baseline file (BENCH_sim.json) or checks
 // them against a committed baseline.
@@ -37,11 +38,13 @@ import (
 	"repro/internal/addr"
 	"repro/internal/btree"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/experiments"
 	"repro/internal/ht"
 	"repro/internal/memmodel"
 	"repro/internal/mesh"
+	"repro/internal/metrics"
 	"repro/internal/params"
 	"repro/internal/rmc"
 	"repro/internal/sim"
@@ -192,6 +195,7 @@ func measure() Baseline {
 	run("bulk_round_trip", "500ms", 3, 0, nil, benchBulkRoundTrip)
 	run("bulk_copy_4k", "500ms", 3, 0, nil, benchBulkCopy)
 	run("fig7_faulted_sweep", "3x", 5, 0.35, nil, benchFig7Faulted)
+	run("system_build_32x32", "3x", 5, 0.50, nil, benchSystemBuild32x32)
 	run("sharded_barrier_overhead", "200ms", 5, 0.35, nil, benchShardedBarrierOverhead)
 	run("exchange_drain", "300x", 5, 0, nil, benchExchangeDrain)
 	run("sharded_16x16_events_per_sec", "200x", 8, 0.50,
@@ -749,7 +753,9 @@ func benchSharded16x16(b *testing.B) {
 
 // benchFig7Faulted runs the full Figure 7 sweep under an armed fault
 // plan — the heaviest tracked workload, covering retransmission, pooled
-// frame traffic, and the parallel merge path end to end.
+// frame traffic, and the parallel merge path end to end: like
+// RunExperiment, it folds every point's metrics snapshot into a
+// metrics.Merged.
 func benchFig7Faulted(b *testing.B) {
 	plan, err := ncdsm.ParseFaultPlan(faultSpec)
 	if err != nil {
@@ -766,8 +772,26 @@ func benchFig7Faulted(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		var merged metrics.Merged
+		o.Metrics = &merged
 		if _, err := gen(o); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchSystemBuild32x32 builds the 2-shard 32x32 system and takes one
+// metrics snapshot of it: the host work behind the fabric32 benchmark
+// workload's setup_s and metrics.snapshot_s, with no simulated access.
+func benchSystemBuild32x32(b *testing.B) {
+	p := params.Default()
+	p.MeshWidth, p.MeshHeight, p.Shards = 32, 32, 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys, err := core.NewSystem(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Registry().Snapshot()
 	}
 }

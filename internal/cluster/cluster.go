@@ -127,6 +127,7 @@ func New(p params.Params) (*Cluster, error) {
 		}
 		c.nodes = append(c.nodes, n)
 	}
+	c.register(set.Metrics())
 	if c.inj != nil {
 		// Stall windows are scheduled events: at each window's start the
 		// node's server RMC loses the window's worth of capacity. The
@@ -313,26 +314,45 @@ func newNode(c *Cluster, id addr.NodeID) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.register(c.set.Metrics())
 	return n, nil
 }
 
-// register exposes the node's cache and op-mix tallies. The cache
-// hierarchy has no engine reference, so its counters are sampled from
-// here rather than from inside package cache.
-func (n *Node) register(m *metrics.Registry) {
-	ls := metrics.L("node", fmt.Sprintf("%d", n.id))
-	m.CounterFunc(metrics.FamCacheAccesses, "cache hierarchy accesses", ls, func() uint64 { return n.caches.Accesses })
-	m.CounterFunc(metrics.FamCacheHits, "cache hits", ls, func() uint64 { return n.caches.Hits })
-	m.CounterFunc(metrics.FamCacheMisses, "cache misses", ls, func() uint64 { return n.caches.Misses })
-	m.CounterFunc(metrics.FamCacheWritebacks, "dirty lines written back", ls, func() uint64 { return n.caches.Writebacks })
-	m.CounterFunc(metrics.FamCacheFlushedDirty, "dirty lines flushed at phase changes", ls, func() uint64 { return n.FlushedDirty })
-	m.CounterFunc(metrics.FamNodeLocalOps, "line operations served by local memory", ls, func() uint64 { return n.LocalOps })
-	m.CounterFunc(metrics.FamNodeRemoteOps, "line operations forwarded to remote memory", ls, func() uint64 { return n.RemoteOps })
-	m.CounterFunc(metrics.FamNodePrefetches, "prefetch fills requested", ls, func() uint64 { return n.Prefetches })
-	if n.cluster.inj != nil {
-		m.CounterFunc(metrics.FamNodeAbandonedOps, "remote operations abandoned as unreachable", ls, func() uint64 { return n.AbandonedOps })
+// register adds the families of every node — cache and op-mix tallies
+// (the cache hierarchy has no engine reference, so they are read from
+// here rather than from inside package cache) and the counters of each
+// node's memory controllers — enumerated at snapshot time.
+func (c *Cluster) register(m *metrics.Registry) {
+	perNode := func(name, help string, v func(*Node) uint64) {
+		m.Counters(name, help, []string{"node"}, func(e *metrics.Emitter) {
+			for _, n := range c.nodes {
+				e.Value(float64(v(n)), e.Itoa(int(n.id)))
+			}
+		})
 	}
+	perNode(metrics.FamCacheAccesses, "cache hierarchy accesses", func(n *Node) uint64 { return n.caches.Accesses })
+	perNode(metrics.FamCacheHits, "cache hits", func(n *Node) uint64 { return n.caches.Hits })
+	perNode(metrics.FamCacheMisses, "cache misses", func(n *Node) uint64 { return n.caches.Misses })
+	perNode(metrics.FamCacheWritebacks, "dirty lines written back", func(n *Node) uint64 { return n.caches.Writebacks })
+	perNode(metrics.FamCacheFlushedDirty, "dirty lines flushed at phase changes", func(n *Node) uint64 { return n.FlushedDirty })
+	perNode(metrics.FamNodeLocalOps, "line operations served by local memory", func(n *Node) uint64 { return n.LocalOps })
+	perNode(metrics.FamNodeRemoteOps, "line operations forwarded to remote memory", func(n *Node) uint64 { return n.RemoteOps })
+	perNode(metrics.FamNodePrefetches, "prefetch fills requested", func(n *Node) uint64 { return n.Prefetches })
+	if c.inj != nil {
+		perNode(metrics.FamNodeAbandonedOps, "remote operations abandoned as unreachable", func(n *Node) uint64 { return n.AbandonedOps })
+	}
+	perController := func(name, help string, v func(*dram.Controller) uint64) {
+		m.Counters(name, help, []string{"mc", "node"}, func(e *metrics.Emitter) {
+			for _, n := range c.nodes {
+				for s, ctl := range n.bank.Controllers() {
+					e.Value(float64(v(ctl)), e.Itoa(s), e.Itoa(int(n.id)))
+				}
+			}
+		})
+	}
+	perController(metrics.FamDRAMReads, "read requests serviced", func(mc *dram.Controller) uint64 { return mc.Reads })
+	perController(metrics.FamDRAMWrites, "write requests serviced", func(mc *dram.Controller) uint64 { return mc.Writes })
+	perController(metrics.FamDRAMRowHits, "accesses landing in the open row", func(mc *dram.Controller) uint64 { return mc.RowHits })
+	perController(metrics.FamDRAMRowConflicts, "accesses evicting the open row", func(mc *dram.Controller) uint64 { return mc.RowConflicts })
 }
 
 // ID returns the node identifier.

@@ -60,3 +60,34 @@ func TestMetricsInstrumentation(t *testing.T) {
 		t.Error("node 1 missing from Nodes() view")
 	}
 }
+
+// TestDRAMMetrics checks the controller families the cluster reports
+// for every node's memory controllers: two accesses to one row of
+// node 1's socket-0 controller are a read, a write and a row hit, under
+// labels in key order (mc, then node).
+func TestDRAMMetrics(t *testing.T) {
+	c := build(t)
+	ctl := c.MustNode(1).Bank().Controllers()[0]
+	ctl.Access(0, addr.Phys(0), false)
+	ctl.Access(0, addr.Phys(64), true)
+
+	snap := c.Set().Metrics().Snapshot()
+	ls := metrics.L("node", "1", "mc", "0")
+	for fam, want := range map[string]float64{
+		metrics.FamDRAMReads:        1,
+		metrics.FamDRAMWrites:       1,
+		metrics.FamDRAMRowHits:      1,
+		metrics.FamDRAMRowConflicts: 0,
+	} {
+		if got, ok := snap.Value(fam, ls); !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", fam, got, ok, want)
+		}
+	}
+	f := snap.Family(metrics.FamDRAMReads)
+	if want := c.Nodes() * c.Params().SocketsPerNode; len(f.Samples) != want {
+		t.Errorf("%d controller samples, want %d", len(f.Samples), want)
+	}
+	if got := f.Samples[0].Labels; len(got) != 2 || got[0].Key != "mc" || got[1].Key != "node" {
+		t.Errorf("labels %v not in key order", got)
+	}
+}

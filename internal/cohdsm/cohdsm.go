@@ -185,24 +185,21 @@ func (m *Model) MESI() bool { return m.mesi }
 // nothing and pay nothing, so output that never asked for the coherent
 // comparator stays byte-identical.
 func (m *Model) Instrument(reg *metrics.Registry) {
-	reg.CounterFunc(metrics.FamDirLookups, "home-directory lookups", nil,
-		func() uint64 { return m.DirLookups })
-	reg.CounterFunc(metrics.FamDirInvalidations, "sharer copies invalidated by writes", nil,
-		func() uint64 { return m.Invalidations })
-	reg.CounterFunc(metrics.FamDirInterventions, "dirty-owner interventions on reads", nil,
-		func() uint64 { return m.Interventions })
-	reg.CounterFunc(metrics.FamDirWritebacks, "dirty lines written back to home memory", nil,
-		func() uint64 { return m.Writebacks })
-	m.fanout = reg.Histogram(metrics.FamDirFanout,
-		"sharers invalidated per write miss/upgrade", nil,
-		[]int64{0, 1, 2, 4, 8, 16, 32, 64})
+	counter := func(name, help string, v *uint64) {
+		reg.Counters(name, help, nil, func(e *metrics.Emitter) { e.Value(float64(*v)) })
+	}
+	counter(metrics.FamDirLookups, "home-directory lookups", &m.DirLookups)
+	counter(metrics.FamDirInvalidations, "sharer copies invalidated by writes", &m.Invalidations)
+	counter(metrics.FamDirInterventions, "dirty-owner interventions on reads", &m.Interventions)
+	counter(metrics.FamDirWritebacks, "dirty lines written back to home memory", &m.Writebacks)
+	m.fanout = metrics.NewHistogram([]int64{0, 1, 2, 4, 8, 16, 32, 64})
+	reg.Histograms(metrics.FamDirFanout, "sharers invalidated per write miss/upgrade", nil,
+		func(e *metrics.Emitter) { e.Histogram(m.fanout) })
 	if m.mesi {
 		// MESI-only transitions: registered only for the MESI variant,
 		// so instrumented MSI output stays byte-identical.
-		reg.CounterFunc(metrics.FamDirExclusiveGrants, "cold read misses granted exclusive-clean", nil,
-			func() uint64 { return m.ExclusiveGrants })
-		reg.CounterFunc(metrics.FamDirSilentUpgrades, "E→M upgrades with no directory traffic", nil,
-			func() uint64 { return m.SilentUpgrades })
+		counter(metrics.FamDirExclusiveGrants, "cold read misses granted exclusive-clean", &m.ExclusiveGrants)
+		counter(metrics.FamDirSilentUpgrades, "E→M upgrades with no directory traffic", &m.SilentUpgrades)
 	}
 }
 

@@ -73,13 +73,19 @@ func NewSystem(p params.Params) (*System, error) {
 			r.SetProtection(a)
 		}
 	}
-	s.set.Metrics().GaugeFunc(metrics.FamPoolFreeBytes,
-		"free bytes in the cluster-wide memory pool", nil,
-		func() float64 { return float64(s.dir.TotalFree()) })
-	// Directory-transaction families register lazily on the first donor
-	// search or grant, so systems that never borrow memory snapshot
-	// exactly as before.
-	s.dir.Instrument(s.set.Metrics())
+	m := s.set.Metrics()
+	m.Gauges(metrics.FamPoolFreeBytes, "free bytes in the cluster-wide memory pool", nil,
+		func(e *metrics.Emitter) { e.Value(float64(s.dir.TotalFree())) })
+	m.Gauges(metrics.FamRegionBorrowed, "bytes this region has borrowed from other nodes", []string{"node"},
+		func(e *metrics.Emitter) {
+			for n, r := range s.regions {
+				e.Value(float64(r.agent.BorrowedBytes()), e.Itoa(int(n)))
+			}
+		})
+	// Directory-transaction families report from the first donor search
+	// or grant on, so systems that never borrow memory snapshot exactly
+	// as before.
+	s.dir.Instrument(m)
 	return s, nil
 }
 
@@ -145,10 +151,6 @@ func (s *System) Region(n addr.NodeID) (*Region, error) {
 		return nil, err
 	}
 	r.heap = heap
-	s.Registry().GaugeFunc(metrics.FamRegionBorrowed,
-		"bytes this region has borrowed from other nodes",
-		metrics.L("node", fmt.Sprintf("%d", n)),
-		func() float64 { return float64(r.agent.BorrowedBytes()) })
 	s.regions[n] = r
 	return r, nil
 }

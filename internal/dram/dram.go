@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
-	"repro/internal/metrics"
 	"repro/internal/params"
 	"repro/internal/sim"
 )
@@ -34,21 +33,14 @@ type Controller struct {
 	RowHits, RowConflicts uint64
 }
 
-// NewController creates one socket's controller and registers its
-// counters under node/mc labels.
+// NewController creates one socket's controller. Its tallies reach the
+// metrics through the cluster, which reports every controller's.
 func NewController(eng *sim.Engine, node addr.NodeID, socket int, p params.Params) *Controller {
-	c := &Controller{
+	return &Controller{
 		res:     sim.NewResource(eng, fmt.Sprintf("node%d/mc%d", node, socket), 0),
 		p:       p,
 		lastRow: -1,
 	}
-	ls := metrics.L("node", fmt.Sprintf("%d", node), "mc", fmt.Sprintf("%d", socket))
-	m := eng.Metrics()
-	m.CounterFunc(metrics.FamDRAMReads, "read requests serviced", ls, func() uint64 { return c.Reads })
-	m.CounterFunc(metrics.FamDRAMWrites, "write requests serviced", ls, func() uint64 { return c.Writes })
-	m.CounterFunc(metrics.FamDRAMRowHits, "accesses landing in the open row", ls, func() uint64 { return c.RowHits })
-	m.CounterFunc(metrics.FamDRAMRowConflicts, "accesses evicting the open row", ls, func() uint64 { return c.RowConflicts })
-	return c
 }
 
 // Access services one request to local address a arriving at now and

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/addr"
-	"repro/internal/metrics"
 	"repro/internal/params"
 	"repro/internal/sim"
 )
@@ -49,26 +48,6 @@ func TestRowBufferTracking(t *testing.T) {
 	done := c.Access(0, addr.Phys(192), false)
 	if want := 5*p.DRAMOccupancy + p.DRAMLatency; done != want {
 		t.Errorf("timed completion = %d, want %d", done, want)
-	}
-}
-
-func TestMetricsInstrumentation(t *testing.T) {
-	p := params.Default()
-	eng := sim.New()
-	c := NewController(eng, 1, 0, p)
-	c.Access(0, addr.Phys(0), false)
-	c.Access(0, addr.Phys(64), true)
-
-	snap := eng.Metrics().Snapshot()
-	ls := metrics.L("node", "1", "mc", "0")
-	for fam, want := range map[string]float64{
-		metrics.FamDRAMReads:   1,
-		metrics.FamDRAMWrites:  1,
-		metrics.FamDRAMRowHits: 1,
-	} {
-		if got, _ := snap.Value(fam, ls); got != want {
-			t.Errorf("%s = %v, want %v", fam, got, want)
-		}
 	}
 }
 

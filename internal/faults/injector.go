@@ -168,10 +168,10 @@ func (in *Injector) MangleCRC(crc uint32) uint32 {
 // Register exposes the injection tallies. Only faulted systems call
 // this, so fault-free snapshots carry no fault families at all.
 func (in *Injector) Register(m *metrics.Registry) {
-	m.CounterFunc(metrics.FamFaultDrops, "frames dropped by the fault plan", nil,
-		func() uint64 { return in.Drops })
-	m.CounterFunc(metrics.FamFaultCorruptions, "frames corrupted by the fault plan", nil,
-		func() uint64 { return in.Corruptions })
-	m.CounterFunc(metrics.FamFaultDelays, "frames delayed by the fault plan", nil,
-		func() uint64 { return in.Delays })
+	m.Counters(metrics.FamFaultDrops, "frames dropped by the fault plan", nil,
+		func(e *metrics.Emitter) { e.Value(float64(in.Drops)) })
+	m.Counters(metrics.FamFaultCorruptions, "frames corrupted by the fault plan", nil,
+		func(e *metrics.Emitter) { e.Value(float64(in.Corruptions)) })
+	m.Counters(metrics.FamFaultDelays, "frames delayed by the fault plan", nil,
+		func(e *metrics.Emitter) { e.Value(float64(in.Delays)) })
 }

@@ -39,13 +39,12 @@ type Directory struct {
 	// could satisfy.
 	Lookups, Rejections uint64
 
-	// reg, when set by Instrument, receives the directory-transaction
-	// metric families — but only once the first transaction happens, so
-	// a system that never consults the directory snapshots exactly as an
-	// uninstrumented build.
-	reg        *metrics.Registry
-	registered bool
-	granted    *metrics.Histogram
+	// granted, set by Instrument, observes each grant's size. The
+	// directory-transaction families report only once touched records
+	// an instrumented transaction, so a system that never consults the
+	// directory snapshots exactly as an uninstrumented build.
+	granted *metrics.Histogram
+	touched bool
 }
 
 // New creates a directory. dist gives inter-node distance for the
@@ -54,28 +53,33 @@ func New(dist func(a, b addr.NodeID) int) *Directory {
 	return &Directory{free: make(map[addr.NodeID]uint64), dist: dist}
 }
 
-// Instrument arms the directory to report transaction metrics into reg.
-// Families register lazily on the first donor search or grant: snapshots
-// of systems whose directory stays idle are byte-identical to snapshots
+// Instrument registers the directory-transaction families with reg.
+// They report from the first donor search or grant on: snapshots of
+// systems whose directory stays idle are byte-identical to snapshots
 // taken before this layer existed.
-func (d *Directory) Instrument(reg *metrics.Registry) { d.reg = reg }
-
-// touch registers the metric families on the first directory transaction.
-func (d *Directory) touch() {
-	if d.reg == nil || d.registered {
-		return
-	}
-	d.registered = true
-	d.reg.CounterFunc(metrics.FamMemdirLookups, "donor searches against the free-memory directory", nil,
-		func() uint64 { return d.Lookups })
-	d.reg.CounterFunc(metrics.FamMemdirGrants, "reservations granted by the directory", nil,
-		func() uint64 { return d.Grants })
-	d.reg.CounterFunc(metrics.FamMemdirRejections, "donor searches no node could satisfy", nil,
-		func() uint64 { return d.Rejections })
+func (d *Directory) Instrument(reg *metrics.Registry) {
 	const mb = int64(1) << 20
-	d.granted = d.reg.Histogram(metrics.FamMemdirGrantedBytes, "bytes per granted reservation", nil,
-		[]int64{mb, 16 * mb, 64 * mb, 256 * mb, 1024 * mb, 4096 * mb, 16384 * mb})
+	d.granted = metrics.NewHistogram([]int64{mb, 16 * mb, 64 * mb, 256 * mb, 1024 * mb, 4096 * mb, 16384 * mb})
+	counter := func(name, help string, v *uint64) {
+		reg.Counters(name, help, nil, func(e *metrics.Emitter) {
+			if d.touched {
+				e.Value(float64(*v))
+			}
+		})
+	}
+	counter(metrics.FamMemdirLookups, "donor searches against the free-memory directory", &d.Lookups)
+	counter(metrics.FamMemdirGrants, "reservations granted by the directory", &d.Grants)
+	counter(metrics.FamMemdirRejections, "donor searches no node could satisfy", &d.Rejections)
+	reg.Histograms(metrics.FamMemdirGrantedBytes, "bytes per granted reservation", nil, func(e *metrics.Emitter) {
+		if d.touched {
+			e.Histogram(d.granted)
+		}
+	})
 }
+
+// touch marks the first directory transaction of an instrumented
+// directory, from which on its families report.
+func (d *Directory) touch() { d.touched = d.granted != nil }
 
 // Register announces a node's pooled capacity (or updates it).
 func (d *Directory) Register(n addr.NodeID, bytes uint64) error {

@@ -141,7 +141,7 @@ func TestInstrumentGated(t *testing.T) {
 	d.Register(2, 100)
 	d.Register(3, 300)
 	if n := len(reg.Snapshot().Families); n != 0 {
-		t.Fatalf("idle instrumented directory registered %d families, want 0", n)
+		t.Fatalf("idle instrumented directory reported %d families, want 0", n)
 	}
 	if _, err := d.FindDonor(1, 50, MostFree); err != nil {
 		t.Fatal(err)

@@ -91,44 +91,72 @@ func NewFabric(eng *sim.Engine, topo Topology, p params.Params, inj *faults.Inje
 		links:   make([]link, 4*topo.Nodes()),
 		express: make(map[linkKey]*link),
 	}
-	for id := addr.NodeID(1); int(id) <= topo.Nodes(); id++ {
-		fx, fy := topo.Coord(id)
-		for _, nb := range topo.Neighbors(id) {
-			i, _ := f.linkIndex(id, nb)
-			tx, ty := topo.Coord(nb)
-			f.initLink(&f.links[i], id, nb, "mesh", p.LinkLat.EdgeLatency(fx, fy, tx, ty, p.HopLatency))
+	for i := range f.links {
+		from := addr.NodeID(i/4 + 1)
+		if to, ok := f.linkEnd(from, i%4); ok {
+			fx, fy := topo.Coord(from)
+			tx, ty := topo.Coord(to)
+			f.links[i].lat = p.LinkLat.EdgeLatency(fx, fy, tx, ty, p.HopLatency)
 		}
 	}
-	m := eng.Metrics()
-	m.CounterFunc(metrics.FamMeshDelivered, "frames fully delivered by the fabric", nil,
-		func() uint64 { return f.Delivered })
-	m.CounterFunc(metrics.FamMeshHops, "mesh link traversals", nil,
-		func() uint64 { return f.Hops })
-	if inj != nil {
-		m.CounterFunc(metrics.FamMeshReroutes, "hops diverted around down links", nil,
-			func() uint64 { return f.Reroutes })
-		m.CounterFunc(metrics.FamMeshDetourHops, "extra link traversals caused by detours", nil,
-			func() uint64 { return f.DetourHops })
-		m.CounterFunc(metrics.FamMeshUnreachable, "frames that found no route", nil,
-			func() uint64 { return f.Unreachable })
-	}
+	f.register(eng.Metrics())
 	return f
 }
 
-// initLink sets up the directed link from->to in place with traversal
-// latency lat and registers its traffic counters.
-func (f *Fabric) initLink(l *link, from, to addr.NodeID, class string, lat sim.Time) {
-	*l = link{lat: lat}
-	ls := metrics.L(
-		"from", fmt.Sprintf("%d", from),
-		"to", fmt.Sprintf("%d", to),
-		"class", class,
-	)
-	m := f.eng.Metrics()
-	m.CounterFunc(metrics.FamMeshLinkFrames, "frames carried by this directed link", ls,
-		func() uint64 { return l.frames })
-	m.CounterFunc(metrics.FamMeshLinkBytes, "wire bytes carried by this directed link", ls,
-		func() uint64 { return l.bytes })
+// register adds the fabric's families: its totals, the reroute tallies
+// of a faulted fabric, and the traffic of every directed link, mesh and
+// express, enumerated at snapshot time.
+func (f *Fabric) register(m *metrics.Registry) {
+	total := func(name, help string, v *uint64) {
+		m.Counters(name, help, nil, func(e *metrics.Emitter) { e.Value(float64(*v)) })
+	}
+	total(metrics.FamMeshDelivered, "frames fully delivered by the fabric", &f.Delivered)
+	total(metrics.FamMeshHops, "mesh link traversals", &f.Hops)
+	if f.inj != nil {
+		total(metrics.FamMeshReroutes, "hops diverted around down links", &f.Reroutes)
+		total(metrics.FamMeshDetourHops, "extra link traversals caused by detours", &f.DetourHops)
+		total(metrics.FamMeshUnreachable, "frames that found no route", &f.Unreachable)
+	}
+	perLink := func(name, help string, v func(*link) uint64) {
+		m.Counters(name, help, []string{"class", "from", "to"}, func(e *metrics.Emitter) {
+			f.eachLink(func(l *link, class string, from, to addr.NodeID) {
+				e.Value(float64(v(l)), class, e.Itoa(int(from)), e.Itoa(int(to)))
+			})
+		})
+	}
+	perLink(metrics.FamMeshLinkFrames, "frames carried by this directed link", func(l *link) uint64 { return l.frames })
+	perLink(metrics.FamMeshLinkBytes, "wire bytes carried by this directed link", func(l *link) uint64 { return l.bytes })
+}
+
+// eachLink calls fn for every directed link: the mesh links, then the
+// express links in no particular order.
+func (f *Fabric) eachLink(fn func(l *link, class string, from, to addr.NodeID)) {
+	for i := range f.links {
+		from := addr.NodeID(i/4 + 1)
+		if to, ok := f.linkEnd(from, i%4); ok {
+			fn(&f.links[i], "mesh", from, to)
+		}
+	}
+	for k, l := range f.express {
+		fn(l, "express", k.from, k.to)
+	}
+}
+
+// linkEnd returns the far end of node n's mesh link in direction dir,
+// and false when that link would leave the mesh — the inverse of
+// linkIndex.
+func (f *Fabric) linkEnd(n addr.NodeID, dir int) (addr.NodeID, bool) {
+	id, w := int(n), f.topo.W
+	switch dir {
+	case dirWest:
+		return n - 1, (id-1)%w != 0
+	case dirEast:
+		return n + 1, id%w != 0
+	case dirNorth:
+		return n - addr.NodeID(w), id > w
+	default:
+		return n + addr.NodeID(w), id+w <= f.topo.Nodes()
+	}
 }
 
 // linkIndex returns the dense-table index of the directed mesh link
@@ -169,9 +197,7 @@ func (f *Fabric) AddExpressLink(a, b addr.NodeID) error {
 		if _, dup := f.express[k]; dup {
 			return fmt.Errorf("mesh: express link %d->%d already exists", k.from, k.to)
 		}
-		l := new(link)
-		f.initLink(l, k.from, k.to, "express", f.p.HopLatency)
-		f.express[k] = l
+		f.express[k] = &link{lat: f.p.HopLatency}
 	}
 	if f.onChange != nil {
 		f.onChange()

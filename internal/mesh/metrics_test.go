@@ -1,8 +1,11 @@
 package mesh
 
 import (
+	"fmt"
+	"maps"
 	"testing"
 
+	"repro/internal/addr"
 	"repro/internal/metrics"
 	"repro/internal/params"
 	"repro/internal/sim"
@@ -47,5 +50,35 @@ func TestMetricsInstrumentation(t *testing.T) {
 	}
 	if active != 2 {
 		t.Errorf("%d active links in view, want 2", active)
+	}
+}
+
+// TestLinkFamiliesCoverEveryLink: on meshes with one row, one column and
+// both, the link families report exactly the topology's directed
+// neighbour pairs, each once, with every link carrying its latency.
+func TestLinkFamiliesCoverEveryLink(t *testing.T) {
+	for _, wh := range [][2]int{{5, 1}, {1, 5}, {3, 4}} {
+		topo, err := NewTopology(wh[0], wh[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := sim.New()
+		f := NewFabric(eng, topo, params.Default(), nil)
+		want := map[string]bool{}
+		for id := addr.NodeID(1); int(id) <= topo.Nodes(); id++ {
+			for _, nb := range topo.Neighbors(id) {
+				want[fmt.Sprintf("%d-%d", id, nb)] = true
+				if i, _ := f.linkIndex(id, nb); f.links[i].lat != params.Default().HopLatency {
+					t.Errorf("%dx%d: link %d->%d has latency %d", wh[0], wh[1], id, nb, f.links[i].lat)
+				}
+			}
+		}
+		got := map[string]bool{}
+		for _, sm := range eng.Metrics().Snapshot().Family(metrics.FamMeshLinkFrames).Samples {
+			got[sm.Labels.Get("from")+"-"+sm.Labels.Get("to")] = true
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("%dx%d: links reported %v, want %v", wh[0], wh[1], got, want)
+		}
 	}
 }

@@ -1,16 +1,22 @@
 // Package metrics is the cluster-wide observability layer: a registry of
-// counters, gauges, and fixed-bucket histograms that every simulated
-// substrate (RMC, mesh, caches, DRAM, the event engine itself) reports
-// into, and a deterministic Snapshot type the public API exposes.
+// counter, gauge, and fixed-bucket histogram families that every
+// simulated substrate (RMC, mesh, caches, DRAM, the event engine itself)
+// reports into, and a deterministic Snapshot type the public API exposes.
 //
-// Two properties drive the design:
+// Three properties drive the design:
 //
-//   - Cheap on the hot path. Counters and gauges exist only as
-//     *sampling functions* (CounterFunc/GaugeFunc) over tallies the
-//     substrates already keep, evaluated only when a snapshot is taken —
+//   - Cheap on the hot path. Counters and gauges are read from tallies
+//     the substrates already keep, only when a snapshot is taken —
 //     instrumenting a counter costs nothing per event. Only histograms
 //     pay a per-observation cost (one bucket scan over a fixed bound
-//     slice); HistogramFunc samples a histogram the caller owns.
+//     slice), and each is owned by the component that observes into it.
+//
+//   - Cheap to build. A family is registered once, by the component that
+//     owns every instance of it (the cluster for its nodes, the fabric
+//     for its links), with a collector that enumerates the instances at
+//     snapshot time. Building a 1,024-node system therefore makes one
+//     registry call per family, not one per series, and labels are
+//     rendered only when a snapshot asks for them.
 //
 //   - Deterministic output. A Registry belongs to exactly one simulated
 //     System (it hangs off the sim.Engine, like everything else shared),
@@ -25,11 +31,11 @@
 package metrics
 
 import (
-	"cmp"
+	"bytes"
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -39,8 +45,8 @@ type Label struct {
 	Value string `json:"value"`
 }
 
-// Labels identifies a sample within a family. Order does not matter at
-// registration; labels are sorted by key internally.
+// Labels identifies a sample within a family. Snapshot samples carry
+// their labels sorted by key.
 type Labels []Label
 
 // L builds a Labels from alternating key/value strings:
@@ -66,32 +72,19 @@ func (ls Labels) Get(key string) string {
 	return ""
 }
 
-// signature is the canonical sorted key=value form used as a map key and
-// as the deterministic sample sort order.
-func (ls Labels) signature() string {
-	sorted := ls.sorted()
-	n := 0
-	for _, l := range sorted {
-		n += len(l.Key) + len(l.Value) + 2
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for i, l := range sorted {
+// appendSig appends the signature of key-sorted labels to b: their
+// key=value pairs joined by commas. Samples are ordered, and matched
+// across snapshots, by signature.
+func appendSig(b []byte, ls Labels) []byte {
+	for i, l := range ls {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = append(b, l.Value...)
 	}
-	return b.String()
-}
-
-// sorted returns a copy with labels ordered by key.
-func (ls Labels) sorted() Labels {
-	out := append(Labels(nil), ls...)
-	slices.SortFunc(out, func(a, b Label) int { return cmp.Compare(a.Key, b.Key) })
-	return out
+	return b
 }
 
 // Kind distinguishes the instrument types.
@@ -158,12 +151,21 @@ func (h *Histogram) N() uint64 { return h.n }
 // Sum returns the total of all samples.
 func (h *Histogram) Sum() int64 { return h.sum }
 
-// NewHistogram returns a standalone histogram that is not attached to any
-// registry. The sharded engine gives each shard a private unregistered
-// delay histogram and merges them into one registered HistogramFunc at
-// snapshot time.
+// NewHistogram returns an empty histogram over bounds, which must be
+// strictly ascending and at most 255 long; it keeps the slice, so the
+// caller must not modify it afterwards. The component that observes
+// into the histogram owns it and reports it through a registered
+// histogram family.
 func NewHistogram(bounds []int64) *Histogram {
-	h := &Histogram{bounds: append([]int64(nil), bounds...), counts: make([]uint64, len(bounds)+1)}
+	if len(bounds) > 255 {
+		panic(fmt.Sprintf("metrics: %d histogram bounds (max 255)", len(bounds)))
+	}
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] <= bounds[i-1] {
+			panic(fmt.Sprintf("metrics: histogram bounds not ascending at %d", i))
+		}
+	}
+	h := &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 	h.indexBounds()
 	return h
 }
@@ -189,156 +191,252 @@ func (h *Histogram) AddAll(o *Histogram) {
 	h.n += o.n
 }
 
-// TimeBuckets are the default latency bounds in picoseconds: 100 ns to
-// 10 ms in a 1-2-5 progression, spanning a cache hit to a congested
-// remote round trip with headroom for swap-path ablations.
-func TimeBuckets() []int64 {
-	const ns = int64(1000)
-	return []int64{
-		100 * ns, 200 * ns, 500 * ns,
-		1000 * ns, 2000 * ns, 5000 * ns,
-		10_000 * ns, 20_000 * ns, 50_000 * ns,
-		100_000 * ns, 1_000_000 * ns, 10_000_000 * ns,
-	}
+// timeBuckets is the one bounds slice every latency histogram shares.
+var timeBuckets = []int64{
+	100 * psPerNs, 200 * psPerNs, 500 * psPerNs,
+	1000 * psPerNs, 2000 * psPerNs, 5000 * psPerNs,
+	10_000 * psPerNs, 20_000 * psPerNs, 50_000 * psPerNs,
+	100_000 * psPerNs, 1_000_000 * psPerNs, 10_000_000 * psPerNs,
 }
 
-// series is one labeled instrument inside a family.
-type series struct {
-	labels  Labels
-	ctrFn   func() uint64
-	gaugeFn func() float64
-	hist    *Histogram
-	histFn  func() *Histogram
-}
+const psPerNs = int64(1000)
 
-// family groups series sharing a metric name.
+// TimeBuckets returns the default latency bounds in picoseconds: 100 ns
+// to 10 ms in a 1-2-5 progression, spanning a cache hit to a congested
+// remote round trip with headroom for swap-path ablations. The slice is
+// shared by every histogram over it; do not modify it.
+func TimeBuckets() []int64 { return timeBuckets }
+
+// family is one registered metric name: its label keys and the collector
+// that enumerates its samples at snapshot time.
 type family struct {
-	name   string
-	help   string
-	kind   Kind
-	bounds []int64
-	series map[string]*series
+	name    string
+	help    string
+	kind    Kind
+	keys    []string
+	collect func(*Emitter)
 }
 
-// Registry holds one simulation's instruments. Create with NewRegistry;
-// the zero value is not usable.
+// maxCachedInt bounds the label values Emitter.Itoa caches: every node
+// id of a fabric (14-bit prefix) fits.
+const maxCachedInt = 1 << 16
+
+// Registry holds one simulation's metric families. Create with
+// NewRegistry; the zero value is not usable.
 type Registry struct {
-	families map[string]*family
+	families []*family // sorted by name
+	// ints[n] is the decimal rendering of label value n once some
+	// snapshot has asked for it: a node id is formatted once however
+	// many families and snapshots label by it.
+	ints []string
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
+func NewRegistry() *Registry { return &Registry{} }
+
+// Counters registers a counter family. keys are its label keys, sorted
+// and unique; collect runs at every snapshot and reports each instance's
+// current tally through Emitter.Value, so instrumenting a counter costs
+// nothing per event. A family is registered once, by the component that
+// owns all its instances; a family whose collector reports nothing is
+// left out of the snapshot.
+func (r *Registry) Counters(name, help string, keys []string, collect func(*Emitter)) {
+	r.register(&family{name: name, help: help, kind: KindCounter, keys: keys, collect: collect})
 }
 
-func (r *Registry) family(name, help string, kind Kind) *family {
-	f, ok := r.families[name]
-	if !ok {
-		f = &family{name: name, help: help, kind: kind, series: make(map[string]*series)}
-		r.families[name] = f
-		return f
-	}
-	if f.kind != kind {
-		panic(fmt.Sprintf("metrics: family %s re-registered as %s (was %s)", name, kind, f.kind))
-	}
-	return f
+// Gauges registers a gauge family, collected like Counters.
+func (r *Registry) Gauges(name, help string, keys []string, collect func(*Emitter)) {
+	r.register(&family{name: name, help: help, kind: KindGauge, keys: keys, collect: collect})
 }
 
-// CounterFunc registers a sampling function for name+labels: fn is read
-// only when a snapshot is taken, so instrumenting an existing tally has
-// no hot-path cost. Re-registering replaces the function (last wins).
-func (r *Registry) CounterFunc(name, help string, ls Labels, fn func() uint64) {
-	f := r.family(name, help, KindCounter)
-	f.series[ls.signature()] = &series{labels: ls.sorted(), ctrFn: fn}
+// Histograms registers a histogram family whose collector reports
+// caller-owned histograms (NewHistogram) through Emitter.Histogram.
+func (r *Registry) Histograms(name, help string, keys []string, collect func(*Emitter)) {
+	r.register(&family{name: name, help: help, kind: KindHistogram, keys: keys, collect: collect})
 }
 
-// GaugeFunc registers a sampling function evaluated at snapshot time.
-func (r *Registry) GaugeFunc(name, help string, ls Labels, fn func() float64) {
-	f := r.family(name, help, KindGauge)
-	f.series[ls.signature()] = &series{labels: ls.sorted(), gaugeFn: fn}
-}
-
-// Histogram returns the histogram for name+labels with the given bounds,
-// creating it on first use. Bounds must be sorted ascending; every
-// series of a family shares the family's bounds (the first registration
-// fixes them).
-func (r *Registry) Histogram(name, help string, ls Labels, bounds []int64) *Histogram {
-	f := r.family(name, help, KindHistogram)
-	if f.bounds == nil {
-		if len(bounds) > 255 {
-			panic(fmt.Sprintf("metrics: %s has %d bounds (max 255)", name, len(bounds)))
+func (r *Registry) register(f *family) {
+	for i := 1; i < len(f.keys); i++ {
+		if f.keys[i] <= f.keys[i-1] {
+			panic(fmt.Sprintf("metrics: %s label keys %q are not sorted and unique", f.name, f.keys))
 		}
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] <= bounds[i-1] {
-				panic(fmt.Sprintf("metrics: %s bounds not ascending at %d", name, i))
+	}
+	i, found := slices.BinarySearchFunc(r.families, f.name, func(g *family, name string) int {
+		return strings.Compare(g.name, name)
+	})
+	if found {
+		panic(fmt.Sprintf("metrics: family %s registered twice", f.name))
+	}
+	r.families = slices.Insert(r.families, i, f)
+}
+
+// Emitter receives one family's samples from its collector during a
+// snapshot. Label values are passed in the family's key order.
+type Emitter struct {
+	r      *Registry
+	f      *family
+	n      int          // samples collected
+	vals   []string     // len(f.keys) label values per sample, in emission order
+	values []float64    // counter and gauge samples
+	hists  []*Histogram // histogram samples
+	sig    []byte       // every sample's signature, back to back
+	ends   []int        // sample i's signature ends at sig[ends[i]]
+
+	// The last sorted family's keys and label values, its sample order
+	// and its rendered labels. The families of one owner enumerate the
+	// same instances in the same order, so a family whose keys and
+	// values repeat them sorts the same way and shares the label slices.
+	prevKeys []string
+	prevVals []string
+	order    []int
+	labels   Labels
+}
+
+// Value reports one counter or gauge sample.
+func (e *Emitter) Value(v float64, values ...string) {
+	if e.f.kind == KindHistogram {
+		panic(fmt.Sprintf("metrics: histogram family %s reported a value", e.f.name))
+	}
+	e.add(values)
+	e.values = append(e.values, v)
+}
+
+// Histogram reports one histogram sample; the snapshot copies h.
+func (e *Emitter) Histogram(h *Histogram, values ...string) {
+	if e.f.kind != KindHistogram {
+		panic(fmt.Sprintf("metrics: %s family %s reported a histogram", e.f.kind, e.f.name))
+	}
+	e.add(values)
+	e.hists = append(e.hists, h)
+}
+
+// Itoa renders an integer label value (a node id, a socket index),
+// formatting each value once per registry.
+func (e *Emitter) Itoa(n int) string {
+	r := e.r
+	if n < 0 || n >= maxCachedInt {
+		return strconv.Itoa(n)
+	}
+	if n >= len(r.ints) {
+		r.ints = slices.Grow(r.ints, n+1-len(r.ints))[:n+1]
+	}
+	if r.ints[n] == "" {
+		r.ints[n] = strconv.Itoa(n)
+	}
+	return r.ints[n]
+}
+
+func (e *Emitter) add(values []string) {
+	if len(values) != len(e.f.keys) {
+		panic(fmt.Sprintf("metrics: %s takes %d label values, got %d", e.f.name, len(e.f.keys), len(values)))
+	}
+	e.vals = append(e.vals, values...)
+	e.n++
+}
+
+// collect runs f's collector into the emitter's reused buffers and
+// returns how many samples it reported.
+func (e *Emitter) collect(f *family) int {
+	e.f, e.n = f, 0
+	e.vals, e.values, e.hists = e.vals[:0], e.values[:0], e.hists[:0]
+	f.collect(e)
+	return e.n
+}
+
+// sortSamples orders the collected samples by signature, computing each
+// signature once, and renders their labels in that order.
+func (e *Emitter) sortSamples() {
+	keys, n, nk := e.f.keys, e.n, len(e.f.keys)
+	e.sig, e.ends = e.sig[:0], e.ends[:0]
+	var ls Labels
+	for i := 0; i < n; i++ {
+		ls = ls[:0]
+		for k, key := range keys {
+			ls = append(ls, Label{Key: key, Value: e.vals[i*nk+k]})
+		}
+		e.sig = appendSig(e.sig, ls)
+		e.ends = append(e.ends, len(e.sig))
+	}
+	sigOf := func(i int) []byte {
+		start := 0
+		if i > 0 {
+			start = e.ends[i-1]
+		}
+		return e.sig[start:e.ends[i]]
+	}
+	e.order = e.order[:0]
+	for i := 0; i < n; i++ {
+		e.order = append(e.order, i)
+	}
+	slices.SortFunc(e.order, func(a, b int) int { return bytes.Compare(sigOf(a), sigOf(b)) })
+	for j := 1; j < n; j++ {
+		if bytes.Equal(sigOf(e.order[j-1]), sigOf(e.order[j])) {
+			panic(fmt.Sprintf("metrics: %s reported two samples labelled %s", e.f.name, sigOf(e.order[j])))
+		}
+	}
+	e.labels = nil
+	if nk > 0 {
+		e.labels = make(Labels, n*nk)
+		for j, i := range e.order {
+			for k, key := range keys {
+				e.labels[j*nk+k] = Label{Key: key, Value: e.vals[i*nk+k]}
 			}
 		}
-		f.bounds = append([]int64(nil), bounds...)
 	}
-	sig := ls.signature()
-	if s, ok := f.series[sig]; ok && s.hist != nil {
-		return s.hist
-	}
-	h := &Histogram{bounds: f.bounds, counts: make([]uint64, len(f.bounds)+1)}
-	h.indexBounds()
-	f.series[sig] = &series{labels: ls.sorted(), hist: h}
-	return h
+	e.prevKeys = keys
+	e.prevVals, e.vals = e.vals, e.prevVals
 }
 
-// HistogramFunc registers a sampling function for a histogram series: fn
-// is evaluated only at snapshot time and must return a histogram whose
-// bounds match the family's. The sharded engine uses this to present the
-// per-shard delay histograms as one merged family.
-func (r *Registry) HistogramFunc(name, help string, ls Labels, bounds []int64, fn func() *Histogram) {
-	f := r.family(name, help, KindHistogram)
-	if f.bounds == nil {
-		f.bounds = append([]int64(nil), bounds...)
+// family renders the collected samples ordered by signature. Samples
+// and buckets are each allocated once, at full size; the label and
+// bucket slices of neighbouring samples share a backing array, each
+// capped at its own length.
+func (e *Emitter) family() Family {
+	f, n, nk := e.f, e.n, len(e.f.keys)
+	if n != len(e.order) || !slices.Equal(f.keys, e.prevKeys) || !slices.Equal(e.vals, e.prevVals) {
+		e.sortSamples()
 	}
-	f.series[ls.signature()] = &series{labels: ls.sorted(), histFn: fn}
+	out := Family{Name: f.name, Help: f.help, Kind: f.kind, Samples: make([]Sample, n)}
+	var buckets []Bucket
+	if f.kind == KindHistogram {
+		total := 0
+		for _, h := range e.hists {
+			total += len(h.counts)
+		}
+		buckets = make([]Bucket, total)
+	}
+	for j, i := range e.order {
+		sm := &out.Samples[j]
+		if nk > 0 {
+			sm.Labels = e.labels[j*nk : (j+1)*nk : (j+1)*nk]
+		}
+		if f.kind != KindHistogram {
+			sm.Value = e.values[i]
+			continue
+		}
+		h := e.hists[i]
+		nb := len(h.counts)
+		bk := buckets[:nb:nb]
+		buckets = buckets[nb:]
+		for b, le := range h.bounds {
+			bk[b] = Bucket{Le: le, Count: h.counts[b]}
+		}
+		bk[nb-1] = Bucket{Le: BucketInf, Count: h.counts[nb-1]}
+		sm.Buckets, sm.Sum, sm.Count = bk, h.sum, h.n
+	}
+	return out
 }
 
-// Snapshot materializes every instrument into an immutable, fully
-// ordered Snapshot: families sorted by name, samples by label
-// signature. Sampling functions are evaluated here.
+// Snapshot materializes every family into an immutable, fully ordered
+// Snapshot: families sorted by name, samples by label signature.
+// Collectors run here, and labels are rendered here.
 func (r *Registry) Snapshot() Snapshot {
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	snap := Snapshot{Families: make([]Family, 0, len(names))}
-	for _, n := range names {
-		f := r.families[n]
-		sigs := make([]string, 0, len(f.series))
-		for sig := range f.series {
-			sigs = append(sigs, sig)
+	snap := Snapshot{Families: make([]Family, 0, len(r.families))}
+	e := Emitter{r: r}
+	for _, f := range r.families {
+		if e.collect(f) > 0 {
+			snap.Families = append(snap.Families, e.family())
 		}
-		sort.Strings(sigs)
-		out := Family{Name: f.name, Help: f.help, Kind: f.kind}
-		for _, sig := range sigs {
-			s := f.series[sig]
-			sample := Sample{Labels: s.labels}
-			switch {
-			case s.ctrFn != nil:
-				sample.Value = float64(s.ctrFn())
-			case s.gaugeFn != nil:
-				sample.Value = s.gaugeFn()
-			default:
-				h := s.hist
-				if h == nil {
-					h = s.histFn()
-				}
-				sample.Buckets = make([]Bucket, len(h.bounds)+1)
-				for i, b := range h.bounds {
-					sample.Buckets[i] = Bucket{Le: b, Count: h.counts[i]}
-				}
-				sample.Buckets[len(h.bounds)] = Bucket{Le: BucketInf, Count: h.counts[len(h.bounds)]}
-				sample.Sum = h.sum
-				sample.Count = h.n
-			}
-			out.Samples = append(out.Samples, sample)
-		}
-		snap.Families = append(snap.Families, out)
 	}
 	return snap
 }

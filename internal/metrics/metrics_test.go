@@ -2,22 +2,39 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// counter registers a sampled counter fixed at v.
-func counter(r *Registry, name string, ls Labels, v uint64) {
-	r.CounterFunc(name, "", ls, func() uint64 { return v })
+// counter registers a counter family with one sample fixed at v per
+// label set; ls holds the label values in key order.
+func counter(r *Registry, name string, keys []string, v float64, ls ...[]string) {
+	r.Counters(name, "", keys, func(e *Emitter) {
+		for _, vals := range ls {
+			e.Value(v, vals...)
+		}
+	})
+}
+
+// histogram registers a histogram family reporting h, unlabeled.
+func histogram(r *Registry, name string, h *Histogram) {
+	r.Histograms(name, "", nil, func(e *Emitter) { e.Histogram(h) })
 }
 
 func TestCounterGaugeSnapshot(t *testing.T) {
 	r := NewRegistry()
-	var tally uint64 = 7
-	r.CounterFunc("ncdsm_test_ops_total", "ops", L("node", "0"), func() uint64 { return tally })
-	r.CounterFunc("ncdsm_test_ops_total", "ops", L("node", "1"), func() uint64 { return 5 })
+	tallies := []uint64{7, 5}
+	r.Counters("ncdsm_test_ops_total", "ops", []string{"node"}, func(e *Emitter) {
+		for i, v := range tallies {
+			e.Value(float64(v), e.Itoa(i))
+		}
+	})
 	level := 2.5
-	r.GaugeFunc("ncdsm_test_level", "level", nil, func() float64 { return level })
+	r.Gauges("ncdsm_test_level", "level", nil, func(e *Emitter) { e.Value(level) })
+	tally := &tallies[0]
 
 	s := r.Snapshot()
 	if v, ok := s.Value("ncdsm_test_ops_total", L("node", "1")); !ok || v != 5 {
@@ -35,7 +52,7 @@ func TestCounterGaugeSnapshot(t *testing.T) {
 
 	// Sampling is lazy: moving the tally and the level changes the next
 	// snapshot but not the one already taken.
-	tally, level = 100, -1
+	*tally, level = 100, -1
 	if v, _ := s.Value("ncdsm_test_ops_total", L("node", "0")); v != 7 {
 		t.Errorf("old snapshot mutated: %v", v)
 	}
@@ -53,7 +70,8 @@ func TestCounterGaugeSnapshot(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("ncdsm_test_latency_seconds", "lat", nil, []int64{10, 20, 50})
+	h := NewHistogram([]int64{10, 20, 50})
+	histogram(r, "ncdsm_test_latency_seconds", h)
 	for _, v := range []int64{5, 10, 11, 60, -3} {
 		h.Observe(v)
 	}
@@ -80,35 +98,46 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestSnapshotOrderingDeterministic(t *testing.T) {
-	build := func(order []int) string {
+	build := func(families, nodes []int) string {
 		r := NewRegistry()
-		for _, i := range order {
-			switch i {
+		for _, f := range families {
+			switch f {
 			case 0:
-				counter(r, "ncdsm_b_total", L("node", "2"), 2)
+				r.Counters("ncdsm_b_total", "", []string{"node"}, func(e *Emitter) {
+					for _, n := range nodes {
+						e.Value(float64(n), e.Itoa(n))
+					}
+				})
 			case 1:
-				counter(r, "ncdsm_a_total", L("zone", "x", "node", "1"), 1)
-			case 2:
-				counter(r, "ncdsm_b_total", L("node", "0"), 3)
+				counter(r, "ncdsm_a_total", []string{"node", "zone"}, 1, []string{"1", "x"})
 			}
 		}
 		return r.Snapshot().Prometheus()
 	}
-	a := build([]int{0, 1, 2})
-	b := build([]int{2, 0, 1})
+	a := build([]int{0, 1}, []int{1, 2, 10, 11})
+	b := build([]int{1, 0}, []int{11, 2, 1, 10})
 	if a != b {
-		t.Errorf("registration order leaked into rendering:\n%s\nvs\n%s", a, b)
+		t.Errorf("registration or enumeration order leaked into rendering:\n%s\nvs\n%s", a, b)
 	}
-	if !strings.Contains(a, `ncdsm_a_total{node="1",zone="x"} 1`) {
-		t.Errorf("labels not sorted by key:\n%s", a)
+	want := "# TYPE ncdsm_a_total counter\n" +
+		`ncdsm_a_total{node="1",zone="x"} 1` + "\n" +
+		"# TYPE ncdsm_b_total counter\n" +
+		`ncdsm_b_total{node="1"} 1` + "\n" +
+		`ncdsm_b_total{node="10"} 10` + "\n" +
+		`ncdsm_b_total{node="11"} 11` + "\n" +
+		`ncdsm_b_total{node="2"} 2` + "\n"
+	if a != want {
+		t.Errorf("samples not in signature order:\n%s\nwant\n%s", a, want)
 	}
 }
 
 func TestMergeFoldsInOrder(t *testing.T) {
-	mk := func(n uint64, lat int64) Snapshot {
+	mk := func(n float64, lat int64) Snapshot {
 		r := NewRegistry()
-		counter(r, "ncdsm_ops_total", L("node", "0"), n)
-		r.Histogram("ncdsm_lat_seconds", "", nil, []int64{10, 100}).Observe(lat)
+		counter(r, "ncdsm_ops_total", []string{"node"}, n, []string{"0"})
+		h := NewHistogram([]int64{10, 100})
+		h.Observe(lat)
+		histogram(r, "ncdsm_lat_seconds", h)
 		return r.Snapshot()
 	}
 	var m Merged
@@ -135,7 +164,7 @@ func TestMergeFoldsInOrder(t *testing.T) {
 	}
 	// Disjoint families and samples pass through.
 	r := NewRegistry()
-	counter(r, "ncdsm_other_total", nil, 9)
+	counter(r, "ncdsm_other_total", nil, 9, nil)
 	s2 := s.Merge(r.Snapshot())
 	if got := s2.Total("ncdsm_other_total"); got != 9 {
 		t.Errorf("disjoint family = %v want 9", got)
@@ -147,8 +176,10 @@ func TestMergeFoldsInOrder(t *testing.T) {
 
 func TestPrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.CounterFunc("ncdsm_x_total", "things that happened", L("node", "0"), func() uint64 { return 42 })
-	r.Histogram("ncdsm_y_seconds", "a latency", L("node", "0"), []int64{1_000_000}).Observe(500_000)
+	r.Counters("ncdsm_x_total", "things that happened", []string{"node"}, func(e *Emitter) { e.Value(42, "0") })
+	h := NewHistogram([]int64{1_000_000})
+	h.Observe(500_000)
+	r.Histograms("ncdsm_y_seconds", "a latency", []string{"node"}, func(e *Emitter) { e.Histogram(h, "0") })
 	out := r.Snapshot().Prometheus()
 	for _, want := range []string{
 		"# HELP ncdsm_x_total things that happened",
@@ -167,7 +198,7 @@ func TestPrometheusFormat(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	counter(r, "ncdsm_x_total", L("node", "3"), 7)
+	counter(r, "ncdsm_x_total", []string{"node"}, 7, []string{"3"})
 	var back Snapshot
 	if err := json.Unmarshal([]byte(r.Snapshot().JSON()), &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
@@ -179,11 +210,14 @@ func TestJSONRoundTrip(t *testing.T) {
 
 func TestViews(t *testing.T) {
 	r := NewRegistry()
-	counter(r, FamCacheHits, L("node", "1"), 10)
-	counter(r, FamCacheMisses, L("node", "1"), 2)
-	counter(r, FamCacheHits, L("node", "0"), 5)
-	counter(r, FamMeshLinkFrames, L("from", "0", "to", "1", "class", "mesh"), 3)
-	counter(r, FamMeshLinkBytes, L("from", "0", "to", "1", "class", "mesh"), 192)
+	r.Counters(FamCacheHits, "", []string{"node"}, func(e *Emitter) {
+		e.Value(10, "1")
+		e.Value(5, "0")
+	})
+	counter(r, FamCacheMisses, []string{"node"}, 2, []string{"1"})
+	link := []string{"class", "from", "to"}
+	counter(r, FamMeshLinkFrames, link, 3, []string{"mesh", "0", "1"})
+	counter(r, FamMeshLinkBytes, link, 192, []string{"mesh", "0", "1"})
 	s := r.Snapshot()
 
 	nodes := s.Nodes()
@@ -196,5 +230,236 @@ func TestViews(t *testing.T) {
 	links := s.Links()
 	if len(links) != 1 || links[0].Frames != 3 || links[0].Bytes != 192 {
 		t.Fatalf("links = %+v", links)
+	}
+}
+
+// refMerge is the map-and-sort merge the linear walk replaced: match
+// families by name and samples by signature, add, then sort.
+func refMerge(s, o Snapshot) Snapshot {
+	sig := func(ls Labels) string { return string(appendSig(nil, ls)) }
+	out := Snapshot{}
+	idx := map[string]int{}
+	for _, f := range append(append([]Family(nil), s.Families...), o.Families...) {
+		i, ok := idx[f.Name]
+		if !ok {
+			idx[f.Name] = len(out.Families)
+			cp := f
+			cp.Samples = nil
+			for _, sm := range f.Samples {
+				sm.Buckets = append([]Bucket(nil), sm.Buckets...)
+				cp.Samples = append(cp.Samples, sm)
+			}
+			out.Families = append(out.Families, cp)
+			continue
+		}
+		dst := &out.Families[i]
+	samples:
+		for _, sm := range f.Samples {
+			for k := range dst.Samples {
+				if d := &dst.Samples[k]; sig(d.Labels) == sig(sm.Labels) {
+					addSample(d, &sm)
+					continue samples
+				}
+			}
+			sm.Buckets = append([]Bucket(nil), sm.Buckets...)
+			dst.Samples = append(dst.Samples, sm)
+		}
+		sort.Slice(dst.Samples, func(a, b int) bool { return sig(dst.Samples[a].Labels) < sig(dst.Samples[b].Labels) })
+	}
+	sort.Slice(out.Families, func(a, b int) bool { return out.Families[a].Name < out.Families[b].Name })
+	return out
+}
+
+// TestMergeWalkMatchesReference folds snapshots whose families and
+// samples only partly overlap — node sets that interleave in signature
+// order, families present in some runs only — and checks the in-place
+// walk against the map-and-sort reference after every Add.
+func TestMergeWalkMatchesReference(t *testing.T) {
+	run := func(k int) Snapshot {
+		r := NewRegistry()
+		r.Counters("ncdsm_ops_total", "ops", []string{"node"}, func(e *Emitter) {
+			for n := k; n < 14; n += 1 + k%3 {
+				e.Value(float64(n*k)+0.1, e.Itoa(n))
+			}
+		})
+		if k%2 == 0 {
+			counter(r, "ncdsm_even_total", []string{"class", "from"}, float64(k), []string{"mesh", "1"}, []string{"express", strconv.Itoa(12 - k)})
+		}
+		h := NewHistogram([]int64{10, 100})
+		h.Observe(int64(k * 37))
+		r.Histograms("ncdsm_lat_seconds", "", []string{"node"}, func(e *Emitter) {
+			e.Histogram(h, e.Itoa(k%4))
+			if k > 2 {
+				e.Histogram(h, "12")
+			}
+		})
+		return r.Snapshot()
+	}
+	var m Merged
+	var ref Snapshot
+	for k := 1; k <= 7; k++ {
+		s := run(k)
+		before := s.JSON()
+		m.Add(s)
+		if k == 1 {
+			ref = s.Merge(Snapshot{})
+		} else {
+			ref = refMerge(ref, s)
+		}
+		if s.JSON() != before {
+			t.Fatalf("Add %d modified its input", k)
+		}
+		if got, want := m.Snapshot().JSON(), ref.JSON(); got != want {
+			t.Fatalf("after Add %d:\n%s\nwant\n%s", k, got, want)
+		}
+	}
+}
+
+// TestMergedSnapshotIsStable: a snapshot Merged handed out never changes
+// when more runs are added, and Merge leaves both inputs alone.
+func TestMergedSnapshotIsStable(t *testing.T) {
+	mk := func(v float64) Snapshot {
+		r := NewRegistry()
+		counter(r, "ncdsm_ops_total", []string{"node"}, v, []string{"1"}, []string{"2"})
+		h := NewHistogram([]int64{10})
+		h.Observe(int64(v))
+		histogram(r, "ncdsm_lat_seconds", h)
+		return r.Snapshot()
+	}
+	var m Merged
+	m.Add(mk(1))
+	first := m.Snapshot()
+	want := first.JSON()
+	m.Add(mk(20))
+	if first.JSON() != want {
+		t.Error("a later Add changed an earlier merged snapshot")
+	}
+	if got := m.Snapshot().Total("ncdsm_ops_total"); got != 42 {
+		t.Errorf("merged total = %v, want 42", got)
+	}
+	a, b := mk(3), mk(4)
+	ja, jb := a.JSON(), b.JSON()
+	a.Merge(b)
+	if a.JSON() != ja || b.JSON() != jb {
+		t.Error("Merge modified an input")
+	}
+}
+
+// TestRegistrationRules: families register once with sorted keys,
+// collectors report well-formed samples, and a family that reports
+// nothing is absent from the snapshot.
+func TestRegistrationRules(t *testing.T) {
+	panics := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		fn()
+	}
+	r := NewRegistry()
+	counter(r, "ncdsm_x_total", nil, 1, nil)
+	panics("duplicate family", func() { counter(r, "ncdsm_x_total", nil, 1, nil) })
+	panics("unsorted keys", func() { counter(NewRegistry(), "ncdsm_y_total", []string{"node", "mc"}, 1) })
+	panics("wrong label count", func() {
+		r := NewRegistry()
+		counter(r, "ncdsm_y_total", []string{"node"}, 1, []string{"1", "2"})
+		r.Snapshot()
+	})
+	panics("duplicate sample", func() {
+		r := NewRegistry()
+		counter(r, "ncdsm_y_total", []string{"node"}, 1, []string{"1"}, []string{"1"})
+		r.Snapshot()
+	})
+	panics("value into a histogram family", func() {
+		r := NewRegistry()
+		r.Histograms("ncdsm_y_seconds", "", nil, func(e *Emitter) { e.Value(1) })
+		r.Snapshot()
+	})
+	panics("descending bounds", func() { NewHistogram([]int64{10, 5}) })
+
+	quiet := NewRegistry()
+	var active bool
+	quiet.Counters("ncdsm_lazy_total", "", nil, func(e *Emitter) {
+		if active {
+			e.Value(1)
+		}
+	})
+	if n := len(quiet.Snapshot().Families); n != 0 {
+		t.Errorf("empty family emitted (%d families)", n)
+	}
+	active = true
+	if quiet.Snapshot().Family("ncdsm_lazy_total") == nil {
+		t.Error("family missing once its collector reports")
+	}
+}
+
+// TestPrometheusEscapesLabels renders the three characters the text
+// format escapes in label values.
+func TestPrometheusEscapesLabels(t *testing.T) {
+	r := NewRegistry()
+	counter(r, "ncdsm_x_total", []string{"path"}, 1, []string{"a\\b\"c\nd"})
+	want := `ncdsm_x_total{path="a\\b\"c\nd"} 1` + "\n"
+	if got := r.Snapshot().Prometheus(); !strings.HasSuffix(got, want) {
+		t.Errorf("got %q, want suffix %q", got, want)
+	}
+}
+
+// TestFamiliesRenderIndependently: a family renders the same whatever
+// families precede it, although neighbours whose label keys and values
+// repeat in the same order share one sort and one set of label slices.
+// The families here repeat, reorder, shorten, extend and depart from
+// their predecessor's values, and the last repeats them under another
+// key.
+func TestFamiliesRenderIndependently(t *testing.T) {
+	seqs := [][]int{
+		{1, 2, 10, 11, 3},
+		{1, 2, 10, 11, 3},
+		{3, 11, 10, 2, 1},
+		{3, 11, 10},
+		{3, 11, 10, 2, 1, 12},
+		{3, 11, 7, 2, 1, 12},
+		{},
+		{3, 11, 7, 2, 1, 12},
+		{3, 11, 7, 2, 1, 12},
+	}
+	register := func(r *Registry, i int) {
+		keys := []string{"node"}
+		if i == len(seqs)-1 {
+			keys = []string{"mc"}
+		}
+		r.Counters(fmt.Sprintf("ncdsm_f%d_total", i), "", keys, func(e *Emitter) {
+			for _, n := range seqs[i] {
+				e.Value(float64(n*i), e.Itoa(n))
+			}
+		})
+	}
+	r := NewRegistry()
+	for i := range seqs {
+		register(r, i)
+	}
+	r.Gauges("ncdsm_g0", "", nil, func(e *Emitter) { e.Value(1) })
+	r.Gauges("ncdsm_g1", "", nil, func(e *Emitter) { e.Value(2) })
+	shared := r.Snapshot()
+	for i := range seqs {
+		alone := NewRegistry()
+		register(alone, i)
+		name := fmt.Sprintf("ncdsm_f%d_total", i)
+		got, want := shared.Family(name), alone.Snapshot().Family(name)
+		if (got == nil) != (want == nil) {
+			t.Fatalf("%s: present %v alone, %v shared", name, want != nil, got != nil)
+		}
+		if got == nil {
+			continue
+		}
+		gj, _ := json.Marshal(got)
+		wj, _ := json.Marshal(want)
+		if string(gj) != string(wj) {
+			t.Errorf("%s renders\n%s\nshared, but alone\n%s", name, gj, wj)
+		}
+	}
+	if v, _ := shared.Value("ncdsm_g1", nil); v != 2 {
+		t.Errorf("ncdsm_g1 = %v, want 2", v)
 	}
 }

@@ -1,10 +1,11 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -99,59 +100,20 @@ func (s Snapshot) Total(name string) float64 {
 	return t
 }
 
-// Merge combines two snapshots: counters, gauges, and histogram buckets
-// add; families and samples present in only one side pass through.
+// Merge returns the sum of s and o: counters, gauges, and histogram
+// buckets add; families and samples present in only one side pass
+// through. Both snapshots must be ordered the way Registry.Snapshot and
+// Merge order them — families by name, samples by label signature — and
+// the result is ordered the same way; neither input is modified.
 // Merging is a left fold — the experiment harness folds run snapshots in
 // submission order, which with these commutative-in-theory but
 // float-sensitive sums is what makes merged output byte-identical at any
 // worker count.
 func (s Snapshot) Merge(o Snapshot) Snapshot {
-	famIdx := make(map[string]int, len(s.Families))
-	out := Snapshot{Families: make([]Family, len(s.Families))}
-	for i, f := range s.Families {
-		cp := f
-		cp.Samples = append([]Sample(nil), f.Samples...)
-		for j := range cp.Samples {
-			cp.Samples[j].Buckets = append([]Bucket(nil), f.Samples[j].Buckets...)
-		}
-		out.Families[i] = cp
-		famIdx[f.Name] = i
-	}
-	for _, f := range o.Families {
-		i, ok := famIdx[f.Name]
-		if !ok {
-			cp := f
-			cp.Samples = append([]Sample(nil), f.Samples...)
-			out.Families = append(out.Families, cp)
-			continue
-		}
-		dst := &out.Families[i]
-		smpIdx := make(map[string]int, len(dst.Samples))
-		for j, sm := range dst.Samples {
-			smpIdx[sm.Labels.signature()] = j
-		}
-		for _, sm := range f.Samples {
-			j, ok := smpIdx[sm.Labels.signature()]
-			if !ok {
-				dst.Samples = append(dst.Samples, sm)
-				continue
-			}
-			d := &dst.Samples[j]
-			d.Value += sm.Value
-			d.Sum += sm.Sum
-			d.Count += sm.Count
-			if len(d.Buckets) == len(sm.Buckets) {
-				for k := range d.Buckets {
-					d.Buckets[k].Count += sm.Buckets[k].Count
-				}
-			}
-		}
-		sort.Slice(dst.Samples, func(a, b int) bool {
-			return dst.Samples[a].Labels.signature() < dst.Samples[b].Labels.signature()
-		})
-	}
-	sort.Slice(out.Families, func(a, b int) bool { return out.Families[a].Name < out.Families[b].Name })
-	return out
+	var m Merged
+	m.Add(s)
+	m.Add(o)
+	return m.snap
 }
 
 // JSON renders the snapshot as indented JSON.
@@ -223,33 +185,124 @@ func promLabels(ls Labels, le string) string {
 func joinLabels(ls Labels) string {
 	parts := make([]string, len(ls))
 	for i, l := range ls {
-		parts[i] = l.Key + `="` + escapeLabel(l.Value) + `"`
+		parts[i] = l.Key + `="` + labelEscaper.Replace(l.Value) + `"`
 	}
 	return strings.Join(parts, ",")
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper escapes Prometheus label values. One serves every
+// rendering: a Replacer is safe for concurrent use.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // Merged accumulates run snapshots in the order Add is called. The
 // experiment harness calls Add from the generator goroutine in sweep
 // submission order, never from workers, preserving determinism.
 type Merged struct {
 	snap Snapshot
-	any  bool
+	// shared records that Snapshot handed snap out; the next Add folds
+	// into a copy, so a returned snapshot never changes.
+	shared bool
+	a, b   []byte // signature scratch for samples that do not line up
 }
 
-// Add folds one run's snapshot into the accumulator.
+// Add folds one run's snapshot into the accumulator in place: one walk
+// over both family lists and, in each family both carry, one walk over
+// both sample lists. Storage is allocated only for what the accumulator
+// has not seen yet; s must be ordered as Merge requires and is not
+// modified.
 func (m *Merged) Add(s Snapshot) {
-	if !m.any {
-		m.snap = s
-		m.any = true
-		return
+	if m.shared {
+		prev := m.snap
+		m.snap, m.shared = Snapshot{}, false
+		m.Add(prev)
 	}
-	m.snap = m.snap.Merge(s)
+	m.snap.Families = mergeSorted(m.snap.Families, s.Families,
+		func(a, b *Family) int { return strings.Compare(a.Name, b.Name) },
+		func(d, o *Family) { d.Samples = mergeSorted(d.Samples, o.Samples, m.compare, addSample, ownSample) },
+		func(f Family) Family {
+			f.Samples = slices.Clone(f.Samples)
+			for i := range f.Samples {
+				f.Samples[i] = ownSample(f.Samples[i])
+			}
+			return f
+		})
 }
 
 // Snapshot returns the merged result (zero Snapshot before any Add).
-func (m *Merged) Snapshot() Snapshot { return m.snap }
+func (m *Merged) Snapshot() Snapshot {
+	m.shared = true
+	return m.snap
+}
+
+// mergeSorted folds src into the accumulator's dst, both sorted by cmp,
+// in one walk: add combines equal elements into dst's, and own copies an
+// element only src has into storage the accumulator may add into. When
+// the two line up element for element — every Add after the first, once
+// an experiment's runs report the same families and labels — it adds in
+// place and returns dst.
+func mergeSorted[T any](dst, src []T, cmp func(a, b *T) int, add func(d, o *T), own func(T) T) []T {
+	aligned := len(dst) == len(src)
+	for i := 0; aligned && i < len(dst); i++ {
+		aligned = cmp(&dst[i], &src[i]) == 0
+	}
+	if aligned {
+		for i := range dst {
+			add(&dst[i], &src[i])
+		}
+		return dst
+	}
+	out := make([]T, 0, len(dst)+len(src))
+	i, j := 0, 0
+	for i < len(dst) || j < len(src) {
+		c := -1
+		switch {
+		case i == len(dst):
+			c = 1
+		case j < len(src):
+			c = cmp(&dst[i], &src[j])
+		}
+		switch {
+		case c < 0:
+			out = append(out, dst[i])
+			i++
+		case c > 0:
+			out = append(out, own(src[j]))
+			j++
+		default:
+			add(&dst[i], &src[j])
+			out = append(out, dst[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// compare orders two samples by label signature.
+func (m *Merged) compare(a, b *Sample) int {
+	if slices.Equal(a.Labels, b.Labels) {
+		return 0
+	}
+	m.a, m.b = appendSig(m.a[:0], a.Labels), appendSig(m.b[:0], b.Labels)
+	return bytes.Compare(m.a, m.b)
+}
+
+// addSample folds o into d: values, sums and counts add, and buckets add
+// when the two layouts match.
+func addSample(d, o *Sample) {
+	d.Value += o.Value
+	d.Sum += o.Sum
+	d.Count += o.Count
+	if len(d.Buckets) == len(o.Buckets) {
+		for k := range d.Buckets {
+			d.Buckets[k].Count += o.Buckets[k].Count
+		}
+	}
+}
+
+// ownSample copies a sample's buckets into storage the accumulator may
+// add into. Labels are never modified, so they stay shared.
+func ownSample(sm Sample) Sample {
+	sm.Buckets = slices.Clone(sm.Buckets)
+	return sm
+}

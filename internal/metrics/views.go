@@ -6,8 +6,8 @@ import (
 )
 
 // Family names shared between the instrumented substrates and the typed
-// views. Substrates register under these so the views (and the
-// acceptance tests) never chase string drift.
+// views. Owners register their families under these so the views (and
+// the acceptance tests) never chase string drift.
 const (
 	// sim engine
 	FamSimEvents  = "ncdsm_sim_events_total"
@@ -85,8 +85,8 @@ const (
 	FamMeshDetourHops   = "ncdsm_mesh_detour_hops_total"
 	FamMeshUnreachable  = "ncdsm_mesh_unreachable_total"
 
-	// bulk data plane (internal/rmc bulk ops). Registered lazily on the
-	// first burst an RMC issues, so runs that never go bulk snapshot
+	// bulk data plane (internal/rmc bulk ops). Only RMCs that issued a
+	// burst report samples, so runs that never go bulk snapshot
 	// byte-identically to builds without the bulk plane.
 	FamRMCBulkBursts  = "ncdsm_rmc_bulk_bursts_total"
 	FamRMCBulkLines   = "ncdsm_rmc_bulk_lines_total"
@@ -107,9 +107,9 @@ const (
 	FamDirExclusiveGrants = "ncdsm_dir_exclusive_grants_total"
 	FamDirSilentUpgrades  = "ncdsm_dir_silent_upgrades_total"
 
-	// cluster free-memory directory (internal/memdir). Registered
-	// lazily on the first directory transaction, so systems that never
-	// consult the directory snapshot exactly as before.
+	// cluster free-memory directory (internal/memdir). Reported from
+	// the first directory transaction on, so systems that never consult
+	// the directory snapshot exactly as before.
 	FamMemdirLookups      = "ncdsm_memdir_lookups_total"
 	FamMemdirGrants       = "ncdsm_memdir_grants_total"
 	FamMemdirRejections   = "ncdsm_memdir_rejections_total"

@@ -373,6 +373,10 @@ func (p Params) Validate() error {
 		return fmt.Errorf("params: BulkMaxFrames %d outside [1,%d]", p.BulkMaxFrames, MaxBulkFrames)
 	case p.DRAMLatency <= 0 || p.HopLatency <= 0 || p.RMCClientOccupancy <= 0 || p.RMCServerOccupancy <= 0:
 		return fmt.Errorf("params: latencies must be positive")
+	case p.RMCRetryPenalty <= 0:
+		// A NACKed request would retry at the instant it was refused,
+		// and simulated time would never advance.
+		return fmt.Errorf("params: RMCRetryPenalty %d ps must be positive", p.RMCRetryPenalty)
 	case p.SwapResidentPages < 1:
 		return fmt.Errorf("params: SwapResidentPages %d < 1", p.SwapResidentPages)
 	case p.Fabric != FabricMesh && p.Fabric != FabricHToE:
@@ -381,6 +385,28 @@ func (p Params) Validate() error {
 		return fmt.Errorf("params: Shards %d < 0", p.Shards)
 	case p.Shards > p.Nodes():
 		return fmt.Errorf("params: Shards %d exceed %d nodes", p.Shards, p.Nodes())
+	}
+	// No time may run backwards: a negative cost prints negative
+	// figures or schedules events into the past.
+	for _, d := range [...]struct {
+		name string
+		v    Duration
+	}{
+		{"L1Latency", p.L1Latency},
+		{"CacheProbeLatency", p.CacheProbeLatency},
+		{"DRAMOccupancy", p.DRAMOccupancy},
+		{"LinkOccupancy", p.LinkOccupancy},
+		{"RMCRetryWaste", p.RMCRetryWaste},
+		{"SwapTrapOverhead", p.SwapTrapOverhead},
+		{"SwapPageTransfer", p.SwapPageTransfer},
+		{"DiskLatency", p.DiskLatency},
+		{"RetransmitTimeout", p.RetransmitTimeout},
+		{"CohDirectoryLatency", p.CohDirectoryLatency},
+		{"CohProtocolOverhead", p.CohProtocolOverhead},
+	} {
+		if d.v < 0 {
+			return fmt.Errorf("params: %s %d ps must not be negative", d.name, d.v)
+		}
 	}
 	if p.Shards > 1 && p.Fabric != FabricMesh {
 		return &ShardGateError{Feature: "the " + p.Fabric.String() + " fabric", Shards: p.Shards}

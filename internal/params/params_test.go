@@ -61,6 +61,21 @@ func TestValidateRejections(t *testing.T) {
 		{"zero remote window", func(p *Params) { p.RemoteOutstanding = 0 }},
 		{"zero rmc queue", func(p *Params) { p.RMCQueueDepth = 0 }},
 		{"negative latency", func(p *Params) { p.DRAMLatency = -1 }},
+		// A zero retry penalty retries a NACKed request at the same
+		// instant forever; negative costs print negative times.
+		{"zero retry penalty", func(p *Params) { p.RMCRetryPenalty = 0 }},
+		{"negative retry penalty", func(p *Params) { p.RMCRetryPenalty = -1 }},
+		{"negative retry waste", func(p *Params) { p.RMCRetryWaste = -Nanosecond }},
+		{"negative swap trap", func(p *Params) { p.SwapTrapOverhead = -1 }},
+		{"negative swap transfer", func(p *Params) { p.SwapPageTransfer = -100 * Microsecond }},
+		{"negative L1 latency", func(p *Params) { p.L1Latency = -1 }},
+		{"negative probe latency", func(p *Params) { p.CacheProbeLatency = -1 }},
+		{"negative DRAM occupancy", func(p *Params) { p.DRAMOccupancy = -1 }},
+		{"negative link occupancy", func(p *Params) { p.LinkOccupancy = -1 }},
+		{"negative disk latency", func(p *Params) { p.DiskLatency = -1 }},
+		{"negative retransmit timeout", func(p *Params) { p.RetransmitTimeout = -1 }},
+		{"negative directory latency", func(p *Params) { p.CohDirectoryLatency = -1 }},
+		{"negative protocol overhead", func(p *Params) { p.CohProtocolOverhead = -1 }},
 		{"zero resident pages", func(p *Params) { p.SwapResidentPages = 0 }},
 		// Zero is not a spelling of the default: Default sets the geometry.
 		{"zero bulk frame lines", func(p *Params) { p.BulkFrameLines = 0 }},

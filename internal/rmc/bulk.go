@@ -182,7 +182,9 @@ func (r *RMC) RequestBulk(now sim.Time, req BulkRequest) error {
 		return fmt.Errorf("rmc: unknown bulk kind %v", req.Kind)
 	}
 
-	r.ensureBulkMetrics()
+	if r.bulkLat == nil {
+		r.bulkLat = metrics.NewHistogram(metrics.TimeBuckets())
+	}
 	r.Requests++
 	r.BulkBursts++
 	r.BulkLines += uint64(lines)
@@ -616,22 +618,6 @@ func (op *bulkOp) ackDelivered(t sim.Time, s hnc.Sealed) {
 		return
 	}
 	op.complete(t, nil)
-}
-
-// ensureBulkMetrics registers the bulk metric families on first use, so
-// runs that never issue a burst snapshot byte-identically to builds
-// without the bulk plane.
-func (r *RMC) ensureBulkMetrics() {
-	if r.bulkLat != nil {
-		return
-	}
-	m := r.eng.Metrics()
-	node := metrics.L("node", fmt.Sprintf("%d", r.self))
-	m.CounterFunc(metrics.FamRMCBulkBursts, "bulk bursts submitted at this node", node, func() uint64 { return r.BulkBursts })
-	m.CounterFunc(metrics.FamRMCBulkLines, "cache lines moved by bulk bursts", node, func() uint64 { return r.BulkLines })
-	m.CounterFunc(metrics.FamRMCBulkFrames, "multi-line data frames of bulk bursts", node, func() uint64 { return r.BulkDataFrames })
-	m.CounterFunc(metrics.FamRMCBulkCopies, "region-to-region DMA copies submitted", node, func() uint64 { return r.BulkCopies })
-	r.bulkLat = m.Histogram(metrics.FamRMCBulkLatency, "bulk burst completion time", node, metrics.TimeBuckets())
 }
 
 // resetBools returns b resized to n with every element false, reusing

@@ -88,6 +88,8 @@ type Exchange struct {
 	xmits  []xmit
 	defSrv []deferredSrv
 	defBuf []deferredBuf
+
+	set *ExchangeSet // the owning set, which RMCs join for their metrics
 }
 
 // record holds one transmission intent for the next barrier drain and,
@@ -136,19 +138,22 @@ type ExchangeSet struct {
 	runs    [][]xmit // Drain's merge cursors, reused
 	heldMin []sim.Time
 	trace   func(t sim.Time, src, dst addr.NodeID, seq uint64)
+	rmcs    []*RMC // every RMC sending through the set, for its metric families
 }
 
-// NewExchangeSet builds one exchange per shard of set and installs Drain
-// as the set's barrier hook and Earliest as its intent source.
+// NewExchangeSet builds one exchange per shard of set, installs Drain
+// as the set's barrier hook and Earliest as its intent source, and
+// registers the metric families of the RMCs that will send through it.
 func NewExchangeSet(set *sim.ShardSet) *ExchangeSet {
 	k := set.Shards()
 	es := &ExchangeSet{heldMin: make([]sim.Time, k)}
 	for i := 0; i < k; i++ {
-		es.shards = append(es.shards, &Exchange{eng: set.Engine(i), idx: int32(i), setSize: int32(k)})
+		es.shards = append(es.shards, &Exchange{set: es, eng: set.Engine(i), idx: int32(i), setSize: int32(k)})
 		es.heldMin[i] = sim.MaxTime
 	}
 	set.OnBarrier(es.Drain)
 	set.SetIntentSource(es.Earliest)
+	es.register(set.Metrics())
 	return es
 }
 

@@ -124,8 +124,8 @@ type RMC struct {
 	lineBufs  [][]byte
 
 	// Bulk data plane (bulk.go): pooled burst continuations plus the
-	// lazily-registered burst metrics — nil bulkLat means this RMC has
-	// never issued a burst and its snapshot carries no bulk families.
+	// burst latency histogram, made on the first burst — nil bulkLat
+	// means this RMC has never issued one and reports no bulk samples.
 	bulkFreeOps []*bulkOp
 	bulkLat     *metrics.Histogram
 
@@ -143,7 +143,7 @@ type RMC struct {
 	StormNACKs  uint64 // admissions refused by a scheduled NACK storm
 	Stalls      uint64 // scheduled server-stall windows applied
 
-	// Bulk stats (all zero — and unregistered — without bulk traffic).
+	// Bulk stats (all zero — and unreported — without bulk traffic).
 	BulkBursts     uint64 // bursts submitted at this node
 	BulkLines      uint64 // cache lines moved by bursts
 	BulkDataFrames uint64 // multi-line data frames those bursts used
@@ -208,41 +208,73 @@ func New(c Config) (*RMC, error) {
 		bank:   c.Bank,
 		store:  c.Store,
 		verif:  hnc.NewVerifier(c.Self),
+		lat:    metrics.NewHistogram(metrics.TimeBuckets()),
 	}
 	if r.nowFn == nil {
 		r.nowFn = eng.Now
 	}
-	r.register(eng.Metrics())
+	c.Exch.set.rmcs = append(c.Exch.set.rmcs, r)
 	return r, nil
 }
 
-// register exposes this RMC's tallies through the engine's registry.
-// Everything is lazily sampled; the only per-event instrument is the
-// round-trip histogram. Recovery families register only under a fault
-// plan, so fault-free snapshots are unchanged by the fault layer.
-func (r *RMC) register(m *metrics.Registry) {
-	node := metrics.L("node", fmt.Sprintf("%d", r.self))
-	m.CounterFunc(metrics.FamRMCRequests, "remote requests submitted at this node", node, func() uint64 { return r.Requests })
-	m.CounterFunc(metrics.FamRMCRetries, "NACKed admissions at the client queue", node, func() uint64 { return r.Retries })
-	m.CounterFunc(metrics.FamRMCForwarded, "requests bridged out of this node", node, func() uint64 { return r.Forwarded })
-	m.CounterFunc(metrics.FamRMCServedLocal, "requests served by this node's memory", node, func() uint64 { return r.ServedHere })
-	m.CounterFunc(metrics.FamRMCLoopback, "loopback-mode operations", node, func() uint64 { return r.LoopbackOps })
-	m.CounterFunc(metrics.FamRMCAborted, "requests denied by the protection check", node, func() uint64 { return r.Aborted })
-	m.GaugeFunc(metrics.FamRMCClientUtil, "client-role occupancy fraction", node,
-		func() float64 { return r.client.Utilization(r.nowFn()) })
-	m.GaugeFunc(metrics.FamRMCServerUtil, "server-role occupancy fraction", node,
-		func() float64 { return r.server.Utilization(r.nowFn()) })
-	m.CounterFunc(metrics.FamHNCFrames, "sealed frames accepted at this node", node, func() uint64 { return r.verif.Received })
-	m.CounterFunc(metrics.FamHNCSeqGaps, "dropped-frame gaps observed", node, func() uint64 { return r.verif.Gaps })
-	m.CounterFunc(metrics.FamHNCRegressions, "reordered or replayed frames observed", node, func() uint64 { return r.verif.Regressions })
-	m.CounterFunc(metrics.FamHNCCRCFailures, "frames failing the CRC check", node, func() uint64 { return r.verif.Corrupt })
-	if r.inj != nil {
-		m.CounterFunc(metrics.FamRMCRetransmits, "frames resent after a drop, corruption, or outage", node, func() uint64 { return r.Retransmits })
-		m.CounterFunc(metrics.FamRMCAbandoned, "requests abandoned after the retransmit budget", node, func() uint64 { return r.Abandoned })
-		m.CounterFunc(metrics.FamRMCStormNACKs, "admissions refused by a scheduled NACK storm", node, func() uint64 { return r.StormNACKs })
-		m.CounterFunc(metrics.FamRMCStalls, "scheduled server-stall windows applied", node, func() uint64 { return r.Stalls })
+// register adds the families of every RMC sending through the set, each
+// enumerated at snapshot time from tallies the RMCs keep; the only
+// per-event instruments are the round-trip and burst histograms each
+// RMC owns. Recovery samples come only from RMCs armed with a fault
+// plan, and burst samples only from RMCs that issued a burst, so
+// fault-free and burst-free snapshots are unchanged by those layers.
+func (es *ExchangeSet) register(m *metrics.Registry) {
+	node := []string{"node"}
+	all := func(*RMC) bool { return true }
+	faulted := func(r *RMC) bool { return r.inj != nil }
+	bursted := func(r *RMC) bool { return r.bulkLat != nil }
+	counter := func(name, help string, when func(*RMC) bool, v func(*RMC) uint64) {
+		m.Counters(name, help, node, func(e *metrics.Emitter) {
+			for _, r := range es.rmcs {
+				if when(r) {
+					e.Value(float64(v(r)), e.Itoa(int(r.self)))
+				}
+			}
+		})
 	}
-	r.lat = m.Histogram(metrics.FamRMCLatency, "remote request round-trip time", node, metrics.TimeBuckets())
+	gauge := func(name, help string, v func(*RMC) float64) {
+		m.Gauges(name, help, node, func(e *metrics.Emitter) {
+			for _, r := range es.rmcs {
+				e.Value(v(r), e.Itoa(int(r.self)))
+			}
+		})
+	}
+	histogram := func(name, help string, h func(*RMC) *metrics.Histogram) {
+		m.Histograms(name, help, node, func(e *metrics.Emitter) {
+			for _, r := range es.rmcs {
+				if h(r) != nil {
+					e.Histogram(h(r), e.Itoa(int(r.self)))
+				}
+			}
+		})
+	}
+	counter(metrics.FamRMCRequests, "remote requests submitted at this node", all, func(r *RMC) uint64 { return r.Requests })
+	counter(metrics.FamRMCRetries, "NACKed admissions at the client queue", all, func(r *RMC) uint64 { return r.Retries })
+	counter(metrics.FamRMCForwarded, "requests bridged out of this node", all, func(r *RMC) uint64 { return r.Forwarded })
+	counter(metrics.FamRMCServedLocal, "requests served by this node's memory", all, func(r *RMC) uint64 { return r.ServedHere })
+	counter(metrics.FamRMCLoopback, "loopback-mode operations", all, func(r *RMC) uint64 { return r.LoopbackOps })
+	counter(metrics.FamRMCAborted, "requests denied by the protection check", all, func(r *RMC) uint64 { return r.Aborted })
+	gauge(metrics.FamRMCClientUtil, "client-role occupancy fraction", func(r *RMC) float64 { return r.client.Utilization(r.nowFn()) })
+	gauge(metrics.FamRMCServerUtil, "server-role occupancy fraction", func(r *RMC) float64 { return r.server.Utilization(r.nowFn()) })
+	counter(metrics.FamHNCFrames, "sealed frames accepted at this node", all, func(r *RMC) uint64 { return r.verif.Received })
+	counter(metrics.FamHNCSeqGaps, "dropped-frame gaps observed", all, func(r *RMC) uint64 { return r.verif.Gaps })
+	counter(metrics.FamHNCRegressions, "reordered or replayed frames observed", all, func(r *RMC) uint64 { return r.verif.Regressions })
+	counter(metrics.FamHNCCRCFailures, "frames failing the CRC check", all, func(r *RMC) uint64 { return r.verif.Corrupt })
+	counter(metrics.FamRMCRetransmits, "frames resent after a drop, corruption, or outage", faulted, func(r *RMC) uint64 { return r.Retransmits })
+	counter(metrics.FamRMCAbandoned, "requests abandoned after the retransmit budget", faulted, func(r *RMC) uint64 { return r.Abandoned })
+	counter(metrics.FamRMCStormNACKs, "admissions refused by a scheduled NACK storm", faulted, func(r *RMC) uint64 { return r.StormNACKs })
+	counter(metrics.FamRMCStalls, "scheduled server-stall windows applied", faulted, func(r *RMC) uint64 { return r.Stalls })
+	histogram(metrics.FamRMCLatency, "remote request round-trip time", func(r *RMC) *metrics.Histogram { return r.lat })
+	counter(metrics.FamRMCBulkBursts, "bulk bursts submitted at this node", bursted, func(r *RMC) uint64 { return r.BulkBursts })
+	counter(metrics.FamRMCBulkLines, "cache lines moved by bulk bursts", bursted, func(r *RMC) uint64 { return r.BulkLines })
+	counter(metrics.FamRMCBulkFrames, "multi-line data frames of bulk bursts", bursted, func(r *RMC) uint64 { return r.BulkDataFrames })
+	counter(metrics.FamRMCBulkCopies, "region-to-region DMA copies submitted", bursted, func(r *RMC) uint64 { return r.BulkCopies })
+	histogram(metrics.FamRMCBulkLatency, "bulk burst completion time", func(r *RMC) *metrics.Histogram { return r.bulkLat })
 }
 
 // Self returns the RMC's node identifier.

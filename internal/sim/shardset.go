@@ -152,30 +152,30 @@ func NewShardSet(k int, window Time) *ShardSet {
 	for i := 0; i < k; i++ {
 		s.engines = append(s.engines, newBare(met))
 	}
-	met.CounterFunc(metrics.FamSimEvents, "events executed by the engine", nil,
-		func() uint64 {
+	met.Counters(metrics.FamSimEvents, "events executed by the engine", nil,
+		func(m *metrics.Emitter) {
 			var n uint64
 			for _, e := range s.engines {
 				n += e.Processed
 			}
-			return n
+			m.Value(float64(n))
 		})
-	met.GaugeFunc(metrics.FamSimPending, "live events still queued", nil,
-		func() float64 { return float64(s.Pending()) })
-	met.GaugeFunc(metrics.FamSimNow, "current simulated time", nil,
-		func() float64 { return float64(s.Now()) / 1e12 })
-	met.HistogramFunc(metrics.FamSimDelay, "scheduling horizon: how far ahead events are placed", nil,
-		metrics.TimeBuckets(), func() *metrics.Histogram {
+	met.Gauges(metrics.FamSimPending, "live events still queued", nil,
+		func(m *metrics.Emitter) { m.Value(float64(s.Pending())) })
+	met.Gauges(metrics.FamSimNow, "current simulated time", nil,
+		func(m *metrics.Emitter) { m.Value(float64(s.Now()) / 1e12) })
+	met.Histograms(metrics.FamSimDelay, "scheduling horizon: how far ahead events are placed", nil,
+		func(m *metrics.Emitter) {
 			s.merged.Reset()
 			for _, e := range s.engines {
 				s.merged.AddAll(e.delay)
 			}
-			return s.merged
+			m.Histogram(s.merged)
 		})
-	met.CounterFunc(metrics.FamShardBarriers, "window barriers run by the sharded engine", nil,
-		func() uint64 { return s.Barriers })
-	met.CounterFunc(metrics.FamShardElided, "barriers whose window ran wider than the uniform single-hop baseline", nil,
-		func() uint64 { return s.Elided })
+	met.Counters(metrics.FamShardBarriers, "window barriers run by the sharded engine", nil,
+		func(m *metrics.Emitter) { m.Value(float64(s.Barriers)) })
+	met.Counters(metrics.FamShardElided, "barriers whose window ran wider than the uniform single-hop baseline", nil,
+		func(m *metrics.Emitter) { m.Value(float64(s.Elided)) })
 	return s
 }
 

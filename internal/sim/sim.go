@@ -51,15 +51,15 @@ type Engine struct {
 
 // New returns an empty engine at time zero.
 func New() *Engine {
-	e := &Engine{met: metrics.NewRegistry()}
-	e.met.CounterFunc(metrics.FamSimEvents, "events executed by the engine", nil,
-		func() uint64 { return e.Processed })
-	e.met.GaugeFunc(metrics.FamSimPending, "live events still queued", nil,
-		func() float64 { return float64(e.Pending()) })
-	e.met.GaugeFunc(metrics.FamSimNow, "current simulated time", nil,
-		func() float64 { return float64(e.now) / 1e12 })
-	e.delay = e.met.Histogram(metrics.FamSimDelay, "scheduling horizon: how far ahead events are placed", nil,
-		metrics.TimeBuckets())
+	e := newBare(metrics.NewRegistry())
+	e.met.Counters(metrics.FamSimEvents, "events executed by the engine", nil,
+		func(m *metrics.Emitter) { m.Value(float64(e.Processed)) })
+	e.met.Gauges(metrics.FamSimPending, "live events still queued", nil,
+		func(m *metrics.Emitter) { m.Value(float64(e.Pending())) })
+	e.met.Gauges(metrics.FamSimNow, "current simulated time", nil,
+		func(m *metrics.Emitter) { m.Value(float64(e.now) / 1e12) })
+	e.met.Histograms(metrics.FamSimDelay, "scheduling horizon: how far ahead events are placed", nil,
+		func(m *metrics.Emitter) { m.Histogram(e.delay) })
 	return e
 }
 
