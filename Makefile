@@ -58,17 +58,16 @@ perf-gate:
 	$(GO) run ./cmd/ncdsm-perf -check BENCH_sim.json
 
 # Short fuzz passes over the parsers of untrusted input and the
-# consistency lab's state machines: the trace reader, the HNC frame
-# integrity check that the fault injector's corrupted frames must never
-# slip past, random litmus programs under every protocol with
-# directory invariants held at every step, the -linklat, -bulk and
-# -faults spec parsers (no panic; String renders exactly what Parse
-# reads), the -mesh parser with the node-count check behind it, and the
-# -sweep and -explore parsers (no panic; accepted specs round-trip), and
-# the -reserve parser (node IDs in range, sizes unwrapped, round-trip).
+# consistency lab's state machines: the HNC frame integrity check that
+# the fault injector's corrupted frames must never slip past, random
+# litmus programs under every protocol with directory invariants held
+# at every step, the -linklat, -bulk and -faults spec parsers (no
+# panic; String renders exactly what Parse reads), the -mesh parser with
+# the node-count check behind it, and the -sweep and -explore parsers
+# (no panic; accepted specs round-trip), and the -reserve parser (node
+# IDs in range, sizes unwrapped, round-trip).
 # CI runs the same 10-second smokes.
 fuzz:
-	$(GO) test -fuzz=FuzzReader -fuzztime=10s -run='^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzFrameIntegrity -fuzztime=10s -run='^$$' ./internal/hnc
 	$(GO) test -fuzz=FuzzLitmusProgram -fuzztime=10s -run='^$$' ./internal/consistency
 	$(GO) test -fuzz=FuzzParseLinkLat -fuzztime=10s -run='^$$' ./internal/params

@@ -23,7 +23,6 @@ import (
 	"repro/internal/htoe"
 	"repro/internal/memmodel"
 	"repro/internal/params"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/swap"
 	"repro/internal/workloads"
@@ -155,29 +154,6 @@ func BenchmarkAblation_RetryPolicy(b *testing.B) {
 }
 
 // ---- library hot-path micro-benchmarks (host cost per operation) ----
-
-func BenchmarkSimRemoteLineRead(b *testing.B) {
-	sys, err := New(DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	region, err := sys.Region(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ptr, err := region.GrowFrom(2, 64<<20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := ptr + Pointer(uint64(i)%(64<<20-64))
-		if err := region.Access(AccessRequest{Now: sys.Now(), Pointer: p}); err != nil {
-			b.Fatal(err)
-		}
-		sys.Run()
-	}
-}
 
 func BenchmarkFunctionalCrossNodeWrite(b *testing.B) {
 	sys, err := New(DefaultConfig())
@@ -405,7 +381,7 @@ func BenchmarkHnCSealVerify(b *testing.B) {
 }
 
 func BenchmarkHToEDelivery(b *testing.B) {
-	f, err := htoe.New(simNew(), 16, htoe.DefaultConfig())
+	f, err := htoe.New(16, htoe.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -443,6 +419,3 @@ func BenchmarkDbGet(b *testing.B) {
 		}
 	}
 }
-
-// simNew keeps the htoe bench free of a direct sim import alias clash.
-func simNew() *sim.Engine { return sim.New() }

@@ -66,6 +66,10 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -metrics format %q (want prom or json)", *metricsFmt))
 	}
+	if *regions && cfg.Nodes() < figure1Nodes {
+		fatal(fmt.Errorf("-regions needs at least %d nodes for the Figure 1 layout; the %dx%d mesh has %d",
+			figure1Nodes, cfg.MeshWidth, cfg.MeshHeight, cfg.Nodes()))
+	}
 	sys, err := ncdsmfacade.New(cfg)
 	if err != nil {
 		fatal(err)
@@ -239,6 +243,10 @@ func walkReservation(sys *ncdsmfacade.System, spec string) error {
 	return nil
 }
 
+// figure1Nodes is the smallest cluster demoRegions' layout fits: it
+// names nodes 2 to 5.
+const figure1Nodes = 5
+
 // demoRegions reproduces the Figure 1 layout: region 3 extended into its
 // neighbors, region 5 into node D.
 func demoRegions(sys *ncdsmfacade.System) error {
@@ -283,7 +291,7 @@ func demoRegions(sys *ncdsmfacade.System) error {
 		fmt.Printf("; effective %d GB\n", a.EffectiveMemory()>>30)
 	}
 	fmt.Printf("cluster pool free: %d GB of %d GB\n",
-		sys.PoolFree()>>30, params.Default().PoolSize()>>30)
+		sys.PoolFree()>>30, sys.Config().PoolSize()>>30)
 	return nil
 }
 

@@ -22,9 +22,27 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// runMain runs ncdsm-cluster on args in a child process and returns its
+// exit code and output.
+func runMain(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "NCDSM_CLUSTER_MAIN=1")
+	var out, errOut strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	var exit *exec.ExitError
+	if err := cmd.Run(); errors.As(err, &exit) {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return code, out.String(), errOut.String()
+}
+
 // TestUsageErrorsRefusedBeforeWork: a bad machine spec or -metrics
-// format exits 1 before the system is built, so nothing reaches stdout
-// — not the banner, not the -stats workload.
+// format, or a mesh too small for the -regions layout, exits 1 before
+// the system is built, so nothing reaches stdout — not the banner, not
+// the -stats workload.
 func TestUsageErrorsRefusedBeforeWork(t *testing.T) {
 	for _, tc := range []struct {
 		args   []string
@@ -36,21 +54,30 @@ func TestUsageErrorsRefusedBeforeWork(t *testing.T) {
 		{[]string{"-stats", "-faults", "drop=2"}, "faults: drop probability 2 outside [0,1]"},
 		{[]string{"-stats", "-linklat", "x=-1ns"}, "params: linklat x=-1ns must be positive (omit x to keep the uniform hop latency)"},
 		{[]string{"-bulk", "on", "-shards", "4"}, "params: the bulk data plane is not shard-partitioned; it requires -shards 1, got 4"},
+		{[]string{"-regions", "-mesh", "2x2"}, "-regions needs at least 5 nodes for the Figure 1 layout; the 2x2 mesh has 4"},
 	} {
-		cmd := exec.Command(os.Args[0], tc.args...)
-		cmd.Env = append(os.Environ(), "NCDSM_CLUSTER_MAIN=1")
-		var stdout, stderr strings.Builder
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		code := 0
-		var exit *exec.ExitError
-		if err := cmd.Run(); errors.As(err, &exit) {
-			code = exit.ExitCode()
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		if want := "ncdsm-cluster: " + tc.stderr + "\n"; code != 1 || stdout.Len() != 0 || stderr.String() != want {
+		code, stdout, stderr := runMain(t, tc.args...)
+		if want := "ncdsm-cluster: " + tc.stderr + "\n"; code != 1 || stdout != "" || stderr != want {
 			t.Errorf("ncdsm-cluster %s: exit %d, stderr %q, stdout %q; want exit 1, stderr %q and no output",
-				strings.Join(tc.args, " "), code, stderr.String(), stdout.String(), want)
+				strings.Join(tc.args, " "), code, stderr, stdout, want)
+		}
+	}
+}
+
+// TestRegionsReadsItsConfig: the -regions demo reports the pool of the
+// mesh it was given, not the default 4x4's, and lists each region's
+// donors in node order.
+func TestRegionsReadsItsConfig(t *testing.T) {
+	code, stdout, stderr := runMain(t, "-regions", "-mesh", "8x8")
+	if code != 0 {
+		t.Fatalf("ncdsm-cluster -regions -mesh 8x8: exit %d, stderr %q", code, stderr)
+	}
+	for _, want := range []string{
+		"region  3: private  8 GB + 8 GB borrowed from node 2 (4 GB) node 4 (4 GB); effective 16 GB\n",
+		"cluster pool free: 502 GB of 512 GB\n",
+	} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("output lacks %q:\n%s", want, stdout)
 		}
 	}
 }

@@ -343,8 +343,10 @@ func benchCalibration(b *testing.B) {
 	}
 }
 
-// benchEngineChurn mirrors internal/sim's BenchmarkEngineScheduleRun:
-// one op = one executed event, so events/sec falls straight out.
+// benchEngineChurn is the headline engine microbenchmark: a
+// self-sustaining event churn with a bounded horizon, the pattern every
+// substrate's timed path reduces to. One op = one executed event, so
+// events/sec falls straight out.
 func benchEngineChurn(b *testing.B) {
 	e := sim.New()
 	remaining := b.N
@@ -361,8 +363,8 @@ func benchEngineChurn(b *testing.B) {
 	e.Run()
 }
 
-// benchRemoteLineRead mirrors the root BenchmarkSimRemoteLineRead: a
-// full timed remote line access through the public API per op.
+// benchRemoteLineRead is one full timed remote line access through the
+// public API per op.
 func benchRemoteLineRead(b *testing.B) {
 	sys, err := ncdsm.New(ncdsm.DefaultConfig())
 	if err != nil {
@@ -395,7 +397,7 @@ func benchMeshDeliver32x32(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f := mesh.NewFabric(sim.New(), topo, params.Default(), nil)
+	f := mesh.NewFabric(metrics.NewRegistry(), topo, params.Default(), nil)
 	src, dst := topo.NodeAt(0, 0), topo.NodeAt(31, 31)
 	now := sim.Time(0)
 	b.ReportAllocs()

@@ -63,9 +63,6 @@ func NewMemMap(self NodeID, nodes int, memEach uint64) (*MemMap, error) {
 	return &MemMap{self: self, localMem: memEach, nodes: nodes, memEach: memEach}, nil
 }
 
-// Self returns the identifier of the node whose view this is.
-func (m *MemMap) Self() NodeID { return m.self }
-
 // Route returns the target that claims the address in this node's map,
 // mirroring the BAR comparison performed by the processors: a zero prefix
 // selects a local memory controller, anything else the RMC.

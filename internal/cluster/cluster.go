@@ -85,14 +85,14 @@ func New(p params.Params) (*Cluster, error) {
 	}
 	switch p.Fabric {
 	case params.FabricHToE:
-		f, err := htoe.New(set.Engine(0), topo.Nodes(), htoe.DefaultConfig())
+		f, err := htoe.New(topo.Nodes(), htoe.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
 		f.InjectFaults(c.inj)
 		c.fabric = f
 	default:
-		c.meshFab = mesh.NewFabric(set.Engine(0), topo, p, c.inj)
+		c.meshFab = mesh.NewFabric(set.Engine(0).Metrics(), topo, p, c.inj)
 		c.fabric = c.meshFab
 	}
 	c.exSet = rmc.NewExchangeSet(set)
@@ -171,9 +171,6 @@ func (c *Cluster) Params() params.Params { return c.p }
 
 // Set returns the shard set driving the cluster.
 func (c *Cluster) Set() *sim.ShardSet { return c.set }
-
-// Partition returns the mesh-region-to-shard assignment.
-func (c *Cluster) Partition() mesh.Partition { return c.part }
 
 // Exchanges returns the per-shard exchange set (for the oracle tests'
 // trace hook).
@@ -296,7 +293,7 @@ func newNode(c *Cluster, id addr.NodeID) (*Node, error) {
 		eng:     eng,
 		memmap:  mm,
 		caches:  caches,
-		bank:    dram.NewBank(eng, id, p),
+		bank:    dram.NewBank(p),
 		store:   store,
 		pf:      pf,
 	}

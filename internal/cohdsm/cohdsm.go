@@ -176,9 +176,6 @@ func NewMESI(p params.Params, nodes int) (*Model, error) {
 	return m, nil
 }
 
-// MESI reports whether the model runs the MESI variant.
-func (m *Model) MESI() bool { return m.mesi }
-
 // Instrument registers the model's directory-transaction metrics with a
 // registry: lookup/invalidation/intervention/writeback counters and the
 // per-write sharer fan-out histogram. Uninstrumented models register

@@ -27,19 +27,6 @@ func Rel() Instr { return Instr{Op: OpRelease} }
 // Program is one instruction list per node, executed in program order.
 type Program [][]Instr
 
-// Ops counts the program's reads and writes.
-func (p Program) Ops() int {
-	n := 0
-	for _, is := range p {
-		for _, i := range is {
-			if i.Op == OpRead || i.Op == OpWrite {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // RoundRobin returns the canonical schedule interleaving the program's
 // nodes one instruction at a time.
 func (p Program) RoundRobin() []int {

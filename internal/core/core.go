@@ -219,12 +219,6 @@ func (p Phase) String() string {
 // Node returns the region's anchor node identifier.
 func (r *Region) Node() addr.NodeID { return r.node.ID() }
 
-// Heap returns the interposed-malloc heap of the region's process.
-func (r *Region) Heap() *rmalloc.Heap { return r.heap }
-
-// AddressSpace returns the process address space.
-func (r *Region) AddressSpace() *vm.AddressSpace { return r.as }
-
 // Agent returns the region's OS agent.
 func (r *Region) Agent() *osmodel.Agent { return r.agent }
 

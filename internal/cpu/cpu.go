@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Access is one memory operation of a thread's instruction stream.
@@ -94,7 +93,7 @@ type Thread struct {
 	// Issued counts accesses completed; Latency aggregates per-access
 	// round-trip times in picoseconds.
 	Issued  uint64
-	Latency stats.Histogram
+	Latency Running
 
 	// Done and FinishTime record completion.
 	Done       bool
@@ -103,6 +102,33 @@ type Thread struct {
 
 	onDone func(*Thread, sim.Time)
 }
+
+// Running accumulates count, mean and max online. The mean is Welford's
+// incremental update, which the pinned simulation digests depend on bit
+// for bit: it can differ from sum/n in the last place.
+type Running struct {
+	n         uint64
+	mean, max float64
+}
+
+// Observe adds one sample.
+func (r *Running) Observe(x float64) {
+	if r.n == 0 || x > r.max {
+		r.max = x
+	}
+	r.n++
+	delta := x - r.mean
+	r.mean += delta / float64(r.n)
+}
+
+// N returns the sample count.
+func (r *Running) N() uint64 { return r.n }
+
+// Mean returns the sample mean (0 with no samples).
+func (r *Running) Mean() float64 { return r.mean }
+
+// Max returns the largest sample (0 with no samples).
+func (r *Running) Max() float64 { return r.max }
 
 // ThreadConfig configures a thread.
 type ThreadConfig struct {

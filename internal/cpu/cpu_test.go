@@ -1,7 +1,9 @@
 package cpu
 
 import (
+	"math"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/addr"
 	"repro/internal/sim"
@@ -292,5 +294,64 @@ func TestCoreBinding(t *testing.T) {
 	eng.Run()
 	if m.perCoreIssues[5] != 4 {
 		t.Errorf("core 5 issued %d, want 4", m.perCoreIssues[5])
+	}
+}
+
+func TestRunningMoments(t *testing.T) {
+	for _, c := range []struct {
+		xs        []float64
+		mean, max float64
+	}{
+		{[]float64{2, 4, 4, 4, 5, 5, 7, 9}, 5, 9},
+		// Picosecond latencies on which Welford's update and sum/n
+		// (1.8219633333333333e+06) differ in the last place: every
+		// pinned simulation digest prints the Welford value.
+		{[]float64{2395853, 1742651, 1790370, 2166489, 1596110, 1240307}, 1.8219633333333335e+06, 2395853},
+	} {
+		var r Running
+		for _, x := range c.xs {
+			r.Observe(x)
+		}
+		if r.N() != uint64(len(c.xs)) || r.Mean() != c.mean || r.Max() != c.max {
+			t.Errorf("%v: N, Mean, Max = %d, %v, %v; want %d, %v, %v",
+				c.xs, r.N(), r.Mean(), r.Max(), len(c.xs), c.mean, c.max)
+		}
+	}
+}
+
+func TestRunningEmptyAndSingle(t *testing.T) {
+	var r Running
+	if r.Mean() != 0 || r.Max() != 0 {
+		t.Error("empty Running should report zeros")
+	}
+	r.Observe(-3)
+	if r.Mean() != -3 || r.Max() != -3 {
+		t.Error("single-sample mean/max wrong")
+	}
+}
+
+func TestRunningMeanBoundsProperty(t *testing.T) {
+	f := func(xs []float64) bool {
+		var r Running
+		n := 0
+		min := math.Inf(1)
+		for _, x := range xs {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				continue
+			}
+			// Keep magnitudes sane: Welford is not robust to values near
+			// the float64 overflow threshold, and no simulated latency is.
+			x = math.Mod(x, 1e9)
+			r.Observe(x)
+			min = math.Min(min, x)
+			n++
+		}
+		if n == 0 {
+			return true
+		}
+		return r.Mean() >= min-1e-9 && r.Mean() <= r.Max()+1e-9 && r.N() == uint64(n)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }

@@ -35,9 +35,9 @@ type Controller struct {
 
 // NewController creates one socket's controller. Its tallies reach the
 // metrics through the cluster, which reports every controller's.
-func NewController(eng *sim.Engine, node addr.NodeID, socket int, p params.Params) *Controller {
+func NewController(p params.Params) *Controller {
 	return &Controller{
-		res:     sim.NewResource(eng, fmt.Sprintf("node%d/mc%d", node, socket), 0),
+		res:     sim.NewResource(0),
 		p:       p,
 		lastRow: -1,
 	}
@@ -76,10 +76,10 @@ type Bank struct {
 }
 
 // NewBank builds one node's memory controllers.
-func NewBank(eng *sim.Engine, node addr.NodeID, p params.Params) *Bank {
+func NewBank(p params.Params) *Bank {
 	b := &Bank{memEach: p.MemPerNode}
 	for s := 0; s < p.SocketsPerNode; s++ {
-		b.ctrls = append(b.ctrls, NewController(eng, node, s, p))
+		b.ctrls = append(b.ctrls, NewController(p))
 	}
 	return b
 }

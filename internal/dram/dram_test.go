@@ -10,8 +10,7 @@ import (
 
 func TestControllerLatencyAndQueueing(t *testing.T) {
 	p := params.Default()
-	eng := sim.New()
-	c := NewController(eng, 1, 0, p)
+	c := NewController(p)
 
 	// Uncontended access completes after occupancy + latency.
 	done := c.Access(0, addr.Phys(0), false)
@@ -33,7 +32,7 @@ func TestControllerLatencyAndQueueing(t *testing.T) {
 
 func TestRowBufferTracking(t *testing.T) {
 	p := params.Default()
-	c := NewController(sim.New(), 1, 0, p)
+	c := NewController(p)
 
 	// Same row twice, then a different row, then back: cold, hit,
 	// conflict, conflict.
@@ -53,8 +52,7 @@ func TestRowBufferTracking(t *testing.T) {
 
 func TestBankSocketInterleaving(t *testing.T) {
 	p := params.Default() // 4 sockets × 4 GB
-	eng := sim.New()
-	b := NewBank(eng, 1, p)
+	b := NewBank(p)
 
 	if len(b.Controllers()) != 4 {
 		t.Fatalf("controllers = %d", len(b.Controllers()))
@@ -79,7 +77,7 @@ func TestBankSocketInterleaving(t *testing.T) {
 
 func TestBankParallelismAcrossSockets(t *testing.T) {
 	p := params.Default()
-	b := NewBank(sim.New(), 1, p)
+	b := NewBank(p)
 	// Two simultaneous accesses to different sockets don't queue on each
 	// other; two to the same socket do.
 	d1, _ := b.Access(0, addr.Phys(0), false)
@@ -95,7 +93,7 @@ func TestBankParallelismAcrossSockets(t *testing.T) {
 
 func TestBankRejections(t *testing.T) {
 	p := params.Default()
-	b := NewBank(sim.New(), 1, p)
+	b := NewBank(p)
 	if _, err := b.Access(0, addr.Phys(0x100).WithNode(3), false); err == nil {
 		t.Error("prefixed address accepted by local bank")
 	}
@@ -109,7 +107,7 @@ func TestBankRejections(t *testing.T) {
 // and it fails where its first line beyond installed memory would.
 func TestBankAccessLines(t *testing.T) {
 	p := params.Default()
-	run, ref := NewBank(sim.New(), 1, p), NewBank(sim.New(), 1, p)
+	run, ref := NewBank(p), NewBank(p)
 	start := addr.Phys(4<<30 - 2*64) // straddles the socket 0/1 boundary
 	done, err := run.AccessLines(10, start, 5, true)
 	if err != nil {

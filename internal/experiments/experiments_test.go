@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -71,6 +72,15 @@ func TestTable1(t *testing.T) {
 	}
 	if r1 > 3.0 {
 		t.Errorf("1-hop remote access %v µs should beat Violin's 3 µs", r1)
+	}
+	// The unloaded path has no tail: the slowest access is the mean
+	// trip, give or take DRAM row state.
+	for _, h := range []int{1, 6} {
+		mean := byLabel[fmt.Sprintf("remote access, %d hop(s) (µs)", h)]
+		tail := byLabel[fmt.Sprintf("remote access max, %d hop(s) (µs)", h)]
+		if tail < mean || tail > 1.02*mean {
+			t.Errorf("%d-hop max %v µs outside [mean, mean+2%%] of mean %v µs", h, tail, mean)
+		}
 	}
 }
 

@@ -86,9 +86,6 @@ func NewInjector(p *Plan) *Injector {
 	return &Injector{plan: p, rng: prng{state: uint64(p.Seed)}}
 }
 
-// Plan returns the bound plan.
-func (in *Injector) Plan() *Plan { return in.plan }
-
 // RollDrop draws once against the drop probability. Probability zero
 // consumes no randomness, so enabling only scheduled faults perturbs
 // nothing else.

@@ -70,9 +70,6 @@ func NewBridge(self addr.NodeID) (*Bridge, error) {
 	return &Bridge{self: self, seq: make(map[addr.NodeID]uint64)}, nil
 }
 
-// Self returns the bridge's node identifier.
-func (b *Bridge) Self() addr.NodeID { return b.self }
-
 // Outbound encapsulates a local HT request whose address carries a remote
 // node prefix. The destination is read straight from the 14 prefix bits;
 // the encapsulated address keeps its prefix so the remote side can

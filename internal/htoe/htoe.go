@@ -71,7 +71,6 @@ func (c Config) Validate() error {
 
 // Fabric is the switched-Ethernet fabric.
 type Fabric struct {
-	eng   *sim.Engine
 	cfg   Config
 	nodes int
 	inj   *faults.Injector // nil on a fault-free fabric
@@ -91,10 +90,7 @@ type Fabric struct {
 func (f *Fabric) InjectFaults(inj *faults.Injector) { f.inj = inj }
 
 // New builds the fabric for a cluster of the given node count.
-func New(eng *sim.Engine, nodes int, cfg Config) (*Fabric, error) {
-	if eng == nil {
-		return nil, fmt.Errorf("htoe: nil engine")
-	}
+func New(nodes int, cfg Config) (*Fabric, error) {
 	if nodes < 1 || nodes > addr.MaxNode {
 		return nil, fmt.Errorf("htoe: %d nodes", nodes)
 	}
@@ -102,17 +98,16 @@ func New(eng *sim.Engine, nodes int, cfg Config) (*Fabric, error) {
 		return nil, err
 	}
 	f := &Fabric{
-		eng:   eng,
 		cfg:   cfg,
 		nodes: nodes,
 		up:    make(map[addr.NodeID]*sim.Resource, nodes),
 		down:  make(map[addr.NodeID]*sim.Resource, nodes),
-		sw:    sim.NewResource(eng, "htoe/switch", 0),
+		sw:    sim.NewResource(0),
 	}
 	for i := 1; i <= nodes; i++ {
 		id := addr.NodeID(i)
-		f.up[id] = sim.NewResource(eng, fmt.Sprintf("htoe/up%d", id), 0)
-		f.down[id] = sim.NewResource(eng, fmt.Sprintf("htoe/down%d", id), 0)
+		f.up[id] = sim.NewResource(0)
+		f.down[id] = sim.NewResource(0)
 	}
 	return f, nil
 }

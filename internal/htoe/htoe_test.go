@@ -5,12 +5,11 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/params"
-	"repro/internal/sim"
 )
 
 func fabric(t *testing.T, nodes int) *Fabric {
 	t.Helper()
-	f, err := New(sim.New(), nodes, DefaultConfig())
+	f, err := New(nodes, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,15 +17,12 @@ func fabric(t *testing.T, nodes int) *Fabric {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, 16, DefaultConfig()); err == nil {
-		t.Error("nil engine accepted")
-	}
-	if _, err := New(sim.New(), 0, DefaultConfig()); err == nil {
+	if _, err := New(0, DefaultConfig()); err == nil {
 		t.Error("0 nodes accepted")
 	}
 	bad := DefaultConfig()
 	bad.NICLatency = 0
-	if _, err := New(sim.New(), 16, bad); err == nil {
+	if _, err := New(16, bad); err == nil {
 		t.Error("zero latency accepted")
 	}
 }

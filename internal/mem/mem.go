@@ -36,9 +36,6 @@ func NewStore(size uint64) (*Store, error) {
 	return &Store{size: size, frames: make(map[uint64][]byte)}, nil
 }
 
-// Size returns the store capacity in bytes.
-func (s *Store) Size() uint64 { return s.size }
-
 func (s *Store) check(a addr.Phys, n int) error {
 	if !a.IsLocal() {
 		return fmt.Errorf("mem: %v carries a node prefix; stores hold local addresses only", a)

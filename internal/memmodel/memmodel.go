@@ -57,7 +57,6 @@ func (r Remote) Name() string { return "remote memory" }
 // a writeback.
 type Swap struct {
 	p     params.Params
-	dev   swap.Device
 	cache *swap.PageCache
 	name  string
 	// Device costs are constant per device; precomputing them keeps the
@@ -75,7 +74,7 @@ func NewSwap(p params.Params, dev swap.Device, residentPages int) (*Swap, error)
 		return nil, err
 	}
 	return &Swap{
-		p: p, dev: dev, cache: c, name: dev.Name(),
+		p: p, cache: c, name: dev.Name(),
 		faultCost: p.SwapTrapOverhead + dev.FaultCost(),
 		wbCost:    dev.WritebackCost(),
 	}, nil

@@ -31,7 +31,6 @@ type Striped struct {
 	// full-diameter remote round trip, pessimistically.
 	Unmapped uint64
 	fallback params.Duration
-	p        params.Params
 }
 
 // NewStriped builds the model. Stripes must not overlap.
@@ -60,7 +59,7 @@ func NewStriped(p params.Params, stripes []Stripe) (*Striped, error) {
 		}
 	}
 	diameter := p.MeshWidth + p.MeshHeight - 2
-	return &Striped{stripes: s, constCost: cc, fallback: p.RemoteRoundTrip(diameter), p: p}, nil
+	return &Striped{stripes: s, constCost: cc, fallback: p.RemoteRoundTrip(diameter)}, nil
 }
 
 // find returns the index of the stripe containing a, or -1.

@@ -17,13 +17,13 @@ import (
 func TestBurstFrameOccupancy(t *testing.T) {
 	p := params.Default()
 	eng := sim.New()
-	f := NewFabric(eng, topo4x4(t), p, nil)
+	f := NewFabric(eng.Metrics(), topo4x4(t), p, nil)
 
 	scalarWire := 64 + 16   // one line + headers
 	burstWire := 16*64 + 16 // one 16-line data frame + headers
 	scalarDone := f.DeliverOutcome(0, 1, 2, scalarWire).Arrive
 	eng2 := sim.New()
-	f2 := NewFabric(eng2, topo4x4(t), p, nil)
+	f2 := NewFabric(eng2.Metrics(), topo4x4(t), p, nil)
 	burstDone := f2.DeliverOutcome(0, 1, 2, burstWire).Arrive
 
 	scalarUnits := sim.Time((scalarWire + params.CacheLineSize - 1) / params.CacheLineSize)
@@ -40,7 +40,7 @@ func TestBurstFrameOccupancy(t *testing.T) {
 func TestBurstContendsWithScalarTraffic(t *testing.T) {
 	p := params.Default()
 	eng := sim.New()
-	f := NewFabric(eng, topo4x4(t), p, nil)
+	f := NewFabric(eng.Metrics(), topo4x4(t), p, nil)
 
 	burstWire := 16*64 + 16
 	scalarWire := 64 + 16
@@ -50,7 +50,7 @@ func TestBurstContendsWithScalarTraffic(t *testing.T) {
 	// Alone, the scalar frame finishes in hop latency + its own (small)
 	// occupancy; behind the burst it cannot finish before the burst does.
 	eng2 := sim.New()
-	alone := NewFabric(eng2, topo4x4(t), p, nil).DeliverOutcome(0, 1, 2, scalarWire).Arrive
+	alone := NewFabric(eng2.Metrics(), topo4x4(t), p, nil).DeliverOutcome(0, 1, 2, scalarWire).Arrive
 	if queuedDone <= alone {
 		t.Errorf("scalar frame behind a burst finished at %d, alone at %d; no contention", queuedDone, alone)
 	}

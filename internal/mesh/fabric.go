@@ -58,7 +58,6 @@ func (l *link) cross(t, occ sim.Time, wireBytes int) sim.Time {
 // mesh, used only by traffic that explicitly asks for them.
 type Fabric struct {
 	topo     Topology
-	eng      *sim.Engine
 	p        params.Params
 	inj      *faults.Injector // nil on a fault-free fabric
 	links    []link           // dense mesh-link table; entries off the mesh edge stay zero
@@ -79,13 +78,13 @@ type Fabric struct {
 	Unreachable uint64
 }
 
-// NewFabric builds the timed mesh over the engine with the given
-// calibration. A nil injector yields the fault-free fabric: pure XY
-// routes, no drops, and no fault metric families.
-func NewFabric(eng *sim.Engine, topo Topology, p params.Params, inj *faults.Injector) *Fabric {
+// NewFabric builds the timed mesh with the given calibration and
+// registers its metric families in m. A nil injector yields the
+// fault-free fabric: pure XY routes, no drops, and no fault metric
+// families.
+func NewFabric(m *metrics.Registry, topo Topology, p params.Params, inj *faults.Injector) *Fabric {
 	f := &Fabric{
 		topo:    topo,
-		eng:     eng,
 		p:       p,
 		inj:     inj,
 		links:   make([]link, 4*topo.Nodes()),
@@ -99,7 +98,7 @@ func NewFabric(eng *sim.Engine, topo Topology, p params.Params, inj *faults.Inje
 			f.links[i].lat = p.LinkLat.EdgeLatency(fx, fy, tx, ty, p.HopLatency)
 		}
 	}
-	f.register(eng.Metrics())
+	f.register(m)
 	return f
 }
 

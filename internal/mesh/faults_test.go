@@ -4,15 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/params"
-	"repro/internal/sim"
 )
 
 func faultFabric(t *testing.T, plan *faults.Plan) (*Fabric, *faults.Injector) {
 	t.Helper()
 	topo := topo4x4(t)
 	inj := faults.NewInjector(plan)
-	return NewFabric(sim.New(), topo, params.Default(), inj), inj
+	return NewFabric(metrics.NewRegistry(), topo, params.Default(), inj), inj
 }
 
 // TestFaultFreeOutcomeMatchesDeliver: without an injector DeliverOutcome
@@ -22,8 +22,8 @@ func faultFabric(t *testing.T, plan *faults.Plan) (*Fabric, *faults.Injector) {
 func TestFaultFreeOutcomeMatchesDeliver(t *testing.T) {
 	topo := topo4x4(t)
 	p := params.Default()
-	a := NewFabric(sim.New(), topo, p, faults.NewInjector(&faults.Plan{Seed: 1}))
-	b := NewFabric(sim.New(), topo, p, nil)
+	a := NewFabric(metrics.NewRegistry(), topo, p, faults.NewInjector(&faults.Plan{Seed: 1}))
+	b := NewFabric(metrics.NewRegistry(), topo, p, nil)
 
 	src, dst := topo.NodeAt(0, 0), topo.NodeAt(3, 2)
 	walked := a.DeliverOutcome(0, src, dst, 72)
@@ -158,8 +158,8 @@ func TestDelayAddsLatency(t *testing.T) {
 	const extra = 7_000_000 // 7us in ps
 	topo := topo4x4(t)
 	p := params.Default()
-	clean := NewFabric(sim.New(), topo, p, nil)
-	slow := NewFabric(sim.New(), topo, p, faults.NewInjector(&faults.Plan{Seed: 1, Delay: 1, DelayBy: extra}))
+	clean := NewFabric(metrics.NewRegistry(), topo, p, nil)
+	slow := NewFabric(metrics.NewRegistry(), topo, p, faults.NewInjector(&faults.Plan{Seed: 1, Delay: 1, DelayBy: extra}))
 
 	base := clean.DeliverOutcome(0, 1, 3, 72)
 	out := slow.DeliverOutcome(0, 1, 3, 72)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/params"
 	"repro/internal/sim"
 )
@@ -20,7 +21,7 @@ func newLookaheadFabric(t *testing.T, w, h, shards int, p params.Params, inj *fa
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewFabric(sim.New(), topo, p, inj), part
+	return NewFabric(metrics.NewRegistry(), topo, p, inj), part
 }
 
 // TestMinDelayMatrixGeometry pins the matrix against hand-computed

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/addr"
+	"repro/internal/metrics"
 	"repro/internal/params"
 	"repro/internal/sim"
 )
@@ -140,7 +141,7 @@ func TestFabricDeliveryLatency(t *testing.T) {
 	p := params.Default()
 	eng := sim.New()
 	topo := topo4x4(t)
-	f := NewFabric(eng, topo, p, nil)
+	f := NewFabric(eng.Metrics(), topo, p, nil)
 
 	if f.Links() != 2*(3*4+4*3) {
 		t.Errorf("Links = %d, want 48 directed links", f.Links())
@@ -159,7 +160,7 @@ func TestFabricDeliveryLatency(t *testing.T) {
 
 func TestFabricSelfDelivery(t *testing.T) {
 	p := params.Default()
-	f := NewFabric(sim.New(), topo4x4(t), p, nil)
+	f := NewFabric(metrics.NewRegistry(), topo4x4(t), p, nil)
 	out := f.DeliverOutcome(100, 3, 3, 72)
 	if out.Arrive != 100 || out.Hops != 0 {
 		t.Errorf("self delivery = (%d, %d), want (100, 0)", out.Arrive, out.Hops)
@@ -168,7 +169,7 @@ func TestFabricSelfDelivery(t *testing.T) {
 
 func TestFabricContention(t *testing.T) {
 	p := params.Default()
-	f := NewFabric(sim.New(), topo4x4(t), p, nil)
+	f := NewFabric(metrics.NewRegistry(), topo4x4(t), p, nil)
 	topo := f.Topology()
 	src, dst := topo.NodeAt(0, 0), topo.NodeAt(1, 0)
 	// Two simultaneous frames on one link: the second serializes behind
@@ -185,11 +186,11 @@ func TestFabricContention(t *testing.T) {
 
 func TestFabricLargeTransferScalesOccupancy(t *testing.T) {
 	p := params.Default()
-	f := NewFabric(sim.New(), topo4x4(t), p, nil)
+	f := NewFabric(metrics.NewRegistry(), topo4x4(t), p, nil)
 	topo := f.Topology()
 	src, dst := topo.NodeAt(0, 0), topo.NodeAt(1, 0)
 	small := f.DeliverOutcome(0, src, dst, 64).Arrive
-	f2 := NewFabric(sim.New(), topo, p, nil)
+	f2 := NewFabric(metrics.NewRegistry(), topo, p, nil)
 	big := f2.DeliverOutcome(0, src, dst, 4096).Arrive
 	if big <= small {
 		t.Errorf("4 KiB frame (%d) not slower than 64 B frame (%d)", big, small)
@@ -201,7 +202,7 @@ func TestFabricLargeTransferScalesOccupancy(t *testing.T) {
 
 func TestExpressLink(t *testing.T) {
 	p := params.Default()
-	f := NewFabric(sim.New(), topo4x4(t), p, nil)
+	f := NewFabric(metrics.NewRegistry(), topo4x4(t), p, nil)
 	if err := f.AddExpressLink(1, 6); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestExpressLink(t *testing.T) {
 
 func TestLinkUtilization(t *testing.T) {
 	p := params.Default()
-	f := NewFabric(sim.New(), topo4x4(t), p, nil)
+	f := NewFabric(metrics.NewRegistry(), topo4x4(t), p, nil)
 	f.DeliverOutcome(0, 1, 2, 64)
 	u, err := f.LinkUtilization(1, 2, p.LinkOccupancy*10)
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // checks the per-link and fabric-wide counters.
 func TestMetricsInstrumentation(t *testing.T) {
 	eng := sim.New()
-	f := NewFabric(eng, topo4x4(t), params.Default(), nil)
+	f := NewFabric(eng.Metrics(), topo4x4(t), params.Default(), nil)
 	// Node 1 -> node 3 is two hops along the first row.
 	if hops := f.DeliverOutcome(0, 1, 3, 72).Hops; hops != 2 {
 		t.Fatalf("hops = %d, want 2", hops)
@@ -63,7 +63,7 @@ func TestLinkFamiliesCoverEveryLink(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := sim.New()
-		f := NewFabric(eng, topo, params.Default(), nil)
+		f := NewFabric(eng.Metrics(), topo, params.Default(), nil)
 		want := map[string]bool{}
 		for id := addr.NodeID(1); int(id) <= topo.Nodes(); id++ {
 			for _, nb := range topo.Neighbors(id) {

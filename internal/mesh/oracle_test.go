@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/params"
 	"repro/internal/sim"
 )
@@ -38,14 +39,13 @@ type oracleFabric struct {
 }
 
 func newOracleFabric(topo Topology, p params.Params, inj *faults.Injector) *oracleFabric {
-	eng := sim.New()
 	f := &oracleFabric{topo: topo, p: p, inj: inj, links: make(map[linkKey]*oracleLink)}
 	for id := addr.NodeID(1); int(id) <= topo.Nodes(); id++ {
 		for _, nb := range topo.Neighbors(id) {
 			fx, fy := topo.Coord(id)
 			tx, ty := topo.Coord(nb)
 			f.links[linkKey{id, nb}] = &oracleLink{
-				res: sim.NewResource(eng, "oracle", 0),
+				res: sim.NewResource(0),
 				lat: p.LinkLat.EdgeLatency(fx, fy, tx, ty, p.HopLatency),
 			}
 		}
@@ -242,7 +242,7 @@ func TestFabricOracleEquivalence(t *testing.T) {
 				plan := randomPlan(rng, topo)
 				got, want = faults.NewInjector(plan), faults.NewInjector(plan)
 			}
-			f := NewFabric(sim.New(), topo, p, got)
+			f := NewFabric(metrics.NewRegistry(), topo, p, got)
 			o := newOracleFabric(topo, p, want)
 			now := sim.Time(0)
 			for step := 0; step < 400; step++ {
@@ -302,7 +302,7 @@ func TestLinkIndexMatchesNeighbors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := NewFabric(sim.New(), topo, params.Default(), nil)
+		f := NewFabric(metrics.NewRegistry(), topo, params.Default(), nil)
 		seen := map[int]bool{}
 		for a := addr.NodeID(0); int(a) <= topo.Nodes()+1; a++ {
 			for b := addr.NodeID(0); int(b) <= topo.Nodes()+1; b++ {
@@ -329,7 +329,7 @@ func TestDeliverOutcomeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFabric(sim.New(), topo, params.Default(), nil)
+	f := NewFabric(metrics.NewRegistry(), topo, params.Default(), nil)
 	src, dst := topo.NodeAt(0, 0), topo.NodeAt(31, 31)
 	now := sim.Time(0)
 	if avg := testing.AllocsPerRun(1000, func() {

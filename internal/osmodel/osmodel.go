@@ -11,7 +11,9 @@
 package osmodel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/memdir"
@@ -41,9 +43,6 @@ type Agent struct {
 
 	granted  map[addr.Phys]grant      // by local start
 	borrowed map[addr.Phys]addr.Range // by prefixed start
-
-	// Reservations counts grants served; Borrows counts acquisitions.
-	Reservations, Borrows uint64
 }
 
 // NewAgent builds a node's OS agent and registers its pooled capacity
@@ -80,9 +79,6 @@ func NewAgent(self addr.NodeID, p params.Params, dir *memdir.Directory) (*Agent,
 // SetPeers wires the agent to the cluster's other agents.
 func (a *Agent) SetPeers(r PeerResolver) { a.peers = r }
 
-// Self returns the agent's node identifier.
-func (a *Agent) Self() addr.NodeID { return a.self }
-
 // AllocPrivate allocates local process memory from the private zone.
 func (a *Agent) AllocPrivate(size uint64) (addr.Range, error) {
 	return a.priv.Alloc(size)
@@ -116,7 +112,6 @@ func (a *Agent) Grant(requester addr.NodeID, size uint64) (addr.Range, error) {
 		return addr.Range{}, fmt.Errorf("osmodel: node %d cannot grant %d bytes: %w", a.self, size, err)
 	}
 	a.granted[local.Start] = grant{to: requester, local: local}
-	a.Reservations++
 	return addr.Range{Start: local.Start.WithNode(a.self), Size: local.Size}, nil
 }
 
@@ -181,7 +176,6 @@ func (a *Agent) ReserveRemoteFrom(donor addr.NodeID, size uint64) (addr.Range, e
 		return addr.Range{}, err
 	}
 	a.borrowed[r.Start] = r
-	a.Borrows++
 	return r, nil
 }
 
@@ -236,13 +230,14 @@ func (a *Agent) GrantedBytes() uint64 {
 	return total
 }
 
-// Borrowed lists the prefixed ranges this node holds, in no particular
-// order.
+// Borrowed lists the prefixed ranges this node holds, by start address
+// (so by donor node first).
 func (a *Agent) Borrowed() []addr.Range {
 	out := make([]addr.Range, 0, len(a.borrowed))
 	for _, r := range a.borrowed {
 		out = append(out, r)
 	}
+	slices.SortFunc(out, func(x, y addr.Range) int { return cmp.Compare(x.Start, y.Start) })
 	return out
 }
 

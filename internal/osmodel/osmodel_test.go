@@ -245,8 +245,15 @@ func TestAggregateBeyondOneNode(t *testing.T) {
 	if got := w.agents[1].EffectiveMemory(); got <= params.Default().MemPerNode {
 		t.Errorf("EffectiveMemory = %d, not beyond one node", got)
 	}
-	if len(w.agents[1].Borrowed()) != 5 {
-		t.Errorf("Borrowed ranges = %d", len(w.agents[1].Borrowed()))
+	borrowed := w.agents[1].Borrowed()
+	if len(borrowed) != 5 {
+		t.Fatalf("Borrowed ranges = %d", len(borrowed))
+	}
+	// Listed by donor, not in map order: callers print them.
+	for i, r := range borrowed {
+		if want := addr.NodeID(2 + i); r.Node() != want {
+			t.Errorf("Borrowed()[%d] is on node %d, want %d", i, r.Node(), want)
+		}
 	}
 }
 

@@ -203,8 +203,8 @@ func New(c Config) (*RMC, error) {
 		inj:    c.Faults,
 		exch:   c.Exch,
 		nowFn:  c.Now,
-		client: sim.NewResource(eng, fmt.Sprintf("rmc%d/client", c.Self), c.Params.RMCQueueDepth),
-		server: sim.NewResource(eng, fmt.Sprintf("rmc%d/server", c.Self), 0),
+		client: sim.NewResource(c.Params.RMCQueueDepth),
+		server: sim.NewResource(0),
 		bank:   c.Bank,
 		store:  c.Store,
 		verif:  hnc.NewVerifier(c.Self),
@@ -276,9 +276,6 @@ func (es *ExchangeSet) register(m *metrics.Registry) {
 	counter(metrics.FamRMCBulkCopies, "region-to-region DMA copies submitted", bursted, func(r *RMC) uint64 { return r.BulkCopies })
 	histogram(metrics.FamRMCBulkLatency, "bulk burst completion time", func(r *RMC) *metrics.Histogram { return r.bulkLat })
 }
-
-// Self returns the RMC's node identifier.
-func (r *RMC) Self() addr.NodeID { return r.self }
 
 // ClientUtilization returns the client-role occupancy fraction.
 func (r *RMC) ClientUtilization(elapsed sim.Time) float64 { return r.client.Utilization(elapsed) }

@@ -54,7 +54,7 @@ func buildRig(t *testing.T, nodes int, inj *faults.Injector) *rig {
 		eng:    eng,
 		exch:   NewExchangeSet(set),
 		p:      p,
-		fabric: mesh.NewFabric(eng, topo, p, inj),
+		fabric: mesh.NewFabric(eng.Metrics(), topo, p, inj),
 		rmcs:   map[addr.NodeID]*RMC{},
 		stores: map[addr.NodeID]*mem.Store{},
 	}
@@ -78,7 +78,7 @@ func buildRig(t *testing.T, nodes int, inj *faults.Injector) *rig {
 func (r *rig) config(id addr.NodeID, st *mem.Store, inj *faults.Injector) Config {
 	return Config{
 		Self: id, Params: r.p, Fabric: r.fabric, Peers: r,
-		Bank: dram.NewBank(r.eng, id, r.p), Store: st, Faults: inj, Exch: r.exch.Shard(0),
+		Bank: dram.NewBank(r.p), Store: st, Faults: inj, Exch: r.exch.Shard(0),
 	}
 }
 

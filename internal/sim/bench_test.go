@@ -2,26 +2,6 @@ package sim
 
 import "testing"
 
-// BenchmarkEngineScheduleRun is the headline engine microbenchmark: a
-// self-sustaining event churn with a bounded horizon, the pattern every
-// substrate's timed path reduces to. Reported ns/op is host cost per
-// executed event.
-func BenchmarkEngineScheduleRun(b *testing.B) {
-	e := New()
-	remaining := b.N
-	var step func()
-	step = func() {
-		if remaining > 0 {
-			remaining--
-			e.After(100, step)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.After(0, step)
-	e.Run()
-}
-
 // BenchmarkEngineFanout stresses heap reordering: each op schedules a
 // spread of events at staggered times, then drains them.
 func BenchmarkEngineFanout(b *testing.B) {
@@ -40,8 +20,7 @@ func BenchmarkEngineFanout(b *testing.B) {
 
 // BenchmarkResourceAcquire prices the FIFO server fast path.
 func BenchmarkResourceAcquire(b *testing.B) {
-	e := New()
-	r := NewResource(e, "bench", 0)
+	r := NewResource(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

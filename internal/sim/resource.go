@@ -11,9 +11,6 @@ import "fmt"
 // single-threaded and events execute in time order, this is equivalent to
 // an explicit server process but far cheaper.
 type Resource struct {
-	name string
-	eng  *Engine
-
 	// nextFree is the earliest time the server can begin a new service.
 	nextFree Time
 
@@ -36,15 +33,9 @@ type Resource struct {
 }
 
 // NewResource creates a FIFO resource. queueDepth 0 means unbounded.
-func NewResource(eng *Engine, name string, queueDepth int) *Resource {
-	if eng == nil {
-		panic("sim: NewResource with nil engine")
-	}
-	return &Resource{name: name, eng: eng, queueDepth: queueDepth}
+func NewResource(queueDepth int) *Resource {
+	return &Resource{queueDepth: queueDepth}
 }
-
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
 
 func (r *Resource) prune(now Time) {
 	i := 0
@@ -64,7 +55,7 @@ func (r *Resource) prune(now Time) {
 // is then just max(now, nextFree) + occupancy.
 func (r *Resource) Acquire(now Time, occupancy Time) (Time, bool) {
 	if occupancy < 0 {
-		panic(fmt.Sprintf("sim: negative occupancy %d on %s", occupancy, r.name))
+		panic(fmt.Sprintf("sim: negative occupancy %d", occupancy))
 	}
 	if r.queueDepth > 0 {
 		r.prune(now)

@@ -76,7 +76,7 @@ func TestResourceOracleEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		for depth := 0; depth <= 4; depth++ {
 			rng := rand.New(rand.NewSource(seed*10 + int64(depth)))
-			r := NewResource(New(), "r", depth)
+			r := NewResource(depth)
 			o := &oracleResource{queueDepth: depth}
 			now := Time(0)
 			for step := 0; step < 2000; step++ {
@@ -114,7 +114,7 @@ func TestResourceOracleEquivalence(t *testing.T) {
 // unbounded resource's Acquire is O(1) and allocation-free however deep
 // its backlog grows.
 func TestUnboundedResourceKeepsNoQueue(t *testing.T) {
-	r := NewResource(New(), "link", 0)
+	r := NewResource(0)
 	for i := 0; i < 1000; i++ {
 		r.Acquire(0, 10)
 	}

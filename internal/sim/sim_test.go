@@ -71,8 +71,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 }
 
 func TestResourceFIFO(t *testing.T) {
-	e := New()
-	r := NewResource(e, "mc", 0)
+	r := NewResource(0)
 	// Three back-to-back acquisitions at t=0 with occupancy 10 complete at
 	// 10, 20, 30: FIFO single server.
 	for i, want := range []Time{10, 20, 30} {
@@ -90,8 +89,7 @@ func TestResourceFIFO(t *testing.T) {
 }
 
 func TestResourceIdleGap(t *testing.T) {
-	e := New()
-	r := NewResource(e, "mc", 0)
+	r := NewResource(0)
 	r.Acquire(0, 10)
 	// Arrival after the server went idle starts immediately.
 	done, ok := r.Acquire(100, 10)
@@ -101,8 +99,7 @@ func TestResourceIdleGap(t *testing.T) {
 }
 
 func TestResourceBoundedQueue(t *testing.T) {
-	e := New()
-	r := NewResource(e, "rmc", 2)
+	r := NewResource(2)
 	// One in service + up to 2 waiting admitted; honours depth+1 in flight.
 	var admitted int
 	for i := 0; i < 5; i++ {
@@ -123,8 +120,7 @@ func TestResourceBoundedQueue(t *testing.T) {
 }
 
 func TestResourcePenalize(t *testing.T) {
-	e := New()
-	r := NewResource(e, "rmc", 0)
+	r := NewResource(0)
 	r.Penalize(50, 25)
 	done, ok := r.Acquire(50, 10)
 	if !ok || done != 85 {
@@ -137,8 +133,7 @@ func TestResourcePenalize(t *testing.T) {
 }
 
 func TestResourceUtilization(t *testing.T) {
-	e := New()
-	r := NewResource(e, "mc", 0)
+	r := NewResource(0)
 	r.Acquire(0, 50)
 	if u := r.Utilization(100); u != 0.5 {
 		t.Errorf("Utilization = %v, want 0.5", u)
@@ -152,8 +147,7 @@ func TestResourceCompletionMonotoneProperty(t *testing.T) {
 	// Completions of a FIFO resource are non-decreasing regardless of the
 	// arrival pattern, and never precede arrival+occupancy.
 	f := func(arrivals []uint16, occ uint8) bool {
-		e := New()
-		r := NewResource(e, "x", 0)
+		r := NewResource(0)
 		occupancy := Time(occ%100) + 1
 		now, last := Time(0), Time(0)
 		for _, a := range arrivals {
@@ -201,8 +195,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestResourcePenalizeHoldsQueueSlots(t *testing.T) {
-	e := New()
-	r := NewResource(e, "rmc", 1)
+	r := NewResource(1)
 	// Fill the queue: one in service (completes at 10), one waiting
 	// (completes at 20).
 	if _, ok := r.Acquire(0, 10); !ok {
@@ -235,8 +228,7 @@ func TestResourcePenalizeHoldsQueueSlots(t *testing.T) {
 }
 
 func TestResourcePenalizeLeavesCompletedAlone(t *testing.T) {
-	e := New()
-	r := NewResource(e, "rmc", 2)
+	r := NewResource(2)
 	r.Acquire(0, 10) // completes at 10
 	// A penalty after the request finished must not resurrect its slot.
 	r.Penalize(20, 5)

@@ -1,18 +1,12 @@
-// Package stats provides the measurement plumbing shared by the
-// experiment harness: running statistics, latency histograms,
-// and labeled series rendered as text tables matching the rows/series the
-// paper's figures report.
+// Package stats renders the experiment harness's output: labeled series
+// and the figures that group them, printed as text tables (and charts,
+// CSV and Markdown) matching the rows/series the paper's figures report.
 //
-// Ownership: none of these collectors are internally synchronized, by
-// design — they sit on simulation hot paths. Each collector is owned by
-// exactly one goroutine at a time. Under the parallel harness
-// (internal/runner) that means: collectors created inside a run
-// (thread latency histograms, resource counters) are owned by the
-// worker executing that run; Figure and Series are owned by the
+// Ownership: Figure and Series are not internally synchronized. Under
+// the parallel harness (internal/runner) they are owned by the
 // generator goroutine, which appends merged results only after the
 // futures deliver them, in submission order. Workers never touch a
-// Figure directly. Sharing a collector across concurrent runs is a
-// race; give every run its own and merge at the Wait point.
+// Figure directly.
 package stats
 
 import (
@@ -21,93 +15,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Running accumulates count/mean/max online. The mean is Welford's
-// incremental update, which the pinned simulation digests depend on bit
-// for bit.
-type Running struct {
-	n         uint64
-	mean, max float64
-}
-
-// Observe adds one sample.
-func (r *Running) Observe(x float64) {
-	if r.n == 0 || x > r.max {
-		r.max = x
-	}
-	r.n++
-	delta := x - r.mean
-	r.mean += delta / float64(r.n)
-}
-
-// N returns the sample count.
-func (r *Running) N() uint64 { return r.n }
-
-// Mean returns the sample mean (0 with no samples).
-func (r *Running) Mean() float64 { return r.mean }
-
-// Max returns the largest sample (0 with no samples).
-func (r *Running) Max() float64 { return r.max }
-
-// Histogram is a log2-bucketed latency histogram. Bucket 0 holds
-// samples in [0, 1); bucket i (i >= 1) holds samples in [2^(i-1), 2^i);
-// the last bucket also absorbs anything larger. It keeps exact
-// min/max/mean alongside the buckets.
-type Histogram struct {
-	buckets [64]uint64
-	run     Running
-}
-
-// Observe records one non-negative sample.
-func (h *Histogram) Observe(x float64) {
-	if x < 0 || math.IsNaN(x) {
-		return
-	}
-	h.run.Observe(x)
-	b := 0
-	if x >= 1 {
-		b = int(math.Log2(x)) + 1
-		if b > 63 {
-			b = 63
-		}
-	}
-	h.buckets[b]++
-}
-
-// N returns the sample count.
-func (h *Histogram) N() uint64 { return h.run.N() }
-
-// Mean returns the exact sample mean.
-func (h *Histogram) Mean() float64 { return h.run.Mean() }
-
-// Max returns the exact maximum sample.
-func (h *Histogram) Max() float64 { return h.run.Max() }
-
-// Quantile returns an upper-bound estimate of the q-quantile (0..1) from
-// the log buckets: 2^i for bucket i, each bucket's exclusive upper edge.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.run.N() == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(math.Ceil(q * float64(h.run.N())))
-	if target == 0 {
-		target = 1
-	}
-	var seen uint64
-	for i, c := range h.buckets {
-		seen += c
-		if seen >= target {
-			return math.Pow(2, float64(i))
-		}
-	}
-	return h.run.Max()
-}
 
 // Point is one (x, y) sample of a labeled series.
 type Point struct {

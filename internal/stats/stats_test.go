@@ -1,116 +1,9 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestRunningMoments(t *testing.T) {
-	var r Running
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		r.Observe(x)
-	}
-	if r.N() != 8 {
-		t.Errorf("N = %d", r.N())
-	}
-	if r.Mean() != 5 {
-		t.Errorf("Mean = %v, want 5", r.Mean())
-	}
-	if r.Max() != 9 {
-		t.Errorf("Max = %v, want 9", r.Max())
-	}
-}
-
-func TestRunningEmptyAndSingle(t *testing.T) {
-	var r Running
-	if r.Mean() != 0 || r.Max() != 0 {
-		t.Error("empty Running should report zeros")
-	}
-	r.Observe(-3)
-	if r.Mean() != -3 || r.Max() != -3 {
-		t.Error("single-sample mean/max wrong")
-	}
-}
-
-func TestRunningMeanBoundsProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		var r Running
-		n := 0
-		min := math.Inf(1)
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				continue
-			}
-			// Keep magnitudes sane: Welford is not robust to values near
-			// the float64 overflow threshold, and no simulated latency is.
-			x = math.Mod(x, 1e9)
-			r.Observe(x)
-			min = math.Min(min, x)
-			n++
-		}
-		if n == 0 {
-			return true
-		}
-		return r.Mean() >= min-1e-9 && r.Mean() <= r.Max()+1e-9 && r.N() == uint64(n)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	var h Histogram
-	for _, x := range []float64{1, 2, 3, 100, 1000} {
-		h.Observe(x)
-	}
-	h.Observe(-5)         // ignored
-	h.Observe(math.NaN()) // ignored
-	if h.N() != 5 {
-		t.Errorf("N = %d, want 5", h.N())
-	}
-	if h.Max() != 1000 {
-		t.Errorf("Max = %v", h.Max())
-	}
-	if q := h.Quantile(0.5); q < 2 || q > 8 {
-		t.Errorf("median estimate %v outside [2,8]", q)
-	}
-	if q := h.Quantile(1.0); q < 1000 {
-		t.Errorf("p100 estimate %v below true max", q)
-	}
-	if q := h.Quantile(-1); q <= 0 {
-		t.Errorf("clamped quantile %v", q)
-	}
-}
-
-func TestHistogramEmptyQuantile(t *testing.T) {
-	var h Histogram
-	if h.Quantile(0.9) != 0 {
-		t.Error("empty histogram quantile should be 0")
-	}
-}
-
-func TestHistogramQuantileMonotoneProperty(t *testing.T) {
-	f := func(xs []uint16) bool {
-		var h Histogram
-		for _, x := range xs {
-			h.Observe(float64(x))
-		}
-		prev := 0.0
-		for q := 0.1; q <= 1.0; q += 0.1 {
-			v := h.Quantile(q)
-			if v < prev {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestFigureRender(t *testing.T) {
 	f := NewFigure("fig7", "Client bottleneck", "threads", "time (ms)")
@@ -248,43 +141,5 @@ func TestChartCategoricalAndEdgeCases(t *testing.T) {
 	fs.Add(1, 5)
 	if flat.Chart(2, 2) == "" {
 		t.Error("tiny chart empty")
-	}
-}
-
-func TestHistogramSubUnitBucket(t *testing.T) {
-	var h Histogram
-	// Sub-unit samples file into bucket 0 = [0,1): their quantile upper
-	// bound is 1, not 2 — sub-nanosecond latencies must not inflate
-	// estimates (the doc'd bucket boundary).
-	for i := 0; i < 10; i++ {
-		h.Observe(0.25)
-	}
-	if q := h.Quantile(0.99); q != 1 {
-		t.Errorf("p99 of sub-unit samples = %v, want 1", q)
-	}
-	// Mixing in large samples keeps bucket separation: the median stays
-	// at the sub-unit bound, the tail reflects the large bucket.
-	for i := 0; i < 2; i++ {
-		h.Observe(1000)
-	}
-	if q := h.Quantile(0.5); q != 1 {
-		t.Errorf("median = %v, want 1", q)
-	}
-	if q := h.Quantile(1.0); q < 1000 {
-		t.Errorf("p100 = %v, want >= 1000", q)
-	}
-}
-
-func TestHistogramBucketEdges(t *testing.T) {
-	// Each power of two is the *lower* edge of its bucket, so the
-	// quantile upper bound is the next power: Observe(2^k) -> 2^(k+1).
-	for _, c := range []struct{ x, want float64 }{
-		{0, 1}, {0.5, 1}, {1, 2}, {1.5, 2}, {2, 4}, {3, 4}, {4, 8}, {1024, 2048},
-	} {
-		var h Histogram
-		h.Observe(c.x)
-		if q := h.Quantile(1.0); q != c.want {
-			t.Errorf("Quantile after Observe(%v) = %v, want %v", c.x, q, c.want)
-		}
 	}
 }
