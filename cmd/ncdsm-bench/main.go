@@ -121,6 +121,9 @@ func main() {
 		return
 	}
 	// Usage errors are refused here, before any experiment runs.
+	if *parallel < 0 {
+		fail(2, fmt.Errorf("-parallel %d: want 0 (all cores) or a worker count", *parallel))
+	}
 	if err := checkFormats(*format, *metricsFmt); err != nil {
 		fail(2, err)
 	}

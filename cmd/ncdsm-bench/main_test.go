@@ -117,8 +117,9 @@ func TestSweepTakesThePlainPath(t *testing.T) {
 }
 
 // TestUsageErrorsRefusedBeforeWork: a bad machine spec, sweep, output
-// format or experiment id exits 2 before any experiment runs, so
-// nothing reaches stdout — on plain and -sweep runs alike.
+// format, experiment id or negative -parallel exits 2 before any
+// experiment runs, so nothing reaches stdout — on plain and -sweep runs
+// alike.
 func TestUsageErrorsRefusedBeforeWork(t *testing.T) {
 	for _, tc := range []struct {
 		args   []string
@@ -133,6 +134,8 @@ func TestUsageErrorsRefusedBeforeWork(t *testing.T) {
 		{[]string{"-fig", "6", "-bulk", "frame=0"}, "params: bulk frame=0 must be positive (omit frame to keep the default)"},
 		{[]string{"-fig", "6", "-faults", "drop=2"}, "faults: drop probability 2 outside [0,1]"},
 		{[]string{"-fig", "6", "-linklat", "x=-1ns"}, "params: linklat x=-1ns must be positive (omit x to keep the uniform hop latency)"},
+		{[]string{"-fig", "6", "-scale", "0.02", "-parallel", "-1"}, "-parallel -1: want 0 (all cores) or a worker count"},
+		{[]string{"-fig", "6", "-parallel", "-1", "-sweep", "RMCQueueDepth=1,2"}, "-parallel -1: want 0 (all cores) or a worker count"},
 	} {
 		stdout, stderr, code := runCLI(t, tc.args...)
 		if want := "ncdsm-bench: " + tc.stderr + "\n"; code != 2 || stdout != "" || stderr != want {

@@ -70,6 +70,16 @@ func main() {
 		fatal(fmt.Errorf("-regions needs at least %d nodes for the Figure 1 layout; the %dx%d mesh has %d",
 			figure1Nodes, cfg.MeshWidth, cfg.MeshHeight, cfg.Nodes()))
 	}
+	var exploreSpec ncdsmfacade.ExploreSpec
+	if *explore != "" {
+		if *consist == "" {
+			fatal(fmt.Errorf("-explore needs -consistency to select protocols"))
+		}
+		var err error
+		if exploreSpec, err = parseExplore(*explore, *parallel); err != nil {
+			fatal(err)
+		}
+	}
 	sys, err := ncdsmfacade.New(cfg)
 	if err != nil {
 		fatal(err)
@@ -112,18 +122,12 @@ func main() {
 	if *consist != "" {
 		did = true
 		if *explore != "" {
-			spec, err := parseExplore(*explore, *parallel)
-			if err != nil {
-				fatal(err)
-			}
-			if err := runExplore(sys.Config(), *consist, spec); err != nil {
+			if err := runExplore(sys.Config(), *consist, exploreSpec); err != nil {
 				fatal(err)
 			}
 		} else if err := runLitmus(sys.Config(), *consist); err != nil {
 			fatal(err)
 		}
-	} else if *explore != "" {
-		fatal(fmt.Errorf("-explore needs -consistency to select protocols"))
 	}
 	if *bulkSpec != "" {
 		did = true
@@ -359,8 +363,14 @@ func runLitmus(cfg ncdsmfacade.Config, spec string) error {
 //	exhaustive:N     enumerate every interleaving of programs with at
 //	                 most N instructions (sleep-set reduced)
 //	sample:N[:SEED]  draw N seeded schedules for longer programs
+//
+// parallel is the -parallel worker count: 0 means all cores, and a
+// negative count is refused.
 func parseExplore(spec string, parallel int) (ncdsmfacade.ExploreSpec, error) {
 	s := ncdsmfacade.DefaultExploreSpec()
+	if parallel < 0 {
+		return s, fmt.Errorf("-parallel %d: want 0 (all cores) or a worker count", parallel)
+	}
 	s.Parallel = parallel
 	if s.Parallel == 0 {
 		s.Parallel = runtime.GOMAXPROCS(0)

@@ -40,9 +40,10 @@ func runMain(t *testing.T, args ...string) (code int, stdout, stderr string) {
 }
 
 // TestUsageErrorsRefusedBeforeWork: a bad machine spec or -metrics
-// format, or a mesh too small for the -regions layout, exits 1 before
-// the system is built, so nothing reaches stdout — not the banner, not
-// the -stats workload.
+// format, a mesh too small for the -regions layout, or an -explore run
+// without -consistency or with a negative -parallel, exits 1 before the
+// system is built, so nothing reaches stdout — not the banner, not the
+// -stats workload.
 func TestUsageErrorsRefusedBeforeWork(t *testing.T) {
 	for _, tc := range []struct {
 		args   []string
@@ -55,6 +56,8 @@ func TestUsageErrorsRefusedBeforeWork(t *testing.T) {
 		{[]string{"-stats", "-linklat", "x=-1ns"}, "params: linklat x=-1ns must be positive (omit x to keep the uniform hop latency)"},
 		{[]string{"-bulk", "on", "-shards", "4"}, "params: the bulk data plane is not shard-partitioned; it requires -shards 1, got 4"},
 		{[]string{"-regions", "-mesh", "2x2"}, "-regions needs at least 5 nodes for the Figure 1 layout; the 2x2 mesh has 4"},
+		{[]string{"-consistency", "msi", "-explore", "exhaustive:4", "-parallel", "-1"}, "-parallel -1: want 0 (all cores) or a worker count"},
+		{[]string{"-explore", "exhaustive:4"}, "-explore needs -consistency to select protocols"},
 	} {
 		code, stdout, stderr := runMain(t, tc.args...)
 		if want := "ncdsm-cluster: " + tc.stderr + "\n"; code != 1 || stdout != "" || stderr != want {
@@ -189,6 +192,9 @@ func TestParseExplore(t *testing.T) {
 		if _, err := parseExplore(bad, 1); err == nil {
 			t.Errorf("parseExplore(%q) accepted", bad)
 		}
+	}
+	if _, err := parseExplore("exhaustive:6", -1); err == nil {
+		t.Error("parseExplore accepted parallel -1")
 	}
 }
 

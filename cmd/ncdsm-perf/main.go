@@ -3,8 +3,9 @@
 // full RMC remote-line round trip, a corner-to-corner mesh traversal, the
 // sharded engine's barrier and exchange drain, the faulted Figure 7
 // sweep with its metrics merge, building a 32x32 system and snapshotting
-// its metrics, and the macro layer's batched access engine (the Figure 9
-// search hot loop and the LineCached and Swap batch pricing loops) — and
+// its metrics, one node's cache tags under sparse whole-fabric traffic,
+// and the macro layer's batched access engine (the Figure 9 search hot
+// loop and the LineCached and Swap batch pricing loops) — and
 // either writes the results to a baseline file (BENCH_sim.json) or checks
 // them against a committed baseline.
 //
@@ -37,6 +38,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/btree"
+	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -196,6 +198,7 @@ func measure() Baseline {
 	run("bulk_copy_4k", "500ms", 3, 0, nil, benchBulkCopy)
 	run("fig7_faulted_sweep", "3x", 5, 0.35, nil, benchFig7Faulted)
 	run("system_build_32x32", "3x", 5, 0.50, nil, benchSystemBuild32x32)
+	run("cache_sparse_fill", "500ms", 3, 0, nil, benchCacheSparseFill)
 	run("sharded_barrier_overhead", "200ms", 5, 0.35, nil, benchShardedBarrierOverhead)
 	run("exchange_drain", "300x", 5, 0, nil, benchExchangeDrain)
 	run("sharded_16x16_events_per_sec", "200x", 8, 0.50,
@@ -795,5 +798,36 @@ func benchSystemBuild32x32(b *testing.B) {
 			b.Fatal(err)
 		}
 		sys.Registry().Snapshot()
+	}
+}
+
+// benchCacheSparseFill prices one node's cache tags under whole-fabric
+// traffic: per op, a fresh four-socket hierarchy whose socket 0 fills
+// 160 distinct random lines of a 1 GiB range — fabric32's load on one
+// node, about one line in each set it touches. Its bytes/op is what
+// every node of a large mesh pays for tags.
+func benchCacheSparseFill(b *testing.B) {
+	lines := make([]addr.Phys, 0, 160)
+	seen := make(map[addr.Phys]bool, 160)
+	state := uint64(0x9E3779B97F4A7C15)
+	for len(lines) < cap(lines) {
+		state = state*6364136223846793005 + 1442695040888963407
+		if a := addr.Phys(state >> 40 << 6); !seen[a] {
+			seen[a] = true
+			lines = append(lines, a)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, err := cache.NewHierarchy(4, cache.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, a := range lines {
+			if _, err := h.Access(0, a, false); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -59,97 +59,192 @@ type Config struct {
 // an Opteron-era L2 stand-in.
 func DefaultConfig() Config { return Config{Sets: 1024, Ways: 8, LineSize: 64} }
 
+// MaxSets is the most sets a Config may have. A socket's set→slot index
+// holds 16 bits per set: 0 marks a never-filled set, one bit tells a
+// full slot from a one-way slot, and the other 15 number the slot.
+// Either pool needs at most one slot per set, so the index addresses
+// any geometry up to MaxSets, whatever its ways.
+const MaxSets = 1<<15 - 1
+
+// SetsError is Validate's refusal of a geometry with more sets than the
+// set→slot index addresses.
+type SetsError struct{ Sets int }
+
+func (e *SetsError) Error() string {
+	return fmt.Sprintf("cache: %d sets exceed the %d a socket's set index addresses", e.Sets, MaxSets)
+}
+
 // Validate reports the first inconsistency in the configuration.
 func (c Config) Validate() error {
 	switch {
 	case c.Sets < 1 || c.Ways < 1:
 		return fmt.Errorf("cache: geometry %dx%d invalid", c.Sets, c.Ways)
+	case c.Sets > MaxSets:
+		return &SetsError{Sets: c.Sets}
 	case c.LineSize == 0 || c.LineSize&(c.LineSize-1) != 0:
 		return fmt.Errorf("cache: line size %d not a power of two", c.LineSize)
 	}
 	return nil
 }
 
-// line is one cache line's tag state.
+// line is one cache line's tag state in 16 bytes: the tag, and the LRU
+// stamp with the MESI state packed into its low stateBits bits. A
+// socket's clock would need 2^62 touches to overflow the stamp.
 type line struct {
-	tag   addr.Phys // line-aligned address (tags keep the node prefix)
-	state State
-	lru   uint64
+	tag  addr.Phys // line-aligned address (tags keep the node prefix)
+	meta uint64    // lru<<stateBits | state
 }
 
-// setsPerBlock is how many sets' lines one storage block holds: 6 KiB
-// of the default geometry.
-const setsPerBlock = 32
+const (
+	stateBits = 2
+	stateMask = 1<<stateBits - 1
+)
+
+func (l *line) state() State { return State(l.meta & stateMask) }
+
+// Pool geometry. A one-way block holds onesPerBlock single-line slots
+// (1 KiB); a full block holds fullsPerBlock sets of Ways lines (2 KiB
+// of the default geometry).
+const (
+	onesPerBlock  = 64
+	fullsPerBlock = 16
+	// fullSlot marks a full slot in the set→slot index.
+	fullSlot = 1 << 15
+)
 
 // socketCache is one socket's set-associative array. Tag storage is
-// materialized per set on first fill, so a run pays for the sets it
-// touches, not the full geometry: a 1024-node mesh builds 4096 sockets
-// and fills a few percent of their sets. slots, the set→slot index, is
-// allocated on the socket's first fill; a slot's lines are carved from
-// blocks of setsPerBlock sets that the socket owns. A block is never
-// copied once handed out and never shared with another socket, since
-// nodes on different shards run concurrently. A never-filled set is
-// all Invalid: lookups skip it without touching memory.
+// materialized per line: a run pays for the lines it fills, not for the
+// geometry or for every way of the sets it touches. A 1024-node mesh
+// builds 4096 sockets, and its traffic puts about one line in each set
+// it touches.
+//
+// slots, the set→slot index, is allocated on the socket's first fill.
+// A set's first fill hands it a one-way slot. The fill of a second
+// distinct line promotes it to a full slot of Ways lines: its line
+// moves to way 0, and the one-way slot, zeroed, joins a free list that
+// the next new set pops. A set is never demoted, and Ways=1 never
+// promotes. Slots are carved from fixed blocks that the socket owns: a
+// block is never copied once handed out and never shared with another
+// socket, since nodes on different shards run concurrently. A
+// never-filled set, and the ways a one-way set lacks, read as Invalid:
+// lookups skip them without touching memory.
 type socketCache struct {
-	cfg    Config
-	slots  []uint32 // set index → 1 + slot; 0 while the set was never filled
-	blocks [][]line // slot s: blocks[s/setsPerBlock], ways from (s%setsPerBlock)*Ways
-	used   int      // slots handed out
-	clock  uint64
+	sets  int
+	ways  uint
+	slots []uint16 // set index → 0 (never filled), 1+one-way slot, or fullSlot|full slot
+	ones  [][]line // one-way slot s: ones[s/onesPerBlock][s%onesPerBlock]
+	fulls [][]line // full slot s: fulls[s/fullsPerBlock], ways from (s%fullsPerBlock)*Ways
+	clock uint64
+	// nOnes and nFulls count the slots each pool has handed out; free
+	// heads the list of freed one-way slots (1+slot, 0 when empty),
+	// linked through their tags.
+	nOnes, nFulls, free uint16
 }
 
-// set returns the lines of set idx, or nil if it was never filled.
+// set returns the lines of set idx — one for a one-way set, Ways for a
+// full one — or nil if it was never filled.
 func (c *socketCache) set(idx uint64) []line {
-	if idx >= uint64(len(c.slots)) || c.slots[idx] == 0 {
+	if idx >= uint64(len(c.slots)) {
 		return nil
 	}
-	s := uint(c.slots[idx] - 1)
-	off := int(s%setsPerBlock) * c.cfg.Ways
-	return c.blocks[s/setsPerBlock][off : off+c.cfg.Ways]
+	h := uint(c.slots[idx])
+	if h >= fullSlot {
+		s := h - fullSlot
+		off := s % fullsPerBlock * c.ways
+		return c.fulls[s/fullsPerBlock][off : off+c.ways]
+	}
+	if h == 0 {
+		return nil
+	}
+	s := h - 1
+	return c.ones[s/onesPerBlock][s%onesPerBlock:][:1]
 }
 
-// materialize hands never-filled set idx its slot, all ways Invalid.
+// materialize hands never-filled set idx a one-way slot, Invalid: a
+// freed one if any, else the pool's next.
 func (c *socketCache) materialize(idx uint64) []line {
 	if c.slots == nil {
-		c.slots = make([]uint32, c.cfg.Sets)
+		c.slots = make([]uint16, c.sets)
 	}
-	if c.used%setsPerBlock == 0 {
-		n := min(setsPerBlock, c.cfg.Sets-c.used)
-		c.blocks = append(c.blocks, make([]line, n*c.cfg.Ways))
+	h := c.free
+	if h != 0 {
+		s := h - 1
+		l := &c.ones[s/onesPerBlock][s%onesPerBlock]
+		c.free = uint16(l.tag)
+		*l = line{}
+	} else {
+		if c.nOnes%onesPerBlock == 0 {
+			c.ones = append(c.ones, make([]line, min(onesPerBlock, c.sets-int(c.nOnes))))
+		}
+		c.nOnes++
+		h = c.nOnes
 	}
-	c.used++
-	c.slots[idx] = uint32(c.used)
+	c.slots[idx] = h
 	return c.set(idx)
+}
+
+// promote moves one-way set idx into a full slot: its line becomes way
+// 0, the other ways Invalid, and the one-way slot joins the free list
+// zeroed, so FlushAll never counts it.
+func (c *socketCache) promote(idx uint64, one []line) []line {
+	if c.nFulls%fullsPerBlock == 0 {
+		c.fulls = append(c.fulls, make([]line, uint(min(fullsPerBlock, c.sets-int(c.nFulls)))*c.ways))
+	}
+	h := c.slots[idx]
+	c.slots[idx] = fullSlot | c.nFulls
+	c.nFulls++
+	set := c.set(idx)
+	set[0] = one[0]
+	one[0] = line{tag: addr.Phys(c.free)}
+	c.free = h
+	return set
+}
+
+// fillWay returns the way of set idx that a new line goes into and the
+// set's lines. It materializes a never-filled set, and promotes a
+// one-way set whose line is valid: the ways a one-way set lacks count
+// as Invalid, so the eager victim is way 1, which only promotion
+// reaches.
+func (c *socketCache) fillWay(idx uint64, set []line) ([]line, int) {
+	if set == nil {
+		set = c.materialize(idx)
+	} else if uint(len(set)) < c.ways && set[0].state() != Invalid {
+		set = c.promote(idx, set)
+	}
+	return set, victim(set)
 }
 
 // find returns the way of set holding tag, or -1.
 func find(set []line, tag addr.Phys) int {
 	for w := range set {
-		if set[w].state != Invalid && set[w].tag == tag {
+		if set[w].tag == tag && set[w].meta&stateMask != uint64(Invalid) {
 			return w
 		}
 	}
 	return -1
 }
 
-// victim returns the way of a materialized set to fill: an invalid way
-// if any, else LRU.
+// victim returns the way of a set to fill: the first Invalid way in
+// index order, else LRU. The stamps of a set's valid lines are
+// distinct, so ordering by the packed meta word orders by stamp.
 func victim(set []line) int {
-	best, bestLRU := -1, ^uint64(0)
+	best, bestMeta := -1, ^uint64(0)
 	for w := range set {
-		if set[w].state == Invalid {
+		m := set[w].meta
+		if m&stateMask == uint64(Invalid) {
 			return w
 		}
-		if set[w].lru < bestLRU {
-			best, bestLRU = w, set[w].lru
+		if m < bestMeta {
+			best, bestMeta = w, m
 		}
 	}
 	return best
 }
 
-func (c *socketCache) touch(set []line, w int) {
+// touch stamps way w of set as the socket's most recent use, in state s.
+func (c *socketCache) touch(set []line, w int, s State) {
 	c.clock++
-	set[w].lru = c.clock
+	set[w].meta = c.clock<<stateBits | uint64(s)
 }
 
 // Result describes what one access did, for the timing layer to price.
@@ -193,7 +288,7 @@ func NewHierarchy(sockets int, cfg Config) (*Hierarchy, error) {
 	}
 	h := &Hierarchy{cfg: cfg, sockets: make([]socketCache, sockets)}
 	for i := range h.sockets {
-		h.sockets[i].cfg = cfg
+		h.sockets[i].sets, h.sockets[i].ways = cfg.Sets, uint(cfg.Ways)
 	}
 	return h, nil
 }
@@ -225,19 +320,18 @@ func (h *Hierarchy) Access(socket int, a addr.Phys, write bool) (Result, error) 
 	var res Result
 
 	if w := find(set, tag); w >= 0 {
-		st := set[w].state
+		st := set[w].state()
 		if !write || st == Modified {
 			// Plain hit.
 			res.Hit = true
 			res.State = st
-			own.touch(set, w)
+			own.touch(set, w, st)
 			h.Hits++
 			return res, nil
 		}
 		if st == Exclusive {
 			// Silent E->M upgrade.
-			set[w].state = Modified
-			own.touch(set, w)
+			own.touch(set, w, Modified)
 			res.Hit = true
 			res.State = Modified
 			h.Hits++
@@ -245,8 +339,7 @@ func (h *Hierarchy) Access(socket int, a addr.Phys, write bool) (Result, error) 
 		}
 		// S->M upgrade: invalidate the other sharers.
 		res.Probes = h.invalidateOthers(socket, idx, tag)
-		set[w].state = Modified
-		own.touch(set, w)
+		own.touch(set, w, Modified)
 		res.Hit = true
 		res.State = Modified
 		h.Hits++
@@ -264,29 +357,23 @@ func (h *Hierarchy) Access(socket int, a addr.Phys, write bool) (Result, error) 
 		peer := h.sockets[s].set(idx)
 		if w := find(peer, tag); w >= 0 {
 			res.Probes++
+			if peer[w].state() == Modified {
+				res.Writebacks++ // dirty data forwarded/written back
+			}
 			if write {
-				if peer[w].state == Modified {
-					res.Writebacks++ // dirty data forwarded/written back
-				}
-				peer[w].state = Invalid
+				peer[w].meta &^= stateMask // Invalid
 			} else {
-				if peer[w].state == Modified {
-					res.Writebacks++
-				}
-				peer[w].state = Shared
+				peer[w].meta = peer[w].meta&^stateMask | uint64(Shared)
 				sharers++
 			}
 		}
 	}
 
 	// Fill into our cache, possibly evicting.
-	if set == nil {
-		set = own.materialize(idx)
-	}
-	w := victim(set)
-	if set[w].state != Invalid {
+	set, w := own.fillWay(idx, set)
+	if st := set[w].state(); st != Invalid {
 		res.Victim = set[w].tag
-		if set[w].state == Modified {
+		if st == Modified {
 			res.Writebacks++
 			res.VictimDirty = true
 		}
@@ -297,8 +384,8 @@ func (h *Hierarchy) Access(socket int, a addr.Phys, write bool) (Result, error) 
 	} else if sharers > 0 {
 		newState = Shared
 	}
-	set[w] = line{tag: tag, state: newState}
-	own.touch(set, w)
+	set[w].tag = tag
+	own.touch(set, w, newState)
 	res.State = newState
 	h.Probes += uint64(res.Probes)
 	h.Writebacks += uint64(res.Writebacks)
@@ -313,7 +400,7 @@ func (h *Hierarchy) invalidateOthers(socket int, idx uint64, tag addr.Phys) int 
 		}
 		peer := h.sockets[s].set(idx)
 		if w := find(peer, tag); w >= 0 {
-			peer[w].state = Invalid
+			peer[w].meta &^= stateMask // Invalid
 			probes++
 		}
 	}
@@ -337,22 +424,18 @@ func (h *Hierarchy) Install(socket int, a addr.Phys) (Result, error) {
 		}
 	}
 	own := &h.sockets[socket]
-	set := own.set(idx)
-	if set == nil {
-		set = own.materialize(idx)
-	}
-	w := victim(set)
+	set, w := own.fillWay(idx, own.set(idx))
 	var res Result
-	if set[w].state != Invalid {
+	if st := set[w].state(); st != Invalid {
 		res.Victim = set[w].tag
-		if set[w].state == Modified {
+		if st == Modified {
 			res.Writebacks++
 			res.VictimDirty = true
 			h.Writebacks++
 		}
 	}
-	set[w] = line{tag: tag, state: Exclusive}
-	own.touch(set, w)
+	set[w].tag = tag
+	own.touch(set, w, Exclusive)
 	res.State = Exclusive
 	h.Installs++
 	return res, nil
@@ -376,7 +459,7 @@ func (h *Hierarchy) StateIn(socket int, a addr.Phys) State {
 	tag := a.Line(h.cfg.LineSize)
 	set := h.sockets[socket].set(h.setIndex(tag))
 	if w := find(set, tag); w >= 0 {
-		return set[w].state
+		return set[w].state()
 	}
 	return Invalid
 }
@@ -385,16 +468,20 @@ func (h *Hierarchy) StateIn(socket int, a addr.Phys) State {
 // returning the number of dirty lines written back. The prototype does
 // this between a write phase and a read-only parallel phase, after which
 // several threads may cache remote data safely. Sets keep their storage:
-// a flushed set is all Invalid, like one never filled.
+// a flushed set is all Invalid, like one never filled. Freed one-way
+// slots are zero, so the walk over both pools counts only live lines.
 func (h *Hierarchy) FlushAll() int {
 	dirty := 0
 	for s := range h.sockets {
-		for _, b := range h.sockets[s].blocks {
-			for i := range b {
-				if b[i].state == Modified {
-					dirty++
+		c := &h.sockets[s]
+		for _, pool := range [2][][]line{c.ones, c.fulls} {
+			for _, b := range pool {
+				for i := range b {
+					if b[i].state() == Modified {
+						dirty++
+					}
+					b[i].meta &^= stateMask
 				}
-				b[i].state = Invalid
 			}
 		}
 	}

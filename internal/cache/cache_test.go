@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"errors"
+	"math/rand"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -18,17 +20,67 @@ func smallHierarchy(t *testing.T, sockets int) *Hierarchy {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if err := (Config{Sets: 0, Ways: 1, LineSize: 64}).Validate(); err == nil {
-		t.Error("zero sets accepted")
-	}
-	if err := (Config{Sets: 1, Ways: 1, LineSize: 48}).Validate(); err == nil {
-		t.Error("non-power-of-two line accepted")
-	}
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Errorf("default config invalid: %v", err)
+	for _, tc := range []struct {
+		cfg     Config
+		wantErr bool
+		sets    bool // the error is a *SetsError
+	}{
+		{DefaultConfig(), false, false},
+		{Config{Sets: 0, Ways: 1, LineSize: 64}, true, false},
+		{Config{Sets: 1, Ways: 0, LineSize: 64}, true, false},
+		{Config{Sets: 1, Ways: 1, LineSize: 48}, true, false},
+		{Config{Sets: MaxSets, Ways: 8, LineSize: 64}, false, false},
+		{Config{Sets: MaxSets + 1, Ways: 1, LineSize: 64}, true, true},
+		{Config{Sets: 1 << 20, Ways: 8, LineSize: 64}, true, true},
+	} {
+		err := tc.cfg.Validate()
+		var se *SetsError
+		if (err != nil) != tc.wantErr || errors.As(err, &se) != tc.sets {
+			t.Errorf("%+v: Validate = %v, want error %v (SetsError %v)", tc.cfg, err, tc.wantErr, tc.sets)
+		}
+		if tc.sets && se.Sets != tc.cfg.Sets {
+			t.Errorf("%+v: SetsError names %d sets", tc.cfg, se.Sets)
+		}
 	}
 	if _, err := NewHierarchy(0, DefaultConfig()); err == nil {
 		t.Error("zero sockets accepted")
+	}
+	var se *SetsError
+	if _, err := NewHierarchy(4, Config{Sets: MaxSets + 1, Ways: 8, LineSize: 64}); !errors.As(err, &se) {
+		t.Errorf("NewHierarchy over MaxSets: %v, want a *SetsError", err)
+	}
+}
+
+// TestMaxSetsAddressed fills every set of a MaxSets geometry with two
+// lines, so both pools hand out their last slot, and reads every line
+// back: the 16-bit index addresses the largest geometry Validate allows.
+func TestMaxSetsAddressed(t *testing.T) {
+	cfg := Config{Sets: MaxSets, Ways: 2, LineSize: 64}
+	h, err := NewHierarchy(1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := uint64(0); round < 2; round++ {
+		for set := uint64(0); set < MaxSets; set++ {
+			if _, err := h.Access(0, addr.Phys((round*MaxSets+set)*64), round == 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c := &h.sockets[0]
+	if c.nOnes != MaxSets || c.nFulls != MaxSets {
+		t.Fatalf("pools handed out %d one-way and %d full slots, want %d each", c.nOnes, c.nFulls, MaxSets)
+	}
+	for set := uint64(0); set < MaxSets; set++ {
+		if s := h.StateIn(0, addr.Phys(set*64)); s != Exclusive {
+			t.Fatalf("set %d way 0 = %v, want E", set, s)
+		}
+		if s := h.StateIn(0, addr.Phys((MaxSets+set)*64)); s != Modified {
+			t.Fatalf("set %d way 1 = %v, want M", set, s)
+		}
+	}
+	if dirty := h.FlushAll(); dirty != MaxSets {
+		t.Errorf("FlushAll wrote back %d lines, want %d", dirty, MaxSets)
 	}
 }
 
@@ -214,34 +266,92 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-// TestFreshHierarchyFootprint pins the point of per-set
-// materialization: a node's four-socket domain costs a few hundred
-// bytes until it is used (the eager arrays were 768 KiB), and one
-// access materializes exactly one set of one socket.
-func TestFreshHierarchyFootprint(t *testing.T) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	h, err := NewHierarchy(4, DefaultConfig())
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+// allocated returns the fewest bytes fn allocated over five calls.
+// Other goroutines (the test runner's among them) can allocate while
+// fn runs, and that only ever adds, so the minimum is fn's own cost.
+func allocated(fn func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	if n := after.TotalAlloc - before.TotalAlloc; n > 1024 {
+	return least
+}
+
+// TestFreshHierarchyFootprint pins the point of lazy tag storage: a
+// node's four-socket domain costs a few hundred bytes until it is used
+// (the eager arrays were 768 KiB), and one access materializes exactly
+// one one-way slot of one socket.
+func TestFreshHierarchyFootprint(t *testing.T) {
+	var h *Hierarchy
+	n := allocated(func() {
+		var err error
+		if h, err = NewHierarchy(4, DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 1024 {
 		t.Errorf("fresh 4-socket hierarchy allocated %d B, want a few hundred", n)
 	}
 	if _, err := h.Access(2, 0x12340, true); err != nil {
 		t.Fatal(err)
 	}
 	for s := range h.sockets {
-		want := 0
+		c := &h.sockets[s]
+		want := [2]uint16{}
 		if s == 2 {
-			want = 1
+			want[0] = 1
 		}
-		if got := h.sockets[s].used; got != want {
-			t.Errorf("socket %d materialized %d sets after one access by socket 2, want %d", s, got, want)
+		if got := [2]uint16{c.nOnes, c.nFulls}; got != want {
+			t.Errorf("socket %d handed out %v {one-way, full} slots after one access by socket 2, want %v", s, got, want)
 		}
-		if s != 2 && h.sockets[s].slots != nil {
+		if s != 2 && c.slots != nil {
 			t.Errorf("untouched socket %d allocated its set index", s)
 		}
+	}
+}
+
+// sparseLines returns n distinct line addresses drawn uniformly from a
+// 1 GiB range: the pattern a node of a large mesh sees, about one line
+// in each set it touches.
+func sparseLines(n int) []addr.Phys {
+	rng := rand.New(rand.NewSource(1))
+	seen := make(map[addr.Phys]bool, n)
+	var out []addr.Phys
+	for len(out) < n {
+		a := addr.Phys(uint64(rng.Int63n(1<<30)) &^ 63)
+		if !seen[a] {
+			seen[a] = true
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// TestSparseFillFootprint pins what sparse traffic costs: a fresh
+// hierarchy with one socket filling 160 distinct random lines,
+// fabric32's load on one node, allocates at most 8 KiB.
+func TestSparseFillFootprint(t *testing.T) {
+	lines := sparseLines(160)
+	var h *Hierarchy
+	n := allocated(func() {
+		var err error
+		if h, err = NewHierarchy(4, DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range lines {
+			if _, err := h.Access(0, a, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if n > 8<<10 {
+		t.Errorf("160 sparse fills allocated %d B, want at most %d", n, 8<<10)
+	}
+	if h.Misses != 160 {
+		t.Errorf("%d misses, want 160", h.Misses)
 	}
 }

@@ -8,17 +8,24 @@ import (
 	"repro/internal/addr"
 )
 
-// refSocket is the eager tag store the per-set materialization
-// replaced: every socket's full Sets×Ways array allocated up front, one
-// flat set-major slice. It is kept as the oracle the lazy store must
-// match bit for bit.
+// refLine is the oracle's line: tag, state and LRU stamp as separate
+// fields, so the packed line cannot leak into the reference.
+type refLine struct {
+	tag   addr.Phys
+	state State
+	lru   uint64
+}
+
+// refSocket is the eager tag store the lazy store replaced: every
+// socket's full Sets×Ways array allocated up front, one flat set-major
+// slice. It is kept as the oracle the lazy store must match bit for bit.
 type refSocket struct {
 	cfg   Config
-	lines []line
+	lines []refLine
 	clock uint64
 }
 
-func (c *refSocket) setOf(tag addr.Phys) []line {
+func (c *refSocket) setOf(tag addr.Phys) []refLine {
 	idx := (uint64(tag) / c.cfg.LineSize) % uint64(c.cfg.Sets)
 	ways := uint64(c.cfg.Ways)
 	return c.lines[idx*ways : idx*ways+ways]
@@ -63,7 +70,7 @@ type refHierarchy struct {
 func newRefHierarchy(sockets int, cfg Config) *refHierarchy {
 	h := &refHierarchy{cfg: cfg}
 	for i := 0; i < sockets; i++ {
-		h.sockets = append(h.sockets, &refSocket{cfg: cfg, lines: make([]line, cfg.Sets*cfg.Ways)})
+		h.sockets = append(h.sockets, &refSocket{cfg: cfg, lines: make([]refLine, cfg.Sets*cfg.Ways)})
 	}
 	return h
 }
@@ -141,7 +148,7 @@ func (h *refHierarchy) Access(socket int, a addr.Phys, write bool) (Result, erro
 	} else if sharers > 0 {
 		newState = Shared
 	}
-	set[w] = line{tag: tag, state: newState}
+	set[w] = refLine{tag: tag, state: newState}
 	own.touch(tag, w)
 	res.State = newState
 	h.Probes += uint64(res.Probes)
@@ -185,7 +192,7 @@ func (h *refHierarchy) Install(socket int, a addr.Phys) (Result, error) {
 			h.Writebacks++
 		}
 	}
-	set[w] = line{tag: tag, state: Exclusive}
+	set[w] = refLine{tag: tag, state: Exclusive}
 	own.touch(tag, w)
 	res.State = Exclusive
 	h.Installs++
@@ -226,8 +233,8 @@ func (h *refHierarchy) FlushAll() int {
 
 // sameStore compares every line of every set — tag, state and LRU
 // stamp — plus each socket's clock and the running totals. A set the
-// lazy store never materialized must equal the oracle's untouched
-// zero lines.
+// lazy store never materialized, and the ways a one-way set lacks, must
+// equal the oracle's untouched zero lines.
 func sameStore(t *testing.T, step int, got *Hierarchy, want *refHierarchy) {
 	t.Helper()
 	type totals struct{ acc, hit, miss, probe, wb, inst uint64 }
@@ -236,7 +243,6 @@ func sameStore(t *testing.T, step int, got *Hierarchy, want *refHierarchy) {
 	if g != w {
 		t.Fatalf("step %d: totals %+v, oracle %+v", step, g, w)
 	}
-	zero := make([]line, got.cfg.Ways)
 	for s := range got.sockets {
 		gs, ws := &got.sockets[s], want.sockets[s]
 		if gs.clock != ws.clock {
@@ -244,25 +250,33 @@ func sameStore(t *testing.T, step int, got *Hierarchy, want *refHierarchy) {
 		}
 		for idx := 0; idx < got.cfg.Sets; idx++ {
 			lines := gs.set(uint64(idx))
-			if lines == nil {
-				lines = zero
+			if n := len(lines); n != 0 && n != 1 && n != got.cfg.Ways {
+				t.Fatalf("step %d: socket %d set %d has %d ways, want 0, 1 or %d", step, s, idx, n, got.cfg.Ways)
 			}
 			ref := ws.lines[idx*got.cfg.Ways : (idx+1)*got.cfg.Ways]
 			for way := range ref {
-				if lines[way] != ref[way] {
-					t.Fatalf("step %d: socket %d set %d way %d = %+v, oracle %+v", step, s, idx, way, lines[way], ref[way])
+				var l refLine
+				if way < len(lines) {
+					l = refLine{tag: lines[way].tag, state: lines[way].state(), lru: lines[way].meta >> stateBits}
+				}
+				if l != ref[way] {
+					t.Fatalf("step %d: socket %d set %d way %d = %+v, oracle %+v", step, s, idx, way, l, ref[way])
 				}
 			}
 		}
 	}
 }
 
-// TestTagStoreMatchesEagerOracle drives the per-set store and the eager
-// oracle with the same seeded sequences of Access, Install, Present,
-// StateIn and FlushAll over several geometries, socket counts and line
-// sizes, and requires identical results, line states and totals.
+// TestTagStoreMatchesEagerOracle drives the lazy store and the eager
+// oracle with the same sequences of Access, Install, Present, StateIn
+// and FlushAll, and requires identical results, line states and
+// totals. Seeded random sequences cover several geometries (Ways=1 and
+// a set count that is not a power of two included), socket counts and
+// line sizes. Scripted ones pin each transition of a set's storage:
+// its first line, the second line that promotes it, a FlushAll right
+// after a promotion, and a new set that reuses the freed one-way slot.
 func TestTagStoreMatchesEagerOracle(t *testing.T) {
-	for _, geo := range [][2]int{{1, 1}, {4, 2}, {64, 4}, {1024, 8}} {
+	for _, geo := range [][2]int{{1, 1}, {4, 2}, {48, 3}, {64, 1}, {64, 4}, {1024, 8}} {
 		for _, sockets := range []int{1, 4} {
 			for _, lineSize := range []uint64{1, 64} {
 				cfg := Config{Sets: geo[0], Ways: geo[1], LineSize: lineSize}
@@ -271,6 +285,116 @@ func TestTagStoreMatchesEagerOracle(t *testing.T) {
 						runOracle(t, seed, sockets, cfg)
 					}
 				})
+			}
+		}
+	}
+	for _, sc := range oracleScripts {
+		t.Run("script/"+sc.name, func(t *testing.T) { runScript(t, sc) })
+	}
+}
+
+// scriptOp is one step of a scripted oracle run: an Access (or, with
+// install, an Install) by socket to line ln of a 64 B-line cache, or a
+// FlushAll. pools, when set, is the issuing socket's {one-way slots
+// handed out, full slots handed out, free list non-empty (1 or 0)}
+// after the step.
+type scriptOp struct {
+	socket  int
+	ln      uint64
+	write   bool
+	install bool
+	flush   bool
+	pools   *[3]int
+}
+
+var oracleScripts = []struct {
+	name string
+	cfg  Config
+	ops  []scriptOp
+}{
+	{
+		// Sets 4, ways 4: lines 1, 5, 9 all map to set 1.
+		name: "promote-flush-reuse",
+		cfg:  Config{Sets: 4, Ways: 4, LineSize: 64},
+		ops: []scriptOp{
+			{socket: 0, ln: 1, write: true, pools: &[3]int{1, 0, 0}}, // set 1: one line, Modified
+			{socket: 0, ln: 1, write: true, pools: &[3]int{1, 0, 0}}, // a hit keeps it one-way
+			{socket: 0, ln: 5, pools: &[3]int{1, 1, 1}},              // the second line promotes it
+			{flush: true}, // the freed slot must not count as dirty
+			{socket: 0, ln: 2, pools: &[3]int{1, 1, 0}},              // set 2 reuses the freed slot
+			{socket: 0, ln: 9, write: true},                          // refills set 1's flushed way 0
+			{socket: 0, ln: 6, write: true, pools: &[3]int{1, 2, 1}}, // set 2 promotes, frees again
+			{socket: 1, ln: 6, pools: &[3]int{1, 0, 0}},              // a peer's copy: socket 1 one-way
+			{socket: 0, ln: 3, install: true, pools: &[3]int{1, 2, 0}},
+			{socket: 0, ln: 7, install: true, pools: &[3]int{1, 3, 1}},
+			{flush: true},
+		},
+	},
+	{
+		// A one-way set whose line a peer invalidated refills in place.
+		name: "invalidated-one-way",
+		cfg:  Config{Sets: 4, Ways: 4, LineSize: 64},
+		ops: []scriptOp{
+			{socket: 0, ln: 1},
+			{socket: 1, ln: 1, write: true}, // invalidates socket 0's copy
+			{socket: 0, ln: 5, pools: &[3]int{1, 0, 0}},
+			{socket: 0, ln: 9, pools: &[3]int{1, 1, 1}},
+		},
+	},
+	{
+		// Ways=1: the one-way slot is the whole set; a second line
+		// evicts the first instead of promoting.
+		name: "one-way-geometry",
+		cfg:  Config{Sets: 4, Ways: 1, LineSize: 64},
+		ops: []scriptOp{
+			{socket: 0, ln: 1, write: true, pools: &[3]int{1, 0, 0}},
+			{socket: 0, ln: 5, pools: &[3]int{1, 0, 0}},
+			{socket: 0, ln: 9, install: true, pools: &[3]int{1, 0, 0}},
+			{socket: 0, ln: 2, pools: &[3]int{2, 0, 0}},
+			{flush: true},
+		},
+	},
+}
+
+func runScript(t *testing.T, sc struct {
+	name string
+	cfg  Config
+	ops  []scriptOp
+}) {
+	got, err := NewHierarchy(2, sc.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := newRefHierarchy(2, sc.cfg)
+	for step, op := range sc.ops {
+		a := addr.Phys(op.ln * sc.cfg.LineSize)
+		switch {
+		case op.flush:
+			if g, w := got.FlushAll(), want.FlushAll(); g != w {
+				t.Fatalf("step %d: FlushAll = %d, oracle %d", step, g, w)
+			}
+		case op.install:
+			gr, _ := got.Install(op.socket, a)
+			wr, _ := want.Install(op.socket, a)
+			if gr != wr {
+				t.Fatalf("step %d: Install(%d, %v) = %+v, oracle %+v", step, op.socket, a, gr, wr)
+			}
+		default:
+			gr, _ := got.Access(op.socket, a, op.write)
+			wr, _ := want.Access(op.socket, a, op.write)
+			if gr != wr {
+				t.Fatalf("step %d: Access(%d, %v, %v) = %+v, oracle %+v", step, op.socket, a, op.write, gr, wr)
+			}
+		}
+		sameStore(t, step, got, want)
+		if op.pools != nil {
+			c := &got.sockets[op.socket]
+			free := 0
+			if c.free != 0 {
+				free = 1
+			}
+			if p := [3]int{int(c.nOnes), int(c.nFulls), free}; p != *op.pools {
+				t.Fatalf("step %d: socket %d pools {ones, fulls, free} = %v, want %v", step, op.socket, p, *op.pools)
 			}
 		}
 	}

@@ -340,8 +340,9 @@ func (c *Cluster) register(m *metrics.Registry) {
 	perController := func(name, help string, v func(*dram.Controller) uint64) {
 		m.Counters(name, help, []string{"mc", "node"}, func(e *metrics.Emitter) {
 			for _, n := range c.nodes {
-				for s, ctl := range n.bank.Controllers() {
-					e.Value(float64(v(ctl)), e.Itoa(s), e.Itoa(int(n.id)))
+				ctrls := n.bank.Controllers()
+				for s := range ctrls {
+					e.Value(float64(v(&ctrls[s])), e.Itoa(s), e.Itoa(int(n.id)))
 				}
 			}
 		})

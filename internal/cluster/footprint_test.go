@@ -8,7 +8,7 @@ import (
 )
 
 // TestNew32x32Footprint pins what building the 1024-node fabric costs
-// before it runs: cache tag storage materializes per set on first fill,
+// before it runs: cache tag storage materializes per line on first fill,
 // so New pays for nodes, RMCs and links, not 4096 sockets' full tag
 // arrays (768 KiB a node when they were allocated eagerly, ~790 MiB in
 // all). The bound leaves about 3x headroom over the ~21 MiB measured.

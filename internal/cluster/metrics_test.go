@@ -67,7 +67,7 @@ func TestMetricsInstrumentation(t *testing.T) {
 // labels in key order (mc, then node).
 func TestDRAMMetrics(t *testing.T) {
 	c := build(t)
-	ctl := c.MustNode(1).Bank().Controllers()[0]
+	ctl := &c.MustNode(1).Bank().Controllers()[0]
 	ctl.Access(0, addr.Phys(0), false)
 	ctl.Access(0, addr.Phys(64), true)
 

@@ -19,10 +19,12 @@ import (
 // tracking does not change timing.
 const RowBytes = 8 << 10
 
-// Controller is one socket's memory controller.
+// Controller is one socket's memory controller. It keeps only the two
+// timings Access reads, and its server by value, so a bank of them is
+// one allocation.
 type Controller struct {
-	res *sim.Resource
-	p   params.Params
+	res                sim.Resource
+	latency, occupancy params.Duration
 
 	// lastRow is the open row (-1 when no row has been activated).
 	lastRow int64
@@ -33,14 +35,11 @@ type Controller struct {
 	RowHits, RowConflicts uint64
 }
 
-// NewController creates one socket's controller. Its tallies reach the
-// metrics through the cluster, which reports every controller's.
-func NewController(p params.Params) *Controller {
-	return &Controller{
-		res:     sim.NewResource(0),
-		p:       p,
-		lastRow: -1,
-	}
+// NewController returns one socket's controller, idle. Its tallies
+// reach the metrics through the cluster, which reports every
+// controller's.
+func NewController(p params.Params) Controller {
+	return Controller{latency: p.DRAMLatency, occupancy: p.DRAMOccupancy, lastRow: -1}
 }
 
 // Access services one request to local address a arriving at now and
@@ -48,7 +47,7 @@ func NewController(p params.Params) *Controller {
 // (occupancy), then takes the DRAM access latency. Row-buffer locality
 // is tracked for observability; it does not alter timing.
 func (c *Controller) Access(now sim.Time, a addr.Phys, write bool) sim.Time {
-	done, _ := c.res.Acquire(now, c.p.DRAMOccupancy)
+	done, _ := c.res.Acquire(now, c.occupancy)
 	if write {
 		c.Writes++
 	} else {
@@ -62,7 +61,7 @@ func (c *Controller) Access(now sim.Time, a addr.Phys, write bool) sim.Time {
 		c.RowConflicts++
 	}
 	c.lastRow = row
-	return done + c.p.DRAMLatency
+	return done + c.latency
 }
 
 // Utilization returns the controller's occupancy fraction.
@@ -71,15 +70,15 @@ func (c *Controller) Utilization(elapsed sim.Time) float64 { return c.res.Utiliz
 // Bank is the set of controllers of one node plus the socket-interleaved
 // routing between them.
 type Bank struct {
-	ctrls   []*Controller
+	ctrls   []Controller
 	memEach uint64
 }
 
 // NewBank builds one node's memory controllers.
 func NewBank(p params.Params) *Bank {
-	b := &Bank{memEach: p.MemPerNode}
-	for s := 0; s < p.SocketsPerNode; s++ {
-		b.ctrls = append(b.ctrls, NewController(p))
+	b := &Bank{memEach: p.MemPerNode, ctrls: make([]Controller, p.SocketsPerNode)}
+	for s := range b.ctrls {
+		b.ctrls[s] = NewController(p)
 	}
 	return b
 }
@@ -119,13 +118,13 @@ func (b *Bank) AccessLines(now sim.Time, start addr.Phys, lines int, write bool)
 }
 
 // Controllers returns the per-socket controllers for inspection.
-func (b *Bank) Controllers() []*Controller { return b.ctrls }
+func (b *Bank) Controllers() []Controller { return b.ctrls }
 
 // Stats sums reads and writes across the bank.
 func (b *Bank) Stats() (reads, writes uint64) {
-	for _, c := range b.ctrls {
-		reads += c.Reads
-		writes += c.Writes
+	for s := range b.ctrls {
+		reads += b.ctrls[s].Reads
+		writes += b.ctrls[s].Writes
 	}
 	return
 }

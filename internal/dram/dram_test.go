@@ -64,8 +64,8 @@ func TestBankSocketInterleaving(t *testing.T) {
 			t.Fatalf("access socket %d: %v", s, err)
 		}
 	}
-	for s, c := range b.Controllers() {
-		if c.Reads != 1 {
+	for s := range b.Controllers() {
+		if c := &b.Controllers()[s]; c.Reads != 1 {
 			t.Errorf("socket %d saw %d reads, want 1", s, c.Reads)
 		}
 	}
@@ -121,8 +121,8 @@ func TestBankAccessLines(t *testing.T) {
 	if done != want {
 		t.Errorf("AccessLines done = %d, per-line accesses = %d", done, want)
 	}
-	for s, c := range run.Controllers() {
-		r := ref.Controllers()[s]
+	for s := range run.Controllers() {
+		c, r := &run.Controllers()[s], &ref.Controllers()[s]
 		if got, want := [3]uint64{c.Writes, c.RowHits, c.RowConflicts}, [3]uint64{r.Writes, r.RowHits, r.RowConflicts}; got != want {
 			t.Errorf("socket %d writes/row hits/conflicts = %v, per-line %v", s, got, want)
 		}

@@ -39,7 +39,7 @@ type Options struct {
 	Seed int64
 	// Parallel bounds how many sweep points a generator simulates
 	// concurrently: 0 (the default) means all cores, 1 reproduces the
-	// old serial harness. Each sweep point is an independent
+	// old serial harness, and Validate refuses a negative value. Each sweep point is an independent
 	// single-threaded simulation (fresh engine, system, accessors,
 	// RNGs), and results are merged in submission order, so the
 	// rendered figures are identical at every setting — Parallel only
@@ -66,12 +66,16 @@ func DefaultOptions() Options {
 }
 
 // Validate reports why o cannot run: Scale must be positive and finite,
-// and the calibration must pass params.Validate. Every generator Lookup
+// Parallel must not be negative, and the calibration must pass
+// params.Validate. Every generator Lookup
 // returns checks it first, so the facade's RunExperiment refuses a bad
 // option set before any system is built.
 func (o Options) Validate() error {
 	if !(o.Scale > 0) || math.IsInf(o.Scale, 1) {
 		return fmt.Errorf("experiments: Scale must be positive and finite (got %v)", o.Scale)
+	}
+	if o.Parallel < 0 {
+		return fmt.Errorf("experiments: Parallel must be 0 (all cores) or a worker count (got %d)", o.Parallel)
 	}
 	return o.P.Validate()
 }

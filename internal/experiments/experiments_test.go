@@ -537,8 +537,17 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("Scale %v: err = %v", scale, err)
 		}
 	}
-	if err := testOptions().Validate(); err != nil {
-		t.Errorf("test options refused: %v", err)
+	o := testOptions()
+	o.Parallel = -1
+	if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "Parallel must be 0 (all cores) or a worker count (got -1)") {
+		t.Errorf("Parallel -1: err = %v", err)
+	}
+	for _, parallel := range []int{0, 1, 8} {
+		o := testOptions()
+		o.Parallel = parallel
+		if err := o.Validate(); err != nil {
+			t.Errorf("Parallel %d refused: %v", parallel, err)
+		}
 	}
 }
 

@@ -42,13 +42,15 @@ func New(depth int, lineSize uint64) (*Detector, error) {
 	if lineSize == 0 || lineSize&(lineSize-1) != 0 {
 		return nil, fmt.Errorf("prefetch: line size %d not a power of two", lineSize)
 	}
-	return &Detector{
-		depth:     depth,
-		lineSize:  lineSize,
-		last:      make(map[int]addr.Phys),
-		streaming: make(map[int]bool),
-		inflight:  make(map[addr.Phys]bool),
-	}, nil
+	d := &Detector{depth: depth, lineSize: lineSize}
+	if depth > 0 {
+		// Depth 0 never writes them, and reads and deletes on nil maps
+		// are safe, so a disabled detector is one allocation.
+		d.last = make(map[int]addr.Phys)
+		d.streaming = make(map[int]bool)
+		d.inflight = make(map[addr.Phys]bool)
+	}
+	return d, nil
 }
 
 // Depth returns the configured prefetch distance.

@@ -40,6 +40,13 @@ func TestDisabledDetectorIsSilent(t *testing.T) {
 	if d.Observed != 0 {
 		t.Error("disabled detector counted observations")
 	}
+	d.Completed(base)
+	if d.Streaming(0) || d.InflightCount() != 0 {
+		t.Error("disabled detector reports a stream or an in-flight prefetch")
+	}
+	if n := testing.AllocsPerRun(10, func() { det(t, 0) }); n != 1 {
+		t.Errorf("a disabled detector costs %v allocations, want 1", n)
+	}
 }
 
 func TestStreamDetection(t *testing.T) {

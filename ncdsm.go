@@ -501,8 +501,9 @@ type ExperimentOptions struct {
 	// finite.
 	Scale float64
 	// Parallel bounds how many sweep points simulate concurrently: 0
-	// means all cores, 1 is fully serial. Results — figures and metrics
-	// alike — are byte-identical at every setting.
+	// means all cores, 1 is fully serial, and RunExperiment refuses a
+	// negative value. Results — figures and metrics alike — are
+	// byte-identical at every setting.
 	Parallel int
 	// Seed varies the deterministic workload inputs. It is used as
 	// given, 0 included; DefaultExperimentOptions sets 1.
@@ -521,8 +522,8 @@ func DefaultExperimentOptions() ExperimentOptions {
 // generator ran. Snapshots are folded in sweep submission order, so the
 // result is byte-identical at every Parallel setting. Macro-layer
 // experiments (fig9–fig11, "eq", "G") run no event-driven simulations
-// and return an empty snapshot. The options are validated (Scale and
-// the Config) before anything runs.
+// and return an empty snapshot. The options are validated (Scale,
+// Parallel and the Config) before anything runs.
 func RunExperiment(id string, opts ExperimentOptions) (*stats.Figure, Snapshot, error) {
 	gen, err := experiments.Lookup(id)
 	if err != nil {
