@@ -64,8 +64,10 @@ perf-gate:
 # at every step, the -linklat, -bulk and -faults spec parsers (no
 # panic; String renders exactly what Parse reads), the -mesh parser with
 # the node-count check behind it, and the -sweep and -explore parsers
-# (no panic; accepted specs round-trip), and the -reserve parser (node
-# IDs in range, sizes unwrapped, round-trip).
+# (no panic; accepted specs round-trip), the -reserve parser (node
+# IDs in range, sizes unwrapped, round-trip), and the b-tree bulk load
+# (random keys and fanout, then inserts: invariants, payloads, and the
+# caller's key slice untouched).
 # CI runs the same 10-second smokes.
 fuzz:
 	$(GO) test -fuzz=FuzzFrameIntegrity -fuzztime=10s -run='^$$' ./internal/hnc
@@ -77,6 +79,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseSweep -fuzztime=10s -run='^$$' ./internal/experiments
 	$(GO) test -fuzz=FuzzParseExplore -fuzztime=10s -run='^$$' ./cmd/ncdsm-cluster
 	$(GO) test -fuzz=FuzzParseReserve -fuzztime=10s -run='^$$' ./cmd/ncdsm-cluster
+	$(GO) test -fuzz=FuzzBulkLoad -fuzztime=10s -run='^$$' ./internal/btree
 
 # loc prints the Go line totals outside benchmark/ (its own module),
 # non-test and test: the two numbers ROADMAP tracks and each CHANGES.md

@@ -4,8 +4,9 @@
 // sharded engine's barrier and exchange drain, the faulted Figure 7
 // sweep with its metrics merge, building a 32x32 system and snapshotting
 // its metrics, one node's cache tags under sparse whole-fabric traffic,
-// and the macro layer's batched access engine (the Figure 9 search hot
-// loop and the LineCached and Swap batch pricing loops) — and
+// a 2M-key b-tree bulk load, and the macro layer's batched access
+// engine (the Figure 9 search hot loop and the LineCached and Swap
+// batch pricing loops) — and
 // either writes the results to a baseline file (BENCH_sim.json) or checks
 // them against a committed baseline.
 //
@@ -204,6 +205,7 @@ func measure() Baseline {
 	run("sharded_16x16_events_per_sec", "200x", 8, 0.50,
 		func(testing.BenchmarkResult) float64 { return shardedEvents }, benchSharded16x16)
 	run("fig9_search_hot_loop", "500ms", 3, 0, nil, benchFig9SearchHotLoop)
+	run("btree_bulkload_2m", "5x", 3, 0, nil, benchBtreeBulkLoad2M)
 	run("linecached_batch_4k", "500ms", 3, 0, nil, benchLineCachedBatch)
 	run("swap_batch_4k", "500ms", 3, 0, nil, benchSwapBatch)
 	return doc
@@ -596,6 +598,28 @@ func benchFig9SearchHotLoop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		key += 7919
 		tr.SearchBatch(key%600_000, sw, &bt)
+	}
+}
+
+// benchBtreeBulkLoad2M is one tree population of the benchmark's
+// btree_swap workload: a bulk load of 2M ascending keys at fanout 8,
+// the costliest fanout it builds. The keys are read in place, so its
+// bytes/op is the node slabs and arenas alone.
+func benchBtreeBulkLoad2M(b *testing.B) {
+	keys := make([]uint64, 2_000_000)
+	for i := range keys {
+		keys[i] = uint64(i) * 4
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, err := btree.New(8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tr.BulkLoad(keys); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -63,13 +63,49 @@ func (l *layout) alloc(size uint64) uint64 {
 }
 
 type node struct {
-	base     uint64
-	keys     []uint64
-	vals     []uint64 // payload per key (the entry's payload-pointer slot)
+	base uint64
+	keys []uint64
+	// vals holds the payload per key (the entry's payload-pointer slot).
+	// nil reads as all zero: a bulk-loaded node gets its slice from the
+	// first nonzero payload written to it.
+	vals     []uint64
 	children []*node
 }
 
 func (n *node) leaf() bool { return len(n.children) == 0 }
+
+// val returns key i's payload.
+func (n *node) val(i int) uint64 {
+	if n.vals == nil {
+		return 0
+	}
+	return n.vals[i]
+}
+
+// setVal overwrites key i's payload, materializing the payload slice if
+// the node has none yet.
+func (n *node) setVal(i int, val uint64) {
+	if n.vals == nil {
+		if val == 0 {
+			return
+		}
+		n.vals = make([]uint64, len(n.keys))
+	}
+	n.vals[i] = val
+}
+
+// insertAt puts a key and its payload at position i. Bulk-loaded key
+// slices are capacity-limited, so the insert reallocates rather than
+// writing into a neighbour's keys or the caller's sorted array.
+func (n *node) insertAt(i int, key, val uint64) {
+	if n.vals == nil && val != 0 {
+		n.vals = make([]uint64, len(n.keys), len(n.keys)+1)
+	}
+	n.keys = slices.Insert(n.keys, i, key)
+	if n.vals != nil {
+		n.vals = slices.Insert(n.vals, i, val)
+	}
+}
 
 // Tree is the index.
 type Tree struct {
@@ -97,9 +133,13 @@ func (t *Tree) MaxChildren() int { return t.maxChildren }
 // maxKeys is the per-node key capacity.
 func (t *Tree) maxKeys() int { return t.maxChildren - 1 }
 
-func (t *Tree) newNode() *node {
+func (t *Tree) newNode() *node { return t.place(&node{}) }
+
+// place gives n the next record in the modeled layout.
+func (t *Tree) place(n *node) *node {
 	t.Nodes++
-	return &node{base: t.lay.alloc(NodeBytes(t.maxChildren))}
+	n.base = t.lay.alloc(NodeBytes(t.maxChildren))
+	return n
 }
 
 // FootprintBytes returns the top of the modeled address space — the
@@ -189,7 +229,7 @@ func (t *Tree) SearchKV(key uint64, mem memmodel.Accessor) (val uint64, found bo
 			case n.keys[mid] == key:
 				cost += mem.Access(entryAddr(n, mid)+16, false) // payload slot
 				accesses++
-				return n.vals[mid], true, cost, accesses
+				return n.val(mid), true, cost, accesses
 			case n.keys[mid] < key:
 				lo = mid + 1
 			default:
@@ -255,7 +295,7 @@ func (t *Tree) SearchKVBatch(key uint64, mem memmodel.Accessor, b *memmodel.Batc
 			case n.keys[mid] == key:
 				b.Read(entryAddr(n, mid) + 16) // payload slot
 				accesses = uint64(b.Len())
-				return n.vals[mid], true, b.Flush(mem), accesses
+				return n.val(mid), true, b.Flush(mem), accesses
 			case n.keys[mid] < key:
 				lo = mid + 1
 			default:
@@ -279,7 +319,7 @@ func (t *Tree) Lookup(key uint64) (uint64, bool) {
 	for n != nil {
 		i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
 		if i < len(n.keys) && n.keys[i] == key {
-			return n.vals[i], true
+			return n.val(i), true
 		}
 		if n.leaf() {
 			return 0, false
@@ -428,15 +468,13 @@ func (t *Tree) Insert(key uint64) { t.InsertKV(key, 0) }
 func (t *Tree) InsertKV(key, val uint64) {
 	if t.root == nil {
 		t.root = t.newNode()
-		t.root.keys = append(t.root.keys, key)
-		t.root.vals = append(t.root.vals, val)
+		t.root.insertAt(0, key, val)
 		t.Size++
 		return
 	}
 	if promoted, pval, right, split := t.insert(t.root, key, val); split {
 		newRoot := t.newNode()
-		newRoot.keys = []uint64{promoted}
-		newRoot.vals = []uint64{pval}
+		newRoot.insertAt(0, promoted, pval)
 		newRoot.children = []*node{t.root, right}
 		t.root = newRoot
 	}
@@ -446,29 +484,17 @@ func (t *Tree) InsertKV(key, val uint64) {
 func (t *Tree) insert(n *node, key, val uint64) (promoted, pval uint64, right *node, split bool) {
 	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
 	if i < len(n.keys) && n.keys[i] == key {
-		n.vals[i] = val // update in place
+		n.setVal(i, val) // update in place
 		return 0, 0, nil, false
 	}
 	if n.leaf() {
-		n.keys = append(n.keys, 0)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		n.vals = append(n.vals, 0)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = val
+		n.insertAt(i, key, val)
 		t.Size++
 	} else {
 		p, pv, r, s := t.insert(n.children[i], key, val)
 		if s {
-			n.keys = append(n.keys, 0)
-			copy(n.keys[i+1:], n.keys[i:])
-			n.keys[i] = p
-			n.vals = append(n.vals, 0)
-			copy(n.vals[i+1:], n.vals[i:])
-			n.vals[i] = pv
-			n.children = append(n.children, nil)
-			copy(n.children[i+2:], n.children[i+1:])
-			n.children[i+1] = r
+			n.insertAt(i, p, pv)
+			n.children = slices.Insert(n.children, i+1, r)
 		}
 	}
 	if len(n.keys) <= t.maxKeys() {
@@ -477,15 +503,19 @@ func (t *Tree) insert(n *node, key, val uint64) (promoted, pval uint64, right *n
 	return t.split(n)
 }
 
-// split divides an overflowing node around its median.
+// split divides an overflowing node around its median. The node's
+// slices are private by now: the insert that overflowed it reallocated
+// any capacity-limited bulk-load slice.
 func (t *Tree) split(n *node) (promoted, pval uint64, right *node, split bool) {
 	mid := len(n.keys) / 2
-	promoted, pval = n.keys[mid], n.vals[mid]
+	promoted, pval = n.keys[mid], n.val(mid)
 	right = t.newNode()
 	right.keys = append(right.keys, n.keys[mid+1:]...)
-	right.vals = append(right.vals, n.vals[mid+1:]...)
 	n.keys = n.keys[:mid]
-	n.vals = n.vals[:mid]
+	if n.vals != nil {
+		right.vals = append(right.vals, n.vals[mid+1:]...)
+		n.vals = n.vals[:mid]
+	}
 	if !n.leaf() {
 		right.children = append(right.children, n.children[mid+1:]...)
 		n.children = n.children[:mid+1]
@@ -496,6 +526,12 @@ func (t *Tree) split(n *node) (promoted, pval uint64, right *node, split bool) {
 // BulkLoad builds the paper's population: a minimal-height tree where
 // every level but the last is full and the last level fills from the
 // left. Keys may arrive unsorted; duplicates are rejected.
+//
+// Ascending keys are not copied: the leaves read them in place, so after
+// a successful BulkLoad the tree owns keys and the caller must not
+// modify them. Unsorted keys are copied once and the copy is sorted;
+// the caller's slice is never reordered. Either way every payload of
+// the loaded tree is zero.
 func (t *Tree) BulkLoad(keys []uint64) error {
 	if t.root != nil {
 		return fmt.Errorf("btree: BulkLoad into non-empty tree")
@@ -503,9 +539,11 @@ func (t *Tree) BulkLoad(keys []uint64) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	sorted := make([]uint64, len(keys))
-	copy(sorted, keys)
-	slices.Sort(sorted)
+	sorted := keys
+	if !slices.IsSorted(keys) {
+		sorted = slices.Clone(keys)
+		slices.Sort(sorted)
+	}
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] == sorted[i-1] {
 			return fmt.Errorf("btree: duplicate key %d in BulkLoad", sorted[i])
@@ -515,7 +553,7 @@ func (t *Tree) BulkLoad(keys []uint64) error {
 	for capacityAtDepth(t.maxChildren, depth) < uint64(len(sorted)) {
 		depth++
 	}
-	t.root = t.build(sorted, depth)
+	t.root = t.newLoader(uint64(len(sorted)), depth).build(sorted, depth)
 	t.Size = len(sorted)
 	return nil
 }
@@ -534,28 +572,80 @@ func capacityAtDepth(m, d int) uint64 {
 	return cap - 1
 }
 
-// build packs sorted keys into a subtree of exactly the given depth,
-// filling left subtrees completely so the last level fills left to
-// right.
-func (t *Tree) build(keys []uint64, depth int) *node {
-	n := t.newNode()
+// slabNodes is the node count of one bulk-load slab chunk.
+const slabNodes = 4096
+
+// loader hands out a bulk load's storage: nodes from chunked slabs,
+// internal keys and child pointers from two arenas sized exactly up
+// front, and leaf keys as subslices of the sorted key array. Every
+// slice it hands out is capacity-limited (s[a:b:b]), so a later insert
+// reallocates instead of writing into a neighbour.
+type loader struct {
+	t     *Tree
+	slab  []node
+	left  uint64 // nodes not yet handed out
+	ikeys []uint64
+	kids  []*node
+}
+
+// newLoader sizes the storage of an n-key tree of the given depth. A
+// node handed r keys keeps k = r/(s+1) of them, where s is a full
+// child's capacity, and has k full children and one last child holding
+// the remaining r − k(s+1) keys. So the totals need one step per level,
+// down the path of last children.
+func (t *Tree) newLoader(n uint64, depth int) *loader {
+	m := uint64(t.maxChildren)
+	var nodes, ikeys uint64
+	for d := depth; d > 1; d-- {
+		s := capacityAtDepth(t.maxChildren, d-1)
+		k := n / (s + 1)
+		// A full subtree of depth d−1 has 1+m+…+m^(d−2) nodes and s/m
+		// internal keys (m^(d−2) − 1).
+		fullNodes := s / (m - 1)
+		nodes += 1 + k*fullNodes
+		ikeys += k + k*(s/m)
+		n -= k * (s + 1)
+	}
+	nodes++ // the last leaf
+	return &loader{
+		t:     t,
+		left:  nodes,
+		ikeys: make([]uint64, ikeys),
+		kids:  make([]*node, nodes-1),
+	}
+}
+
+// node places the next node of the pre-order in the modeled layout.
+func (l *loader) node() *node {
+	if len(l.slab) == 0 {
+		l.slab = make([]node, min(l.left, slabNodes))
+	}
+	n := &l.slab[0]
+	l.slab = l.slab[1:]
+	l.left--
+	return l.t.place(n)
+}
+
+// build lays sorted keys into a subtree of exactly the given depth in
+// DFS pre-order (a node, then its children left to right), filling left
+// subtrees completely so the last level fills left to right.
+func (l *loader) build(keys []uint64, depth int) *node {
+	n := l.node()
 	if depth == 1 {
-		n.keys = append(n.keys, keys...)
-		n.vals = make([]uint64, len(n.keys))
+		n.keys = keys[:len(keys):len(keys)]
 		return n
 	}
-	subCap := capacityAtDepth(t.maxChildren, depth-1)
-	for {
-		if uint64(len(keys)) <= subCap || len(n.keys) == t.maxKeys() {
-			// Everything left fits in the final child.
-			n.children = append(n.children, t.build(keys, depth-1))
-			return n
-		}
-		n.children = append(n.children, t.build(keys[:subCap], depth-1))
-		n.keys = append(n.keys, keys[subCap])
-		n.vals = append(n.vals, 0)
-		keys = keys[subCap+1:]
+	s := capacityAtDepth(l.t.maxChildren, depth-1)
+	k := uint64(len(keys)) / (s + 1)
+	n.keys, l.ikeys = l.ikeys[:k:k], l.ikeys[k:]
+	n.children, l.kids = l.kids[:k+1:k+1], l.kids[k+1:]
+	for i := range n.keys {
+		n.children[i] = l.build(keys[:s], depth-1)
+		n.keys[i] = keys[s]
+		keys = keys[s+1:]
 	}
+	n.children[k] = l.build(keys, depth-1)
+	return n
 }
 
 // Walk calls fn for every key in ascending order.
@@ -578,8 +668,9 @@ func (t *Tree) Walk(fn func(uint64)) {
 	rec(t.root)
 }
 
-// CheckInvariants verifies ordering, uniform leaf depth, and that node
-// records stay within their modeled layout. Degenerate right-edge nodes
+// CheckInvariants verifies ordering, uniform leaf depth, payload slices
+// (nil or one per key), and that node records stay within their modeled
+// layout. Degenerate right-edge nodes
 // (fewer than the B-tree minimum of keys) are legal here: the paper's
 // left-filled population produces them by design.
 func (t *Tree) CheckInvariants() error {
@@ -594,7 +685,7 @@ func (t *Tree) CheckInvariants() error {
 		if len(n.keys) > t.maxKeys() {
 			return fmt.Errorf("btree: node with %d keys exceeds capacity %d", len(n.keys), t.maxKeys())
 		}
-		if len(n.vals) != len(n.keys) {
+		if n.vals != nil && len(n.vals) != len(n.keys) {
 			return fmt.Errorf("btree: node with %d keys has %d payloads", len(n.keys), len(n.vals))
 		}
 		if !n.leaf() && len(n.children) != len(n.keys)+1 {

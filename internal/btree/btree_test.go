@@ -1,7 +1,11 @@
 package btree
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -582,4 +586,295 @@ func TestSearchBatchZeroAllocSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("batched search: %.1f allocs/op, want 0", allocs)
 	}
+}
+
+// oracleBulkLoad is the per-node bulk load that BulkLoad's slabs
+// replaced, kept as their oracle: a private sorted copy, then one node,
+// key slice and payload slice allocated per node, in the same DFS
+// pre-order through the layout allocator.
+func oracleBulkLoad(t *Tree, keys []uint64) {
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	depth := 1
+	for capacityAtDepth(t.maxChildren, depth) < uint64(len(sorted)) {
+		depth++
+	}
+	t.root = oracleBuild(t, sorted, depth)
+	t.Size = len(sorted)
+}
+
+// oracleBuild packs sorted keys into a subtree of exactly the given
+// depth, filling left subtrees completely so the last level fills left
+// to right.
+func oracleBuild(t *Tree, keys []uint64, depth int) *node {
+	n := t.newNode()
+	if depth == 1 {
+		n.keys = append(n.keys, keys...)
+		n.vals = make([]uint64, len(n.keys))
+		return n
+	}
+	subCap := capacityAtDepth(t.maxChildren, depth-1)
+	for {
+		if uint64(len(keys)) <= subCap || len(n.keys) == t.maxKeys() {
+			// Everything left fits in the final child.
+			n.children = append(n.children, oracleBuild(t, keys, depth-1))
+			return n
+		}
+		n.children = append(n.children, oracleBuild(t, keys[:subCap], depth-1))
+		n.keys = append(n.keys, keys[subCap])
+		n.vals = append(n.vals, 0)
+		keys = keys[subCap+1:]
+	}
+}
+
+// sameTree reports the first difference between two trees: their
+// counts and extent, then node by node in pre-order, each node's base
+// address, keys, payloads (nil reads as zero) and child count.
+func sameTree(a, b *Tree) error {
+	if a.Nodes != b.Nodes || a.Size != b.Size || a.Depth() != b.Depth() || a.FootprintBytes() != b.FootprintBytes() {
+		return fmt.Errorf("nodes/size/depth/footprint %d/%d/%d/%d, oracle %d/%d/%d/%d",
+			a.Nodes, a.Size, a.Depth(), a.FootprintBytes(), b.Nodes, b.Size, b.Depth(), b.FootprintBytes())
+	}
+	var rec func(x, y *node) error
+	rec = func(x, y *node) error {
+		if x.base != y.base || !slices.Equal(x.keys, y.keys) || len(x.children) != len(y.children) {
+			return fmt.Errorf("node at %#x (%d keys, %d children), oracle at %#x (%d keys, %d children)",
+				x.base, len(x.keys), len(x.children), y.base, len(y.keys), len(y.children))
+		}
+		for i := range x.keys {
+			if x.val(i) != y.val(i) {
+				return fmt.Errorf("node at %#x: payload %d is %d, oracle %d", x.base, i, x.val(i), y.val(i))
+			}
+		}
+		for i := range x.children {
+			if err := rec(x.children[i], y.children[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if (a.root == nil) != (b.root == nil) {
+		return fmt.Errorf("one root is nil")
+	}
+	if a.root == nil {
+		return nil
+	}
+	return rec(a.root, b.root)
+}
+
+// TestBulkLoadMatchesPerNodeOracle: the slab loader builds the tree the
+// per-node build did, node for node and address for address, at every
+// fanout from 3 to 1024 and at the key counts where shapes change: one
+// key, one full leaf and one more, each full-tree capacity and its
+// neighbours (capacity+1 leaves an empty chain on the right edge), and
+// random counts, sorted and shuffled.
+func TestBulkLoadMatchesPerNodeOracle(t *testing.T) {
+	const maxN = 200_000
+	rng := rand.New(rand.NewSource(3))
+	for _, fanout := range []int{3, 4, 5, 7, 8, 16, 64, 168, 1024} {
+		type load struct {
+			n        int
+			shuffled bool
+		}
+		maxKeys := fanout - 1
+		loads := []load{{1, false}, {maxKeys, false}, {maxKeys + 1, false}}
+		for d := 2; capacityAtDepth(fanout, d)+2 <= maxN; d++ {
+			c := int(capacityAtDepth(fanout, d))
+			loads = append(loads, load{c - 1, false}, load{c, false}, load{c + 1, false}, load{c + 2, false})
+		}
+		for i := 0; i < 3; i++ {
+			n := 1 + rng.Intn(30_000)
+			loads = append(loads, load{n, false}, load{n, true})
+		}
+		for _, l := range loads {
+			n := l.n
+			keys := make([]uint64, n)
+			for j := range keys {
+				keys[j] = uint64(j)*3 + 1
+			}
+			if l.shuffled {
+				rng.Shuffle(n, func(a, b int) { keys[a], keys[b] = keys[b], keys[a] })
+			}
+			got, _ := New(fanout)
+			want, _ := New(fanout)
+			if err := got.BulkLoad(keys); err != nil {
+				t.Fatal(err)
+			}
+			oracleBulkLoad(want, keys)
+			if err := got.CheckInvariants(); err != nil {
+				t.Fatalf("fanout %d, %+v: %v", fanout, l, err)
+			}
+			if err := sameTree(got, want); err != nil {
+				t.Fatalf("fanout %d, %+v: %v", fanout, l, err)
+			}
+		}
+	}
+}
+
+// TestBulkLoadRetainsSortedKeys: a tree loaded from ascending keys reads
+// them in place, yet inserts of new keys and payload updates never
+// write through to the caller's slice, and every key keeps its payload.
+// Unsorted input is copied and never reordered.
+func TestBulkLoadRetainsSortedKeys(t *testing.T) {
+	for _, fanout := range []int{3, 8, 168} {
+		keys := make([]uint64, 5000)
+		for i := range keys {
+			keys[i] = uint64(i)*4 + 2
+		}
+		given := slices.Clone(keys)
+		tr, _ := New(fanout)
+		if err := tr.BulkLoad(keys); err != nil {
+			t.Fatal(err)
+		}
+		if leaf := tr.root; leaf != nil {
+			for !leaf.leaf() {
+				leaf = leaf.children[0]
+			}
+			if &leaf.keys[0] != &keys[0] {
+				t.Fatalf("fanout %d: the first leaf does not read the caller's keys in place", fanout)
+			}
+		}
+		want := map[uint64]uint64{}
+		for _, k := range keys {
+			want[k] = 0
+		}
+		rng := rand.New(rand.NewSource(int64(fanout)))
+		for i := 0; i < 4000; i++ {
+			switch i % 4 {
+			case 0: // a new or existing key, payload zero
+				k := uint64(rng.Intn(20_010))
+				tr.Insert(k)
+				want[k] = 0
+			case 1: // a new key between loaded ones, with a payload
+				k := uint64(rng.Intn(5000))*4 + 1 + uint64(rng.Intn(2))*2
+				v := rng.Uint64() | 1
+				tr.InsertKV(k, v)
+				want[k] = v
+			default: // a payload update of a loaded key
+				k := keys[rng.Intn(len(keys))]
+				v := rng.Uint64() | 1
+				tr.InsertKV(k, v)
+				want[k] = v
+			}
+		}
+		if !slices.Equal(keys, given) {
+			t.Fatalf("fanout %d: inserts wrote into the caller's key slice", fanout)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("fanout %d: %v", fanout, err)
+		}
+		if tr.Size != len(want) {
+			t.Fatalf("fanout %d: Size %d, want %d", fanout, tr.Size, len(want))
+		}
+		mem := &countingMem{}
+		for k, v := range want {
+			if got, ok := tr.Lookup(k); !ok || got != v {
+				t.Fatalf("fanout %d: Lookup(%d) = %d, %v; want %d", fanout, k, got, ok, v)
+			}
+			if got, ok, _, _ := tr.SearchKV(k, mem); !ok || got != v {
+				t.Fatalf("fanout %d: SearchKV(%d) = %d, %v; want %d", fanout, k, got, ok, v)
+			}
+		}
+	}
+
+	keys := []uint64{9, 1, 8, 2, 7, 3, 6, 4, 5}
+	given := slices.Clone(keys)
+	tr, _ := New(3)
+	if err := tr.BulkLoad(keys); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(10); k < 40; k++ {
+		tr.InsertKV(k, k)
+	}
+	tr.InsertKV(1, 7)
+	if !slices.Equal(keys, given) {
+		t.Fatalf("unsorted keys changed to %v, given %v", keys, given)
+	}
+}
+
+// TestBulkLoadFootprint pins what a sorted bulk load allocates: node
+// slabs and two arenas, with the keys read in place. The per-node build
+// it replaced made 121k objects and 8.4 MB on this load.
+func TestBulkLoadFootprint(t *testing.T) {
+	keys := make([]uint64, 200_000)
+	for i := range keys {
+		keys[i] = uint64(i) * 3
+	}
+	// The least of several readings: TotalAlloc and Mallocs also count
+	// other goroutines' allocations.
+	bytes, objects := ^uint64(0), ^uint64(0)
+	for r := 0; r < 5; r++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr, _ := New(8)
+		if err := tr.BulkLoad(keys); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(tr)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+	}
+	if bytes > 3<<20 || objects > 64 {
+		t.Errorf("200k-key load at fanout 8 allocated %d bytes in %d objects, want at most %d in 64", bytes, objects, 3<<20)
+	}
+}
+
+// FuzzBulkLoad loads keys drawn from the input, sorted or not, at a
+// fanout drawn from the input, then applies a few InsertKVs. BulkLoad
+// must refuse duplicates and nothing else; a loaded tree must keep its
+// invariants and every key with its payload, and the caller's slice
+// must stay as given.
+func FuzzBulkLoad(f *testing.F) {
+	f.Add([]byte{1, 0, 2, 0, 3, 0}, uint16(0), true, []byte{4, 0, 9, 2, 0, 5})
+	f.Add([]byte{9, 0, 1, 0, 8, 0, 2, 0, 7, 0}, uint16(1), false, []byte{})
+	f.Add([]byte{1, 0, 1, 0}, uint16(5), true, []byte{1, 0, 0})
+	f.Fuzz(func(t *testing.T, raw []byte, fanoutSel uint16, sorted bool, ops []byte) {
+		fanout := 3 + int(fanoutSel%1022)
+		keys := make([]uint64, 0, len(raw)/2)
+		for i := 0; i+1 < len(raw); i += 2 {
+			keys = append(keys, uint64(binary.LittleEndian.Uint16(raw[i:])))
+		}
+		if sorted {
+			slices.Sort(keys)
+		}
+		given := slices.Clone(keys)
+		distinct := slices.Clone(keys)
+		slices.Sort(distinct)
+		dup := len(slices.Compact(distinct)) != len(keys)
+		tr, _ := New(fanout)
+		err := tr.BulkLoad(keys)
+		if !slices.Equal(keys, given) {
+			t.Fatalf("BulkLoad changed the caller's keys to %v", keys)
+		}
+		if dup != (err != nil) {
+			t.Fatalf("duplicates %v, BulkLoad error %v", dup, err)
+		}
+		if err != nil {
+			return
+		}
+		want := map[uint64]uint64{}
+		for _, k := range keys {
+			want[k] = 0
+		}
+		for i := 0; i+2 < len(ops) && i < 3*32; i += 3 {
+			k, v := uint64(binary.LittleEndian.Uint16(ops[i:])), uint64(ops[i+2])
+			tr.InsertKV(k, v)
+			want[k] = v
+		}
+		if !slices.Equal(keys, given) {
+			t.Fatalf("inserts changed the caller's keys to %v", keys)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Size != len(want) {
+			t.Fatalf("Size %d, want %d", tr.Size, len(want))
+		}
+		for k, v := range want {
+			if got, ok := tr.Lookup(k); !ok || got != v {
+				t.Fatalf("Lookup(%d) = %d, %v; want %d", k, got, ok, v)
+			}
+		}
+	})
 }

@@ -305,6 +305,7 @@ func TestHashIndexBasics(t *testing.T) {
 	if h.Size != 100 {
 		t.Errorf("Size = %d", h.Size)
 	}
+	var probes, lookups uint64
 	for k := uint64(0); k < 100; k++ {
 		v, found, cost, accs := h.Search(k, acc)
 		if !found || v != k*7 {
@@ -313,10 +314,13 @@ func TestHashIndexBasics(t *testing.T) {
 		if cost <= 0 || accs == 0 {
 			t.Error("search charged nothing")
 		}
+		probes, lookups = probes+accs, lookups+1
 	}
-	if _, found, _, _ := h.Search(999, acc); found {
+	_, found, _, accs := h.Search(999, acc)
+	if found {
 		t.Error("phantom key found")
 	}
+	probes, lookups = probes+accs, lookups+1
 	// Update in place.
 	h.Insert(5, 42)
 	if v, ok := h.Lookup(5); !ok || v != 42 {
@@ -325,8 +329,10 @@ func TestHashIndexBasics(t *testing.T) {
 	if h.Size != 100 {
 		t.Error("update changed size")
 	}
-	if h.MeanProbes() < 1 || h.MeanProbes() > 3 {
-		t.Errorf("mean probes = %v, load factor discipline broken", h.MeanProbes())
+	// Every probe is one access, so the accesses searches report are
+	// their probe counts.
+	if mean := float64(probes) / float64(lookups); mean < 1 || mean > 3 {
+		t.Errorf("mean probes = %v, load factor discipline broken", mean)
 	}
 }
 

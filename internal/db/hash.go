@@ -18,14 +18,16 @@ import (
 // remote latency, an order of magnitude fewer memory touches than a
 // B-tree walk — exactly the advantage the footnote concedes. Range
 // queries, of course, do not exist here; that is what the B-tree buys.
+//
+// Searches only read the table, so one populated index can serve
+// concurrent sweeps; each search reports its probe count as its
+// accesses.
 type HashIndex struct {
 	buckets []hbucket
 	mask    uint64
 
-	// Size counts live keys; Probes and Lookups feed mean-probe stats.
-	Size    int
-	Probes  uint64
-	Lookups uint64
+	// Size counts live keys.
+	Size int
 }
 
 // hbucket is one modeled 16-byte slot: 8-byte key, 8-byte payload.
@@ -102,12 +104,10 @@ func (h *HashIndex) grow() {
 // Linear probing keeps consecutive probes on the same page, so even the
 // swap configuration usually pays for one page per lookup.
 func (h *HashIndex) Search(key uint64, mem memmodel.Accessor) (val uint64, found bool, cost params.Duration, accesses uint64) {
-	h.Lookups++
 	i := splitmix64(key) & h.mask
 	for {
 		cost += mem.Access(h.bucketAddr(i), false)
 		accesses++
-		h.Probes++
 		b := h.buckets[i]
 		if !b.live {
 			return 0, false, cost, accesses
@@ -121,14 +121,11 @@ func (h *HashIndex) Search(key uint64, mem memmodel.Accessor) (val uint64, found
 
 // SearchBatch is Search pricing through the batched access engine: the
 // probe sequence is recorded into b and priced in one memmodel.Batch
-// call, with identical results and probe statistics. b must be empty
-// between calls.
+// call, with identical results. b must be empty between calls.
 func (h *HashIndex) SearchBatch(key uint64, mem memmodel.Accessor, b *memmodel.Batcher) (val uint64, found bool, cost params.Duration, accesses uint64) {
-	h.Lookups++
 	i := splitmix64(key) & h.mask
 	for {
 		b.Read(h.bucketAddr(i))
-		h.Probes++
 		bk := h.buckets[i]
 		if !bk.live {
 			accesses = uint64(b.Len())
@@ -160,12 +157,4 @@ func (h *HashIndex) Lookup(key uint64) (uint64, bool) {
 // FootprintBytes returns the modeled table size.
 func (h *HashIndex) FootprintBytes() uint64 {
 	return uint64(len(h.buckets)) * HashBucketBytes
-}
-
-// MeanProbes returns the average probes per lookup so far.
-func (h *HashIndex) MeanProbes() float64 {
-	if h.Lookups == 0 {
-		return 0
-	}
-	return float64(h.Probes) / float64(h.Lookups)
 }

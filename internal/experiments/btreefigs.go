@@ -25,28 +25,29 @@ func btreeResidency(o Options) int {
 }
 
 // drawKeys draws the paper's population: n distinct random keys over
-// the dense space [0, 4n). A flat bitset dedups with the same
-// acceptance sequence as a map at a fraction of the cost — population
+// the dense space [0, 4n). A bitset dedups with the same acceptance
+// sequence as a map at a fraction of the cost (n/2 bytes) — population
 // is pure setup, but at paper scale it was the single largest profile
-// entry. Sweeps that build one tree per point from the same (seed, n)
-// draw the keys once and share the slice; buildTreeFrom never mutates
-// it.
+// entry.
 func drawKeys(o Options, n int) []uint64 {
 	rng := rand.New(rand.NewSource(o.Seed))
 	keys := make([]uint64, 0, n)
-	seen := make([]bool, int64(n)*4)
+	seen := make([]uint64, (4*n+63)/64)
 	for len(keys) < n {
 		k := uint64(rng.Int63n(int64(n) * 4))
-		if !seen[k] {
-			seen[k] = true
+		if seen[k/64]&(1<<(k%64)) == 0 {
+			seen[k/64] |= 1 << (k % 64)
 			keys = append(keys, k)
 		}
 	}
 	return keys
 }
 
-// buildTreeFrom bulk-loads the drawn keys at the given fanout so every
-// level but the last is full and the last fills left to right.
+// buildTreeFrom bulk-loads sorted keys at the given fanout so every
+// level but the last is full and the last fills left to right. The tree
+// keeps keys as its leaves (btree.BulkLoad), so sweeps that build one
+// tree per point from the same (seed, n) draw share one sorted slice,
+// which nothing may modify afterwards.
 func buildTreeFrom(fanout int, keys []uint64) (*btree.Tree, error) {
 	tr, err := btree.New(fanout)
 	if err != nil {
@@ -59,13 +60,11 @@ func buildTreeFrom(fanout int, keys []uint64) (*btree.Tree, error) {
 }
 
 // buildTree populates a tree the paper's way: n random keys, bulk-loaded.
-func buildTree(o Options, fanout, n int) (*btree.Tree, []uint64, error) {
+// Sorting the draw here hands the tree its key array without a copy.
+func buildTree(o Options, fanout, n int) (*btree.Tree, error) {
 	keys := drawKeys(o, n)
-	tr, err := buildTreeFrom(fanout, keys)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tr, keys, nil
+	slices.Sort(keys)
+	return buildTreeFrom(fanout, keys)
 }
 
 // minShardSearches is the per-shard floor below which within-point
@@ -140,10 +139,7 @@ func Fig9(o Options) (*stats.Figure, error) {
 
 	fanouts := []int{8, 16, 32, 64, 96, 128, 168, 200, 256, 384, 512, 768, 1024}
 	// Every fanout point populates from the same (seed, n) key set; draw
-	// it once and share it read-only across the sweep tasks. Pre-sorting
-	// here makes each point's BulkLoad sort near-linear; the built trees
-	// are unchanged because BulkLoad sorts its own copy regardless of
-	// input order.
+	// and sort it once, and every point's tree reads it in place.
 	sharedKeys := drawKeys(o, nKeys)
 	slices.Sort(sharedKeys)
 	type fanoutPoint struct{ swap, remote float64 }
@@ -200,7 +196,7 @@ func Fig10(o Options) (*stats.Figure, error) {
 		if n < 128 {
 			n = 128
 		}
-		tr, _, err := buildTree(o, 168, n)
+		tr, err := buildTree(o, 168, n)
 		if err != nil {
 			return sizePoint{}, err
 		}

@@ -70,7 +70,9 @@ func (c *oldPageCache) Flush() int {
 // TestLRUOrderEquivalenceProperty: the intrusive index-based list makes
 // exactly the same eviction decisions, in the same order, with the same
 // dirty flags and counters, as the old implementation — on arbitrary
-// touch sequences at arbitrary capacities.
+// touch sequences at arbitrary capacities. Each trace entry may repeat
+// its page up to three times with its own read/write bits, so runs of
+// MRU hits, and writes after a read hit, are common.
 func TestLRUOrderEquivalenceProperty(t *testing.T) {
 	f := func(trace []uint16, capSel uint8) bool {
 		capacity := int(capSel%24) + 1
@@ -81,12 +83,18 @@ func TestLRUOrderEquivalenceProperty(t *testing.T) {
 		old := newOldPageCache(capacity)
 		for i, v := range trace {
 			page := uint64(v % 97)
-			write := v%3 == 0
-			rn := neu.Touch(page, write)
-			ro := old.Touch(page, write)
-			if rn != ro {
-				t.Logf("step %d: Touch(%d,%v) = %+v, old %+v", i, page, write, rn, ro)
-				return false
+			repeats := int(v>>8) % 4
+			for r := 0; r <= repeats; r++ {
+				write := v%3 == 0
+				if r > 0 {
+					write = v>>(9+r)&1 == 1
+				}
+				rn := neu.Touch(page, write)
+				ro := old.Touch(page, write)
+				if rn != ro {
+					t.Logf("step %d.%d: Touch(%d,%v) = %+v, old %+v", i, r, page, write, rn, ro)
+					return false
+				}
 			}
 		}
 		if neu.Hits != old.Hits || neu.Misses != old.Misses ||

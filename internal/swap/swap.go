@@ -191,8 +191,18 @@ func (c *PageCache) moveToFront(slot int32) {
 }
 
 // Touch accesses a page, faulting it in if absent and evicting LRU if
-// over capacity. write marks the page dirty.
+// over capacity. write marks the page dirty. A touch of the MRU page,
+// the common case for node visits, line fills and streams, is answered
+// before the index probe: it moves nothing, so only the hit count and
+// the dirty bit change.
 func (c *PageCache) Touch(page uint64, write bool) TouchResult {
+	if h := c.head; h != nilSlot && c.entries[h].page == page {
+		if write {
+			c.entries[h].dirty = true
+		}
+		c.Hits++
+		return TouchResult{Hit: true}
+	}
 	if slot := c.idxLookup(page); slot != nilSlot {
 		c.moveToFront(slot)
 		if write {

@@ -126,6 +126,17 @@ func ScaleRef(p params.Params) uint64 {
 	return uint64(p.SwapResidentPages) * params.PageSize
 }
 
+// wrap returns a streaming kernel's next position, pos already
+// advanced by one stride from inside [0, foot): a compare and subtract
+// in place of a division per access. Every kernel's footprint is at
+// least one stride, so one subtraction is the remainder.
+func wrap(pos, foot uint64) uint64 {
+	if pos >= foot {
+		pos -= foot
+	}
+	return pos
+}
+
 // Blackscholes streams sequentially over an option array larger than
 // local memory: every page is touched ~512 times per pass, so swap
 // amortizes well but still pays a full refault sweep per pass.
@@ -140,8 +151,8 @@ func Blackscholes(p params.Params) Kernel {
 			var pos uint64
 			n := uint64(0)
 			return func() (uint64, bool) {
-				a := pos % k.Footprint
-				pos += 16
+				a := pos
+				pos = wrap(pos+16, k.Footprint)
 				n++
 				// Every 8th access writes the computed price back.
 				return a, n%8 == 0
@@ -236,8 +247,8 @@ func Streamcluster(p params.Params) Kernel {
 		gen: func(k Kernel, seed int64) func() (uint64, bool) {
 			var pos uint64
 			return func() (uint64, bool) {
-				a := pos % k.Footprint
-				pos += 8
+				a := pos
+				pos = wrap(pos+8, k.Footprint)
 				return a, false
 			}
 		},

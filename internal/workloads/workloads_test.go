@@ -132,6 +132,31 @@ func TestKernelFootprintDiscipline(t *testing.T) {
 	}
 }
 
+// TestStreamingKernelsWrapAsModulo pins the streaming kernels' address
+// sequences across several passes to the modulo they used to compute
+// per access: access i reads (i*stride) mod Footprint.
+func TestStreamingKernelsWrapAsModulo(t *testing.T) {
+	p := params.Default()
+	p.SwapResidentPages = 1 // small footprints: many wraps in few accesses
+	for _, tc := range []struct {
+		k      Kernel
+		stride uint64
+		write  func(i uint64) bool
+	}{
+		{Blackscholes(p), 16, func(i uint64) bool { return (i+1)%8 == 0 }},
+		{Streamcluster(p), 8, func(uint64) bool { return false }},
+	} {
+		gen := tc.k.gen(tc.k, 1)
+		n := 3*tc.k.Footprint/tc.stride + 5
+		for i := uint64(0); i < n; i++ {
+			a, w := gen()
+			if want := i * tc.stride % tc.k.Footprint; a != want || w != tc.write(i) {
+				t.Fatalf("%s access %d = (%d, %v), want (%d, %v)", tc.k.Name, i, a, w, want, tc.write(i))
+			}
+		}
+	}
+}
+
 func TestSuiteShapesUnderConfigs(t *testing.T) {
 	// The Figure 11 orderings that must hold per kernel.
 	p := params.Default()
