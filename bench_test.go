@@ -193,10 +193,11 @@ func BenchmarkBtreeSearchRemote(b *testing.B) {
 	}
 	acc := memmodel.Remote{P: p, Hops: 1}
 	rng := rand.New(rand.NewSource(1))
+	var bt memmodel.Batcher
 	b.ResetTimer()
 	var cost params.Duration
 	for i := 0; i < b.N; i++ {
-		_, c, _ := tr.Search(uint64(rng.Intn(400000)), acc)
+		_, c, _ := tr.SearchBatch(uint64(rng.Intn(400000)), acc, &bt)
 		cost += c
 	}
 	b.ReportMetric(float64(cost)/float64(b.N)/1e6, "sim-µs/search")
@@ -355,10 +356,11 @@ func BenchmarkHashIndexSearchRemote(b *testing.B) {
 	p := params.Default()
 	acc := memmodel.Remote{P: p, Hops: 1}
 	rng := rand.New(rand.NewSource(1))
+	var bt memmodel.Batcher
 	b.ResetTimer()
 	var cost params.Duration
 	for i := 0; i < b.N; i++ {
-		_, _, c, _ := h.Search(uint64(rng.Intn(400000)), acc)
+		_, _, c, _ := h.SearchBatch(uint64(rng.Intn(400000)), acc, &bt)
 		cost += c
 	}
 	b.ReportMetric(float64(cost)/float64(b.N)/1e6, "sim-µs/lookup")

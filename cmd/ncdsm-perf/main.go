@@ -624,7 +624,8 @@ func benchBtreeBulkLoad2M(b *testing.B) {
 }
 
 // benchLineCachedBatch prices one 4096-op batch per op through the
-// LineCached→Striped composition — the devirtualized macro fast path.
+// LineCached→Striped composition: a line cache in front of a region's
+// multi-donor layout.
 func benchLineCachedBatch(b *testing.B) {
 	p := params.Default()
 	st, err := memmodel.NewStriped(p, []memmodel.Stripe{

@@ -13,18 +13,52 @@ import (
 	"repro/internal/params"
 )
 
-// countingMem charges 1 per access and records addresses.
-type countingMem struct {
-	n     uint64
-	addrs []uint64
+// countingMem charges 1 per access.
+type countingMem struct{}
+
+func (countingMem) Access(uint64, bool) params.Duration { return 1 }
+func (countingMem) AccessBatch(ops []memmodel.AccessOp) params.Duration {
+	return params.Duration(len(ops))
+}
+func (countingMem) Name() string { return "counting" }
+
+// recorder forwards to the accessor it wraps and records every op it
+// prices, and the size of every batch.
+type recorder struct {
+	acc     memmodel.Accessor
+	ops     []memmodel.AccessOp
+	batches []int
 }
 
-func (c *countingMem) Access(a uint64, write bool) params.Duration {
-	c.n++
-	c.addrs = append(c.addrs, a)
-	return 1
+func (r *recorder) Access(a uint64, write bool) params.Duration {
+	r.ops = append(r.ops, memmodel.AccessOp{Addr: a, Write: write})
+	r.batches = append(r.batches, 1)
+	return r.acc.Access(a, write)
 }
-func (c *countingMem) Name() string { return "counting" }
+
+func (r *recorder) AccessBatch(ops []memmodel.AccessOp) params.Duration {
+	r.ops = append(r.ops, ops...)
+	r.batches = append(r.batches, len(ops))
+	return r.acc.AccessBatch(ops)
+}
+
+func (r *recorder) Name() string { return r.acc.Name() }
+
+// addrs returns the recorded addresses and clears the record.
+func (r *recorder) addrs() []uint64 {
+	out := make([]uint64, len(r.ops))
+	for i, op := range r.ops {
+		out[i] = op.Addr
+	}
+	r.ops, r.batches = r.ops[:0], r.batches[:0]
+	return out
+}
+
+// contains reports membership without charging an accessor.
+func contains(tr *Tree, key uint64) bool {
+	_, ok := tr.Lookup(key)
+	return ok
+}
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(2); err == nil {
@@ -47,9 +81,10 @@ func TestInsertSearchSmall(t *testing.T) {
 	if tr.Size != len(keys) {
 		t.Errorf("Size = %d", tr.Size)
 	}
-	mem := &countingMem{}
+	var mem countingMem
+	var b memmodel.Batcher
 	for _, k := range keys {
-		found, _, accs := tr.Search(k, mem)
+		found, _, accs := tr.SearchBatch(k, mem, &b)
 		if !found {
 			t.Errorf("key %d missing", k)
 		}
@@ -58,7 +93,7 @@ func TestInsertSearchSmall(t *testing.T) {
 		}
 	}
 	for _, k := range []uint64{0, 11, 55, 101} {
-		if found, _, _ := tr.Search(k, mem); found {
+		if found, _, _ := tr.SearchBatch(k, mem, &b); found {
 			t.Errorf("phantom key %d found", k)
 		}
 	}
@@ -89,7 +124,7 @@ func TestInsertMatchesReferenceProperty(t *testing.T) {
 			return false
 		}
 		for k := range ref {
-			if !tr.Contains(k) {
+			if !contains(tr, k) {
 				return false
 			}
 		}
@@ -127,7 +162,7 @@ func TestBulkLoadShape(t *testing.T) {
 		t.Errorf("depth = %d, want 3", tr.Depth())
 	}
 	for _, k := range keys {
-		if !tr.Contains(k) {
+		if !contains(tr, k) {
 			t.Errorf("bulk-loaded key %d missing", k)
 		}
 	}
@@ -161,11 +196,11 @@ func TestBulkLoadMinimalDepthProperty(t *testing.T) {
 		}
 		// Spot-check membership.
 		for i := 0; i < n; i += 97 {
-			if !tr.Contains(keys[i]) {
+			if !contains(tr, keys[i]) {
 				return false
 			}
 		}
-		return !tr.Contains(1) // odd keys absent
+		return !contains(tr, 1) // odd keys absent
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -211,12 +246,12 @@ func TestSearchCostLogarithmic(t *testing.T) {
 	if err := tr.BulkLoad(keys); err != nil {
 		t.Fatal(err)
 	}
-	mem := &countingMem{}
+	var b memmodel.Batcher
 	rng := rand.New(rand.NewSource(7))
 	var total uint64
 	const searches = 1000
 	for i := 0; i < searches; i++ {
-		_, _, accs := tr.Search(uint64(rng.Intn(200000)), mem)
+		_, _, accs := tr.SearchBatch(uint64(rng.Intn(200000)), countingMem{}, &b)
 		total += accs
 	}
 	perSearch := float64(total) / searches
@@ -301,12 +336,13 @@ func TestSearchUnderSwapLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _ = tr.Search(12345, sw)
+	var b memmodel.Batcher
+	tr.SearchBatch(12345, sw, &b)
 	coldMisses := sw.Cache().Misses
 	if coldMisses == 0 || int(coldMisses) > tr.Depth() {
 		t.Errorf("cold search faulted %d pages over depth %d", coldMisses, tr.Depth())
 	}
-	_, _, _ = tr.Search(12345, sw)
+	tr.SearchBatch(12345, sw, &b)
 	if sw.Cache().Misses != coldMisses {
 		t.Error("warm re-search faulted again")
 	}
@@ -338,8 +374,8 @@ func TestFootprintGrows(t *testing.T) {
 
 func TestEmptyTreeSearch(t *testing.T) {
 	tr, _ := New(8)
-	mem := &countingMem{}
-	if found, cost, accs := tr.Search(1, mem); found || cost != 0 || accs != 0 {
+	var b memmodel.Batcher
+	if found, cost, accs := tr.SearchBatch(1, countingMem{}, &b); found || cost != 0 || accs != 0 {
 		t.Error("empty tree search misbehaved")
 	}
 	if tr.Depth() != 0 {
@@ -355,9 +391,10 @@ func TestRangeScanSmall(t *testing.T) {
 	for k := uint64(10); k <= 100; k += 10 {
 		tr.Insert(k)
 	}
-	mem := &countingMem{}
+	var mem countingMem
+	var b memmodel.Batcher
 	var got []uint64
-	cost, accs := tr.RangeScan(25, 75, mem, func(k uint64) { got = append(got, k) })
+	cost, accs := tr.RangeScanBatch(25, 75, mem, &b, func(k uint64) { got = append(got, k) })
 	want := []uint64{30, 40, 50, 60, 70}
 	if len(got) != len(want) {
 		t.Fatalf("scan returned %v, want %v", got, want)
@@ -372,17 +409,17 @@ func TestRangeScanSmall(t *testing.T) {
 	}
 	// Inclusive bounds.
 	got = nil
-	tr.RangeScan(30, 70, mem, func(k uint64) { got = append(got, k) })
+	tr.RangeScanBatch(30, 70, mem, &b, func(k uint64) { got = append(got, k) })
 	if len(got) != 5 || got[0] != 30 || got[4] != 70 {
 		t.Errorf("inclusive scan = %v", got)
 	}
 	// Empty and inverted ranges.
 	got = nil
-	tr.RangeScan(101, 999, mem, func(k uint64) { got = append(got, k) })
+	tr.RangeScanBatch(101, 999, mem, &b, func(k uint64) { got = append(got, k) })
 	if len(got) != 0 {
 		t.Errorf("out-of-range scan = %v", got)
 	}
-	if c, a := tr.RangeScan(50, 20, mem, func(uint64) { t.Fatal("visited") }); c != 0 || a != 0 {
+	if c, a := tr.RangeScanBatch(50, 20, mem, &b, func(uint64) { t.Fatal("visited") }); c != 0 || a != 0 {
 		t.Error("inverted range did work")
 	}
 }
@@ -408,8 +445,8 @@ func TestRangeScanMatchesWalkProperty(t *testing.T) {
 			}
 		})
 		var got []uint64
-		mem := &countingMem{}
-		tr.RangeScan(lo, hi, mem, func(k uint64) { got = append(got, k) })
+		var b memmodel.Batcher
+		tr.RangeScanBatch(lo, hi, countingMem{}, &b, func(k uint64) { got = append(got, k) })
 		if len(got) != len(want) {
 			return false
 		}
@@ -434,9 +471,10 @@ func TestRangeScanCostProportionalToRange(t *testing.T) {
 	if err := tr.BulkLoad(keys); err != nil {
 		t.Fatal(err)
 	}
-	mem := &countingMem{}
-	_, small := tr.RangeScan(1000, 1100, mem, func(uint64) {})
-	_, large := tr.RangeScan(1000, 51000, mem, func(uint64) {})
+	var mem countingMem
+	var b memmodel.Batcher
+	_, small := tr.RangeScanBatch(1000, 1100, mem, &b, func(uint64) {})
+	_, large := tr.RangeScanBatch(1000, 51000, mem, &b, func(uint64) {})
 	if large < 100*small/2 {
 		t.Errorf("scan cost not proportional: %d accesses for 100 keys, %d for 50000", small, large)
 	}
@@ -446,8 +484,8 @@ func TestRangeScanCostProportionalToRange(t *testing.T) {
 	}
 }
 
-// newSwapMem builds a small stateful accessor so batch-equivalence
-// tests exercise order-dependent pricing, not just counting.
+// newSwapMem builds a small stateful accessor, so the pinned costs
+// depend on the order of the accesses, not just their count.
 func newSwapMem(t *testing.T) memmodel.Accessor {
 	t.Helper()
 	p := params.Default()
@@ -458,108 +496,180 @@ func newSwapMem(t *testing.T) memmodel.Accessor {
 	return acc
 }
 
-// TestSearchBatchMatchesScalar drives the scalar and batched searches
-// over identical trees and stateful accessors: found flags, costs,
-// access counts, and the address sequence seen by the memory must all
-// match.
-func TestSearchBatchMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, fanout := range []int{3, 8, 168} {
-		scalarTree, _ := New(fanout)
-		batchTree, _ := New(fanout)
-		keys := make([]uint64, 5000)
-		for i := range keys {
-			keys[i] = uint64(i) * 3
-		}
-		if err := scalarTree.BulkLoad(keys); err != nil {
-			t.Fatal(err)
-		}
-		if err := batchTree.BulkLoad(keys); err != nil {
-			t.Fatal(err)
-		}
-		scalarMem := newSwapMem(t)
-		batchMem := newSwapMem(t)
-		var b memmodel.Batcher
-		for i := 0; i < 3000; i++ {
-			key := uint64(rng.Intn(16000))
-			sf, sc, sa := scalarTree.Search(key, scalarMem)
-			bf, bc, ba := batchTree.SearchBatch(key, batchMem, &b)
-			if sf != bf || sc != bc || sa != ba {
-				t.Fatalf("fanout %d key %d: scalar (%v,%d,%d) != batch (%v,%d,%d)",
-					fanout, key, sf, sc, sa, bf, bc, ba)
-			}
-			if b.Len() != 0 {
-				t.Fatal("Batcher not empty after SearchBatch")
-			}
-		}
-	}
-}
-
-// TestSearchKVBatchMatchesScalar pins SearchKV against SearchKVBatch,
-// including the extra payload read on hits.
-func TestSearchKVBatchMatchesScalar(t *testing.T) {
-	scalarTree, _ := New(16)
-	batchTree, _ := New(16)
-	for i := uint64(0); i < 4000; i++ {
-		scalarTree.InsertKV(i*2, i+100)
-		batchTree.InsertKV(i*2, i+100)
-	}
-	scalarMem := newSwapMem(t)
-	batchMem := newSwapMem(t)
-	var b memmodel.Batcher
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 2000; i++ {
-		key := uint64(rng.Intn(9000))
-		sv, sf, sc, sa := scalarTree.SearchKV(key, scalarMem)
-		bv, bf, bc, ba := batchTree.SearchKVBatch(key, batchMem, &b)
-		if sv != bv || sf != bf || sc != bc || sa != ba {
-			t.Fatalf("key %d: scalar (%d,%v,%d,%d) != batch (%d,%v,%d,%d)",
-				key, sv, sf, sc, sa, bv, bf, bc, ba)
-		}
-	}
-}
-
-// TestRangeScanBatchMatchesScalar pins the batched range scan — visit
-// order, visited keys, cost, and access count — against the scalar
-// walk, with ranges long enough to cross the mid-scan flush threshold.
-func TestRangeScanBatchMatchesScalar(t *testing.T) {
-	scalarTree, _ := New(8)
-	batchTree, _ := New(8)
-	keys := make([]uint64, 20000)
+// pinnedTree is a fanout-4 tree of depth 2: a root with keys 40, 80,
+// 120 and four full leaves, in pre-order from address 0. A node record
+// is 88 bytes, entry i starts 16+24i bytes in, its child pointer 8
+// bytes after that and its payload slot 16 bytes after; the last child
+// pointer is the last entry's payload slot.
+//
+//	root    @0   [40 80 120]  entries 16 40 64, child pointers 24 48 72 80
+//	leaf 0  @88  [10 20 30]   entries 104 128 152
+//	leaf 1  @176 [50 60 70]   entries 192 216 240
+//	leaf 2  @264 [90 100 110] entries 280 304 328
+//	leaf 3  @352 [130 140 150] entries 368 392 416
+func pinnedTree(t *testing.T) *Tree {
+	t.Helper()
+	tr, _ := New(4)
+	keys := make([]uint64, 15)
 	for i := range keys {
-		keys[i] = uint64(i) * 5
+		keys[i] = uint64(i+1) * 10
 	}
-	if err := scalarTree.BulkLoad(keys); err != nil {
+	if err := tr.BulkLoad(keys); err != nil {
 		t.Fatal(err)
 	}
-	if err := batchTree.BulkLoad(keys); err != nil {
-		t.Fatal(err)
+	return tr
+}
+
+// checkTwinCost prices ops one at a time through Access on twin, the
+// swap accessor that saw every earlier op, and compares with cost.
+func checkTwinCost(t *testing.T, what string, twin memmodel.Accessor, ops []memmodel.AccessOp, cost params.Duration) {
+	t.Helper()
+	var want params.Duration
+	for _, op := range ops {
+		want += twin.Access(op.Addr, op.Write)
 	}
-	scalarMem := newSwapMem(t)
-	batchMem := newSwapMem(t)
+	if cost != want {
+		t.Errorf("%s: batch cost %d, the same ops one at a time %d", what, cost, want)
+	}
+}
+
+// TestSearchAccessSequence pins the accesses each search makes: a node's
+// header, its binary-search probes, the child pointer it descends
+// through, and on a SearchKVBatch hit the payload slot, all as reads in
+// one batch, priced as the same reads one at a time would be.
+func TestSearchAccessSequence(t *testing.T) {
+	tr := pinnedTree(t)
+	tr.InsertKV(60, 600) // a payload update: the layout does not move
+	rec := &recorder{acc: newSwapMem(t)}
+	twin := newSwapMem(t)
 	var b memmodel.Batcher
-	for _, r := range [][2]uint64{{0, 99999}, {12345, 54321}, {7, 7}, {90, 10}} {
-		var scalarKeys, batchKeys []uint64
-		sc, sa := scalarTree.RangeScan(r[0], r[1], scalarMem, func(k uint64) {
-			scalarKeys = append(scalarKeys, k)
-		})
-		bc, ba := batchTree.RangeScanBatch(r[0], r[1], batchMem, &b, func(k uint64) {
-			batchKeys = append(batchKeys, k)
-		})
-		if sc != bc || sa != ba {
-			t.Fatalf("range [%d,%d]: scalar (%d,%d) != batch (%d,%d)", r[0], r[1], sc, sa, bc, ba)
-		}
-		if len(scalarKeys) != len(batchKeys) {
-			t.Fatalf("range [%d,%d]: %d vs %d keys", r[0], r[1], len(scalarKeys), len(batchKeys))
-		}
-		for i := range scalarKeys {
-			if scalarKeys[i] != batchKeys[i] {
-				t.Fatalf("range [%d,%d]: key %d differs: %d vs %d", r[0], r[1], i, scalarKeys[i], batchKeys[i])
+	for _, c := range []struct {
+		key   uint64
+		kv    bool
+		found bool
+		addrs []uint64
+	}{
+		{60, false, true, []uint64{0, 40, 16, 48, 176, 216}},
+		{80, false, true, []uint64{0, 40}},
+		{65, false, false, []uint64{0, 40, 16, 48, 176, 216, 240}},
+		{155, false, false, []uint64{0, 40, 64, 80, 352, 392, 416}},
+		{5, false, false, []uint64{0, 40, 16, 24, 88, 128, 104}},
+		{60, true, true, []uint64{0, 40, 16, 48, 176, 216, 232}},
+		{65, true, false, []uint64{0, 40, 16, 48, 176, 216, 240}},
+	} {
+		var found bool
+		var cost params.Duration
+		var accesses uint64
+		if c.kv {
+			var val uint64
+			val, found, cost, accesses = tr.SearchKVBatch(c.key, rec, &b)
+			want := uint64(0)
+			if c.found {
+				want = 600
 			}
+			if val != want {
+				t.Errorf("SearchKVBatch(%d) payload %d, want %d", c.key, val, want)
+			}
+		} else {
+			found, cost, accesses = tr.SearchBatch(c.key, rec, &b)
+		}
+		what := fmt.Sprintf("search %d (kv %v)", c.key, c.kv)
+		if found != c.found {
+			t.Errorf("%s: found %v, want %v", what, found, c.found)
+		}
+		if len(rec.batches) != 1 {
+			t.Errorf("%s: priced in %d batches, want 1", what, len(rec.batches))
+		}
+		for _, op := range rec.ops {
+			if op.Write {
+				t.Errorf("%s: a search wrote %#x", what, op.Addr)
+			}
+		}
+		checkTwinCost(t, what, twin, rec.ops, cost)
+		if got := rec.addrs(); !slices.Equal(got, c.addrs) || accesses != uint64(len(c.addrs)) {
+			t.Errorf("%s: %d accesses %v, want %v", what, accesses, got, c.addrs)
 		}
 		if b.Len() != 0 {
-			t.Fatal("Batcher not empty after RangeScanBatch")
+			t.Fatalf("%s: Batcher not empty after the search", what)
 		}
+	}
+}
+
+// TestRangeScanAccessSequence pins a range scan's accesses: a header
+// per visited node, the probes that find the range's start, then the
+// child pointer before each descent and each key it inspects, up to the
+// first key past the range. A scan longer than the flush threshold is
+// priced in full batches of that size, and every batch as its ops one
+// at a time.
+func TestRangeScanAccessSequence(t *testing.T) {
+	tr := pinnedTree(t)
+	rec := &recorder{acc: newSwapMem(t)}
+	twin := newSwapMem(t)
+	var b memmodel.Batcher
+	var got []uint64
+	cost, accesses := tr.RangeScanBatch(55, 95, rec, &b, func(k uint64) { got = append(got, k) })
+	if want := []uint64{60, 70, 80, 90}; !slices.Equal(got, want) {
+		t.Errorf("scan [55, 95] visited %v, want %v", got, want)
+	}
+	checkTwinCost(t, "scan [55, 95]", twin, rec.ops, cost)
+	wantAddrs := []uint64{
+		0, 40, 16, // root header, probes for 55
+		48, 176, 216, 192, 216, 240, // into leaf 1: header, probes, keys 60 and 70
+		40,                // root key 80
+		72, 264, 304, 280, // into leaf 2: header, probes
+		280, 304, // keys 90 and 100, past the range
+		64, // root key 120, past the range
+	}
+	if addrs := rec.addrs(); !slices.Equal(addrs, wantAddrs) || accesses != uint64(len(wantAddrs)) {
+		t.Errorf("scan [55, 95]: %d accesses %v, want %v", accesses, addrs, wantAddrs)
+	}
+
+	// A full scan of a fanout-3 tree: every node's header, the probes
+	// for 0 (the middle key, then the left half's), every child pointer
+	// and every key.
+	big, _ := New(3)
+	keys := make([]uint64, 3000)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	if err := big.BulkLoad(keys); err != nil {
+		t.Fatal(err)
+	}
+	var want []uint64
+	var walk func(n *node)
+	walk = func(n *node) {
+		want = append(want, n.base)
+		for lo, hi := 0, len(n.keys); lo < hi; hi = (lo + hi) / 2 {
+			want = append(want, entryAddr(n, (lo+hi)/2))
+		}
+		for i := range n.keys {
+			if !n.leaf() {
+				want = append(want, childPtrAddr(n, i))
+				walk(n.children[i])
+			}
+			want = append(want, entryAddr(n, i))
+		}
+		if !n.leaf() {
+			want = append(want, childPtrAddr(n, len(n.keys)))
+			walk(n.children[len(n.keys)])
+		}
+	}
+	walk(big.root)
+	if len(want) <= 2*rangeScanFlushThreshold {
+		t.Fatalf("full scan makes %d accesses; the test needs more than two flushes", len(want))
+	}
+	cost, accesses = big.RangeScanBatch(0, 1<<62, rec, &b, func(uint64) {})
+	checkTwinCost(t, "full scan", twin, rec.ops, cost)
+	for i, n := range rec.batches {
+		if last := i == len(rec.batches)-1; (!last && n != rangeScanFlushThreshold) || (last && (n < 1 || n > rangeScanFlushThreshold)) {
+			t.Errorf("full scan batch %d of %d holds %d ops", i, len(rec.batches), n)
+		}
+	}
+	if addrs := rec.addrs(); !slices.Equal(addrs, want) || accesses != uint64(len(want)) {
+		t.Errorf("full scan: %d accesses, want %d in pre-order", accesses, len(want))
+	}
+	if b.Len() != 0 {
+		t.Fatal("Batcher not empty after RangeScanBatch")
 	}
 }
 
@@ -766,13 +876,13 @@ func TestBulkLoadRetainsSortedKeys(t *testing.T) {
 		if tr.Size != len(want) {
 			t.Fatalf("fanout %d: Size %d, want %d", fanout, tr.Size, len(want))
 		}
-		mem := &countingMem{}
+		var b memmodel.Batcher
 		for k, v := range want {
 			if got, ok := tr.Lookup(k); !ok || got != v {
 				t.Fatalf("fanout %d: Lookup(%d) = %d, %v; want %d", fanout, k, got, ok, v)
 			}
-			if got, ok, _, _ := tr.SearchKV(k, mem); !ok || got != v {
-				t.Fatalf("fanout %d: SearchKV(%d) = %d, %v; want %d", fanout, k, got, ok, v)
+			if got, ok, _, _ := tr.SearchKVBatch(k, countingMem{}, &b); !ok || got != v {
+				t.Fatalf("fanout %d: SearchKVBatch(%d) = %d, %v; want %d", fanout, k, got, ok, v)
 			}
 		}
 	}

@@ -3,12 +3,15 @@ package db
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/memmodel"
 	"repro/internal/params"
+	"repro/internal/swap"
 )
 
 func newTable(t *testing.T) (*Table, *core.System) {
@@ -306,17 +309,18 @@ func TestHashIndexBasics(t *testing.T) {
 		t.Errorf("Size = %d", h.Size)
 	}
 	var probes, lookups uint64
+	var b memmodel.Batcher
 	for k := uint64(0); k < 100; k++ {
-		v, found, cost, accs := h.Search(k, acc)
+		v, found, cost, accs := h.SearchBatch(k, acc, &b)
 		if !found || v != k*7 {
-			t.Fatalf("Search(%d) = %d, %v", k, v, found)
+			t.Fatalf("SearchBatch(%d) = %d, %v", k, v, found)
 		}
 		if cost <= 0 || accs == 0 {
 			t.Error("search charged nothing")
 		}
 		probes, lookups = probes+accs, lookups+1
 	}
-	_, found, _, accs := h.Search(999, acc)
+	_, found, _, accs := h.SearchBatch(999, acc, &b)
 	if found {
 		t.Error("phantom key found")
 	}
@@ -404,13 +408,109 @@ func TestFootnote3HashVsBtree(t *testing.T) {
 	}
 	remote := memmodel.Remote{P: p, Hops: 1}
 	var hCost, bCost params.Duration
+	var b memmodel.Batcher
 	for k := uint64(0); k < keys; k += 97 {
-		_, _, c, _ := h.Search(k*2, remote)
+		_, _, c, _ := h.SearchBatch(k*2, remote, &b)
 		hCost += c
-		_, _, c2, _ := bt.Index().SearchKV(k*2, remote)
+		_, _, c2, _ := bt.Index().SearchKVBatch(k*2, remote, &b)
 		bCost += c2
 	}
 	if float64(bCost)/float64(hCost) < 4 {
 		t.Errorf("hash advantage in remote memory only %.1fx, footnote 3 promises much more", float64(bCost)/float64(hCost))
+	}
+}
+
+// TestHashBucketIsItsModeledSize: a bucket takes exactly the bytes the
+// model charges for it, so a 2^24-bucket table is 256 MiB of Go memory.
+func TestHashBucketIsItsModeledSize(t *testing.T) {
+	if got := unsafe.Sizeof(hbucket{}); got != HashBucketBytes {
+		t.Errorf("hbucket is %d bytes, the model prices %d", got, HashBucketBytes)
+	}
+}
+
+// recorder forwards to the accessor it wraps and records every op it
+// prices, and the size of every batch.
+type recorder struct {
+	acc     memmodel.Accessor
+	ops     []memmodel.AccessOp
+	batches int
+}
+
+func (r *recorder) Access(a uint64, write bool) params.Duration {
+	r.ops = append(r.ops, memmodel.AccessOp{Addr: a, Write: write})
+	r.batches++
+	return r.acc.Access(a, write)
+}
+
+func (r *recorder) AccessBatch(ops []memmodel.AccessOp) params.Duration {
+	r.ops = append(r.ops, ops...)
+	r.batches++
+	return r.acc.AccessBatch(ops)
+}
+
+func (r *recorder) Name() string { return r.acc.Name() }
+
+// TestHashSearchAccessSequence pins a lookup's accesses: one read of
+// each bucket from the key's home to the key or to the first empty
+// bucket, wrapping at the end of the table, priced in one batch as the
+// same reads one at a time would be.
+func TestHashSearchAccessSequence(t *testing.T) {
+	h, err := NewHashIndex(8) // 16 buckets
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := func(k uint64) uint64 { return splitmix64(k) & h.mask }
+	// Three keys sharing the last bucket as their home: the second and
+	// third wrap to buckets 0 and 1.
+	var keys []uint64
+	for k := uint64(1); len(keys) < 4; k++ {
+		if home(k) == 15 {
+			keys = append(keys, k)
+		}
+	}
+	for _, k := range keys[:3] {
+		h.Insert(k, k+1000)
+	}
+	p := params.Default()
+	mkSwap := func() memmodel.Accessor {
+		sw, err := memmodel.NewSwap(p, swap.RemoteDevice{P: p, Hops: 1}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sw
+	}
+	rec := &recorder{acc: mkSwap()}
+	twin := mkSwap()
+	var b memmodel.Batcher
+	for _, c := range []struct {
+		key     uint64
+		found   bool
+		buckets []uint64
+	}{
+		{keys[0], true, []uint64{15}},
+		{keys[2], true, []uint64{15, 0, 1}},
+		{keys[3], false, []uint64{15, 0, 1, 2}},
+	} {
+		rec.ops, rec.batches = nil, 0
+		val, found, cost, accesses := h.SearchBatch(c.key, rec, &b)
+		if found != c.found || (found && val != c.key+1000) {
+			t.Errorf("key %d: %d, %v; want found %v", c.key, val, found, c.found)
+		}
+		var want params.Duration
+		var addrs []uint64
+		for _, op := range rec.ops {
+			want += twin.Access(op.Addr, op.Write)
+			addrs = append(addrs, op.Addr)
+		}
+		if cost != want || rec.batches != 1 {
+			t.Errorf("key %d: cost %d in %d batches; the same ops one at a time %d", c.key, cost, rec.batches, want)
+		}
+		wantAddrs := make([]uint64, len(c.buckets))
+		for i, bk := range c.buckets {
+			wantAddrs[i] = bk * HashBucketBytes
+		}
+		if !slices.Equal(addrs, wantAddrs) || accesses != uint64(len(wantAddrs)) {
+			t.Errorf("key %d: %d accesses %v, want %v", c.key, accesses, addrs, wantAddrs)
+		}
 	}
 }

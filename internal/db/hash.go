@@ -24,7 +24,10 @@ import (
 // accesses.
 type HashIndex struct {
 	buckets []hbucket
-	mask    uint64
+	// live has bit i set when bucket i holds a key. Keeping it beside
+	// the table lets a bucket take exactly its 16 modeled bytes.
+	live []uint64
+	mask uint64
 
 	// Size counts live keys.
 	Size int
@@ -32,9 +35,8 @@ type HashIndex struct {
 
 // hbucket is one modeled 16-byte slot: 8-byte key, 8-byte payload.
 type hbucket struct {
-	key  uint64
-	val  uint64
-	live bool
+	key uint64
+	val uint64
 }
 
 // HashBucketBytes is the modeled bucket size.
@@ -52,8 +54,21 @@ func NewHashIndex(expected int) (*HashIndex, error) {
 	for float64(expected) > maxLoad*float64(capacity) {
 		capacity *= 2
 	}
-	return &HashIndex{buckets: make([]hbucket, capacity), mask: uint64(capacity - 1)}, nil
+	h := &HashIndex{}
+	h.alloc(capacity)
+	return h, nil
 }
+
+// alloc gives the index an empty table of capacity buckets, a power of
+// two.
+func (h *HashIndex) alloc(capacity int) {
+	h.buckets = make([]hbucket, capacity)
+	h.live = make([]uint64, (capacity+63)/64)
+	h.mask = uint64(capacity - 1)
+}
+
+// isLive reports whether bucket i holds a key.
+func (h *HashIndex) isLive(i uint64) bool { return h.live[i/64]&(1<<(i%64)) != 0 }
 
 // splitmix64 is the probe hash — cheap, well-mixed, deterministic.
 func splitmix64(x uint64) uint64 {
@@ -74,13 +89,13 @@ func (h *HashIndex) Insert(key, val uint64) {
 	}
 	i := splitmix64(key) & h.mask
 	for {
-		b := &h.buckets[i]
-		if !b.live {
-			*b = hbucket{key: key, val: val, live: true}
+		if !h.isLive(i) {
+			h.buckets[i] = hbucket{key: key, val: val}
+			h.live[i/64] |= 1 << (i % 64)
 			h.Size++
 			return
 		}
-		if b.key == key {
+		if b := &h.buckets[i]; b.key == key {
 			b.val = val
 			return
 		}
@@ -89,69 +104,48 @@ func (h *HashIndex) Insert(key, val uint64) {
 }
 
 func (h *HashIndex) grow() {
-	old := h.buckets
-	h.buckets = make([]hbucket, 2*len(old))
-	h.mask = uint64(len(h.buckets) - 1)
+	old := *h
+	h.alloc(2 * len(old.buckets))
 	h.Size = 0
-	for _, b := range old {
-		if b.live {
+	for i, b := range old.buckets {
+		if old.isLive(uint64(i)) {
 			h.Insert(b.key, b.val)
 		}
 	}
 }
 
-// Search looks a key up, charging one read per probed bucket to mem.
-// Linear probing keeps consecutive probes on the same page, so even the
-// swap configuration usually pays for one page per lookup.
-func (h *HashIndex) Search(key uint64, mem memmodel.Accessor) (val uint64, found bool, cost params.Duration, accesses uint64) {
-	i := splitmix64(key) & h.mask
-	for {
-		cost += mem.Access(h.bucketAddr(i), false)
-		accesses++
-		b := h.buckets[i]
-		if !b.live {
-			return 0, false, cost, accesses
-		}
-		if b.key == key {
-			return b.val, true, cost, accesses
-		}
-		i = (i + 1) & h.mask
-	}
-}
-
-// SearchBatch is Search pricing through the batched access engine: the
-// probe sequence is recorded into b and priced in one memmodel.Batch
-// call, with identical results. b must be empty between calls.
+// SearchBatch looks a key up, charging one read per probed bucket to
+// mem: the probe sequence is recorded into b and priced in one
+// memmodel.Batch call. Linear probing keeps consecutive probes on the
+// same page, so even the swap configuration usually pays for one page
+// per lookup. b must be empty between calls.
 func (h *HashIndex) SearchBatch(key uint64, mem memmodel.Accessor, b *memmodel.Batcher) (val uint64, found bool, cost params.Duration, accesses uint64) {
 	i := splitmix64(key) & h.mask
 	for {
 		b.Read(h.bucketAddr(i))
-		bk := h.buckets[i]
-		if !bk.live {
-			accesses = uint64(b.Len())
-			return 0, false, b.Flush(mem), accesses
+		if !h.isLive(i) {
+			break
 		}
-		if bk.key == key {
-			accesses = uint64(b.Len())
-			return bk.val, true, b.Flush(mem), accesses
+		if bk := h.buckets[i]; bk.key == key {
+			val, found = bk.val, true
+			break
 		}
 		i = (i + 1) & h.mask
 	}
+	accesses = uint64(b.Len())
+	return val, found, b.Flush(mem), accesses
 }
 
-// Lookup is Search without an accessor (function only).
+// Lookup is SearchBatch without an accessor (function only).
 func (h *HashIndex) Lookup(key uint64) (uint64, bool) {
 	i := splitmix64(key) & h.mask
-	for {
-		b := h.buckets[i]
-		if !b.live {
-			return 0, false
-		}
-		if b.key == key {
+	for h.isLive(i) {
+		if b := h.buckets[i]; b.key == key {
 			return b.val, true
 		}
 		i = (i + 1) & h.mask
 	}
+	return 0, false
 }
 
 // FootprintBytes returns the modeled table size.

@@ -67,60 +67,71 @@ func buildTree(o Options, fanout, n int) (*btree.Tree, error) {
 	return buildTreeFrom(fanout, keys)
 }
 
-// minShardSearches is the per-shard floor below which within-point
-// sharding isn't worth a pool spin-up.
-const minShardSearches = 4096
-
-// searchSweep averages the search cost over random probes. The probe
-// keys are drawn up front (the rng sequence is exactly the serial
-// loop's — nothing else draws from it), then priced through the batched
-// search path. Stateless accessors additionally shard the probe set
-// across the runner pool: params.Duration is an integer, so the ordered
-// per-shard sums reduce to the exact serial total and the result is
-// byte-identical at every -parallel setting. Stateful accessors (swap)
-// keep their access sequence serial — their page-cache state is
-// order-dependent.
-func searchSweep(o Options, tr *btree.Tree, keySpace int64, searches int, acc memmodel.Accessor) params.Duration {
+// probeKeys draws a search sweep's lookup keys: count keys uniform over
+// [0, keySpace) from the Seed+1 stream. Every sweep over the same key
+// space looks up the same keys, so a figure draws them once and its
+// tasks share the read-only slice.
+func probeKeys(o Options, keySpace int64, count int) []uint64 {
 	rng := rand.New(rand.NewSource(o.Seed + 1))
-	keys := make([]uint64, searches)
+	keys := make([]uint64, count)
 	for i := range keys {
 		keys[i] = uint64(rng.Int63n(keySpace))
 	}
-	serial := func(keys []uint64) params.Duration {
-		var b memmodel.Batcher
-		var total params.Duration
-		for _, k := range keys {
-			_, cost, _ := tr.SearchBatch(k, acc, &b)
-			total += cost
-		}
-		return total
-	}
-	var total params.Duration
-	stateless := false
-	switch acc.(type) {
-	case memmodel.Local, memmodel.Remote:
-		stateless = true
-	}
-	if !stateless || o.Parallel <= 1 || searches < 2*minShardSearches {
-		total = serial(keys)
-	} else {
-		shards := o.Parallel
-		if max := searches / minShardSearches; shards > max {
-			shards = max
-		}
-		parts, err := runner.Map(o.Parallel, shards, func(i int) (params.Duration, error) {
-			return serial(keys[searches*i/shards : searches*(i+1)/shards]), nil
-		})
-		if err != nil { // tasks never fail; defensive fallback
-			total = serial(keys)
-		} else {
-			for _, p := range parts {
-				total += p
-			}
-		}
-	}
-	return params.Duration(float64(total) / float64(searches))
+	return keys
 }
+
+// searchFunc looks key up through an index's batched producer, pricing
+// its accesses through acc, and returns how many it made.
+type searchFunc func(key uint64, acc memmodel.Accessor, b *memmodel.Batcher) uint64
+
+// treeSearch is a b-tree's searchFunc.
+func treeSearch(tr *btree.Tree) searchFunc {
+	return func(key uint64, acc memmodel.Accessor, b *memmodel.Batcher) uint64 {
+		_, _, accesses := tr.SearchBatch(key, acc, b)
+		return accesses
+	}
+}
+
+// searchSweep looks every key up in order and prices each lookup under
+// every memory configuration in accs from one walk of the index. It
+// returns each configuration's mean time per lookup in µs, and the
+// accesses the lookups made.
+func searchSweep(keys []uint64, search searchFunc, accs ...memmodel.Accessor) ([]float64, uint64) {
+	t := &tee{accs: accs, totals: make([]params.Duration, len(accs))}
+	var b memmodel.Batcher
+	var accesses uint64
+	for _, k := range keys {
+		accesses += search(k, t, &b)
+	}
+	means := make([]float64, len(accs))
+	for i, total := range t.totals {
+		mean := params.Duration(float64(total) / float64(len(keys)))
+		means[i] = float64(mean) / float64(params.Microsecond)
+	}
+	return means, accesses
+}
+
+// tee prices every batch under each of its accessors in turn and keeps
+// each one's total, so each accessor sees exactly the batches it would
+// see alone. The sweep reads the totals; tee's own cost is zero.
+type tee struct {
+	accs   []memmodel.Accessor
+	totals []params.Duration
+}
+
+func (t *tee) Access(a uint64, write bool) params.Duration {
+	op := [1]memmodel.AccessOp{{Addr: a, Write: write}}
+	return t.AccessBatch(op[:])
+}
+
+func (t *tee) AccessBatch(ops []memmodel.AccessOp) params.Duration {
+	for i, acc := range t.accs {
+		t.totals[i] += acc.AccessBatch(ops)
+	}
+	return 0
+}
+
+func (t *tee) Name() string { return "tee" }
 
 // Fig9 sweeps the b-tree fanout (children per node) under remote swap to
 // find the optimum: a U-shaped curve with its minimum where a node fills
@@ -142,6 +153,7 @@ func Fig9(o Options) (*stats.Figure, error) {
 	// and sort it once, and every point's tree reads it in place.
 	sharedKeys := drawKeys(o, nKeys)
 	slices.Sort(sharedKeys)
+	probes := probeKeys(o, int64(nKeys)*4, searches)
 	type fanoutPoint struct{ swap, remote float64 }
 	points, err := runner.Map(o.Parallel, len(fanouts), func(i int) (fanoutPoint, error) {
 		fanout := fanouts[i]
@@ -156,11 +168,8 @@ func Fig9(o Options) (*stats.Figure, error) {
 		if err != nil {
 			return fanoutPoint{}, err
 		}
-		keySpace := int64(nKeys) * 4
-		return fanoutPoint{
-			swap:   float64(searchSweep(o, tr, keySpace, searches, sw)) / float64(params.Microsecond),
-			remote: float64(searchSweep(o, tr, keySpace, searches, memmodel.Remote{P: o.P, Hops: 1})) / float64(params.Microsecond),
-		}, nil
+		means, _ := searchSweep(probes, treeSearch(tr), sw, memmodel.Remote{P: o.P, Hops: 1})
+		return fanoutPoint{swap: means[0], remote: means[1]}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -204,12 +213,9 @@ func Fig10(o Options) (*stats.Figure, error) {
 		if err != nil {
 			return sizePoint{}, err
 		}
-		keySpace := int64(n) * 4
-		return sizePoint{
-			n:      n,
-			remote: float64(searchSweep(o, tr, keySpace, searches, memmodel.Remote{P: o.P, Hops: 1})) / float64(params.Microsecond),
-			swap:   float64(searchSweep(o, tr, keySpace, searches, sw)) / float64(params.Microsecond),
-		}, nil
+		probes := probeKeys(o, int64(n)*4, searches)
+		means, _ := searchSweep(probes, treeSearch(tr), memmodel.Remote{P: o.P, Hops: 1}, sw)
+		return sizePoint{n: n, remote: means[0], swap: means[1]}, nil
 	})
 	if err != nil {
 		return nil, err

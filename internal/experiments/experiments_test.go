@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/memmodel"
 	"repro/internal/stats"
+	"repro/internal/swap"
 )
 
 // testOptions is small enough for CI but large enough that every shape
@@ -583,6 +585,33 @@ func TestAblationIndexesShape(t *testing.T) {
 	for _, s := range [][]float64{bt, h} {
 		if !(s[0] < s[1] && s[1] < s[2]) {
 			t.Errorf("config ordering violated: %v", s)
+		}
+	}
+}
+
+// TestSearchSweepOneWalk: a sweep that prices each lookup under several
+// configurations from one walk gives every configuration the mean it
+// gets from a sweep of its own, a stateful swap accessor included, and
+// counts each lookup's accesses once.
+func TestSearchSweepOneWalk(t *testing.T) {
+	o := testOptions()
+	tr, err := buildTree(o, 16, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := probeKeys(o, 20000, 3000)
+	configs := func() []memmodel.Accessor {
+		sw, err := memmodel.NewSwap(o.P, swap.RemoteDevice{P: o.P, Hops: 1}, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []memmodel.Accessor{sw, memmodel.Remote{P: o.P, Hops: 1}, memmodel.Local{P: o.P}}
+	}
+	joint, accesses := searchSweep(probes, treeSearch(tr), configs()...)
+	for i, acc := range configs() {
+		solo, n := searchSweep(probes, treeSearch(tr), acc)
+		if solo[0] != joint[i] || n != accesses {
+			t.Errorf("%s: %v µs and %d accesses alone, %v µs and %d in one walk", acc.Name(), solo[0], n, joint[i], accesses)
 		}
 	}
 }

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"math/rand"
-
 	"repro/internal/db"
 	"repro/internal/memmodel"
-	"repro/internal/params"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/swap"
@@ -51,9 +48,14 @@ func AblationIndexes(o Options) (*stats.Figure, error) {
 			return memmodel.NewSwap(o.P, swap.RemoteDevice{P: o.P, Hops: 1}, resident)
 		}},
 	}
-	keySpace := int64(nKeys) * 4
-	// The tree and the hash index are read-only under search, so every
-	// task shares the one copy of each; only the accessors are per task.
+	// The tree, the hash index and the probe keys are read-only under
+	// search, so every task shares the one copy of each; only the
+	// accessors are per task.
+	probes := probeKeys(o, int64(nKeys)*4, searches)
+	hashSearch := func(key uint64, acc memmodel.Accessor, b *memmodel.Batcher) uint64 {
+		_, _, _, accesses := h.SearchBatch(key, acc, b)
+		return accesses
+	}
 	type idxPoint struct {
 		bt, h  float64
 		probes uint64
@@ -64,16 +66,13 @@ func AblationIndexes(o Options) (*stats.Figure, error) {
 		if err != nil {
 			return idxPoint{}, err
 		}
-		var pt idxPoint
-		pt.bt = float64(searchSweep(o, tr, keySpace, searches, accB)) / float64(params.Microsecond)
+		bt, _ := searchSweep(probes, treeSearch(tr), accB)
 		accH, err := cfg.mk()
 		if err != nil {
 			return idxPoint{}, err
 		}
-		var mean params.Duration
-		mean, pt.probes = hashSweep(o, h, keySpace, searches, accH)
-		pt.h = float64(mean) / float64(params.Microsecond)
-		return pt, nil
+		hash, accesses := searchSweep(probes, hashSearch, accH)
+		return idxPoint{bt: bt[0], h: hash[0], probes: accesses}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -87,20 +86,4 @@ func AblationIndexes(o Options) (*stats.Figure, error) {
 	fig.Note("in remote memory the hash index wins by ~10x (footnote 3); under swap the structures converge near one fault per lookup")
 	fig.Note("mean hash probes per lookup: %.2f", float64(sumProbes)/float64(len(configs)*searches))
 	return fig, nil
-}
-
-// hashSweep mirrors searchSweep for the hash index: upfront key draw,
-// batched probe pricing. It returns the mean cost per lookup and the
-// probes the lookups made (each probe is one access).
-func hashSweep(o Options, h *db.HashIndex, keySpace int64, searches int, acc memmodel.Accessor) (params.Duration, uint64) {
-	rng := rand.New(rand.NewSource(o.Seed + 1))
-	var b memmodel.Batcher
-	var total params.Duration
-	var probes uint64
-	for i := 0; i < searches; i++ {
-		_, _, cost, accesses := h.SearchBatch(uint64(rng.Int63n(keySpace)), acc, &b)
-		total += cost
-		probes += accesses
-	}
-	return params.Duration(float64(total) / float64(searches)), probes
 }

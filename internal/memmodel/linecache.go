@@ -37,19 +37,32 @@ func NewLineCached(inner Accessor, p params.Params, lines int) (*LineCached, err
 	return &LineCached{inner: inner, lines: c, p: p}, nil
 }
 
-// Access implements Accessor: hits cost the cache latency; misses fill
-// the line from the backing memory, and dirty victims write back to it.
+// Access implements Accessor as a batch of one.
 func (c *LineCached) Access(a uint64, write bool) params.Duration {
-	res := c.lines.Touch(a/params.CacheLineSize, write)
-	if res.Hit {
-		return c.p.L1Latency
+	op := [1]AccessOp{{Addr: a, Write: write}}
+	return c.AccessBatch(op[:])
+}
+
+// AccessBatch implements Accessor: hits cost the cache latency; a miss
+// also fills the line from the backing memory, and a dirty victim
+// writes back to it at the victim's own address, so under a Striped or
+// Swap backing the stripe or page that holds the line pays.
+func (c *LineCached) AccessBatch(ops []AccessOp) params.Duration {
+	l1 := c.p.L1Latency
+	var total params.Duration
+	for _, op := range ops {
+		total += l1
+		res := c.lines.Touch(op.Addr/params.CacheLineSize, op.Write)
+		if res.Hit {
+			continue
+		}
+		c.Fills++
+		total += c.inner.Access(op.Addr, false) // line fill
+		if res.EvictedDirty {
+			total += c.inner.Access(res.Evicted*params.CacheLineSize, true)
+		}
 	}
-	c.Fills++
-	cost := c.p.L1Latency + c.inner.Access(a, false) // line fill
-	if res.EvictedDirty {
-		cost += c.inner.Access(res.Evicted*params.CacheLineSize, true)
-	}
-	return cost
+	return total
 }
 
 // Name implements Accessor.
@@ -62,18 +75,4 @@ func (c *LineCached) HitRate() float64 {
 		return 0
 	}
 	return float64(c.lines.Hits) / float64(total)
-}
-
-// Flush empties the cache, writing dirty lines back to the backing
-// memory, and returns the writeback count and the charged writeback
-// cost. This is the operation the prototype performs between a write
-// phase and a read-only parallel phase. Each dirty line is charged at
-// its real address (MRU first) — under a Striped or Swap backing the
-// writeback must land on the stripe or page that actually holds the
-// line, not at address 0.
-func (c *LineCached) Flush() (dirty int, cost params.Duration) {
-	dirty = c.lines.FlushDirty(func(line uint64) {
-		cost += c.inner.Access(line*params.CacheLineSize, true)
-	})
-	return dirty, cost
 }

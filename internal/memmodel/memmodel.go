@@ -16,10 +16,16 @@ import (
 	"repro/internal/swap"
 )
 
-// Accessor prices one memory access.
+// Accessor prices memory accesses, one at a time or a batch at a time.
+// Each model has one pricing body that both methods run, so how a
+// producer chunks its accesses never changes a cost or the model's
+// state.
 type Accessor interface {
 	// Access returns the cost of one access at byte address a.
 	Access(a uint64, write bool) params.Duration
+	// AccessBatch prices ops in order and returns their total cost,
+	// leaving the accessor as len(ops) Access calls would.
+	AccessBatch(ops []AccessOp) params.Duration
 	// Name identifies the configuration in figures.
 	Name() string
 }
@@ -33,6 +39,11 @@ type Local struct {
 
 // Access implements Accessor.
 func (l Local) Access(uint64, bool) params.Duration { return l.P.DRAMLatency }
+
+// AccessBatch implements Accessor: every access costs the same.
+func (l Local) AccessBatch(ops []AccessOp) params.Duration {
+	return params.Duration(len(ops)) * l.Access(0, false)
+}
 
 // Name implements Accessor.
 func (l Local) Name() string { return "local memory" }
@@ -49,6 +60,11 @@ type Remote struct {
 // Access implements Accessor.
 func (r Remote) Access(uint64, bool) params.Duration { return r.P.RemoteRoundTrip(r.Hops) }
 
+// AccessBatch implements Accessor: every access costs the same.
+func (r Remote) AccessBatch(ops []AccessOp) params.Duration {
+	return params.Duration(len(ops)) * r.Access(0, false)
+}
+
 // Name implements Accessor.
 func (r Remote) Name() string { return "remote memory" }
 
@@ -63,8 +79,6 @@ type Swap struct {
 	// pricing loop free of interface calls.
 	faultCost params.Duration // trap overhead + device fault transfer
 	wbCost    params.Duration
-	// FaultTime accumulates time spent in faults, for breakdowns.
-	FaultTime params.Duration
 }
 
 // NewSwap builds a swap accessor with the given resident-page budget.
@@ -80,24 +94,31 @@ func NewSwap(p params.Params, dev swap.Device, residentPages int) (*Swap, error)
 	}, nil
 }
 
-// Access implements Accessor.
+// Access implements Accessor as a batch of one.
 func (s *Swap) Access(a uint64, write bool) params.Duration {
-	return s.access1(a, write)
+	op := [1]AccessOp{{Addr: a, Write: write}}
+	return s.AccessBatch(op[:])
 }
 
-// access1 prices one access through the concrete type — the
-// devirtualized call the batched compositions use.
-func (s *Swap) access1(a uint64, write bool) params.Duration {
-	res := s.cache.Touch(a/params.PageSize, write)
-	if res.Hit {
-		return s.p.DRAMLatency
+// AccessBatch implements Accessor: every access pays the local latency,
+// and a touch of a non-resident page adds the fault and, when the page
+// it evicts is dirty, the writeback.
+func (s *Swap) AccessBatch(ops []AccessOp) params.Duration {
+	dram, fault, wb := s.p.DRAMLatency, s.faultCost, s.wbCost
+	cache := s.cache
+	var total params.Duration
+	for _, op := range ops {
+		total += dram
+		res := cache.Touch(op.Addr/params.PageSize, op.Write)
+		if res.Hit {
+			continue
+		}
+		total += fault
+		if res.EvictedDirty {
+			total += wb
+		}
 	}
-	cost := s.faultCost
-	if res.EvictedDirty {
-		cost += s.wbCost
-	}
-	s.FaultTime += cost
-	return cost + s.p.DRAMLatency
+	return total
 }
 
 // Name implements Accessor.
@@ -105,45 +126,6 @@ func (s *Swap) Name() string { return s.name }
 
 // Cache exposes the residency set for inspection.
 func (s *Swap) Cache() *swap.PageCache { return s.cache }
-
-// Meter wraps an accessor and accumulates totals — the measured side of
-// EXPERIMENTS.md's paper-vs-measured records.
-type Meter struct {
-	Acc Accessor
-	// Accesses counts accesses; Time accumulates their cost.
-	Accesses uint64
-	Time     params.Duration
-}
-
-// NewMeter wraps an accessor.
-func NewMeter(acc Accessor) *Meter {
-	if acc == nil {
-		panic("memmodel: NewMeter(nil)")
-	}
-	return &Meter{Acc: acc}
-}
-
-// Access forwards to the wrapped accessor and accumulates.
-func (m *Meter) Access(a uint64, write bool) params.Duration {
-	d := m.Acc.Access(a, write)
-	m.Accesses++
-	m.Time += d
-	return d
-}
-
-// Name implements Accessor.
-func (m *Meter) Name() string { return m.Acc.Name() }
-
-// MeanAccess returns the average access cost so far.
-func (m *Meter) MeanAccess() float64 {
-	if m.Accesses == 0 {
-		return 0
-	}
-	return float64(m.Time) / float64(m.Accesses)
-}
-
-// Reset zeroes the meter (not the wrapped accessor's state).
-func (m *Meter) Reset() { m.Accesses, m.Time = 0, 0 }
 
 // Config names a standard configuration for experiment drivers.
 type Config int

@@ -25,7 +25,7 @@ type Striped struct {
 	// constCost caches the per-access price of stripes backed by
 	// constant-latency accessors (Local, Remote), so pricing them needs
 	// no interface call at all; -1 marks a stripe that must be priced
-	// through its Accessor (it may carry state, like a Meter or Swap).
+	// through its Accessor (it may carry state, like a Swap).
 	constCost []params.Duration
 	// Unmapped counts accesses that hit no stripe; they are charged the
 	// full-diameter remote round trip, pessimistically.
@@ -49,11 +49,9 @@ func NewStriped(p params.Params, stripes []Stripe) (*Striped, error) {
 		if i > 0 && st.Start < s[i-1].Start+s[i-1].Size {
 			return nil, fmt.Errorf("memmodel: stripes %d and %d overlap", i-1, i)
 		}
-		switch acc := st.Acc.(type) {
-		case Local:
-			cc[i] = acc.P.DRAMLatency
-		case Remote:
-			cc[i] = acc.P.RemoteRoundTrip(acc.Hops)
+		switch st.Acc.(type) {
+		case Local, Remote:
+			cc[i] = st.Acc.Access(0, false)
 		default:
 			cc[i] = -1
 		}
@@ -79,15 +77,9 @@ func (s *Striped) find(a uint64) int {
 	return -1
 }
 
-// Access implements Accessor.
+// Access implements Accessor. Constant-latency stripes are priced from
+// the cache, skipping their interface entirely.
 func (s *Striped) Access(a uint64, write bool) params.Duration {
-	return s.access1(a, write)
-}
-
-// access1 prices one access through the concrete type — the
-// devirtualized call the batched compositions use. Constant-latency
-// stripes are priced from the cache, skipping their interface entirely.
-func (s *Striped) access1(a uint64, write bool) params.Duration {
 	i := s.find(a)
 	if i < 0 {
 		s.Unmapped++
@@ -97,6 +89,15 @@ func (s *Striped) access1(a uint64, write bool) params.Duration {
 		return c
 	}
 	return s.stripes[i].Acc.Access(a, write)
+}
+
+// AccessBatch implements Accessor.
+func (s *Striped) AccessBatch(ops []AccessOp) params.Duration {
+	var total params.Duration
+	for _, op := range ops {
+		total += s.Access(op.Addr, op.Write)
+	}
+	return total
 }
 
 // Name implements Accessor.

@@ -140,33 +140,3 @@ func TestLRUEquivalenceLongSeededRun(t *testing.T) {
 		}
 	}
 }
-
-// TestFlushDirtyOrder: FlushDirty reports dirty pages MRU-first and
-// leaves the cache usable and empty.
-func TestFlushDirtyOrder(t *testing.T) {
-	c, err := NewPageCache(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Touch(10, true)
-	c.Touch(11, false)
-	c.Touch(12, true)
-	c.Touch(10, false) // 10 back to MRU; order now 10, 12, 11
-	var got []uint64
-	if dirty := c.FlushDirty(func(p uint64) { got = append(got, p) }); dirty != 2 {
-		t.Fatalf("FlushDirty = %d dirty, want 2", dirty)
-	}
-	if len(got) != 2 || got[0] != 10 || got[1] != 12 {
-		t.Fatalf("dirty pages %v, want [10 12] (MRU first)", got)
-	}
-	if c.Resident() != 0 || c.IsResident(10) {
-		t.Error("FlushDirty left pages resident")
-	}
-	// The cache is immediately reusable.
-	if r := c.Touch(10, false); r.Hit {
-		t.Error("flushed page still hit")
-	}
-	if c.Resident() != 1 {
-		t.Error("post-flush touch not resident")
-	}
-}

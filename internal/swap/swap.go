@@ -248,21 +248,10 @@ func (c *PageCache) Touch(page uint64, write bool) TouchResult {
 
 // Flush drops every resident page, returning how many were dirty.
 func (c *PageCache) Flush() int {
-	return c.FlushDirty(nil)
-}
-
-// FlushDirty empties the cache like Flush, but first calls fn (when
-// non-nil) for each dirty page in recency order (MRU first) — the
-// deterministic order writeback pricing charges the backing memory in.
-func (c *PageCache) FlushDirty(fn func(page uint64)) int {
 	dirty := 0
 	for slot := c.head; slot != nilSlot; slot = c.entries[slot].next {
-		e := &c.entries[slot]
-		if e.dirty {
+		if c.entries[slot].dirty {
 			dirty++
-			if fn != nil {
-				fn(e.page)
-			}
 		}
 	}
 	c.reset()

@@ -82,6 +82,10 @@ func TestFlush(t *testing.T) {
 	if c.Resident() != 0 || c.IsResident(1) {
 		t.Error("flush left pages resident")
 	}
+	// The cache is immediately reusable.
+	if r := c.Touch(1, false); r.Hit || c.Resident() != 1 {
+		t.Error("a flushed page hit, or the touch after a flush left it non-resident")
+	}
 }
 
 func TestResidencyNeverExceedsCapacityProperty(t *testing.T) {
