@@ -144,3 +144,20 @@ func TestUsageErrorsRefusedBeforeWork(t *testing.T) {
 		}
 	}
 }
+
+// TestBadScaleRefusedBeforeWork: a -scale RunExperiment refuses, zero
+// or one whose scaled counts overflow an int, exits 1 before any figure
+// prints. An overflowing scale used to run every point at its floor
+// size and exit 0.
+func TestBadScaleRefusedBeforeWork(t *testing.T) {
+	for _, tc := range []struct{ scale, stderr string }{
+		{"0", "experiments: Scale must be positive and finite (got 0)"},
+		{"1e20", "experiments: Scale 1e+20 overflows the scaled count 10000000 × 1e+20"},
+	} {
+		stdout, stderr, code := runCLI(t, "-fig", "6", "-scale", tc.scale)
+		if want := "ncdsm-bench: fig6: " + tc.stderr + "\n"; code != 1 || stdout != "" || stderr != want {
+			t.Errorf("ncdsm-bench -fig 6 -scale %s: exit %d, stderr %q, stdout %q; want exit 1, stderr %q and no output",
+				tc.scale, code, stderr, stdout, want)
+		}
+	}
+}

@@ -70,6 +70,26 @@ func main() {
 		fatal(fmt.Errorf("-regions needs at least %d nodes for the Figure 1 layout; the %dx%d mesh has %d",
 			figure1Nodes, cfg.MeshWidth, cfg.MeshHeight, cfg.Nodes()))
 	}
+	// -memmap and -reserve name nodes; refuse one the configured mesh
+	// does not have before anything prints.
+	var memmapNode addr.NodeID
+	if *memmap != 0 {
+		id, err := nodeID(*memmap)
+		if err == nil {
+			err = onMesh(cfg, id)
+		}
+		if err != nil {
+			fatal(fmt.Errorf("-memmap: %w", err))
+		}
+		memmapNode = id
+	}
+	var rsv reservation
+	if *reserve != "" {
+		var err error
+		if rsv, err = reserveOnMesh(*reserve, cfg); err != nil {
+			fatal(err)
+		}
+	}
 	var exploreSpec ncdsmfacade.ExploreSpec
 	if *explore != "" {
 		if *consist == "" {
@@ -93,17 +113,13 @@ func main() {
 	did := false
 	if *memmap != 0 {
 		did = true
-		id, err := nodeID(*memmap)
-		if err != nil {
-			fatal(fmt.Errorf("-memmap: %w", err))
-		}
-		if err := sys.MemoryMap(id, os.Stdout); err != nil {
+		if err := sys.MemoryMap(memmapNode, os.Stdout); err != nil {
 			fatal(err)
 		}
 	}
 	if *reserve != "" {
 		did = true
-		if err := walkReservation(sys, *reserve); err != nil {
+		if err := walkReservation(sys, rsv); err != nil {
 			fatal(err)
 		}
 	}
@@ -164,6 +180,14 @@ func nodeID(n int) (addr.NodeID, error) {
 	return addr.NodeID(n), nil
 }
 
+// onMesh refuses a node the configured mesh does not have.
+func onMesh(cfg ncdsmfacade.Config, n addr.NodeID) error {
+	if int(n) > cfg.Nodes() {
+		return fmt.Errorf("node %d is not on the %dx%d mesh (nodes 1..%d)", n, cfg.MeshWidth, cfg.MeshHeight, cfg.Nodes())
+	}
+	return nil
+}
+
 // parseNodeID parses a decimal node identifier and checks it with nodeID.
 func parseNodeID(s string) (addr.NodeID, error) {
 	n, err := strconv.Atoi(s)
@@ -201,12 +225,23 @@ func parseReserve(spec string) (reservation, error) {
 	return reservation{req: req, donor: donor, size: size, sizeText: parts[2]}, nil
 }
 
-// walkReservation narrates the Figure 4 protocol.
-func walkReservation(sys *ncdsmfacade.System, spec string) error {
+// reserveOnMesh parses a -reserve spec and refuses one naming a node
+// the configured mesh does not have.
+func reserveOnMesh(spec string, cfg ncdsmfacade.Config) (reservation, error) {
 	rs, err := parseReserve(spec)
 	if err != nil {
-		return err
+		return reservation{}, err
 	}
+	for _, n := range []addr.NodeID{rs.req, rs.donor} {
+		if err := onMesh(cfg, n); err != nil {
+			return reservation{}, fmt.Errorf("reserve spec %q: %w", spec, err)
+		}
+	}
+	return rs, nil
+}
+
+// walkReservation narrates the Figure 4 protocol.
+func walkReservation(sys *ncdsmfacade.System, rs reservation) error {
 	req, donor := rs.req, rs.donor
 	region, err := sys.Region(req)
 	if err != nil {

@@ -58,6 +58,9 @@ func TestUsageErrorsRefusedBeforeWork(t *testing.T) {
 		{[]string{"-regions", "-mesh", "2x2"}, "-regions needs at least 5 nodes for the Figure 1 layout; the 2x2 mesh has 4"},
 		{[]string{"-consistency", "msi", "-explore", "exhaustive:4", "-parallel", "-1"}, "-parallel -1: want 0 (all cores) or a worker count"},
 		{[]string{"-explore", "exhaustive:4"}, "-explore needs -consistency to select protocols"},
+		{[]string{"-reserve", "garbage"}, `reserve spec "garbage", want requester:donor:size`},
+		{[]string{"-reserve", "1:99:4GB"}, `reserve spec "1:99:4GB": node 99 is not on the 4x4 mesh (nodes 1..16)`},
+		{[]string{"-memmap", "17"}, "-memmap: node 17 is not on the 4x4 mesh (nodes 1..16)"},
 	} {
 		code, stdout, stderr := runMain(t, tc.args...)
 		if want := "ncdsm-cluster: " + tc.stderr + "\n"; code != 1 || stdout != "" || stderr != want {
@@ -117,18 +120,26 @@ func TestParseSize(t *testing.T) {
 // NodeID is a uint16, so unchecked, 65537:65539 reserves from node 3
 // for node 1.
 func TestWalkReservation(t *testing.T) {
-	sys, err := ncdsmfacade.New(ncdsmfacade.DefaultConfig())
+	cfg := ncdsmfacade.DefaultConfig()
+	sys, err := ncdsmfacade.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := walkReservation(sys, "1:3:4GB"); err != nil {
+	walk := func(spec string) error {
+		rs, err := reserveOnMesh(spec, cfg)
+		if err != nil {
+			return err
+		}
+		return walkReservation(sys, rs)
+	}
+	if err := walk("1:3:4GB"); err != nil {
 		t.Errorf("walkReservation(1:3:4GB): %v", err)
 	}
 	for _, bad := range []string{
 		"65537:65539:17179869185GB", "65537:3:1GB", "1:65539:1GB",
 		"0:3:1GB", "-1:3:1GB", "1:3", "1:3:4TB", "1:17:1GB",
 	} {
-		if err := walkReservation(sys, bad); err == nil {
+		if err := walk(bad); err == nil {
 			t.Errorf("walkReservation(%q) accepted", bad)
 		}
 	}

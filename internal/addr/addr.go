@@ -95,9 +95,6 @@ func (a Phys) Canonical(self NodeID) Phys {
 // Line returns the address rounded down to its cache-line boundary.
 func (a Phys) Line(lineSize uint64) Phys { return Phys(uint64(a) &^ (lineSize - 1)) }
 
-// Page returns the address rounded down to its page boundary.
-func (a Phys) Page(pageSize uint64) Phys { return Phys(uint64(a) &^ (pageSize - 1)) }
-
 // Range is a half-open physical address interval [Start, Start+Size).
 type Range struct {
 	Start Phys
@@ -106,9 +103,6 @@ type Range struct {
 
 // End returns the first address past the range.
 func (r Range) End() Phys { return r.Start + Phys(r.Size) }
-
-// Contains reports whether the address lies within the range.
-func (r Range) Contains(a Phys) bool { return a >= r.Start && a < r.End() }
 
 // Overlaps reports whether two ranges share any address.
 func (r Range) Overlaps(o Range) bool {
@@ -122,19 +116,6 @@ func (r Range) Node() NodeID { return r.Start.Node() }
 
 // String renders the range as [start, end).
 func (r Range) String() string { return fmt.Sprintf("[%v, %v)", r.Start, r.End()) }
-
-// CheckSameNode reports an error if the range straddles a node boundary,
-// which would make its ownership ambiguous.
-func (r Range) CheckSameNode() error {
-	if r.Size == 0 {
-		return nil
-	}
-	last := r.Start + Phys(r.Size-1)
-	if r.Start.Node() != last.Node() {
-		return fmt.Errorf("addr: range %v straddles nodes %d and %d", r, r.Start.Node(), last.Node())
-	}
-	return nil
-}
 
 // NodeBase returns the first cluster-map address owned by the node, i.e.
 // the address other nodes use for the node's local address 0.

@@ -127,9 +127,6 @@ func New(maxChildren int) (*Tree, error) {
 	return &Tree{maxChildren: maxChildren}, nil
 }
 
-// MaxChildren returns the fanout.
-func (t *Tree) MaxChildren() int { return t.maxChildren }
-
 // maxKeys is the per-node key capacity.
 func (t *Tree) maxKeys() int { return t.maxChildren - 1 }
 
@@ -310,9 +307,6 @@ func (t *Tree) RangeScanBatch(lo, hi uint64, mem memmodel.Accessor, b *memmodel.
 	cost += b.Flush(mem)
 	return cost, accesses
 }
-
-// Insert adds a key (duplicates are ignored), splitting nodes as needed.
-func (t *Tree) Insert(key uint64) { t.InsertKV(key, 0) }
 
 // InsertKV adds a key with a payload word (the entry layout's payload-
 // pointer slot). Inserting an existing key updates its payload.

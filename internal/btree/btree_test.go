@@ -73,7 +73,7 @@ func TestInsertSearchSmall(t *testing.T) {
 	tr, _ := New(4)
 	keys := []uint64{50, 10, 90, 30, 70, 20, 80, 60, 40, 100, 5, 95}
 	for _, k := range keys {
-		tr.Insert(k)
+		tr.InsertKV(k, 0)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -97,8 +97,8 @@ func TestInsertSearchSmall(t *testing.T) {
 			t.Errorf("phantom key %d found", k)
 		}
 	}
-	// Duplicate insert is a no-op.
-	tr.Insert(50)
+	// Re-inserting a key leaves the size unchanged.
+	tr.InsertKV(50, 0)
 	if tr.Size != len(keys) {
 		t.Error("duplicate insert changed size")
 	}
@@ -114,7 +114,7 @@ func TestInsertMatchesReferenceProperty(t *testing.T) {
 		ref := map[uint64]bool{}
 		for _, r := range raw {
 			k := uint64(r)
-			tr.Insert(k)
+			tr.InsertKV(k, 0)
 			ref[k] = true
 		}
 		if tr.CheckInvariants() != nil {
@@ -216,7 +216,7 @@ func TestBulkLoadErrors(t *testing.T) {
 	if err := tr2.BulkLoad(nil); err != nil {
 		t.Errorf("empty bulk load rejected: %v", err)
 	}
-	tr2.Insert(5)
+	tr2.InsertKV(5, 0)
 	if err := tr2.BulkLoad([]uint64{1}); err == nil {
 		t.Error("bulk load into non-empty tree accepted")
 	}
@@ -336,15 +336,16 @@ func TestSearchUnderSwapLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every access pays the DRAM latency and each fault adds the trap
+	// and the device transfer; a read-only walk writes nothing back.
 	var b memmodel.Batcher
-	tr.SearchBatch(12345, sw, &b)
-	coldMisses := sw.Cache().Misses
-	if coldMisses == 0 || int(coldMisses) > tr.Depth() {
-		t.Errorf("cold search faulted %d pages over depth %d", coldMisses, tr.Depth())
+	_, cold, accs := tr.SearchBatch(12345, sw, &b)
+	faults := (cold - params.Duration(accs)*p.DRAMLatency) / (p.SwapTrapOverhead + fakeDev{}.FaultCost())
+	if faults == 0 || int(faults) > tr.Depth() {
+		t.Errorf("cold search faulted %d pages over depth %d", faults, tr.Depth())
 	}
-	tr.SearchBatch(12345, sw, &b)
-	if sw.Cache().Misses != coldMisses {
-		t.Error("warm re-search faulted again")
+	if _, warm, accs := tr.SearchBatch(12345, sw, &b); warm != params.Duration(accs)*p.DRAMLatency {
+		t.Errorf("warm re-search cost %d, want %d all-hit accesses", warm, accs)
 	}
 }
 
@@ -389,7 +390,7 @@ func TestEmptyTreeSearch(t *testing.T) {
 func TestRangeScanSmall(t *testing.T) {
 	tr, _ := New(4)
 	for k := uint64(10); k <= 100; k += 10 {
-		tr.Insert(k)
+		tr.InsertKV(k, 0)
 	}
 	var mem countingMem
 	var b memmodel.Batcher
@@ -432,7 +433,7 @@ func TestRangeScanMatchesWalkProperty(t *testing.T) {
 			return false
 		}
 		for _, r := range raw {
-			tr.Insert(uint64(r))
+			tr.InsertKV(uint64(r), 0)
 		}
 		lo, hi := uint64(loSel), uint64(hiSel)
 		if lo > hi {
@@ -853,7 +854,7 @@ func TestBulkLoadRetainsSortedKeys(t *testing.T) {
 			switch i % 4 {
 			case 0: // a new or existing key, payload zero
 				k := uint64(rng.Intn(20_010))
-				tr.Insert(k)
+				tr.InsertKV(k, 0)
 				want[k] = 0
 			case 1: // a new key between loaded ones, with a payload
 				k := uint64(rng.Intn(5000))*4 + 1 + uint64(rng.Intn(2))*2

@@ -293,9 +293,6 @@ func NewHierarchy(sockets int, cfg Config) (*Hierarchy, error) {
 	return h, nil
 }
 
-// Sockets returns the number of caches in the domain.
-func (h *Hierarchy) Sockets() int { return len(h.sockets) }
-
 // LineSize returns the coherence granule.
 func (h *Hierarchy) LineSize() uint64 { return h.cfg.LineSize }
 

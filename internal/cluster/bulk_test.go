@@ -44,7 +44,7 @@ func TestIssueBulkLocalRead(t *testing.T) {
 		t.Error("local bulk read returned wrong bytes")
 	}
 	// 16 lines through one controller: at least 16 occupancy slots.
-	p := c.Params()
+	p := c.p
 	if doneAt < 16*p.DRAMOccupancy {
 		t.Errorf("16-line local burst finished at %d ps, faster than the bank allows", doneAt)
 	}

@@ -166,9 +166,6 @@ func validatePlanTopology(plan *faults.Plan, topo mesh.Topology) error {
 	return nil
 }
 
-// Params returns the cluster's calibration.
-func (c *Cluster) Params() params.Params { return c.p }
-
 // Set returns the shard set driving the cluster.
 func (c *Cluster) Set() *sim.ShardSet { return c.set }
 
@@ -178,9 +175,6 @@ func (c *Cluster) Exchanges() *rmc.ExchangeSet { return c.exSet }
 
 // Topology returns the mesh geometry.
 func (c *Cluster) Topology() mesh.Topology { return c.topo }
-
-// Fabric returns the timed interconnect.
-func (c *Cluster) Fabric() rmc.Fabric { return c.fabric }
 
 // MeshFabric returns the concrete mesh fabric (for express-link setup);
 // it errors when the cluster runs a different interconnect.
@@ -359,9 +353,6 @@ func (n *Node) ID() addr.NodeID { return n.id }
 // Engine returns the shard engine the node's events run on. Threads
 // driving this node must schedule here.
 func (n *Node) Engine() *sim.Engine { return n.eng }
-
-// Shard returns the node's shard index.
-func (n *Node) Shard() int { return n.cluster.part.ShardOf(n.id) }
 
 // RMC returns the node's remote memory controller.
 func (n *Node) RMC() *rmc.RMC { return n.rmc }

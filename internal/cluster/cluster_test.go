@@ -35,8 +35,12 @@ func TestBuildPrototype(t *testing.T) {
 	if n.ID() != 3 {
 		t.Errorf("node ID = %d", n.ID())
 	}
-	if n.Caches().Sockets() != 4 {
-		t.Errorf("sockets = %d", n.Caches().Sockets())
+	// One cache per socket: sockets 0..3 exist, socket 4 does not.
+	if _, err := n.Caches().Access(3, 0, false); err != nil {
+		t.Errorf("socket 3: %v", err)
+	}
+	if _, err := n.Caches().Access(4, 0, false); err == nil {
+		t.Error("socket 4 accepted on a 4-socket node")
 	}
 	if _, err := c.RMC(5); err != nil {
 		t.Errorf("RMC(5): %v", err)
@@ -98,7 +102,7 @@ func TestIsRemote(t *testing.T) {
 func TestLocalAccessTiming(t *testing.T) {
 	c := build(t)
 	n := c.MustNode(1)
-	p := c.Params()
+	p := c.p
 	var first, second sim.Time
 	n.Issue(0, 0, cpu.Access{Addr: 0x4000}, false, func(ts sim.Time) { first = ts })
 	c.Set().Run()
@@ -121,7 +125,7 @@ func TestLocalAccessTiming(t *testing.T) {
 func TestRemoteAccessTiming(t *testing.T) {
 	c := build(t)
 	n := c.MustNode(1)
-	p := c.Params()
+	p := c.p
 	a := addr.Phys(0x8000).WithNode(2) // 1 hop
 	var done sim.Time
 	n.Issue(0, 0, cpu.Access{Addr: a}, false, func(ts sim.Time) { done = ts })
@@ -184,7 +188,7 @@ func TestThreadOverCluster(t *testing.T) {
 	// End-to-end: a thread on node 1 streams over remote memory on node 2
 	// with the window of one; throughput is bounded by the round trip.
 	c := build(t)
-	p := c.Params()
+	p := c.p
 	n := c.MustNode(1)
 	const count = 64
 	accs := make([]cpu.Access, count)
@@ -399,7 +403,7 @@ func TestMeshFabricAccessor(t *testing.T) {
 	if _, err := c.MeshFabric(); err != nil {
 		t.Errorf("mesh cluster has no mesh fabric: %v", err)
 	}
-	if c.Fabric() == nil {
+	if c.fabric == nil {
 		t.Error("no interconnect")
 	}
 	n := c.MustNode(2)

@@ -29,9 +29,9 @@ func TestPastDeliveryIsDiagnosed(t *testing.T) {
 	set := c.Set()
 	// On the 4x4 mesh split 2x1, node 1 is on shard 0 and node 3 on
 	// shard 1.
-	src, dst := c.MustNode(1), c.MustNode(3)
-	if src.Shard() != 0 || dst.Shard() != 1 {
-		t.Fatalf("nodes 1 and 3 on shards %d and %d, want 0 and 1", src.Shard(), dst.Shard())
+	src := c.MustNode(1)
+	if c.part.ShardOf(1) != 0 || c.part.ShardOf(3) != 1 {
+		t.Fatalf("nodes 1 and 3 on shards %d and %d, want 0 and 1", c.part.ShardOf(1), c.part.ShardOf(3))
 	}
 	const inflated = sim.Time(1_000_000_000) // 1 ms: no frame is that slow
 	set.ConfigureLookahead([][]sim.Time{{inflated, inflated}, {inflated, inflated}}, 0)

@@ -84,7 +84,7 @@ func TestDRAMMetrics(t *testing.T) {
 		}
 	}
 	f := snap.Family(metrics.FamDRAMReads)
-	if want := c.Nodes() * c.Params().SocketsPerNode; len(f.Samples) != want {
+	if want := c.Nodes() * c.p.SocketsPerNode; len(f.Samples) != want {
 		t.Errorf("%d controller samples, want %d", len(f.Samples), want)
 	}
 	if got := f.Samples[0].Labels; len(got) != 2 || got[0].Key != "mc" || got[1].Key != "node" {

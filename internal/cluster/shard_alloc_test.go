@@ -25,7 +25,7 @@ func TestCrossShardExchangeSteadyStateAllocs(t *testing.T) {
 	// On the 4x4 mesh split 2x1, node 1 (0,0) is on shard 0 and node 3
 	// (2,0) on shard 1; every access below crosses the partition.
 	n := c.MustNode(1)
-	if n.Shard() == c.MustNode(3).Shard() {
+	if c.part.ShardOf(1) == c.part.ShardOf(3) {
 		t.Fatal("nodes 1 and 3 share a shard; the test needs a cross-shard pair")
 	}
 	remote := addr.Phys(0x10000).WithNode(3)

@@ -242,7 +242,8 @@ func TestProtocolOpsChargeCost(t *testing.T) {
 			{W(2, 2), Rel()},
 			{Acq(), R(2)},
 		}
-		h, err := RunProgram(proto, prog, prog.RoundRobin())
+		// Round robin: one instruction per node in turn.
+		h, err := RunProgram(proto, prog, []int{0, 1, 2, 3, 0, 1, 2, 3})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -27,26 +27,6 @@ func Rel() Instr { return Instr{Op: OpRelease} }
 // Program is one instruction list per node, executed in program order.
 type Program [][]Instr
 
-// RoundRobin returns the canonical schedule interleaving the program's
-// nodes one instruction at a time.
-func (p Program) RoundRobin() []int {
-	idx := make([]int, len(p))
-	var sched []int
-	for {
-		progress := false
-		for n := range p {
-			if idx[n] < len(p[n]) {
-				sched = append(sched, n)
-				idx[n]++
-				progress = true
-			}
-		}
-		if !progress {
-			return sched
-		}
-	}
-}
-
 // RunProgram executes prog against the protocol under the given
 // schedule — a sequence of node indices, each meaning "that node issues
 // its next instruction now" — and records the history. The driver

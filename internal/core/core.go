@@ -7,6 +7,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/addr"
@@ -173,8 +174,8 @@ type Region struct {
 	// servers deliberately).
 	Donors []addr.NodeID
 
-	// mappedBorrows tracks explicitly mapped reservations so Shrink can
-	// refuse to pull memory out from under live translations.
+	// mappedBorrows tracks explicitly mapped reservations so Accessor
+	// can price each one at its owner's mesh distance.
 	mappedBorrows map[addr.Phys]mappedBorrow
 
 	// phase and writerCore enforce the prototype's execution discipline
@@ -233,31 +234,6 @@ func (r *Region) Grow(size uint64) (addr.Range, error) {
 // GrowFrom extends the region from an explicit donor.
 func (r *Region) GrowFrom(donor addr.NodeID, size uint64) (addr.Range, error) {
 	return r.agent.ReserveRemoteFrom(donor, size)
-}
-
-// Shrink returns a previously grown range to its donor. A range still
-// mapped into the address space is refused: releasing it would leave
-// live translations pointing at memory the donor may re-grant — the
-// hot-unplug safety rule. UnmapBorrowed first.
-func (r *Region) Shrink(rng addr.Range) error {
-	if mb, mapped := r.mappedBorrows[rng.Start]; mapped {
-		return fmt.Errorf("core: range %v is still mapped at %#x; unmap before shrinking", rng, uint64(mb.va))
-	}
-	return r.agent.ReleaseRemote(rng)
-}
-
-// UnmapBorrowed removes the translations MapBorrowed installed for a
-// range, making it safe to Shrink.
-func (r *Region) UnmapBorrowed(rng addr.Range) error {
-	mb, mapped := r.mappedBorrows[rng.Start]
-	if !mapped {
-		return fmt.Errorf("core: range %v is not mapped", rng)
-	}
-	if err := r.as.Unmap(mb.va, vm.PagesFor(rng.Size)); err != nil {
-		return err
-	}
-	delete(r.mappedBorrows, rng.Start)
-	return nil
 }
 
 func (r *Region) acquireRemote(size uint64) (addr.Range, error) {
@@ -390,9 +366,7 @@ func (r *Region) resolve(pa addr.Phys) (st interface {
 // WriteUint64 and ReadUint64 are word-granule functional accessors.
 func (r *Region) WriteUint64(va vm.Virt, v uint64) error {
 	var b [8]byte
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b[:], v)
 	return r.Write(va, b[:])
 }
 
@@ -402,11 +376,7 @@ func (r *Region) ReadUint64(va vm.Virt) (uint64, error) {
 	if err := r.Read(va, b[:]); err != nil {
 		return 0, err
 	}
-	var v uint64
-	for i := range b {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // Accessor builds a macro-layer latency model of the region's virtual
@@ -437,9 +407,6 @@ func (r *Region) Accessor() (*memmodel.Striped, error) {
 	}
 	return memmodel.NewStriped(p, stripes)
 }
-
-// Phase returns the region's current execution phase.
-func (r *Region) Phase() Phase { return r.phase }
 
 // CheckAccess reports whether the discipline of the current phase allows
 // the access: in the serial phase, one bound core may read and write (the
@@ -498,43 +465,4 @@ func (r *Region) Access(now sim.Time, core int, va vm.Virt, write bool, done fun
 	}
 	r.node.Issue(now, core, cpu.Access{Addr: pa, Write: write}, false, done)
 	return nil
-}
-
-// NewThread binds a virtual-address stream to a core of the region's
-// node with the prototype's outstanding windows.
-func (r *Region) NewThread(name string, core int, stream cpu.Stream, onDone func(*cpu.Thread, sim.Time)) (*cpu.Thread, error) {
-	return cpu.NewThread(cpu.ThreadConfig{
-		Name:         name,
-		Engine:       r.node.Engine(),
-		Memory:       r.node,
-		Stream:       &translatingStream{r: r, core: core, inner: stream},
-		Core:         core,
-		WindowLocal:  r.sys.p.LocalOutstanding,
-		WindowRemote: r.sys.p.RemoteOutstanding,
-		OnDone:       onDone,
-	})
-}
-
-// translatingStream translates a virtual-address stream to physical on
-// the fly and enforces the phase discipline, so cpu threads see physical
-// addresses and cannot violate the single-writer rule.
-type translatingStream struct {
-	r     *Region
-	core  int
-	inner cpu.Stream
-}
-
-func (s *translatingStream) Next() (cpu.Access, bool) {
-	a, ok := s.inner.Next()
-	if !ok {
-		return cpu.Access{}, false
-	}
-	if err := s.r.CheckAccess(s.core, a.Write); err != nil {
-		panic(fmt.Sprintf("core: stream discipline violation: %v", err))
-	}
-	pa, err := s.r.Translate(vm.Virt(a.Addr))
-	if err != nil {
-		panic(fmt.Sprintf("core: unmapped virtual address %#x in stream: %v", uint64(a.Addr), err))
-	}
-	return cpu.Access{Addr: pa, Write: a.Write}, true
 }

@@ -56,11 +56,11 @@ func TestGrowShrink(t *testing.T) {
 	if rng.Node() != 7 || rng.Size != 2<<30 {
 		t.Errorf("grow = %v", rng)
 	}
-	if err := r.Shrink(rng); err != nil {
+	if err := r.Agent().ReleaseRemote(rng); err != nil {
 		t.Fatal(err)
 	}
 	if r.Agent().BorrowedBytes() != 0 {
-		t.Error("shrink left borrowed bytes")
+		t.Error("release left borrowed bytes")
 	}
 }
 
@@ -261,11 +261,21 @@ func TestRegionThreadEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accs := make([]cpu.Access, 32)
-	for i := range accs {
-		accs[i] = cpu.Access{Addr: addr.Phys(va) + addr.Phys(i*params.PageSize)}
+	// The thread issues the physical addresses the region's page table
+	// maps its virtual pages to, as every experiment's threads do.
+	var accs []cpu.Access
+	for i := 0; i < 32; i++ {
+		pa, err := r.Translate(va + vm.Virt(i*params.PageSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		accs = append(accs, cpu.Access{Addr: pa})
 	}
-	th, err := r.NewThread("worker", 0, cpu.NewSliceStream(accs), nil)
+	th, err := cpu.NewThread(cpu.ThreadConfig{
+		Name: "worker", Engine: r.node.Engine(), Memory: r.node,
+		Stream:      cpu.NewSliceStream(accs),
+		WindowLocal: s.p.LocalOutstanding, WindowRemote: s.p.RemoteOutstanding,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,44 +290,9 @@ func TestRegionThreadEndToEnd(t *testing.T) {
 	}
 }
 
-func TestShrinkRefusesMappedRange(t *testing.T) {
-	s := newSystem(t)
-	r, _ := s.Region(1)
-	rng, err := r.GrowFrom(4, 8<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	va, err := r.MapBorrowed(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hot-unplug safety: a mapped range cannot be shrunk.
-	if err := r.Shrink(rng); err == nil {
-		t.Fatal("shrink of a mapped range accepted: dangling PTEs")
-	}
-	if err := r.UnmapBorrowed(rng); err != nil {
-		t.Fatal(err)
-	}
-	// Translations are gone...
-	if _, err := r.Translate(va); err == nil {
-		t.Error("translation survived unmap")
-	}
-	// ...and now the shrink proceeds, returning capacity to the donor.
-	if err := r.Shrink(rng); err != nil {
-		t.Fatal(err)
-	}
-	if r.Agent().BorrowedBytes() != 0 {
-		t.Error("shrink left borrowed bytes")
-	}
-	// Unmapping twice is an error.
-	if err := r.UnmapBorrowed(rng); err == nil {
-		t.Error("double unmap accepted")
-	}
-}
-
 func TestGrowShrinkConservation(t *testing.T) {
-	// Pool capacity is conserved under arbitrary grow/unmap/shrink
-	// cycles spread over many donors.
+	// Pool capacity is conserved under arbitrary grow/release cycles
+	// spread over many donors.
 	s := newSystem(t)
 	r, _ := s.Region(1)
 	total := s.Directory().TotalFree()
@@ -328,17 +303,11 @@ func TestGrowShrinkConservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.MapBorrowed(rng); err != nil {
-			t.Fatal(err)
-		}
 		live = append(live, rng)
 		if i%3 == 0 {
 			victim := live[0]
 			live = live[1:]
-			if err := r.UnmapBorrowed(victim); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.Shrink(victim); err != nil {
+			if err := r.Agent().ReleaseRemote(victim); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -351,10 +320,7 @@ func TestGrowShrinkConservation(t *testing.T) {
 		t.Errorf("pool = %d, want %d", got, total-borrowed)
 	}
 	for _, rng := range live {
-		if err := r.UnmapBorrowed(rng); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Shrink(rng); err != nil {
+		if err := r.Agent().ReleaseRemote(rng); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -374,8 +340,8 @@ func TestPhaseDiscipline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Phase() != PhaseSerial {
-		t.Fatalf("initial phase = %v", r.Phase())
+	if r.phase != PhaseSerial {
+		t.Fatalf("initial phase = %v", r.phase)
 	}
 	noop := func(sim.Time) {}
 
@@ -393,8 +359,8 @@ func TestPhaseDiscipline(t *testing.T) {
 	if dirty == 0 {
 		t.Error("flush found no dirty lines after a write")
 	}
-	if r.Phase() != PhaseParallelRead {
-		t.Fatalf("phase = %v", r.Phase())
+	if r.phase != PhaseParallelRead {
+		t.Fatalf("phase = %v", r.phase)
 	}
 	for coreID := 0; coreID < 4; coreID++ {
 		if err := r.Access(s.Now(), coreID, va, false, noop); err != nil {
@@ -418,33 +384,6 @@ func TestPhaseDiscipline(t *testing.T) {
 	if PhaseSerial.String() == "" || PhaseParallelRead.String() == "" || Phase(9).String() == "" {
 		t.Error("phase names empty")
 	}
-}
-
-func TestThreadStreamEnforcesDiscipline(t *testing.T) {
-	s := newSystem(t)
-	r, _ := s.Region(1)
-	rng, err := r.GrowFrom(2, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	va, err := r.MapBorrowed(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.BeginParallelRead(s.Now())
-	th, err := r.NewThread("violator", 2, cpu.NewSliceStream([]cpu.Access{
-		{Addr: addr.Phys(va), Write: true},
-	}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("writing thread in a parallel-read phase did not panic")
-		}
-	}()
-	th.Start(s.Now())
-	s.Run()
 }
 
 func TestOSReserveWatermark(t *testing.T) {

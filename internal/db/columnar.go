@@ -10,6 +10,7 @@
 package db
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -68,8 +69,8 @@ func (t *Table) appendColumn(key uint64, ptr vm.Virt) error {
 	return nil
 }
 
-// tombstoneColumn zeroes a key's pointer slot (row deleted or
-// replaced); the slot stays allocated, filtered out by scans.
+// tombstoneColumn zeroes a replaced row's pointer slot; the slot stays
+// allocated, filtered out by scans.
 func (t *Table) tombstoneColumn(key uint64) error {
 	slot, ok := t.slots[key]
 	if !ok {
@@ -105,8 +106,8 @@ func (t *Table) scanColumns(lo, hi uint64) (matches []scanMatch, cost params.Dur
 			return nil, cost, err
 		}
 		for i := 0; i < used; i++ {
-			k := leUint64(kbuf[i*8:])
-			p := leUint64(pbuf[i*8:])
+			k := binary.LittleEndian.Uint64(kbuf[i*8:])
+			p := binary.LittleEndian.Uint64(pbuf[i*8:])
 			if p == 0 || k < lo || k > hi {
 				continue
 			}
@@ -186,14 +187,4 @@ func (t *Table) countBulk(lo, hi uint64) (uint64, params.Duration) {
 		return 0, cost
 	}
 	return uint64(len(matches)), cost
-}
-
-// leUint64 decodes the little-endian words the region's word accessors
-// store.
-func leUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
 }

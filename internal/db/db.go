@@ -76,7 +76,7 @@ func (t *Table) Index() *btree.Tree { return t.index }
 // locally while local memory lasts, then on donor nodes — and the index
 // points at it.
 func (t *Table) Put(key uint64, value []byte) error {
-	if old, ok := t.index.Lookup(key); ok && old != 0 {
+	if old, ok := t.index.Lookup(key); ok {
 		if err := t.freeRow(vm.Virt(old)); err != nil {
 			return err
 		}
@@ -106,34 +106,16 @@ func (t *Table) Put(key uint64, value []byte) error {
 	return nil
 }
 
-// Delete removes a row (tombstone in the index: payload zero).
-func (t *Table) Delete(key uint64) error {
-	old, ok := t.index.Lookup(key)
-	if !ok || old == 0 {
-		return fmt.Errorf("db: %s has no row %d", t.name, key)
-	}
-	if err := t.freeRow(vm.Virt(old)); err != nil {
-		return err
-	}
-	t.index.InsertKV(key, 0)
-	if err := t.tombstoneColumn(key); err != nil {
-		return err
-	}
-	t.Rows--
-	return nil
-}
-
 func (t *Table) freeRow(ptr vm.Virt) error {
 	return t.region.Free(ptr)
 }
 
 // Get retrieves a row, charging the index walk and the row read to acc
-// through the batched access engine. found is false for absent keys and
-// tombstones.
+// through the batched access engine. found is false for absent keys.
 func (t *Table) Get(key uint64, acc memmodel.Accessor) (value []byte, found bool, cost params.Duration, err error) {
 	rowPtr, ok, c, _ := t.index.SearchKVBatch(key, acc, &t.batch)
 	cost = c
-	if !ok || rowPtr == 0 {
+	if !ok {
 		return nil, false, cost, nil
 	}
 	value, rc, err := t.readRow(vm.Virt(rowPtr), acc)
@@ -184,12 +166,11 @@ func (t *Table) Scan(lo, hi uint64, acc memmodel.Accessor) (rows []ScanResult, c
 		ptr uint64
 	}
 	c, _ := t.index.RangeScanBatch(lo, hi, acc, &t.batch, func(k uint64) {
-		if v, ok := t.index.Lookup(k); ok && v != 0 {
-			ptrs = append(ptrs, struct {
-				key uint64
-				ptr uint64
-			}{k, v})
-		}
+		v, _ := t.index.Lookup(k)
+		ptrs = append(ptrs, struct {
+			key uint64
+			ptr uint64
+		}{k, v})
 	})
 	cost = c
 	for _, p := range ptrs {
@@ -209,11 +190,7 @@ func (t *Table) Count(lo, hi uint64, acc memmodel.Accessor) (n uint64, cost para
 	if t.pricer != nil {
 		return t.countBulk(lo, hi)
 	}
-	c, _ := t.index.RangeScanBatch(lo, hi, acc, &t.batch, func(k uint64) {
-		if v, ok := t.index.Lookup(k); ok && v != 0 {
-			n++
-		}
-	})
+	c, _ := t.index.RangeScanBatch(lo, hi, acc, &t.batch, func(uint64) { n++ })
 	return n, c
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/memmodel"
 	"repro/internal/params"
@@ -52,7 +53,14 @@ func TestCreateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Name() != "orders" || tbl.Index().MaxChildren() != DefaultFanout {
+	// fanout 0 selects DefaultFanout: one row leaves a single root leaf,
+	// sized like that of a DefaultFanout tree holding the same key.
+	if err := tbl.Put(7, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := btree.New(DefaultFanout)
+	ref.InsertKV(7, 1)
+	if tbl.Name() != "orders" || tbl.Index().FootprintBytes() != ref.FootprintBytes() {
 		t.Error("table metadata wrong")
 	}
 }
@@ -103,35 +111,6 @@ func TestPutReplaces(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tbl, _ := newTable(t)
-	acc := freeAcc()
-	tbl.Put(1, []byte("a"))
-	tbl.Put(2, []byte("b"))
-	if err := tbl.Delete(1); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Rows != 1 {
-		t.Errorf("Rows = %d", tbl.Rows)
-	}
-	if _, found, _, _ := tbl.Get(1, acc); found {
-		t.Error("deleted row found")
-	}
-	if err := tbl.Delete(1); err == nil {
-		t.Error("double delete accepted")
-	}
-	if err := tbl.Delete(42); err == nil {
-		t.Error("delete of absent key accepted")
-	}
-	// Re-insert after delete.
-	if err := tbl.Put(1, []byte("again")); err != nil {
-		t.Fatal(err)
-	}
-	if v, found, _, _ := tbl.Get(1, acc); !found || string(v) != "again" {
-		t.Error("re-insert after delete broken")
-	}
-}
-
 func TestEmptyValue(t *testing.T) {
 	tbl, _ := newTable(t)
 	if err := tbl.Put(5, nil); err != nil {
@@ -149,16 +128,15 @@ func TestScanAndCount(t *testing.T) {
 	for k := uint64(0); k < 50; k++ {
 		tbl.Put(k*10, []byte(fmt.Sprintf("v%d", k*10)))
 	}
-	tbl.Delete(100)
 	rows, cost, err := tbl.Scan(95, 205, acc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// keys 100 (deleted), 110..200 -> 10 live rows.
-	if len(rows) != 10 {
+	// keys 100..200 -> 11 rows.
+	if len(rows) != 11 {
 		t.Fatalf("scan returned %d rows", len(rows))
 	}
-	if rows[0].Key != 110 || string(rows[0].Value) != "v110" {
+	if rows[0].Key != 100 || string(rows[0].Value) != "v100" {
 		t.Errorf("first row = %+v", rows[0])
 	}
 	for i := 1; i < len(rows); i++ {
@@ -170,7 +148,7 @@ func TestScanAndCount(t *testing.T) {
 		t.Error("scan charged nothing")
 	}
 	n, _ := tbl.Count(95, 205, acc)
-	if n != 10 {
+	if n != 11 {
 		t.Errorf("Count = %d", n)
 	}
 }
@@ -250,21 +228,11 @@ func TestPutGetMatchesReferenceProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		for _, op := range ops {
 			key := uint64(op % 256)
-			switch op % 3 {
-			case 0, 1:
-				val := []byte(fmt.Sprintf("val-%d-%d", key, op))
-				if err := tbl.Put(key, val); err != nil {
-					return false
-				}
-				ref[key] = val
-			case 2:
-				if _, ok := ref[key]; ok {
-					if err := tbl.Delete(key); err != nil {
-						return false
-					}
-					delete(ref, key)
-				}
+			val := []byte(fmt.Sprintf("val-%d-%d", key, op))
+			if err := tbl.Put(key, val); err != nil {
+				return false
 			}
+			ref[key] = val
 		}
 		if tbl.Rows != uint64(len(ref)) {
 			return false
@@ -327,7 +295,7 @@ func TestHashIndexBasics(t *testing.T) {
 	probes, lookups = probes+accs, lookups+1
 	// Update in place.
 	h.Insert(5, 42)
-	if v, ok := h.Lookup(5); !ok || v != 42 {
+	if v, ok, _, _ := h.SearchBatch(5, acc, &b); !ok || v != 42 {
 		t.Error("update lost")
 	}
 	if h.Size != 100 {
@@ -345,20 +313,21 @@ func TestHashIndexGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := h.FootprintBytes()
+	before := len(h.buckets)
 	for k := uint64(0); k < 10000; k++ {
 		h.Insert(k, k)
 	}
-	if h.FootprintBytes() <= before {
+	if len(h.buckets) <= before {
 		t.Error("table never grew")
 	}
+	var b memmodel.Batcher
 	for k := uint64(0); k < 10000; k += 373 {
-		if v, ok := h.Lookup(k); !ok || v != k {
+		if v, ok, _, _ := h.SearchBatch(k, freeAcc(), &b); !ok || v != k {
 			t.Fatalf("key %d lost across rehashes", k)
 		}
 	}
 	// Load factor maintained.
-	if float64(h.Size) > 0.7*float64(h.FootprintBytes()/HashBucketBytes) {
+	if float64(h.Size) > 0.7*float64(len(h.buckets)) {
 		t.Error("load factor exceeded")
 	}
 }
@@ -369,6 +338,8 @@ func TestHashIndexMatchesReferenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := map[uint64]uint64{}
+	acc := freeAcc()
+	var b memmodel.Batcher
 	f := func(ops []uint32) bool {
 		for _, op := range ops {
 			k, v := uint64(op%4096), uint64(op)
@@ -379,7 +350,7 @@ func TestHashIndexMatchesReferenceProperty(t *testing.T) {
 			return false
 		}
 		for k, want := range ref {
-			if got, ok := h.Lookup(k); !ok || got != want {
+			if got, ok, _, _ := h.SearchBatch(k, acc, &b); !ok || got != want {
 				return false
 			}
 		}

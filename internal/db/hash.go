@@ -135,20 +135,3 @@ func (h *HashIndex) SearchBatch(key uint64, mem memmodel.Accessor, b *memmodel.B
 	accesses = uint64(b.Len())
 	return val, found, b.Flush(mem), accesses
 }
-
-// Lookup is SearchBatch without an accessor (function only).
-func (h *HashIndex) Lookup(key uint64) (uint64, bool) {
-	i := splitmix64(key) & h.mask
-	for h.isLive(i) {
-		if b := h.buckets[i]; b.key == key {
-			return b.val, true
-		}
-		i = (i + 1) & h.mask
-	}
-	return 0, false
-}
-
-// FootprintBytes returns the modeled table size.
-func (h *HashIndex) FootprintBytes() uint64 {
-	return uint64(len(h.buckets)) * HashBucketBytes
-}

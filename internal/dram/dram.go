@@ -64,9 +64,6 @@ func (c *Controller) Access(now sim.Time, a addr.Phys, write bool) sim.Time {
 	return done + c.latency
 }
 
-// Utilization returns the controller's occupancy fraction.
-func (c *Controller) Utilization(elapsed sim.Time) float64 { return c.res.Utilization(elapsed) }
-
 // Bank is the set of controllers of one node plus the socket-interleaved
 // routing between them.
 type Bank struct {

@@ -25,7 +25,7 @@ func TestControllerLatencyAndQueueing(t *testing.T) {
 	if c.Reads != 1 || c.Writes != 1 {
 		t.Errorf("counters = %d/%d", c.Reads, c.Writes)
 	}
-	if c.Utilization(2*p.DRAMOccupancy) != 1 {
+	if c.res.Utilization(2*p.DRAMOccupancy) != 1 {
 		t.Error("controller should be fully occupied")
 	}
 }

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/memmodel"
@@ -16,28 +16,27 @@ import (
 // btreeResidency scales the swap configuration's resident-page budget
 // with the workload so scaled-down runs keep the paper's
 // footprint-vs-local-memory ratio.
-func btreeResidency(o Options) int {
-	r := int(float64(o.P.SwapResidentPages) * o.Scale)
-	if r < 64 {
-		r = 64
-	}
-	return r
-}
+func btreeResidency(o Options) int { return o.scaled(o.P.SwapResidentPages, 64) }
 
 // drawKeys draws the paper's population: n distinct random keys over
-// the dense space [0, 4n). A bitset dedups with the same acceptance
-// sequence as a map at a fraction of the cost (n/2 bytes) — population
-// is pure setup, but at paper scale it was the single largest profile
-// entry.
+// the dense space [0, 4n), returned in ascending order. A bitset dedups
+// with the same acceptance sequence as a map at a fraction of the cost
+// (n/2 bytes), and reading it in word order yields the key set already
+// sorted, so no caller sorts the draw.
 func drawKeys(o Options, n int) []uint64 {
 	rng := rand.New(rand.NewSource(o.Seed))
-	keys := make([]uint64, 0, n)
 	seen := make([]uint64, (4*n+63)/64)
-	for len(keys) < n {
+	for drawn := 0; drawn < n; {
 		k := uint64(rng.Int63n(int64(n) * 4))
 		if seen[k/64]&(1<<(k%64)) == 0 {
 			seen[k/64] |= 1 << (k % 64)
-			keys = append(keys, k)
+			drawn++
+		}
+	}
+	keys := make([]uint64, 0, n)
+	for w, word := range seen {
+		for ; word != 0; word &= word - 1 {
+			keys = append(keys, uint64(w)*64+uint64(bits.TrailingZeros64(word)))
 		}
 	}
 	return keys
@@ -60,11 +59,9 @@ func buildTreeFrom(fanout int, keys []uint64) (*btree.Tree, error) {
 }
 
 // buildTree populates a tree the paper's way: n random keys, bulk-loaded.
-// Sorting the draw here hands the tree its key array without a copy.
+// The sorted draw becomes the tree's key array without a copy.
 func buildTree(o Options, fanout, n int) (*btree.Tree, error) {
-	keys := drawKeys(o, n)
-	slices.Sort(keys)
-	return buildTreeFrom(fanout, keys)
+	return buildTreeFrom(fanout, drawKeys(o, n))
 }
 
 // probeKeys draws a search sweep's lookup keys: count keys uniform over
@@ -144,15 +141,14 @@ func Fig9(o Options) (*stats.Figure, error) {
 	swapSeries := fig.AddSeries("remote swap")
 	remoteSeries := fig.AddSeries("remote memory")
 
-	nKeys := o.scaled(10_000_000, 20_000)
+	nKeys := o.scaled(paperKeys, 20_000)
 	searches := o.scaled(500_000, 1_000)
 	resident := btreeResidency(o)
 
 	fanouts := []int{8, 16, 32, 64, 96, 128, 168, 200, 256, 384, 512, 768, 1024}
 	// Every fanout point populates from the same (seed, n) key set; draw
-	// and sort it once, and every point's tree reads it in place.
+	// it once, and every point's tree reads it in place.
 	sharedKeys := drawKeys(o, nKeys)
-	slices.Sort(sharedKeys)
 	probes := probeKeys(o, int64(nKeys)*4, searches)
 	type fanoutPoint struct{ swap, remote float64 }
 	points, err := runner.Map(o.Parallel, len(fanouts), func(i int) (fanoutPoint, error) {
@@ -194,7 +190,7 @@ func Fig10(o Options) (*stats.Figure, error) {
 
 	searches := o.scaled(500_000, 1_000)
 	resident := btreeResidency(o)
-	base := o.scaled(10_000_000, 20_000)
+	base := o.scaled(paperKeys, 20_000)
 	fracs := []float64{0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0}
 	type sizePoint struct {
 		n            int

@@ -66,19 +66,32 @@ func DefaultOptions() Options {
 }
 
 // Validate reports why o cannot run: Scale must be positive and finite,
-// Parallel must not be negative, and the calibration must pass
-// params.Validate. Every generator Lookup
+// every count it scales must fit an int, Parallel must not be negative,
+// and the calibration must pass params.Validate. Every generator Lookup
 // returns checks it first, so the facade's RunExperiment refuses a bad
 // option set before any system is built.
 func (o Options) Validate() error {
 	if !(o.Scale > 0) || math.IsInf(o.Scale, 1) {
 		return fmt.Errorf("experiments: Scale must be positive and finite (got %v)", o.Scale)
 	}
+	// The largest counts scaled are the paper's key population and the
+	// swap residency. Past MaxInt64 a float-to-int conversion is
+	// implementation-defined (amd64 yields MinInt64), so every count
+	// would silently fall to its floor.
+	for _, base := range []int{paperKeys, o.P.SwapResidentPages} {
+		if float64(base)*o.Scale >= math.MaxInt64 {
+			return fmt.Errorf("experiments: Scale %v overflows the scaled count %d × %v", o.Scale, base, o.Scale)
+		}
+	}
 	if o.Parallel < 0 {
 		return fmt.Errorf("experiments: Parallel must be 0 (all cores) or a worker count (got %d)", o.Parallel)
 	}
 	return o.P.Validate()
 }
+
+// paperKeys is the paper's b-tree population (Figures 9 and 10,
+// Ablation G), the largest base count a generator scales.
+const paperKeys = 10_000_000
 
 // scaled applies Scale to a base count with a floor.
 func (o Options) scaled(base, floor int) int {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -539,7 +541,21 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("Scale %v: err = %v", scale, err)
 		}
 	}
+	// A count past MaxInt64 would convert to MinInt64 on amd64 and
+	// silently run every point at its floor size.
+	for _, scale := range []float64{1e12, 1e20} {
+		o := testOptions()
+		o.Scale = scale
+		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "overflows the scaled count") {
+			t.Errorf("Scale %v: err = %v", scale, err)
+		}
+	}
 	o := testOptions()
+	o.Scale = 1e11 // 10M keys × 1e11 = 1e18 still fits an int
+	if err := o.Validate(); err != nil {
+		t.Errorf("Scale 1e11 refused: %v", err)
+	}
+	o = testOptions()
 	o.Parallel = -1
 	if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "Parallel must be 0 (all cores) or a worker count (got -1)") {
 		t.Errorf("Parallel -1: err = %v", err)
@@ -585,6 +601,28 @@ func TestAblationIndexesShape(t *testing.T) {
 	for _, s := range [][]float64{bt, h} {
 		if !(s[0] < s[1] && s[1] < s[2]) {
 			t.Errorf("config ordering violated: %v", s)
+		}
+	}
+}
+
+// TestDrawKeysSorted: the bitset read in word order is the draw's key
+// set, sorted: the same distinct keys a map-deduped draw from the same
+// stream accepts, in ascending order.
+func TestDrawKeysSorted(t *testing.T) {
+	o := testOptions()
+	for _, n := range []int{0, 1, 63, 64, 65, 5000} {
+		rng := rand.New(rand.NewSource(o.Seed))
+		seen := map[uint64]bool{}
+		var want []uint64
+		for len(want) < n {
+			if k := uint64(rng.Int63n(int64(n) * 4)); !seen[k] {
+				seen[k] = true
+				want = append(want, k)
+			}
+		}
+		slices.Sort(want)
+		if got := drawKeys(o, n); !slices.Equal(got, want) {
+			t.Errorf("n=%d: drawKeys is not the sorted draw", n)
 		}
 	}
 }

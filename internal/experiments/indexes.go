@@ -22,7 +22,7 @@ func AblationIndexes(o Options) (*stats.Figure, error) {
 	btSeries := fig.AddSeries("b-tree (fanout 168)")
 	hSeries := fig.AddSeries("hash index")
 
-	nKeys := o.scaled(10_000_000, 20_000)
+	nKeys := o.scaled(paperKeys, 20_000)
 	searches := o.scaled(500_000, 1_000)
 	resident := btreeResidency(o)
 

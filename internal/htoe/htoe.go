@@ -185,18 +185,4 @@ func (f *Fabric) DeliverExpress(sim.Time, addr.NodeID, addr.NodeID, int) (sim.Ti
 	return 0, fmt.Errorf("htoe: switched fabrics have no express links")
 }
 
-// SwitchUtilization reports the shared switch's occupancy fraction.
-func (f *Fabric) SwitchUtilization(elapsed sim.Time) float64 { return f.sw.Utilization(elapsed) }
-
 func (f *Fabric) contains(n addr.NodeID) bool { return n >= 1 && int(n) <= f.nodes }
-
-// RoundTrip returns the unloaded round-trip estimate for a cache-line
-// read over this fabric (request + response traversals plus the remote
-// service terms supplied by the caller).
-func (f *Fabric) RoundTrip(serviceTerms params.Duration) params.Duration {
-	// One line-sized frame serializes on the uplink and the downlink and
-	// crosses the (unloaded) switch.
-	oneWay := f.cfg.NICLatency*2 + f.cfg.WireLatency*2 + f.cfg.SwitchLatency +
-		f.cfg.SwitchOccupancy + 2*f.serialize(FrameOverhead+72)
-	return 2*oneWay + serviceTerms
-}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/addr"
-	"repro/internal/params"
 )
 
 func fabric(t *testing.T, nodes int) *Fabric {
@@ -100,7 +99,7 @@ func TestSwitchIsTheSharedBottleneck(t *testing.T) {
 	if t2-t1 != DefaultConfig().SwitchOccupancy {
 		t.Errorf("switch serialization gap = %d", t2-t1)
 	}
-	if u := f.SwitchUtilization(t2); u <= 0 {
+	if u := f.sw.Utilization(t2); u <= 0 {
 		t.Error("switch utilization not tracked")
 	}
 }
@@ -131,17 +130,4 @@ func TestOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	f.Deliver(0, 1, 9, 72)
-}
-
-func TestRoundTripEstimate(t *testing.T) {
-	f := fabric(t, 4)
-	service := 300 * params.Nanosecond
-	rt := f.RoundTrip(service)
-	measured, _ := f.Deliver(0, 1, 2, 72)
-	// The estimate covers two traversals plus service; one unloaded
-	// traversal must be about half of (rt - service).
-	oneWay := (rt - service) / 2
-	if measured < oneWay-DefaultConfig().SwitchOccupancy || measured > oneWay+DefaultConfig().SwitchOccupancy {
-		t.Errorf("estimate one-way %d vs measured %d", oneWay, measured)
-	}
 }

@@ -418,10 +418,7 @@ func TestProtectionEndToEnd(t *testing.T) {
 		t.Errorf("stranger read = %v, want TgtAbort", got)
 	}
 	// Releasing the grant revokes access for everyone.
-	if err := region.UnmapBorrowed(rng); err != nil {
-		t.Fatal(err)
-	}
-	if err := region.Shrink(rng); err != nil {
+	if err := region.Agent().ReleaseRemote(rng); err != nil {
 		t.Fatal(err)
 	}
 	if got := read(1); got != ht.CmdTgtAbort {
@@ -635,8 +632,8 @@ func TestSoak(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The traffic range was used by physical address (never
-			// mapped), so it shrinks directly.
-			if err := region.Shrink(rng); err != nil {
+			// mapped), so it goes straight back to its donor.
+			if err := region.Agent().ReleaseRemote(rng); err != nil {
 				t.Fatal(err)
 			}
 		}

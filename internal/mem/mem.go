@@ -107,39 +107,3 @@ func (s *Store) WriteAt(a addr.Phys, src []byte) error {
 	}
 	return nil
 }
-
-// ReadUint64 reads a little-endian 8-byte word, the granule pointer-based
-// data structures (the b-tree) use.
-func (s *Store) ReadUint64(a addr.Phys) (uint64, error) {
-	var buf [8]byte
-	if err := s.ReadAt(a, buf[:]); err != nil {
-		return 0, err
-	}
-	return le64(buf[:]), nil
-}
-
-// WriteUint64 writes a little-endian 8-byte word.
-func (s *Store) WriteUint64(a addr.Phys, v uint64) error {
-	var buf [8]byte
-	put64(buf[:], v)
-	return s.WriteAt(a, buf[:])
-}
-
-// ResidentBytes returns the bytes currently materialized.
-func (s *Store) ResidentBytes() uint64 { return uint64(len(s.frames)) * params.PageSize }
-
-func le64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func put64(b []byte, v uint64) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}

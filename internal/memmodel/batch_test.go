@@ -127,7 +127,7 @@ func stateSig(acc Accessor) string {
 	case Local, Remote:
 		return "stateless"
 	case *Swap:
-		c := a.Cache()
+		c := a.cache
 		return fmt.Sprintf("swap{h=%d m=%d ev=%d dev=%d res=%d}",
 			c.Hits, c.Misses, c.Evictions, c.DirtyEvictions, c.Resident())
 	case *Striped:

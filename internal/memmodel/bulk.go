@@ -22,9 +22,6 @@ type BulkPricer interface {
 	// BulkRead returns the completion time of gathering lines remote
 	// cache lines in one operation.
 	BulkRead(lines int) params.Duration
-	// BulkWrite returns the completion time of scattering lines cache
-	// lines in one operation.
-	BulkWrite(lines int) params.Duration
 }
 
 // BulkModel prices bulk transfers by running them. Hops 0 prices local
@@ -37,12 +34,7 @@ type BulkModel struct {
 	P    params.Params
 	Hops int
 
-	cache map[bulkKey]params.Duration
-}
-
-type bulkKey struct {
-	write bool
-	lines int
+	cache map[int]params.Duration
 }
 
 // NewBulkModel builds a pricer at the given mesh distance.
@@ -50,14 +42,22 @@ func NewBulkModel(p params.Params, hops int) (*BulkModel, error) {
 	if hops < 0 || hops > 64 {
 		return nil, fmt.Errorf("memmodel: bulk model at %d hops", hops)
 	}
-	return &BulkModel{P: p, Hops: hops, cache: make(map[bulkKey]params.Duration)}, nil
+	return &BulkModel{P: p, Hops: hops, cache: make(map[int]params.Duration)}, nil
 }
 
-// BulkRead implements BulkPricer.
-func (m *BulkModel) BulkRead(lines int) params.Duration { return m.price(lines, false) }
-
-// BulkWrite implements BulkPricer.
-func (m *BulkModel) BulkWrite(lines int) params.Duration { return m.price(lines, true) }
+// BulkRead implements BulkPricer; each line count runs once and is
+// cached.
+func (m *BulkModel) BulkRead(lines int) params.Duration {
+	if lines <= 0 {
+		return 0
+	}
+	if d, ok := m.cache[lines]; ok {
+		return d
+	}
+	d := m.run(lines)
+	m.cache[lines] = d
+	return d
+}
 
 // Name identifies the model in figure notes.
 func (m *BulkModel) Name() string {
@@ -67,19 +67,6 @@ func (m *BulkModel) Name() string {
 	return fmt.Sprintf("bulk remote (%d hops)", m.Hops)
 }
 
-func (m *BulkModel) price(lines int, write bool) params.Duration {
-	if lines <= 0 {
-		return 0
-	}
-	k := bulkKey{write: write, lines: lines}
-	if d, ok := m.cache[k]; ok {
-		return d
-	}
-	d := m.run(lines, write)
-	m.cache[k] = d
-	return d
-}
-
 // run builds a 1×(hops+1) mesh with a client at one end and the serving
 // node at the other — at 0 hops a 1×1 mesh whose client owns the spans,
 // so its memory controllers serve them — issues the transfer as bursts,
@@ -87,7 +74,7 @@ func (m *BulkModel) price(lines int, write bool) params.Duration {
 // shard and without a fault plan: a price belongs to the calibration,
 // not to a run's faults. It is the first row of the configured mesh, so
 // only the link-latency overrides of that row carry over.
-func (m *BulkModel) run(lines int, write bool) params.Duration {
+func (m *BulkModel) run(lines int) params.Duration {
 	p := m.P
 	p.MeshWidth, p.MeshHeight, p.Shards = m.Hops+1, 1, 1
 	p.Fabric, p.Faults = params.FabricMesh, nil
@@ -102,10 +89,6 @@ func (m *BulkModel) run(lines int, write bool) params.Duration {
 		panic(fmt.Sprintf("memmodel: bulk pricing rig: %v", err))
 	}
 	client, dst := c.MustNode(1), addr.NodeID(m.Hops+1)
-	kind := rmc.BulkRead
-	if write {
-		kind = rmc.BulkWrite
-	}
 	// Issue the burst set the core layer would emit for this many
 	// lines: full bursts concurrently, contending at the client RMC (or,
 	// local, queueing at the controllers).
@@ -118,7 +101,7 @@ func (m *BulkModel) run(lines int, write bool) params.Duration {
 			start = start.WithNode(dst)
 		}
 		req := rmc.BulkRequest{
-			Kind:  kind,
+			Kind:  rmc.BulkRead,
 			Spans: []rmc.Span{{Start: start, Lines: n}},
 			Done: func(t sim.Time, err error) {
 				if err != nil {
@@ -128,9 +111,6 @@ func (m *BulkModel) run(lines int, write bool) params.Duration {
 					last = t
 				}
 			},
-		}
-		if write {
-			req.Data = make([]byte, n*params.CacheLineSize)
 		}
 		if err := client.IssueBulk(0, req); err != nil {
 			panic(fmt.Sprintf("memmodel: bulk pricing request: %v", err))

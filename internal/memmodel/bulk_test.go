@@ -45,10 +45,6 @@ func TestBulkModelCachesAndScales(t *testing.T) {
 	if near.BulkRead(128) >= m.BulkRead(128) {
 		t.Error("price not monotone in hop distance")
 	}
-	// Writes price through the same machinery.
-	if m.BulkWrite(64) <= 0 {
-		t.Error("write burst priced at zero")
-	}
 	// Transfers past one burst's geometry still price (split bursts).
 	big := m.BulkRead(p.BurstMaxLines() + 64)
 	if big <= m.BulkRead(p.BurstMaxLines()) {

@@ -124,9 +124,6 @@ func (s *Swap) AccessBatch(ops []AccessOp) params.Duration {
 // Name implements Accessor.
 func (s *Swap) Name() string { return s.name }
 
-// Cache exposes the residency set for inspection.
-func (s *Swap) Cache() *swap.PageCache { return s.cache }
-
 // Config names a standard configuration for experiment drivers.
 type Config int
 

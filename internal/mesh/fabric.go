@@ -179,9 +179,6 @@ func (f *Fabric) linkIndex(from, to addr.NodeID) (int, bool) {
 	return 0, false
 }
 
-// Topology returns the fabric's geometry.
-func (f *Fabric) Topology() Topology { return f.topo }
-
 // AddExpressLink installs a dedicated bidirectional point-to-point link
 // between two nodes (one spare HTX connector each). Traffic only uses it
 // via DeliverExpress. In a sharded run, call it only with the shard set

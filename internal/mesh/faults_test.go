@@ -49,7 +49,7 @@ func TestRerouteAroundDownLink(t *testing.T) {
 		Seed:      1,
 		LinkDowns: []faults.LinkWindow{{From: 1, To: 2, Window: faults.Window{Start: 0, End: 1 << 40}}},
 	})
-	topo := f.Topology()
+	topo := f.topo
 	out := f.DeliverOutcome(0, 1, 2, 72)
 	if out.Status != faults.Delivered {
 		t.Fatalf("status = %v, want delivered via detour", out.Status)
@@ -120,7 +120,7 @@ func TestHopCapBoundsWandering(t *testing.T) {
 			{From: 8, To: 4, Window: win},
 		},
 	})
-	topo := f.Topology()
+	topo := f.topo
 	out := f.DeliverOutcome(0, 1, 4, 72)
 	if out.Status != faults.Unreachable {
 		t.Fatalf("status = %v, want unreachable", out.Status)

@@ -140,7 +140,7 @@ func TestMinDelayMatrixLowerBoundsDelivery(t *testing.T) {
 			}
 			fab, part := newLookaheadFabric(t, 8, 8, 4, p, inj)
 			b := fab.MinDelayMatrix(part)
-			n := fab.Topology().Nodes()
+			n := fab.topo.Nodes()
 			now := sim.Time(0)
 			for src := addr.NodeID(1); int(src) <= n; src++ {
 				for dst := addr.NodeID(1); int(dst) <= n; dst++ {

@@ -1,10 +1,9 @@
 package mesh
 
 import (
+	"strconv"
 	"testing"
-	"testing/quick"
 
-	"repro/internal/addr"
 	"repro/internal/metrics"
 	"repro/internal/params"
 	"repro/internal/sim"
@@ -68,43 +67,31 @@ func TestCoordPanics(t *testing.T) {
 	}
 }
 
+// TestHopsAndPath: a frame takes the XY dimension-order route, Hops
+// links long and X first: from (0,0) to (3,2) it crosses the first row
+// to column 3, then turns down column 3.
 func TestHopsAndPath(t *testing.T) {
+	eng := sim.New()
 	topo := topo4x4(t)
+	f := NewFabric(eng.Metrics(), topo, params.Default(), nil)
 	a, b := topo.NodeAt(0, 0), topo.NodeAt(3, 2)
 	if got := topo.Hops(a, b); got != 5 {
 		t.Errorf("Hops = %d, want 5", got)
 	}
-	path := topo.Path(a, b)
-	if len(path) != 6 {
-		t.Fatalf("path length %d, want 6", len(path))
+	if out := f.DeliverOutcome(0, a, b, 72); out.Hops != 5 {
+		t.Fatalf("route took %d hops, want 5", out.Hops)
 	}
-	if path[0] != a || path[len(path)-1] != b {
-		t.Error("path endpoints wrong")
-	}
-	// XY: X moves first. Second node should be (1,0).
-	if path[1] != topo.NodeAt(1, 0) {
-		t.Errorf("XY routing violated: second hop %d", path[1])
-	}
-}
-
-func TestPathLegalityProperty(t *testing.T) {
-	topo := topo4x4(t)
-	f := func(ai, bi uint8) bool {
-		a := addr.NodeID(ai%16) + 1
-		b := addr.NodeID(bi%16) + 1
-		path := topo.Path(a, b)
-		if len(path)-1 != topo.Hops(a, b) {
-			return false // XY is minimal on a mesh
+	snap := eng.Metrics().Snapshot()
+	path := [][2]int{{0, 0}, {1, 0}, {2, 0}, {3, 0}, {3, 1}, {3, 2}}
+	for i := 0; i+1 < len(path); i++ {
+		from, to := topo.NodeAt(path[i][0], path[i][1]), topo.NodeAt(path[i+1][0], path[i+1][1])
+		ls := metrics.L("from", strconv.Itoa(int(from)), "to", strconv.Itoa(int(to)))
+		if v, _ := snap.Value(metrics.FamMeshLinkFrames, ls); v != 1 {
+			t.Errorf("link %d->%d carried %v frames, want 1", from, to, v)
 		}
-		for i := 0; i+1 < len(path); i++ {
-			if topo.Hops(path[i], path[i+1]) != 1 {
-				return false // every step is one mesh link
-			}
-		}
-		return path[0] == a && path[len(path)-1] == b
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	if got := snap.Total(metrics.FamMeshLinkFrames); got != 5 {
+		t.Errorf("%v link crossings, want 5", got)
 	}
 }
 
@@ -170,7 +157,7 @@ func TestFabricSelfDelivery(t *testing.T) {
 func TestFabricContention(t *testing.T) {
 	p := params.Default()
 	f := NewFabric(metrics.NewRegistry(), topo4x4(t), p, nil)
-	topo := f.Topology()
+	topo := f.topo
 	src, dst := topo.NodeAt(0, 0), topo.NodeAt(1, 0)
 	// Two simultaneous frames on one link: the second serializes behind
 	// the first.
@@ -187,7 +174,7 @@ func TestFabricContention(t *testing.T) {
 func TestFabricLargeTransferScalesOccupancy(t *testing.T) {
 	p := params.Default()
 	f := NewFabric(metrics.NewRegistry(), topo4x4(t), p, nil)
-	topo := f.Topology()
+	topo := f.topo
 	src, dst := topo.NodeAt(0, 0), topo.NodeAt(1, 0)
 	small := f.DeliverOutcome(0, src, dst, 64).Arrive
 	f2 := NewFabric(metrics.NewRegistry(), topo, p, nil)

@@ -63,26 +63,6 @@ func (t Topology) Hops(a, b addr.NodeID) int {
 	return abs(ax-bx) + abs(ay-by)
 }
 
-// Path returns the XY dimension-order route from a to b, inclusive of
-// both endpoints: the packet first travels along X to the destination
-// column, then along Y. Dimension-order routing is deadlock-free on a
-// mesh, which is why the prototype's simple switches can use it.
-func (t Topology) Path(a, b addr.NodeID) []addr.NodeID {
-	ax, ay := t.Coord(a)
-	bx, by := t.Coord(b)
-	path := []addr.NodeID{a}
-	x, y := ax, ay
-	for x != bx {
-		x += sign(bx - x)
-		path = append(path, t.NodeAt(x, y))
-	}
-	for y != by {
-		y += sign(by - y)
-		path = append(path, t.NodeAt(x, y))
-	}
-	return path
-}
-
 // Neighbors returns the mesh neighbors of a node.
 func (t Topology) Neighbors(n addr.NodeID) []addr.NodeID {
 	x, y := t.Coord(n)

@@ -145,12 +145,6 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[i]++
 }
 
-// N returns the sample count.
-func (h *Histogram) N() uint64 { return h.n }
-
-// Sum returns the total of all samples.
-func (h *Histogram) Sum() int64 { return h.sum }
-
 // NewHistogram returns an empty histogram over bounds, which must be
 // strictly ascending and at most 255 long; it keeps the slice, so the
 // caller must not modify it afterwards. The component that observes

@@ -75,11 +75,11 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []int64{5, 10, 11, 60, -3} {
 		h.Observe(v)
 	}
-	if h.N() != 5 {
-		t.Fatalf("N = %d want 5", h.N())
+	if h.n != 5 {
+		t.Fatalf("n = %d want 5", h.n)
 	}
-	if h.Sum() != 5+10+11+60+0 {
-		t.Fatalf("Sum = %d want 86", h.Sum())
+	if h.sum != 5+10+11+60+0 {
+		t.Fatalf("sum = %d want 86", h.sum)
 	}
 	s := r.Snapshot()
 	f := s.Family("ncdsm_test_latency_seconds")

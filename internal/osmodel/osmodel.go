@@ -92,9 +92,6 @@ func (a *Agent) FreePrivate(r addr.Range) error {
 // PrivateFree returns the free bytes in the private zone.
 func (a *Agent) PrivateFree() uint64 { return a.priv.Free() }
 
-// PooledFree returns the free bytes remaining in the donatable zone.
-func (a *Agent) PooledFree() uint64 { return a.pool.Free() }
-
 // Grant is the donor half of Figure 4: reserve a contiguous pooled
 // extent, pin it (the pooled zone is never handed to local processes, so
 // pinning is structural), and return the range *prefixed with this

@@ -63,8 +63,8 @@ func TestZonesAndRegistration(t *testing.T) {
 	if a.PrivateFree() != p.PrivateMemPerNode {
 		t.Errorf("PrivateFree = %d", a.PrivateFree())
 	}
-	if a.PooledFree() != p.PooledMemPerNode() {
-		t.Errorf("PooledFree = %d", a.PooledFree())
+	if a.pool.Free() != p.PooledMemPerNode() {
+		t.Errorf("pooled zone free = %d", a.pool.Free())
 	}
 	if w.dir.TotalFree() != p.PoolSize() {
 		t.Errorf("directory pool = %d, want 128 GiB", w.dir.TotalFree())
@@ -106,8 +106,8 @@ func TestReservationProtocolFig4(t *testing.T) {
 	if r.Size != 4<<30 {
 		t.Errorf("grant size = %d", r.Size)
 	}
-	if err := r.CheckSameNode(); err != nil {
-		t.Error(err)
+	if last := r.End() - 1; last.Node() != donorID {
+		t.Errorf("grant %v ends on node %d", r, last.Node())
 	}
 
 	donor := w.agents[donorID]

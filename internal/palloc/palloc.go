@@ -112,11 +112,6 @@ func (a *Allocator) Release(r addr.Range) error {
 	return nil
 }
 
-// Contains reports whether the extent lies inside the allocator's zone.
-func (a *Allocator) Contains(r addr.Range) bool {
-	return r.Start >= a.zone.Start && r.End() <= a.zone.End()
-}
-
 func roundUp(n uint64) uint64 {
 	return (n + params.PageSize - 1) &^ uint64(params.PageSize-1)
 }

@@ -22,8 +22,6 @@ type Detector struct {
 
 	// last maps a core to its previous demand-miss line.
 	last map[int]addr.Phys
-	// streaming marks cores currently in a detected stream.
-	streaming map[int]bool
 	// inflight suppresses duplicate prefetches for lines already asked
 	// for; the owner clears entries via Completed.
 	inflight map[addr.Phys]bool
@@ -47,14 +45,10 @@ func New(depth int, lineSize uint64) (*Detector, error) {
 		// Depth 0 never writes them, and reads and deletes on nil maps
 		// are safe, so a disabled detector is one allocation.
 		d.last = make(map[int]addr.Phys)
-		d.streaming = make(map[int]bool)
 		d.inflight = make(map[addr.Phys]bool)
 	}
 	return d, nil
 }
-
-// Depth returns the configured prefetch distance.
-func (d *Detector) Depth() int { return d.depth }
 
 // Observe records a demand miss by core on the given (line-aligned)
 // address and returns the lines to prefetch — empty unless the core is
@@ -69,10 +63,8 @@ func (d *Detector) Observe(core int, line addr.Phys) []addr.Phys {
 	prev, seen := d.last[core]
 	d.last[core] = line
 	if !seen || line != prev+addr.Phys(d.lineSize) {
-		d.streaming[core] = false
 		return nil
 	}
-	d.streaming[core] = true
 
 	var out []addr.Phys
 	owner := line.Node()
@@ -92,12 +84,6 @@ func (d *Detector) Observe(core int, line addr.Phys) []addr.Phys {
 	return out
 }
 
-// Streaming reports whether the core is in a detected stream.
-func (d *Detector) Streaming(core int) bool { return d.streaming[core] }
-
 // Completed clears the in-flight mark once a prefetch fill arrives (or
 // fails), re-allowing the line.
 func (d *Detector) Completed(line addr.Phys) { delete(d.inflight, line) }
-
-// InflightCount returns the number of outstanding prefetches.
-func (d *Detector) InflightCount() int { return len(d.inflight) }

@@ -24,8 +24,8 @@ func TestNewValidation(t *testing.T) {
 		t.Error("non-power-of-two line accepted")
 	}
 	d := det(t, 4)
-	if d.Depth() != 4 {
-		t.Errorf("Depth = %d", d.Depth())
+	if d.depth != 4 {
+		t.Errorf("depth = %d", d.depth)
 	}
 }
 
@@ -41,8 +41,8 @@ func TestDisabledDetectorIsSilent(t *testing.T) {
 		t.Error("disabled detector counted observations")
 	}
 	d.Completed(base)
-	if d.Streaming(0) || d.InflightCount() != 0 {
-		t.Error("disabled detector reports a stream or an in-flight prefetch")
+	if len(d.inflight) != 0 {
+		t.Error("disabled detector reports an in-flight prefetch")
 	}
 	if n := testing.AllocsPerRun(10, func() { det(t, 0) }); n != 1 {
 		t.Errorf("a disabled detector costs %v allocations, want 1", n)
@@ -55,9 +55,6 @@ func TestStreamDetection(t *testing.T) {
 	// First miss: no history, no prefetch.
 	if got := d.Observe(0, base); len(got) != 0 {
 		t.Fatalf("first miss prefetched %v", got)
-	}
-	if d.Streaming(0) {
-		t.Error("streaming declared after one miss")
 	}
 	// Second consecutive miss: stream detected, 3 lines ahead.
 	got := d.Observe(0, base+64)
@@ -72,9 +69,6 @@ func TestStreamDetection(t *testing.T) {
 		if pf.Node() != 2 {
 			t.Error("prefetch lost node prefix")
 		}
-	}
-	if !d.Streaming(0) {
-		t.Error("streaming not declared")
 	}
 	// Third miss (continuing): overlapping window is suppressed.
 	got = d.Observe(0, base+128)
@@ -94,9 +88,6 @@ func TestRandomAccessNeverPrefetches(t *testing.T) {
 		if got := d.Observe(1, base+addr.Phys(off)); len(got) != 0 {
 			t.Fatalf("random pattern prefetched %v", got)
 		}
-	}
-	if d.Streaming(1) {
-		t.Error("random pattern declared streaming")
 	}
 }
 
@@ -119,7 +110,7 @@ func TestNodeBoundaryClamp(t *testing.T) {
 	// A stream right at the top of node 2's segment must not run into
 	// node 3's prefix.
 	top := addr.NodeBase(3) - 64*3 // three lines below node 3's base
-	d.Observe(0, top.Page(64))
+	d.Observe(0, top.Line(64))
 	got := d.Observe(0, top+64)
 	for _, pf := range got {
 		if pf.Node() != 2 {
@@ -139,11 +130,11 @@ func TestCompletedReallows(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatal("no prefetch")
 	}
-	if d.InflightCount() != 1 {
-		t.Errorf("InflightCount = %d", d.InflightCount())
+	if len(d.inflight) != 1 {
+		t.Errorf("in flight = %d", len(d.inflight))
 	}
 	d.Completed(got[0])
-	if d.InflightCount() != 0 {
+	if len(d.inflight) != 0 {
 		t.Error("Completed did not clear inflight")
 	}
 	// Re-detecting the same spot re-issues.

@@ -116,15 +116,6 @@ func (h *Heap) Free(ptr vm.Virt) error {
 	return nil
 }
 
-// SizeOf returns the allocation size of a live pointer.
-func (h *Heap) SizeOf(ptr vm.Virt) (uint64, error) {
-	size, ok := h.live[ptr]
-	if !ok {
-		return 0, fmt.Errorf("rmalloc: unknown pointer %#x", uint64(ptr))
-	}
-	return size, nil
-}
-
 // carve removes a first-fit block from the free list.
 func (h *Heap) carve(size uint64) (vm.Virt, bool) {
 	for i, f := range h.free {
@@ -281,36 +272,4 @@ func (h *Heap) Chunks() map[vm.Virt]addr.Range {
 		out[k] = v
 	}
 	return out
-}
-
-// ArenaBytes returns the total physical bytes backing the heap.
-func (h *Heap) ArenaBytes() uint64 {
-	var total uint64
-	for _, c := range h.chunks {
-		total += c.Size
-	}
-	return total
-}
-
-// LiveAllocs returns the number of outstanding allocations.
-func (h *Heap) LiveAllocs() int { return len(h.live) }
-
-// Release tears the heap down, returning every chunk to the backing.
-// Outstanding allocations are an error: the caller leaks intentionally
-// or frees first.
-func (h *Heap) Release() error {
-	if len(h.live) > 0 {
-		return fmt.Errorf("rmalloc: %d live allocations at release", len(h.live))
-	}
-	for base, phys := range h.chunks {
-		if err := h.as.Unmap(base, vm.PagesFor(phys.Size)); err != nil {
-			return err
-		}
-		if err := h.backing.ReleaseChunk(phys); err != nil {
-			return err
-		}
-		delete(h.chunks, base)
-	}
-	h.free = nil
-	return nil
 }

@@ -86,11 +86,11 @@ func TestMallocMapsMemory(t *testing.T) {
 	if h.Grows != 1 || b.used != 1<<20 {
 		t.Errorf("grow accounting: Grows=%d used=%d", h.Grows, b.used)
 	}
-	if sz, err := h.SizeOf(ptr); err != nil || sz != 112 { // rounded to 16
-		t.Errorf("SizeOf = %d, %v", sz, err)
+	if sz := h.live[ptr]; sz != 112 { // rounded to 16
+		t.Errorf("allocation size = %d, want 112", sz)
 	}
-	if h.Used != 112 || h.LiveAllocs() != 1 {
-		t.Errorf("Used=%d LiveAllocs=%d", h.Used, h.LiveAllocs())
+	if h.Used != 112 || len(h.live) != 1 {
+		t.Errorf("Used=%d live=%d", h.Used, len(h.live))
 	}
 }
 
@@ -115,13 +115,13 @@ func TestChunkReuseAcrossAllocs(t *testing.T) {
 }
 
 func TestLargeAllocationGetsOwnChunk(t *testing.T) {
-	h, _, _ := newHeap(t, 1<<30, 1<<20)
+	h, b, _ := newHeap(t, 1<<30, 1<<20)
 	ptr, err := h.Malloc(5 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.ArenaBytes() < 5<<20 {
-		t.Errorf("ArenaBytes = %d", h.ArenaBytes())
+	if b.used < 5<<20 {
+		t.Errorf("arena bytes = %d", b.used)
 	}
 	if err := h.Free(ptr); err != nil {
 		t.Fatal(err)
@@ -194,26 +194,6 @@ func TestCoalescingEnablesBigAlloc(t *testing.T) {
 	}
 }
 
-func TestRelease(t *testing.T) {
-	h, b, as := newHeap(t, 1<<30, 1<<20)
-	p, _ := h.Malloc(64)
-	if err := h.Release(); err == nil {
-		t.Error("release with live allocations accepted")
-	}
-	if err := h.Free(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if b.releases != 1 || len(b.acquired) != 0 {
-		t.Errorf("chunks not returned: releases=%d", b.releases)
-	}
-	if as.MappedPages() != 0 {
-		t.Errorf("release left %d pages mapped", as.MappedPages())
-	}
-}
-
 // TestHeapInvariantsProperty drives random malloc/free and checks that
 // live allocations never overlap and Used accounting is exact.
 func TestHeapInvariantsProperty(t *testing.T) {
@@ -248,7 +228,7 @@ func TestHeapInvariantsProperty(t *testing.T) {
 				used -= live[i].size
 				live = append(live[:i], live[i+1:]...)
 			}
-			if h.Used != used || h.LiveAllocs() != len(live) {
+			if h.Used != used || len(h.live) != len(live) {
 				return false
 			}
 		}
@@ -312,7 +292,7 @@ func TestTrimReleasesIdleArenas(t *testing.T) {
 }
 
 func TestTrimThenReleaseCleanly(t *testing.T) {
-	h, b, _ := newHeap(t, 8<<20, 1<<20)
+	h, b, as := newHeap(t, 8<<20, 1<<20)
 	ptr, err := h.Malloc(100)
 	if err != nil {
 		t.Fatal(err)
@@ -320,13 +300,14 @@ func TestTrimThenReleaseCleanly(t *testing.T) {
 	if err := h.Free(ptr); err != nil {
 		t.Fatal(err)
 	}
+	// With nothing live, Trim returns every arena and unmaps its pages.
 	if _, err := h.Trim(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Release(); err != nil {
 		t.Fatal(err)
 	}
 	if len(b.acquired) != 0 {
 		t.Error("chunks leaked")
+	}
+	if _, err := as.Translate(ptr); err == nil {
+		t.Error("trimmed arena still mapped")
 	}
 }

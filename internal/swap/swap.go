@@ -150,16 +150,8 @@ func (c *PageCache) idxDelete(page uint64) {
 	c.idx[i] = nilSlot
 }
 
-// Capacity returns the resident-page limit.
-func (c *PageCache) Capacity() int { return c.capacity }
-
 // Resident returns the current resident-page count.
 func (c *PageCache) Resident() int { return c.resident }
-
-// IsResident reports whether a page is currently resident.
-func (c *PageCache) IsResident(page uint64) bool {
-	return c.idxLookup(page) != nilSlot
-}
 
 // TouchResult describes what one page touch did.
 type TouchResult struct {

@@ -27,11 +27,11 @@ func TestTouchHitMiss(t *testing.T) {
 	if c.Hits != 1 || c.Misses != 1 || c.Resident() != 1 {
 		t.Errorf("counters: hits=%d misses=%d resident=%d", c.Hits, c.Misses, c.Resident())
 	}
-	if !c.IsResident(1) || c.IsResident(2) {
-		t.Error("IsResident wrong")
+	if c.idxLookup(1) == nilSlot || c.idxLookup(2) != nilSlot {
+		t.Error("residency wrong")
 	}
-	if c.Capacity() != 2 {
-		t.Error("Capacity wrong")
+	if c.capacity != 2 {
+		t.Error("capacity wrong")
 	}
 }
 
@@ -44,7 +44,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if !r.DidEvict || r.Evicted != 2 {
 		t.Errorf("evicted %v, want page 2", r)
 	}
-	if !c.IsResident(1) || c.IsResident(2) {
+	if c.idxLookup(1) == nilSlot || c.idxLookup(2) != nilSlot {
 		t.Error("LRU order violated")
 	}
 }
@@ -79,7 +79,7 @@ func TestFlush(t *testing.T) {
 	if dirty := c.Flush(); dirty != 2 {
 		t.Errorf("Flush returned %d dirty, want 2", dirty)
 	}
-	if c.Resident() != 0 || c.IsResident(1) {
+	if c.Resident() != 0 || c.idxLookup(1) != nilSlot {
 		t.Error("flush left pages resident")
 	}
 	// The cache is immediately reusable.

@@ -106,9 +106,6 @@ func (as *AddressSpace) Translate(va Virt) (addr.Phys, error) {
 	return frame + addr.Phys(va.Offset()), nil
 }
 
-// MappedPages returns the number of installed translations.
-func (as *AddressSpace) MappedPages() int { return len(as.pages) }
-
 // PagesFor returns how many pages a byte range spans, a helper shared by
 // OS-level code.
 func PagesFor(size uint64) int {

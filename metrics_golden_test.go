@@ -7,7 +7,42 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/metrics_*.prom from the current build")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/metrics_*.prom and testdata/figures.txt from the current build")
+
+// checkGolden compares got with the golden file, or rewrites the file
+// under -update-golden. A mismatch reports the first differing line
+// and, when the file has "=== id" section headers, the section it is in.
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(raw), "\n")
+	section := ""
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Errorf("%s: line %d%s is %q, want %q", file, i+1, section, g, w)
+			return
+		}
+		if strings.HasPrefix(w, "=== ") {
+			section = " (" + strings.TrimPrefix(w, "=== ") + ")"
+		}
+	}
+}
 
 // goldenFaultSpec is the fault plan ncdsm-perf arms Figure 7 with. On
 // the 4×3 mesh its down link 2-6 lies on the XY route from node 1 to
@@ -87,32 +122,6 @@ func TestMetricsGolden(t *testing.T) {
 		{"testdata/metrics_4x3_k1.prom", 1, true},
 		{"testdata/metrics_4x3_k2.prom", 2, false},
 	} {
-		got := goldenDump(t, tc.shards, tc.bulk)
-		if *updateGolden {
-			if err := os.WriteFile(tc.file, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		raw, err := os.ReadFile(tc.file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := string(raw); got != want {
-			gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
-			for i := 0; i < len(gl) || i < len(wl); i++ {
-				var g, w string
-				if i < len(gl) {
-					g = gl[i]
-				}
-				if i < len(wl) {
-					w = wl[i]
-				}
-				if g != w {
-					t.Errorf("%s: line %d is %q, want %q", tc.file, i+1, g, w)
-					break
-				}
-			}
-		}
+		checkGolden(t, tc.file, goldenDump(t, tc.shards, tc.bulk))
 	}
 }
