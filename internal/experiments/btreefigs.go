@@ -8,7 +8,6 @@ import (
 	"repro/internal/btree"
 	"repro/internal/memmodel"
 	"repro/internal/params"
-	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/swap"
 )
@@ -151,7 +150,7 @@ func Fig9(o Options) (*stats.Figure, error) {
 	sharedKeys := drawKeys(o, nKeys)
 	probes := probeKeys(o, int64(nKeys)*4, searches)
 	type fanoutPoint struct{ swap, remote float64 }
-	points, err := runner.Map(o.Parallel, len(fanouts), func(i int) (fanoutPoint, error) {
+	points, err := sweep(o, len(fanouts), func(_ *point, i int) (fanoutPoint, error) {
 		fanout := fanouts[i]
 		tr, err := buildTreeFrom(fanout, sharedKeys)
 		if err != nil {
@@ -196,7 +195,7 @@ func Fig10(o Options) (*stats.Figure, error) {
 		n            int
 		remote, swap float64
 	}
-	points, err := runner.Map(o.Parallel, len(fracs), func(i int) (sizePoint, error) {
+	points, err := sweep(o, len(fracs), func(_ *point, i int) (sizePoint, error) {
 		n := int(float64(base) * fracs[i])
 		if n < 128 {
 			n = 128
@@ -237,7 +236,7 @@ func Equations(o Options) (*stats.Figure, error) {
 	pages := o.scaled(2000, 100)
 	perPages := []int{1, 2, 4, 8, 16, 32, 64, 128}
 	type eqPoint struct{ pred1, pred2, meas1, meas2 params.Duration }
-	points, err := runner.Map(o.Parallel, len(perPages), func(i int) (eqPoint, error) {
+	points, err := sweep(o, len(perPages), func(_ *point, i int) (eqPoint, error) {
 		perPage := perPages[i]
 		total := uint64(pages) * uint64(perPage)
 
@@ -267,7 +266,6 @@ func Equations(o Options) (*stats.Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	ms := func(d params.Duration) float64 { return float64(d) / float64(params.Millisecond) }
 	for i, perPage := range perPages {
 		x := float64(perPage)
 		eq1.Add(x, ms(points[i].pred1))

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/params"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/vm"
@@ -30,39 +28,24 @@ func BulkScan(o Options) (*stats.Figure, error) {
 	bulkLocal := fig.AddSeries("bulk scan, local")
 
 	sizes := []int{4 << 10, 16 << 10, 64 << 10, 256 << 10}
-	type scanPoint struct {
-		times [4]sim.Time
-		snaps [4]metrics.Snapshot
-	}
-	points, err := runner.Map(o.Parallel, len(sizes), func(i int) (scanPoint, error) {
-		var pt scanPoint
-		for j, run := range []struct {
-			bulk, remote bool
-		}{{false, true}, {true, true}, {false, false}, {true, false}} {
-			elapsed, snap, err := runScanShape(o, run.bulk, run.remote, sizes[i])
-			if err != nil {
-				return scanPoint{}, err
-			}
-			pt.times[j] = elapsed
-			pt.snaps[j] = snap
-		}
-		return pt, nil
+	// Point 4i+j runs shape j at sizes[i].
+	shapes := []struct{ bulk, remote bool }{{false, true}, {true, true}, {false, false}, {true, false}}
+	times, err := sweep(o, len(sizes)*len(shapes), func(pt *point, i int) (sim.Time, error) {
+		s := shapes[i%len(shapes)]
+		return runScanShape(pt, s.bulk, s.remote, sizes[i/len(shapes)])
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, size := range sizes {
-		for _, s := range points[i].snaps {
-			o.addMetrics(s)
-		}
+		t := times[len(shapes)*i:]
 		kib := float64(size) / 1024
-		us := func(t sim.Time) float64 { return float64(t) / float64(params.Microsecond) }
-		chaseRemote.Add(kib, us(points[i].times[0]))
-		bulkRemote.Add(kib, us(points[i].times[1]))
-		chaseLocal.Add(kib, us(points[i].times[2]))
-		bulkLocal.Add(kib, us(points[i].times[3]))
+		chaseRemote.Add(kib, us(float64(t[0])))
+		bulkRemote.Add(kib, us(float64(t[1])))
+		chaseLocal.Add(kib, us(float64(t[2])))
+		bulkLocal.Add(kib, us(float64(t[3])))
 	}
-	at4K := points[0].times
+	at4K := times[:len(shapes)]
 	fig.Note("at 4 KiB, one ReadBulk burst is %.1fx cheaper than 64 single-line Access calls to the same remote lines",
 		ratio(at4K[0], at4K[1]))
 	fig.Note("remote/local ratio: %.1fx pointer-chasing, %.1fx bulk — bursts take remote memory from prohibitive to near-local for scan-shaped queries",
@@ -81,29 +64,29 @@ func ratio(a, b sim.Time) float64 {
 // system: bulk issues one ReadBulk over the whole buffer; scalar chains
 // dependent single-line accesses (each issued from the previous one's
 // completion, the dependence a pointer chase imposes).
-func runScanShape(o Options, bulk, remote bool, bytes int) (sim.Time, metrics.Snapshot, error) {
-	sys, err := core.NewSystem(o.P)
+func runScanShape(pt *point, bulk, remote bool, bytes int) (sim.Time, error) {
+	r, err := pt.run(pt.o.P)
 	if err != nil {
-		return 0, metrics.Snapshot{}, err
+		return 0, err
 	}
-	region, err := sys.Region(1)
+	region, err := r.sys.Region(1)
 	if err != nil {
-		return 0, metrics.Snapshot{}, err
+		return 0, err
 	}
 	var va vm.Virt
 	if remote {
-		rng, err := region.GrowFrom(2, uint64(max(bytes, 1<<20)))
+		rng, err := r.borrow(1, 2, uint64(max(bytes, 1<<20)))
 		if err != nil {
-			return 0, metrics.Snapshot{}, err
+			return 0, err
 		}
 		va, err = region.MapBorrowed(rng)
 		if err != nil {
-			return 0, metrics.Snapshot{}, err
+			return 0, err
 		}
 	} else {
 		va, err = region.Malloc(uint64(bytes))
 		if err != nil {
-			return 0, metrics.Snapshot{}, err
+			return 0, err
 		}
 	}
 	lines := bytes / int(params.CacheLineSize)
@@ -119,7 +102,7 @@ func runScanShape(o Options, bulk, remote bool, bytes int) (sim.Time, metrics.Sn
 				}
 			})
 		if err != nil {
-			return 0, metrics.Snapshot{}, err
+			return 0, err
 		}
 	} else {
 		var chase func(i int, now sim.Time) error
@@ -136,12 +119,14 @@ func runScanShape(o Options, bulk, remote bool, bytes int) (sim.Time, metrics.Sn
 				})
 		}
 		if err := chase(0, 0); err != nil {
-			return 0, metrics.Snapshot{}, err
+			return 0, err
 		}
 	}
-	sys.Run()
-	if done == 0 {
-		return 0, metrics.Snapshot{}, fmt.Errorf("experiments: %v-byte scan (bulk=%v remote=%v) did not finish", bytes, bulk, remote)
+	if _, err := r.finish(); err != nil {
+		return 0, err
 	}
-	return done, sys.Registry().Snapshot(), nil
+	if done == 0 {
+		return 0, fmt.Errorf("experiments: %v-byte scan (bulk=%v remote=%v) did not finish", bytes, bulk, remote)
+	}
+	return done, nil
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/consistency"
 	"repro/internal/metrics"
 	"repro/internal/params"
-	"repro/internal/runner"
 	"repro/internal/stats"
 )
 
@@ -40,22 +39,18 @@ func ConsistencyCost(o Options) (*stats.Figure, error) {
 	opsPerNode := o.scaled(2000, 50)
 	const hotLines = 8
 	nodeCounts := []int{2, 4, 8, 12, 16}
-	type costPoint struct {
-		us   map[string]float64
-		snap metrics.Snapshot
-	}
-	points, err := runner.Map(o.Parallel, len(nodeCounts), func(i int) (costPoint, error) {
+	points, err := sweep(o, len(nodeCounts), func(pt *point, i int) (map[string]float64, error) {
 		nodes := nodeCounts[i]
 		// One program and one schedule per node count, shared by every
 		// protocol so the cost comparison is apples-to-apples.
 		prog := consistency.RandomProgram(o.Seed+int64(nodes)*7919, nodes, opsPerNode, hotLines, 0.3, true)
 		sched := consistency.RandomSchedule(o.Seed+int64(nodes)*104729, prog)
-		pt := costPoint{us: make(map[string]float64)}
+		cost := make(map[string]float64)
 		reg := metrics.NewRegistry()
 		for _, name := range consistency.Names() {
 			proto, err := consistency.NewProtocol(name, o.P, nodes)
 			if err != nil {
-				return costPoint{}, err
+				return nil, err
 			}
 			if name == "msi" {
 				// Surface the directory's coherence traffic in the
@@ -69,31 +64,30 @@ func ConsistencyCost(o Options) (*stats.Figure, error) {
 			}
 			h, err := consistency.RunProgram(proto, prog, sched)
 			if err != nil {
-				return costPoint{}, err
+				return nil, err
 			}
 			if err := proto.SelfCheck(); err != nil {
-				return costPoint{}, err
+				return nil, err
 			}
 			if _, coherent := proto.(consistency.Directoried); coherent {
 				// Both coherent comparators promise linearizability;
 				// their cost curves land in the figure only with the
 				// claim machine-checked.
 				if ok, reason := consistency.CheckPerLocation(h); !ok {
-					return costPoint{}, fmt.Errorf("experiments: %s history not linearizable at %d nodes: %s", name, nodes, reason)
+					return nil, fmt.Errorf("experiments: %s history not linearizable at %d nodes: %s", name, nodes, reason)
 				}
 			}
-			pt.us[name] = usPerOpCost(h)
+			cost[name] = usPerOpCost(h)
 		}
-		pt.snap = reg.Snapshot()
-		return pt, nil
+		pt.keep(reg)
+		return cost, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, nodes := range nodeCounts {
-		o.addMetrics(points[i].snap)
 		for _, name := range consistency.Names() {
-			series[name].Add(float64(nodes), points[i].us[name])
+			series[name].Add(float64(nodes), points[i][name])
 		}
 	}
 	fig.Note("same seeded DRF program per node count under every protocol; the coherent pair (msi, mesi) pays sharing-degree coherence traffic — mesi trading silent E→M upgrades against extra E interventions — rmc a flat round trip, rc only at the fences (coherent histories machine-checked per-location linearizable)")

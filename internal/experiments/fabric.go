@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/params"
-	"repro/internal/runner"
 	"repro/internal/stats"
 )
 
@@ -25,42 +23,21 @@ func AblationFabric(o Options) (*stats.Figure, error) {
 
 	accesses := o.scaled(20000, 400)
 	const maxHops = 6
-	type hopPoint struct {
-		mesh, htoe         float64
-		meshSnap, htoeSnap metrics.Snapshot
-	}
-	points, err := runner.Map(o.Parallel, maxHops, func(i int) (hopPoint, error) {
-		servers, err := serversAt(o, 1, i+1, 1)
-		if err != nil {
-			return hopPoint{}, err
+	// Point 2h runs the mesh at h+1 hops, point 2h+1 HT-over-Ethernet
+	// against the same server.
+	lat, err := sweep(o, 2*maxHops, func(pt *point, i int) (result, error) {
+		p := o.P
+		if i%2 == 1 {
+			p.Fabric = params.FabricHToE
 		}
-
-		meshRun := microRun{Client: 1, Servers: servers, Threads: 1, AccessesPerThread: accesses}
-		res, err := meshRun.run(o)
-		if err != nil {
-			return hopPoint{}, err
-		}
-		pt := hopPoint{mesh: res.MeanLatency / float64(params.Microsecond), meshSnap: res.Metrics}
-
-		oh := o
-		oh.P.Fabric = params.FabricHToE
-		htoeRun := microRun{Client: 1, Servers: servers, Threads: 1, AccessesPerThread: accesses}
-		res, err = htoeRun.run(oh)
-		if err != nil {
-			return hopPoint{}, err
-		}
-		pt.htoe = res.MeanLatency / float64(params.Microsecond)
-		pt.htoeSnap = res.Metrics
-		return pt, nil
+		return pt.micro(p, 1, i/2+1, 1, 1, accesses)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, pt := range points {
-		o.addMetrics(pt.meshSnap)
-		o.addMetrics(pt.htoeSnap)
-		meshSeries.Add(float64(i+1), pt.mesh)
-		htoeSeries.Add(float64(i+1), pt.htoe)
+	for h := 1; h <= maxHops; h++ {
+		meshSeries.Add(float64(h), us(lat[2*h-2].mean))
+		htoeSeries.Add(float64(h), us(lat[2*h-1].mean))
 	}
 	fig.Note("the switched fabric is distance-blind; the mesh wins while servers sit nearby")
 

@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
-	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/metrics"
 	"repro/internal/params"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -29,12 +26,10 @@ func AblationPrefetch(o Options) (*stats.Figure, error) {
 
 	lines := o.scaled(40000, 800)
 	depths := []int{0, 1, 2, 4, 8}
-	type depthPoint struct {
-		seq, rnd         float64
-		seqSnap, rndSnap metrics.Snapshot
-	}
-	points, err := runner.Map(o.Parallel, len(depths), func(i int) (depthPoint, error) {
-		depth := depths[i]
+	// Point 2i runs the sequential stream at depths[i], point 2i+1 the
+	// random benchmark.
+	times, err := sweep(o, 2*len(depths), func(pt *point, i int) (result, error) {
+		depth := depths[i/2]
 		p := o.P
 		p.PrefetchDepth = depth
 		// Prefetch traffic shares the client RMC with demand traffic;
@@ -42,35 +37,17 @@ func AblationPrefetch(o Options) (*stats.Figure, error) {
 		if depth > 0 && p.RMCQueueDepth < depth+1 {
 			p.RMCQueueDepth = depth + 1
 		}
-		ow := o
-		ow.P = p
-
-		elapsed, seqSnap, err := runSequential(ow, lines)
-		if err != nil {
-			return depthPoint{}, err
+		if i%2 == 0 {
+			return runSequential(pt, p, lines)
 		}
-		pt := depthPoint{seq: usPerOp(elapsed, lines), seqSnap: seqSnap}
-
-		servers, err := serversAt(ow, 1, 1, 1)
-		if err != nil {
-			return depthPoint{}, err
-		}
-		res, err := (microRun{Client: 1, Servers: servers, Threads: 1, AccessesPerThread: lines}).run(ow)
-		if err != nil {
-			return depthPoint{}, err
-		}
-		pt.rnd = usPerOp(res.Elapsed, lines)
-		pt.rndSnap = res.Metrics
-		return pt, nil
+		return pt.micro(p, 1, 1, 1, 1, lines)
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, depth := range depths {
-		o.addMetrics(points[i].seqSnap)
-		o.addMetrics(points[i].rndSnap)
-		seq.Add(float64(depth), points[i].seq)
-		rnd.Add(float64(depth), points[i].rnd)
+		seq.Add(float64(depth), usPerOp(times[2*i].end, lines))
+		rnd.Add(float64(depth), usPerOp(times[2*i+1].end, lines))
 		localRef.Add(float64(depth),
 			float64(o.P.DRAMLatency+o.P.DRAMOccupancy+o.P.L1Latency)/float64(params.Microsecond))
 	}
@@ -80,49 +57,21 @@ func AblationPrefetch(o Options) (*stats.Figure, error) {
 	return fig, nil
 }
 
-// runSequential streams one thread over consecutive remote lines and
-// returns the elapsed time plus the run's metrics snapshot.
-func runSequential(o Options, lines int) (sim.Time, metrics.Snapshot, error) {
-	sys, err := core.NewSystem(o.P)
+// runSequential streams one thread over consecutive remote lines on a
+// fresh system built from p.
+func runSequential(pt *point, p params.Params, lines int) (result, error) {
+	r, err := pt.run(p)
 	if err != nil {
-		return 0, metrics.Snapshot{}, err
+		return result{}, err
 	}
-	region, err := sys.Region(1)
+	rng, err := r.borrow(1, 2, uint64(lines+64)*params.CacheLineSize)
 	if err != nil {
-		return 0, metrics.Snapshot{}, err
+		return result{}, err
 	}
-	need := uint64(lines+64) * params.CacheLineSize
-	rng, err := region.GrowFrom(2, need)
-	if err != nil {
-		return 0, metrics.Snapshot{}, err
+	if _, err := r.start(1, cpu.ThreadConfig{Name: "seq", Stream: lineStream(rng.Start, lines, false)}, 0); err != nil {
+		return result{}, err
 	}
-	node, err := sys.Cluster().Node(1)
-	if err != nil {
-		return 0, metrics.Snapshot{}, err
-	}
-	i := 0
-	stream := cpu.FuncStream(func() (cpu.Access, bool) {
-		if i >= lines {
-			return cpu.Access{}, false
-		}
-		a := rng.Start + addr.Phys(uint64(i)*params.CacheLineSize)
-		i++
-		return cpu.Access{Addr: a}, true
-	})
-	p := sys.Params()
-	th, err := cpu.NewThread(cpu.ThreadConfig{
-		Name: "seq", Engine: node.Engine(), Memory: node, Stream: stream,
-		WindowLocal: p.LocalOutstanding, WindowRemote: p.RemoteOutstanding,
-	})
-	if err != nil {
-		return 0, metrics.Snapshot{}, err
-	}
-	th.Start(0)
-	sys.Run()
-	if !th.Done {
-		return 0, metrics.Snapshot{}, fmt.Errorf("experiments: sequential stream did not finish")
-	}
-	return th.Elapsed(), sys.Registry().Snapshot(), nil
+	return r.finish()
 }
 
 // AblationParallelPhase demonstrates the prototype's concession and its
@@ -140,20 +89,15 @@ func AblationParallelPhase(o Options) (*stats.Figure, error) {
 
 	totalReads := o.scaled(60000, 1200)
 	threadCounts := []int{1, 2, 4, 8}
-	times, err := runner.Map(o.Parallel, len(threadCounts), func(i int) (timedPoint, error) {
-		elapsed, snap, err := runParallelPhase(o, threadCounts[i], totalReads)
-		if err != nil {
-			return timedPoint{}, err
-		}
-		return timedPoint{float64(elapsed) / float64(params.Millisecond), snap}, nil
+	times, err := sweep(o, len(threadCounts), func(pt *point, i int) (sim.Time, error) {
+		return runParallelPhase(pt, threadCounts[i], totalReads)
 	})
 	if err != nil {
 		return nil, err
 	}
-	base := times[0].v // the 1-thread phase anchors the ideal-scaling line
+	base := ms(times[0]) // the 1-thread phase anchors the ideal-scaling line
 	for i, threads := range threadCounts {
-		o.addMetrics(times[i].snap)
-		readPhase.Add(float64(threads), times[i].v)
+		readPhase.Add(float64(threads), ms(times[i]))
 		ideal.Add(float64(threads), base/float64(threads))
 	}
 	fig.Note("a serial write phase plus cache flush precedes each measurement; scaling saturates at the client RMC like Fig 7")
@@ -162,93 +106,47 @@ func AblationParallelPhase(o Options) (*stats.Figure, error) {
 
 // runParallelPhase writes a remote buffer with one thread, flushes the
 // node's caches, then measures a read-only phase with the given number
-// of threads. Returns the phase time and the run's metrics snapshot.
-func runParallelPhase(o Options, threads, totalReads int) (sim.Time, metrics.Snapshot, error) {
-	sys, err := core.NewSystem(o.P)
+// of threads and returns the phase time.
+func runParallelPhase(pt *point, threads, totalReads int) (sim.Time, error) {
+	o := pt.o
+	r, err := pt.run(o.P)
 	if err != nil {
-		return 0, metrics.Snapshot{}, err
+		return 0, err
 	}
-	region, err := sys.Region(1)
+	rng, err := r.borrow(1, 2, 64<<20)
 	if err != nil {
-		return 0, metrics.Snapshot{}, err
+		return 0, err
 	}
-	rng, err := region.GrowFrom(2, 64<<20)
-	if err != nil {
-		return 0, metrics.Snapshot{}, err
-	}
-	node, err := sys.Cluster().Node(1)
-	if err != nil {
-		return 0, metrics.Snapshot{}, err
-	}
-	p := sys.Params()
-	eng := node.Engine()
 
 	// Serial write phase: one core writes the first lines of the buffer.
-	writeLines := o.scaled(2000, 100)
-	wi := 0
-	writeStream := cpu.FuncStream(func() (cpu.Access, bool) {
-		if wi >= writeLines {
-			return cpu.Access{}, false
-		}
-		a := rng.Start + addr.Phys(uint64(wi)*params.CacheLineSize)
-		wi++
-		return cpu.Access{Addr: a, Write: true}, true
-	})
-	wt, err := cpu.NewThread(cpu.ThreadConfig{
-		Name: "writer", Engine: eng, Memory: node, Stream: writeStream,
-		WindowLocal: p.LocalOutstanding, WindowRemote: p.RemoteOutstanding,
-	})
-	if err != nil {
-		return 0, metrics.Snapshot{}, err
+	writer := cpu.ThreadConfig{Name: "writer", Stream: lineStream(rng.Start, o.scaled(2000, 100), true)}
+	if _, err := r.start(1, writer, 0); err != nil {
+		return 0, err
 	}
-	wt.Start(0)
-	sys.Run()
-	if !wt.Done {
-		return 0, metrics.Snapshot{}, fmt.Errorf("experiments: write phase did not finish")
+	if _, err := r.finish(); err != nil {
+		return 0, err
 	}
 
 	// Flush: dirty remote lines go home; after this, caching remote data
 	// read-only is safe on any number of cores.
-	node.FlushCaches(sys.Now())
+	node, err := r.sys.Cluster().Node(1)
+	if err != nil {
+		return 0, err
+	}
+	node.FlushCaches(r.sys.Now())
 
 	// Read-only phase: `threads` cores, random reads over the buffer.
-	start := sys.Now()
-	var threadsDone []*cpu.Thread
+	start := r.sys.Now()
 	for t := 0; t < threads; t++ {
-		stream, err := randomReadStream(o.Seed+int64(t)*31, rng, totalReads/threads)
+		stream, err := workloads.RandomStream(o.Seed+int64(t)*31, []addr.Range{rng}, totalReads/threads, 0)
 		if err != nil {
-			return 0, metrics.Snapshot{}, err
+			return 0, err
 		}
-		th, err := cpu.NewThread(cpu.ThreadConfig{
-			Name: fmt.Sprintf("reader%d", t), Engine: eng, Memory: node, Stream: stream,
-			Core: t * (p.CoresPerNode / maxInt(threads, 1)), WindowLocal: p.LocalOutstanding, WindowRemote: p.RemoteOutstanding,
-		})
-		if err != nil {
-			return 0, metrics.Snapshot{}, err
-		}
-		th.Start(start)
-		threadsDone = append(threadsDone, th)
-	}
-	sys.Run()
-	var end sim.Time
-	for _, th := range threadsDone {
-		if !th.Done {
-			return 0, metrics.Snapshot{}, fmt.Errorf("experiments: reader did not finish")
-		}
-		if th.FinishTime > end {
-			end = th.FinishTime
+		reader := cpu.ThreadConfig{Name: fmt.Sprintf("reader%d", t), Stream: stream, Core: t * (o.P.CoresPerNode / threads)}
+		if _, err := r.start(1, reader, start); err != nil {
+			return 0, err
 		}
 	}
-	return end - start, sys.Registry().Snapshot(), nil
-}
-
-func randomReadStream(seed int64, rng addr.Range, count int) (cpu.Stream, error) {
-	return workloads.RandomStream(seed, []addr.Range{rng}, count, 0)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	res, err := r.finish()
+	return res.end - start, err
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/db"
 	"repro/internal/memmodel"
-	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/swap"
 )
@@ -60,7 +59,7 @@ func AblationIndexes(o Options) (*stats.Figure, error) {
 		bt, h  float64
 		probes uint64
 	}
-	points, err := runner.Map(o.Parallel, len(configs), func(i int) (idxPoint, error) {
+	points, err := sweep(o, len(configs), func(_ *point, i int) (idxPoint, error) {
 		cfg := configs[i]
 		accB, err := cfg.mk()
 		if err != nil {

@@ -4,22 +4,12 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
-	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/metrics"
 	"repro/internal/params"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/workloads"
 )
-
-// timedPoint is one sweep point's scalar plus the run's metrics
-// snapshot, carried back so the generator can fold snapshots in
-// submission order.
-type timedPoint struct {
-	v    float64
-	snap metrics.Snapshot
-}
 
 // fig7Client sits at (1,1) of the mesh — node 6 on the calibrated 4×4
 // — so it has neighbors at one, two, and three hops in all the
@@ -47,60 +37,41 @@ func Table1(o Options) (*stats.Figure, error) {
 	meas := fig.AddSeries("measured")
 	accesses := o.scaled(20000, 200)
 
-	// Local latency: a thread streaming distinct local lines.
-	sys, err := core.NewSystem(p)
-	if err != nil {
-		return nil, err
-	}
-	localLat, err := measureLocal(sys, accesses)
-	if err != nil {
-		return nil, err
-	}
-	o.addMetrics(sys.Registry().Snapshot())
-	meas.AddLabeled("local access (µs)", 10, localLat/float64(params.Microsecond))
-
-	// Remote latency at 1 and 6 hops, single thread, unloaded. The max
-	// shows the unloaded path has no latency tail — every access takes
-	// the same hardware trip, unlike a faulting or OS-mediated path.
-	hops := []int{1, 6}
-	type hopPoint struct {
-		mean, max float64
-		snap      metrics.Snapshot
-	}
-	points, err := runner.Map(o.Parallel, len(hops), func(i int) (hopPoint, error) {
-		servers, err := serversAt(o, 1, hops[i], 1)
-		if err != nil {
-			return hopPoint{}, err
+	// Point 0 is the local latency: a thread streaming distinct local
+	// lines. The others are the remote latency at 1 and 6 hops, single
+	// thread, unloaded. The max shows the unloaded path has no latency
+	// tail — every access takes the same hardware trip, unlike a faulting
+	// or OS-mediated path.
+	hops := []int{0, 1, 6}
+	points, err := sweep(o, len(hops), func(pt *point, i int) (result, error) {
+		if i == 0 {
+			return measureLocal(pt, accesses)
 		}
-		res, err := (microRun{Client: 1, Servers: servers, Threads: 1, AccessesPerThread: accesses}).run(o)
-		if err != nil {
-			return hopPoint{}, err
-		}
-		return hopPoint{
-			mean: res.MeanLatency / float64(params.Microsecond),
-			max:  res.Threads[0].Latency.Max() / float64(params.Microsecond),
-			snap: res.Metrics,
-		}, nil
+		return pt.micro(o.P, 1, hops[i], 1, 1, accesses)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, pt := range points {
-		o.addMetrics(pt.snap)
-	}
-	for i, h := range hops {
-		meas.AddLabeled(fmt.Sprintf("remote access, %d hop(s) (µs)", h), float64(11+2*i), points[i].mean)
-		meas.AddLabeled(fmt.Sprintf("remote access max, %d hop(s) (µs)", h), float64(12+2*i), points[i].max)
+	meas.AddLabeled("local access (µs)", 10, us(points[0].mean))
+	for i, h := range hops[1:] {
+		meas.AddLabeled(fmt.Sprintf("remote access, %d hop(s) (µs)", h), float64(11+2*i), us(points[i+1].mean))
+		meas.AddLabeled(fmt.Sprintf("remote access max, %d hop(s) (µs)", h), float64(12+2*i), us(points[i+1].max))
 	}
 	fig.Note("remote/local latency ratio anchors Figures 9-11; analytic 1-hop round trip = %.2f µs",
 		float64(p.RemoteRoundTrip(1))/float64(params.Microsecond))
 	return fig, nil
 }
 
-func measureLocal(sys *core.System, accesses int) (float64, error) {
-	node, err := sys.Cluster().Node(1)
+// measureLocal issues accesses loads of distinct local pages on node 1,
+// each after the previous one completes, and reports their mean latency.
+func measureLocal(pt *point, accesses int) (result, error) {
+	r, err := pt.run(pt.o.P)
 	if err != nil {
-		return 0, err
+		return result{}, err
+	}
+	node, err := r.sys.Cluster().Node(1)
+	if err != nil {
+		return result{}, err
 	}
 	var total sim.Time
 	now := sim.Time(0)
@@ -108,17 +79,17 @@ func measureLocal(sys *core.System, accesses int) (float64, error) {
 		a := addr.Phys(uint64(i) * 4096) // distinct pages: always misses
 		start := now
 		var done sim.Time
-		node.Issue(now, 0, cpuAccess(a), false, func(ts sim.Time) { done = ts })
-		sys.Run()
+		node.Issue(now, 0, cpu.Access{Addr: a}, false, func(ts sim.Time) { done = ts })
+		r.sys.Run()
 		total += done - start
 		now = done
 		// Scheduled fault windows (node stalls) are engine events too;
 		// never issue behind a clock they have already advanced.
-		if t := sys.Now(); t > now {
+		if t := r.sys.Now(); t > now {
 			now = t
 		}
 	}
-	return float64(total) / float64(accesses), nil
+	return result{mean: float64(total) / float64(accesses)}, nil
 }
 
 // Fig6 measures remote access latency versus distance: the random
@@ -134,24 +105,15 @@ func Fig6(o Options) (*stats.Figure, error) {
 
 	accesses := o.scaled(20000, 200)
 	const maxHops = 6
-	means, err := runner.Map(o.Parallel, maxHops, func(i int) (timedPoint, error) {
-		servers, err := serversAt(o, 1, i+1, 1)
-		if err != nil {
-			return timedPoint{}, err
-		}
-		res, err := (microRun{Client: 1, Servers: servers, Threads: 1, AccessesPerThread: accesses}).run(o)
-		if err != nil {
-			return timedPoint{}, err
-		}
-		return timedPoint{res.MeanLatency / float64(params.Microsecond), res.Metrics}, nil
+	means, err := sweep(o, maxHops, func(pt *point, i int) (result, error) {
+		return pt.micro(o.P, 1, i+1, 1, 1, accesses)
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, m := range means {
-		o.addMetrics(m.snap)
 		h := i + 1
-		remote.Add(float64(h), m.v)
+		remote.Add(float64(h), us(m.mean))
 		analytic.Add(float64(h), float64(o.P.RemoteRoundTrip(h))/float64(params.Microsecond))
 		local.Add(float64(h), float64(o.P.DRAMLatency+o.P.DRAMOccupancy+o.P.L1Latency)/float64(params.Microsecond))
 	}
@@ -182,32 +144,18 @@ func Fig7(o Options) (*stats.Figure, error) {
 		{1, 1, 1}, {2, 1, 1}, {4, 1, 1},
 		{4, 1, 4}, {4, 2, 4}, {4, 3, 4},
 	}
-	times, err := runner.Map(o.Parallel, len(specs), func(i int) (timedPoint, error) {
+	times, err := sweep(o, len(specs), func(pt *point, i int) (result, error) {
 		s := specs[i]
-		servers, err := serversAt(o, fig7Client(o), s.hops, s.servers)
-		if err != nil {
-			return timedPoint{}, err
-		}
-		res, err := (microRun{
-			Client: fig7Client(o), Servers: servers,
-			Threads: s.threads, AccessesPerThread: total / s.threads,
-		}).run(o)
-		if err != nil {
-			return timedPoint{}, err
-		}
-		return timedPoint{float64(res.Elapsed) / float64(params.Millisecond), res.Metrics}, nil
+		return pt.micro(o.P, fig7Client(o), s.hops, s.servers, s.threads, total/s.threads)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, pt := range times {
-		o.addMetrics(pt.snap)
-	}
 	for i, s := range specs[:3] {
-		one.AddLabeled(fmt.Sprintf("%dt, 1 hop", s.threads), float64(i), times[i].v)
+		one.AddLabeled(fmt.Sprintf("%dt, 1 hop", s.threads), float64(i), ms(times[i].end))
 	}
 	for j, s := range specs[3:] {
-		four.AddLabeled(fmt.Sprintf("4t, %d hop", s.hops), float64(3+j), times[3+j].v)
+		four.AddLabeled(fmt.Sprintf("4t, %d hop", s.hops), float64(3+j), ms(times[3+j].end))
 	}
 	fig.Note("expected: 1t→2t halves time; 2t→4t does not; 4 servers no better; farther servers slightly faster at 4t")
 	return fig, nil
@@ -232,81 +180,69 @@ func Fig8(o Options) (*stats.Figure, error) {
 
 	controlAccesses := o.scaled(20000, 400)
 	setups := []fig8Setup{{0, 0}, {1, 1}, {1, 2}, {1, 4}, {2, 4}, {3, 4}, {4, 4}, {5, 4}, {6, 4}}
-	times, err := runner.Map(o.Parallel, len(setups), func(i int) (timedPoint, error) {
-		return fig8Point(o, setups[i], controlAccesses)
+	times, err := sweep(o, len(setups), func(pt *point, i int) (sim.Time, error) {
+		return fig8Point(pt, setups[i], controlAccesses)
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, pt := range times {
-		o.addMetrics(pt.snap)
 	}
 	for i, s := range setups {
 		label := "no stressors"
 		if s.Nodes > 0 {
 			label = fmt.Sprintf("%dn x %dt", s.Nodes, s.ThreadsPer)
 		}
-		ctrl.AddLabeled(label, float64(i), times[i].v)
+		ctrl.AddLabeled(label, float64(i), ms(times[i]))
 	}
 	fig.Note("expected: flat through ~3 nodes x 4 threads, then rising as the server RMC saturates")
 	return fig, nil
 }
 
-// fig8Point simulates one load point: the control thread plus s.Nodes
-// stressing clients on a fresh cluster, returning the control time (ms)
-// and the run's metrics snapshot.
-func fig8Point(o Options, s fig8Setup, controlAccesses int) (timedPoint, error) {
+// fig8Point simulates one load point, the control thread plus s.Nodes
+// stressing clients on a fresh cluster, and returns the control
+// thread's finish time.
+func fig8Point(pt *point, s fig8Setup, controlAccesses int) (sim.Time, error) {
 	const (
 		server  = addr.NodeID(6)  // (1,1)
 		control = addr.NodeID(16) // (3,3), reaches the server by express link only
 	)
 	stressors := []addr.NodeID{1, 2, 3, 4, 5, 7, 9, 10, 11, 13}
 
-	sys, err := core.NewSystem(o.P)
+	r, err := pt.run(pt.o.P)
 	if err != nil {
-		return timedPoint{}, err
+		return 0, err
 	}
-	meshFab, err := sys.Cluster().MeshFabric()
+	meshFab, err := r.sys.Cluster().MeshFabric()
 	if err != nil {
-		return timedPoint{}, err
+		return 0, err
 	}
 	if err := meshFab.AddExpressLink(control, server); err != nil {
-		return timedPoint{}, err
+		return 0, err
 	}
-	// Control thread: express-routed loads against the server. The run
-	// ends (at the next window barrier, deterministically) the moment it
-	// finishes; the stressors exist only to load the server while it
-	// runs.
-	ctrlRun := microRun{
-		Client: control, Servers: []addr.NodeID{server},
-		Threads: 1, AccessesPerThread: controlAccesses, Express: true,
-		OnThreadDone: func(*cpu.Thread, sim.Time) { sys.Stop() },
-	}
-	ctrlThreads, err := ctrlRun.launch(sys, o.Seed)
+	// Control thread: express-routed loads against the server. Its
+	// finish ends the run; the stressors exist only to load the server
+	// while it runs.
+	rng, err := r.borrow(control, server, 64<<20)
 	if err != nil {
-		return timedPoint{}, err
+		return 0, err
+	}
+	stream, err := workloads.RandomStream(pt.o.Seed, []addr.Range{rng}, controlAccesses, 0)
+	if err != nil {
+		return 0, err
+	}
+	c := cpu.ThreadConfig{Name: fmt.Sprintf("n%d/t0", control), Stream: stream, Express: true, OnDone: r.endsRun}
+	if _, err := r.start(control, c, 0); err != nil {
+		return 0, err
 	}
 	// Stressing clients: effectively endless streams against the same
-	// server over the mesh; the run ends when the control finishes.
+	// server over the mesh.
 	for n := 0; n < s.Nodes; n++ {
-		stress := microRun{
-			Client: stressors[n], Servers: []addr.NodeID{server},
-			Threads: s.ThreadsPer, AccessesPerThread: controlAccesses * 50,
-		}
-		if _, err := stress.launch(sys, o.Seed+int64(100*(n+1))); err != nil {
-			return timedPoint{}, err
+		seed := pt.o.Seed + int64(100*(n+1))
+		if err := r.random(stressors[n], []addr.NodeID{server}, 64<<20, s.ThreadsPer, controlAccesses*50, 0, seed); err != nil {
+			return 0, err
 		}
 	}
-	for !ctrlThreads[0].Done {
-		if sys.Set().Pending() == 0 {
-			return timedPoint{}, fmt.Errorf("experiments: fig8 run stalled")
-		}
-		sys.Run()
-	}
-	return timedPoint{
-		v:    float64(ctrlThreads[0].FinishTime) / float64(params.Millisecond),
-		snap: sys.Registry().Snapshot(),
-	}, nil
+	res, err := r.finish()
+	return res.end, err
 }
 
 // AblationWindow sweeps the per-core outstanding-request limit against
@@ -319,7 +255,7 @@ func AblationWindow(o Options) (*stats.Figure, error) {
 	s := fig.AddSeries("1 thread, 1 server, 1 hop")
 	accesses := o.scaled(40000, 800)
 	windows := []int{1, 2, 4, 8}
-	times, err := runner.Map(o.Parallel, len(windows), func(i int) (timedPoint, error) {
+	times, err := sweep(o, len(windows), func(pt *point, i int) (result, error) {
 		w := windows[i]
 		p := o.P
 		p.RemoteOutstanding = w
@@ -329,24 +265,13 @@ func AblationWindow(o Options) (*stats.Figure, error) {
 		if p.RMCQueueDepth < w {
 			p.RMCQueueDepth = w
 		}
-		ow := o
-		ow.P = p
-		servers, err := serversAt(ow, 1, 1, 1)
-		if err != nil {
-			return timedPoint{}, err
-		}
-		res, err := (microRun{Client: 1, Servers: servers, Threads: 1, AccessesPerThread: accesses}).run(ow)
-		if err != nil {
-			return timedPoint{}, err
-		}
-		return timedPoint{float64(res.Elapsed) / float64(params.Millisecond), res.Metrics}, nil
+		return pt.micro(p, 1, 1, 1, 1, accesses)
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, w := range windows {
-		o.addMetrics(times[i].snap)
-		s.Add(float64(w), times[i].v)
+		s.Add(float64(w), ms(times[i].end))
 	}
 	fig.Note("window 1 is the prototype; widening overlaps round trips until the client RMC occupancy binds")
 	return fig, nil
@@ -364,35 +289,20 @@ func AblationRetry(o Options) (*stats.Figure, error) {
 	total := o.scaled(60000, 1200)
 	depths := []int{1, 2, 4, 8}
 	hops := []int{1, 3}
-	times, err := runner.Map(o.Parallel, len(depths)*len(hops), func(i int) (timedPoint, error) {
-		depth, hop := depths[i/len(hops)], hops[i%len(hops)]
+	times, err := sweep(o, len(depths)*len(hops), func(pt *point, i int) (result, error) {
 		p := o.P
-		p.RMCQueueDepth = depth
-		od := o
-		od.P = p
-		servers, err := serversAt(od, fig7Client(od), hop, 4)
-		if err != nil {
-			return timedPoint{}, err
-		}
-		res, err := (microRun{
-			Client: fig7Client(od), Servers: servers,
-			Threads: 4, AccessesPerThread: total / 4,
-		}).run(od)
-		if err != nil {
-			return timedPoint{}, err
-		}
-		return timedPoint{float64(res.Elapsed) / float64(params.Millisecond), res.Metrics}, nil
+		p.RMCQueueDepth = depths[i/len(hops)]
+		return pt.micro(p, fig7Client(o), hops[i%len(hops)], 4, 4, total/4)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, ms := range times {
-		o.addMetrics(ms.snap)
+	for i, res := range times {
 		depth, hop := depths[i/len(hops)], hops[i%len(hops)]
 		if hop == 1 {
-			near.Add(float64(depth), ms.v)
+			near.Add(float64(depth), ms(res.end))
 		} else {
-			far.Add(float64(depth), ms.v)
+			far.Add(float64(depth), ms(res.end))
 		}
 	}
 	fig.Note("at depth 1 the near configuration can exceed the far one (retry waste); deeper queues restore near <= far")

@@ -4,11 +4,8 @@ import (
 	"repro/internal/addr"
 	"repro/internal/anmodel"
 	"repro/internal/cohdsm"
-	"repro/internal/core"
 	"repro/internal/memmodel"
-	"repro/internal/metrics"
 	"repro/internal/params"
-	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -42,7 +39,7 @@ func Fig11(o Options) (*stats.Figure, error) {
 	}
 	// One task per (kernel, config) pair; Kernel is a pure value and each
 	// task builds its own accessor stack, so tasks share nothing.
-	times, err := runner.Map(o.Parallel, len(suite)*len(configs), func(i int) (float64, error) {
+	times, err := sweep(o, len(suite)*len(configs), func(_ *point, i int) (float64, error) {
 		k := suite[i/len(configs)]
 		cfg := configs[i%len(configs)]
 		base, err := memmodel.Build(cfg, p, 1, p.SwapResidentPages)
@@ -85,11 +82,8 @@ func AblationCoherency(o Options) (*stats.Figure, error) {
 	accesses := o.scaled(40000, 800)
 	const lines = 256
 	sharerCounts := []int{1, 2, 4, 8, 12, 15}
-	type sharerPoint struct {
-		coh, rmc float64
-		snap     metrics.Snapshot
-	}
-	points, err := runner.Map(o.Parallel, len(sharerCounts), func(i int) (sharerPoint, error) {
+	type sharerPoint struct{ coh, rmc float64 }
+	points, err := sweep(o, len(sharerCounts), func(pt *point, i int) (sharerPoint, error) {
 		sharers := sharerCounts[i]
 		m, err := cohdsm.New(o.P, 16)
 		if err != nil {
@@ -113,56 +107,36 @@ func AblationCoherency(o Options) (*stats.Figure, error) {
 		if err := m.CheckInvariants(); err != nil {
 			return sharerPoint{}, err
 		}
-		pt := sharerPoint{coh: float64(writeTotal) / float64(lines) / float64(params.Microsecond)}
+		coh := float64(writeTotal) / float64(lines) / float64(params.Microsecond)
 
 		// RMC side: one node aggregates memory from the same number of
 		// donors and writes it with no coherency traffic at all —
 		// measured on the micro layer so congestion effects are not
 		// assumed away.
-		rmcLat, snap, err := rmcAggregateLatency(o, sharers+1, accesses)
+		donors := make([]addr.NodeID, sharers)
+		for d := range donors {
+			donors[d] = addr.NodeID(2 + d)
+		}
+		r, err := pt.run(o.P)
 		if err != nil {
 			return sharerPoint{}, err
 		}
-		pt.rmc = rmcLat / float64(params.Microsecond)
-		pt.snap = snap
-		return pt, nil
+		if err := r.random(1, donors, 64<<20, 1, accesses, 0.25, o.Seed); err != nil {
+			return sharerPoint{}, err
+		}
+		res, err := r.finish()
+		if err != nil {
+			return sharerPoint{}, err
+		}
+		return sharerPoint{coh: coh, rmc: us(res.mean)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, sharers := range sharerCounts {
-		o.addMetrics(points[i].snap)
 		coh.Add(float64(sharers), points[i].coh)
 		rmcFlat.Add(float64(sharers), points[i].rmc)
 	}
 	fig.Note("coherent-DSM write cost grows with the sharer count; the RMC write cost is the flat remote round trip")
 	return fig, nil
-}
-
-// rmcAggregateLatency measures mean access latency when node 1 spreads
-// its working set over memory borrowed from n-1 donors. The run's
-// metrics snapshot rides along for the caller to fold.
-func rmcAggregateLatency(o Options, nodes, accesses int) (float64, metrics.Snapshot, error) {
-	sys, err := core.NewSystem(o.P)
-	if err != nil {
-		return 0, metrics.Snapshot{}, err
-	}
-	var donors []addr.NodeID
-	for id := addr.NodeID(2); int(id) <= nodes; id++ {
-		donors = append(donors, id)
-	}
-	if len(donors) == 0 {
-		donors = []addr.NodeID{2}
-	}
-	mr := microRun{Client: 1, Servers: donors, Threads: 1, AccessesPerThread: accesses, WriteFrac: 0.25}
-	threads, err := mr.launch(sys, o.Seed)
-	if err != nil {
-		return 0, metrics.Snapshot{}, err
-	}
-	sys.Run()
-	res, err := collect(threads)
-	if err != nil {
-		return 0, metrics.Snapshot{}, err
-	}
-	return res.MeanLatency, sys.Registry().Snapshot(), nil
 }

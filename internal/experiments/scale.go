@@ -4,13 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
-	"repro/internal/core"
-	"repro/internal/cpu"
-	"repro/internal/mesh"
-	"repro/internal/params"
-	"repro/internal/runner"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 )
 
 // Scale is the sharded-engine stress workload: every node in the mesh
@@ -31,36 +25,30 @@ func Scale(o Options) (*stats.Figure, error) {
 	perThread := o.scaled(2000, 40)
 	threadCounts := []int{1, 2}
 
-	pts, err := runner.Map(o.Parallel, len(threadCounts), func(i int) ([2]timedPoint, error) {
-		return scalePoint(o, threadCounts[i], perThread)
+	pts, err := sweep(o, len(threadCounts), func(pt *point, i int) (result, error) {
+		return scalePoint(pt, threadCounts[i], perThread)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, pt := range pts {
-		o.addMetrics(pt[0].snap)
-		elapsed.AddLabeled(fmt.Sprintf("%dt", threadCounts[i]), float64(threadCounts[i]), pt[0].v)
-		lat.AddLabeled(fmt.Sprintf("%dt", threadCounts[i]), float64(threadCounts[i]), pt[1].v)
+	for i, res := range pts {
+		elapsed.AddLabeled(fmt.Sprintf("%dt", threadCounts[i]), float64(threadCounts[i]), ms(res.end))
+		lat.AddLabeled(fmt.Sprintf("%dt", threadCounts[i]), float64(threadCounts[i]), us(res.mean))
 	}
 	fig.Note("all %d nodes issue %d random loads per thread against their diametric partner",
 		o.P.MeshWidth*o.P.MeshHeight, perThread)
 	return fig, nil
 }
 
-// scalePoint simulates one whole-fabric load point and returns
-// (completion ms, mean latency µs) with the run's metrics snapshot on
-// the first.
-func scalePoint(o Options, threadsPer, perThread int) ([2]timedPoint, error) {
-	var z [2]timedPoint
-	sys, err := core.NewSystem(o.P)
+// scalePoint simulates one whole-fabric load point: every node runs
+// threadsPer random-benchmark threads over 8 MiB borrowed from its point
+// reflection.
+func scalePoint(pt *point, threadsPer, perThread int) (result, error) {
+	r, err := pt.run(pt.o.P)
 	if err != nil {
-		return z, err
+		return result{}, err
 	}
-	topo, err := mesh.NewTopology(o.P.MeshWidth, o.P.MeshHeight)
-	if err != nil {
-		return z, err
-	}
-	var threads []*cpu.Thread
+	topo := r.sys.Cluster().Topology()
 	for id := 1; id <= topo.Nodes(); id++ {
 		client := addr.NodeID(id)
 		x, y := topo.Coord(client)
@@ -68,48 +56,10 @@ func scalePoint(o Options, threadsPer, perThread int) ([2]timedPoint, error) {
 		if partner == client {
 			continue // odd-sized mesh center reflects onto itself
 		}
-		region, err := sys.Region(client)
-		if err != nil {
-			return z, err
-		}
-		rng, err := region.GrowFrom(partner, 8<<20)
-		if err != nil {
-			return z, err
-		}
-		node, err := sys.Cluster().Node(client)
-		if err != nil {
-			return z, err
-		}
-		for t := 0; t < threadsPer; t++ {
-			stream, err := workloads.RandomStream(o.Seed+int64(id)*104729+int64(t)*7919,
-				[]addr.Range{rng}, perThread, 0)
-			if err != nil {
-				return z, err
-			}
-			th, err := cpu.NewThread(cpu.ThreadConfig{
-				Name:         fmt.Sprintf("n%d/t%d", client, t),
-				Engine:       node.Engine(),
-				Memory:       node,
-				Stream:       stream,
-				Core:         t % o.P.CoresPerNode,
-				WindowLocal:  o.P.LocalOutstanding,
-				WindowRemote: o.P.RemoteOutstanding,
-			})
-			if err != nil {
-				return z, err
-			}
-			th.Start(0)
-			threads = append(threads, th)
+		seed := pt.o.Seed + int64(id)*104729
+		if err := r.random(client, []addr.NodeID{partner}, 8<<20, threadsPer, perThread, 0, seed); err != nil {
+			return result{}, err
 		}
 	}
-	sys.Run()
-	res, err := collect(threads)
-	if err != nil {
-		return z, err
-	}
-	res.Metrics = sys.Registry().Snapshot()
-	return [2]timedPoint{
-		{float64(res.Elapsed) / float64(params.Millisecond), res.Metrics},
-		{v: res.MeanLatency / float64(params.Microsecond)},
-	}, nil
+	return r.finish()
 }
