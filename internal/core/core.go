@@ -99,15 +99,30 @@ func (s *System) Cluster() *cluster.Cluster { return s.cl }
 // Set returns the shard set driving the simulation.
 func (s *System) Set() *sim.ShardSet { return s.set }
 
-// Run drives the shard set until every shard is drained (or Stop) and
-// returns the final simulated time.
+// Run drives the shard set until every shard is drained (or the time
+// StopAfter asked for) and returns the final simulated time.
 func (s *System) Run() sim.Time { return s.set.Run() }
 
 // Now returns the current simulated time (the furthest shard's clock).
 func (s *System) Now() sim.Time { return s.set.Now() }
 
-// Stop requests a deterministic stop at the end of the current window.
-func (s *System) Stop() { s.set.Stop() }
+// StopAfter, called from an event on node n at simulated time t, makes
+// Run return at t plus a pad: once every event before that instant has
+// run on every shard, and none at or after it. The pad is the mesh
+// diameter at the costliest hop, (W−1 + H−1) × (LinkOccupancy + the
+// slowest link latency, HopLatency or any -linklat edge). It bounds
+// every entry of every partition's lookahead matrix and the
+// single-shard window, so no shard can have run past the stop, and the
+// run ends at the same instant at every shard count.
+func (s *System) StopAfter(n addr.NodeID, t sim.Time) {
+	p, ll := s.p, s.p.LinkLat
+	hop := max(p.HopLatency, ll.X, ll.Y)
+	for _, e := range ll.Edges {
+		hop = max(hop, e.Lat)
+	}
+	pad := sim.Time(p.MeshWidth-1+p.MeshHeight-1) * (p.LinkOccupancy + hop)
+	s.set.StopAt(s.cl.MustNode(n).Engine(), t+pad)
+}
 
 // Registry returns the metrics registry shared by every shard.
 func (s *System) Registry() *metrics.Registry { return s.set.Metrics() }

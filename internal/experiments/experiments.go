@@ -271,12 +271,15 @@ func (r *run) random(client addr.NodeID, donors []addr.NodeID, bytes uint64, thr
 	return nil
 }
 
-// endsRun is an OnDone hook whose thread's finish ends the run at the
-// end of the current window: the run's other threads only load the
-// machine, so finish then checks that thread alone.
-func (r *run) endsRun(th *cpu.Thread, _ sim.Time) {
-	r.threads = []*cpu.Thread{th}
-	r.sys.Stop()
+// endsRun returns the OnDone hook of a thread on client whose finish
+// ends the run, a pad later (core.System.StopAfter): the run's other
+// threads only load the machine, so finish then checks that thread
+// alone.
+func (r *run) endsRun(client addr.NodeID) func(*cpu.Thread, sim.Time) {
+	return func(th *cpu.Thread, t sim.Time) {
+		r.threads = []*cpu.Thread{th}
+		r.sys.StopAfter(client, t)
+	}
 }
 
 // result is a finished run: its latest thread finish, and the mean and

@@ -229,7 +229,7 @@ func fig8Point(pt *point, s fig8Setup, controlAccesses int) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	c := cpu.ThreadConfig{Name: fmt.Sprintf("n%d/t0", control), Stream: stream, Express: true, OnDone: r.endsRun}
+	c := cpu.ThreadConfig{Name: fmt.Sprintf("n%d/t0", control), Stream: stream, Express: true, OnDone: r.endsRun(control)}
 	if _, err := r.start(control, c, 0); err != nil {
 		return 0, err
 	}

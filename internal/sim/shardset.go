@@ -46,7 +46,9 @@ type ShardSet struct {
 	Barriers uint64
 	Elided   uint64
 
-	stopReq atomic.Bool
+	// stop is the simulated time Run ends at (MaxTime: none). StopAt
+	// sets it from an executing event; Run clears it when it returns.
+	stop atomic.Int64
 	// running is set for the duration of Run; ConfigureLookahead refuses
 	// to swap the bound matrix while it is up (see its doc comment).
 	running atomic.Bool
@@ -137,7 +139,9 @@ func NewShardSet(k int, window Time) *ShardSet {
 	}
 	if k == 1 {
 		e := New()
-		return &ShardSet{engines: []*Engine{e}, window: window, met: e.met}
+		s := &ShardSet{engines: []*Engine{e}, window: window, met: e.met}
+		s.stop.Store(MaxTime)
+		return s
 	}
 	met := metrics.NewRegistry()
 	s := &ShardSet{
@@ -149,6 +153,7 @@ func NewShardSet(k int, window Time) *ShardSet {
 		hv:     make([]Time, k),
 		phases: Phases{Busy: make([]time.Duration, k)},
 	}
+	s.stop.Store(MaxTime)
 	for i := 0; i < k; i++ {
 		s.engines = append(s.engines, newBare(met))
 	}
@@ -271,10 +276,29 @@ func (s *ShardSet) Pending() int {
 	return n
 }
 
-// Stop makes Run return at the end of the current window. Safe to call
-// from an event executing on any shard; the coordinator checks the flag
-// after the barrier.
-func (s *ShardSet) Stop() { s.stopReq.Store(true) }
+// StopAt makes Run return at simulated time t: once every event and
+// replayed intent before t has run on every shard, and nothing at or
+// after t has. Call it from an event executing on e's shard: e clamps
+// its running window to t, and every later window is capped at t. The
+// other shards are mid-window, so t must lie past their limits; the
+// coordinator panics, naming t and the shard, if a shard has already
+// run to t. Run clears the stop when it returns, so a later Run resumes.
+func (s *ShardSet) StopAt(e *Engine, t Time) {
+	e.ClampWindow(t)
+	s.stop.Store(t)
+}
+
+// checkStop panics if a shard's window reached past the requested stop,
+// or the shard already ran an event at or after it. Call it with the
+// shards parked.
+func (s *ShardSet) checkStop() {
+	t := s.stop.Load()
+	for i, e := range s.engines {
+		if e.limit > t || e.now >= t {
+			panic(fmt.Sprintf("sim: stop at %d requested after shard %d ran to %d", t, i, max(e.limit, e.now)))
+		}
+	}
+}
 
 // satAdd adds a bound to a time without overflowing the sentinel.
 func satAdd(t, d Time) Time {
@@ -284,26 +308,26 @@ func satAdd(t, d Time) Time {
 	return t + d
 }
 
-// Run executes windows until every shard's queue drains or Stop is
-// called, and returns the final time. Like Engine.Run it may be called
-// again to resume after a Stop.
+// Run executes windows until every shard's queue drains or the time
+// StopAt asked for, and returns the final time. Like Engine.Run it may
+// be called again to resume after a stop.
 func (s *ShardSet) Run() Time {
 	s.running.Store(true)
-	defer s.running.Store(false)
+	defer func() {
+		s.running.Store(false)
+		s.stop.Store(MaxTime)
+	}()
 	if len(s.engines) == 1 {
 		e := s.engines[0]
 		for {
 			t, ok := e.nextTime()
-			if !ok {
+			if !ok || t >= s.stop.Load() {
 				break
 			}
-			e.runWindow(t + s.window)
+			e.runWindow(min(t+s.window, s.stop.Load()))
+			s.checkStop()
 			if s.barrier != nil {
 				s.barrier(MaxTime)
-			}
-			if s.stopReq.Load() {
-				s.stopReq.Store(false)
-				break
 			}
 		}
 		return s.Now()
@@ -311,8 +335,9 @@ func (s *ShardSet) Run() Time {
 	return s.runParallel()
 }
 
-// plan computes this iteration's per-shard limits into s.limits and
-// returns G, the globally earliest pending work (MaxTime when idle).
+// plan computes this iteration's per-shard limits into s.limits, each
+// capped at the stop, and reports whether any work is pending before
+// the stop; G below is the globally earliest pending work.
 //
 // Safety: shard i's planned limit never exceeds e_j + B[j][i] for any
 // other shard j, nor h_i + B[i][i] for its own held intents, so every
@@ -326,7 +351,7 @@ func (s *ShardSet) Run() Time {
 // A set never given bounds falls back to the base window G + window
 // (the clamp never binds there: any send in the window lands at or after
 // G + one edge cost >= G + window).
-func (s *ShardSet) plan() Time {
+func (s *ShardSet) plan() bool {
 	g := MaxTime
 	for j, e := range s.engines {
 		ej := MaxTime
@@ -346,8 +371,9 @@ func (s *ShardSet) plan() Time {
 			g = ej
 		}
 	}
-	if g == MaxTime {
-		return g
+	stop := s.stop.Load()
+	if g >= stop {
+		return false
 	}
 	if s.bounds == nil {
 		lim := g + s.window
@@ -368,13 +394,12 @@ func (s *ShardSet) plan() Time {
 			s.limits[i] = lim
 		}
 	}
+	capAt := stop
 	if s.capOver > 0 {
-		capAt := satAdd(g, s.capOver)
-		for i := range s.limits {
-			if s.limits[i] > capAt {
-				s.limits[i] = capAt
-			}
-		}
+		capAt = min(capAt, satAdd(g, s.capOver))
+	}
+	for i := range s.limits {
+		s.limits[i] = min(s.limits[i], capAt)
 	}
 	s.Barriers++
 	minLim := s.limits[0]
@@ -386,7 +411,7 @@ func (s *ShardSet) plan() Time {
 	if minLim > satAdd(g, s.window) {
 		s.Elided++
 	}
-	return g
+	return true
 }
 
 // horizon returns the barrier's replay horizon: no pending or future
@@ -446,9 +471,9 @@ func (s *ShardSet) runParallel() Time {
 		ph.Run += time.Since(s.runStart)
 	}()
 	for {
-		g := s.plan()
+		more := s.plan()
 		s.lap(&ph.Plan, &mark)
-		if g == MaxTime {
+		if !more {
 			break
 		}
 		s.released = mark
@@ -458,14 +483,11 @@ func (s *ShardSet) runParallel() Time {
 		s.lap(&ph.Busy[0], &mark)
 		s.await(k - 1)
 		s.lap(&ph.Wait, &mark)
+		s.checkStop()
 		if s.barrier != nil {
 			s.barrier(s.horizon())
 		}
 		s.lap(&ph.Drain, &mark)
-		if s.stopReq.Load() {
-			s.stopReq.Store(false)
-			break
-		}
 	}
 	return s.Now()
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -170,12 +172,12 @@ func TestShardSetElisionHonorsHeldIntents(t *testing.T) {
 }
 
 // TestShardSetStopIsDeterministic requests a stop from an event on a
-// non-coordinator shard and checks Run returns at a window boundary with
+// non-coordinator shard and checks Run returns at the stop time with
 // the remaining events intact, then resumes exactly where it left off.
 func TestShardSetStopIsDeterministic(t *testing.T) {
 	s := NewShardSet(2, 100)
 	var ran atomic.Int32
-	s.Engine(1).At(10, func() { ran.Add(1); s.Stop() })
+	s.Engine(1).At(10, func() { ran.Add(1); s.StopAt(s.Engine(1), 110) })
 	s.Engine(0).At(500, func() { ran.Add(1) })
 	s.Run()
 	if got := ran.Load(); got != 1 {
@@ -191,6 +193,62 @@ func TestShardSetStopIsDeterministic(t *testing.T) {
 	if s.Pending() != 0 {
 		t.Fatalf("after resume: %d events pending, want 0", s.Pending())
 	}
+}
+
+// TestShardSetStopAtIsShardCountInvariant requests a stop mid-window,
+// one base window past the asking event, and checks that 1, 2 and 4
+// shards run exactly the events before the stop and leave the same
+// events pending.
+func TestShardSetStopAtIsShardCountInvariant(t *testing.T) {
+	const (
+		window = Time(100)
+		period = Time(37)
+		chains = 4
+		stopAt = 1 + 1 + 4*period + window // chain 1's fifth firing, plus a window
+	)
+	for _, k := range []int{1, 2, 4} {
+		s := NewShardSet(k, window)
+		var fired [chains][]Time
+		for c := 0; c < chains; c++ {
+			e := s.Engine(c % k)
+			var step func()
+			step = func() {
+				fired[c] = append(fired[c], e.Now())
+				if c == 1 && len(fired[c]) == 5 {
+					s.StopAt(e, e.Now()+window)
+				}
+				e.After(period, step)
+			}
+			e.At(Time(c+1), step)
+		}
+		s.Run()
+		for c := 0; c < chains; c++ {
+			var want []Time
+			for at := Time(c + 1); at < stopAt; at += period {
+				want = append(want, at)
+			}
+			if !slices.Equal(fired[c], want) {
+				t.Errorf("%d shards: chain %d fired at %v, want %v", k, c, fired[c], want)
+			}
+		}
+		if s.Pending() != chains {
+			t.Errorf("%d shards: %d events pending after the stop, want %d", k, s.Pending(), chains)
+		}
+	}
+}
+
+// TestShardSetStopBehindAWindowPanics: a stop closer than another
+// shard's window limit cannot be honored, and the coordinator says so.
+func TestShardSetStopBehindAWindowPanics(t *testing.T) {
+	s := NewShardSet(2, 100)
+	s.Engine(0).At(10, func() { s.StopAt(s.Engine(0), 20) })
+	s.Engine(1).At(15, func() {})
+	defer func() {
+		if got, want := fmt.Sprint(recover()), "sim: stop at 20 requested after shard 1 ran to 110"; got != want {
+			t.Errorf("panic %q, want %q", got, want)
+		}
+	}()
+	s.Run()
 }
 
 // TestShardSetSingleShardMatchesEngine runs the same event program
