@@ -145,19 +145,21 @@ func TestUsageErrorsRefusedBeforeWork(t *testing.T) {
 	}
 }
 
-// TestBadScaleRefusedBeforeWork: a -scale RunExperiment refuses, zero
-// or one whose scaled counts overflow an int, exits 1 before any figure
-// prints. An overflowing scale used to run every point at its floor
-// size and exit 0.
+// TestBadScaleRefusedBeforeWork: a -scale RunExperiment refuses, zero,
+// one whose scaled counts overflow an int, or one whose b-tree key draw
+// no allocation can hold, exits 1 before any figure prints. An
+// overflowing scale used to run every point at its floor size and exit
+// 0; an unallocatable key draw used to panic inside Fig 9.
 func TestBadScaleRefusedBeforeWork(t *testing.T) {
-	for _, tc := range []struct{ scale, stderr string }{
-		{"0", "experiments: Scale must be positive and finite (got 0)"},
-		{"1e20", "experiments: Scale 1e+20 overflows the scaled count 10000000 × 1e+20"},
+	for _, tc := range []struct{ fig, id, scale, stderr string }{
+		{"6", "fig6", "0", "experiments: Scale must be positive and finite (got 0)"},
+		{"6", "fig6", "1e20", "experiments: Scale 1e+20 overflows the scaled count 10000000 × 1e+20"},
+		{"9", "fig9", "1e11", "experiments: Scale 1e+11 draws 8e+18 bytes of keys, past the 281474976710656 bytes one allocation can take"},
 	} {
-		stdout, stderr, code := runCLI(t, "-fig", "6", "-scale", tc.scale)
-		if want := "ncdsm-bench: fig6: " + tc.stderr + "\n"; code != 1 || stdout != "" || stderr != want {
-			t.Errorf("ncdsm-bench -fig 6 -scale %s: exit %d, stderr %q, stdout %q; want exit 1, stderr %q and no output",
-				tc.scale, code, stderr, stdout, want)
+		stdout, stderr, code := runCLI(t, "-fig", tc.fig, "-scale", tc.scale)
+		if want := "ncdsm-bench: " + tc.id + ": " + tc.stderr + "\n"; code != 1 || stdout != "" || stderr != want {
+			t.Errorf("ncdsm-bench -fig %s -scale %s: exit %d, stderr %q, stdout %q; want exit 1, stderr %q and no output",
+				tc.fig, tc.scale, code, stderr, stdout, want)
 		}
 	}
 }

@@ -59,7 +59,8 @@ func DefaultOptions() Options {
 }
 
 // Validate reports why o cannot run: Scale must be positive and finite,
-// every count it scales must fit an int, Parallel must not be negative,
+// every count it scales must fit an int, the key draw it scales must
+// fit one allocation (a *KeyDrawError), Parallel must not be negative,
 // and the calibration must pass params.Validate. Every generator Lookup
 // returns checks it first, so the facade's RunExperiment refuses a bad
 // option set before any system is built.
@@ -76,6 +77,9 @@ func (o Options) Validate() error {
 			return fmt.Errorf("experiments: Scale %v overflows the scaled count %d × %v", o.Scale, base, o.Scale)
 		}
 	}
+	if bytes := 8 * float64(paperKeys) * o.Scale; bytes > maxAlloc {
+		return &KeyDrawError{Scale: o.Scale, Bytes: bytes}
+	}
 	if o.Parallel < 0 {
 		return fmt.Errorf("experiments: Parallel must be 0 (all cores) or a worker count (got %d)", o.Parallel)
 	}
@@ -85,6 +89,22 @@ func (o Options) Validate() error {
 // paperKeys is the paper's b-tree population (Figures 9 and 10,
 // Ablation G), the largest base count a generator scales.
 const paperKeys = 10_000_000
+
+// maxAlloc is the most the Go runtime allocates at once on 64-bit
+// platforms; a larger make panics.
+const maxAlloc = 1 << 48
+
+// KeyDrawError reports a Scale whose b-tree key draw (8 bytes a key)
+// needs a slice past maxAlloc. Refusing it also keeps the draw's dense
+// key space of 4n keys far inside int64.
+type KeyDrawError struct {
+	Scale float64
+	Bytes float64 // the key slice's size
+}
+
+func (e *KeyDrawError) Error() string {
+	return fmt.Sprintf("experiments: Scale %v draws %g bytes of keys, past the %d bytes one allocation can take", e.Scale, e.Bytes, int64(maxAlloc))
+}
 
 // scaled applies Scale to a base count with a floor.
 func (o Options) scaled(base, floor int) int {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -550,10 +551,18 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("Scale %v: err = %v", scale, err)
 		}
 	}
+	// 10M keys × 1e11 = 1e18 still fits an int, but its 8e18-byte key
+	// slice is past what one allocation can take: drawKeys would panic.
 	o := testOptions()
-	o.Scale = 1e11 // 10M keys × 1e11 = 1e18 still fits an int
+	o.Scale = 1e11
+	var kd *KeyDrawError
+	if err := o.Validate(); !errors.As(err, &kd) || kd.Scale != 1e11 || kd.Bytes != 8e18 {
+		t.Errorf("Scale 1e11: err = %v, want a *KeyDrawError for 8e18 bytes", err)
+	}
+	o = testOptions()
+	o.Scale = 1e6 // 10^13 keys, 80 TB: allocatable, if not on this host
 	if err := o.Validate(); err != nil {
-		t.Errorf("Scale 1e11 refused: %v", err)
+		t.Errorf("Scale 1e6 refused: %v", err)
 	}
 	o = testOptions()
 	o.Parallel = -1
