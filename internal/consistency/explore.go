@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/params"
 	"repro/internal/runner"
+	"repro/internal/splitmix"
 )
 
 // This file is the schedule-exploration model checker. PR 6's lab ran
@@ -243,26 +244,12 @@ func enumerateSchedules(prog Program, limit int) ([][]int, error) {
 	return out, nil
 }
 
-// schedPRNG is a self-contained splitmix64 stream, the same idiom as
-// internal/faults: the determinism contract outlives Go releases, so
-// sampled schedules do not depend on math/rand's generator staying put.
-type schedPRNG struct{ state uint64 }
-
-func (r *schedPRNG) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // sampleSchedule derives the i-th seeded schedule of the program: a
 // uniform interleaving drawn from a stream that depends only on (seed,
 // i), so shards can generate their schedules independently and the
 // sampled set is identical at any worker count.
 func sampleSchedule(seed int64, i int, prog Program) []int {
-	r := schedPRNG{state: uint64(seed)}
-	r.state = r.next() ^ (uint64(i)+1)*0x9e3779b97f4a7c15
+	r := splitmix.New(splitmix.Hash(uint64(seed)) ^ (uint64(i)+1)*splitmix.Gamma)
 	remaining := make([]int, len(prog))
 	total := 0
 	for n := range prog {
@@ -271,7 +258,7 @@ func sampleSchedule(seed int64, i int, prog Program) []int {
 	}
 	sched := make([]int, 0, total)
 	for len(sched) < total {
-		pick := int(r.next() % uint64(total-len(sched)))
+		pick := int(r.Next() % uint64(total-len(sched)))
 		for n := range remaining {
 			if remaining[n] == 0 {
 				continue

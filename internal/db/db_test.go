@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/memmodel"
 	"repro/internal/params"
+	"repro/internal/splitmix"
 	"repro/internal/swap"
 )
 
@@ -430,7 +431,7 @@ func TestHashSearchAccessSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	home := func(k uint64) uint64 { return splitmix64(k) & h.mask }
+	home := func(k uint64) uint64 { return splitmix.Hash(k) & h.mask }
 	// Three keys sharing the last bucket as their home: the second and
 	// third wrap to buckets 0 and 1.
 	var keys []uint64

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/memmodel"
 	"repro/internal/params"
+	"repro/internal/splitmix"
 )
 
 // HashIndex is the alternative the paper's footnote 3 names: "in-memory
@@ -70,14 +71,6 @@ func (h *HashIndex) alloc(capacity int) {
 // isLive reports whether bucket i holds a key.
 func (h *HashIndex) isLive(i uint64) bool { return h.live[i/64]&(1<<(i%64)) != 0 }
 
-// splitmix64 is the probe hash — cheap, well-mixed, deterministic.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // bucketAddr returns the modeled address of bucket i.
 func (h *HashIndex) bucketAddr(i uint64) uint64 { return i * HashBucketBytes }
 
@@ -87,7 +80,7 @@ func (h *HashIndex) Insert(key, val uint64) {
 	if float64(h.Size+1) > maxLoad*float64(len(h.buckets)) {
 		h.grow()
 	}
-	i := splitmix64(key) & h.mask
+	i := splitmix.Hash(key) & h.mask
 	for {
 		if !h.isLive(i) {
 			h.buckets[i] = hbucket{key: key, val: val}
@@ -120,7 +113,7 @@ func (h *HashIndex) grow() {
 // same page, so even the swap configuration usually pays for one page
 // per lookup. b must be empty between calls.
 func (h *HashIndex) SearchBatch(key uint64, mem memmodel.Accessor, b *memmodel.Batcher) (val uint64, found bool, cost params.Duration, accesses uint64) {
-	i := splitmix64(key) & h.mask
+	i := splitmix.Hash(key) & h.mask
 	for {
 		b.Read(h.bucketAddr(i))
 		if !h.isLive(i) {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/metrics"
+	"repro/internal/splitmix"
 )
 
 // Status classifies what the fabric did with one frame.
@@ -48,25 +49,6 @@ type Outcome struct {
 	Status Status
 }
 
-// prng is a self-contained splitmix64 stream. The simulator's
-// determinism contract outlives Go releases, so the fault stream does
-// not depend on math/rand's generator staying put.
-type prng struct{ state uint64 }
-
-func (r *prng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float64 returns a uniform draw in [0, 1).
-func (r *prng) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// intn returns a uniform draw in [0, n).
-func (r *prng) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // Injector is a Plan bound to one single-threaded simulation. It owns
 // the seeded random stream; because fault rolls happen in deterministic
 // event order, the whole fault sequence replays exactly under the same
@@ -75,7 +57,7 @@ func (r *prng) intn(n int) int { return int(r.next() % uint64(n)) }
 // under faults).
 type Injector struct {
 	plan *Plan
-	rng  prng
+	rng  splitmix.Stream
 
 	// Drops, Corruptions, and Delays count injected faults.
 	Drops, Corruptions, Delays uint64
@@ -83,8 +65,11 @@ type Injector struct {
 
 // NewInjector binds a validated, non-empty plan to a fresh stream.
 func NewInjector(p *Plan) *Injector {
-	return &Injector{plan: p, rng: prng{state: uint64(p.Seed)}}
+	return &Injector{plan: p, rng: splitmix.New(uint64(p.Seed))}
 }
+
+// uniform draws once from the stream, uniform in [0, 1).
+func (in *Injector) uniform() float64 { return float64(in.rng.Next()>>11) / (1 << 53) }
 
 // RollDrop draws once against the drop probability. Probability zero
 // consumes no randomness, so enabling only scheduled faults perturbs
@@ -93,7 +78,7 @@ func (in *Injector) RollDrop() bool {
 	if in == nil || in.plan.Drop <= 0 {
 		return false
 	}
-	if in.rng.float64() < in.plan.Drop {
+	if in.uniform() < in.plan.Drop {
 		in.Drops++
 		return true
 	}
@@ -105,7 +90,7 @@ func (in *Injector) RollCorrupt() bool {
 	if in == nil || in.plan.Corrupt <= 0 {
 		return false
 	}
-	if in.rng.float64() < in.plan.Corrupt {
+	if in.uniform() < in.plan.Corrupt {
 		in.Corruptions++
 		return true
 	}
@@ -118,7 +103,7 @@ func (in *Injector) RollDelay() (int64, bool) {
 	if in == nil || in.plan.Delay <= 0 {
 		return 0, false
 	}
-	if in.rng.float64() < in.plan.Delay {
+	if in.uniform() < in.plan.Delay {
 		in.Delays++
 		return in.plan.DelayBy, true
 	}
@@ -159,7 +144,7 @@ func (in *Injector) NackStorm(n addr.NodeID, t int64) bool {
 // MangleCRC flips one random bit of a frame checksum — the wire-level
 // corruption a receiver's CRC check is there to catch.
 func (in *Injector) MangleCRC(crc uint32) uint32 {
-	return crc ^ 1<<uint(in.rng.intn(32))
+	return crc ^ 1<<(in.rng.Next()%32)
 }
 
 // Register exposes the injection tallies. Only faulted systems call
