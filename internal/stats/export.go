@@ -3,7 +3,6 @@ package stats
 import (
 	"encoding/csv"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -13,37 +12,7 @@ import (
 func (f *Figure) CSV() (string, error) {
 	var b strings.Builder
 	w := csv.NewWriter(&b)
-
-	header := []string{f.XLabel}
-	for _, s := range f.Series {
-		header = append(header, s.Name)
-	}
-	if err := w.Write(header); err != nil {
-		return "", err
-	}
-
-	for _, k := range f.xKeys() {
-		label := k.label
-		if label == "" {
-			label = trimFloat(k.x)
-		}
-		row := []string{label}
-		for _, s := range f.Series {
-			cell := ""
-			for _, p := range s.Points {
-				if p.X == k.x && p.Label == k.label {
-					cell = fmt.Sprintf("%g", p.Y)
-					break
-				}
-			}
-			row = append(row, cell)
-		}
-		if err := w.Write(row); err != nil {
-			return "", err
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
+	if err := w.WriteAll(f.rows("", func(y float64) string { return fmt.Sprintf("%g", y) })); err != nil {
 		return "", err
 	}
 	for _, n := range f.Notes {
@@ -57,64 +26,15 @@ func (f *Figure) CSV() (string, error) {
 func (f *Figure) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### %s — %s\n\n", f.ID, f.Title)
-	b.WriteString("| " + f.XLabel)
-	for _, s := range f.Series {
-		b.WriteString(" | " + s.Name)
-	}
-	b.WriteString(" |\n|")
-	for i := 0; i < len(f.Series)+1; i++ {
-		b.WriteString("---|")
-	}
-	b.WriteString("\n")
-	for _, k := range f.xKeys() {
-		label := k.label
-		if label == "" {
-			label = trimFloat(k.x)
+	for i, row := range f.rows("—", trimFloat) {
+		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
+		if i == 0 {
+			b.WriteString("|" + strings.Repeat("---|", len(row)) + "\n")
 		}
-		b.WriteString("| " + label)
-		for _, s := range f.Series {
-			cell := "—"
-			for _, p := range s.Points {
-				if p.X == k.x && p.Label == k.label {
-					cell = trimFloat(p.Y)
-					break
-				}
-			}
-			b.WriteString(" | " + cell)
-		}
-		b.WriteString(" |\n")
 	}
 	fmt.Fprintf(&b, "\n*(%s)*\n", f.YLabel)
 	for _, n := range f.Notes {
 		fmt.Fprintf(&b, "\n> %s\n", n)
 	}
 	return b.String()
-}
-
-// xkey mirrors Render's x-value collection.
-type figXKey struct {
-	x     float64
-	label string
-}
-
-// xKeys returns the union of x values across series in display order.
-func (f *Figure) xKeys() []figXKey {
-	seen := map[figXKey]bool{}
-	var xs []figXKey
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			k := figXKey{p.X, p.Label}
-			if !seen[k] {
-				seen[k] = true
-				xs = append(xs, k)
-			}
-		}
-	}
-	sort.SliceStable(xs, func(i, j int) bool {
-		if xs[i].x != xs[j].x {
-			return xs[i].x < xs[j].x
-		}
-		return xs[i].label < xs[j].label
-	})
-	return xs
 }

@@ -79,66 +79,16 @@ func (f *Figure) FindSeries(name string) *Series {
 func (f *Figure) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", f.ID, f.Title)
-
-	// Collect the union of x values (preserving label text when present).
-	type xkey struct {
-		x     float64
-		label string
-	}
-	seen := map[xkey]bool{}
-	var xs []xkey
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			k := xkey{p.X, p.Label}
-			if !seen[k] {
-				seen[k] = true
-				xs = append(xs, k)
-			}
-		}
-	}
-	sort.SliceStable(xs, func(i, j int) bool {
-		if xs[i].x != xs[j].x {
-			return xs[i].x < xs[j].x
-		}
-		return xs[i].label < xs[j].label
-	})
-
-	header := []string{f.XLabel}
-	for _, s := range f.Series {
-		header = append(header, s.Name)
-	}
-	rows := [][]string{header}
-	for _, k := range xs {
-		label := k.label
-		if label == "" {
-			label = trimFloat(k.x)
-		}
-		row := []string{label}
-		for _, s := range f.Series {
-			cell := "-"
-			for _, p := range s.Points {
-				if p.X == k.x && p.Label == k.label {
-					cell = trimFloat(p.Y)
-					break
-				}
-			}
-			row = append(row, cell)
-		}
-		rows = append(rows, row)
-	}
-
-	widths := make([]int, len(header))
+	rows := f.rows("-", trimFloat)
+	widths := make([]int, len(rows[0]))
 	for _, row := range rows {
 		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+			widths[i] = max(widths[i], len(cell))
 		}
 	}
 	for ri, row := range rows {
 		for i, cell := range row {
 			fmt.Fprintf(&b, "%-*s", widths[i]+2, cell)
-			_ = i
 		}
 		b.WriteByte('\n')
 		if ri == 0 {
@@ -153,6 +103,66 @@ func (f *Figure) Render() string {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	return b.String()
+}
+
+// rows lays the figure out as a table: a header (the x label, then each
+// series name), then one row per x key in display order. A row starts
+// with the key's label (its x value when unlabeled), then holds each
+// series' y at that key in format, or missing where the series has no
+// point there.
+func (f *Figure) rows(missing string, format func(float64) string) [][]string {
+	header := []string{f.XLabel}
+	for _, s := range f.Series {
+		header = append(header, s.Name)
+	}
+	rows := [][]string{header}
+	for _, k := range f.xKeys() {
+		label := k.label
+		if label == "" {
+			label = trimFloat(k.x)
+		}
+		row := []string{label}
+		for _, s := range f.Series {
+			cell := missing
+			for _, p := range s.Points {
+				if p.X == k.x && p.Label == k.label {
+					cell = format(p.Y)
+					break
+				}
+			}
+			row = append(row, cell)
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// figXKey identifies one table row: an x value and its label.
+type figXKey struct {
+	x     float64
+	label string
+}
+
+// xKeys returns the union of x values across series in display order.
+func (f *Figure) xKeys() []figXKey {
+	seen := map[figXKey]bool{}
+	var xs []figXKey
+	for _, s := range f.Series {
+		for _, p := range s.Points {
+			k := figXKey{p.X, p.Label}
+			if !seen[k] {
+				seen[k] = true
+				xs = append(xs, k)
+			}
+		}
+	}
+	sort.SliceStable(xs, func(i, j int) bool {
+		if xs[i].x != xs[j].x {
+			return xs[i].x < xs[j].x
+		}
+		return xs[i].label < xs[j].label
+	})
+	return xs
 }
 
 func trimFloat(v float64) string {
