@@ -46,10 +46,9 @@ func AblationPrefetch(o Options) (*stats.Figure, error) {
 		return nil, err
 	}
 	for i, depth := range depths {
-		seq.Add(float64(depth), usPerOp(times[2*i].end, lines))
-		rnd.Add(float64(depth), usPerOp(times[2*i+1].end, lines))
-		localRef.Add(float64(depth),
-			float64(o.P.DRAMLatency+o.P.DRAMOccupancy+o.P.L1Latency)/float64(params.Microsecond))
+		seq.Add(float64(depth), us(float64(times[2*i].end)/float64(lines)))
+		rnd.Add(float64(depth), us(float64(times[2*i+1].end)/float64(lines)))
+		localRef.Add(float64(depth), us(float64(o.P.DRAMLatency+o.P.DRAMOccupancy+o.P.L1Latency)))
 	}
 	fig.Note("depth 0 is the prototype; deeper prefetch hides the fabric round trip behind the stream")
 	fig.Note("the curve floors at the client RMC's %.2f µs service occupancy — prefetching hides latency, not occupancy; closing the rest of the gap needs the ASIC RMC the paper also proposes",

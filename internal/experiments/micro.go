@@ -114,8 +114,8 @@ func Fig6(o Options) (*stats.Figure, error) {
 	for i, m := range means {
 		h := i + 1
 		remote.Add(float64(h), us(m.mean))
-		analytic.Add(float64(h), float64(o.P.RemoteRoundTrip(h))/float64(params.Microsecond))
-		local.Add(float64(h), float64(o.P.DRAMLatency+o.P.DRAMOccupancy+o.P.L1Latency)/float64(params.Microsecond))
+		analytic.Add(float64(h), us(float64(o.P.RemoteRoundTrip(h))))
+		local.Add(float64(h), us(float64(o.P.DRAMLatency+o.P.DRAMOccupancy+o.P.L1Latency)))
 	}
 	fig.Note("latency grows ~%.2f µs per hop (two link traversals per access)",
 		2*float64(o.P.HopLatency)/float64(params.Microsecond))

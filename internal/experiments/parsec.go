@@ -51,7 +51,7 @@ func Fig11(o Options) (*stats.Figure, error) {
 			return 0, err
 		}
 		res := k.Run(acc, o.Seed)
-		return float64(res.Total()) / float64(params.Millisecond), nil
+		return ms(res.Total()), nil
 	})
 	if err != nil {
 		return nil, err
@@ -107,7 +107,7 @@ func AblationCoherency(o Options) (*stats.Figure, error) {
 		if err := m.CheckInvariants(); err != nil {
 			return sharerPoint{}, err
 		}
-		coh := float64(writeTotal) / float64(lines) / float64(params.Microsecond)
+		coh := us(float64(writeTotal) / float64(lines))
 
 		// RMC side: one node aggregates memory from the same number of
 		// donors and writes it with no coherency traffic at all —
