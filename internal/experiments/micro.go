@@ -37,8 +37,8 @@ func Table1(o Options) (*stats.Figure, error) {
 	meas := fig.AddSeries("measured")
 	accesses := o.scaled(20000, 200)
 
-	// Point 0 is the local latency: a thread streaming distinct local
-	// lines. The others are the remote latency at 1 and 6 hops, single
+	// Point 0 is the local latency: dependent loads of distinct local
+	// pages. The others are the remote latency at 1 and 6 hops, single
 	// thread, unloaded. The max shows the unloaded path has no latency
 	// tail — every access takes the same hardware trip, unlike a faulting
 	// or OS-mediated path.
