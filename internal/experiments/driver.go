@@ -146,7 +146,8 @@ func (r *run) random(client addr.NodeID, donors []addr.NodeID, bytes uint64, thr
 // endsRun returns the OnDone hook of a thread on client whose finish
 // ends the run, a pad later (core.System.StopAfter): the run's other
 // threads only load the machine, so finish then checks that thread
-// alone.
+// alone. The hook runs on client's shard mid-window; nothing reads
+// r.threads until Run returns.
 func (r *run) endsRun(client addr.NodeID) func(*cpu.Thread, sim.Time) {
 	return func(th *cpu.Thread, t sim.Time) {
 		r.threads = []*cpu.Thread{th}

@@ -39,9 +39,10 @@ type Options struct {
 	// changes wall-clock time.
 	Parallel int
 	// Metrics, when non-nil, accumulates every simulated run's metrics
-	// snapshot. Generators fold snapshots on their own goroutine in
-	// sweep submission order, so the merged snapshot is byte-identical
-	// at every Parallel setting — the same contract the figures obey.
+	// snapshot. sweep folds the snapshots on the generator's goroutine
+	// in point order, so the merged snapshot is byte-identical at every
+	// Parallel setting — the same contract the figures obey. When nil,
+	// no snapshot is taken.
 	Metrics *metrics.Merged
 }
 
