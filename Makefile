@@ -59,7 +59,9 @@ perf-gate:
 
 # Short fuzz passes over the parsers of untrusted input and the
 # consistency lab's state machines: the HNC frame integrity check that
-# the fault injector's corrupted frames must never slip past, random
+# the fault injector's corrupted frames must never slip past, the HNC
+# per-peer sequence tables (a bridge's and a verifier's streams to and
+# from up to 2,048 peers against a map-backed reference), random
 # litmus programs under every protocol with directory invariants held
 # at every step, the -linklat, -bulk and -faults spec parsers (no
 # panic; String renders exactly what Parse reads), the -mesh parser with
@@ -71,6 +73,7 @@ perf-gate:
 # CI runs the same 10-second smokes.
 fuzz:
 	$(GO) test -fuzz=FuzzFrameIntegrity -fuzztime=10s -run='^$$' ./internal/hnc
+	$(GO) test -fuzz=FuzzPeerStreams -fuzztime=10s -run='^$$' ./internal/hnc
 	$(GO) test -fuzz=FuzzLitmusProgram -fuzztime=10s -run='^$$' ./internal/consistency
 	$(GO) test -fuzz=FuzzParseLinkLat -fuzztime=10s -run='^$$' ./internal/params
 	$(GO) test -fuzz=FuzzParseBulk -fuzztime=10s -run='^$$' ./internal/params

@@ -366,17 +366,22 @@ func BenchmarkHashIndexSearchRemote(b *testing.B) {
 	b.ReportMetric(float64(cost)/float64(b.N)/1e6, "sim-µs/lookup")
 }
 
+// BenchmarkHnCSealVerify seals one 64-byte write frame per op and
+// verifies it in place at node 3, cycling 16 source peers the way a
+// shared server RMC hears its requesters.
 func BenchmarkHnCSealVerify(b *testing.B) {
+	const peers = 16
 	v := hnc.NewVerifier(3)
 	payload := make([]byte, 64)
+	var s hnc.Sealed
 	b.SetBytes(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := hnc.Frame{
-			Src: 1, Dst: 3, Seq: uint64(i + 1),
+		s = hnc.Seal(hnc.Frame{
+			Src: addr.NodeID(4 + i%peers), Dst: 3, Seq: uint64(i/peers + 1),
 			Payload: ht.Packet{Cmd: ht.CmdWrSized, Addr: addr.Phys(0x1000).WithNode(3), Count: 64, Data: payload},
-		}
-		if _, err := v.Accept(hnc.Seal(f)); err != nil {
+		})
+		if err := v.Accept(&s); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,31 +7,32 @@ import (
 	"repro/internal/ht"
 )
 
-func sealedFrom(t *testing.T, src, dst addr.NodeID, seq uint64) Sealed {
+func sealedFrom(t *testing.T, src, dst addr.NodeID, seq uint64) *Sealed {
 	t.Helper()
 	f := Frame{Src: src, Dst: dst, Seq: seq,
 		Payload: ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x40).WithNode(dst), Count: 64}}
-	return Seal(f)
+	s := Seal(f)
+	return &s
 }
 
 // TestAcceptLoose checks Accept's one rule, the serving path's loose
 // contract: sequence anomalies are counted but the frame is still
-// returned, while corruption and misdelivery remain hard errors.
+// served, while corruption and misdelivery remain hard errors.
 func TestAcceptLoose(t *testing.T) {
 	v := NewVerifier(3)
 
-	if _, err := v.Accept(sealedFrom(t, 1, 3, 1)); err != nil {
+	if err := v.Accept(sealedFrom(t, 1, 3, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// A gap of two dropped frames: served anyway, counted.
-	if _, err := v.Accept(sealedFrom(t, 1, 3, 4)); err != nil {
+	if err := v.Accept(sealedFrom(t, 1, 3, 4)); err != nil {
 		t.Errorf("gap refused on the serving path: %v", err)
 	}
 	if v.Gaps != 2 {
 		t.Errorf("Gaps = %d, want 2", v.Gaps)
 	}
 	// A regression (replay): served anyway, counted.
-	if _, err := v.Accept(sealedFrom(t, 1, 3, 2)); err != nil {
+	if err := v.Accept(sealedFrom(t, 1, 3, 2)); err != nil {
 		t.Errorf("regression refused on the serving path: %v", err)
 	}
 	if v.Regressions != 1 {
@@ -44,14 +45,14 @@ func TestAcceptLoose(t *testing.T) {
 	// Corruption still errors.
 	s := sealedFrom(t, 1, 3, 5)
 	s.CRC ^= 1
-	if _, err := v.Accept(s); err == nil {
+	if err := v.Accept(s); err == nil {
 		t.Error("corrupt frame accepted")
 	}
 	if v.Corrupt != 1 {
 		t.Errorf("Corrupt = %d, want 1", v.Corrupt)
 	}
 	// Misdelivery still errors.
-	if _, err := v.Accept(sealedFrom(t, 1, 4, 1)); err == nil {
+	if err := v.Accept(sealedFrom(t, 1, 4, 1)); err == nil {
 		t.Error("misdelivered frame accepted")
 	}
 }

@@ -7,39 +7,78 @@ import (
 	"repro/internal/ht"
 )
 
-// One pooled frame round-trip — build, seal, verify, decapsulate — must
-// not allocate: frames are values, the CRC runs over a stack buffer, and
-// the verifier only mutates existing per-peer window entries. This is
-// the regression tripwire for the RMC fast path's per-frame cost.
+// One pooled frame round trip — build, seal, verify, decapsulate — must
+// not allocate once the peers are known: the frame is sealed into one
+// slot and verified and decapsulated there, the checksum's header words
+// stay in registers, and the bridge and the verifier only advance
+// existing per-peer slots. This is the regression tripwire for the RMC
+// fast path's per-frame cost.
 func TestSealVerifyRoundTripAllocs(t *testing.T) {
 	b, err := NewBridge(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx, err := NewBridge(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := NewVerifier(3)
 	payload := make([]byte, 64)
 	pkt := ht.Packet{Cmd: ht.CmdWrSized, SrcTag: 1, Addr: addr.Phys(0x1000).WithNode(3), Count: 64, Data: payload}
-	// Warm the per-peer sequence windows so the map entries exist.
-	for i := 0; i < 8; i++ {
+	var s Sealed
+	roundTrip := func() {
 		f, err := b.Outbound(pkt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := v.Accept(Seal(f)); err != nil {
+		s = Seal(f)
+		if err := v.Accept(&s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rx.Inbound(&s.Frame); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if avg := testing.AllocsPerRun(1000, func() {
-		f, err := b.Outbound(pkt)
+	// Warm the per-peer sequence slots.
+	for i := 0; i < 8; i++ {
+		roundTrip()
+	}
+	if avg := testing.AllocsPerRun(1000, roundTrip); avg != 0 {
+		t.Errorf("seal/verify round trip allocates %.2f/op, want 0", avg)
+	}
+}
+
+// First contact with a peer claims a slot in a table that doubles past
+// half full, so a bridge sending to 1,000 new destinations, or a
+// verifier hearing from 1,000 new sources, allocates the table's nine
+// sizes (8 to 2,048 slots), not one entry per peer.
+func TestFirstContactAllocs(t *testing.T) {
+	const peers, bound = 1000, 20
+	ids := make([]addr.NodeID, peers)
+	for i := range ids {
+		ids[i] = addr.NodeID(1 + i*(addr.MaxNode-1)/(peers-1))
+	}
+	if avg := testing.AllocsPerRun(5, func() {
+		b, err := NewBridge(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := Seal(f)
-		if _, err := v.Accept(s); err != nil {
-			t.Fatal(err)
+		for _, id := range ids {
+			b.nextSeq(id)
 		}
-	}); avg != 0 {
-		t.Errorf("seal/verify round trip allocates %.2f/op, want 0", avg)
+	}); avg > bound {
+		t.Errorf("a bridge's first contact with %d peers allocates %.0f times, want at most %d", peers, avg, bound)
+	}
+	if avg := testing.AllocsPerRun(5, func() {
+		v := NewVerifier(1)
+		for _, id := range ids {
+			s := Seal(Frame{Src: id, Dst: 1, Seq: 1, Payload: ht.Packet{Cmd: ht.CmdTgtDone}})
+			if err := v.Accept(&s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); avg > bound {
+		t.Errorf("a verifier's first contact with %d peers allocates %.0f times, want at most %d", peers, avg, bound)
 	}
 }
 

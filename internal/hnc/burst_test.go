@@ -31,8 +31,8 @@ func burstWriteFrame(t *testing.T, payload []byte) Sealed {
 
 // TestBurstFrameCRC seals a multi-line data frame and proves the
 // checksum covers the whole payload: flipping any byte — first line,
-// a middle line, the last byte — is caught at Open, and the intact
-// frame round-trips with its burst tag and bytes unchanged.
+// a middle line, the last byte — is caught by the verifier, and the
+// intact frame verifies in place with its burst tag and bytes unchanged.
 func TestBurstFrameCRC(t *testing.T) {
 	payload := make([]byte, 16*64)
 	for i := range payload {
@@ -40,14 +40,13 @@ func TestBurstFrameCRC(t *testing.T) {
 	}
 	s := burstWriteFrame(t, payload)
 
-	got, err := s.Open()
-	if err != nil {
+	if err := open(&s); err != nil {
 		t.Fatalf("intact burst frame rejected: %v", err)
 	}
-	if !bytes.Equal(got.Payload.Data, payload) {
+	if !bytes.Equal(s.Frame.Payload.Data, payload) {
 		t.Fatal("payload changed in flight")
 	}
-	if idx, total := ht.BurstIndex(got.Payload.SrcTag); idx != 3 || total != 7 {
+	if idx, total := ht.BurstIndex(s.Frame.Payload.SrcTag); idx != 3 || total != 7 {
 		t.Fatalf("burst tag decoded as %d/%d", idx, total)
 	}
 
@@ -55,7 +54,7 @@ func TestBurstFrameCRC(t *testing.T) {
 		corrupted := burstWriteFrame(t, payload)
 		corrupted.Frame.Payload.Data = bytes.Clone(payload)
 		corrupted.Frame.Payload.Data[off] ^= 0x80
-		if _, err := corrupted.Open(); err == nil {
+		if err := open(&corrupted); err == nil {
 			t.Errorf("flipped payload byte %d not caught by the seal", off)
 		}
 	}
@@ -63,7 +62,7 @@ func TestBurstFrameCRC(t *testing.T) {
 	// The header is covered too: a misrouted burst frame fails its seal.
 	misrouted := burstWriteFrame(t, payload)
 	misrouted.Frame.Dst = 9
-	if _, err := misrouted.Open(); err == nil {
+	if err := open(&misrouted); err == nil {
 		t.Error("rerouted burst frame passed its seal")
 	}
 }

@@ -1,6 +1,7 @@
 package hnc
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/addr"
@@ -11,8 +12,8 @@ import (
 // injector leans on: a sealed frame with ANY single bit flipped in a
 // checksum-covered field — routing header, sequence, payload metadata,
 // the Posted flag, the data, or the CRC itself — must be refused by
-// Open/Accept, and the verifier must count it as corrupt rather than
-// receive it or advance the peer window.
+// Accept's checksum, and the verifier must count it as corrupt rather
+// than receive it or advance the peer window.
 func FuzzFrameIntegrity(f *testing.F) {
 	f.Add([]byte("seed payload"), uint64(1), uint16(3), uint8(0), uint8(0), false)
 	f.Add([]byte{}, uint64(9), uint16(0xfff), uint8(6), uint8(31), true)
@@ -37,7 +38,7 @@ func FuzzFrameIntegrity(f *testing.F) {
 
 		// The untampered frame passes a fresh verifier.
 		clean := NewVerifier(3)
-		if _, err := clean.Accept(s); err != nil {
+		if err := clean.Accept(&s); err != nil {
 			t.Fatalf("pristine frame refused: %v", err)
 		}
 
@@ -69,11 +70,14 @@ func FuzzFrameIntegrity(f *testing.F) {
 			m.CRC ^= 1 << (bit % 32)
 		}
 
-		if _, err := m.Open(); err == nil {
-			t.Fatalf("bit-flipped frame opened clean (field %d bit %d)", field%8, bit)
+		// The checksum alone refuses it: a verifier at the mutant's own
+		// destination still reports a *ChecksumError.
+		var ce *ChecksumError
+		if err := NewVerifier(m.Frame.Dst).Accept(&m); !errors.As(err, &ce) {
+			t.Fatalf("bit-flipped frame passed its checksum (field %d bit %d): %v", field%8, bit, err)
 		}
 		v := NewVerifier(3)
-		if _, err := v.Accept(m); err == nil {
+		if err := v.Accept(&m); err == nil {
 			t.Fatal("bit-flipped frame accepted")
 		}
 		if v.Corrupt != 1 || v.Received != 0 || v.Gaps != 0 || v.Regressions != 0 {
@@ -83,7 +87,7 @@ func FuzzFrameIntegrity(f *testing.F) {
 		// The refused frame left the peer window alone: the pristine
 		// frame still arrives in order or as a head gap, never as a
 		// regression.
-		if _, err := v.Accept(s); err != nil || v.Regressions != 0 || v.Gaps != seq-1 {
+		if err := v.Accept(&s); err != nil || v.Regressions != 0 || v.Gaps != seq-1 {
 			t.Fatalf("window moved by a refused frame: err=%v Gaps=%d Regressions=%d", err, v.Gaps, v.Regressions)
 		}
 	})

@@ -59,7 +59,7 @@ func (f Frame) String() string {
 // traffic to other nodes.
 type Bridge struct {
 	self addr.NodeID
-	seq  map[addr.NodeID]uint64
+	seq  peerTable // last sequence sent to each destination
 }
 
 // NewBridge returns a bridge for the given node.
@@ -67,7 +67,7 @@ func NewBridge(self addr.NodeID) (*Bridge, error) {
 	if self == 0 || self > addr.MaxNode {
 		return nil, fmt.Errorf("hnc: invalid node id %d", self)
 	}
-	return &Bridge{self: self, seq: make(map[addr.NodeID]uint64)}, nil
+	return &Bridge{self: self}, nil
 }
 
 // Outbound encapsulates a local HT request whose address carries a remote
@@ -95,7 +95,8 @@ func (b *Bridge) Outbound(p ht.Packet) (Frame, error) {
 // HT packet to replay into the local system. For requests it zeroes the
 // 14 prefix bits (paper: "the RMC sets to zero those 14 bits and forwards
 // the operation to its local system"); responses pass through unchanged.
-func (b *Bridge) Inbound(f Frame) (ht.Packet, error) {
+// The frame is read in place.
+func (b *Bridge) Inbound(f *Frame) (ht.Packet, error) {
 	if err := f.Validate(); err != nil {
 		return ht.Packet{}, err
 	}
@@ -117,14 +118,17 @@ func (b *Bridge) Reply(to addr.NodeID, p ht.Packet) (Frame, error) {
 	if !p.Cmd.IsResponse() {
 		return Frame{}, fmt.Errorf("hnc: reply with non-response %v", p.Cmd)
 	}
-	f := Frame{Src: b.self, Dst: to, Seq: b.nextSeq(to), Payload: p}
+	f := Frame{Src: b.self, Dst: to, Payload: p}
 	if err := f.Validate(); err != nil {
 		return Frame{}, err
 	}
+	f.Seq = b.nextSeq(to)
 	return f, nil
 }
 
+// nextSeq advances dst's sequence; dst must be a valid node id.
 func (b *Bridge) nextSeq(dst addr.NodeID) uint64 {
-	b.seq[dst]++
-	return b.seq[dst]
+	s := b.seq.at(dst)
+	*s++
+	return *s
 }

@@ -42,7 +42,7 @@ func TestPaperWalkthrough(t *testing.T) {
 		t.Errorf("frame %v routed %d->%d, want 1->3", frame, frame.Src, frame.Dst)
 	}
 
-	local, err := n3.Inbound(frame)
+	local, err := n3.Inbound(&frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestPaperWalkthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsp, err := n1.Inbound(reply)
+	rsp, err := n1.Inbound(&reply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestLoopbackFrame(t *testing.T) {
 	if f.Dst != 5 {
 		t.Errorf("loopback frame dst = %d", f.Dst)
 	}
-	p, err := b.Inbound(f)
+	p, err := b.Inbound(&f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,17 +104,17 @@ func TestInboundRejections(t *testing.T) {
 	b3 := mustBridge(t, 3)
 	// Misdelivered frame.
 	f := Frame{Src: 1, Dst: 4, Payload: ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x1).WithNode(4), Count: 8}}
-	if _, err := b3.Inbound(f); err == nil {
+	if _, err := b3.Inbound(&f); err == nil {
 		t.Error("misdelivered frame accepted")
 	}
 	// Frame whose payload prefix disagrees with the destination.
 	f = Frame{Src: 1, Dst: 3, Payload: ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x1).WithNode(4), Count: 8}}
-	if _, err := b3.Inbound(f); err == nil {
+	if _, err := b3.Inbound(&f); err == nil {
 		t.Error("prefix/destination mismatch accepted")
 	}
 	// Invalid src on the wire.
 	f = Frame{Src: 0, Dst: 3, Payload: ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x1).WithNode(3), Count: 8}}
-	if _, err := b3.Inbound(f); err == nil {
+	if _, err := b3.Inbound(&f); err == nil {
 		t.Error("frame from node 0 accepted")
 	}
 }
@@ -159,7 +159,7 @@ func TestBridgeRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p, err := bd.Inbound(fr)
+		p, err := bd.Inbound(&fr)
 		if err != nil {
 			return false
 		}

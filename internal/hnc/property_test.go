@@ -55,7 +55,7 @@ func interleave(seed uint64, n int) []uint64 {
 func deliver(t *testing.T, v *Verifier, seqs []uint64) (accepted int) {
 	t.Helper()
 	for _, seq := range seqs {
-		if _, err := v.Accept(sealedFrom(t, 1, 3, seq)); err == nil {
+		if err := v.Accept(sealedFrom(t, 1, 3, seq)); err == nil {
 			accepted++
 		}
 	}
@@ -129,7 +129,7 @@ func TestCleanIffIdentity(t *testing.T) {
 	// And explicitly: every prefix of the identity stream is clean.
 	v := NewVerifier(3)
 	for seq := uint64(1); seq <= 32; seq++ {
-		if _, err := v.Accept(sealedFrom(t, 1, 3, seq)); err != nil {
+		if err := v.Accept(sealedFrom(t, 1, 3, seq)); err != nil {
 			t.Fatal(err)
 		}
 		if !clean(v) {
@@ -145,23 +145,23 @@ func TestCleanIffIdentity(t *testing.T) {
 func TestStrictReplayDoesNotPoisonWindow(t *testing.T) {
 	v := NewVerifier(3)
 	for seq := uint64(1); seq <= 5; seq++ {
-		if _, err := v.Accept(sealedFrom(t, 1, 3, seq)); err != nil {
+		if err := v.Accept(sealedFrom(t, 1, 3, seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Replay the window maximum: served, counted, window untouched.
-	if _, err := v.Accept(sealedFrom(t, 1, 3, 5)); err != nil {
+	if err := v.Accept(sealedFrom(t, 1, 3, 5)); err != nil {
 		t.Fatalf("replayed max-seq frame refused: %v", err)
 	}
 	// And an older frame.
-	if _, err := v.Accept(sealedFrom(t, 1, 3, 3)); err != nil {
+	if err := v.Accept(sealedFrom(t, 1, 3, 3)); err != nil {
 		t.Fatalf("replayed frame 3 refused: %v", err)
 	}
 	if v.Received != 7 || v.Regressions != 2 {
 		t.Errorf("replays: Received = %d, Regressions = %d, want 7 and 2", v.Received, v.Regressions)
 	}
 	// The next in-order frame must still be in order — no false gap.
-	if _, err := v.Accept(sealedFrom(t, 1, 3, 6)); err != nil {
+	if err := v.Accept(sealedFrom(t, 1, 3, 6)); err != nil {
 		t.Fatalf("stream wedged after replay: %v", err)
 	}
 	if v.Gaps != 0 {
@@ -177,7 +177,7 @@ func TestStrictReplayDoesNotPoisonWindow(t *testing.T) {
 // sequence 1, so an unseen peer window sits at 0).
 func TestHeadDropCounted(t *testing.T) {
 	v := NewVerifier(3)
-	if _, err := v.Accept(sealedFrom(t, 1, 3, 4)); err != nil {
+	if err := v.Accept(sealedFrom(t, 1, 3, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if v.Gaps != 3 {
@@ -190,12 +190,12 @@ func TestHeadDropCounted(t *testing.T) {
 func TestPeerStreamsIndependent(t *testing.T) {
 	v := NewVerifier(3)
 	for seq := uint64(1); seq <= 3; seq++ {
-		if _, err := v.Accept(sealedFrom(t, 1, 3, seq)); err != nil {
+		if err := v.Accept(sealedFrom(t, 1, 3, seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Peer 2 starts its own dense stream at 1.
-	if _, err := v.Accept(sealedFrom(t, 2, 3, 1)); err != nil {
+	if err := v.Accept(sealedFrom(t, 2, 3, 1)); err != nil {
 		t.Fatalf("fresh peer refused: %v", err)
 	}
 	if v.Gaps != 0 || v.Regressions != 0 {

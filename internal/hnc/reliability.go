@@ -86,15 +86,6 @@ func (e *ChecksumError) Error() string {
 	return fmt.Sprintf("hnc: checksum mismatch on %v: %#x != %#x", e.Frame, e.Got, e.Want)
 }
 
-// Open verifies the checksum and returns the frame. A mismatch returns a
-// *ChecksumError.
-func (s Sealed) Open() (Frame, error) {
-	if got := s.Frame.Checksum(); got != s.CRC {
-		return Frame{}, &ChecksumError{Frame: s.Frame, Got: got, Want: s.CRC}
-	}
-	return s.Frame, nil
-}
-
 // Verifier tracks per-peer frame sequences at a receiving RMC and counts
 // integrity events: gaps (dropped frames) and regressions (reordering or
 // replay). Bridges emit dense sequences starting at 1, so an untouched
@@ -102,7 +93,7 @@ func (s Sealed) Open() (Frame, error) {
 // dropped ahead of it.
 type Verifier struct {
 	self addr.NodeID
-	last map[addr.NodeID]uint64
+	last peerTable // highest in-window sequence from each source
 
 	// Received, Gaps, Regressions, and Corrupt count events.
 	Received, Gaps, Regressions, Corrupt uint64
@@ -110,37 +101,40 @@ type Verifier struct {
 
 // NewVerifier builds a verifier for one node.
 func NewVerifier(self addr.NodeID) *Verifier {
-	return &Verifier{self: self, last: make(map[addr.NodeID]uint64)}
+	return &Verifier{self: self}
 }
 
-// Accept verifies a sealed frame at its receiving node and returns it.
-// Checksum and destination failures return errors; a checksum failure
-// is counted as Corrupt. Sequence anomalies are counted, never refused:
-// a live RMC cannot refuse work because an earlier frame was dropped,
-// so a gap or a regression is served and surfaces through the metrics
-// layer instead. In-order and gap arrivals advance the peer window; a
-// regression leaves it untouched, so a replayed max-seq frame cannot
-// poison it.
-func (v *Verifier) Accept(s Sealed) (Frame, error) {
-	f, err := s.Open()
-	if err != nil {
+// Accept verifies a sealed frame at its receiving node, in place.
+// Checksum, destination and source failures return errors; a checksum
+// failure is counted as Corrupt and returns a *ChecksumError. Sequence
+// anomalies are counted, never refused: a live RMC cannot refuse work
+// because an earlier frame was dropped, so a gap or a regression is
+// served and surfaces through the metrics layer instead. In-order and
+// gap arrivals advance the peer window; a regression leaves it
+// untouched, so a replayed max-seq frame cannot poison it.
+func (v *Verifier) Accept(s *Sealed) error {
+	f := &s.Frame
+	if got := f.Checksum(); got != s.CRC {
 		v.Corrupt++
-		return Frame{}, err
+		return &ChecksumError{Frame: *f, Got: got, Want: s.CRC}
 	}
-	if f.Dst != v.self {
-		return Frame{}, fmt.Errorf("hnc: frame for node %d accepted at node %d", f.Dst, v.self)
+	switch {
+	case f.Dst != v.self:
+		return fmt.Errorf("hnc: frame for node %d accepted at node %d", f.Dst, v.self)
+	case f.Src == 0 || f.Src > addr.MaxNode:
+		return fmt.Errorf("hnc: frame from invalid node %d accepted at node %d", f.Src, v.self)
 	}
 	v.Received++
-	last := v.last[f.Src]
+	last := v.last.at(f.Src)
 	switch {
-	case f.Seq == last+1:
+	case f.Seq == *last+1:
 		// In order.
-	case f.Seq > last+1:
-		v.Gaps += f.Seq - last - 1
+	case f.Seq > *last+1:
+		v.Gaps += f.Seq - *last - 1
 	default:
 		v.Regressions++
-		return f, nil
+		return nil
 	}
-	v.last[f.Src] = f.Seq
-	return f, nil
+	*last = f.Seq
+	return nil
 }

@@ -20,15 +20,24 @@ func mkFrame(t *testing.T, src addr.NodeID, seq uint64, data byte) Frame {
 	}
 }
 
+// open runs a sealed frame's checksum alone: a fresh verifier at the
+// frame's own destination, so only a CRC mismatch can refuse it.
+func open(s *Sealed) error { return NewVerifier(s.Frame.Dst).Accept(s) }
+
+// acceptFrame seals f and hands it to v.
+func acceptFrame(v *Verifier, f Frame) error {
+	s := Seal(f)
+	return v.Accept(&s)
+}
+
 func TestSealOpenRoundTrip(t *testing.T) {
 	f := mkFrame(t, 1, 7, 0xAA)
 	s := Seal(f)
-	got, err := s.Open()
-	if err != nil {
+	if err := open(&s); err != nil {
 		t.Fatal(err)
 	}
-	if got.Seq != 7 || got.Payload.Data[0] != 0xAA {
-		t.Error("frame changed through seal/open")
+	if s.Frame.Seq != 7 || s.Frame.Payload.Data[0] != 0xAA || s.CRC != f.Checksum() {
+		t.Error("frame changed through seal/verify")
 	}
 }
 
@@ -38,21 +47,21 @@ func TestCorruptionDetected(t *testing.T) {
 
 	// Flip a payload bit.
 	s.Frame.Payload.Data[5] ^= 0x40
-	if _, err := s.Open(); err == nil {
+	if err := open(&s); err == nil {
 		t.Error("payload corruption undetected")
 	}
 	s.Frame.Payload.Data[5] ^= 0x40
 
 	// Tamper with the routing header.
 	s.Frame.Dst = 4
-	if _, err := s.Open(); err == nil {
+	if err := open(&s); err == nil {
 		t.Error("header tampering undetected")
 	}
 	s.Frame.Dst = 3
 
 	// Tamper with the address (the field that would misroute memory).
 	s.Frame.Payload.Addr++
-	if _, err := s.Open(); err == nil {
+	if err := open(&s); err == nil {
 		t.Error("address tampering undetected")
 	}
 }
@@ -63,7 +72,7 @@ func TestChecksumErrorAs(t *testing.T) {
 	s := Seal(mkFrame(t, 1, 7, 0xAA))
 	want := s.CRC
 	s.Frame.Payload.Data[5] ^= 0x40
-	_, err := NewVerifier(3).Accept(s)
+	err := NewVerifier(3).Accept(&s)
 	var ce *ChecksumError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Accept error %v is not a *ChecksumError", err)
@@ -97,7 +106,7 @@ func TestVerifierSequencing(t *testing.T) {
 	v := NewVerifier(3)
 	// In-order stream from node 1.
 	for seq := uint64(1); seq <= 3; seq++ {
-		if _, err := v.Accept(Seal(mkFrame(t, 1, seq, 0))); err != nil {
+		if err := acceptFrame(v, mkFrame(t, 1, seq, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +115,7 @@ func TestVerifierSequencing(t *testing.T) {
 	}
 
 	// A gap (dropped frames 4 and 5).
-	if _, err := v.Accept(Seal(mkFrame(t, 1, 6, 0))); err != nil {
+	if err := acceptFrame(v, mkFrame(t, 1, 6, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if v.Gaps != 2 {
@@ -114,16 +123,16 @@ func TestVerifierSequencing(t *testing.T) {
 	}
 
 	// A regression (replay of frame 2): served and counted.
-	f, err := v.Accept(Seal(mkFrame(t, 1, 2, 0)))
-	if err != nil || f.Seq != 2 {
-		t.Errorf("replayed frame not served: seq %d, %v", f.Seq, err)
+	s := Seal(mkFrame(t, 1, 2, 0))
+	if err := v.Accept(&s); err != nil || s.Frame.Seq != 2 {
+		t.Errorf("replayed frame not served: seq %d, %v", s.Frame.Seq, err)
 	}
 	if v.Regressions != 1 || v.Received != 5 {
 		t.Errorf("Regressions = %d, Received = %d, want 1 and 5", v.Regressions, v.Received)
 	}
 
 	// Streams from different peers are independent.
-	if _, err := v.Accept(Seal(mkFrame(t, 2, 1, 0))); err != nil {
+	if err := acceptFrame(v, mkFrame(t, 2, 1, 0)); err != nil {
 		t.Errorf("fresh peer rejected: %v", err)
 	}
 	if v.Gaps != 2 || v.Regressions != 1 {
@@ -135,18 +144,32 @@ func TestVerifierCorruptCounting(t *testing.T) {
 	v := NewVerifier(3)
 	s := Seal(mkFrame(t, 1, 1, 0))
 	s.Frame.Payload.Data[0] ^= 1
-	if _, err := v.Accept(s); err == nil {
+	if err := v.Accept(&s); err == nil {
 		t.Error("corrupt frame accepted")
 	}
 	if v.Corrupt != 1 || v.Received != 0 {
 		t.Errorf("Corrupt=%d Received=%d", v.Corrupt, v.Received)
 	}
+	// The refused frame left the peer window alone: the same sequence,
+	// intact, arrives in order.
+	s.Frame.Payload.Data[0] ^= 1
+	if err := v.Accept(&s); err != nil || v.Gaps != 0 || v.Regressions != 0 || v.Received != 1 {
+		t.Errorf("window moved by a refused frame: err=%v Gaps=%d Regressions=%d Received=%d", err, v.Gaps, v.Regressions, v.Received)
+	}
 }
 
 func TestVerifierMisdelivery(t *testing.T) {
 	v := NewVerifier(5)
-	if _, err := v.Accept(Seal(mkFrame(t, 1, 1, 0))); err == nil {
+	if err := acceptFrame(v, mkFrame(t, 1, 1, 0)); err == nil {
 		t.Error("misdelivered frame accepted")
+	}
+	// A frame from node 0 — never a valid source, and the peer table's
+	// empty-slot marker — is refused before it reaches a window.
+	if err := acceptFrame(v, Frame{Src: 0, Dst: 5, Seq: 1}); err == nil {
+		t.Error("frame from node 0 accepted")
+	}
+	if v.Received != 0 {
+		t.Errorf("refused frames counted as received: %d", v.Received)
 	}
 }
 
@@ -156,11 +179,11 @@ func TestVerifierWithBridge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := v.Accept(Seal(mkFrame(t, 1, 1, 0x11)))
-	if err != nil {
+	s := Seal(mkFrame(t, 1, 1, 0x11))
+	if err := v.Accept(&s); err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := b.Inbound(f)
+	pkt, err := b.Inbound(&s.Frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +192,7 @@ func TestVerifierWithBridge(t *testing.T) {
 	}
 	bad := Seal(mkFrame(t, 1, 2, 0))
 	bad.CRC++
-	if _, err := v.Accept(bad); err == nil {
+	if err := v.Accept(&bad); err == nil {
 		t.Error("corrupt frame accepted")
 	}
 }

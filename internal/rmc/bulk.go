@@ -271,9 +271,9 @@ type bulkOp struct {
 	srvAborted  bool
 	srvMemDone  sim.Time
 
-	descDeliverFn func(sim.Time, hnc.Sealed)
-	dataDeliverFn func(sim.Time, hnc.Sealed)
-	ackDeliverFn  func(sim.Time, hnc.Sealed)
+	descDeliverFn func(sim.Time, *hnc.Sealed)
+	dataDeliverFn func(sim.Time, *hnc.Sealed)
+	ackDeliverFn  func(sim.Time, *hnc.Sealed)
 	abandonFn     func(sim.Time, int)
 	srvAckFn      func()
 }
@@ -297,11 +297,11 @@ func (r *RMC) getBulkOp() *bulkOp {
 	op := &bulkOp{r: r}
 	op.retryFn = func() { op.r.admit(op.r.eng.Now(), &op.admission) }
 	op.launchFn = func() { op.r.launchBulk(op) }
-	op.descDeliverFn = func(t sim.Time, s hnc.Sealed) {
+	op.descDeliverFn = func(t sim.Time, s *hnc.Sealed) {
 		op.peer.serveBulkDesc(t, s, op)
 		op.landed()
 	}
-	op.dataDeliverFn = func(t sim.Time, s hnc.Sealed) {
+	op.dataDeliverFn = func(t sim.Time, s *hnc.Sealed) {
 		if op.kind == BulkRead {
 			op.frameDelivered(t, s)
 		} else {
@@ -309,7 +309,7 @@ func (r *RMC) getBulkOp() *bulkOp {
 		}
 		op.landed()
 	}
-	op.ackDeliverFn = func(t sim.Time, s hnc.Sealed) {
+	op.ackDeliverFn = func(t sim.Time, s *hnc.Sealed) {
 		op.ackDelivered(t, s)
 		op.landed()
 	}
@@ -344,11 +344,11 @@ func (r *RMC) putBulkOp(op *bulkOp) {
 	r.bulkFreeOps = append(r.bulkFreeOps, op)
 }
 
-// send transmits one of the burst's frames from `from` to dst over so,
+// send transmits the burst frame sealed into so from `from` to dst,
 // counting it pending until its delivery or abandonment lands.
-func (op *bulkOp) send(from *RMC, now sim.Time, so *sendOp, s hnc.Sealed, dst *RMC) {
+func (op *bulkOp) send(from *RMC, now sim.Time, so *sendOp, dst *RMC) {
 	op.pending++
-	from.sendSealed(now, so, s, dst, op.express)
+	from.sendSealed(now, so, dst, op.express)
 }
 
 // landed retires one pending frame once its delivery or abandon callback
@@ -387,7 +387,8 @@ func (r *RMC) launchBulk(op *bulkOp) {
 			cmd = ht.CmdBulkCopy
 		}
 		pkt := ht.Packet{Cmd: cmd, Addr: op.spans[0].Start, Count: op.lines * params.CacheLineSize, Data: r.encodeDescriptor(op)}
-		op.send(r, now, &op.desc, r.seal(pkt), op.peer)
+		r.seal(&op.desc, pkt)
+		op.send(r, now, &op.desc, op.peer)
 	case BulkWrite:
 		frameLines := r.p.BulkFrameLines
 		idx, pos := 0, 0
@@ -401,7 +402,9 @@ func (r *RMC) launchBulk(op *bulkOp) {
 					Count:  nbytes,
 					Data:   op.data[pos : pos+nbytes],
 				}
-				op.send(r, now, &op.slots[idx].send, r.seal(pkt), op.peer)
+				so := &op.slots[idx].send
+				r.seal(so, pkt)
+				op.send(r, now, so, op.peer)
 				idx++
 				pos += nbytes
 			}
@@ -436,10 +439,10 @@ func (r *RMC) encodeDescriptor(op *bulkOp) []byte {
 // accesses whose bank contention pipelines the data frames — each frame
 // is staged in its slot and leaves at its own memory-done instant while
 // later frames are still being read.
-func (r *RMC) serveBulkDesc(now sim.Time, sealed hnc.Sealed, op *bulkOp) {
-	local, ok := r.receive(sealed)
-	if !ok || op.completed || op.srvAdmitted {
-		return // corrupted, or a duplicate delivery of a retransmitted doorbell
+func (r *RMC) serveBulkDesc(now sim.Time, sealed *hnc.Sealed, op *bulkOp) {
+	local := r.receive(sealed)
+	if op.completed || op.srvAdmitted {
+		return // a duplicate delivery of a retransmitted doorbell
 	}
 	op.srvAdmitted = true
 	serviced, _ := r.server.Acquire(now, r.p.RMCServerOccupancy)
@@ -511,9 +514,11 @@ func (op *bulkOp) sendFrame(fs *frameSlot) {
 	owner := op.peer
 	switch {
 	case op.kind == BulkRead:
-		op.send(owner, fs.at, &fs.send, owner.sealReply(op.r.self, fs.pkt), op.r)
+		owner.sealReply(&fs.send, op.r.self, fs.pkt)
+		op.send(owner, fs.at, &fs.send, op.r)
 	case op.wrServer != owner:
-		op.send(owner, fs.at, &fs.send, owner.seal(fs.pkt), op.wrServer)
+		owner.seal(&fs.send, fs.pkt)
+		op.send(owner, fs.at, &fs.send, op.wrServer)
 	default:
 		owner.applyBulkWrite(fs.at, fs.pkt, op)
 	}
@@ -521,11 +526,12 @@ func (op *bulkOp) sendFrame(fs *frameSlot) {
 }
 
 // frameDelivered runs at the client when one read data frame arrives.
-func (op *bulkOp) frameDelivered(t sim.Time, s hnc.Sealed) {
-	if op.completed || !op.r.accept(s) {
+func (op *bulkOp) frameDelivered(t sim.Time, s *hnc.Sealed) {
+	if op.completed {
 		return
 	}
-	pay := s.Frame.Payload
+	op.r.accept(s)
+	pay := &s.Frame.Payload
 	idx, total := ht.BurstIndex(pay.SrcTag)
 	if total != op.frames || idx >= len(op.got) || op.got[idx] {
 		return // stale or duplicate frame from an earlier life of this op
@@ -545,9 +551,9 @@ func (op *bulkOp) frameDelivered(t sim.Time, s hnc.Sealed) {
 // owning the destination. The first frame of a burst pays the server
 // occupancy; the rest only pay DRAM — the server-side half of the
 // amortization. One cumulative TgtDone acknowledges the whole burst.
-func (r *RMC) serveBulkWriteFrame(now sim.Time, sealed hnc.Sealed, op *bulkOp) {
-	local, ok := r.receive(sealed)
-	if !ok || op.completed || op.srvAborted {
+func (r *RMC) serveBulkWriteFrame(now sim.Time, sealed *hnc.Sealed, op *bulkOp) {
+	local := r.receive(sealed)
+	if op.completed || op.srvAborted {
 		return
 	}
 	idx, total := ht.BurstIndex(local.SrcTag)
@@ -605,14 +611,16 @@ func (r *RMC) sendBulkAck(now sim.Time, op *bulkOp, abort bool) {
 	if abort {
 		rsp = ht.Packet{Cmd: ht.CmdTgtAbort}
 	}
-	op.send(r, now, &op.ack, r.sealReply(op.r.self, rsp), op.r)
+	r.sealReply(&op.ack, op.r.self, rsp)
+	op.send(r, now, &op.ack, op.r)
 }
 
 // ackDelivered runs at the client when the cumulative ack arrives.
-func (op *bulkOp) ackDelivered(t sim.Time, s hnc.Sealed) {
-	if op.completed || !op.r.accept(s) {
+func (op *bulkOp) ackDelivered(t sim.Time, s *hnc.Sealed) {
+	if op.completed {
 		return
 	}
+	op.r.accept(s)
 	if s.Frame.Payload.Cmd == ht.CmdTgtAbort {
 		op.complete(t, &AbortError{Dst: s.Frame.Src})
 		return

@@ -3,6 +3,7 @@ package rmc
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/addr"
@@ -110,6 +111,26 @@ func TestCorruptedFramesRetransmitted(t *testing.T) {
 	if r.rmcs[1].Abandoned != 1 {
 		t.Errorf("Abandoned = %d, want 1", r.rmcs[1].Abandoned)
 	}
+}
+
+// TestCleanDeliveryFailingVerificationPanics: under a fault plan an
+// injected corruption reaches the receiver only as the mangled duplicate,
+// so a clean delivery that fails its check is a model bug — a buffer
+// recycled while its frame was in flight, say. It must panic, naming the
+// node and the error, as it does without a plan, not drop the frame and
+// strand its request.
+func TestCleanDeliveryFailingVerificationPanics(t *testing.T) {
+	r, _ := newFaultRig(t, 4, &faults.Plan{Seed: 1, Drop: 0.1})
+	var so sendOp
+	r.rmcs[1].seal(&so, ht.Packet{Cmd: ht.CmdWrSized, Addr: addr.Phys(0x1000).WithNode(2), Count: 64, Data: bytes.Repeat([]byte{0x5a}, 64)})
+	so.s.Frame.Payload.Data[7] ^= 0x01
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "rmc2") || !strings.Contains(msg, "checksum mismatch") {
+			t.Errorf("corrupted clean delivery: panic %q, want one naming rmc2 and the checksum mismatch", msg)
+		}
+	}()
+	r.rmcs[2].accept(&so.s)
 }
 
 // TestAbandonWhenIsolated: a destination cut off for the whole run fails

@@ -332,7 +332,7 @@ type clientOp struct {
 	send    sendOp // the request frame
 
 	finishFn  func(sim.Time, ht.Packet, error)
-	deliverFn func(sim.Time, hnc.Sealed)
+	deliverFn func(sim.Time, *hnc.Sealed)
 	abandonFn func(sim.Time, int)
 }
 
@@ -346,7 +346,7 @@ func (r *RMC) getClientOp() *clientOp {
 	op.retryFn = func() { op.r.admit(op.r.eng.Now(), &op.admission) }
 	op.launchFn = func() { op.r.launch(op) }
 	op.finishFn = func(t sim.Time, rsp ht.Packet, err error) { op.finish(t, rsp, err) }
-	op.deliverFn = func(t sim.Time, s hnc.Sealed) { op.peer.serve(t, s, op.r, op.express, op.finishFn) }
+	op.deliverFn = func(t sim.Time, s *hnc.Sealed) { op.peer.serve(t, s, op.r, op.express, op.finishFn) }
 	op.abandonFn = func(t sim.Time, attempts int) {
 		op.finish(t, ht.Packet{}, &UnreachableError{Dst: op.pkt.Addr.Node(), Attempts: attempts})
 	}
@@ -509,56 +509,53 @@ func (r *RMC) launch(op *clientOp) {
 		r.serveLocal(now, op.pkt, op.finishFn)
 		return
 	}
-	r.sendSealed(now, &op.send, r.seal(op.pkt), op.peer, op.express)
+	r.seal(&op.send, op.pkt)
+	r.sendSealed(now, &op.send, op.peer, op.express)
 }
 
-// seal bridges a prefixed request onto the wire and seals it. Frames
-// travel sealed: the CRC rides in the existing HeaderBytes budget, so
-// link timing (and the paper calibration) is unchanged. The bridge fails
-// only on packets the RMC never builds, so a failure is a model bug.
-func (r *RMC) seal(pkt ht.Packet) hnc.Sealed {
+// seal bridges a prefixed request onto the wire and seals it into so.
+// Frames travel sealed: the CRC rides in the existing HeaderBytes
+// budget, so link timing (and the paper calibration) is unchanged. The
+// bridge fails only on packets the RMC never builds, so a failure is a
+// model bug.
+func (r *RMC) seal(so *sendOp, pkt ht.Packet) {
 	frame, err := r.bridge.Outbound(pkt)
 	if err != nil {
 		panic(fmt.Sprintf("rmc%d: outbound bridge failed: %v", r.self, err))
 	}
-	return hnc.Seal(frame)
+	so.s = hnc.Seal(frame)
 }
 
-// sealReply bridges a response back to node to and seals it.
-func (r *RMC) sealReply(to addr.NodeID, pkt ht.Packet) hnc.Sealed {
+// sealReply bridges a response back to node to and seals it into so.
+func (r *RMC) sealReply(so *sendOp, to addr.NodeID, pkt ht.Packet) {
 	frame, err := r.bridge.Reply(to, pkt)
 	if err != nil {
 		panic(fmt.Sprintf("rmc%d: reply bridge failed: %v", r.self, err))
 	}
-	return hnc.Seal(frame)
+	so.s = hnc.Seal(frame)
 }
 
 // accept runs this RMC's integrity check on a frame arriving here,
-// loosely: sequence anomalies are counted, not refused. It reports false
-// for an injected corruption — counted and dropped; the sender's
-// retransmission recovers. The fault-free fabric never corrupts frames,
-// so there a failure is a model bug.
-func (r *RMC) accept(s hnc.Sealed) bool {
-	if _, err := r.verif.Accept(s); err != nil {
-		if r.inj != nil {
-			return false
-		}
+// loosely: sequence anomalies are counted, not refused. Only a clean
+// delivery reaches it — an injected corruption arrives as the mangled
+// duplicate, which acceptMangled checks — so a failure is a model bug
+// (a buffer recycled while its frame was in flight, say) under any
+// fault plan, and panics.
+func (r *RMC) accept(s *hnc.Sealed) {
+	if err := r.verif.Accept(s); err != nil {
 		panic(fmt.Sprintf("rmc%d: frame integrity failed: %v", r.self, err))
 	}
-	return true
 }
 
 // receive accepts a request frame and decapsulates it: the packet to
 // replay into the local system, with the node prefix zeroed.
-func (r *RMC) receive(s hnc.Sealed) (ht.Packet, bool) {
-	if !r.accept(s) {
-		return ht.Packet{}, false
-	}
-	local, err := r.bridge.Inbound(s.Frame)
+func (r *RMC) receive(s *hnc.Sealed) ht.Packet {
+	r.accept(s)
+	local, err := r.bridge.Inbound(&s.Frame)
 	if err != nil {
 		panic(fmt.Sprintf("rmc%d: inbound bridge failed: %v", r.self, err))
 	}
-	return local, true
+	return local
 }
 
 // sendOp is one sealed frame's journey under the retransmission
@@ -568,6 +565,12 @@ func (r *RMC) receive(s hnc.Sealed) (ht.Packet, bool) {
 // carries and is bound once with it. The delivery event the barrier
 // schedules fires straight from it: nothing else touches the send op
 // until its owner sends again, and that needs this delivery first.
+//
+// The frame is sealed into s and stays there until it is verified: the
+// delivery callback receives &s and reads the frame in place. That
+// pointer is valid only until the callback returns — the owning op may
+// recycle right after, and release zeroes s — so a receiver copies what
+// it keeps (serve keeps the decapsulated packet, not the frame).
 type sendOp struct {
 	r       *RMC // the sending RMC
 	dst     *RMC
@@ -576,7 +579,7 @@ type sendOp struct {
 	wire    int
 	n       int
 	arrive  sim.Time
-	deliver func(sim.Time, hnc.Sealed)
+	deliver func(sim.Time, *hnc.Sealed)
 	abandon func(sim.Time, int)
 	// owner is the exchange of the shard that owns the abandon
 	// continuation: the requester's shard for every frame (a client op
@@ -591,10 +594,10 @@ type sendOp struct {
 // bind prebinds the send op's retransmission timer and delivery event
 // and installs its continuations; call it once, when the owning op is
 // built.
-func (so *sendOp) bind(deliver func(sim.Time, hnc.Sealed), abandon func(sim.Time, int), owner *Exchange) {
+func (so *sendOp) bind(deliver func(sim.Time, *hnc.Sealed), abandon func(sim.Time, int), owner *Exchange) {
 	so.deliver, so.abandon, so.owner = deliver, abandon, owner
 	so.attemptFn = func() { so.r.sendAttempt(so.r.eng.Now(), so) }
-	so.fireFn = func() { so.deliver(so.arrive, so.s) }
+	so.fireFn = func() { so.deliver(so.arrive, &so.s) }
 }
 
 // release drops the send op's references to its last frame and peer
@@ -604,16 +607,16 @@ func (so *sendOp) release() {
 	so.dst = nil
 }
 
-// sendSealed pushes one sealed frame from r toward dst over so, under
+// sendSealed pushes the frame sealed into so from r toward dst, under
 // the retransmission discipline. Delivered and corrupted frames arrive
 // (the latter with a mangled CRC the receiver will reject); every
 // non-clean outcome arms a resend after RetransmitTimeout with capped
 // exponential backoff, until the budget runs out and abandon fires. On a
 // fault-free fabric the frame is simply delivered — one arrival event,
 // exactly as before the fault layer existed.
-func (r *RMC) sendSealed(now sim.Time, so *sendOp, s hnc.Sealed, dst *RMC, express bool) {
-	so.r, so.dst, so.s, so.express = r, dst, s, express
-	so.wire, so.n = s.Frame.WireBytes(), 0
+func (r *RMC) sendSealed(now sim.Time, so *sendOp, dst *RMC, express bool) {
+	so.r, so.dst, so.express = r, dst, express
+	so.wire, so.n = so.s.Frame.WireBytes(), 0
 	r.sendAttempt(now, so)
 }
 
@@ -665,12 +668,11 @@ func (r *RMC) completeSend(m *xmit) {
 }
 
 // acceptMangled runs the receiver-side integrity check on a frame the
-// injector corrupted in flight: the verifier counts and discards it,
-// exactly as accept would. A mangled frame can never pass the
-// CRC, so it never reaches the op that sent it — which is what lets ops
-// recycle under a fault plan.
+// injector corrupted in flight: the verifier counts and discards it. A
+// mangled frame can never pass the CRC, so it never reaches the op that
+// sent it — which is what lets ops recycle under a fault plan.
 func (r *RMC) acceptMangled(s hnc.Sealed) {
-	if _, err := r.verif.Accept(s); err != nil {
+	if err := r.verif.Accept(&s); err != nil {
 		return
 	}
 	panic(fmt.Sprintf("rmc%d: injector-mangled frame passed the CRC check", r.self))
@@ -739,7 +741,7 @@ type srvOp struct {
 
 	serviceFn      func()
 	respondFn      func()
-	replyDeliverFn func(sim.Time, hnc.Sealed)
+	replyDeliverFn func(sim.Time, *hnc.Sealed)
 	replyAbandonFn func(sim.Time, int)
 }
 
@@ -752,15 +754,14 @@ func (r *RMC) getSrvOp() *srvOp {
 	op := &srvOp{r: r}
 	op.serviceFn = func() { op.service() }
 	op.respondFn = func() { op.respond() }
-	op.replyDeliverFn = func(t sim.Time, s hnc.Sealed) {
+	op.replyDeliverFn = func(t sim.Time, s *hnc.Sealed) {
 		// Only the one clean arrival of the reply frame reaches this
 		// callback (mangled duplicates go through acceptMangled), so
 		// the op is live here by construction.
-		if op.req.accept(s) {
-			done, rsp := op.done, op.rsp
-			op.r.reclaimSrvOp(op)
-			done(t, rsp, nil)
-		}
+		op.req.accept(s)
+		done, rsp := op.done, op.rsp
+		op.r.reclaimSrvOp(op)
+		done(t, rsp, nil)
 	}
 	op.replyAbandonFn = func(t sim.Time, attempts int) {
 		// The requester became unreachable for the response. The
@@ -799,11 +800,8 @@ func (r *RMC) reclaimSrvOp(op *srvOp) {
 // counted, not refused), decapsulate (zero the prefix), queue through
 // the server occupancy, access local memory, and send the sealed
 // response back.
-func (r *RMC) serve(now sim.Time, sealed hnc.Sealed, req *RMC, express bool, done func(sim.Time, ht.Packet, error)) {
-	local, ok := r.receive(sealed)
-	if !ok {
-		return
-	}
+func (r *RMC) serve(now sim.Time, sealed *hnc.Sealed, req *RMC, express bool, done func(sim.Time, ht.Packet, error)) {
+	local := r.receive(sealed)
 	src := sealed.Frame.Src
 	serviced, _ := r.server.Acquire(now, r.p.RMCServerOccupancy)
 	op := r.getSrvOp()
@@ -849,7 +847,8 @@ func (r *RMC) sendReply(now sim.Time, op *srvOp) {
 	// The reply's completion belongs to the requester's shard, where the
 	// clientOp callbacks live.
 	op.send.owner = op.req.exch
-	r.sendSealed(now, &op.send, r.sealReply(op.src, op.rsp), op.req, op.express)
+	r.sealReply(&op.send, op.src, op.rsp)
+	r.sendSealed(now, &op.send, op.req, op.express)
 }
 
 // serveLocal runs the server path without the fabric (loopback).
