@@ -7,14 +7,17 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // TestFiguresGolden pins every experiment's numbers: it runs each id in
 // Experiments() at scale 0.05 with the default seed and machine, and
 // compares each figure's rendered table with testdata/figures.txt,
-// together with the SHA-256 of the figure's merged Prometheus dump
-// (TestMetricsGolden pins how each family renders; this pins what every
-// figure's runs counted). A change to any default that moves a result
+// together with the SHA-256 of the figure's merged Prometheus dump and
+// of its merged snapshot's JSON (TestMetricsGolden pins how each family
+// renders; this pins what every figure's runs counted, and every byte of
+// both renderings). A change to any default that moves a result
 // fails here, even when it moves it identically at every -parallel and
 // -shards setting. A change that re-baselines simulated results
 // regenerates the file with -update-golden, together with the 4×3
@@ -22,7 +25,7 @@ import (
 //
 // Every id then runs again at 4 shards on the same 4×4 mesh and must
 // reproduce its golden entry: sharding may move only the sharded
-// engine's own ncdsm_shard_* counters, which the hash leaves out. F's
+// engine's own ncdsm_shard_* counters, which both hashes leave out. F's
 // HT-over-Ethernet fabric and I's bulk plane run on one shard only and
 // must refuse with a *ShardGateError.
 func TestFiguresGolden(t *testing.T) {
@@ -59,9 +62,10 @@ func TestFiguresGolden(t *testing.T) {
 	}
 }
 
-// figureEntry renders one experiment's golden entry: its table, and the
+// figureEntry renders one experiment's golden entry: its table, the
 // SHA-256 of its merged Prometheus dump without the lines that name an
-// ncdsm_shard_ family (a single-shard dump has none).
+// ncdsm_shard_ family (a single-shard dump has none), and the SHA-256
+// of the JSON rendering of the merged snapshot without those families.
 func figureEntry(id string, opts ExperimentOptions) (string, error) {
 	fig, snap, err := RunExperiment(id, opts)
 	if err != nil {
@@ -73,5 +77,12 @@ func figureEntry(id string, opts ExperimentOptions) (string, error) {
 			dump.WriteString(line)
 		}
 	}
-	return fmt.Sprintf("=== %s\n%sprometheus sha256 %x\n\n", id, fig.Render(), sha256.Sum256([]byte(dump.String()))), nil
+	var kept Snapshot
+	for _, f := range snap.Families {
+		if !strings.HasPrefix(f.Name, metrics.ShardScheduleFamilyPrefix) {
+			kept.Families = append(kept.Families, f)
+		}
+	}
+	return fmt.Sprintf("=== %s\n%sprometheus sha256 %x\njson sha256 %x\n\n", id, fig.Render(),
+		sha256.Sum256([]byte(dump.String())), sha256.Sum256([]byte(kept.JSON()))), nil
 }
