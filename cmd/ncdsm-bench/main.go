@@ -38,6 +38,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -149,7 +150,9 @@ func main() {
 				fail(1, fmt.Errorf("%s: %w", id, err))
 			}
 			printFigure(figure, *format, time.Since(start), *scale)
-			printMetrics(snap, *metricsFmt)
+			if err := printMetrics(snap, *metricsFmt); err != nil {
+				fail(1, fmt.Errorf("%s: %w", id, err))
+			}
 		}
 	}
 }
@@ -211,16 +214,30 @@ func printFigure(figure *stats.Figure, format string, took time.Duration, scale 
 	}
 }
 
-// printMetrics renders the experiment's merged snapshot, if asked for.
-func printMetrics(snap ncdsm.Snapshot, format string) {
-	switch format {
-	case "":
-	case "prom":
-		fmt.Print(snap.Prometheus())
-		fmt.Println()
-	case "json":
-		fmt.Print(snap.JSON())
+// printMetrics streams the experiment's merged snapshot to stdout, if
+// asked for, through one buffered writer; the Prometheus text is
+// followed by a blank line.
+func printMetrics(snap ncdsm.Snapshot, format string) error {
+	if format == "" {
+		return nil
 	}
+	w := bufio.NewWriter(os.Stdout)
+	var err error
+	switch format {
+	case "prom":
+		if err = snap.WritePrometheus(w); err == nil {
+			err = w.WriteByte('\n')
+		}
+	case "json":
+		err = snap.WriteJSON(w)
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		return fmt.Errorf("-metrics %s: %w", format, err)
+	}
+	return nil
 }
 
 // checkFormats refuses an unknown -format or -metrics value.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -113,6 +114,36 @@ func TestSweepTakesThePlainPath(t *testing.T) {
 	}
 	if !strings.Contains(plain, "ncdsm_rmc_requests_total") {
 		t.Errorf("plain run printed no metrics snapshot:\n%s", plain)
+	}
+}
+
+// TestMetricsOutput: -metrics json prints, after the figure, exactly
+// encoding/json's indented rendering of RunExperiment's merged
+// snapshot, and -metrics prom its Prometheus text and a blank line.
+// Both stream through the command's buffered writer.
+func TestMetricsOutput(t *testing.T) {
+	opts := ncdsm.DefaultExperimentOptions()
+	opts.Scale = 0.02
+	_, snap, err := ncdsm.RunExperiment("fig7", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for format, want := range map[string]string{"json": string(js) + "\n", "prom": snap.Prometheus() + "\n"} {
+		stdout, stderr, code := runCLI(t, "-fig", "7", "-scale", "0.02", "-metrics", format)
+		if code != 0 {
+			t.Fatalf("-metrics %s exited %d: %s", format, code, stderr)
+		}
+		_, got, ok := strings.Cut(stdout, " at scale 0.02]\n\n")
+		if !ok {
+			t.Fatalf("-metrics %s printed no figure footer:\n%s", format, stdout)
+		}
+		if got != want {
+			t.Errorf("-metrics %s printed\n%s\nwant\n%s", format, got, want)
+		}
 	}
 }
 

@@ -16,8 +16,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -131,7 +133,7 @@ func main() {
 	}
 	if *stats {
 		did = true
-		if err := dumpStats(sys); err != nil {
+		if err := dumpStats(os.Stdout, sys); err != nil {
 			fatal(err)
 		}
 	}
@@ -153,12 +155,8 @@ func main() {
 	}
 	if *metricsFmt != "" {
 		did = true
-		snap := sys.Metrics()
-		switch *metricsFmt {
-		case "prom":
-			fmt.Print(snap.Prometheus())
-		case "json":
-			fmt.Print(snap.JSON())
+		if err := writeMetrics(os.Stdout, sys.Metrics(), *metricsFmt); err != nil {
+			fatal(err)
 		}
 	}
 	if !did {
@@ -169,6 +167,26 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ncdsm-cluster:", err)
 	os.Exit(1)
+}
+
+// writeMetrics streams the snapshot to out in the -metrics format
+// through one buffered writer and reports a failed write or flush.
+func writeMetrics(out io.Writer, snap ncdsmfacade.Snapshot, format string) error {
+	w := bufio.NewWriter(out)
+	var err error
+	switch format {
+	case "prom":
+		err = snap.WritePrometheus(w)
+	case "json":
+		err = snap.WriteJSON(w)
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		return fmt.Errorf("-metrics %s: %w", format, err)
+	}
+	return nil
 }
 
 // nodeID checks a node identifier given on the command line. NodeID is
@@ -588,11 +606,11 @@ func parseSize(s string) (uint64, error) {
 }
 
 // dumpStats drives a representative load (4 threads on node 6 against
-// servers at 1 hop, one background client) and prints where the time
-// went: RMC utilizations, retry counts, link loads, cache and memory
+// servers at 1 hop, one background client) and prints to w where the
+// time went: RMC utilizations, retry counts, link loads, cache and memory
 // counters — the observability view an operator of the real prototype
 // would want.
-func dumpStats(sys *ncdsmfacade.System) error {
+func dumpStats(w io.Writer, sys *ncdsmfacade.System) error {
 	core := sys.Core()
 	cl := core.Cluster()
 	p := sys.Config()
@@ -634,21 +652,21 @@ func dumpStats(sys *ncdsmfacade.System) error {
 	}
 	end := core.Run()
 
-	fmt.Printf("sample workload: 4 threads on node 6 + 2 on node 8, all against node 7; %.2f ms simulated\n\n",
+	fmt.Fprintf(w, "sample workload: 4 threads on node 6 + 2 on node 8, all against node 7; %.2f ms simulated\n\n",
 		float64(end)/float64(params.Millisecond))
-	fmt.Printf("%-28s %10s\n", "component", "value")
+	fmt.Fprintf(w, "%-28s %10s\n", "component", "value")
 	for _, id := range []addr.NodeID{6, 7, 8} {
 		n, err := cl.Node(id)
 		if err != nil {
 			return err
 		}
 		r := n.RMC()
-		fmt.Printf("node %-2d RMC client util      %9.1f%%   (forwarded %d, NACK retries %d)\n",
+		fmt.Fprintf(w, "node %-2d RMC client util      %9.1f%%   (forwarded %d, NACK retries %d)\n",
 			id, 100*r.ClientUtilization(end), r.Forwarded, r.Retries)
-		fmt.Printf("node %-2d RMC server util      %9.1f%%   (served %d, aborted %d)\n",
+		fmt.Fprintf(w, "node %-2d RMC server util      %9.1f%%   (served %d, aborted %d)\n",
 			id, 100*r.ServerUtilization(end), r.ServedHere, r.Aborted)
 		reads, writes := n.Bank().Stats()
-		fmt.Printf("node %-2d caches               %9.1f%%   hit rate; DRAM %d reads / %d writes\n",
+		fmt.Fprintf(w, "node %-2d caches               %9.1f%%   hit rate; DRAM %d reads / %d writes\n",
 			id, 100*n.Caches().HitRate(), reads, writes)
 	}
 	meshFab, err := cl.MeshFabric()
@@ -656,7 +674,7 @@ func dumpStats(sys *ncdsmfacade.System) error {
 		return err
 	}
 	topo := cl.Topology()
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, pair := range [][2]addr.NodeID{{6, 7}, {7, 6}, {8, 7}, {7, 8}} {
 		if topo.Hops(pair[0], pair[1]) != 1 {
 			continue
@@ -665,7 +683,7 @@ func dumpStats(sys *ncdsmfacade.System) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("mesh link %d->%d               %9.1f%%\n", pair[0], pair[1], 100*u)
+		fmt.Fprintf(w, "mesh link %d->%d               %9.1f%%\n", pair[0], pair[1], 100*u)
 	}
 	return nil
 }

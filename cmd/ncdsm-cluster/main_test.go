@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"reflect"
@@ -66,6 +68,42 @@ func TestUsageErrorsRefusedBeforeWork(t *testing.T) {
 		if want := "ncdsm-cluster: " + tc.stderr + "\n"; code != 1 || stdout != "" || stderr != want {
 			t.Errorf("ncdsm-cluster %s: exit %d, stderr %q, stdout %q; want exit 1, stderr %q and no output",
 				strings.Join(tc.args, " "), code, stderr, stdout, want)
+		}
+	}
+}
+
+// TestStatsMetricsOutput: -stats -metrics json prints, after the
+// -stats report, exactly encoding/json's indented rendering of the
+// snapshot the same workload leaves, and -metrics prom its Prometheus
+// text. Both stream through the command's buffered writer.
+func TestStatsMetricsOutput(t *testing.T) {
+	sys, err := ncdsmfacade.New(ncdsmfacade.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dumpStats(io.Discard, sys); err != nil {
+		t.Fatal(err)
+	}
+	snap := sys.Metrics()
+	js, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, report, stderr := runMain(t, "-stats")
+	if code != 0 {
+		t.Fatalf("-stats exited %d: %s", code, stderr)
+	}
+	for format, want := range map[string]string{"json": string(js) + "\n", "prom": snap.Prometheus()} {
+		code, stdout, stderr := runMain(t, "-stats", "-metrics", format)
+		if code != 0 {
+			t.Fatalf("-stats -metrics %s exited %d: %s", format, code, stderr)
+		}
+		got, ok := strings.CutPrefix(stdout, report)
+		if !ok {
+			t.Fatalf("-stats -metrics %s does not open with the -stats report:\n%s", format, stdout)
+		}
+		if got != want {
+			t.Errorf("-stats -metrics %s printed\n%s\nwant\n%s", format, got, want)
 		}
 	}
 }

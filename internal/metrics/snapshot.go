@@ -2,11 +2,8 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"strings"
 )
 
@@ -115,84 +112,6 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 	m.Add(o)
 	return m.snap
 }
-
-// JSON renders the snapshot as indented JSON.
-func (s Snapshot) JSON() string {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		// Snapshot contains only plain values; this cannot fail.
-		panic(err)
-	}
-	return string(b) + "\n"
-}
-
-// Prometheus renders the snapshot in the Prometheus text exposition
-// format. Histogram le edges and sums are printed in seconds (values are
-// picoseconds internally), matching Prometheus latency conventions.
-func (s Snapshot) Prometheus() string {
-	var b strings.Builder
-	for _, f := range s.Families {
-		if f.Help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, f.Help)
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Kind)
-		for _, sm := range f.Samples {
-			if f.Kind == KindHistogram {
-				var cum uint64
-				for _, bk := range sm.Buckets {
-					cum += bk.Count
-					le := "+Inf"
-					if bk.Le != BucketInf {
-						le = formatFloat(float64(bk.Le) / 1e12)
-					}
-					fmt.Fprintf(&b, "%s_bucket{%s} %d\n", f.Name, promLabels(sm.Labels, le), cum)
-				}
-				fmt.Fprintf(&b, "%s_sum%s %s\n", f.Name, promLabelBlock(sm.Labels), formatFloat(float64(sm.Sum)/1e12))
-				fmt.Fprintf(&b, "%s_count%s %d\n", f.Name, promLabelBlock(sm.Labels), sm.Count)
-				continue
-			}
-			fmt.Fprintf(&b, "%s%s %s\n", f.Name, promLabelBlock(sm.Labels), formatFloat(sm.Value))
-		}
-	}
-	return b.String()
-}
-
-// formatFloat prints integral values without an exponent or trailing
-// zeros so counters read naturally ("42", not "4.2e+01").
-func formatFloat(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return strconv.FormatFloat(v, 'f', -1, 64)
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// promLabelBlock renders {k="v",...} or "" when unlabeled.
-func promLabelBlock(ls Labels) string {
-	if len(ls) == 0 {
-		return ""
-	}
-	return "{" + joinLabels(ls) + "}"
-}
-
-// promLabels renders the label pairs plus the le bucket label.
-func promLabels(ls Labels, le string) string {
-	if len(ls) == 0 {
-		return `le="` + le + `"`
-	}
-	return joinLabels(ls) + `,le="` + le + `"`
-}
-
-func joinLabels(ls Labels) string {
-	parts := make([]string, len(ls))
-	for i, l := range ls {
-		parts[i] = l.Key + `="` + labelEscaper.Replace(l.Value) + `"`
-	}
-	return strings.Join(parts, ",")
-}
-
-// labelEscaper escapes Prometheus label values. One serves every
-// rendering: a Replacer is safe for concurrent use.
-var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // Merged accumulates run snapshots in the order Add is called. The
 // experiment harness calls Add from the generator goroutine in sweep
