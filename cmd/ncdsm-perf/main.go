@@ -3,7 +3,8 @@
 // full RMC remote-line round trip, a corner-to-corner mesh traversal, the
 // sharded engine's barrier and exchange drain, the faulted Figure 7
 // sweep with its metrics merge, building a 32x32 system and snapshotting
-// its metrics, one node's cache tags under sparse whole-fabric traffic,
+// its metrics, rendering that snapshot as JSON and Prometheus text, one
+// node's cache tags under sparse whole-fabric traffic,
 // a 2M-key b-tree bulk load, and the macro layer's batched access
 // engine (the Figure 9 search hot loop and the LineCached and Swap
 // batch pricing loops) — and
@@ -199,6 +200,7 @@ func measure() Baseline {
 	run("bulk_copy_4k", "500ms", 3, 0, nil, benchBulkCopy)
 	run("fig7_faulted_sweep", "3x", 5, 0.35, nil, benchFig7Faulted)
 	run("system_build_32x32", "3x", 5, 0.50, nil, benchSystemBuild32x32)
+	run("metrics_render_32x32", "10x", 5, 0.35, nil, benchMetricsRender32x32)
 	run("cache_sparse_fill", "500ms", 3, 0, nil, benchCacheSparseFill)
 	run("sharded_barrier_overhead", "200ms", 5, 0.35, nil, benchShardedBarrierOverhead)
 	run("exchange_drain", "300x", 5, 0, nil, benchExchangeDrain)
@@ -823,6 +825,27 @@ func benchSystemBuild32x32(b *testing.B) {
 			b.Fatal(err)
 		}
 		sys.Registry().Snapshot()
+	}
+}
+
+// renderedBytes keeps benchMetricsRender32x32's renderings live.
+var renderedBytes int
+
+// benchMetricsRender32x32 renders a built 2-shard 32x32 system's
+// metrics snapshot through JSON and Prometheus per op: the host work
+// behind -metrics on a large mesh and the fabric32 benchmark's digest.
+func benchMetricsRender32x32(b *testing.B) {
+	p := params.Default()
+	p.MeshWidth, p.MeshHeight, p.Shards = 32, 32, 2
+	sys, err := core.NewSystem(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := sys.Registry().Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		renderedBytes = len(snap.JSON()) + len(snap.Prometheus())
 	}
 }
 

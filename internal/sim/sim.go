@@ -14,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/metrics"
 )
@@ -79,6 +80,17 @@ func (e *Engine) Metrics() *metrics.Registry { return e.met }
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
+// before reports whether (at, seq) fires before (bt, bseq), as 1 or 0:
+// the borrow out of subtracting the second 128-bit key from the first,
+// seq the low word and at the high. Times are never negative (the
+// clock starts at 0 and nothing is scheduled in its past), so at orders
+// as an unsigned word, and the compare has no branch to mispredict.
+func before(at Time, seq uint64, bt Time, bseq uint64) uint64 {
+	_, borrow := bits.Sub64(seq, bseq, 0)
+	_, borrow = bits.Sub64(uint64(at), uint64(bt), borrow)
+	return borrow
+}
+
 // push inserts an entry, sifting up through the 4-ary heap.
 func (e *Engine) push(at Time, seq uint64, fn func()) {
 	e.queue = append(e.queue, entry{})
@@ -86,7 +98,7 @@ func (e *Engine) push(at Time, seq uint64, fn func()) {
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if q[p].at < at || (q[p].at == at && q[p].seq < seq) {
+		if before(q[p].at, q[p].seq, at, seq) != 0 {
 			break
 		}
 		q[i] = q[p]
@@ -97,7 +109,9 @@ func (e *Engine) push(at Time, seq uint64, fn func()) {
 
 // pop removes and returns the minimum entry, sifting the displaced tail
 // down. The 4-ary layout halves tree depth versus binary, and the node's
-// children share cache lines — pops dominate the engine's profile.
+// children share cache lines — pops dominate the engine's profile. The
+// least child is selected arithmetically, without a branch per compare;
+// keys are unique (seq is), so the order it finds is the only one.
 func (e *Engine) pop() entry {
 	q := e.queue
 	top := q[0]
@@ -112,17 +126,12 @@ func (e *Engine) pop() entry {
 			if c >= n {
 				break
 			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
+			end := min(c+4, n)
 			m := c
 			for j := c + 1; j < end; j++ {
-				if q[j].at < q[m].at || (q[j].at == q[m].at && q[j].seq < q[m].seq) {
-					m = j
-				}
+				m += (j - m) & -int(before(q[j].at, q[j].seq, q[m].at, q[m].seq))
 			}
-			if q[m].at > moved.at || (q[m].at == moved.at && q[m].seq > moved.seq) {
+			if before(moved.at, moved.seq, q[m].at, q[m].seq) != 0 {
 				break
 			}
 			q[i] = q[m]

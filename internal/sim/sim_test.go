@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -162,6 +163,51 @@ func TestResourceCompletionMonotoneProperty(t *testing.T) {
 			last = done
 		}
 		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestHeapPopsInKeyOrder: random pushes and pops, with many entries at
+// equal times, some at times past 2^62 and some sequences in the replay
+// band, pop in exactly the (at, seq) order of a reference that scans
+// for the least key with plain comparisons.
+func TestHeapPopsInKeyOrder(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e := New()
+		var ref []entry
+		var seq uint64
+		for step := 0; step < 2000; step++ {
+			if len(ref) == 0 || rng.Intn(5) < 3 {
+				at := Time(rng.Intn(8))
+				if rng.Intn(10) == 0 {
+					at = 1<<62 + Time(rng.Intn(4))
+				}
+				s := seq
+				if rng.Intn(4) == 0 {
+					s |= replayBand
+				}
+				seq++
+				e.push(at, s, nil)
+				ref = append(ref, entry{at: at, seq: s})
+				continue
+			}
+			m := 0
+			for j := range ref {
+				if ref[j].at < ref[m].at || (ref[j].at == ref[m].at && ref[j].seq < ref[m].seq) {
+					m = j
+				}
+			}
+			got := e.pop()
+			if got.at != ref[m].at || got.seq != ref[m].seq {
+				t.Logf("seed %d step %d: popped (%d, %#x), want (%d, %#x)", seed, step, got.at, got.seq, ref[m].at, ref[m].seq)
+				return false
+			}
+			ref = append(ref[:m], ref[m+1:]...)
+		}
+		return e.Pending() == len(ref)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
