@@ -67,9 +67,11 @@ perf-gate:
 # panic; String renders exactly what Parse reads), the -mesh parser with
 # the node-count check behind it, and the -sweep and -explore parsers
 # (no panic; accepted specs round-trip), the -reserve parser (node
-# IDs in range, sizes unwrapped, round-trip), and the b-tree bulk load
+# IDs in range, sizes unwrapped, round-trip), the b-tree bulk load
 # (random keys and fanout, then inserts: invariants, payloads, and the
-# caller's key slice untouched).
+# caller's key slice untouched), and the metrics renderers (random
+# snapshots: JSON byte-identical to encoding/json, failing where it
+# fails, and Prometheus text to the fmt-based renderer they replaced).
 # CI runs the same 10-second smokes.
 fuzz:
 	$(GO) test -fuzz=FuzzFrameIntegrity -fuzztime=10s -run='^$$' ./internal/hnc
@@ -83,6 +85,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseExplore -fuzztime=10s -run='^$$' ./cmd/ncdsm-cluster
 	$(GO) test -fuzz=FuzzParseReserve -fuzztime=10s -run='^$$' ./cmd/ncdsm-cluster
 	$(GO) test -fuzz=FuzzBulkLoad -fuzztime=10s -run='^$$' ./internal/btree
+	$(GO) test -fuzz=FuzzSnapshotRender -fuzztime=10s -run='^$$' ./internal/metrics
 
 # loc prints the Go line totals outside benchmark/ (its own module),
 # non-test and test: the two numbers ROADMAP tracks and each CHANGES.md

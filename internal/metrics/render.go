@@ -261,8 +261,8 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 				var cum uint64
 				for _, bk := range sm.Buckets {
 					cum += bk.Count
-					r.promName(f.Name, "_bucket")
-					r.b = append(r.b, '{')
+					r.b = append(r.b, f.Name...)
+					r.b = append(r.b, "_bucket{"...)
 					if len(sm.Labels) > 0 {
 						r.promLabelPairs(sm.Labels)
 						r.b = append(r.b, ',')
@@ -297,16 +297,11 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	return r.flush()
 }
 
-// promName appends a series name: the family name plus suffix.
-func (r *renderer) promName(name, suffix string) {
+// promSeries appends a series name (the family name plus suffix), its
+// {k="v",...} label block when labeled, and the space before its value.
+func (r *renderer) promSeries(name, suffix string, ls Labels) {
 	r.b = append(r.b, name...)
 	r.b = append(r.b, suffix...)
-}
-
-// promSeries appends a series name, its {k="v",...} label block when
-// labeled, and the space before its value.
-func (r *renderer) promSeries(name, suffix string, ls Labels) {
-	r.promName(name, suffix)
 	if len(ls) > 0 {
 		r.b = append(r.b, '{')
 		r.promLabelPairs(ls)

@@ -203,6 +203,11 @@ func FuzzSnapshotRender(f *testing.F) {
 	// histogram with nil samples.
 	f.Add([]byte{4, 4, 5, 3, 6, 1, 7, 0, 1, 2, 2, 6, 0, 9, 0, 0, 9, 8, 2, 0},
 		"\x01\xc3\x28", "ok", 0.0, 0.0, int64(0), uint64(0))
+	// Each character that sends a string down encoding/json's path, alone
+	// in a help and a label value, so dropping any one check fails.
+	for _, c := range []string{`"`, `\`, "<", ">", "&", "\x01", "\xff", "\u2028"} {
+		f.Add([]byte{2, 3, 0, 0, 2, 2, 1, 0, 0, 0, 0}, "a"+c+"b", "node", 0.0, 0.0, int64(0), uint64(0))
+	}
 	// Nil and empty families; a sample with no fields ({}) beside a
 	// family with empty samples.
 	f.Add([]byte{0}, "", "", 0.0, 0.0, int64(0), uint64(0))
