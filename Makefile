@@ -38,7 +38,9 @@ race:
 # bench runs the Go micro/macro benchmarks, then refreshes the tracked
 # perf baseline (engine churn, RMC round trip, faulted fig7 sweep) in
 # BENCH_sim.json. Commit the refreshed file when a hot-path change moves
-# the numbers on purpose.
+# the numbers on purpose. go test never runs a benchmark body, so CI's
+# check job runs each once (go test -run='^$' -bench=. -benchtime=1x
+# ./...) to catch one an API change broke before the next bench.
 bench:
 	$(GO) test -bench=. -benchmem
 	$(GO) run ./cmd/ncdsm-perf -out BENCH_sim.json

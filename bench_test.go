@@ -366,22 +366,56 @@ func BenchmarkHashIndexSearchRemote(b *testing.B) {
 	b.ReportMetric(float64(cost)/float64(b.N)/1e6, "sim-µs/lookup")
 }
 
-// BenchmarkHnCSealVerify seals one 64-byte write frame per op and
-// verifies it in place at node 3, cycling 16 source peers the way a
-// shared server RMC hears its requesters.
+// BenchmarkHnCSealVerify is one request-plus-reply frame round trip per
+// op, as an RMC pair runs it: a client among 16 seals a line read in its
+// send slot, server node 3 receives and decapsulates it there, seals
+// the 64-byte read response back, and the client accepts it — cycling
+// the clients the way a shared server RMC hears its requesters.
 func BenchmarkHnCSealVerify(b *testing.B) {
 	const peers = 16
-	v := hnc.NewVerifier(3)
-	payload := make([]byte, 64)
-	var s hnc.Sealed
+	server, err := hnc.NewBridge(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vs, err := hnc.NewVerifier(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type client struct {
+		b   *hnc.Bridge
+		v   *hnc.Verifier
+		req hnc.Sealed
+	}
+	clients := make([]client, peers)
+	for i := range clients {
+		id := addr.NodeID(4 + i)
+		c := &clients[i]
+		if c.b, err = hnc.NewBridge(id); err != nil {
+			b.Fatal(err)
+		}
+		if c.v, err = hnc.NewVerifier(id); err != nil {
+			b.Fatal(err)
+		}
+	}
+	req := ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x1000).WithNode(3), Count: 64}
+	rsp := ht.Packet{Cmd: ht.CmdRdResponse, Addr: 0x1000, Count: 64, Data: make([]byte, 64)}
+	var reply hnc.Sealed
+	var local ht.Packet
 	b.SetBytes(64)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s = hnc.Seal(hnc.Frame{
-			Src: addr.NodeID(4 + i%peers), Dst: 3, Seq: uint64(i/peers + 1),
-			Payload: ht.Packet{Cmd: ht.CmdWrSized, Addr: addr.Phys(0x1000).WithNode(3), Count: 64, Data: payload},
-		})
-		if err := v.Accept(&s); err != nil {
+		c := &clients[i%peers]
+		if err := c.b.SealRequest(&c.req, &req); err != nil {
+			b.Fatal(err)
+		}
+		if err := vs.Receive(&c.req, &local); err != nil {
+			b.Fatal(err)
+		}
+		if err := server.SealReply(&reply, c.req.Frame.Src, &rsp); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.v.Accept(&reply); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -371,8 +371,12 @@ func benchEngineChurn(b *testing.B) {
 }
 
 // benchRemoteLineRead is one full timed remote line access through the
-// public API per op.
+// public API per op: each op reads the next cache line of a 64 MiB
+// reservation on node 2, wrapping at its end, so every op misses the
+// node's caches and makes one RMC round trip (request frame, server
+// memory access, reply frame).
 func benchRemoteLineRead(b *testing.B) {
+	const reserved = 64 << 20
 	sys, err := ncdsm.New(ncdsm.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -381,14 +385,14 @@ func benchRemoteLineRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ptr, err := region.GrowFrom(2, 64<<20)
+	ptr, err := region.GrowFrom(2, reserved)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := ptr + ncdsm.Pointer(uint64(i)%(64<<20-64))
+		p := ptr + ncdsm.Pointer(uint64(i)*params.CacheLineSize%reserved)
 		if err := region.Access(ncdsm.AccessRequest{Now: sys.Now(), Pointer: p}); err != nil {
 			b.Fatal(err)
 		}

@@ -11,15 +11,14 @@ func sealedFrom(t *testing.T, src, dst addr.NodeID, seq uint64) *Sealed {
 	t.Helper()
 	f := Frame{Src: src, Dst: dst, Seq: seq,
 		Payload: ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x40).WithNode(dst), Count: 64}}
-	s := Seal(f)
-	return &s
+	return sealed(f)
 }
 
 // TestAcceptLoose checks Accept's one rule, the serving path's loose
 // contract: sequence anomalies are counted but the frame is still
 // served, while corruption and misdelivery remain hard errors.
 func TestAcceptLoose(t *testing.T) {
-	v := NewVerifier(3)
+	v := mustVerifier(t, 3)
 
 	if err := v.Accept(sealedFrom(t, 1, 3, 1)); err != nil {
 		t.Fatal(err)
@@ -66,11 +65,11 @@ func TestBridgePerDestinationSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(dst addr.NodeID) Frame {
-		f, err := b.Outbound(ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x40).WithNode(dst), Count: 64})
-		if err != nil {
+		var s Sealed
+		if err := b.SealRequest(&s, &ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x40).WithNode(dst), Count: 64}); err != nil {
 			t.Fatal(err)
 		}
-		return f
+		return s.Frame
 	}
 	f1, f2, f3, f4 := mk(2), mk(3), mk(2), mk(3)
 	if f1.Seq != 1 || f3.Seq != 2 {

@@ -10,23 +10,19 @@ import (
 
 // burstWriteFrame builds one sealed multi-line burst data frame (16
 // lines = 1 KiB payload) from node 2 to node 3, through the bridge.
-func burstWriteFrame(t *testing.T, payload []byte) Sealed {
+func burstWriteFrame(t *testing.T, payload []byte) *Sealed {
 	t.Helper()
-	b, err := NewBridge(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := b.Outbound(ht.Packet{
+	s := new(Sealed)
+	if err := mustBridge(t, 2).SealRequest(s, &ht.Packet{
 		Cmd:    ht.CmdBulkWr,
 		SrcTag: ht.BurstTag(3, 7),
 		Addr:   addr.Phys(0x4000).WithNode(3),
 		Count:  len(payload),
 		Data:   payload,
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	return Seal(f)
+	return s
 }
 
 // TestBurstFrameCRC seals a multi-line data frame and proves the
@@ -40,7 +36,7 @@ func TestBurstFrameCRC(t *testing.T) {
 	}
 	s := burstWriteFrame(t, payload)
 
-	if err := open(&s); err != nil {
+	if err := open(s); err != nil {
 		t.Fatalf("intact burst frame rejected: %v", err)
 	}
 	if !bytes.Equal(s.Frame.Payload.Data, payload) {
@@ -54,7 +50,7 @@ func TestBurstFrameCRC(t *testing.T) {
 		corrupted := burstWriteFrame(t, payload)
 		corrupted.Frame.Payload.Data = bytes.Clone(payload)
 		corrupted.Frame.Payload.Data[off] ^= 0x80
-		if err := open(&corrupted); err == nil {
+		if err := open(corrupted); err == nil {
 			t.Errorf("flipped payload byte %d not caught by the seal", off)
 		}
 	}
@@ -62,7 +58,7 @@ func TestBurstFrameCRC(t *testing.T) {
 	// The header is covered too: a misrouted burst frame fails its seal.
 	misrouted := burstWriteFrame(t, payload)
 	misrouted.Frame.Dst = 9
-	if err := open(&misrouted); err == nil {
+	if err := open(misrouted); err == nil {
 		t.Error("rerouted burst frame passed its seal")
 	}
 }
@@ -73,22 +69,19 @@ func TestBurstFrameCRC(t *testing.T) {
 func TestBurstFrameAmortization(t *testing.T) {
 	burst := burstWriteFrame(t, make([]byte, 16*64)).Frame.WireBytes()
 
-	b, err := NewBridge(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustBridge(t, 2)
 	scalar := 0
 	for i := 0; i < 16; i++ {
-		f, err := b.Outbound(ht.Packet{
+		var s Sealed
+		if err := b.SealRequest(&s, &ht.Packet{
 			Cmd:   ht.CmdWrSized,
 			Addr:  addr.Phys(uint64(0x4000 + i*64)).WithNode(3),
 			Count: 64,
 			Data:  make([]byte, 64),
-		})
-		if err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
-		scalar += f.WireBytes()
+		scalar += s.Frame.WireBytes()
 	}
 	if want := 16*64 + HeaderBytes + 8; burst != want {
 		t.Errorf("burst frame = %d wire bytes, want %d (one header pair)", burst, want)

@@ -11,9 +11,9 @@ import (
 // FuzzFrameIntegrity drives the transport-integrity contract the fault
 // injector leans on: a sealed frame with ANY single bit flipped in a
 // checksum-covered field — routing header, sequence, payload metadata,
-// the Posted flag, the data, or the CRC itself — must be refused by
-// Accept's checksum, and the verifier must count it as corrupt rather
-// than receive it or advance the peer window.
+// the Posted flag, the data, or the CRC itself — must be refused by the
+// checksum Receive checks first, and the verifier must count it as
+// corrupt rather than receive it or advance the peer window.
 func FuzzFrameIntegrity(f *testing.F) {
 	f.Add([]byte("seed payload"), uint64(1), uint16(3), uint8(0), uint8(0), false)
 	f.Add([]byte{}, uint64(9), uint16(0xfff), uint8(6), uint8(31), true)
@@ -34,18 +34,19 @@ func FuzzFrameIntegrity(f *testing.F) {
 				Data: append([]byte(nil), data...),
 			},
 		}
-		s := Seal(fr)
+		s := sealed(fr)
 
 		// The untampered frame passes a fresh verifier.
-		clean := NewVerifier(3)
-		if err := clean.Accept(&s); err != nil {
+		var local ht.Packet
+		clean := mustVerifier(t, 3)
+		if err := clean.Receive(s, &local); err != nil {
 			t.Fatalf("pristine frame refused: %v", err)
 		}
 
 		// Flip exactly one bit in a covered location. The mutant keeps
 		// the original CRC (or a mutated CRC over the original frame),
 		// so the pair can never verify.
-		m := s
+		m := *s
 		m.Frame.Payload.Data = append([]byte(nil), s.Frame.Payload.Data...)
 		switch field % 8 {
 		case 0:
@@ -73,11 +74,11 @@ func FuzzFrameIntegrity(f *testing.F) {
 		// The checksum alone refuses it: a verifier at the mutant's own
 		// destination still reports a *ChecksumError.
 		var ce *ChecksumError
-		if err := NewVerifier(m.Frame.Dst).Accept(&m); !errors.As(err, &ce) {
+		if err := mustVerifier(t, m.Frame.Dst).Receive(&m, &local); !errors.As(err, &ce) {
 			t.Fatalf("bit-flipped frame passed its checksum (field %d bit %d): %v", field%8, bit, err)
 		}
-		v := NewVerifier(3)
-		if err := v.Accept(&m); err == nil {
+		v := mustVerifier(t, 3)
+		if err := v.Receive(&m, &local); err == nil {
 			t.Fatal("bit-flipped frame accepted")
 		}
 		if v.Corrupt != 1 || v.Received != 0 || v.Gaps != 0 || v.Regressions != 0 {
@@ -87,7 +88,7 @@ func FuzzFrameIntegrity(f *testing.F) {
 		// The refused frame left the peer window alone: the pristine
 		// frame still arrives in order or as a head gap, never as a
 		// regression.
-		if err := v.Accept(&s); err != nil || v.Regressions != 0 || v.Gaps != seq-1 {
+		if err := v.Receive(s, &local); err != nil || v.Regressions != 0 || v.Gaps != seq-1 {
 			t.Fatalf("window moved by a refused frame: err=%v Gaps=%d Regressions=%d", err, v.Gaps, v.Regressions)
 		}
 	})

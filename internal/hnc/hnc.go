@@ -5,10 +5,12 @@
 // destination node identifiers and bridge between the two standards
 // (specification Section 7.2 analogue).
 //
-// Frames cross the fabric sealed with a CRC. A receiver checks each one
-// with its Verifier, whose one Accept rule refuses a corrupt or
-// misdelivered frame and serves, while counting, a sequence gap or
-// regression.
+// A sender's Bridge builds each frame in place and seals it with a CRC;
+// the frame crosses the fabric in that slot. The receiver's Verifier
+// checks it there, in one step for a request (Receive): Accept's one
+// rule refuses a corrupt or misdelivered frame and serves, while
+// counting, a sequence gap or regression, and the request's node prefix
+// is then checked and cleared.
 package hnc
 
 import (
@@ -34,20 +36,9 @@ type Frame struct {
 const HeaderBytes = 8
 
 // WireBytes is the frame's size on a fabric link.
-func (f Frame) WireBytes() int { return HeaderBytes + f.Payload.FlitBytes() }
+func (f *Frame) WireBytes() int { return HeaderBytes + f.Payload.FlitBytes() }
 
-// Validate reports the first protocol violation in the frame.
-func (f Frame) Validate() error {
-	switch {
-	case f.Src == 0 || f.Src > addr.MaxNode:
-		return fmt.Errorf("hnc: invalid source node %d", f.Src)
-	case f.Dst == 0 || f.Dst > addr.MaxNode:
-		return fmt.Errorf("hnc: invalid destination node %d", f.Dst)
-	}
-	return f.Payload.Validate()
-}
-
-func (f Frame) String() string {
+func (f *Frame) String() string {
 	return fmt.Sprintf("hnc{%d->%d seq=%d %v}", f.Src, f.Dst, f.Seq, f.Payload)
 }
 
@@ -70,60 +61,55 @@ func NewBridge(self addr.NodeID) (*Bridge, error) {
 	return &Bridge{self: self}, nil
 }
 
-// Outbound encapsulates a local HT request whose address carries a remote
-// node prefix. The destination is read straight from the 14 prefix bits;
-// the encapsulated address keeps its prefix so the remote side can
-// validate it, mirroring the prototype (the *server* clears the bits).
-func (b *Bridge) Outbound(p ht.Packet) (Frame, error) {
+// SealRequest bridges a local HT request whose address carries a
+// remote node prefix: it builds the frame in s and seals it there. The
+// destination is read straight from the 14 prefix bits; the
+// encapsulated address keeps its prefix so the remote side can check
+// it, mirroring the prototype (the *server* clears the bits). A refused
+// packet leaves s untouched and consumes no sequence number.
+func (b *Bridge) SealRequest(s *Sealed, p *ht.Packet) error {
 	if !p.Cmd.IsRequest() {
-		return Frame{}, fmt.Errorf("hnc: outbound of non-request %v", p.Cmd)
+		return fmt.Errorf("hnc: outbound of non-request %v", p.Cmd)
 	}
 	if err := p.Validate(); err != nil {
-		return Frame{}, err
+		return err
 	}
 	dst := p.Addr.Node()
 	if dst == 0 {
-		return Frame{}, fmt.Errorf("hnc: address %v is local, nothing to bridge", p.Addr)
+		return fmt.Errorf("hnc: address %v is local, nothing to bridge", p.Addr)
 	}
 	// Loopback frames (dst == self) are legal on the wire but never
 	// produced in practice (reservation never hands a node its own
 	// memory). The bridge still handles them for completeness.
-	return Frame{Src: b.self, Dst: dst, Seq: b.nextSeq(dst), Payload: p}, nil
+	b.seal(s, dst, p)
+	return nil
 }
 
-// Inbound decapsulates a frame arriving from the fabric and returns the
-// HT packet to replay into the local system. For requests it zeroes the
-// 14 prefix bits (paper: "the RMC sets to zero those 14 bits and forwards
-// the operation to its local system"); responses pass through unchanged.
-// The frame is read in place.
-func (b *Bridge) Inbound(f *Frame) (ht.Packet, error) {
-	if err := f.Validate(); err != nil {
-		return ht.Packet{}, err
-	}
-	if f.Dst != b.self {
-		return ht.Packet{}, fmt.Errorf("hnc: frame for node %d delivered to node %d", f.Dst, b.self)
-	}
-	p := f.Payload
-	if p.Cmd.IsRequest() {
-		if p.Addr.Node() != b.self {
-			return ht.Packet{}, fmt.Errorf("hnc: request %v addressed to node %d arrived at node %d", p, p.Addr.Node(), b.self)
-		}
-		p.Addr = p.Addr.Local()
-	}
-	return p, nil
-}
-
-// Reply encapsulates a response for the requester node.
-func (b *Bridge) Reply(to addr.NodeID, p ht.Packet) (Frame, error) {
+// SealReply bridges a response back to node to: it builds the frame in
+// s and seals it there. A refused packet leaves s untouched and
+// consumes no sequence number.
+func (b *Bridge) SealReply(s *Sealed, to addr.NodeID, p *ht.Packet) error {
 	if !p.Cmd.IsResponse() {
-		return Frame{}, fmt.Errorf("hnc: reply with non-response %v", p.Cmd)
+		return fmt.Errorf("hnc: reply with non-response %v", p.Cmd)
 	}
-	f := Frame{Src: b.self, Dst: to, Payload: p}
-	if err := f.Validate(); err != nil {
-		return Frame{}, err
+	if to == 0 || to > addr.MaxNode {
+		return fmt.Errorf("hnc: invalid destination node %d", to)
 	}
-	f.Seq = b.nextSeq(to)
-	return f, nil
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	b.seal(s, to, p)
+	return nil
+}
+
+// seal writes the frame carrying p to dst, with dst's next sequence
+// number, into s and attaches its checksum. The bridge's own id is
+// valid (NewBridge checks it), so a sealed frame's source needs no
+// check.
+func (b *Bridge) seal(s *Sealed, dst addr.NodeID, p *ht.Packet) {
+	f := &s.Frame
+	f.Src, f.Dst, f.Seq, f.Payload = b.self, dst, b.nextSeq(dst), *p
+	s.CRC = f.Checksum()
 }
 
 // nextSeq advances dst's sequence; dst must be a valid node id.

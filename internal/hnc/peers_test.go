@@ -32,23 +32,23 @@ func FuzzPeerStreams(f *testing.F) {
 			t.Fatal(err)
 		}
 		sent := make(map[addr.NodeID]uint64)
-		wire := make([]Sealed, 0, frames)
-		for i := 0; i < frames; i++ {
+		wire := make([]Sealed, frames)
+		for i := range wire {
 			dst := ids[rng.intn(peers)]
 			if i < peers {
 				dst = ids[i] // meet every peer, growing the table
 			}
-			fr, err := b.Outbound(ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x40).WithNode(dst), Count: 64})
-			if err != nil {
+			s := &wire[i]
+			if err := b.SealRequest(s, &ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x40).WithNode(dst), Count: 64}); err != nil {
 				t.Fatal(err)
 			}
 			sent[dst]++
-			if fr.Seq != sent[dst] {
-				t.Fatalf("frame %d to node %d: Seq %d, reference %d", i, dst, fr.Seq, sent[dst])
+			if s.Frame.Seq != sent[dst] {
+				t.Fatalf("frame %d to node %d: Seq %d, reference %d", i, dst, s.Frame.Seq, sent[dst])
 			}
 			// The peer's stream back to the hub.
-			fr.Src, fr.Dst = dst, hub
-			wire = append(wire, Seal(fr))
+			s.Frame.Src, s.Frame.Dst = dst, hub
+			s.CRC = s.Frame.Checksum()
 		}
 
 		var order []int
@@ -63,7 +63,7 @@ func FuzzPeerStreams(f *testing.F) {
 			}
 		}
 
-		v := NewVerifier(hub)
+		v := mustVerifier(t, hub)
 		last := make(map[addr.NodeID]uint64)
 		var received, gaps, regressions uint64
 		for k, i := range order {

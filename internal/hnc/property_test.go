@@ -78,7 +78,7 @@ func maxSeq(seqs []uint64) uint64 {
 func TestLooseAccountingProperty(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		seqs := interleave(seed, 60)
-		v := NewVerifier(3)
+		v := mustVerifier(t, 3)
 		accepted := deliver(t, v, seqs)
 
 		// Accept refuses nothing with a valid checksum.
@@ -111,7 +111,7 @@ func TestCleanIffIdentity(t *testing.T) {
 	identities := 0
 	for seed := uint64(1); seed <= 400; seed++ {
 		seqs := interleave(seed, 4)
-		v := NewVerifier(3)
+		v := mustVerifier(t, 3)
 		deliver(t, v, seqs)
 		if clean(v) != isIdentity(seqs) {
 			t.Fatalf("seed %d: clean=%v but identity=%v (stream %v)",
@@ -127,7 +127,7 @@ func TestCleanIffIdentity(t *testing.T) {
 	}
 
 	// And explicitly: every prefix of the identity stream is clean.
-	v := NewVerifier(3)
+	v := mustVerifier(t, 3)
 	for seq := uint64(1); seq <= 32; seq++ {
 		if err := v.Accept(sealedFrom(t, 1, 3, seq)); err != nil {
 			t.Fatal(err)
@@ -143,7 +143,7 @@ func TestCleanIffIdentity(t *testing.T) {
 // touching the peer window, so the next in-order frame shows no false
 // gap.
 func TestStrictReplayDoesNotPoisonWindow(t *testing.T) {
-	v := NewVerifier(3)
+	v := mustVerifier(t, 3)
 	for seq := uint64(1); seq <= 5; seq++ {
 		if err := v.Accept(sealedFrom(t, 1, 3, seq)); err != nil {
 			t.Fatal(err)
@@ -176,7 +176,7 @@ func TestStrictReplayDoesNotPoisonWindow(t *testing.T) {
 // above 1; the missing head is a gap (bridges emit dense streams from
 // sequence 1, so an unseen peer window sits at 0).
 func TestHeadDropCounted(t *testing.T) {
-	v := NewVerifier(3)
+	v := mustVerifier(t, 3)
 	if err := v.Accept(sealedFrom(t, 1, 3, 4)); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestHeadDropCounted(t *testing.T) {
 // TestPeerStreamsIndependent: counters aggregate but windows are per
 // peer; an anomaly on one stream never leaks into another.
 func TestPeerStreamsIndependent(t *testing.T) {
-	v := NewVerifier(3)
+	v := mustVerifier(t, 3)
 	for seq := uint64(1); seq <= 3; seq++ {
 		if err := v.Accept(sealedFrom(t, 1, 3, seq)); err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 
 	"repro/internal/addr"
+	"repro/internal/ht"
 )
 
 // The paper lists "concerns related to communication reliability and
@@ -21,8 +22,10 @@ import (
 // is allocation-free, so sealing and verifying pooled frames stays off
 // the GC entirely. The header words feed a slicing-by-8 update straight
 // from registers; the payload, already on the heap, goes through
-// hash/crc32 and its hardware path.
-func (f Frame) Checksum() uint32 {
+// hash/crc32 and its hardware path. An empty payload leaves the CRC
+// where the header put it, so a read request or a TgtDone skips the
+// stdlib call.
+func (f *Frame) Checksum() uint32 {
 	// The Posted flag shares the Count word: an in-flight flip would
 	// silently change completion semantics, so it must be covered too.
 	cw := uint64(f.Payload.Count)
@@ -33,6 +36,9 @@ func (f Frame) Checksum() uint32 {
 	crc = crcWord(crc, f.Seq)
 	crc = crcWord(crc, uint64(f.Payload.Addr))
 	crc = crcWord(crc, cw)
+	if len(f.Payload.Data) == 0 {
+		return crc
+	}
 	return crc32.Update(crc, crc32.IEEETable, f.Payload.Data)
 }
 
@@ -63,14 +69,13 @@ func crcWord(crc uint32, w uint64) uint32 {
 }
 
 // Sealed is a frame carrying its checksum, as it travels on an
-// unreliable fabric.
+// unreliable fabric. A Bridge builds and seals one in place (SealRequest,
+// SealReply), and the receiving Verifier checks it in place (Accept,
+// Receive), so a frame is never copied between the two.
 type Sealed struct {
 	Frame Frame
 	CRC   uint32
 }
-
-// Seal attaches the checksum.
-func Seal(f Frame) Sealed { return Sealed{Frame: f, CRC: f.Checksum()} }
 
 // ChecksumError reports a sealed frame whose checksum does not match its
 // contents: Got is recomputed from the frame, Want is the CRC it carried.
@@ -83,7 +88,7 @@ type ChecksumError struct {
 }
 
 func (e *ChecksumError) Error() string {
-	return fmt.Sprintf("hnc: checksum mismatch on %v: %#x != %#x", e.Frame, e.Got, e.Want)
+	return fmt.Sprintf("hnc: checksum mismatch on %v: %#x != %#x", &e.Frame, e.Got, e.Want)
 }
 
 // Verifier tracks per-peer frame sequences at a receiving RMC and counts
@@ -99,9 +104,14 @@ type Verifier struct {
 	Received, Gaps, Regressions, Corrupt uint64
 }
 
-// NewVerifier builds a verifier for one node.
-func NewVerifier(self addr.NodeID) *Verifier {
-	return &Verifier{self: self}
+// NewVerifier builds a verifier for one node. Its id must be valid
+// (1..addr.MaxNode), as NewBridge requires: a frame's destination is
+// checked only against it.
+func NewVerifier(self addr.NodeID) (*Verifier, error) {
+	if self == 0 || self > addr.MaxNode {
+		return nil, fmt.Errorf("hnc: invalid node id %d", self)
+	}
+	return &Verifier{self: self}, nil
 }
 
 // Accept verifies a sealed frame at its receiving node, in place.
@@ -136,5 +146,30 @@ func (v *Verifier) Accept(s *Sealed) error {
 		return nil
 	}
 	*last = f.Seq
+	return nil
+}
+
+// Receive accepts a sealed frame and decapsulates it in the same step
+// into p, the HT packet to replay into the local system: a request's
+// address prefix must name this node and is zeroed (paper: "the RMC
+// sets to zero those 14 bits and forwards the operation to its local
+// system"); a response passes unchanged. A refused frame leaves p
+// untouched, and a refused prefix leaves Accept's counts standing. The
+// packet is not validated again: the sender's bridge validated it, and
+// a matching checksum proves the frame is the one it sealed.
+func (v *Verifier) Receive(s *Sealed, p *ht.Packet) error {
+	if err := v.Accept(s); err != nil {
+		return err
+	}
+	f := &s.Frame
+	if !f.Payload.Cmd.IsRequest() {
+		*p = f.Payload
+		return nil
+	}
+	if n := f.Payload.Addr.Node(); n != v.self {
+		return fmt.Errorf("hnc: request %v addressed to node %d arrived at node %d", f.Payload, n, v.self)
+	}
+	*p = f.Payload
+	p.Addr = p.Addr.Local()
 	return nil
 }

@@ -22,18 +22,21 @@ func mkFrame(t *testing.T, src addr.NodeID, seq uint64, data byte) Frame {
 
 // open runs a sealed frame's checksum alone: a fresh verifier at the
 // frame's own destination, so only a CRC mismatch can refuse it.
-func open(s *Sealed) error { return NewVerifier(s.Frame.Dst).Accept(s) }
+func open(s *Sealed) error {
+	v, err := NewVerifier(s.Frame.Dst)
+	if err != nil {
+		return err
+	}
+	return v.Accept(s)
+}
 
 // acceptFrame seals f and hands it to v.
-func acceptFrame(v *Verifier, f Frame) error {
-	s := Seal(f)
-	return v.Accept(&s)
-}
+func acceptFrame(v *Verifier, f Frame) error { return v.Accept(sealed(f)) }
 
 func TestSealOpenRoundTrip(t *testing.T) {
 	f := mkFrame(t, 1, 7, 0xAA)
-	s := Seal(f)
-	if err := open(&s); err != nil {
+	s := sealed(f)
+	if err := open(s); err != nil {
 		t.Fatal(err)
 	}
 	if s.Frame.Seq != 7 || s.Frame.Payload.Data[0] != 0xAA || s.CRC != f.Checksum() {
@@ -43,25 +46,25 @@ func TestSealOpenRoundTrip(t *testing.T) {
 
 func TestCorruptionDetected(t *testing.T) {
 	f := mkFrame(t, 1, 7, 0xAA)
-	s := Seal(f)
+	s := sealed(f)
 
 	// Flip a payload bit.
 	s.Frame.Payload.Data[5] ^= 0x40
-	if err := open(&s); err == nil {
+	if err := open(s); err == nil {
 		t.Error("payload corruption undetected")
 	}
 	s.Frame.Payload.Data[5] ^= 0x40
 
 	// Tamper with the routing header.
 	s.Frame.Dst = 4
-	if err := open(&s); err == nil {
+	if err := open(s); err == nil {
 		t.Error("header tampering undetected")
 	}
 	s.Frame.Dst = 3
 
 	// Tamper with the address (the field that would misroute memory).
 	s.Frame.Payload.Addr++
-	if err := open(&s); err == nil {
+	if err := open(s); err == nil {
 		t.Error("address tampering undetected")
 	}
 }
@@ -69,10 +72,10 @@ func TestCorruptionDetected(t *testing.T) {
 // A corrupted frame fails with a typed *ChecksumError carrying the frame
 // and both CRCs; its message is built only when asked for.
 func TestChecksumErrorAs(t *testing.T) {
-	s := Seal(mkFrame(t, 1, 7, 0xAA))
+	s := sealed(mkFrame(t, 1, 7, 0xAA))
 	want := s.CRC
 	s.Frame.Payload.Data[5] ^= 0x40
-	err := NewVerifier(3).Accept(&s)
+	err := mustVerifier(t, 3).Accept(s)
 	var ce *ChecksumError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Accept error %v is not a *ChecksumError", err)
@@ -103,7 +106,7 @@ func TestChecksumSensitivityProperty(t *testing.T) {
 }
 
 func TestVerifierSequencing(t *testing.T) {
-	v := NewVerifier(3)
+	v := mustVerifier(t, 3)
 	// In-order stream from node 1.
 	for seq := uint64(1); seq <= 3; seq++ {
 		if err := acceptFrame(v, mkFrame(t, 1, seq, 0)); err != nil {
@@ -123,8 +126,8 @@ func TestVerifierSequencing(t *testing.T) {
 	}
 
 	// A regression (replay of frame 2): served and counted.
-	s := Seal(mkFrame(t, 1, 2, 0))
-	if err := v.Accept(&s); err != nil || s.Frame.Seq != 2 {
+	s := sealed(mkFrame(t, 1, 2, 0))
+	if err := v.Accept(s); err != nil || s.Frame.Seq != 2 {
 		t.Errorf("replayed frame not served: seq %d, %v", s.Frame.Seq, err)
 	}
 	if v.Regressions != 1 || v.Received != 5 {
@@ -141,10 +144,10 @@ func TestVerifierSequencing(t *testing.T) {
 }
 
 func TestVerifierCorruptCounting(t *testing.T) {
-	v := NewVerifier(3)
-	s := Seal(mkFrame(t, 1, 1, 0))
+	v := mustVerifier(t, 3)
+	s := sealed(mkFrame(t, 1, 1, 0))
 	s.Frame.Payload.Data[0] ^= 1
-	if err := v.Accept(&s); err == nil {
+	if err := v.Accept(s); err == nil {
 		t.Error("corrupt frame accepted")
 	}
 	if v.Corrupt != 1 || v.Received != 0 {
@@ -153,13 +156,13 @@ func TestVerifierCorruptCounting(t *testing.T) {
 	// The refused frame left the peer window alone: the same sequence,
 	// intact, arrives in order.
 	s.Frame.Payload.Data[0] ^= 1
-	if err := v.Accept(&s); err != nil || v.Gaps != 0 || v.Regressions != 0 || v.Received != 1 {
+	if err := v.Accept(s); err != nil || v.Gaps != 0 || v.Regressions != 0 || v.Received != 1 {
 		t.Errorf("window moved by a refused frame: err=%v Gaps=%d Regressions=%d Received=%d", err, v.Gaps, v.Regressions, v.Received)
 	}
 }
 
 func TestVerifierMisdelivery(t *testing.T) {
-	v := NewVerifier(5)
+	v := mustVerifier(t, 5)
 	if err := acceptFrame(v, mkFrame(t, 1, 1, 0)); err == nil {
 		t.Error("misdelivered frame accepted")
 	}
@@ -174,25 +177,27 @@ func TestVerifierMisdelivery(t *testing.T) {
 }
 
 func TestVerifierWithBridge(t *testing.T) {
-	v := NewVerifier(3)
-	b, err := NewBridge(3)
-	if err != nil {
+	v, b := mustVerifier(t, 3), mustBridge(t, 1)
+	f := mkFrame(t, 1, 1, 0x11)
+	var s Sealed
+	if err := b.SealRequest(&s, &f.Payload); err != nil {
 		t.Fatal(err)
 	}
-	s := Seal(mkFrame(t, 1, 1, 0x11))
-	if err := v.Accept(&s); err != nil {
+	var pkt ht.Packet
+	if err := v.Receive(&s, &pkt); err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := b.Inbound(&s.Frame)
-	if err != nil {
+	if pkt.Addr != 0x1000 || pkt.Data[0] != 0x11 {
+		t.Errorf("prefix not cleared or payload changed: %v", pkt)
+	}
+	if err := b.SealRequest(&s, &f.Payload); err != nil {
 		t.Fatal(err)
 	}
-	if pkt.Addr != 0x1000 {
-		t.Errorf("prefix not cleared: %v", pkt.Addr)
-	}
-	bad := Seal(mkFrame(t, 1, 2, 0))
-	bad.CRC++
-	if err := v.Accept(&bad); err == nil {
+	s.CRC++
+	if err := v.Receive(&s, &pkt); err == nil {
 		t.Error("corrupt frame accepted")
+	}
+	if v.Received != 1 || v.Corrupt != 1 {
+		t.Errorf("Received = %d, Corrupt = %d, want 1 and 1", v.Received, v.Corrupt)
 	}
 }

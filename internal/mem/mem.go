@@ -78,9 +78,7 @@ func (s *Store) ReadAt(a addr.Phys, dst []byte) error {
 		if f := s.frame(off, false); f != nil {
 			copy(dst[:n], f[in:in+n])
 		} else {
-			for i := uint64(0); i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		}
 		dst = dst[n:]
 		off += n

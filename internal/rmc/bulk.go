@@ -387,7 +387,7 @@ func (r *RMC) launchBulk(op *bulkOp) {
 			cmd = ht.CmdBulkCopy
 		}
 		pkt := ht.Packet{Cmd: cmd, Addr: op.spans[0].Start, Count: op.lines * params.CacheLineSize, Data: r.encodeDescriptor(op)}
-		r.seal(&op.desc, pkt)
+		r.seal(&op.desc, &pkt)
 		op.send(r, now, &op.desc, op.peer)
 	case BulkWrite:
 		frameLines := r.p.BulkFrameLines
@@ -403,7 +403,7 @@ func (r *RMC) launchBulk(op *bulkOp) {
 					Data:   op.data[pos : pos+nbytes],
 				}
 				so := &op.slots[idx].send
-				r.seal(so, pkt)
+				r.seal(so, &pkt)
 				op.send(r, now, so, op.peer)
 				idx++
 				pos += nbytes
@@ -440,7 +440,8 @@ func (r *RMC) encodeDescriptor(op *bulkOp) []byte {
 // is staged in its slot and leaves at its own memory-done instant while
 // later frames are still being read.
 func (r *RMC) serveBulkDesc(now sim.Time, sealed *hnc.Sealed, op *bulkOp) {
-	local := r.receive(sealed)
+	var local ht.Packet
+	r.receive(sealed, &local)
 	if op.completed || op.srvAdmitted {
 		return // a duplicate delivery of a retransmitted doorbell
 	}
@@ -514,10 +515,10 @@ func (op *bulkOp) sendFrame(fs *frameSlot) {
 	owner := op.peer
 	switch {
 	case op.kind == BulkRead:
-		owner.sealReply(&fs.send, op.r.self, fs.pkt)
+		owner.sealReply(&fs.send, op.r.self, &fs.pkt)
 		op.send(owner, fs.at, &fs.send, op.r)
 	case op.wrServer != owner:
-		owner.seal(&fs.send, fs.pkt)
+		owner.seal(&fs.send, &fs.pkt)
 		op.send(owner, fs.at, &fs.send, op.wrServer)
 	default:
 		owner.applyBulkWrite(fs.at, fs.pkt, op)
@@ -552,7 +553,8 @@ func (op *bulkOp) frameDelivered(t sim.Time, s *hnc.Sealed) {
 // occupancy; the rest only pay DRAM — the server-side half of the
 // amortization. One cumulative TgtDone acknowledges the whole burst.
 func (r *RMC) serveBulkWriteFrame(now sim.Time, sealed *hnc.Sealed, op *bulkOp) {
-	local := r.receive(sealed)
+	var local ht.Packet
+	r.receive(sealed, &local)
 	if op.completed || op.srvAborted {
 		return
 	}
@@ -611,7 +613,7 @@ func (r *RMC) sendBulkAck(now sim.Time, op *bulkOp, abort bool) {
 	if abort {
 		rsp = ht.Packet{Cmd: ht.CmdTgtAbort}
 	}
-	r.sealReply(&op.ack, op.r.self, rsp)
+	r.sealReply(&op.ack, op.r.self, &rsp)
 	op.send(r, now, &op.ack, op.r)
 }
 

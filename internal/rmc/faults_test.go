@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/faults"
+	"repro/internal/hnc"
 	"repro/internal/ht"
 	"repro/internal/sim"
 )
@@ -121,16 +122,28 @@ func TestCorruptedFramesRetransmitted(t *testing.T) {
 // strand its request.
 func TestCleanDeliveryFailingVerificationPanics(t *testing.T) {
 	r, _ := newFaultRig(t, 4, &faults.Plan{Seed: 1, Drop: 0.1})
-	var so sendOp
-	r.rmcs[1].seal(&so, ht.Packet{Cmd: ht.CmdWrSized, Addr: addr.Phys(0x1000).WithNode(2), Count: 64, Data: bytes.Repeat([]byte{0x5a}, 64)})
-	so.s.Frame.Payload.Data[7] ^= 0x01
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "rmc2") || !strings.Contains(msg, "checksum mismatch") {
-			t.Errorf("corrupted clean delivery: panic %q, want one naming rmc2 and the checksum mismatch", msg)
-		}
-	}()
-	r.rmcs[2].accept(&so.s)
+	// A response frame is checked by accept, a request frame by
+	// receive, which also decapsulates it: both must panic.
+	for _, tc := range []struct {
+		name string
+		step func(*hnc.Sealed)
+	}{
+		{"accept", r.rmcs[2].accept},
+		{"receive", func(s *hnc.Sealed) { r.rmcs[2].receive(s, new(ht.Packet)) }},
+	} {
+		var so sendOp
+		r.rmcs[1].seal(&so, &ht.Packet{Cmd: ht.CmdWrSized, Addr: addr.Phys(0x1000).WithNode(2), Count: 64, Data: bytes.Repeat([]byte{0x5a}, 64)})
+		so.s.Frame.Payload.Data[7] ^= 0x01
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "rmc2") || !strings.Contains(msg, "checksum mismatch") {
+					t.Errorf("%s of a corrupted clean delivery: panic %q, want one naming rmc2 and the checksum mismatch", tc.name, msg)
+				}
+			}()
+			tc.step(&so.s)
+		}()
+	}
 }
 
 // TestAbandonWhenIsolated: a destination cut off for the whole run fails

@@ -192,6 +192,10 @@ func New(c Config) (*RMC, error) {
 	if err != nil {
 		return nil, err
 	}
+	v, err := hnc.NewVerifier(c.Self)
+	if err != nil {
+		return nil, err
+	}
 	eng := c.Exch.eng
 	r := &RMC{
 		self:   c.Self,
@@ -207,7 +211,7 @@ func New(c Config) (*RMC, error) {
 		server: sim.NewResource(0),
 		bank:   c.Bank,
 		store:  c.Store,
-		verif:  hnc.NewVerifier(c.Self),
+		verif:  v,
 		lat:    metrics.NewHistogram(metrics.TimeBuckets()),
 	}
 	if r.nowFn == nil {
@@ -509,53 +513,49 @@ func (r *RMC) launch(op *clientOp) {
 		r.serveLocal(now, op.pkt, op.finishFn)
 		return
 	}
-	r.seal(&op.send, op.pkt)
+	r.seal(&op.send, &op.pkt)
 	r.sendSealed(now, &op.send, op.peer, op.express)
 }
 
-// seal bridges a prefixed request onto the wire and seals it into so.
-// Frames travel sealed: the CRC rides in the existing HeaderBytes
-// budget, so link timing (and the paper calibration) is unchanged. The
-// bridge fails only on packets the RMC never builds, so a failure is a
-// model bug.
-func (r *RMC) seal(so *sendOp, pkt ht.Packet) {
-	frame, err := r.bridge.Outbound(pkt)
-	if err != nil {
+// seal bridges a prefixed request onto the wire: the bridge validates
+// pkt, builds its frame in so's slot and seals it there. Frames travel
+// sealed: the CRC rides in the existing HeaderBytes budget, so link
+// timing (and the paper calibration) is unchanged. The bridge fails
+// only on packets the RMC never builds, so a failure is a model bug.
+func (r *RMC) seal(so *sendOp, pkt *ht.Packet) {
+	if err := r.bridge.SealRequest(&so.s, pkt); err != nil {
 		panic(fmt.Sprintf("rmc%d: outbound bridge failed: %v", r.self, err))
 	}
-	so.s = hnc.Seal(frame)
 }
 
-// sealReply bridges a response back to node to and seals it into so.
-func (r *RMC) sealReply(so *sendOp, to addr.NodeID, pkt ht.Packet) {
-	frame, err := r.bridge.Reply(to, pkt)
-	if err != nil {
+// sealReply bridges a response back to node to, built and sealed in
+// so's slot.
+func (r *RMC) sealReply(so *sendOp, to addr.NodeID, pkt *ht.Packet) {
+	if err := r.bridge.SealReply(&so.s, to, pkt); err != nil {
 		panic(fmt.Sprintf("rmc%d: reply bridge failed: %v", r.self, err))
 	}
-	so.s = hnc.Seal(frame)
 }
 
-// accept runs this RMC's integrity check on a frame arriving here,
-// loosely: sequence anomalies are counted, not refused. Only a clean
-// delivery reaches it — an injected corruption arrives as the mangled
-// duplicate, which acceptMangled checks — so a failure is a model bug
-// (a buffer recycled while its frame was in flight, say) under any
-// fault plan, and panics.
+// accept runs this RMC's integrity check on a response frame arriving
+// here, loosely: sequence anomalies are counted, not refused. Only a
+// clean delivery reaches it — an injected corruption arrives as the
+// mangled duplicate, which acceptMangled checks — so a failure is a
+// model bug (a buffer recycled while its frame was in flight, say)
+// under any fault plan, and panics.
 func (r *RMC) accept(s *hnc.Sealed) {
 	if err := r.verif.Accept(s); err != nil {
 		panic(fmt.Sprintf("rmc%d: frame integrity failed: %v", r.self, err))
 	}
 }
 
-// receive accepts a request frame and decapsulates it: the packet to
-// replay into the local system, with the node prefix zeroed.
-func (r *RMC) receive(s *hnc.Sealed) ht.Packet {
-	r.accept(s)
-	local, err := r.bridge.Inbound(&s.Frame)
-	if err != nil {
-		panic(fmt.Sprintf("rmc%d: inbound bridge failed: %v", r.self, err))
+// receive runs accept's check on a request frame and decapsulates it in
+// the same step into local: the packet to replay into the local system,
+// with the node prefix checked and zeroed. A failure is a model bug, as
+// in accept.
+func (r *RMC) receive(s *hnc.Sealed, local *ht.Packet) {
+	if err := r.verif.Receive(s, local); err != nil {
+		panic(fmt.Sprintf("rmc%d: frame integrity failed: %v", r.self, err))
 	}
-	return local
 }
 
 // sendOp is one sealed frame's journey under the retransmission
@@ -654,13 +654,18 @@ func (r *RMC) completeSend(m *xmit) {
 		// the original buffer (the retransmitted request may complete and
 		// recycle it before the duplicate's CRC check reads it), and this
 		// rare per-corruption allocation is what lets every line buffer
-		// recycle under an armed fault plan.
+		// recycle under an armed fault plan. The closure verifies a copy
+		// on its own stack: taking the captured duplicate's address would
+		// move it to a heap object of its own, a second allocation.
 		mangled := hnc.Sealed{Frame: op.s.Frame, CRC: r.inj.MangleCRC(op.s.CRC)}
 		if d := op.s.Frame.Payload.Data; d != nil {
 			mangled.Frame.Payload.Data = append([]byte(nil), d...)
 		}
 		dst := op.dst
-		dst.exch.schedule(m, sim.Time(out.Arrive), func() { dst.acceptMangled(mangled) })
+		dst.exch.schedule(m, sim.Time(out.Arrive), func() {
+			s := mangled
+			dst.acceptMangled(&s)
+		})
 		r.resend(m)
 	default: // Dropped, Unreachable
 		r.resend(m)
@@ -671,8 +676,8 @@ func (r *RMC) completeSend(m *xmit) {
 // injector corrupted in flight: the verifier counts and discards it. A
 // mangled frame can never pass the CRC, so it never reaches the op that
 // sent it — which is what lets ops recycle under a fault plan.
-func (r *RMC) acceptMangled(s hnc.Sealed) {
-	if err := r.verif.Accept(&s); err != nil {
+func (r *RMC) acceptMangled(s *hnc.Sealed) {
+	if err := r.verif.Accept(s); err != nil {
 		return
 	}
 	panic(fmt.Sprintf("rmc%d: injector-mangled frame passed the CRC check", r.self))
@@ -801,14 +806,14 @@ func (r *RMC) reclaimSrvOp(op *srvOp) {
 // the server occupancy, access local memory, and send the sealed
 // response back.
 func (r *RMC) serve(now sim.Time, sealed *hnc.Sealed, req *RMC, express bool, done func(sim.Time, ht.Packet, error)) {
-	local := r.receive(sealed)
+	op := r.getSrvOp()
+	r.receive(sealed, &op.local)
 	src := sealed.Frame.Src
 	serviced, _ := r.server.Acquire(now, r.p.RMCServerOccupancy)
-	op := r.getSrvOp()
-	op.src, op.req, op.loopback, op.local, op.express = src, req, false, local, express
+	op.src, op.req, op.loopback, op.express = src, req, false, express
 	op.done, op.serviced, op.abort = done, serviced, false
-	if r.protection != nil && local.Cmd.IsRequest() {
-		rng := addr.Range{Start: local.Addr, Size: uint64(local.Count)}
+	if r.protection != nil && op.local.Cmd.IsRequest() {
+		rng := addr.Range{Start: op.local.Addr, Size: uint64(op.local.Count)}
 		if !r.protection.Allowed(src, rng) {
 			r.Aborted++
 			op.abort = true
@@ -847,7 +852,7 @@ func (r *RMC) sendReply(now sim.Time, op *srvOp) {
 	// The reply's completion belongs to the requester's shard, where the
 	// clientOp callbacks live.
 	op.send.owner = op.req.exch
-	r.sealReply(&op.send, op.src, op.rsp)
+	r.sealReply(&op.send, op.src, &op.rsp)
 	r.sendSealed(now, &op.send, op.req, op.express)
 }
 
