@@ -498,11 +498,7 @@ func (n *Node) Issue(now sim.Time, core int, a cpu.Access, express bool, done fu
 	}
 
 	n.RemoteOps++
-	pkt, err := n.linePacket(line, a.Write)
-	if err != nil {
-		panic(fmt.Sprintf("cluster: node %d remote fill: %v", n.id, err))
-	}
-	if err := n.rmc.Request(now+lat, pkt, express, op.remoteFn); err != nil {
+	if err := n.rmc.Request(now+lat, n.linePacket(line, a.Write), express, op.remoteFn); err != nil {
 		panic(fmt.Sprintf("cluster: node %d RMC request: %v", n.id, err))
 	}
 }
@@ -585,24 +581,20 @@ func (n *Node) maybePrefetch(now sim.Time, core int, line addr.Phys) {
 	}
 }
 
-// linePacket builds a line-granular fill/write packet. Timed-path writes
-// are functionally idempotent — the cpu layer models instruction
-// streams, not payloads; real data movement uses ReadBytes/WriteBytes in
-// the core package — so the write packet carries no payload slice:
-// ht.FlitBytes prices Count bytes on the wire for a payload-less sized
-// write, and the serving RMC skips the (no-op) functional store write.
-// Reading the owner's current contents here would touch another shard's
-// store mid-window.
-func (n *Node) linePacket(line addr.Phys, write bool) (ht.Packet, error) {
-	size := int(n.caches.LineSize())
+// linePacket builds a line-granular fill/write packet. The timed path
+// moves no bytes in either direction: no payload goes out with a write,
+// and none comes back with a read. The cpu layer models instruction
+// streams, not payloads, and real data moves through core.Region's Read
+// and Write or the bulk plane. ht.FlitBytes still prices Count bytes on
+// the wire for a payload-less write or read response, so link timing is
+// that of a full line.
+func (n *Node) linePacket(line addr.Phys, write bool) ht.Packet {
 	n.tagseq++
-	pkt := ht.Packet{SrcUnit: 0, SrcTag: n.tagseq, Addr: line, Count: size}
+	pkt := ht.Packet{Cmd: ht.CmdRdSized, SrcTag: n.tagseq, Addr: line, Count: int(n.caches.LineSize())}
 	if write {
 		pkt.Cmd = ht.CmdWrSized
-	} else {
-		pkt.Cmd = ht.CmdRdSized
 	}
-	return pkt, nil
+	return pkt
 }
 
 // writeback pushes a dirty victim line to its owner: local lines cost a
@@ -616,10 +608,7 @@ func (n *Node) writeback(now sim.Time, victim addr.Phys) {
 		}
 		return
 	}
-	pkt, err := n.linePacket(line, true)
-	if err != nil {
-		panic(fmt.Sprintf("cluster: node %d victim packet: %v", n.id, err))
-	}
+	pkt := n.linePacket(line, true)
 	pkt.Posted = true
 	// A posted write has no requester waiting; an unreachable owner is
 	// the one place where writeback data can genuinely be lost.

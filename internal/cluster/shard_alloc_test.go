@@ -12,8 +12,9 @@ import (
 // TestCrossShardExchangeSteadyStateAllocs drives remote round trips
 // across a 2-shard partition and requires the steady state to allocate
 // nothing: the exchange records intents into reused slices, deliveries
-// ride pooled events, and the RMC op/buffer pools absorb the traffic —
-// including the pool returns deferred to the barrier.
+// fire from the client op's own send ops, and each RMC's op pools absorb
+// the traffic on its own shard — the requester's client op and the
+// server's serve op, neither returned across shards.
 func TestCrossShardExchangeSteadyStateAllocs(t *testing.T) {
 	p := params.Default()
 	p.Shards = 2

@@ -498,16 +498,15 @@ func TestApplyParam(t *testing.T) {
 		t.Error("bad duration accepted")
 	}
 	// Every advertised knob must actually apply.
-	for _, k := range SweepableParams() {
+	o := DefaultOptions()
+	for _, k := range sweepKnobs(&o.P) {
 		q := DefaultOptions().P
 		v := "7"
-		switch k {
-		case "RMCQueueDepth", "RemoteOutstanding", "PrefetchDepth", "SwapResidentPages":
-		default:
+		if k.dur != nil {
 			v = "7us"
 		}
-		if err := ApplyParam(&q, k, v); err != nil {
-			t.Errorf("advertised knob %s rejected: %v", k, err)
+		if err := ApplyParam(&q, k.name, v); err != nil {
+			t.Errorf("advertised knob %s rejected: %v", k.name, err)
 		}
 	}
 }

@@ -9,65 +9,68 @@ import (
 	"repro/internal/params"
 )
 
+// sweepKnob is one -sweep knob: its name and the Params field it sets,
+// a duration or an integer.
+type sweepKnob struct {
+	name string
+	dur  *params.Duration
+	num  *int
+}
+
+// sweepKnobs is the one ordered list of -sweep knobs, bound to p's
+// fields; SweepableParams lists the names in this order.
+func sweepKnobs(p *params.Params) []sweepKnob {
+	return []sweepKnob{
+		{name: "RMCClientOccupancy", dur: &p.RMCClientOccupancy},
+		{name: "RMCServerOccupancy", dur: &p.RMCServerOccupancy},
+		{name: "RMCRetryPenalty", dur: &p.RMCRetryPenalty},
+		{name: "RMCRetryWaste", dur: &p.RMCRetryWaste},
+		{name: "HopLatency", dur: &p.HopLatency},
+		{name: "DRAMLatency", dur: &p.DRAMLatency},
+		{name: "SwapTrapOverhead", dur: &p.SwapTrapOverhead},
+		{name: "SwapPageTransfer", dur: &p.SwapPageTransfer},
+		{name: "RMCQueueDepth", num: &p.RMCQueueDepth},
+		{name: "RemoteOutstanding", num: &p.RemoteOutstanding},
+		{name: "PrefetchDepth", num: &p.PrefetchDepth},
+		{name: "SwapResidentPages", num: &p.SwapResidentPages},
+	}
+}
+
 // ApplyParam sets one named calibration knob from its string form, for
 // the harness's -sweep flag and ad-hoc sensitivity studies. Duration
 // knobs accept Go duration syntax ("420ns", "1.5us"); integer knobs
 // accept plain integers. SweepableParams lists the accepted names.
 func ApplyParam(p *params.Params, key, value string) error {
-	setDur := func(dst *params.Duration) error {
-		d, err := time.ParseDuration(value)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", key, err)
+	for _, k := range sweepKnobs(p) {
+		if k.name != key {
+			continue
 		}
-		*dst = params.FromStd(d)
-		return nil
-	}
-	setInt := func(dst *int) error {
+		if k.dur != nil {
+			d, err := time.ParseDuration(value)
+			if err != nil {
+				return fmt.Errorf("experiments: %s: %w", key, err)
+			}
+			*k.dur = params.FromStd(d)
+			return nil
+		}
 		n, err := strconv.Atoi(value)
 		if err != nil {
 			return fmt.Errorf("experiments: %s: %w", key, err)
 		}
-		*dst = n
+		*k.num = n
 		return nil
 	}
-	switch key {
-	case "RMCClientOccupancy":
-		return setDur(&p.RMCClientOccupancy)
-	case "RMCServerOccupancy":
-		return setDur(&p.RMCServerOccupancy)
-	case "RMCRetryPenalty":
-		return setDur(&p.RMCRetryPenalty)
-	case "RMCRetryWaste":
-		return setDur(&p.RMCRetryWaste)
-	case "HopLatency":
-		return setDur(&p.HopLatency)
-	case "DRAMLatency":
-		return setDur(&p.DRAMLatency)
-	case "SwapTrapOverhead":
-		return setDur(&p.SwapTrapOverhead)
-	case "SwapPageTransfer":
-		return setDur(&p.SwapPageTransfer)
-	case "RMCQueueDepth":
-		return setInt(&p.RMCQueueDepth)
-	case "RemoteOutstanding":
-		return setInt(&p.RemoteOutstanding)
-	case "PrefetchDepth":
-		return setInt(&p.PrefetchDepth)
-	case "SwapResidentPages":
-		return setInt(&p.SwapResidentPages)
-	default:
-		return fmt.Errorf("experiments: unknown sweep parameter %q (available: %s)",
-			key, strings.Join(SweepableParams(), ", "))
-	}
+	return fmt.Errorf("experiments: unknown sweep parameter %q (available: %s)",
+		key, strings.Join(SweepableParams(), ", "))
 }
 
 // SweepableParams lists the knobs ApplyParam accepts.
 func SweepableParams() []string {
-	return []string{
-		"RMCClientOccupancy", "RMCServerOccupancy", "RMCRetryPenalty", "RMCRetryWaste",
-		"HopLatency", "DRAMLatency", "SwapTrapOverhead", "SwapPageTransfer",
-		"RMCQueueDepth", "RemoteOutstanding", "PrefetchDepth", "SwapResidentPages",
+	var names []string
+	for _, k := range sweepKnobs(new(params.Params)) {
+		names = append(names, k.name)
 	}
+	return names
 }
 
 // ParseSweep parses a "-sweep Key=v1,v2,v3" specification.

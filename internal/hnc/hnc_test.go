@@ -83,7 +83,8 @@ func TestPaperWalkthrough(t *testing.T) {
 
 	// The response travels back to node 1 and passes through unchanged.
 	data := bytes.Repeat([]byte{0xAB}, 64)
-	rsp := local.Response(data)
+	rsp := local.Response()
+	rsp.Data = data
 	var reply Sealed
 	if err := n3.SealReply(&reply, s.Frame.Src, &rsp); err != nil {
 		t.Fatal(err)
@@ -169,7 +170,7 @@ func TestReplyRejectsRequests(t *testing.T) {
 	if err := b.SealReply(&s, addr.MaxNode+1, &ht.Packet{Cmd: ht.CmdTgtDone}); err == nil {
 		t.Error("reply to an overlarge node accepted")
 	}
-	if err := b.SealReply(&s, 1, &ht.Packet{Cmd: ht.CmdRdResponse, Count: 64}); err == nil {
+	if err := b.SealReply(&s, 1, &ht.Packet{Cmd: ht.CmdRdResponse, Count: 64, Data: make([]byte, 8)}); err == nil {
 		t.Error("invalid response bridged")
 	}
 	// A refused reply writes nothing and takes no sequence number.

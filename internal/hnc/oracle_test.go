@@ -233,19 +233,22 @@ func randomRequest(rng *rand.Rand, dst, other addr.NodeID) ht.Packet {
 	return p
 }
 
-// randomResponse draws a valid response: a line read's data, a bulk
-// read data frame, a TgtDone or a Target Abort.
+// randomResponse draws a valid response: a line read's data, the
+// payload-less line reply the scalar path sends, a bulk read data frame,
+// a TgtDone or a Target Abort.
 func randomResponse(rng *rand.Rand) ht.Packet {
 	p := ht.Packet{SrcUnit: ht.UnitID(rng.Intn(ht.MaxUnits)), SrcTag: uint16(rng.Uint32())}
-	switch rng.Intn(4) {
+	switch rng.Intn(5) {
 	case 0:
 		p.Cmd, p.Count, p.Addr = ht.CmdRdResponse, 64, randomLocal(rng)
 		p.Data = randomBytes(rng, 64)
 	case 1:
+		p.Cmd, p.Count, p.Addr = ht.CmdRdResponse, 64, randomLocal(rng)
+	case 2:
 		n := 1 + rng.Intn(16)
 		p.Cmd, p.Count, p.SrcTag = ht.CmdRdResponse, n*64, ht.BurstTag(rng.Intn(8), 8)
 		p.Data = randomBytes(rng, n*64)
-	case 2:
+	case 3:
 		p.Cmd = ht.CmdTgtDone
 	default:
 		p.Cmd, p.Addr = ht.CmdTgtAbort, randomLocal(rng)
@@ -273,7 +276,13 @@ func randomInvalid(rng *rand.Rand, p ht.Packet) ht.Packet {
 		if p.Cmd.IsRequest() {
 			p.Addr = p.Addr.Local()
 		} else {
-			p.Count++ // a read response shorter than its count
+			// A read response shorter than its count: a payload-less
+			// one is valid, so it keeps (or gains) a payload.
+			if p.Data == nil {
+				p.Data = randomBytes(rng, 8)
+				p.Count = 8
+			}
+			p.Count++
 			p.Cmd = ht.CmdRdResponse
 		}
 	case 4:

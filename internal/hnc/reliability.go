@@ -23,8 +23,9 @@ import (
 // the GC entirely. The header words feed a slicing-by-8 update straight
 // from registers; the payload, already on the heap, goes through
 // hash/crc32 and its hardware path. An empty payload leaves the CRC
-// where the header put it, so a read request or a TgtDone skips the
-// stdlib call.
+// where the header put it, so every scalar frame — a request, a read
+// response or a TgtDone, none of which carries bytes — skips the stdlib
+// call.
 func (f *Frame) Checksum() uint32 {
 	// The Posted flag shares the Count word: an in-flight flip would
 	// silently change completion semantics, so it must be covered too.

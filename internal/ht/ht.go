@@ -82,7 +82,9 @@ type UnitID uint8
 const MaxUnits = 32
 
 // Packet is one HT transaction-layer packet. Data is carried by
-// reference; the functional memory system fills it in.
+// reference. A scalar line read or write and its response carry none:
+// the RMC times the access, the bytes stay in the functional store, and
+// FlitBytes still prices Count bytes on the wire.
 type Packet struct {
 	Cmd Command
 	// SrcUnit is the issuing unit; responses are routed back to it.
@@ -95,7 +97,8 @@ type Packet struct {
 	Count int
 	// Posted marks a write that expects no TgtDone.
 	Posted bool
-	// Data carries write payload or read response data.
+	// Data carries write payload, read response data or a bulk
+	// descriptor; nil on the scalar path.
 	Data []byte
 }
 
@@ -107,12 +110,13 @@ func (p Packet) Abort() Packet {
 	return Packet{Cmd: CmdTgtAbort, SrcUnit: p.SrcUnit, SrcTag: p.SrcTag, Addr: p.Addr}
 }
 
-// Response constructs the response packet that closes the transaction.
-// RdSized yields RdResponse carrying data; WrSized yields TgtDone.
-func (p Packet) Response(data []byte) Packet {
+// Response constructs the payload-less response packet that closes the
+// transaction: RdSized yields a RdResponse of Count bytes, WrSized a
+// TgtDone.
+func (p Packet) Response() Packet {
 	switch p.Cmd {
 	case CmdRdSized:
-		return Packet{Cmd: CmdRdResponse, SrcUnit: p.SrcUnit, SrcTag: p.SrcTag, Addr: p.Addr, Count: p.Count, Data: data}
+		return Packet{Cmd: CmdRdResponse, SrcUnit: p.SrcUnit, SrcTag: p.SrcTag, Addr: p.Addr, Count: p.Count}
 	case CmdWrSized:
 		return Packet{Cmd: CmdTgtDone, SrcUnit: p.SrcUnit, SrcTag: p.SrcTag, Addr: p.Addr}
 	default:
@@ -133,7 +137,7 @@ func (p Packet) Validate() error {
 		return fmt.Errorf("ht: request address %v out of range", p.Addr)
 	case p.Cmd == CmdWrSized && p.Data != nil && len(p.Data) != p.Count:
 		return fmt.Errorf("ht: write carries %d bytes, count says %d", len(p.Data), p.Count)
-	case p.Cmd == CmdRdResponse && len(p.Data) != p.Count:
+	case p.Cmd == CmdRdResponse && p.Data != nil && len(p.Data) != p.Count:
 		return fmt.Errorf("ht: read response carries %d bytes, count says %d", len(p.Data), p.Count)
 	case p.Posted && p.Cmd != CmdWrSized:
 		return fmt.Errorf("ht: only writes can be posted")
@@ -143,12 +147,12 @@ func (p Packet) Validate() error {
 
 // FlitBytes returns the packet's wire size in bytes: a 8-byte command
 // header plus the data payload, rounded up to 4-byte granularity. Used by
-// link-occupancy models. A sized write without an attached payload slice
-// (an idempotent line write the simulator prices but does not copy) still
-// occupies Count bytes on the wire.
+// link-occupancy models. A sized write or a read response without an
+// attached payload slice (a line the simulator prices but does not copy)
+// still occupies Count bytes on the wire.
 func (p Packet) FlitBytes() int {
 	n := 8 + len(p.Data)
-	if p.Cmd == CmdWrSized && p.Data == nil {
+	if (p.Cmd == CmdWrSized || p.Cmd == CmdRdResponse) && p.Data == nil {
 		n += p.Count
 	}
 	if r := n % 4; r != 0 {

@@ -28,17 +28,16 @@ func TestCommandClassification(t *testing.T) {
 
 func TestResponseConstruction(t *testing.T) {
 	rd := Packet{Cmd: CmdRdSized, SrcUnit: 3, SrcTag: 42, Addr: 0x1000, Count: 64}
-	data := make([]byte, 64)
-	rsp := rd.Response(data)
-	if rsp.Cmd != CmdRdResponse || rsp.SrcUnit != 3 || rsp.SrcTag != 42 || len(rsp.Data) != 64 {
+	rsp := rd.Response()
+	if rsp.Cmd != CmdRdResponse || rsp.SrcUnit != 3 || rsp.SrcTag != 42 || rsp.Count != 64 || rsp.Data != nil {
 		t.Errorf("read response malformed: %v", rsp)
 	}
 	if err := rsp.Validate(); err != nil {
 		t.Errorf("read response invalid: %v", err)
 	}
 
-	wr := Packet{Cmd: CmdWrSized, SrcUnit: 1, SrcTag: 7, Addr: 0x2000, Count: 8, Data: make([]byte, 8)}
-	ack := wr.Response(nil)
+	wr := Packet{Cmd: CmdWrSized, SrcUnit: 1, SrcTag: 7, Addr: 0x2000, Count: 8}
+	ack := wr.Response()
 	if ack.Cmd != CmdTgtDone || ack.SrcTag != 7 {
 		t.Errorf("write ack malformed: %v", ack)
 	}
@@ -50,13 +49,20 @@ func TestResponseOnResponsePanics(t *testing.T) {
 			t.Error("Response on a response did not panic")
 		}
 	}()
-	Packet{Cmd: CmdTgtDone}.Response(nil)
+	Packet{Cmd: CmdTgtDone}.Response()
 }
 
 func TestValidate(t *testing.T) {
-	good := Packet{Cmd: CmdRdSized, SrcUnit: 0, Addr: 0x100, Count: 64}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid packet rejected: %v", err)
+	good := []Packet{
+		{Cmd: CmdRdSized, SrcUnit: 0, Addr: 0x100, Count: 64},
+		// A scalar line write and read response carry no bytes.
+		{Cmd: CmdWrSized, Addr: 0x100, Count: 64},
+		{Cmd: CmdRdResponse, Addr: 0x100, Count: 64},
+	}
+	for i, p := range good {
+		if err := p.Validate(); err != nil {
+			t.Errorf("valid packet %d rejected: %v", i, err)
+		}
 	}
 	bad := []Packet{
 		{Cmd: Command(0)},
@@ -86,6 +92,16 @@ func TestFlitBytes(t *testing.T) {
 	p.Data = make([]byte, 5)
 	if got := p.FlitBytes(); got != 16 {
 		t.Errorf("5B payload packet = %d bytes, want 16 (4B granularity)", got)
+	}
+	// A payload-less line write or read response takes the wire as if
+	// its Count bytes rode along.
+	for _, cmd := range []Command{CmdWrSized, CmdRdResponse} {
+		p := Packet{Cmd: cmd, Addr: 0x40, Count: 64}
+		bare := p.FlitBytes()
+		p.Data = make([]byte, 64)
+		if withData := p.FlitBytes(); bare != 72 || withData != 72 {
+			t.Errorf("%v of count 64: %d flit bytes bare, %d with 64 B of data; want 72 both", cmd, bare, withData)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"repro/internal/memdir"
 	"repro/internal/memmodel"
 	"repro/internal/params"
+	"repro/internal/rmc"
 	"repro/internal/sim"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -91,9 +92,10 @@ func TestMicroMacroAgreement(t *testing.T) {
 	}
 }
 
-// TestEndToEndDataPath: data written through one region's timed RMC
-// path is visible to a different node reading the same physical memory
-// through its own RMC — the shared pool is one pool.
+// TestEndToEndDataPath: data written through one region is visible to a
+// different node reading the same physical memory through its own RMC —
+// the shared pool is one pool. The read is a one-line burst: the bulk
+// plane is the RMC path that carries bytes.
 func TestEndToEndDataPath(t *testing.T) {
 	sys := newSystem(t)
 	writerRegion, err := sys.Region(1)
@@ -118,14 +120,20 @@ func TestEndToEndDataPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := ht.Packet{Cmd: ht.CmdRdSized, Addr: rng.Start, Count: 64}
-	var got []byte
-	if err := reader.Request(sys.Now(), req, false, func(_ sim.Time, rsp ht.Packet, _ error) {
-		got = rsp.Data
+	got := make([]byte, params.CacheLineSize)
+	var doneErr error
+	if err := reader.RequestBulk(sys.Now(), rmc.BulkRequest{
+		Kind:  rmc.BulkRead,
+		Spans: []rmc.Span{{Start: rng.Start, Lines: 1}},
+		Data:  got,
+		Done:  func(_ sim.Time, err error) { doneErr = err },
 	}); err != nil {
 		t.Fatal(err)
 	}
 	sys.Run()
+	if doneErr != nil {
+		t.Fatal(doneErr)
+	}
 	if !bytes.Equal(got[:len(secret)], secret) {
 		t.Errorf("node 4 read %q through its RMC", got[:len(secret)])
 	}

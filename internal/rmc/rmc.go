@@ -98,8 +98,9 @@ type RMC struct {
 	client *sim.Resource
 	server *sim.Resource
 
-	// bank and store are the node's local memory system, used when this
-	// RMC serves requests from other nodes (or loopback).
+	// bank and store are the node's local memory system: bank times
+	// every access this RMC serves, and store holds the bytes only the
+	// bulk plane moves.
 	bank  *dram.Bank
 	store *mem.Store
 
@@ -113,20 +114,21 @@ type RMC struct {
 	verif *hnc.Verifier
 	lat   *metrics.Histogram
 
-	// Free lists for the reified request/serve continuations (each with
-	// the send op for the frame it carries) and for line-sized data
-	// buffers. They recycle with or without a fault plan (see the
-	// recycling rule above clientOp): a remote load/store completes
-	// without allocating, and under faults only a corrupted frame's
-	// mangled duplicate copies its payload.
+	// Free lists for the reified request/serve continuations. They
+	// recycle with or without a fault plan (see the recycling rule above
+	// clientOp), so a remote load/store completes without allocating.
+	// Each is touched only by events on this RMC's shard: a client op
+	// completes on its requester's shard, and a serve op returns to its
+	// pool before the server sends the reply.
 	clientOps []*clientOp
 	srvOps    []*srvOp
-	lineBufs  [][]byte
 
-	// Bulk data plane (bulk.go): pooled burst continuations plus the
-	// burst latency histogram, made on the first burst — nil bulkLat
-	// means this RMC has never issued one and reports no bulk samples.
+	// Bulk data plane (bulk.go): pooled burst continuations and the line
+	// buffers that carry burst payloads, plus the burst latency
+	// histogram, made on the first burst — nil bulkLat means this RMC
+	// has never issued one and reports no bulk samples.
 	bulkFreeOps []*bulkOp
+	lineBufs    [][]byte
 	bulkLat     *metrics.Histogram
 
 	// Stats.
@@ -300,18 +302,20 @@ func (r *RMC) StallServer(now sim.Time, d sim.Time) {
 // capture only the op pointer), and then recycled through a per-RMC
 // free list — so a steady-state remote load/store schedules
 // every event through prebound funcs and completes without allocating.
-// Each op also carries the send op of the frame it transmits, bound with
-// it, so a send draws nothing from a pool either.
+// A client op carries the send ops of both frames of its round trip,
+// and a burst those of all its frames, bound with it, so a send draws
+// nothing from a pool either.
 //
 // Recycling rule: every op sees exactly one clean delivery per frame it
 // owns — a transmission attempt's outcomes are mutually exclusive
 // (Delivered ends the chain; Corrupted/Dropped arm a retransmit), and an
 // injector-mangled duplicate can never pass the CRC, so it is verified
 // and discarded by acceptMangled without ever touching the op that sent
-// it. Ops and line buffers therefore recycle under a fault plan too:
-// the mangled duplicate — the one frame that outlives its op's buffer
-// ownership — carries its own copy of the payload (see completeSend),
-// so a recycled buffer is never read after its request completed.
+// it. Ops and the bulk plane's line buffers therefore recycle under a
+// fault plan too: the mangled duplicate — the one frame that outlives
+// its op's buffer ownership — carries its own copy of the payload (see
+// completeSend), so a recycled buffer is never read after its burst
+// completed.
 
 // admission is the client-queue state a request or a burst carries
 // through NACK backoff: its attempt count, the instant client service
@@ -324,7 +328,10 @@ type admission struct {
 }
 
 // clientOp is the requester role's continuation: admission (with NACK
-// backoff), launch onto the fabric, and final completion.
+// backoff), launch onto the fabric, and final completion. It owns both
+// frames of its round trip: the request it sends, and the reply the
+// serving RMC seals into it and sends back. The two roles share only
+// those frames.
 type clientOp struct {
 	admission
 	r       *RMC
@@ -334,10 +341,7 @@ type clientOp struct {
 	peer    *RMC // the serving RMC; r itself for a loopback address
 	done    func(sim.Time, ht.Packet, error)
 	send    sendOp // the request frame
-
-	finishFn  func(sim.Time, ht.Packet, error)
-	deliverFn func(sim.Time, *hnc.Sealed)
-	abandonFn func(sim.Time, int)
+	reply   sendOp // the response frame, sealed and sent by peer
 }
 
 func (r *RMC) getClientOp() *clientOp {
@@ -349,12 +353,20 @@ func (r *RMC) getClientOp() *clientOp {
 	op := &clientOp{r: r}
 	op.retryFn = func() { op.r.admit(op.r.eng.Now(), &op.admission) }
 	op.launchFn = func() { op.r.launch(op) }
-	op.finishFn = func(t sim.Time, rsp ht.Packet, err error) { op.finish(t, rsp, err) }
-	op.deliverFn = func(t sim.Time, s *hnc.Sealed) { op.peer.serve(t, s, op.r, op.express, op.finishFn) }
-	op.abandonFn = func(t sim.Time, attempts int) {
+	op.send.bind(func(t sim.Time, s *hnc.Sealed) { op.peer.serve(t, s, op) }, func(t sim.Time, attempts int) {
 		op.finish(t, ht.Packet{}, &UnreachableError{Dst: op.pkt.Addr.Node(), Attempts: attempts})
-	}
-	op.send.bind(op.deliverFn, op.abandonFn, r.exch)
+	}, r.exch)
+	op.reply.bind(func(t sim.Time, s *hnc.Sealed) {
+		// Only the one clean arrival of the reply frame reaches this
+		// callback (mangled duplicates go through acceptMangled), so
+		// the op is live here by construction.
+		op.r.accept(s)
+		op.finish(t, s.Frame.Payload, nil)
+	}, func(t sim.Time, attempts int) {
+		// The requester became unreachable for the response: fail the
+		// request instead of leaving the issuer hanging.
+		op.finish(t, ht.Packet{}, &UnreachableError{Dst: op.r.self, Attempts: attempts})
+	}, r.exch)
 	return op
 }
 
@@ -363,11 +375,12 @@ func (r *RMC) putClientOp(op *clientOp) {
 	op.peer = nil
 	op.done = nil
 	op.send.release()
+	op.reply.release()
 	r.clientOps = append(r.clientOps, op)
 }
 
-// finish completes the request: observe the round trip, hand the
-// response to the caller, then reclaim the op and the response buffer.
+// finish completes the request: observe the round trip, reclaim the op,
+// and hand the response to the caller.
 func (op *clientOp) finish(t sim.Time, rsp ht.Packet, err error) {
 	r := op.r
 	if err == nil {
@@ -375,37 +388,30 @@ func (op *clientOp) finish(t sim.Time, rsp ht.Packet, err error) {
 		// feed the latency histogram.
 		r.lat.Observe(t - op.issued)
 	}
-	done, reqData, server := op.done, op.pkt.Data, op.peer
+	done := op.done
 	r.putClientOp(op)
 	done(t, rsp, err)
-	// Both buffers are dead once the caller's callback has returned
-	// (see Request's contract): write-request data was consumed by the
-	// server's functional store, and the response buffer came from the
-	// serving RMC's line pool — each returns to the pool it was drawn
-	// from, so neither pool drains across repeated round trips. At most
-	// one of the two is non-nil per request, so a buffer can never
-	// enter a pool twice. The server's pool may live on another shard;
-	// putLineBufOf defers that return to the next barrier.
-	r.putLineBuf(reqData)
-	r.putLineBufOf(server, rsp.Data)
 }
 
 // Request submits a memory request whose address carries a node prefix.
 // done is invoked exactly once, at the simulated completion time, with
-// the response packet (RdResponse with data, or TgtDone). Data buffers
-// are pooled: ownership of pkt.Data transfers to the RMC, and rsp.Data
-// is valid only for the duration of the callback — copy it to keep it.
-// Under a fault plan a request whose destination stays
-// unreachable past the retransmit budget completes with a zero packet
-// and an *UnreachableError; without a plan err is always nil. express
-// routes both directions over a dedicated express link (Figure 8's
-// control setup) instead of the mesh.
+// the response packet: a RdResponse, a TgtDone, or a TgtAbort from the
+// protection check. The scalar path times an access and moves no bytes:
+// a packet carrying Data is refused, and no response carries any (bytes
+// move through RequestBulk or the functional store). Under a fault plan
+// a request whose destination stays unreachable past the retransmit
+// budget completes with a zero packet and an *UnreachableError; without
+// a plan err is always nil. express routes both directions over a
+// dedicated express link (Figure 8's control setup) instead of the mesh.
 func (r *RMC) Request(now sim.Time, pkt ht.Packet, express bool, done func(sim.Time, ht.Packet, error)) error {
 	if err := pkt.Validate(); err != nil {
 		return err
 	}
 	if !pkt.Cmd.IsRequest() {
 		return fmt.Errorf("rmc: %v is not a request", pkt.Cmd)
+	}
+	if pkt.Data != nil {
+		return fmt.Errorf("rmc: %v carries %d data bytes; the scalar path moves none (use RequestBulk)", pkt.Cmd, len(pkt.Data))
 	}
 	dst := pkt.Addr.Node()
 	if dst == 0 {
@@ -431,42 +437,6 @@ func (r *RMC) peer(dst addr.NodeID) (*RMC, error) {
 		return r, nil
 	}
 	return r.peers.RMC(dst)
-}
-
-// getLineBuf returns a pooled buffer of n bytes for packet data. Write
-// packets built from it are recycled when the request completes; it may
-// contain stale bytes (every consumer overwrites the full length).
-func (r *RMC) getLineBuf(n int) []byte {
-	if l := len(r.lineBufs); l > 0 {
-		if b := r.lineBufs[l-1]; cap(b) >= n {
-			r.lineBufs = r.lineBufs[:l-1]
-			return b[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-func (r *RMC) putLineBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	r.lineBufs = append(r.lineBufs, b)
-}
-
-// putLineBufOf returns a buffer to another RMC's pool. When the owner
-// lives on a different shard, the return is deferred onto the executing
-// shard's exchange and applied by the coordinator at the next barrier —
-// pools are plain slices and must never be touched across shards mid-
-// window.
-func (r *RMC) putLineBufOf(owner *RMC, b []byte) {
-	if owner.exch == r.exch {
-		owner.putLineBuf(b)
-		return
-	}
-	if cap(b) == 0 { // would be dropped at the drain anyway
-		return
-	}
-	r.exch.defBuf = append(r.exch.defBuf, deferredBuf{r: owner, b: b})
 }
 
 // admit tries to enter the client queue, retrying on NACK with capped
@@ -510,7 +480,7 @@ func (r *RMC) launch(op *clientOp) {
 		// but is never used in practice; the hardware would replay the
 		// request into its own local system, so we do.
 		r.LoopbackOps++
-		r.serveLocal(now, op.pkt, op.finishFn)
+		r.serveLocal(now, op)
 		return
 	}
 	r.seal(&op.send, &op.pkt)
@@ -582,9 +552,9 @@ type sendOp struct {
 	deliver func(sim.Time, *hnc.Sealed)
 	abandon func(sim.Time, int)
 	// owner is the exchange of the shard that owns the abandon
-	// continuation: the requester's shard for every frame (a client op
-	// completes there directly, and a server reply's or burst frame's
-	// abandon hands the completion to the requester's callbacks too).
+	// continuation: the requester's shard for every frame, since every
+	// send op belongs to a client op or a burst and is bound on the
+	// requesting RMC.
 	owner *Exchange
 
 	attemptFn func()
@@ -649,14 +619,15 @@ func (r *RMC) completeSend(m *xmit) {
 		// The mangled copy still arrives — the receiver's CRC check
 		// counts and discards it — and the sender, hearing nothing,
 		// retransmits. Fault-only path; the closure captures everything
-		// by value, so it never touches the (recyclable) op. The payload
-		// is deep-copied: the duplicate outlives the op's ownership of
-		// the original buffer (the retransmitted request may complete and
-		// recycle it before the duplicate's CRC check reads it), and this
-		// rare per-corruption allocation is what lets every line buffer
-		// recycle under an armed fault plan. The closure verifies a copy
-		// on its own stack: taking the captured duplicate's address would
-		// move it to a heap object of its own, a second allocation.
+		// by value, so it never touches the (recyclable) op. A burst
+		// frame's payload is deep-copied: the duplicate outlives the op's
+		// ownership of the original buffer (the retransmitted burst may
+		// complete and recycle it before the duplicate's CRC check reads
+		// it), and this rare per-corruption allocation is what lets every
+		// line buffer recycle under an armed fault plan. The closure
+		// verifies a copy on its own stack: taking the captured
+		// duplicate's address would move it to a heap object of its own,
+		// a second allocation.
 		mangled := hnc.Sealed{Frame: op.s.Frame, CRC: r.inj.MangleCRC(op.s.CRC)}
 		if d := op.s.Frame.Payload.Data; d != nil {
 			mangled.Frame.Payload.Data = append([]byte(nil), d...)
@@ -727,27 +698,22 @@ func (r *RMC) deliverOutcome(now sim.Time, dst addr.NodeID, bytes int, express b
 	return r.fabric.DeliverOutcome(now, r.self, dst, bytes)
 }
 
-// srvOp is the server role's continuation: protection check, memory
-// access, and the sealed reply leg, across the serviced/memDone events.
-// For loopback ops (src == self, no fabric) respond completes directly.
+// srvOp is the server role's continuation: protection check and memory
+// access across the serviced/memDone events, on behalf of client op c.
+// It holds no frame of its own: the response is sealed into c's reply
+// send op, and the op returns to its pool before the reply leaves, so
+// only events on this RMC's shard ever touch it.
 type srvOp struct {
 	r        *RMC
-	src      addr.NodeID
-	req      *RMC // the requesting RMC, where the reply completes
-	loopback bool
+	c        *clientOp
 	local    ht.Packet
-	express  bool
 	abort    bool
 	serviced sim.Time
 	memDone  sim.Time
 	rsp      ht.Packet
-	done     func(sim.Time, ht.Packet, error)
-	send     sendOp // the reply frame
 
-	serviceFn      func()
-	respondFn      func()
-	replyDeliverFn func(sim.Time, *hnc.Sealed)
-	replyAbandonFn func(sim.Time, int)
+	serviceFn func()
+	respondFn func()
 }
 
 func (r *RMC) getSrvOp() *srvOp {
@@ -759,145 +725,80 @@ func (r *RMC) getSrvOp() *srvOp {
 	op := &srvOp{r: r}
 	op.serviceFn = func() { op.service() }
 	op.respondFn = func() { op.respond() }
-	op.replyDeliverFn = func(t sim.Time, s *hnc.Sealed) {
-		// Only the one clean arrival of the reply frame reaches this
-		// callback (mangled duplicates go through acceptMangled), so
-		// the op is live here by construction.
-		op.req.accept(s)
-		done, rsp := op.done, op.rsp
-		op.r.reclaimSrvOp(op)
-		done(t, rsp, nil)
-	}
-	op.replyAbandonFn = func(t sim.Time, attempts int) {
-		// The requester became unreachable for the response. The
-		// server holds the completion, so it can still fail the
-		// request instead of leaving the issuer hanging.
-		done, src := op.done, op.src
-		op.r.reclaimSrvOp(op)
-		done(t, ht.Packet{}, &UnreachableError{Dst: src, Attempts: attempts})
-	}
-	op.send.bind(op.replyDeliverFn, op.replyAbandonFn, nil)
 	return op
 }
 
 func (r *RMC) putSrvOp(op *srvOp) {
+	op.c = nil
 	op.local, op.rsp = ht.Packet{}, ht.Packet{}
-	op.req = nil
-	op.done = nil
-	op.send.release()
 	r.srvOps = append(r.srvOps, op)
 }
 
-// reclaimSrvOp recycles a server-role op whose final callback executed
-// on the requester's shard (reply delivery and reply abandon both run
-// there). A cross-shard return is deferred onto the executing shard's
-// exchange and applied at the next barrier.
-func (r *RMC) reclaimSrvOp(op *srvOp) {
-	if x := op.req.exch; x != r.exch {
-		x.defSrv = append(x.defSrv, deferredSrv{r: r, op: op})
-		return
-	}
-	r.putSrvOp(op)
-}
-
-// serve handles a sealed frame arriving from the fabric on behalf of the
-// requesting RMC req: verify integrity (loosely — sequence anomalies are
-// counted, not refused), decapsulate (zero the prefix), queue through
-// the server occupancy, access local memory, and send the sealed
-// response back.
-func (r *RMC) serve(now sim.Time, sealed *hnc.Sealed, req *RMC, express bool, done func(sim.Time, ht.Packet, error)) {
+// serve handles client op c's request frame arriving from the fabric:
+// verify integrity (loosely — sequence anomalies are counted, not
+// refused), decapsulate (zero the prefix), check protection, and queue
+// through the server occupancy.
+func (r *RMC) serve(now sim.Time, sealed *hnc.Sealed, c *clientOp) {
 	op := r.getSrvOp()
 	r.receive(sealed, &op.local)
-	src := sealed.Frame.Src
-	serviced, _ := r.server.Acquire(now, r.p.RMCServerOccupancy)
-	op.src, op.req, op.loopback, op.express = src, req, false, express
-	op.done, op.serviced, op.abort = done, serviced, false
-	if r.protection != nil && op.local.Cmd.IsRequest() {
-		rng := addr.Range{Start: op.local.Addr, Size: uint64(op.local.Count)}
-		if !r.protection.Allowed(src, rng) {
-			r.Aborted++
-			op.abort = true
-		}
+	rng := addr.Range{Start: op.local.Addr, Size: uint64(op.local.Count)}
+	op.abort = r.protection != nil && !r.protection.Allowed(sealed.Frame.Src, rng)
+	if op.abort {
+		r.Aborted++
 	}
-	r.eng.At(serviced, op.serviceFn)
+	r.queue(now, op, c)
+}
+
+// serveLocal runs the server path for a loopback request, without the
+// fabric.
+func (r *RMC) serveLocal(now sim.Time, c *clientOp) {
+	op := r.getSrvOp()
+	op.local, op.abort = c.pkt, false
+	op.local.Addr = c.pkt.Addr.Local()
+	r.queue(now, op, c)
+}
+
+// queue puts op, serving c, through the server occupancy.
+func (r *RMC) queue(now sim.Time, op *srvOp, c *clientOp) {
+	op.c = c
+	op.serviced, _ = r.server.Acquire(now, r.p.RMCServerOccupancy)
+	r.eng.At(op.serviced, op.serviceFn)
 }
 
 // service runs at the serviced instant: answer a protection denial with
-// Target Abort, otherwise perform the local memory access.
+// Target Abort at once, otherwise perform the local memory access.
 func (op *srvOp) service() {
 	if op.abort {
-		op.rsp = op.local.Abort()
-		op.r.sendReply(op.serviced, op)
+		op.rsp, op.memDone = op.local.Abort(), op.serviced
+		op.respond()
 		return
 	}
 	op.r.access(op)
 }
 
-// respond runs at memDone: complete a loopback op directly, or seal the
-// response back onto the fabric.
-func (op *srvOp) respond() {
-	r := op.r
-	if op.loopback {
-		done, t, rsp := op.done, op.memDone, op.rsp
-		r.putSrvOp(op)
-		done(t, rsp, nil)
-		return
-	}
-	r.sendReply(op.memDone, op)
-}
-
-// sendReply seals the op's response frame back to the requester under
-// the same retransmission discipline as the request leg.
-func (r *RMC) sendReply(now sim.Time, op *srvOp) {
-	// The reply's completion belongs to the requester's shard, where the
-	// clientOp callbacks live.
-	op.send.owner = op.req.exch
-	r.sealReply(&op.send, op.src, &op.rsp)
-	r.sendSealed(now, &op.send, op.req, op.express)
-}
-
-// serveLocal runs the server path without the fabric (loopback).
-func (r *RMC) serveLocal(now sim.Time, pkt ht.Packet, done func(sim.Time, ht.Packet, error)) {
-	localPkt := pkt
-	localPkt.Addr = pkt.Addr.Local()
-	serviced, _ := r.server.Acquire(now, r.p.RMCServerOccupancy)
-	op := r.getSrvOp()
-	op.src, op.req, op.loopback, op.local, op.express = r.self, r, true, localPkt, false
-	op.done, op.serviced, op.abort = done, serviced, false
-	r.eng.At(serviced, op.serviceFn)
-}
-
-// access performs the functional + timed local memory operation and
-// builds the response. Read data lands in a pooled buffer; ReadAt fills
-// it end to end (the store zero-fills untouched regions), so stale pool
-// bytes can never leak into a response.
+// access performs the timed local memory access and builds the
+// payload-less response, sent at memDone.
 func (r *RMC) access(op *srvOp) {
 	r.ServedHere++
 	memDone, err := r.bank.Access(op.serviced, op.local.Addr, op.local.Cmd == ht.CmdWrSized)
 	if err != nil {
 		panic(fmt.Sprintf("rmc%d: local memory access failed: %v", r.self, err))
 	}
-	switch op.local.Cmd {
-	case ht.CmdRdSized:
-		data := r.getLineBuf(int(op.local.Count))
-		if err := r.store.ReadAt(op.local.Addr, data); err != nil {
-			panic(fmt.Sprintf("rmc%d: functional read failed: %v", r.self, err))
-		}
-		op.rsp = op.local.Response(data)
-	case ht.CmdWrSized:
-		// A nil-Data write is the idempotent line writeback the cluster
-		// issues for cached lines it owns functionally already: priced on
-		// the wire and at the bank, but with nothing to copy (writing the
-		// bytes back would be a no-op on the store).
-		if op.local.Data != nil {
-			if err := r.store.WriteAt(op.local.Addr, op.local.Data); err != nil {
-				panic(fmt.Sprintf("rmc%d: functional write failed: %v", r.self, err))
-			}
-		}
-		op.rsp = op.local.Response(nil)
-	default:
-		panic(fmt.Sprintf("rmc%d: cannot serve %v", r.self, op.local.Cmd))
-	}
-	op.memDone = memDone
+	op.rsp, op.memDone = op.local.Response(), memDone
 	r.eng.At(memDone, op.respondFn)
+}
+
+// respond returns the op to its pool, then completes a loopback request
+// directly, or seals the response into the client op's reply frame and
+// sends it back under the same retransmission discipline as the request
+// leg.
+func (op *srvOp) respond() {
+	r, c, t, rsp := op.r, op.c, op.memDone, op.rsp
+	r.putSrvOp(op)
+	if c.r == r {
+		c.finish(t, rsp, nil)
+		return
+	}
+	r.sealReply(&c.reply, c.r.self, &rsp)
+	r.sendSealed(t, &c.reply, c.r, c.express)
 }

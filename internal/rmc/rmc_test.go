@@ -1,7 +1,6 @@
 package rmc
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -99,26 +98,29 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// wantLine checks a scalar round trip's response: the scalar path moves
+// no bytes, so a line read answers with a payload-less RdResponse of the
+// line's count and a write with a TgtDone. The bytes themselves cross
+// nodes on the bulk plane (TestBulkReadGather, TestBulkWriteScatter).
+func wantLine(t *testing.T, rsp ht.Packet, cmd ht.Command, count int) {
+	t.Helper()
+	if rsp.Cmd != cmd || rsp.Count != count || rsp.Data != nil {
+		t.Errorf("response %v carrying %d bytes, want a payload-less %v of count %d", rsp, len(rsp.Data), cmd, count)
+	}
+}
+
 func TestRemoteReadRoundTrip(t *testing.T) {
 	r := newRig(t, 4)
-	// Seed node 2's memory.
-	want := bytes.Repeat([]byte{0x42}, 64)
-	if err := r.stores[2].WriteAt(0x41000000, want); err != nil {
-		t.Fatal(err)
-	}
-
-	var gotData []byte
+	var got ht.Packet
 	var doneAt sim.Time
 	req := ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x41000000).WithNode(2), Count: 64}
 	if err := r.rmcs[1].Request(0, req, false, func(ts sim.Time, rsp ht.Packet, _ error) {
-		doneAt, gotData = ts, rsp.Data
+		doneAt, got = ts, rsp
 	}); err != nil {
 		t.Fatal(err)
 	}
 	r.set.Run()
-	if !bytes.Equal(gotData, want) {
-		t.Errorf("remote read returned %x, want %x", gotData[:4], want[:4])
-	}
+	wantLine(t, got, ht.CmdRdResponse, 64)
 	// Unloaded latency: client occ + 1-hop request + server occ + DRAM +
 	// 1-hop response. Within the analytic round-trip ± link occupancies.
 	lo := r.p.RemoteRoundTrip(1)
@@ -133,46 +135,38 @@ func TestRemoteReadRoundTrip(t *testing.T) {
 
 func TestRemoteWriteRoundTrip(t *testing.T) {
 	r := newRig(t, 4)
-	payload := bytes.Repeat([]byte{0xA5}, 64)
-	req := ht.Packet{Cmd: ht.CmdWrSized, Addr: addr.Phys(0x100).WithNode(3), Count: 64, Data: payload}
-	var rspCmd ht.Command
-	if err := r.rmcs[1].Request(0, req, false, func(_ sim.Time, rsp ht.Packet, _ error) { rspCmd = rsp.Cmd }); err != nil {
+	req := ht.Packet{Cmd: ht.CmdWrSized, Addr: addr.Phys(0x100).WithNode(3), Count: 64}
+	var got ht.Packet
+	if err := r.rmcs[1].Request(0, req, false, func(_ sim.Time, rsp ht.Packet, _ error) { got = rsp }); err != nil {
 		t.Fatal(err)
 	}
 	r.set.Run()
-	if rspCmd != ht.CmdTgtDone {
-		t.Errorf("write response = %v", rspCmd)
-	}
-	got := make([]byte, 64)
-	if err := r.stores[3].ReadAt(0x100, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Error("write did not reach the remote store")
+	wantLine(t, got, ht.CmdTgtDone, 0)
+	if r.rmcs[1].Forwarded != 1 || r.rmcs[3].ServedHere != 1 {
+		t.Error("forward/serve counters wrong")
 	}
 }
 
 func TestCrossNodeVisibility(t *testing.T) {
-	// Data written by node 1 into node 3's memory is visible to node 2
-	// reading the same prefixed address: a single shared pool.
+	// Node 1 writes a line of node 3's memory and node 2 reads the same
+	// prefixed address: both requests reach the one memory that owns it.
 	r := newRig(t, 4)
-	payload := []byte("shared-pool")
-	buf := make([]byte, 64)
-	copy(buf, payload)
-	wr := ht.Packet{Cmd: ht.CmdWrSized, Addr: addr.Phys(0x2000).WithNode(3), Count: 64, Data: buf}
-	if err := r.rmcs[1].Request(0, wr, false, func(sim.Time, ht.Packet, error) {}); err != nil {
+	wr := ht.Packet{Cmd: ht.CmdWrSized, Addr: addr.Phys(0x2000).WithNode(3), Count: 64}
+	var wrote, read ht.Packet
+	if err := r.rmcs[1].Request(0, wr, false, func(_ sim.Time, rsp ht.Packet, _ error) { wrote = rsp }); err != nil {
 		t.Fatal(err)
 	}
 	r.set.Run()
 
-	var got []byte
 	rd := ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x2000).WithNode(3), Count: 64}
-	if err := r.rmcs[2].Request(r.eng.Now(), rd, false, func(_ sim.Time, rsp ht.Packet, _ error) { got = rsp.Data }); err != nil {
+	if err := r.rmcs[2].Request(r.eng.Now(), rd, false, func(_ sim.Time, rsp ht.Packet, _ error) { read = rsp }); err != nil {
 		t.Fatal(err)
 	}
 	r.set.Run()
-	if !bytes.Equal(got[:len(payload)], payload) {
-		t.Errorf("node 2 read %q", got[:len(payload)])
+	wantLine(t, wrote, ht.CmdTgtDone, 0)
+	wantLine(t, read, ht.CmdRdResponse, 64)
+	if r.rmcs[3].ServedHere != 2 {
+		t.Errorf("node 3 served %d requests, want both", r.rmcs[3].ServedHere)
 	}
 }
 
@@ -203,20 +197,15 @@ func TestHopDistanceIncreasesLatency(t *testing.T) {
 
 func TestLoopbackMode(t *testing.T) {
 	r := newRig(t, 4)
-	if err := r.stores[1].WriteAt(0x500, []byte{9}); err != nil {
-		t.Fatal(err)
-	}
-	var got []byte
+	var got ht.Packet
 	req := ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x500).WithNode(1), Count: 8}
-	if err := r.rmcs[1].Request(0, req, false, func(_ sim.Time, rsp ht.Packet, _ error) { got = rsp.Data }); err != nil {
+	if err := r.rmcs[1].Request(0, req, false, func(_ sim.Time, rsp ht.Packet, _ error) { got = rsp }); err != nil {
 		t.Fatal(err)
 	}
 	r.set.Run()
-	if got[0] != 9 {
-		t.Error("loopback read wrong data")
-	}
-	if r.rmcs[1].LoopbackOps != 1 {
-		t.Errorf("LoopbackOps = %d", r.rmcs[1].LoopbackOps)
+	wantLine(t, got, ht.CmdRdResponse, 8)
+	if r.rmcs[1].LoopbackOps != 1 || r.rmcs[1].ServedHere != 1 {
+		t.Errorf("LoopbackOps = %d, ServedHere = %d; want 1 each", r.rmcs[1].LoopbackOps, r.rmcs[1].ServedHere)
 	}
 	if r.fabric.Delivered != 0 {
 		t.Error("loopback op touched the fabric")
@@ -237,6 +226,24 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if err := r.rmcs[1].Request(0, ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x100).WithNode(2), Count: 0}, false, noop); err == nil {
 		t.Error("invalid packet accepted")
+	}
+	// The scalar path moves no bytes: a packet carrying Data is refused
+	// before it counts a request or takes a frame sequence number.
+	for _, cmd := range []ht.Command{ht.CmdWrSized, ht.CmdRdSized} {
+		pkt := ht.Packet{Cmd: cmd, Addr: addr.Phys(0x100).WithNode(2), Count: 64, Data: make([]byte, 64)}
+		if err := r.rmcs[1].Request(0, pkt, false, noop); err == nil {
+			t.Errorf("%v carrying data accepted", cmd)
+		}
+	}
+	if got := r.rmcs[1].Requests; got != 0 {
+		t.Errorf("refused packets counted %d requests", got)
+	}
+	if err := r.rmcs[1].Request(0, ht.Packet{Cmd: ht.CmdRdSized, Addr: addr.Phys(0x100).WithNode(2), Count: 64}, false, noop); err != nil {
+		t.Fatal(err)
+	}
+	r.set.Run()
+	if v := r.rmcs[2].verif; v.Received != 1 || v.Gaps != 0 {
+		t.Errorf("server received %d frames with %d sequence gaps, want the first frame in order", v.Received, v.Gaps)
 	}
 }
 
