@@ -425,8 +425,10 @@ func benchMeshDeliver32x32(b *testing.B) {
 // one ExchangeSet.Drain of a fixed intent batch on a 16x16 mesh split
 // over 2 shards — every node's RMC has one remote line read to its
 // diametric partner recorded (256 frames, ~16 hops each) — replayed
-// through the fabric in canonical order. Only the drain is timed;
-// issuing the reads and finishing their round trips run off the clock.
+// through the fabric in canonical order, each delivery posted to its
+// destination engine. Only the drain is timed: issuing the reads, the
+// shards pushing the posted deliveries onto their heaps when set.Run
+// opens their windows, and finishing the round trips run off the clock.
 // The drain must not allocate.
 func benchExchangeDrain(b *testing.B) {
 	p := params.Default()

@@ -209,7 +209,7 @@ func TestThreadOverCluster(t *testing.T) {
 	if !th.Done {
 		t.Fatal("thread did not finish")
 	}
-	perAccess := th.Elapsed() / count
+	perAccess := (th.FinishTime - th.StartTime) / count
 	rt := p.RemoteRoundTrip(1)
 	if perAccess < rt || perAccess > rt+rt/2 {
 		t.Errorf("per-access = %d ps, want near round trip %d", perAccess, rt)
@@ -313,7 +313,7 @@ func TestPrefetchAcceleratesStreams(t *testing.T) {
 		if depth == 0 && n.Prefetches != 0 {
 			t.Error("prefetches issued with depth 0")
 		}
-		return th.Elapsed()
+		return th.FinishTime - th.StartTime
 	}
 	off, on := run(0), run(4)
 	if on >= off {
@@ -346,7 +346,10 @@ func TestPrefetchPreservesRandomAccessTime(t *testing.T) {
 		}
 		th.Start(0)
 		c.Set().Run()
-		return th.Elapsed()
+		if !th.Done {
+			t.Fatal("stream did not finish")
+		}
+		return th.FinishTime - th.StartTime
 	}
 	if off, on := run(0), run(8); off != on {
 		t.Errorf("prefetch changed random-access time: %d vs %d", off, on)

@@ -250,12 +250,3 @@ func (t *Thread) finish() {
 		t.onDone(t, t.FinishTime)
 	}
 }
-
-// Elapsed returns the thread's runtime; it panics if not finished, which
-// in an experiment means the simulation ended prematurely.
-func (t *Thread) Elapsed() sim.Time {
-	if !t.Done {
-		panic(fmt.Sprintf("cpu: thread %q not finished", t.Name))
-	}
-	return t.FinishTime - t.StartTime
-}

@@ -77,6 +77,17 @@ func newThread(t *testing.T, c ThreadConfig) *Thread {
 	return th
 }
 
+// elapsed returns a finished thread's runtime, FinishTime - StartTime,
+// and fails the test if the thread has not finished: a run that ended
+// early has no runtime to compare.
+func elapsed(t *testing.T, th *Thread) sim.Time {
+	t.Helper()
+	if !th.Done {
+		t.Fatalf("thread %q not finished", th.Name)
+	}
+	return th.FinishTime - th.StartTime
+}
+
 func TestConfigValidation(t *testing.T) {
 	eng := sim.New()
 	m := newFakeMem(eng, 10, 100)
@@ -109,8 +120,8 @@ func TestRemoteWindowOfOneSerializes(t *testing.T) {
 		t.Errorf("remote concurrency = %d, want 1 (the RMC I/O-unit limit)", m.maxRemote)
 	}
 	// 10 sequential accesses of 100 each.
-	if th.Elapsed() != 1000 {
-		t.Errorf("elapsed = %d, want 1000", th.Elapsed())
+	if elapsed(t, th) != 1000 {
+		t.Errorf("elapsed = %d, want 1000", elapsed(t, th))
 	}
 	if th.Issued != 10 {
 		t.Errorf("Issued = %d", th.Issued)
@@ -134,8 +145,8 @@ func TestLocalWindowPipelines(t *testing.T) {
 		t.Errorf("local concurrency = %d, want 8", m.maxLocal)
 	}
 	// 16 accesses, 8 at a time, same latency: two waves of 100.
-	if th.Elapsed() != 200 {
-		t.Errorf("elapsed = %d, want 200", th.Elapsed())
+	if elapsed(t, th) != 200 {
+		t.Errorf("elapsed = %d, want 200", elapsed(t, th))
 	}
 }
 
@@ -152,7 +163,7 @@ func TestWindowAblation(t *testing.T) {
 		})
 		th.Start(0)
 		eng.Run()
-		return th.Elapsed()
+		return elapsed(t, th)
 	}
 	if t1, t8 := run(1), run(8); t8*8 != t1 {
 		t.Errorf("window 8 time %d vs window 1 time %d: want exactly 8x", t8, t1)
@@ -196,8 +207,8 @@ func TestOnDoneAndStartOffset(t *testing.T) {
 	if doneAt != 250 {
 		t.Errorf("OnDone at %d, want 250", doneAt)
 	}
-	if th.Elapsed() != 200 {
-		t.Errorf("Elapsed = %d, want 200 (excludes start offset)", th.Elapsed())
+	if elapsed(t, th) != 200 {
+		t.Errorf("Elapsed = %d, want 200 (excludes start offset)", elapsed(t, th))
 	}
 }
 
@@ -211,7 +222,7 @@ func TestEmptyStream(t *testing.T) {
 	})
 	th.Start(0)
 	eng.Run()
-	if !th.Done || th.Elapsed() != 0 {
+	if !th.Done || elapsed(t, th) != 0 {
 		t.Error("empty stream should finish immediately")
 	}
 }
@@ -230,21 +241,6 @@ func TestDoubleStartPanics(t *testing.T) {
 		}
 	}()
 	th.Start(1)
-}
-
-func TestElapsedBeforeFinishPanics(t *testing.T) {
-	eng := sim.New()
-	m := newFakeMem(eng, 10, 100)
-	th := newThread(t, ThreadConfig{
-		Engine: eng, Memory: m, Stream: NewSliceStream(remoteAccs(1)),
-		WindowLocal: 1, WindowRemote: 1,
-	})
-	defer func() {
-		if recover() == nil {
-			t.Error("Elapsed before finish did not panic")
-		}
-	}()
-	_ = th.Elapsed()
 }
 
 func TestFuncStream(t *testing.T) {

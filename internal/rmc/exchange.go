@@ -15,28 +15,42 @@ import (
 // window barrier the coordinator — with all shards parked — merges those
 // runs with the intents held from earlier barriers, replays the ones
 // below the barrier's replay horizon through completeSend, and holds the
-// rest for a later barrier. The horizon guarantees no future intent can
-// be recorded below it, so the replayed prefix extends one canonical
-// stream — a pure function of simulated state — and link occupancies
-// and the fault injector's roll stream are consumed identically at any
-// shard count and however the schedule cuts windows, which is what
-// keeps figures byte-identical from -shards 1 to -shards N.
+// rest for a later barrier. A replay walks the frame's links and posts
+// what follows — a delivery, a duplicate, a timer — to the engine it
+// runs on; that shard pushes it onto its own heap when its next window
+// opens. The horizon guarantees no future intent can be recorded below
+// it, so the replayed prefix extends one canonical stream — a pure
+// function of simulated state — and link occupancies and the fault
+// injector's roll stream are consumed identically at any shard count
+// and however the schedule cuts windows, which is what keeps figures
+// byte-identical from -shards 1 to -shards N.
 //
 // Every per-shard window limit is bounded by the minimum cross-shard
 // delivery bound of the lookahead matrix, so every delivery scheduled at
 // the barrier lands at or past the destination shard's limit — strictly
 // in its future. Barrier hand-offs (worker park/release atomics) carry
-// the happens-before edges for the coordinator's reads of shard state.
+// the happens-before edges for the coordinator's reads of shard state
+// and for each shard's reads of what the coordinator posted to it.
 
-// xmit is one recorded transmission intent. shard is the recording
-// exchange's index: a held intent counts as pending work of its source
-// shard, bounded into shard i by B[shard][i].
+// xmit is one recorded transmission intent. It carries everything the
+// replay of a clean delivery reads — the destination node and exchange,
+// the frame's wire size, the express flag and the prebound delivery
+// event — so the coordinator walks the link table and posts the
+// delivery without loading the send op or either RMC, which the shards
+// write. op is read only when the frame does not arrive clean. shard is
+// the recording exchange's index: a held intent counts as pending work
+// of its source shard, bounded into shard i by B[shard][i].
 type xmit struct {
-	t     sim.Time
-	src   addr.NodeID
-	seq   uint64
-	shard int32
-	op    *sendOp
+	t       sim.Time
+	seq     uint64
+	op      *sendOp
+	to      *Exchange // the destination's exchange
+	fire    func()    // the delivery event, bound once with op
+	wire    int32
+	shard   int32
+	src     addr.NodeID
+	dst     addr.NodeID
+	express bool
 }
 
 // before reports whether a precedes b in the canonical (time, source
@@ -94,19 +108,20 @@ func (x *Exchange) record(m xmit) {
 	}
 }
 
-// schedule places a barrier-time consequence of intent m — its delivery,
-// a corrupted duplicate, a retransmission timer or an abandon — on this
-// shard's engine at at, recording the horizon from the send time. The
-// lookahead plan guarantees at lands in the shard's future; when a bound
-// matrix fails to cover a send, the panic names the intent, where it
-// landed, and how far the shard had already run, instead of the
-// engine's bare "scheduling before now".
+// schedule posts a barrier-time consequence of intent m — its delivery,
+// a corrupted duplicate, a retransmission timer or an abandon — to this
+// shard's engine at at, recording the horizon from the send time; the
+// shard pushes it onto its own heap when its next window opens
+// (sim.Engine.Post). The lookahead plan guarantees at lands in the
+// shard's future; when a bound matrix fails to cover a send, the panic
+// names the intent, where it landed, and how far the shard had already
+// run, at post time, instead of the engine's bare "posting before now".
 func (x *Exchange) schedule(m *xmit, at sim.Time, fn func()) {
 	if now := x.eng.Now(); at < now {
 		panic(fmt.Sprintf("rmc: intent t=%d src=%d seq=%d arrives at %d in shard %d's past: the shard ran to limit %d (now %d); the lookahead bounds do not cover this send",
 			m.t, m.src, m.seq, at, x.idx, x.eng.Limit(), now))
 	}
-	x.eng.AtFrom(m.t, at, fn)
+	x.eng.Post(m.t, at, fn)
 }
 
 // ExchangeSet drains every shard's exchange at a window barrier: its
@@ -117,6 +132,7 @@ func (x *Exchange) schedule(m *xmit, at sim.Time, fn func()) {
 // scheduler's view of in-flight cross-shard work.
 type ExchangeSet struct {
 	shards  []*Exchange
+	fabric  Fabric // the one fabric every RMC of the set sends over
 	held    []xmit
 	spare   []xmit
 	runs    [][]xmit // Drain's merge cursors, reused
@@ -179,19 +195,14 @@ func (es *ExchangeSet) SetSelfBounds(bounds [][]sim.Time) {
 // Drain replays every pending intent with time strictly below horizon in
 // canonical (time, source, sequence) order through the fabric and keeps
 // the rest held; that is all it does. It runs on the coordinator with
-// all shards parked. Replays never record new intents (completeSend
-// schedules deliveries and timers as events), so the runs being merged
-// stay fixed while they replay. No pool return waits for it: every RMC
-// free list is touched only by events on its own shard.
-func (es *ExchangeSet) Drain(horizon sim.Time) { es.drain(horizon, es.replay) }
-
-// replay walks one intent through the fabric.
-func (es *ExchangeSet) replay(m *xmit) {
-	if es.trace != nil {
-		es.trace(m.t, m.src, m.op.dst.self, m.seq)
-	}
-	m.op.r.completeSend(m)
-}
+// all shards parked. A clean delivery is replayed from the intent alone:
+// the walk of its links, then a post to the destination engine, which
+// pushes the event onto its own heap when its next window opens. Replays
+// never record new intents (completeSend posts deliveries and timers as
+// events), so the runs being merged stay fixed while they replay. No
+// pool return waits for it: every RMC free list is touched only by
+// events on its own shard.
+func (es *ExchangeSet) Drain(horizon sim.Time) { es.drain(horizon, es.completeSend) }
 
 // drain is Drain's ordering half: it hands replay every pending intent
 // below horizon in canonical order, then keeps the rest, still sorted,

@@ -32,13 +32,23 @@ func sortedDrain(held, fresh []xmit, horizon sim.Time) (replayed, rest []xmit) {
 	return all[:n], all[n:]
 }
 
+// sameIntents compares two intent streams field by field. An intent's
+// delivery func makes it incomparable, so every other field is checked.
+func sameIntents(a, b []xmit) bool {
+	return slices.EqualFunc(a, b, func(x, y xmit) bool {
+		return x.t == y.t && x.seq == y.seq && x.op == y.op && x.to == y.to &&
+			x.wire == y.wire && x.shard == y.shard && x.src == y.src && x.dst == y.dst && x.express == y.express
+	})
+}
+
 // TestDrainMergeMatchesSort draws per-shard runs with heavy same-time
 // ties across sources (and the odd intent stamped ahead of its shard's
 // clock, as a bulk abort ack is), random horizons that leave random held
 // suffixes, at 1, 2, 4 and 8 shards. Barrier after barrier, the merged
 // drain must replay exactly the (time, source, sequence) stream of the
-// sort-based oracle, hold exactly its suffix, and report the same
-// earliest pending intent per shard.
+// sort-based oracle, each intent with the replay inputs it was recorded
+// with, hold exactly its suffix, and report the same earliest pending
+// intent per shard.
 func TestDrainMergeMatchesSort(t *testing.T) {
 	for _, k := range []int{1, 2, 4, 8} {
 		for trial := 0; trial < 40; trial++ {
@@ -61,7 +71,11 @@ func TestDrainMergeMatchesSort(t *testing.T) {
 						}
 						src := addr.NodeID(i*nodesPer + 1 + rng.Intn(nodesPer))
 						seqs[src]++
-						m := xmit{t: at, src: src, seq: seqs[src], shard: int32(i)}
+						m := xmit{
+							t: at, src: src, seq: seqs[src], shard: int32(i),
+							to: es.Shard(rng.Intn(k)), dst: addr.NodeID(1 + rng.Intn(k*nodesPer)),
+							wire: int32(8 + 8*rng.Intn(10)), express: rng.Intn(8) == 0,
+						}
 						es.Shard(i).record(m)
 						fresh = append(fresh, m)
 					}
@@ -85,10 +99,10 @@ func TestDrainMergeMatchesSort(t *testing.T) {
 				want, held = sortedDrain(held, fresh, horizon)
 				var got []xmit
 				es.drain(horizon, func(m *xmit) { got = append(got, *m) })
-				if !slices.Equal(got, want) {
+				if !sameIntents(got, want) {
 					t.Fatalf("k=%d trial %d barrier %d (horizon %d): replayed\n%v\noracle\n%v", k, trial, barrier, horizon, got, want)
 				}
-				if !slices.Equal(es.held, held) {
+				if !sameIntents(es.held, held) {
 					t.Fatalf("k=%d trial %d barrier %d: held\n%v\noracle\n%v", k, trial, barrier, es.held, held)
 				}
 			}

@@ -79,7 +79,6 @@ type RMC struct {
 	eng    *sim.Engine
 	p      params.Params
 	bridge *hnc.Bridge
-	fabric Fabric
 	peers  Peers
 	inj    *faults.Injector // nil without a fault plan
 
@@ -178,7 +177,8 @@ type Config struct {
 	Faults *faults.Injector
 	// Exch is the barrier exchange of the shard the RMC runs on
 	// (ExchangeSet.Shard); every transmission goes through it, and the
-	// RMC's events run on its engine.
+	// RMC's events run on its engine. Every RMC of one exchange set
+	// sends over the same Fabric, which the set's barrier replays walk.
 	Exch *Exchange
 	// Now, when non-nil, overrides the clock used by snapshot-time
 	// utilization gauges (the cluster passes the shard set's max clock).
@@ -198,13 +198,18 @@ func New(c Config) (*RMC, error) {
 	if err != nil {
 		return nil, err
 	}
+	es := c.Exch.set
+	if es.fabric == nil {
+		es.fabric = c.Fabric
+	} else if es.fabric != c.Fabric {
+		return nil, fmt.Errorf("rmc: node %d sends over a different fabric than its exchange set", c.Self)
+	}
 	eng := c.Exch.eng
 	r := &RMC{
 		self:   c.Self,
 		eng:    eng,
 		p:      c.Params,
 		bridge: b,
-		fabric: c.Fabric,
 		peers:  c.Peers,
 		inj:    c.Faults,
 		exch:   c.Exch,
@@ -219,7 +224,7 @@ func New(c Config) (*RMC, error) {
 	if r.nowFn == nil {
 		r.nowFn = eng.Now
 	}
-	c.Exch.set.rmcs = append(c.Exch.set.rmcs, r)
+	es.rmcs = append(es.rmcs, r)
 	return r, nil
 }
 
@@ -532,9 +537,12 @@ func (r *RMC) receive(s *hnc.Sealed, local *ht.Packet) {
 // discipline: the frame, its destination RMC, its attempt count, and the
 // delivery and abandon callbacks, carried across timer events without a
 // fresh closure per attempt. A send op belongs to the op whose frame it
-// carries and is bound once with it. The delivery event the barrier
-// schedules fires straight from it: nothing else touches the send op
-// until its owner sends again, and that needs this delivery first.
+// carries and is bound once with it. Each attempt copies what a clean
+// delivery's replay reads into its intent (see xmit), so the barrier
+// never loads the send op for one. The delivery event the barrier posts
+// fires straight from it and reads its arrival time from the
+// destination engine's clock: nothing else touches the send op until
+// its owner sends again, and that needs this delivery first.
 //
 // The frame is sealed into s and stays there until it is verified: the
 // delivery callback receives &s and reads the frame in place. That
@@ -546,9 +554,8 @@ type sendOp struct {
 	dst     *RMC
 	s       hnc.Sealed
 	express bool
-	wire    int
+	wire    int32
 	n       int
-	arrive  sim.Time
 	deliver func(sim.Time, *hnc.Sealed)
 	abandon func(sim.Time, int)
 	// owner is the exchange of the shard that owns the abandon
@@ -567,7 +574,7 @@ type sendOp struct {
 func (so *sendOp) bind(deliver func(sim.Time, *hnc.Sealed), abandon func(sim.Time, int), owner *Exchange) {
 	so.deliver, so.abandon, so.owner = deliver, abandon, owner
 	so.attemptFn = func() { so.r.sendAttempt(so.r.eng.Now(), so) }
-	so.fireFn = func() { so.deliver(so.arrive, &so.s) }
+	so.fireFn = func() { so.deliver(so.dst.eng.Now(), &so.s) }
 }
 
 // release drops the send op's references to its last frame and peer
@@ -586,35 +593,41 @@ func (so *sendOp) release() {
 // exactly as before the fault layer existed.
 func (r *RMC) sendSealed(now sim.Time, so *sendOp, dst *RMC, express bool) {
 	so.r, so.dst, so.express = r, dst, express
-	so.wire, so.n = so.s.Frame.WireBytes(), 0
+	so.wire, so.n = int32(so.s.Frame.WireBytes()), 0
 	r.sendAttempt(now, so)
 }
 
 // sendAttempt transmits one attempt by recording the intent on the
-// shard's exchange; the coordinator replays all intents through
-// completeSend at the barrier in canonical (time, src, seq) order, so
-// link acquisition and the injector's roll stream are consumed in an
-// order that is a pure function of simulated state — identical at any
-// shard count.
+// shard's exchange, with everything a clean delivery's replay reads;
+// the coordinator replays all intents through completeSend at the
+// barrier in canonical (time, src, seq) order, so link acquisition and
+// the injector's roll stream are consumed in an order that is a pure
+// function of simulated state — identical at any shard count.
 func (r *RMC) sendAttempt(now sim.Time, op *sendOp) {
 	r.xmitSeq++
-	r.exch.record(xmit{t: now, src: r.self, seq: r.xmitSeq, shard: r.exch.idx, op: op})
+	r.exch.record(xmit{
+		t: now, seq: r.xmitSeq, op: op, to: op.dst.exch, fire: op.fireFn,
+		wire: op.wire, shard: r.exch.idx, src: r.self, dst: op.dst.self, express: op.express,
+	})
 }
 
-// completeSend walks the fabric for intent m and schedules its
+// completeSend walks the fabric for intent m and posts its
 // consequences. It runs on the coordinator with every shard parked, so
-// it may touch any shard's engine and fabric state.
-func (r *RMC) completeSend(m *xmit) {
-	op := m.op
-	out := r.deliverOutcome(m.t, op.dst.self, op.wire, op.express)
+// it may touch any shard's engine and fabric state. A clean delivery
+// reads only the intent; the send op, the sending RMC and the injector
+// are read only for a frame that is dropped, corrupted or abandoned.
+func (es *ExchangeSet) completeSend(m *xmit) {
+	if es.trace != nil {
+		es.trace(m.t, m.src, m.dst, m.seq)
+	}
+	out := es.deliverOutcome(m)
 	switch out.Status {
 	case faults.Delivered:
 		// The lookahead window is no longer than the minimum link
 		// latency, so the arrival lands at or past the window limit — in
 		// the destination shard's future. The horizon observed is
 		// arrival minus send time.
-		op.arrive = sim.Time(out.Arrive)
-		op.dst.exch.schedule(m, op.arrive, op.fireFn)
+		m.to.schedule(m, sim.Time(out.Arrive), m.fire)
 	case faults.Corrupted:
 		// The mangled copy still arrives — the receiver's CRC check
 		// counts and discards it — and the sender, hearing nothing,
@@ -628,18 +641,19 @@ func (r *RMC) completeSend(m *xmit) {
 		// verifies a copy on its own stack: taking the captured
 		// duplicate's address would move it to a heap object of its own,
 		// a second allocation.
+		op, r := m.op, m.op.r
 		mangled := hnc.Sealed{Frame: op.s.Frame, CRC: r.inj.MangleCRC(op.s.CRC)}
 		if d := op.s.Frame.Payload.Data; d != nil {
 			mangled.Frame.Payload.Data = append([]byte(nil), d...)
 		}
 		dst := op.dst
-		dst.exch.schedule(m, sim.Time(out.Arrive), func() {
+		m.to.schedule(m, sim.Time(out.Arrive), func() {
 			s := mangled
 			dst.acceptMangled(&s)
 		})
 		r.resend(m)
 	default: // Dropped, Unreachable
-		r.resend(m)
+		m.op.r.resend(m)
 	}
 }
 
@@ -684,18 +698,18 @@ func (r *RMC) resend(m *xmit) {
 	r.exch.schedule(m, now+wait, op.attemptFn)
 }
 
-// deliverOutcome routes one frame over the chosen path. Express links
-// are dedicated cables outside the fault plan; mesh/switch traffic goes
-// through the fabric's fault-aware delivery.
-func (r *RMC) deliverOutcome(now sim.Time, dst addr.NodeID, bytes int, express bool) faults.Outcome {
-	if express {
-		t, err := r.fabric.DeliverExpress(now, r.self, dst, bytes)
+// deliverOutcome routes intent m's frame over the chosen path. Express
+// links are dedicated cables outside the fault plan; mesh/switch
+// traffic goes through the fabric's fault-aware delivery.
+func (es *ExchangeSet) deliverOutcome(m *xmit) faults.Outcome {
+	if m.express {
+		t, err := es.fabric.DeliverExpress(m.t, m.src, m.dst, int(m.wire))
 		if err != nil {
-			panic(fmt.Sprintf("rmc%d: express deliver failed: %v", r.self, err))
+			panic(fmt.Sprintf("rmc%d: express deliver failed: %v", m.src, err))
 		}
 		return faults.Outcome{Arrive: int64(t), Status: faults.Delivered}
 	}
-	return r.fabric.DeliverOutcome(now, r.self, dst, bytes)
+	return es.fabric.DeliverOutcome(m.t, m.src, m.dst, int(m.wire))
 }
 
 // srvOp is the server role's continuation: protection check and memory

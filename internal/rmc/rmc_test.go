@@ -10,6 +10,7 @@ import (
 	"repro/internal/ht"
 	"repro/internal/mem"
 	"repro/internal/mesh"
+	"repro/internal/metrics"
 	"repro/internal/params"
 	"repro/internal/sim"
 )
@@ -95,6 +96,17 @@ func TestNewValidation(t *testing.T) {
 	noExch.Exch = nil
 	if _, err := New(noExch); err == nil {
 		t.Error("config without an exchange accepted")
+	}
+	// The barrier walks one fabric per exchange set, so an RMC that
+	// names another one is refused.
+	topo, err := mesh.NewTopology(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherFabric := r.config(3, r.stores[1], nil)
+	otherFabric.Fabric = mesh.NewFabric(metrics.NewRegistry(), topo, r.p, nil)
+	if _, err := New(otherFabric); err == nil {
+		t.Error("config with a second fabric on one exchange set accepted")
 	}
 }
 

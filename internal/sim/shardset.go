@@ -18,7 +18,12 @@ const MaxTime = Time(math.MaxInt64)
 // every iteration derives a per-shard window limit no cross-shard
 // interaction can beat, lets each shard execute its events below its
 // limit concurrently, then runs the barrier hook on the coordinator
-// with all shards parked. See DESIGN §16 for the safety argument.
+// with all shards parked. What the hook schedules it posts to the
+// destination engine (Engine.Post), and each shard pushes its own posts
+// onto its heap when its next window opens, so the serial barrier
+// touches no shard's heap; Run applies every post before it returns.
+// One shard's engine takes its posts at once, on the same goroutine.
+// See DESIGN §16 for the safety argument.
 //
 // A ShardSet with one engine runs entirely inline — no goroutines, no
 // atomics on the event path — so the single-shard configuration keeps
@@ -139,6 +144,7 @@ func NewShardSet(k int, window Time) *ShardSet {
 	}
 	if k == 1 {
 		e := New()
+		e.direct = true
 		s := &ShardSet{engines: []*Engine{e}, window: window, met: e.met}
 		s.stop.Store(MaxTime)
 		return s
@@ -200,7 +206,9 @@ func (s *ShardSet) Metrics() *metrics.Registry { return s.met }
 // and hold the rest for a later barrier. No future intent can be
 // recorded below the horizon, so the replayed prefix extends the
 // canonical stream deterministically at any shard count. The hook may
-// schedule onto any shard's engine.
+// post onto any shard's engine (Engine.Post): the shard applies the
+// posts when its next window opens, and Run applies any left when it
+// returns.
 func (s *ShardSet) OnBarrier(fn func(horizon Time)) { s.barrier = fn }
 
 // ConfigureLookahead installs the window schedule of a multi-shard set:
@@ -266,12 +274,12 @@ func (s *ShardSet) Now() Time {
 	return t
 }
 
-// Pending returns the total events queued across shards. Like Now,
-// call it only with the shards parked.
+// Pending returns the total events queued or posted across shards.
+// Like Now, call it only with the shards parked.
 func (s *ShardSet) Pending() int {
 	var n int
 	for _, e := range s.engines {
-		n += len(e.queue)
+		n += e.Pending()
 	}
 	return n
 }
@@ -310,7 +318,10 @@ func satAdd(t, d Time) Time {
 
 // Run executes windows until every shard's queue drains or the time
 // StopAt asked for, and returns the final time. Like Engine.Run it may
-// be called again to resume after a stop.
+// be called again to resume after a stop. It applies every post the
+// last barrier made before it returns, so what the caller sees between
+// two Run calls — a snapshot, an At, a resume — is the queue a barrier
+// that scheduled straight into the heaps would have left.
 func (s *ShardSet) Run() Time {
 	s.running.Store(true)
 	defer func() {
@@ -330,9 +341,13 @@ func (s *ShardSet) Run() Time {
 				s.barrier(MaxTime)
 			}
 		}
-		return s.Now()
+	} else {
+		s.runParallel()
 	}
-	return s.runParallel()
+	for _, e := range s.engines {
+		e.applyPosts()
+	}
+	return s.Now()
 }
 
 // plan computes this iteration's per-shard limits into s.limits, each
@@ -444,7 +459,7 @@ func (s *ShardSet) horizon() Time {
 	return h
 }
 
-func (s *ShardSet) runParallel() Time {
+func (s *ShardSet) runParallel() {
 	k := len(s.engines)
 	if s.workers == nil {
 		for i := 1; i < k; i++ {
@@ -489,7 +504,6 @@ func (s *ShardSet) runParallel() Time {
 		}
 		s.lap(&ph.Drain, &mark)
 	}
-	return s.Now()
 }
 
 // work is one shard's worker loop: spin until the coordinator opens a

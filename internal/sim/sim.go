@@ -43,6 +43,16 @@ type Engine struct {
 	// limits that assume "no send yet", and the first actual send pulls
 	// the window back to what it provably may run to.
 	limit Time
+	// posts holds what the window barrier scheduled onto this engine, in
+	// the order it was scheduled; the engine applies them through AtFrom
+	// when its next window opens (see Post). postMin is their earliest
+	// firing time, MaxTime when there are none.
+	posts   []post
+	postMin Time
+	// direct makes Post push at once. A single-shard set sets it: its
+	// barrier and its windows run on one goroutine, so deferring a post
+	// to the next window would only add a copy.
+	direct bool
 	// Processed counts executed events, for instrumentation.
 	Processed uint64
 
@@ -69,7 +79,7 @@ func New() *Engine {
 // presents the per-shard values aggregated, so a sharded system's
 // snapshot carries the same sim_* families as a single-engine one.
 func newBare(met *metrics.Registry) *Engine {
-	return &Engine{met: met, delay: metrics.NewHistogram(metrics.TimeBuckets())}
+	return &Engine{met: met, delay: metrics.NewHistogram(metrics.TimeBuckets()), postMin: MaxTime}
 }
 
 // Metrics returns the registry every substrate sharing this engine
@@ -163,13 +173,58 @@ func (e *Engine) At(at Time, fn func()) {
 
 // AtFrom schedules fn at the absolute time at, recording the scheduling
 // horizon relative to base instead of the engine's clock, and placing
-// the event in the replay band (see replayBand). The barrier
-// coordinator uses it when placing cross-shard deliveries: the horizon
-// it observes (arrival minus send time) is a pure function of simulated
-// state, so the delay histogram stays byte-identical at any shard
-// count, and the band keeps same-time tie order schedule-invariant.
+// the event in the replay band (see replayBand). It is what a barrier's
+// Post applies when the engine's window opens: the horizon it observes
+// (arrival minus send time) is a pure function of simulated state, so
+// the delay histogram stays byte-identical at any shard count, and the
+// band keeps same-time tie order schedule-invariant.
 func (e *Engine) AtFrom(base, at Time, fn func()) {
 	e.schedule(at, at-base, replayBand, fn)
+}
+
+// post is one barrier-time schedule waiting for its engine's next
+// window: AtFrom(base, at, fn), deferred.
+type post struct {
+	base, at Time
+	fn       func()
+}
+
+// Post schedules fn at at as AtFrom(base, at, fn) does, but leaves the
+// heap push to the engine's own window: the engine applies its posts,
+// in the order they were made, when its next window opens, and a
+// ShardSet's Run applies every post before it returns. Nothing else
+// schedules onto a parked engine, so each post takes the sequence
+// number AtFrom would have given it at the barrier, and the event fires
+// exactly where AtFrom would have placed it. Call it only with the
+// engine parked — from the barrier hook — where it lets the coordinator
+// hand a shard its deliveries without touching that shard's heap. A
+// single-shard set's engine applies a post at once.
+func (e *Engine) Post(base, at Time, fn func()) {
+	// Checked here, on the posting goroutine, so a bad post panics where
+	// the barrier can report it, not later inside a worker's window.
+	if at < e.now {
+		panic(fmt.Sprintf("sim: posting at %d before now %d", at, e.now))
+	}
+	if e.direct {
+		e.AtFrom(base, at, fn)
+		return
+	}
+	e.posts = append(e.posts, post{base: base, at: at, fn: fn})
+	e.postMin = min(e.postMin, at)
+}
+
+// applyPosts schedules every pending post through AtFrom, in order.
+func (e *Engine) applyPosts() {
+	if len(e.posts) == 0 {
+		return
+	}
+	for i := range e.posts {
+		p := &e.posts[i]
+		e.AtFrom(p.base, p.at, p.fn)
+	}
+	clear(e.posts)
+	e.posts = e.posts[:0]
+	e.postMin = MaxTime
 }
 
 func (e *Engine) schedule(at, horizon Time, band uint64, fn func()) {
@@ -197,31 +252,35 @@ func (e *Engine) fire() {
 	ev.fn()
 }
 
-// Run executes events until the queue drains. It returns the final
-// simulation time.
+// Run applies any posts, then executes events until the queue drains.
+// It returns the final simulation time.
 func (e *Engine) Run() Time {
+	e.applyPosts()
 	for len(e.queue) > 0 {
 		e.fire()
 	}
 	return e.now
 }
 
-// Pending returns the number of events still queued.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending returns the number of events still queued, posts included.
+func (e *Engine) Pending() int { return len(e.queue) + len(e.posts) }
 
-// nextTime returns the firing time of the earliest queued event.
+// nextTime returns the firing time of the earliest queued or posted
+// event.
 func (e *Engine) nextTime() (Time, bool) {
 	if len(e.queue) == 0 {
-		return 0, false
+		return e.postMin, len(e.posts) > 0
 	}
-	return e.queue[0].at, true
+	return min(e.queue[0].at, e.postMin), true
 }
 
-// runWindow executes every event with a firing time strictly below
-// limit. It is the per-shard half of the conservative PDES loop: events
-// at or past the window limit may still be affected by cross-shard
-// traffic merged at the barrier, so they stay queued.
+// runWindow applies the engine's posts, then executes every event with
+// a firing time strictly below limit. It is the per-shard half of the
+// conservative PDES loop: events at or past the window limit may still
+// be affected by cross-shard traffic merged at the barrier, so they
+// stay queued.
 func (e *Engine) runWindow(limit Time) {
+	e.applyPosts()
 	e.limit = limit
 	for len(e.queue) > 0 && e.queue[0].at < e.limit {
 		e.fire()
