@@ -95,7 +95,7 @@ func New(p params.Params) (*Cluster, error) {
 		c.meshFab = mesh.NewFabric(set.Engine(0).Metrics(), topo, p, c.inj)
 		c.fabric = c.meshFab
 	}
-	c.exSet = rmc.NewExchangeSet(set)
+	c.exSet = rmc.NewExchangeSet(set, c.fabric)
 	if set.Shards() > 1 && c.meshFab != nil {
 		// Install the lookahead machinery: B[j][i] from the mesh
 		// geometry (and any -linklat table) and — under an armed fault
@@ -294,7 +294,6 @@ func newNode(c *Cluster, id addr.NodeID) (*Node, error) {
 	n.rmc, err = rmc.New(rmc.Config{
 		Self:   id,
 		Params: p,
-		Fabric: c.fabric,
 		Peers:  c,
 		Bank:   n.bank,
 		Store:  store,

@@ -144,9 +144,10 @@ type ExchangeSet struct {
 // NewExchangeSet builds one exchange per shard of set, installs Drain
 // as the set's barrier hook and Earliest as its intent source, and
 // registers the metric families of the RMCs that will send through it.
-func NewExchangeSet(set *sim.ShardSet) *ExchangeSet {
+// Drain walks every replayed frame through fabric.
+func NewExchangeSet(set *sim.ShardSet, fabric Fabric) *ExchangeSet {
 	k := set.Shards()
-	es := &ExchangeSet{heldMin: make([]sim.Time, k)}
+	es := &ExchangeSet{fabric: fabric, heldMin: make([]sim.Time, k)}
 	for i := 0; i < k; i++ {
 		es.shards = append(es.shards, &Exchange{set: es, eng: set.Engine(i), idx: int32(i), setSize: int32(k)})
 		es.heldMin[i] = sim.MaxTime

@@ -53,7 +53,7 @@ func TestDrainMergeMatchesSort(t *testing.T) {
 	for _, k := range []int{1, 2, 4, 8} {
 		for trial := 0; trial < 40; trial++ {
 			rng := rand.New(rand.NewSource(int64(100*k + trial)))
-			es := NewExchangeSet(sim.NewShardSet(k, 100))
+			es := NewExchangeSet(sim.NewShardSet(k, 100), nil)
 			nodesPer := 1 + rng.Intn(6)
 			seqs := map[addr.NodeID]uint64{}
 			clock := make([]sim.Time, k)
@@ -113,7 +113,7 @@ func TestDrainMergeMatchesSort(t *testing.T) {
 // TestDrainSteadyStateAllocs: once its slices have grown, a barrier's
 // merge of held and fresh intents allocates nothing.
 func TestDrainSteadyStateAllocs(t *testing.T) {
-	es := NewExchangeSet(sim.NewShardSet(4, 100))
+	es := NewExchangeSet(sim.NewShardSet(4, 100), nil)
 	var seq uint64
 	now := sim.Time(0)
 	barrier := func() {

@@ -167,7 +167,6 @@ func (r *RMC) SetProtection(p Protection) { r.protection = p }
 type Config struct {
 	Self   addr.NodeID
 	Params params.Params
-	Fabric Fabric
 	Peers  Peers
 	Bank   *dram.Bank
 	Store  *mem.Store
@@ -177,8 +176,8 @@ type Config struct {
 	Faults *faults.Injector
 	// Exch is the barrier exchange of the shard the RMC runs on
 	// (ExchangeSet.Shard); every transmission goes through it, and the
-	// RMC's events run on its engine. Every RMC of one exchange set
-	// sends over the same Fabric, which the set's barrier replays walk.
+	// RMC's events run on its engine, and its frames cross the fabric
+	// the exchange set's barrier replays walk.
 	Exch *Exchange
 	// Now, when non-nil, overrides the clock used by snapshot-time
 	// utilization gauges (the cluster passes the shard set's max clock).
@@ -187,7 +186,7 @@ type Config struct {
 
 // New builds a node's RMC.
 func New(c Config) (*RMC, error) {
-	if c.Exch == nil || c.Fabric == nil || c.Peers == nil || c.Bank == nil || c.Store == nil {
+	if c.Exch == nil || c.Peers == nil || c.Bank == nil || c.Store == nil {
 		return nil, fmt.Errorf("rmc: incomplete configuration")
 	}
 	b, err := hnc.NewBridge(c.Self)
@@ -197,12 +196,6 @@ func New(c Config) (*RMC, error) {
 	v, err := hnc.NewVerifier(c.Self)
 	if err != nil {
 		return nil, err
-	}
-	es := c.Exch.set
-	if es.fabric == nil {
-		es.fabric = c.Fabric
-	} else if es.fabric != c.Fabric {
-		return nil, fmt.Errorf("rmc: node %d sends over a different fabric than its exchange set", c.Self)
 	}
 	eng := c.Exch.eng
 	r := &RMC{
@@ -224,7 +217,7 @@ func New(c Config) (*RMC, error) {
 	if r.nowFn == nil {
 		r.nowFn = eng.Now
 	}
-	es.rmcs = append(es.rmcs, r)
+	c.Exch.set.rmcs = append(c.Exch.set.rmcs, r)
 	return r, nil
 }
 

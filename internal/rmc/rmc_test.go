@@ -10,7 +10,6 @@ import (
 	"repro/internal/ht"
 	"repro/internal/mem"
 	"repro/internal/mesh"
-	"repro/internal/metrics"
 	"repro/internal/params"
 	"repro/internal/sim"
 )
@@ -49,12 +48,13 @@ func buildRig(t *testing.T, nodes int, inj *faults.Injector) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fabric := mesh.NewFabric(eng.Metrics(), topo, p, inj)
 	r := &rig{
 		set:    set,
 		eng:    eng,
-		exch:   NewExchangeSet(set),
+		exch:   NewExchangeSet(set, fabric),
 		p:      p,
-		fabric: mesh.NewFabric(eng.Metrics(), topo, p, inj),
+		fabric: fabric,
 		rmcs:   map[addr.NodeID]*RMC{},
 		stores: map[addr.NodeID]*mem.Store{},
 	}
@@ -77,7 +77,7 @@ func buildRig(t *testing.T, nodes int, inj *faults.Injector) *rig {
 // config is the complete RMC configuration of node id in the rig.
 func (r *rig) config(id addr.NodeID, st *mem.Store, inj *faults.Injector) Config {
 	return Config{
-		Self: id, Params: r.p, Fabric: r.fabric, Peers: r,
+		Self: id, Params: r.p, Peers: r,
 		Bank: dram.NewBank(r.p), Store: st, Faults: inj, Exch: r.exch.Shard(0),
 	}
 }
@@ -96,17 +96,6 @@ func TestNewValidation(t *testing.T) {
 	noExch.Exch = nil
 	if _, err := New(noExch); err == nil {
 		t.Error("config without an exchange accepted")
-	}
-	// The barrier walks one fabric per exchange set, so an RMC that
-	// names another one is refused.
-	topo, err := mesh.NewTopology(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	otherFabric := r.config(3, r.stores[1], nil)
-	otherFabric.Fabric = mesh.NewFabric(metrics.NewRegistry(), topo, r.p, nil)
-	if _, err := New(otherFabric); err == nil {
-		t.Error("config with a second fabric on one exchange set accepted")
 	}
 }
 

@@ -153,8 +153,7 @@ func runPostProgram(k int, seed uint64, post bool) postRun {
 
 // TestShardSetPostsMatchBarrierAtFrom: on 1 to 4 engines, random
 // programs whose barrier-time deliveries are posted — applied when each
-// engine's next window opens, or at once on a single-shard set's
-// engine — fire the same (time, event) sequence on every engine, and
+// engine's next window opens — fire the same (time, event) sequence on every engine, and
 // leave the same metrics — the sim_delay histogram, pending and event
 // counts, and at K>1 the barrier schedule — as the same programs with
 // every delivery pushed by AtFrom at the barrier. That holds across a

@@ -22,7 +22,6 @@ const MaxTime = Time(math.MaxInt64)
 // destination engine (Engine.Post), and each shard pushes its own posts
 // onto its heap when its next window opens, so the serial barrier
 // touches no shard's heap; Run applies every post before it returns.
-// One shard's engine takes its posts at once, on the same goroutine.
 // See DESIGN §16 for the safety argument.
 //
 // A ShardSet with one engine runs entirely inline — no goroutines, no
@@ -144,7 +143,6 @@ func NewShardSet(k int, window Time) *ShardSet {
 	}
 	if k == 1 {
 		e := New()
-		e.direct = true
 		s := &ShardSet{engines: []*Engine{e}, window: window, met: e.met}
 		s.stop.Store(MaxTime)
 		return s

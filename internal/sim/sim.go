@@ -49,10 +49,6 @@ type Engine struct {
 	// firing time, MaxTime when there are none.
 	posts   []post
 	postMin Time
-	// direct makes Post push at once. A single-shard set sets it: its
-	// barrier and its windows run on one goroutine, so deferring a post
-	// to the next window would only add a copy.
-	direct bool
 	// Processed counts executed events, for instrumentation.
 	Processed uint64
 
@@ -197,17 +193,12 @@ type post struct {
 // number AtFrom would have given it at the barrier, and the event fires
 // exactly where AtFrom would have placed it. Call it only with the
 // engine parked — from the barrier hook — where it lets the coordinator
-// hand a shard its deliveries without touching that shard's heap. A
-// single-shard set's engine applies a post at once.
+// hand a shard its deliveries without touching that shard's heap.
 func (e *Engine) Post(base, at Time, fn func()) {
 	// Checked here, on the posting goroutine, so a bad post panics where
 	// the barrier can report it, not later inside a worker's window.
 	if at < e.now {
 		panic(fmt.Sprintf("sim: posting at %d before now %d", at, e.now))
-	}
-	if e.direct {
-		e.AtFrom(base, at, fn)
-		return
 	}
 	e.posts = append(e.posts, post{base: base, at: at, fn: fn})
 	e.postMin = min(e.postMin, at)
