@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/addr"
@@ -176,6 +177,41 @@ func TestIssueBulkCopyDecomposition(t *testing.T) {
 	}
 	if !dmaDone || !bytes.Equal(got, want) {
 		t.Error("remote-to-remote copy failed")
+	}
+}
+
+// denyAll is a protection hook refusing every remote access.
+type denyAll struct{}
+
+func (denyAll) Allowed(addr.NodeID, addr.Range) bool { return false }
+
+// TestIssueBulkWriteAborted: a write burst the serving node's protection
+// check refuses completes once, with *rmc.AbortError naming the server,
+// and leaves nothing scheduled. The server sends its abort ack at its
+// service instant, past the time of the frame that triggered it: the one
+// intent a shard records in its own future, which the barrier holds
+// until the replay horizon passes it.
+func TestIssueBulkWriteAborted(t *testing.T) {
+	c := build(t)
+	srv := c.MustNode(2).RMC()
+	srv.SetProtection(denyAll{})
+	n := c.MustNode(1)
+	const lines = 64 // four data frames at the default geometry
+	calls := 0
+	var doneErr error
+	mustIssueBulk(t, n, 0, rmc.BulkRequest{
+		Kind:  rmc.BulkWrite,
+		Spans: []rmc.Span{{Start: addr.Phys(0x20000).WithNode(2), Lines: lines}},
+		Data:  make([]byte, lines*64),
+		Done:  func(_ sim.Time, err error) { calls, doneErr = calls+1, err },
+	})
+	c.Set().Run()
+	var abort *rmc.AbortError
+	if calls != 1 || !errors.As(doneErr, &abort) || abort.Dst != 2 {
+		t.Fatalf("burst completed %d times with %v, want once with node 2's *rmc.AbortError", calls, doneErr)
+	}
+	if srv.Aborted != 1 || c.Set().Pending() != 0 {
+		t.Errorf("server aborted %d bursts, %d events pending; want 1 and 0", srv.Aborted, c.Set().Pending())
 	}
 }
 

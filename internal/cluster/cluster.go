@@ -40,15 +40,15 @@ type Cluster struct {
 }
 
 // New builds a cluster from the parameter set on a fresh shard set of
-// max(p.Shards, 1) engines (Set). The set's uniform lookahead window is
-// the minimum single-link traversal latency — HopLatency, unless a
-// -linklat table names a faster edge — the floor on the time any frame
-// needs to cross a region boundary. The mesh is tiled into one
-// rectangular region per shard (mesh.Partition); every node's events —
-// cache, DRAM, RMC client and server work — run on its region's engine,
-// and every frame travels through the windowed exchange drained at the
-// set's barriers. A single-shard set runs the same exchange schedule, so
-// figures are byte-identical at any shard count.
+// max(p.Shards, 1) engines (Set). The mesh is tiled into one rectangular
+// region per shard (mesh.Partition); every node's events — cache, DRAM,
+// RMC client and server work — run on its region's engine, and every
+// frame travels through the windowed exchange drained at the set's
+// barriers. At every shard count, one included, the set plans its
+// windows from the fabric's bound matrix (mesh.MinDelayMatrix, or the
+// switched fabric's MinDelay), capped under an armed fault plan at one
+// retransmit timeout past the earliest pending work, so figures are
+// byte-identical at any shard count.
 func New(p params.Params) (*Cluster, error) {
 	// Validate before the shard set exists: it panics on the lookahead
 	// window a bad calibration implies (a zero hop latency, say), where
@@ -73,15 +73,15 @@ func New(p params.Params) (*Cluster, error) {
 		if err := validatePlanTopology(p.Faults, topo); err != nil {
 			return nil, err
 		}
-		// Retransmit timers are scheduled from the window barrier, so
-		// they must land at or past the window limit — a timeout shorter
-		// than the lookahead window would fire into a shard's past. Only
-		// armed plans can drop frames and start timers.
-		if p.RetransmitTimeout < p.HopLatency {
-			return nil, fmt.Errorf("cluster: retransmit timeout %v is shorter than the %v lookahead window; a fault plan needs RetransmitTimeout >= HopLatency", p.RetransmitTimeout, p.HopLatency)
-		}
 		c.inj = faults.NewInjector(p.Faults)
 		c.inj.Register(set.Metrics())
+	}
+	// The barrier schedules retransmit and abandon timers one timeout or
+	// more after the send they follow, so under an armed plan no window
+	// may run past the earliest pending work plus one timeout.
+	var capOver sim.Time
+	if c.inj != nil {
+		capOver = p.RetransmitTimeout
 	}
 	switch p.Fabric {
 	case params.FabricHToE:
@@ -91,35 +91,25 @@ func New(p params.Params) (*Cluster, error) {
 		}
 		f.InjectFaults(c.inj)
 		c.fabric = f
+		// Validate keeps the switched fabric on one shard.
+		set.ConfigureLookahead([][]sim.Time{{f.MinDelay()}}, capOver)
 	default:
 		c.meshFab = mesh.NewFabric(set.Engine(0).Metrics(), topo, p, c.inj)
 		c.fabric = c.meshFab
-	}
-	c.exSet = rmc.NewExchangeSet(set, c.fabric)
-	if set.Shards() > 1 && c.meshFab != nil {
-		// Install the lookahead machinery: B[j][i] from the mesh
-		// geometry (and any -linklat table) and — under an armed fault
-		// plan — the retransmit-timeout cap that keeps drain-time timers
-		// in every shard's future. Express links added later tighten the
-		// matrix, so the fabric recomputes it on topology changes — which
-		// must happen with the set parked (before Run or between Run
-		// calls): ConfigureLookahead panics mid-run, because a frame
-		// routed over the new link inside the current window would be
-		// bounded by the tighter matrix while the destination shard's
-		// limit was planned with the old one.
-		var capOver sim.Time
-		if c.inj != nil {
-			capOver = p.RetransmitTimeout
-		}
-		b := c.meshFab.MinDelayMatrix(part)
-		set.ConfigureLookahead(b, capOver)
-		c.exSet.SetSelfBounds(b)
+		// B[j][i] comes from the mesh geometry and any -linklat table.
+		// Express links added later tighten the matrix, so the fabric
+		// recomputes it on topology changes — which must happen with
+		// the set parked (before Run or between Run calls):
+		// ConfigureLookahead panics mid-run, because a frame routed over
+		// the new link inside the current window would be bounded by the
+		// tighter matrix while the destination shard's limit was planned
+		// with the old one.
+		set.ConfigureLookahead(c.meshFab.MinDelayMatrix(part), capOver)
 		c.meshFab.OnTopologyChange(func() {
-			nb := c.meshFab.MinDelayMatrix(c.part)
-			set.ConfigureLookahead(nb, capOver)
-			c.exSet.SetSelfBounds(nb)
+			set.ConfigureLookahead(c.meshFab.MinDelayMatrix(c.part), capOver)
 		})
 	}
+	c.exSet = rmc.NewExchangeSet(set, c.fabric)
 	for id := addr.NodeID(1); int(id) <= topo.Nodes(); id++ {
 		n, err := newNode(c, id)
 		if err != nil {

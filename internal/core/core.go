@@ -111,9 +111,9 @@ func (s *System) Now() sim.Time { return s.set.Now() }
 // run on every shard, and none at or after it. The pad is the mesh
 // diameter at the costliest hop, (W−1 + H−1) × (LinkOccupancy + the
 // slowest link latency, HopLatency or any -linklat edge). It bounds
-// every entry of every partition's lookahead matrix and the
-// single-shard window, so no shard can have run past the stop, and the
-// run ends at the same instant at every shard count.
+// every entry of every partition's lookahead matrix, so no other shard
+// can have run past the stop, and n's own shard clamps its running
+// window there; the run ends at the same instant at every shard count.
 func (s *System) StopAfter(n addr.NodeID, t sim.Time) {
 	p, ll := s.p, s.p.LinkLat
 	hop := max(p.HopLatency, ll.X, ll.Y)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/memmodel"
+	"repro/internal/params"
 	"repro/internal/stats"
 	"repro/internal/swap"
 )
@@ -465,6 +466,30 @@ func TestAblationFabricShape(t *testing.T) {
 	}
 	if eth[0] > 10*mesh[0] {
 		t.Errorf("HToE constant %v implausibly high vs mesh %v", eth[0], mesh[0])
+	}
+}
+
+// TestAblationFabricSwitchedIgnoresHopLatency: the switched fabric has
+// no mesh hop, so a slow mesh link must leave its latencies exactly
+// where they are. With 5 µs hops and 8 requests in flight per core, a
+// window as wide as one mesh hop outruns a 1.9 µs switched delivery;
+// the run must plan its windows from the switched fabric's own bound,
+// finish, and price every HT-over-Ethernet access as at 120 ns hops.
+func TestAblationFabricSwitchedIgnoresHopLatency(t *testing.T) {
+	run := func(hop params.Duration) []float64 {
+		o := DefaultOptions()
+		o.Scale = 0.05
+		o.P.HopLatency = hop
+		o.P.RemoteOutstanding = 8
+		fig, err := AblationFabric(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ys(series(t, fig, "HT-over-Ethernet (switched)"))
+	}
+	fast, slow := run(120*params.Nanosecond), run(5*params.Microsecond)
+	if !slices.Equal(slow, fast) {
+		t.Errorf("HT-over-Ethernet latencies at 5 µs mesh hops %v, at 120 ns %v; want them equal", slow, fast)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/metrics"
+	"repro/internal/params"
 )
 
 // stripShardSchedule removes the ncdsm_shard_* families from a
@@ -47,11 +48,26 @@ func shardRun(t *testing.T, id string, o Options, k int) (string, string) {
 // TestShardCountByteIdentity re-renders table1 and fig7 at 1, 2, and 4
 // shards — fault-free and under an armed fault plan, serial and with
 // concurrent sweep points — and requires byte-identical figures and
-// metrics throughout.
+// metrics throughout. One more input puts a retransmit timeout below
+// the mesh hop on a faulted 8x8 scale run: the fault plan's cap, not a
+// hop-wide window, must keep every timer in its shard's future, at one
+// shard as at four.
 func TestShardCountByteIdentity(t *testing.T) {
 	plan, err := faults.Parse("seed=2,drop=0.02,corrupt=0.002")
 	if err != nil {
 		t.Fatal(err)
+	}
+	identical := func(t *testing.T, id string, o Options, ks ...int) {
+		wantFig, wantMet := shardRun(t, id, o, 1)
+		for _, k := range ks {
+			gotFig, gotMet := shardRun(t, id, o, k)
+			if gotFig != wantFig {
+				t.Errorf("shards=%d: figure differs from shards=1:\n--- 1 ---\n%s\n--- %d ---\n%s", k, wantFig, k, gotFig)
+			}
+			if gotMet != wantMet {
+				t.Errorf("shards=%d: merged metrics differ from shards=1", k)
+			}
+		}
 	}
 	for _, id := range []string{"table1", "fig7"} {
 		for _, faulted := range []bool{false, true} {
@@ -72,20 +88,29 @@ func TestShardCountByteIdentity(t *testing.T) {
 					if faulted {
 						o.P.Faults = plan
 					}
-					wantFig, wantMet := shardRun(t, id, o, 1)
-					for _, k := range []int{2, 4} {
-						gotFig, gotMet := shardRun(t, id, o, k)
-						if gotFig != wantFig {
-							t.Errorf("shards=%d: figure differs from shards=1:\n--- 1 ---\n%s\n--- %d ---\n%s", k, wantFig, k, gotFig)
-						}
-						if gotMet != wantMet {
-							t.Errorf("shards=%d: merged metrics differ from shards=1", k)
-						}
-					}
+					identical(t, id, o, 2, 4)
 				})
 			}
 		}
 	}
+	t.Run("scale/faulted/timeout-under-hop", func(t *testing.T) {
+		t.Parallel()
+		o := DefaultOptions()
+		o.Scale = 0.01
+		o.P.MeshWidth, o.P.MeshHeight = 8, 8
+		o.P.Faults = plan
+		o.P.HopLatency = 120 * params.Nanosecond
+		o.P.RetransmitTimeout = 50 * params.Nanosecond
+		identical(t, "scale", o, 4)
+		var merged metrics.Merged
+		o.Metrics = &merged
+		if _, err := Scale(o); err != nil {
+			t.Fatal(err)
+		}
+		if merged.Snapshot().Total(metrics.FamRMCRetransmits) == 0 {
+			t.Error("no frame was retransmitted: the timeout was never exercised")
+		}
+	})
 }
 
 // TestScaleExperimentLargeMesh is the 1024-RMC smoke: the whole-fabric

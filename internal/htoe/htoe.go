@@ -157,6 +157,16 @@ func (f *Fabric) Deliver(now sim.Time, src, dst addr.NodeID, wireBytes int) (sim
 	return t, 2
 }
 
+// MinDelay lower-bounds the delivery time of any frame between two
+// nodes: every pair is the same two links apart through the switch, so
+// a frame pays both NICs, both wires and the switch's latency at least,
+// and occupancy, queueing and injector delays only add to that. It is
+// the switched fabric's lookahead bound in the sharded engine (DESIGN
+// §16).
+func (f *Fabric) MinDelay() sim.Time {
+	return 2*f.cfg.NICLatency + 2*f.cfg.WireLatency + f.cfg.SwitchLatency
+}
+
 // DeliverOutcome implements rmc.Fabric: Deliver under the fault plan.
 // The frame consumes the same NIC/switch/link capacity, then rolls the
 // plan's delay, drop, and corruption probabilities once for its switch

@@ -25,12 +25,13 @@ import (
 // and however the schedule cuts windows, which is what keeps figures
 // byte-identical from -shards 1 to -shards N.
 //
-// Every per-shard window limit is bounded by the minimum cross-shard
-// delivery bound of the lookahead matrix, so every delivery scheduled at
-// the barrier lands at or past the destination shard's limit — strictly
-// in its future. Barrier hand-offs (worker park/release atomics) carry
-// the happens-before edges for the coordinator's reads of shard state
-// and for each shard's reads of what the coordinator posted to it.
+// Every per-shard window limit is planned from the lookahead matrix the
+// cluster installs at every shard count, and clamped by the shard's own
+// sends, so every delivery scheduled at the barrier lands at or past the
+// destination shard's limit — strictly in its future. Barrier hand-offs
+// (worker park/release atomics) carry the happens-before edges for the
+// coordinator's reads of shard state and for each shard's reads of what
+// the coordinator posted to it.
 
 // xmit is one recorded transmission intent. It carries everything the
 // replay of a clean delivery reads — the destination node and exchange,
@@ -73,15 +74,6 @@ type Exchange struct {
 	idx     int32 // shard index within the set
 	setSize int32 // engines in the owning set (>1: bulk bursts refuse to run)
 
-	// selfBound, when positive, is B[idx][idx] of the lookahead matrix:
-	// the minimum delivery bound of any frame this shard sends into
-	// itself. Recording a send clamps the shard's running window to the
-	// send time plus this bound, which is what lets the scheduler plan
-	// windows past the shard's next event — until the shard actually
-	// sends, nothing it does can deliver into itself, and the first
-	// send pulls the limit back to exactly what remains provable.
-	selfBound sim.Time
-
 	// xmits is the run of intents recorded since the last Drain, kept in
 	// canonical order by record, so its head is the shard's earliest
 	// fresh intent and Drain merges it without sorting.
@@ -90,12 +82,13 @@ type Exchange struct {
 	set *ExchangeSet // the owning set, which RMCs join for their metrics
 }
 
-// record holds one transmission intent for the next barrier drain and,
-// when a self-delivery bound is installed, clamps the running window so
-// the shard cannot outrun the send it just recorded. One insertion step
-// keeps the run sorted: a shard records in event-time order, so the step
-// only passes same-time intents of higher-numbered sources (and, rarely,
-// a bulk abort ack stamped at its server's future service time).
+// record holds one transmission intent for the next barrier drain and
+// tells the engine of the send (sim.Engine.Sent), which clamps the
+// running window so the shard cannot outrun a delivery of it back into
+// itself. One insertion step keeps the run sorted: a shard records in
+// event-time order, so the step only passes same-time intents of
+// higher-numbered sources (and, rarely, a bulk abort ack stamped at its
+// server's future service time).
 func (x *Exchange) record(m xmit) {
 	x.xmits = append(x.xmits, m)
 	i := len(x.xmits) - 1
@@ -103,9 +96,7 @@ func (x *Exchange) record(m xmit) {
 		x.xmits[i] = x.xmits[i-1]
 	}
 	x.xmits[i] = m
-	if x.selfBound > 0 {
-		x.eng.ClampWindow(m.t + x.selfBound)
-	}
+	x.eng.Sent(m.t)
 }
 
 // schedule posts a barrier-time consequence of intent m — its delivery,
@@ -182,15 +173,6 @@ func (es *ExchangeSet) Earliest(j int) sim.Time {
 		return x[0].t
 	}
 	return es.heldMin[j]
-}
-
-// SetSelfBounds installs each shard's own-shard delivery bound — the
-// diagonal of the lookahead matrix — into its exchange, arming the
-// record-time window clamp. Call it whenever the matrix is recomputed.
-func (es *ExchangeSet) SetSelfBounds(bounds [][]sim.Time) {
-	for i, x := range es.shards {
-		x.selfBound = bounds[i][i]
-	}
 }
 
 // Drain replays every pending intent with time strictly below horizon in

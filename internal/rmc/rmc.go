@@ -616,10 +616,11 @@ func (es *ExchangeSet) completeSend(m *xmit) {
 	out := es.deliverOutcome(m)
 	switch out.Status {
 	case faults.Delivered:
-		// The lookahead window is no longer than the minimum link
-		// latency, so the arrival lands at or past the window limit — in
-		// the destination shard's future. The horizon observed is
-		// arrival minus send time.
+		// The destination shard's limit was planned from the lookahead
+		// matrix, which lower-bounds this delivery, and clamped by the
+		// send itself when sender and receiver share the shard, so the
+		// arrival lands at or past that limit — in the shard's future.
+		// The horizon observed is arrival minus send time.
 		m.to.schedule(m, sim.Time(out.Arrive), m.fire)
 	case faults.Corrupted:
 		// The mangled copy still arrives — the receiver's CRC check

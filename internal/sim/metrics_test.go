@@ -1,18 +1,31 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
 )
 
+// TestEngineMetrics: a bare engine registers no families; a one-shard
+// set registers the engine's sim_* families, reporting its one engine,
+// and none of the schedule's.
 func TestEngineMetrics(t *testing.T) {
-	eng := New()
+	if fams := New().Metrics().Snapshot().Families; len(fams) != 0 {
+		t.Errorf("a bare engine registered %d families, want none", len(fams))
+	}
+	s := NewShardSet(1, 100)
+	eng := s.Engine(0)
 	for i := 0; i < 5; i++ {
 		eng.At(Time(i)*1000, func() {})
 	}
-	eng.Run()
-	snap := eng.Metrics().Snapshot()
+	s.Run()
+	snap := s.Metrics().Snapshot()
+	for _, f := range snap.Families {
+		if strings.HasPrefix(f.Name, metrics.ShardScheduleFamilyPrefix) {
+			t.Errorf("one-shard set registered schedule family %s", f.Name)
+		}
+	}
 	if got := snap.Total(metrics.FamSimEvents); got != 5 {
 		t.Errorf("%s = %v, want 5", metrics.FamSimEvents, got)
 	}

@@ -24,9 +24,8 @@ const MaxTime = Time(math.MaxInt64)
 // touches no shard's heap; Run applies every post before it returns.
 // See DESIGN §16 for the safety argument.
 //
-// A ShardSet with one engine runs entirely inline — no goroutines, no
-// atomics on the event path — so the single-shard configuration keeps
-// the exact execution profile of the plain engine.
+// One shard runs the same window loop on the calling goroutine alone:
+// it starts no worker, touches no worker atomic and reads no clock.
 type ShardSet struct {
 	engines []*Engine
 	window  Time
@@ -35,8 +34,8 @@ type ShardSet struct {
 
 	// Lookahead configuration, installed by the cluster before Run.
 	// bounds[j][i] lower-bounds the delivery time of any frame sent by
-	// shard j into shard i; a set never given bounds falls back to the
-	// base window.
+	// shard j into shard i; a set never given bounds — which no cluster
+	// builds — falls back to the base window.
 	bounds   [][]Time
 	minB     Time // min over all bounds entries (incl. self rows)
 	capOver  Time // limit cap above G (0 = none; retransmit timeout under a fault plan)
@@ -45,8 +44,8 @@ type ShardSet struct {
 	// Barriers counts scheduler iterations (one barrier each); Elided
 	// counts the iterations whose narrowest planned window was wider
 	// than the base window — windows a fixed base-window cadence would
-	// have split into several barriers. Registered as metric families
-	// only on multi-shard sets, so single-shard output is untouched.
+	// have split into several barriers. Both count at every shard count
+	// but are registered as metric families only on multi-shard sets.
 	Barriers uint64
 	Elided   uint64
 
@@ -109,7 +108,7 @@ type Phases struct {
 }
 
 // Phases returns the host-time phase sums of a multi-shard set, and the
-// zero Phases for a single-shard set, whose inline loop reads no clock.
+// zero Phases for a single-shard set, whose loop reads no clock.
 // Call it with the set parked.
 func (s *ShardSet) Phases() Phases {
 	p := s.phases
@@ -125,27 +124,19 @@ func (s *ShardSet) lap(d, mark *time.Duration) {
 	*mark = now
 }
 
-// NewShardSet builds a set of k engines. One shard is a self-registered
-// engine (from New) run inline: same registry, same families. More are
-// bare engines over one fresh shared registry, which registers
-// aggregated sim_* families matching what a single engine
-// self-registers, so snapshots are byte-identical across shard counts.
-// The barrier/elision families exist only at k > 1 — they are
-// properties of the multi-shard schedule, inherently
-// shard-count-dependent, and a single-shard run must stay byte-identical
-// to its pre-sharding output.
+// NewShardSet builds a set of k engines over one fresh shared registry,
+// with window as its base window (the cadence of a set never given a
+// bound matrix). The set registers the sim_* families once, aggregated
+// over its engines, so snapshots are byte-identical across shard
+// counts. The barrier/elision families exist only at k > 1 — they are
+// properties of the schedule, inherently shard-count-dependent — and so
+// do the per-shard phase sums.
 func NewShardSet(k int, window Time) *ShardSet {
 	if k < 1 {
 		panic(fmt.Sprintf("sim: shard count %d < 1", k))
 	}
 	if window <= 0 {
 		panic(fmt.Sprintf("sim: non-positive lookahead window %d", window))
-	}
-	if k == 1 {
-		e := New()
-		s := &ShardSet{engines: []*Engine{e}, window: window, met: e.met}
-		s.stop.Store(MaxTime)
-		return s
 	}
 	met := metrics.NewRegistry()
 	s := &ShardSet{
@@ -155,11 +146,10 @@ func NewShardSet(k int, window Time) *ShardSet {
 		limits: make([]Time, k),
 		ev:     make([]Time, k),
 		hv:     make([]Time, k),
-		phases: Phases{Busy: make([]time.Duration, k)},
 	}
 	s.stop.Store(MaxTime)
 	for i := 0; i < k; i++ {
-		s.engines = append(s.engines, newBare(met))
+		s.engines = append(s.engines, newEngine(met))
 	}
 	met.Counters(metrics.FamSimEvents, "events executed by the engine", nil,
 		func(m *metrics.Emitter) {
@@ -181,6 +171,10 @@ func NewShardSet(k int, window Time) *ShardSet {
 			}
 			m.Histogram(s.merged)
 		})
+	if k == 1 {
+		return s
+	}
+	s.phases.Busy = make([]time.Duration, k)
 	met.Counters(metrics.FamShardBarriers, "window barriers run by the sharded engine", nil,
 		func(m *metrics.Emitter) { m.Value(float64(s.Barriers)) })
 	met.Counters(metrics.FamShardElided, "barriers whose window ran wider than the uniform single-hop baseline", nil,
@@ -209,24 +203,22 @@ func (s *ShardSet) Metrics() *metrics.Registry { return s.met }
 // returns.
 func (s *ShardSet) OnBarrier(fn func(horizon Time)) { s.barrier = fn }
 
-// ConfigureLookahead installs the window schedule of a multi-shard set:
-// each shard's limit is planned from the bound matrix and every shard's
-// earliest pending work. bounds[j][i] must lower-bound the delivery time
-// into shard i of any frame sent by shard j (mesh.MinDelayMatrix); nil
-// falls back to the base window. capOver, when positive, caps every
-// limit at G+capOver: with
-// a fault plan armed, drain-time retransmission timers land at least a
-// full timeout after the send they re-arm, so no shard may run past the
-// earliest possible timer. Calling it again (after an express link
-// tightens the matrix) is only allowed with the set parked — before Run
-// or between Run calls — and panics mid-run: a send routed over a new,
-// faster link inside the current window would be bounded by the tighter
-// matrix while the destination shard's limit was planned with the old
-// one, so the delivery could land in that shard's past.
+// ConfigureLookahead installs the set's window schedule: each shard's
+// limit is planned from the bound matrix and every shard's earliest
+// pending work. bounds[j][i] must lower-bound the delivery time into
+// shard i of any frame sent by shard j (mesh.MinDelayMatrix); nil falls
+// back to the base window. It is the only call that installs bounds, and
+// it arms each engine's self-delivery clamp with the matrix's diagonal
+// (Engine.Sent). capOver, when positive, caps every limit at G+capOver:
+// with a fault plan armed, drain-time retransmission timers land at
+// least a full timeout after the send they re-arm, so no shard may run
+// past the earliest possible timer. Calling it again (after an express
+// link tightens the matrix) is only allowed with the set parked — before
+// Run or between Run calls — and panics mid-run: a send routed over a
+// new, faster link inside the current window would be bounded by the
+// tighter matrix while the destination shard's limit was planned with
+// the old one, so the delivery could land in that shard's past.
 func (s *ShardSet) ConfigureLookahead(bounds [][]Time, capOver Time) {
-	if len(s.engines) == 1 {
-		return
-	}
 	if s.running.Load() {
 		panic("sim: ConfigureLookahead while Run is in progress; topology changes must wait for the set to park")
 	}
@@ -235,11 +227,11 @@ func (s *ShardSet) ConfigureLookahead(bounds [][]Time, capOver Time) {
 	}
 	s.bounds, s.capOver = bounds, capOver
 	s.minB = MaxTime
-	for _, row := range bounds {
-		for _, b := range row {
-			if b < s.minB {
-				s.minB = b
-			}
+	for i, e := range s.engines {
+		e.selfBound = 0
+		if bounds != nil {
+			e.selfBound = bounds[i][i]
+			s.minB = min(s.minB, slices.Min(bounds[i]))
 		}
 	}
 }
@@ -290,7 +282,7 @@ func (s *ShardSet) Pending() int {
 // coordinator panics, naming t and the shard, if a shard has already
 // run to t. Run clears the stop when it returns, so a later Run resumes.
 func (s *ShardSet) StopAt(e *Engine, t Time) {
-	e.ClampWindow(t)
+	e.clampWindow(t)
 	s.stop.Store(t)
 }
 
@@ -319,28 +311,58 @@ func satAdd(t, d Time) Time {
 // be called again to resume after a stop. It applies every post the
 // last barrier made before it returns, so what the caller sees between
 // two Run calls — a snapshot, an At, a resume — is the queue a barrier
-// that scheduled straight into the heaps would have left.
+// that scheduled straight into the heaps would have left. One loop runs
+// at every shard count; only a multi-shard set starts workers and times
+// its phases.
 func (s *ShardSet) Run() Time {
 	s.running.Store(true)
 	defer func() {
 		s.running.Store(false)
 		s.stop.Store(MaxTime)
 	}()
-	if len(s.engines) == 1 {
-		e := s.engines[0]
-		for {
-			t, ok := e.nextTime()
-			if !ok || t >= s.stop.Load() {
-				break
-			}
-			e.runWindow(min(t+s.window, s.stop.Load()))
-			s.checkStop()
-			if s.barrier != nil {
-				s.barrier(MaxTime)
-			}
+	k := len(s.engines)
+	par := k > 1
+	var mark time.Duration
+	ph := &s.phases
+	if par {
+		s.startWorkers()
+		// Release the workers on the way out, including when an event or
+		// the barrier hook panics on the coordinator: a diagnosed model
+		// failure must not leave the other shards spinning.
+		defer func() {
+			s.quit.Store(true)
+			s.done.Store(0)
+			s.epoch.Add(1)
+			s.await(k - 1)
+			ph.Run += time.Since(s.runStart)
+		}()
+	}
+	for {
+		more := s.plan()
+		if par {
+			s.lap(&ph.Plan, &mark)
 		}
-	} else {
-		s.runParallel()
+		if !more {
+			break
+		}
+		if par {
+			s.released = mark
+			s.done.Store(0)
+			s.epoch.Add(1)
+		}
+		s.engines[0].runWindow(s.limits[0]) // the coordinator is shard 0's worker
+		if par {
+			s.lap(&ph.Busy[0], &mark)
+			s.await(k - 1)
+			s.lap(&ph.Wait, &mark)
+		}
+		s.checkStop()
+		if s.barrier != nil {
+			s.barrier(s.horizon())
+		}
+		if par {
+			s.lap(&ph.Drain, &mark)
+		}
 	}
 	for _, e := range s.engines {
 		e.applyPosts()
@@ -358,12 +380,12 @@ func (s *ShardSet) Run() Time {
 // at or after the limit of the shard it lands in. The one source the
 // static plan does not cover, a fresh send by shard i into itself, is
 // covered dynamically: recording the send clamps i's running window to
-// its time plus B[i][i] (Engine.ClampWindow). Deliveries placed at the
+// its time plus B[i][i] (Engine.Sent). Deliveries placed at the
 // barrier therefore always land in the destination shard's future, and
 // the canonical replay stream stays (time, source, sequence)-sorted.
-// A set never given bounds falls back to the base window G + window
-// (the clamp never binds there: any send in the window lands at or after
-// G + one edge cost >= G + window).
+// A set never given bounds (no cluster builds one) falls back to the
+// base window G + window and arms no clamp; it is sound only while the
+// base window is no wider than any delivery.
 func (s *ShardSet) plan() bool {
 	g := MaxTime
 	for j, e := range s.engines {
@@ -388,39 +410,26 @@ func (s *ShardSet) plan() bool {
 	if g >= stop {
 		return false
 	}
-	if s.bounds == nil {
-		lim := g + s.window
-		for i := range s.limits {
-			s.limits[i] = lim
-		}
-	} else {
-		for i := range s.limits {
-			lim := satAdd(s.hv[i], s.bounds[i][i])
-			for j := range s.engines {
-				if j == i {
-					continue
-				}
-				if b := satAdd(s.ev[j], s.bounds[j][i]); b < lim {
-					lim = b
-				}
-			}
-			s.limits[i] = lim
-		}
-	}
 	capAt := stop
 	if s.capOver > 0 {
 		capAt = min(capAt, satAdd(g, s.capOver))
 	}
+	minLim := MaxTime
 	for i := range s.limits {
-		s.limits[i] = min(s.limits[i], capAt)
+		lim := g + s.window
+		if s.bounds != nil {
+			lim = satAdd(s.hv[i], s.bounds[i][i])
+			for j := range s.engines {
+				if j != i {
+					lim = min(lim, satAdd(s.ev[j], s.bounds[j][i]))
+				}
+			}
+		}
+		lim = min(lim, capAt)
+		s.limits[i] = lim
+		minLim = min(minLim, lim)
 	}
 	s.Barriers++
-	minLim := s.limits[0]
-	for _, l := range s.limits[1:] {
-		if l < minLim {
-			minLim = l
-		}
-	}
 	if minLim > satAdd(g, s.window) {
 		s.Elided++
 	}
@@ -457,50 +466,20 @@ func (s *ShardSet) horizon() Time {
 	return h
 }
 
-func (s *ShardSet) runParallel() {
-	k := len(s.engines)
+// startWorkers starts one worker goroutine per shard past the first and
+// stamps the run's start, the origin of every phase offset.
+func (s *ShardSet) startWorkers() {
 	if s.workers == nil {
-		for i := 1; i < k; i++ {
+		for i := 1; i < len(s.engines); i++ {
 			i := i
 			s.workers = append(s.workers, func() { s.work(i, s.spawnEpoch) })
 		}
 	}
 	s.runStart = time.Now()
-	var mark time.Duration
-	ph := &s.phases
 	s.quit.Store(false)
 	s.spawnEpoch = s.epoch.Load()
 	for _, w := range s.workers {
 		go w()
-	}
-	// Release the workers on the way out, including when an event or
-	// the barrier hook panics on the coordinator: a diagnosed model
-	// failure must not leave the other shards spinning.
-	defer func() {
-		s.quit.Store(true)
-		s.done.Store(0)
-		s.epoch.Add(1)
-		s.await(k - 1)
-		ph.Run += time.Since(s.runStart)
-	}()
-	for {
-		more := s.plan()
-		s.lap(&ph.Plan, &mark)
-		if !more {
-			break
-		}
-		s.released = mark
-		s.done.Store(0)
-		s.epoch.Add(1)
-		s.engines[0].runWindow(s.limits[0]) // the coordinator is shard 0's worker
-		s.lap(&ph.Busy[0], &mark)
-		s.await(k - 1)
-		s.lap(&ph.Wait, &mark)
-		s.checkStop()
-		if s.barrier != nil {
-			s.barrier(s.horizon())
-		}
-		s.lap(&ph.Drain, &mark)
 	}
 }
 

@@ -105,36 +105,67 @@ func TestShardSetBarrierScheduling(t *testing.T) {
 // matrix: with a provable 10x-the-window delivery bound, a set given the
 // matrix runs the same event program in a fraction of the barriers a set
 // given none pays at the base window, and the elision counter accounts
-// for the skipped base windows. The program itself must execute
-// identically.
+// for the skipped base windows — at one shard as at two. The program
+// sends once, and the barrier delivers that send back into its own
+// shard one bound later: with no other work to bound it, only the send
+// clamp (Engine.Sent) stops the widened window short of that delivery.
+// The program itself must execute identically.
 func TestShardSetElidePolicyWidensWindows(t *testing.T) {
-	const window = Time(10)
-	run := func(bounds [][]Time) (int, uint64, uint64) {
-		s := NewShardSet(2, window)
+	const (
+		window = Time(10)
+		bound  = Time(100)
+		sendAt = Time(500)
+	)
+	type result struct {
+		ran       int
+		delivered Time
+	}
+	run := func(k int, bounds [][]Time) (result, uint64, uint64) {
+		s := NewShardSet(k, window)
 		s.ConfigureLookahead(bounds, 0)
-		ran := 0
+		e := s.Engine(0)
+		var r result
+		var sent []Time
 		var tick func()
 		tick = func() {
-			ran++
-			e := s.Engine(0)
+			r.ran++
+			if e.Now() == sendAt {
+				e.Sent(sendAt)
+				sent = append(sent, sendAt)
+			}
 			if e.Now() < 1000 {
 				e.At(e.Now()+window, tick)
 			}
 		}
-		s.Engine(0).At(0, tick)
+		s.OnBarrier(func(Time) {
+			for _, at := range sent {
+				e.Post(at, at+bound, func() { r.delivered = e.Now() })
+			}
+			sent = sent[:0]
+		})
+		e.At(0, tick)
 		s.Run()
-		return ran, s.Barriers, s.Elided
+		return r, s.Barriers, s.Elided
 	}
-	wantRan, baseBarriers, _ := run(nil)
-	ran, barriers, elided := run([][]Time{{100, 100}, {100, 100}})
-	if ran != wantRan {
-		t.Fatalf("with bounds: ran %d events, base window ran %d", ran, wantRan)
-	}
-	if barriers*5 > baseBarriers {
-		t.Errorf("with bounds: %d barriers, want <= the base window's %d / 5", barriers, baseBarriers)
-	}
-	if elided == 0 {
-		t.Error("with bounds: elision counter stayed zero across widened windows")
+	for _, k := range []int{1, 2} {
+		want, baseBarriers, _ := run(k, nil)
+		bounds := make([][]Time, k)
+		for j := range bounds {
+			for range k {
+				bounds[j] = append(bounds[j], bound)
+			}
+		}
+		got, barriers, elided := run(k, bounds)
+		if got != want || want.delivered != sendAt+bound {
+			t.Fatalf("k=%d with bounds: ran %d events, delivered at %d; base window ran %d, delivered at %d; want delivery at %d",
+				k, got.ran, got.delivered, want.ran, want.delivered, sendAt+bound)
+		}
+		if barriers*5 > baseBarriers {
+			t.Errorf("k=%d with bounds: %d barriers, want <= the base window's %d / 5", k, barriers, baseBarriers)
+		}
+		if elided == 0 {
+			t.Errorf("k=%d with bounds: elision counter stayed zero across widened windows", k)
+		}
 	}
 }
 

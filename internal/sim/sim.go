@@ -37,11 +37,10 @@ type Engine struct {
 	seq   uint64
 	queue []entry
 	// limit is the live bound of the window runWindow is executing.
-	// The windowed send path lowers it mid-window (ClampWindow) when
-	// the shard records a transmission whose own-shard delivery bound
-	// lands before the planned limit — the scheduler can then hand out
-	// limits that assume "no send yet", and the first actual send pulls
-	// the window back to what it provably may run to.
+	// A send lowers it mid-window (Sent) when its own-shard delivery
+	// bound lands before the planned limit — the scheduler can then
+	// hand out limits that assume "no send yet", and the first actual
+	// send pulls the window back to what it provably may run to.
 	limit Time
 	// posts holds what the window barrier scheduled onto this engine, in
 	// the order it was scheduled; the engine applies them through AtFrom
@@ -54,27 +53,20 @@ type Engine struct {
 
 	met   *metrics.Registry
 	delay *metrics.Histogram
+
+	// selfBound is the own-shard delivery bound Sent clamps by: the
+	// diagonal entry of the lookahead matrix ConfigureLookahead
+	// installed; 0 arms no clamp.
+	selfBound Time
 }
 
-// New returns an empty engine at time zero.
-func New() *Engine {
-	e := newBare(metrics.NewRegistry())
-	e.met.Counters(metrics.FamSimEvents, "events executed by the engine", nil,
-		func(m *metrics.Emitter) { m.Value(float64(e.Processed)) })
-	e.met.Gauges(metrics.FamSimPending, "live events still queued", nil,
-		func(m *metrics.Emitter) { m.Value(float64(e.Pending())) })
-	e.met.Gauges(metrics.FamSimNow, "current simulated time", nil,
-		func(m *metrics.Emitter) { m.Value(float64(e.now) / 1e12) })
-	e.met.Histograms(metrics.FamSimDelay, "scheduling horizon: how far ahead events are placed", nil,
-		func(m *metrics.Emitter) { m.Histogram(e.delay) })
-	return e
-}
+// New returns an empty engine at time zero, over a registry of its own.
+// It registers no metric families: a ShardSet registers them,
+// aggregated over its engines, at one shard as at many.
+func New() *Engine { return newEngine(metrics.NewRegistry()) }
 
-// newBare returns an engine that reports into a shared registry but does
-// not register the engine-level families: a ShardSet owns those and
-// presents the per-shard values aggregated, so a sharded system's
-// snapshot carries the same sim_* families as a single-engine one.
-func newBare(met *metrics.Registry) *Engine {
+// newEngine returns an empty engine that reports into met.
+func newEngine(met *metrics.Registry) *Engine {
 	return &Engine{met: met, delay: metrics.NewHistogram(metrics.TimeBuckets()), postMin: MaxTime}
 }
 
@@ -278,19 +270,30 @@ func (e *Engine) runWindow(limit Time) {
 	}
 }
 
-// ClampWindow lowers the current window's limit. Only the goroutine
-// executing this engine's window may call it — in practice the windowed
-// exchange, from inside a sending event — so the write needs no
+// clampWindow lowers the current window's limit. Only the goroutine
+// executing this engine's window may call it, so the write needs no
 // synchronization. Raising the limit is not possible: the scheduler's
 // published bound stays the ceiling.
-func (e *Engine) ClampWindow(t Time) {
+func (e *Engine) clampWindow(t Time) {
 	if t < e.limit {
 		e.limit = t
 	}
 }
 
+// Sent tells the engine that the event it is executing recorded a
+// transmission at t. Under a lookahead matrix that frame may be
+// delivered back into this engine's shard as early as t plus the
+// matrix's diagonal entry, so the running window is clamped there; an
+// engine given no matrix clamps nothing. Call it only from an event
+// executing on this engine — in practice the exchange's record.
+func (e *Engine) Sent(t Time) {
+	if e.selfBound > 0 {
+		e.clampWindow(t + e.selfBound)
+	}
+}
+
 // Limit returns the limit of the window the engine ran last, as lowered
-// by any ClampWindow: the point up to which the shard may already have
+// by a send or a stop: the point up to which the shard may already have
 // executed events. Read it with the shard parked; the exchange names it
 // when a barrier-time schedule lands in the shard's past.
 func (e *Engine) Limit() Time { return e.limit }
