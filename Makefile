@@ -30,13 +30,14 @@ examples:
 # The harness's concurrency surface: runner.Map itself, the
 # experiment generators that fan out over it (including the chaos tests,
 # which run fault-plan sweeps at -parallel 8), the engine they drive,
-# and the consistency lab (litmus suite + checker), whose determinism
+# the workload streams whose pooled generators those sweeps share, and
+# the consistency lab (litmus suite + checker), whose determinism
 # contract CI also exercises under the race detector. The second line is
 # CI's sharded leg: every test whose name mentions shards, among them
 # the cross-shard round trips that check each RMC pool stays on its
 # shard.
 race:
-	$(GO) test -race ./internal/runner/ ./internal/experiments/ ./internal/sim/ ./internal/faults/ ./internal/consistency/ ./cmd/ncdsm-cluster/
+	$(GO) test -race ./internal/runner/ ./internal/experiments/ ./internal/sim/ ./internal/faults/ ./internal/workloads/ ./internal/consistency/ ./cmd/ncdsm-cluster/
 	$(GO) test -race -run 'Shard' ./internal/sim/ ./internal/mesh/ ./internal/cluster/ ./internal/experiments/ ./internal/integration/
 
 # bench runs the Go micro/macro benchmarks, then refreshes the tracked

@@ -3,7 +3,8 @@
 // full RMC remote-line round trip, a corner-to-corner mesh traversal, the
 // sharded engine's barrier and exchange drain, the faulted Figure 7
 // sweep with its metrics merge, building a 32x32 system and snapshotting
-// its metrics, rendering that snapshot as JSON and Prometheus text, one
+// its metrics, rendering that snapshot as JSON and Prometheus text,
+// drawing one 32x32 client thread's access stream, one
 // node's cache tags under sparse whole-fabric traffic,
 // a 2M-key b-tree bulk load, and the macro layer's batched access
 // engine (the Figure 9 search hot loop and the LineCached and Swap
@@ -53,6 +54,7 @@ import (
 	"repro/internal/rmc"
 	"repro/internal/sim"
 	"repro/internal/swap"
+	"repro/internal/workloads"
 
 	ncdsm "repro"
 )
@@ -209,6 +211,7 @@ func measure() Baseline {
 	run("fig7_faulted_sweep", "3x", 5, 0.35, nil, benchFig7Faulted)
 	run("system_build_32x32", "3x", 5, 0.50, nil, benchSystemBuild32x32)
 	run("metrics_render_32x32", "10x", 5, 0.35, nil, benchMetricsRender32x32)
+	run("random_stream_short", "500ms", 3, 0, nil, benchRandomStreamShort)
 	run("cache_sparse_fill", "500ms", 3, 0, nil, benchCacheSparseFill)
 	run("sharded_barrier_overhead", "200ms", 5, 0.35, nil, benchShardedBarrierOverhead)
 	run("exchange_drain", "300x", 5, 0, nil, benchExchangeDrain)
@@ -862,6 +865,25 @@ func benchMetricsRender32x32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		renderedBytes = len(snap.JSON()) + len(snap.Prometheus())
+	}
+}
+
+// streamSink keeps benchRandomStreamShort's streams live.
+var streamSink cpu.Stream
+
+// benchRandomStreamShort builds one 80-access stream over one 8 MiB
+// range, as each client thread of the fabric32 benchmark workload does.
+// A stream that short is drawn when it is built, through a pooled
+// generator, so its bytes/op are its accesses and their stream.
+func benchRandomStreamShort(b *testing.B) {
+	ranges := []addr.Range{{Start: addr.NodeBase(2), Size: 8 << 20}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := workloads.RandomStream(int64(i), ranges, 80, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		streamSink = s
 	}
 }
 

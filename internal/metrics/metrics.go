@@ -381,23 +381,24 @@ func (e *Emitter) sortSamples() {
 	e.prevVals, e.vals = e.vals, e.prevVals
 }
 
-// family renders the collected samples ordered by signature. Samples
-// and buckets are each allocated once, at full size; the label and
-// bucket slices of neighbouring samples share a backing array, each
-// capped at its own length.
+// family renders the collected samples ordered by signature. Samples,
+// histogram distributions and buckets are each allocated once, at full
+// size; the label and bucket slices of neighbouring samples share a
+// backing array, each capped at its own length.
 func (e *Emitter) family() Family {
 	f, n, nk := e.f, e.n, len(e.f.keys)
 	if n != len(e.order) || !slices.Equal(f.keys, e.prevKeys) || !slices.Equal(e.vals, e.prevVals) {
 		e.sortSamples()
 	}
 	out := Family{Name: f.name, Help: f.help, Kind: f.kind, Samples: make([]Sample, n)}
+	var hists []Hist
 	var buckets []Bucket
 	if f.kind == KindHistogram {
 		total := 0
 		for _, h := range e.hists {
 			total += len(h.counts)
 		}
-		buckets = make([]Bucket, total)
+		hists, buckets = make([]Hist, n), make([]Bucket, total)
 	}
 	for j, i := range e.order {
 		sm := &out.Samples[j]
@@ -416,7 +417,8 @@ func (e *Emitter) family() Family {
 			bk[b] = Bucket{Le: le, Count: h.counts[b]}
 		}
 		bk[nb-1] = Bucket{Le: BucketInf, Count: h.counts[nb-1]}
-		sm.Buckets, sm.Sum, sm.Count = bk, h.sum, h.n
+		hists[j] = Hist{Buckets: bk, Sum: h.sum, Count: h.n}
+		sm.Hist = &hists[j]
 	}
 	return out
 }

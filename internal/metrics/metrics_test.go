@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // counter registers a counter family with one sample fixed at v per
@@ -94,6 +95,65 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if f.Samples[0].Buckets[3].Le != BucketInf {
 		t.Errorf("last bucket not +Inf")
+	}
+}
+
+// TestSampleLayout: only histogram samples carry a distribution, and a
+// histogram sample without one reads as the empty distribution in
+// Value, Total, WritePrometheus and Merge.
+func TestSampleLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Sample{}); got > 40 {
+		t.Errorf("a Sample takes %d bytes, want at most 40", got)
+	}
+	r := NewRegistry()
+	counter(r, "ncdsm_ops_total", []string{"node"}, 3, []string{"0"}, []string{"1"})
+	r.Gauges("ncdsm_level", "", nil, func(e *Emitter) { e.Value(2.5) })
+	h := NewHistogram([]int64{10})
+	h.Observe(5)
+	r.Histograms("ncdsm_lat_seconds", "", []string{"node"}, func(e *Emitter) {
+		e.Histogram(h, "3")
+		e.Histogram(h, "4")
+	})
+	full := r.Snapshot()
+	for _, f := range full.Families {
+		for _, sm := range f.Samples {
+			if (sm.Hist != nil) != (f.Kind == KindHistogram) {
+				t.Errorf("%s (%s) sample %v has Hist %v", f.Name, f.Kind, sm.Labels, sm.Hist)
+			}
+		}
+	}
+
+	empty := Snapshot{Families: []Family{{Name: "ncdsm_lat_seconds", Kind: KindHistogram, Samples: []Sample{{Labels: L("node", "3")}}}}}
+	if v, ok := empty.Value("ncdsm_lat_seconds", nil); !ok || v != 0 {
+		t.Errorf("Value = %v,%v want 0,true", v, ok)
+	}
+	if got := empty.Total("ncdsm_lat_seconds"); got != 0 {
+		t.Errorf("Total = %v want 0", got)
+	}
+	var prom strings.Builder
+	if err := empty.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	want := "# TYPE ncdsm_lat_seconds histogram\n" +
+		`ncdsm_lat_seconds_sum{node="3"} 0` + "\n" +
+		`ncdsm_lat_seconds_count{node="3"} 0` + "\n"
+	if prom.String() != want {
+		t.Errorf("WritePrometheus wrote\n%s\nwant\n%s", prom.String(), want)
+	}
+	if v, _ := empty.Merge(empty).Value("ncdsm_lat_seconds", nil); v != 0 {
+		t.Errorf("empty merged with itself counts %v", v)
+	}
+	for _, pair := range [][2]Snapshot{{empty, full}, {full, empty}} {
+		m := pair[0].Merge(pair[1])
+		if v, _ := m.Value("ncdsm_lat_seconds", L("node", "3")); v != 1 {
+			t.Errorf("merged count = %v want 1", v)
+		}
+		if got := m.Total("ncdsm_lat_seconds"); got != 2 {
+			t.Errorf("merged Total = %v want 2", got)
+		}
+	}
+	if empty.Families[0].Samples[0].Hist != nil {
+		t.Error("Merge gave its input a distribution")
 	}
 }
 
@@ -237,6 +297,16 @@ func TestViews(t *testing.T) {
 // families by name and samples by signature, add, then sort.
 func refMerge(s, o Snapshot) Snapshot {
 	sig := func(ls Labels) string { return string(appendSig(nil, ls)) }
+	// own copies a sample's distribution so adding into it leaves the
+	// input alone; a nil Hist stays nil, the empty distribution.
+	own := func(sm Sample) Sample {
+		if sm.Hist != nil {
+			h := *sm.Hist
+			h.Buckets = append([]Bucket(nil), h.Buckets...)
+			sm.Hist = &h
+		}
+		return sm
+	}
 	out := Snapshot{}
 	idx := map[string]int{}
 	for _, f := range append(append([]Family(nil), s.Families...), o.Families...) {
@@ -246,8 +316,7 @@ func refMerge(s, o Snapshot) Snapshot {
 			cp := f
 			cp.Samples = nil
 			for _, sm := range f.Samples {
-				sm.Buckets = append([]Bucket(nil), sm.Buckets...)
-				cp.Samples = append(cp.Samples, sm)
+				cp.Samples = append(cp.Samples, own(sm))
 			}
 			out.Families = append(out.Families, cp)
 			continue
@@ -261,8 +330,7 @@ func refMerge(s, o Snapshot) Snapshot {
 					continue samples
 				}
 			}
-			sm.Buckets = append([]Bucket(nil), sm.Buckets...)
-			dst.Samples = append(dst.Samples, sm)
+			dst.Samples = append(dst.Samples, own(sm))
 		}
 		sort.Slice(dst.Samples, func(a, b int) bool { return sig(dst.Samples[a].Labels) < sig(dst.Samples[b].Labels) })
 	}

@@ -173,10 +173,11 @@ func (r *renderer) jsonSample(sm *Sample) {
 		}
 		r.b = appendJSONFloat(r.b, sm.Value)
 	}
-	if len(sm.Buckets) > 0 {
+	h := sm.hist()
+	if len(h.Buckets) > 0 {
 		field("buckets")
 		r.b = append(r.b, '[')
-		for i, bk := range sm.Buckets {
+		for i, bk := range h.Buckets {
 			if i > 0 {
 				r.b = append(r.b, ',')
 			}
@@ -188,13 +189,13 @@ func (r *renderer) jsonSample(sm *Sample) {
 		}
 		r.b = append(r.b, "\n          ]"...)
 	}
-	if sm.Sum != 0 {
+	if h.Sum != 0 {
 		field("sum")
-		r.b = strconv.AppendInt(r.b, sm.Sum, 10)
+		r.b = strconv.AppendInt(r.b, h.Sum, 10)
 	}
-	if sm.Count != 0 {
+	if h.Count != 0 {
 		field("count")
-		r.b = strconv.AppendUint(r.b, sm.Count, 10)
+		r.b = strconv.AppendUint(r.b, h.Count, 10)
 	}
 	if sep[0] == '\n' {
 		r.b = append(r.b, '}') // no fields: MarshalIndent keeps {} compact
@@ -258,8 +259,9 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		for j := range f.Samples {
 			sm := &f.Samples[j]
 			if f.Kind == KindHistogram {
+				h := sm.hist()
 				var cum uint64
-				for _, bk := range sm.Buckets {
+				for _, bk := range h.Buckets {
 					cum += bk.Count
 					r.b = append(r.b, f.Name...)
 					r.b = append(r.b, "_bucket{"...)
@@ -278,10 +280,10 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 					r.b = append(r.b, '\n')
 				}
 				r.promSeries(f.Name, "_sum", sm.Labels)
-				r.b = appendPromFloat(r.b, float64(sm.Sum)/1e12)
+				r.b = appendPromFloat(r.b, float64(h.Sum)/1e12)
 				r.b = append(r.b, '\n')
 				r.promSeries(f.Name, "_count", sm.Labels)
-				r.b = strconv.AppendUint(r.b, sm.Count, 10)
+				r.b = strconv.AppendUint(r.b, h.Count, 10)
 				r.b = append(r.b, '\n')
 			} else {
 				r.promSeries(f.Name, "", sm.Labels)

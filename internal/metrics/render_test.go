@@ -22,8 +22,12 @@ func refPrometheus(s Snapshot) string {
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Kind)
 		for _, sm := range f.Samples {
 			if f.Kind == KindHistogram {
+				var h Hist // a nil Hist is the empty distribution
+				if sm.Hist != nil {
+					h = *sm.Hist
+				}
 				var cum uint64
-				for _, bk := range sm.Buckets {
+				for _, bk := range h.Buckets {
 					cum += bk.Count
 					le := "+Inf"
 					if bk.Le != BucketInf {
@@ -31,8 +35,8 @@ func refPrometheus(s Snapshot) string {
 					}
 					fmt.Fprintf(&b, "%s_bucket{%s} %d\n", f.Name, promLabels(sm.Labels, le), cum)
 				}
-				fmt.Fprintf(&b, "%s_sum%s %s\n", f.Name, promLabelBlock(sm.Labels), formatFloat(float64(sm.Sum)/1e12))
-				fmt.Fprintf(&b, "%s_count%s %d\n", f.Name, promLabelBlock(sm.Labels), sm.Count)
+				fmt.Fprintf(&b, "%s_sum%s %s\n", f.Name, promLabelBlock(sm.Labels), formatFloat(float64(h.Sum)/1e12))
+				fmt.Fprintf(&b, "%s_count%s %d\n", f.Name, promLabelBlock(sm.Labels), h.Count)
 				continue
 			}
 			fmt.Fprintf(&b, "%s%s %s\n", f.Name, promLabelBlock(sm.Labels), formatFloat(sm.Value))
@@ -143,9 +147,10 @@ func fuzzSnapshot(shape []byte, strs []string, floats []float64, le int64, n uin
 			if c := next(); c%2 == 1 {
 				sm.Value = floats[c/2%len(floats)]
 			}
+			h := &Hist{}
 			nb := count()
 			if nb >= 0 {
-				sm.Buckets = []Bucket{}
+				h.Buckets = []Bucket{}
 			}
 			for k := 0; k < nb; k++ {
 				bk := Bucket{Le: BucketInf, Count: uint64(next())}
@@ -155,13 +160,19 @@ func fuzzSnapshot(shape []byte, strs []string, floats []float64, le int64, n uin
 				case 1:
 					bk.Le = int64(next()) * 1_000_000
 				}
-				sm.Buckets = append(sm.Buckets, bk)
+				h.Buckets = append(h.Buckets, bk)
 			}
-			switch next() % 3 {
+			sum := next() % 3
+			switch sum {
 			case 1:
-				sm.Sum = le
+				h.Sum = le
 			case 2:
-				sm.Sum, sm.Count = int64(n), n
+				h.Sum, h.Count = int64(n), n
+			}
+			// Nil buckets and no sum leave the sample without a
+			// distribution, as a counter or gauge sample is.
+			if nb >= 0 || sum != 0 {
+				sm.Hist = h
 			}
 			f.Samples = append(f.Samples, sm)
 		}

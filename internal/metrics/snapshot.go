@@ -19,13 +19,31 @@ type Bucket struct {
 }
 
 // Sample is one labeled value within a family. Counters and gauges use
-// Value; histograms use Buckets/Sum/Count.
+// Value and leave Hist nil; a histogram's Hist holds its distribution.
+// Behind a pointer, the distribution costs a counter or gauge sample
+// 8 bytes of its 40, and a snapshot is mostly those. encoding/json
+// renders a nil Hist as no fields at all, as it renders the zero one.
 type Sample struct {
-	Labels  Labels   `json:"labels,omitempty"`
-	Value   float64  `json:"value,omitempty"`
+	Labels Labels  `json:"labels,omitempty"`
+	Value  float64 `json:"value,omitempty"`
+	*Hist
+}
+
+// Hist is a histogram sample's distribution. Every reader takes a nil
+// Hist as the empty one: no buckets, a zero sum and a zero count.
+type Hist struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 	Sum     int64    `json:"sum,omitempty"`
 	Count   uint64   `json:"count,omitempty"`
+}
+
+// hist returns a copy of the sample's distribution, the empty one when
+// Hist is nil.
+func (sm *Sample) hist() Hist {
+	if sm.Hist == nil {
+		return Hist{}
+	}
+	return *sm.Hist
 }
 
 // Family is all samples sharing one metric name.
@@ -71,7 +89,7 @@ func (s Snapshot) Value(name string, ls Labels) (float64, bool) {
 		}
 		if match {
 			if f.Kind == KindHistogram {
-				return float64(sm.Count), true
+				return float64(sm.hist().Count), true
 			}
 			return sm.Value, true
 		}
@@ -89,7 +107,7 @@ func (s Snapshot) Total(name string) float64 {
 	var t float64
 	for _, sm := range f.Samples {
 		if f.Kind == KindHistogram {
-			t += float64(sm.Count)
+			t += float64(sm.hist().Count)
 		} else {
 			t += sm.Value
 		}
@@ -207,9 +225,15 @@ func (m *Merged) compare(a, b *Sample) int {
 }
 
 // addSample folds o into d: values, sums and counts add, and buckets add
-// when the two layouts match.
+// when the two layouts match. d must own its Hist (ownSample).
 func addSample(d, o *Sample) {
 	d.Value += o.Value
+	if o.Hist == nil {
+		return
+	}
+	if d.Hist == nil {
+		d.Hist = new(Hist)
+	}
 	d.Sum += o.Sum
 	d.Count += o.Count
 	if len(d.Buckets) == len(o.Buckets) {
@@ -219,9 +243,13 @@ func addSample(d, o *Sample) {
 	}
 }
 
-// ownSample copies a sample's buckets into storage the accumulator may
-// add into. Labels are never modified, so they stay shared.
+// ownSample copies a sample's distribution into storage the accumulator
+// may add into. Labels are never modified, so they stay shared.
 func ownSample(sm Sample) Sample {
-	sm.Buckets = slices.Clone(sm.Buckets)
+	if sm.Hist != nil {
+		h := *sm.Hist
+		h.Buckets = slices.Clone(h.Buckets)
+		sm.Hist = &h
+	}
 	return sm
 }

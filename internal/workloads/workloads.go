@@ -19,6 +19,8 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"unsafe"
 
 	"repro/internal/addr"
 	"repro/internal/cpu"
@@ -26,11 +28,24 @@ import (
 	"repro/internal/params"
 )
 
+// shortStream is the longest stream RandomStream draws when it builds
+// it: up to this count the accesses take no more bytes than the 607-word
+// math/rand generator a lazily drawn stream keeps, so each stream holds
+// whichever of the two is smaller.
+const shortStream = 607 * 8 / int(unsafe.Sizeof(cpu.Access{}))
+
+// rngPool lends generators to the streams drawn at build time. Seed
+// resets a generator to exactly the state rand.NewSource(seed) starts
+// in, so a borrowed one draws what a fresh one would.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // RandomStream builds the microbenchmark's access stream: count
 // line-aligned accesses drawn uniformly over the given physical ranges
 // (the memory the client reserved on its servers), deterministic in
 // seed. writeFrac in [0,1] selects the store fraction; Figures 6–8 use
-// pure loads (0).
+// pure loads (0). A stream of at most shortStream accesses is drawn
+// here; a longer one draws each access as it is read. Either way the
+// accesses depend only on the arguments, not on when they are drawn.
 func RandomStream(seed int64, ranges []addr.Range, count int, writeFrac float64) (cpu.Stream, error) {
 	if len(ranges) == 0 {
 		return nil, fmt.Errorf("workloads: no target ranges")
@@ -40,8 +55,18 @@ func RandomStream(seed int64, ranges []addr.Range, count int, writeFrac float64)
 			return nil, fmt.Errorf("workloads: range %v smaller than a line", r)
 		}
 	}
-	if count < 0 || writeFrac < 0 || writeFrac > 1 {
+	if count < 0 || !(writeFrac >= 0 && writeFrac <= 1) {
 		return nil, fmt.Errorf("workloads: bad count %d or write fraction %v", count, writeFrac)
+	}
+	if count <= shortStream {
+		rng := rngPool.Get().(*rand.Rand)
+		rng.Seed(seed)
+		accs := make([]cpu.Access, count)
+		for i := range accs {
+			accs[i] = draw(rng, ranges, writeFrac)
+		}
+		rngPool.Put(rng)
+		return cpu.NewSliceStream(accs), nil
 	}
 	rng := rand.New(rand.NewSource(seed))
 	issued := 0
@@ -50,14 +75,19 @@ func RandomStream(seed int64, ranges []addr.Range, count int, writeFrac float64)
 			return cpu.Access{}, false
 		}
 		issued++
-		r := ranges[rng.Intn(len(ranges))]
-		lines := r.Size / params.CacheLineSize
-		off := uint64(rng.Int63n(int64(lines))) * params.CacheLineSize
-		return cpu.Access{
-			Addr:  r.Start + addr.Phys(off),
-			Write: rng.Float64() < writeFrac,
-		}, true
+		return draw(rng, ranges, writeFrac), true
 	}), nil
+}
+
+// draw returns the next access of a random stream.
+func draw(rng *rand.Rand, ranges []addr.Range, writeFrac float64) cpu.Access {
+	r := ranges[rng.Intn(len(ranges))]
+	lines := r.Size / params.CacheLineSize
+	off := uint64(rng.Int63n(int64(lines))) * params.CacheLineSize
+	return cpu.Access{
+		Addr:  r.Start + addr.Phys(off),
+		Write: rng.Float64() < writeFrac,
+	}
 }
 
 // Kernel is one synthetic PARSEC-class benchmark.

@@ -1,9 +1,16 @@
 package workloads
 
 import (
+	"math"
+	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/cpu"
 	"repro/internal/memmodel"
 	"repro/internal/params"
 )
@@ -18,6 +25,9 @@ func TestRandomStreamValidation(t *testing.T) {
 	}
 	if _, err := RandomStream(1, r, 10, 1.5); err == nil {
 		t.Error("write fraction > 1 accepted")
+	}
+	if _, err := RandomStream(1, r, 10, math.NaN()); err == nil {
+		t.Error("NaN write fraction accepted")
 	}
 	if _, err := RandomStream(1, []addr.Range{{Start: 0, Size: 8}}, 10, 0); err == nil {
 		t.Error("sub-line range accepted")
@@ -95,6 +105,143 @@ func TestRandomStreamDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical streams")
+	}
+}
+
+// drain reads a stream to its end.
+func drain(s cpu.Stream) []cpu.Access {
+	var out []cpu.Access
+	for {
+		a, ok := s.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, a)
+	}
+}
+
+// streamRanges are one range, and three whose middle one holds 1,000
+// lines, no power of two, so that drawing a range (Intn(3)) and a line
+// in it (Int63n(1000)) both take math/rand's rejection path.
+var streamRanges = [][]addr.Range{
+	{{Start: addr.NodeBase(2), Size: 8 << 20}},
+	{
+		{Start: addr.NodeBase(2), Size: 1 << 20},
+		{Start: addr.NodeBase(5) + 4096, Size: 1000 * params.CacheLineSize},
+		{Start: addr.NodeBase(9), Size: 1 << 16},
+	},
+}
+
+// TestShortStreamsMatchLazyDraws: a stream short enough to be drawn when
+// it is built reads exactly the first accesses of a same-seed stream
+// long enough to be drawn as it is read.
+func TestShortStreamsMatchLazyDraws(t *testing.T) {
+	for _, ranges := range streamRanges {
+		for _, wf := range []float64{0, 0.3, 1} {
+			for _, seed := range []int64{0, 1, 42, -7919} {
+				lazy, err := RandomStream(seed, ranges, shortStream+50, wf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := lazy.(cpu.FuncStream); !ok {
+					t.Fatalf("a %d-access stream is a %T, want one drawn as it is read", shortStream+50, lazy)
+				}
+				want := drain(lazy)
+				for _, count := range []int{0, 1, 80, shortStream} {
+					s, err := RandomStream(seed, ranges, count, wf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, ok := s.(*cpu.SliceStream); !ok {
+						t.Fatalf("a %d-access stream is a %T, want one drawn when built", count, s)
+					}
+					if got := drain(s); !slices.Equal(got, want[:count]) {
+						t.Errorf("%d ranges, write fraction %v, seed %d, count %d: drawn when built\n%v\nwant\n%v",
+							len(ranges), wf, seed, count, got, want[:count])
+					}
+				}
+			}
+		}
+	}
+}
+
+// sink keeps what the allocation test builds live.
+var sink any
+
+// TestShortStreamAllocatesLessThanAGenerator: once the pool is warm,
+// building the longest short stream allocates fewer bytes than the
+// generator a lazily drawn stream keeps. Each op is measured alone and
+// the fewest bytes count: a collection empties the pool, and under the
+// race detector Put drops a share of what it is given.
+func TestShortStreamAllocatesLessThanAGenerator(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	bytesPerOp := func(op func()) uint64 {
+		least := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for i := 0; i < 20; i++ {
+			runtime.ReadMemStats(&before)
+			op()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	gen := bytesPerOp(func() { sink = rand.New(rand.NewSource(1)) })
+	stream := bytesPerOp(func() {
+		s, err := RandomStream(1, streamRanges[1], shortStream, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink = s
+	})
+	if stream >= gen {
+		t.Errorf("a %d-access stream allocates %d B, a generator %d B", shortStream, stream, gen)
+	}
+}
+
+// TestShortStreamsBuildConcurrently: streams built at once from several
+// goroutines, which borrow and reseed the pooled generators together,
+// read what a serial build of the same streams reads.
+func TestShortStreamsBuildConcurrently(t *testing.T) {
+	const streams, workers = 64, 8
+	build := func(i int) ([]cpu.Access, error) {
+		s, err := RandomStream(int64(i)*7919, streamRanges[i%2], 1+i*shortStream/streams, 0.3)
+		if err != nil {
+			return nil, err
+		}
+		return drain(s), nil
+	}
+	want := make([][]cpu.Access, streams)
+	for i := range want {
+		var err error
+		if want[i], err = build(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([][]cpu.Access, streams)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := w; i < streams; i += workers {
+				acc, err := build(i)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = acc
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("stream %d built concurrently differs from its serial build", i)
+		}
 	}
 }
 
